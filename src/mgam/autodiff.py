@@ -7,11 +7,12 @@ reverse, accumulating gradients into the `.grad` buffers of every tensor
 that requires them.  `finite_difference_grad` is the independent
 central-difference oracle used to cross-check the analytic gradients.
 
-The op set is deliberately small: matrix products (dense and
-constant-sparse), elementwise arithmetic with scalar broadcast, data
-movement (take/concat/stack/transpose/reshape), relu/sigmoid/logsigmoid/
-softmax and sum/mean reductions.  That closure is sufficient for every
-computation in this package; there are no general broadcasting rules.
+The op set is deliberately small: matrix products (dense, stacked and
+constant-sparse), elementwise add/mul, data movement (take/concat/stack/
+reshape), relu/sigmoid/logsigmoid/softmax and sum/mean reductions.  That
+closure is what the batch-wide model forward uses.  `add` and `mul`
+follow numpy broadcasting; their gradients are summed back to each
+operand's shape (`_unbroadcast`).  Every other op requires exact shapes.
 """
 
 from __future__ import annotations
@@ -69,30 +70,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -174,21 +151,31 @@ def grad_map(output: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]
 # ---------------------------------------------------------------------------
 # primitives
 
-def _is_scalar(t: Tensor) -> bool:
-    return t.data.shape == ()
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    try:
+        np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise UsageError(f"{op} shape mismatch: {a.data.shape} vs {b.data.shape}") from None
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast result's gradient back down to an operand's shape."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; one side may be a scalar."""
-    if a.data.shape != b.data.shape and not (_is_scalar(a) or _is_scalar(b)):
-        raise UsageError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out_data = a.data + b.data
+    """Elementwise sum under numpy broadcasting."""
+    _check_broadcast("add", a, b)
 
     def vjp(g):
-        _accum(a, g.sum() if _is_scalar(a) and g.shape != () else g)
-        _accum(b, g.sum() if _is_scalar(b) and g.shape != () else g)
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _result(out_data, "add", (a, b), vjp)
+    return _result(a.data + b.data, "add", (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -196,18 +183,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product; one side may be a scalar."""
-    if a.data.shape != b.data.shape and not (_is_scalar(a) or _is_scalar(b)):
-        raise UsageError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out_data = a.data * b.data
+    """Elementwise (Hadamard) product under numpy broadcasting."""
+    _check_broadcast("mul", a, b)
 
     def vjp(g):
-        ga = g * b.data
-        gb = g * a.data
-        _accum(a, ga.sum() if _is_scalar(a) and ga.shape != () else ga)
-        _accum(b, gb.sum() if _is_scalar(b) and gb.shape != () else gb)
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _result(out_data, "mul", (a, b), vjp)
+    return _result(a.data * b.data, "mul", (a, b), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -221,27 +204,25 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for the 1-D/2-D combinations the model needs."""
+    """Matrix product (numpy.matmul) of 1-D/2-D operands, or of two stacks
+    of matrices (..., m, k) @ (..., k, p) with equal leading axes."""
     an, bn = a.data.ndim, b.data.ndim
-    if an not in (1, 2) or bn not in (1, 2):
-        raise UsageError(f"matmul supports 1-D/2-D operands, got {an}-D @ {bn}-D")
-    if a.data.shape[-1] != b.data.shape[0]:
+    stacked = an > 2 or bn > 2
+    if min(an, bn) == 0 or (stacked and (min(an, bn) < 3
+                                         or a.data.shape[:-2] != b.data.shape[:-2])):
+        raise UsageError(f"matmul supports 1-D/2-D operands or equal-batch "
+                         f"stacks, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2 if bn > 1 else 0]:
         raise UsageError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
 
     def vjp(g):
-        if an == 2 and bn == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        elif an == 2 and bn == 1:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-        elif an == 1 and bn == 2:
-            _accum(a, b.data @ g)
-            _accum(b, np.outer(a.data, g))
-        else:  # 1-D @ 1-D -> scalar
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+        # a 1-D operand acts as a (1, k) row or a (k, 1) column
+        a2 = a.data if an > 1 else a.data[None, :]
+        b2 = b.data if bn > 1 else b.data[:, None]
+        g2 = np.reshape(g, a2.shape[:-1] + b2.shape[-1:])
+        _accum(a, (g2 @ np.swapaxes(b2, -1, -2)).reshape(a.data.shape))
+        _accum(b, (np.swapaxes(a2, -1, -2) @ g2).reshape(b.data.shape))
 
     return _result(out_data, "matmul", (a, b), vjp)
 
@@ -281,21 +262,6 @@ def take(x: Tensor, idx) -> Tensor:
     return _result(out_data, "take", (x,), vjp)
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    """Single row of a 2-D tensor as a 1-D tensor."""
-    i = int(i)
-    out_data = x.data[i]
-
-    def vjp(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[i] += g
-
-    return _result(out_data, "row", (x,), vjp)
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along an existing axis."""
     parts = list(parts)
@@ -314,28 +280,18 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(out_data, "concat", tuple(parts), vjp)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis (scalars -> vector)."""
+def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Stack equal-shape tensors along a new axis (scalars -> vector)."""
     parts = list(parts)
     if not parts:
         raise UsageError("stack of zero tensors")
-    out_data = np.stack([p.data for p in parts], axis=0)
+    out_data = np.stack([p.data for p in parts], axis=axis)
 
     def vjp(g):
         for i, p in enumerate(parts):
-            _accum(p, g[i])
+            _accum(p, np.take(g, i, axis=axis))
 
     return _result(out_data, "stack", tuple(parts), vjp)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise UsageError(f"transpose expects a 2-D tensor, got {x.data.shape}")
-
-    def vjp(g):
-        _accum(x, g.T)
-
-    return _result(x.data.T, "transpose", (x,), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -369,16 +325,6 @@ def sigmoid(x: Tensor) -> Tensor:
         _accum(x, g * out_data * (1.0 - out_data))
 
     return _result(out_data, "sigmoid", (x,), vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural logarithm (positive inputs)."""
-    out_data = np.log(x.data)
-
-    def vjp(g):
-        _accum(x, g / x.data)
-
-    return _result(out_data, "log", (x,), vjp)
 
 
 def logsigmoid(x: Tensor) -> Tensor:
@@ -431,13 +377,6 @@ def tensor_mean(x: Tensor, axis: int | None = None) -> Tensor:
             _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape).copy())
 
     return _result(out_data, "mean", (x,), vjp)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-D tensors (scalar result)."""
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise UsageError("dot expects 1-D tensors")
-    return matmul(a, b)
 
 
 # ---------------------------------------------------------------------------

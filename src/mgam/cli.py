@@ -35,9 +35,9 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    metavar="KEY=VALUE", help="override one configuration key")
 
 
-def _resolve_config(args, base=(), echo_to=sys.stdout) -> Config:
+def _resolve_config(args, base=(), echo_to=None) -> Config:
     cfg = parse_config(args.config, overrides=list(base) + list(args.overrides))
-    print(format_resolved(cfg), file=echo_to)
+    print(format_resolved(cfg), file=echo_to)  # None: sys.stdout at call time
     return cfg
 
 
@@ -240,7 +240,8 @@ def cmd_recommend(args) -> int:
         else:
             v = top[0][0]
         result = forward_batch(params, _model_cfg(cfg), dataset, assignments,
-                               graph, [(g, v)], mask=mask, collect_state=True)
+                               graph, [(g, v)], mask=mask, collect_state=True,
+                               isolated=True)
         payload = _explain_json(result.states[0], dataset, assignments, top)
         payload["config"] = cfg.resolved()
         print(json.dumps(payload, indent=2))

@@ -135,33 +135,6 @@ def _parse_group_items(path):
     return [(lineno, f[0], f[1]) for lineno, f in rows]
 
 
-@dataclass
-class UserItemTable:
-    """Standalone remapped user-item interactions (no group information)."""
-    n_users: int
-    n_items: int
-    user_items: list
-    user_ids: list
-    item_ids: list
-
-
-def load_user_item(path) -> UserItemTable:
-    """Load `user<TAB>item` interactions, dedup, and remap to indices."""
-    parsed = _parse_user_item(path)
-    user_ids = _sorted_ids(u for _, u, _ in parsed)
-    item_ids = _sorted_ids(i for _, _, i in parsed)
-    uidx = {e: k for k, e in enumerate(user_ids)}
-    iidx = {e: k for k, e in enumerate(item_ids)}
-    per_user = [set() for _ in user_ids]
-    for _, u, i in parsed:
-        per_user[uidx[u]].add(iidx[i])
-    return UserItemTable(
-        n_users=len(user_ids), n_items=len(item_ids),
-        user_items=[sorted(s) for s in per_user],
-        user_ids=user_ids, item_ids=item_ids,
-    )
-
-
 def load_dataset(directory) -> Dataset:
     """Load the three-file dataset from a directory."""
     directory = Path(directory)

@@ -5,9 +5,10 @@ For every test (group, held-out positive) the positive is ranked against
 positives); HR@K and NDCG@K are averaged over groups.  Negative streams
 are keyed by group index so evaluation order cannot change the result.
 
-Candidates are scored one instance per forward so a candidate's score
-depends only on its own (group, item) pair, never on the rest of the
-candidate list.
+All of a group's candidates are scored in one batch-wide forward with
+`isolated=True`: each candidate gets its own one-node batch graph, so its
+score depends only on its own (group, item) pair, never on the rest of
+the candidate list.
 """
 
 from __future__ import annotations
@@ -107,21 +108,18 @@ def make_mgam_scorer(params: dict, model_cfg: ModelConfig, dataset: Dataset,
                      assignments, graph, mask: AblationMask | None = None):
     """Forward-only scorer closure over a trained model.
 
-    The global graph stream is precomputed once; each candidate is scored
-    in its own single-instance batch.
+    The global graph stream is precomputed once; each call scores all of
+    a group's candidates in one isolated forward.
     """
     mask = mask or AblationMask()
     global_rows = compute_global_rows(params, model_cfg, graph) if mask.use_suppe else None
 
     def score_fn(group, candidates):
-        out = np.empty(len(candidates))
         with ad.no_grad():
-            for i, v in enumerate(candidates):
-                result = forward_batch(params, model_cfg, dataset, assignments,
-                                       graph, [(group, v)], mask=mask,
-                                       global_rows=global_rows)
-                out[i] = float(result.scores.data[0])
-        return out
+            result = forward_batch(params, model_cfg, dataset, assignments, graph,
+                                   [(group, v) for v in candidates], mask=mask,
+                                   global_rows=global_rows, isolated=True)
+        return result.scores.data
 
     return score_fn
 

@@ -65,11 +65,6 @@ def build_co_membership(groups) -> GroupGraph:
     return _finish(adj)
 
 
-def normalize_adjacency(graph: GroupGraph) -> sparse.csr_array:
-    """Recompute the symmetric normalization of a graph's adjacency."""
-    return _normalize(graph.adjacency, graph.degree)
-
-
 def induce_batch_subgraph(graph: GroupGraph, batch_group_ids) -> GroupGraph:
     """Restrict the graph to the given nodes, recomputing degrees and
     normalization on the subgraph (self-loops are retained)."""
@@ -94,11 +89,8 @@ def expand_to_instances(subgraph: GroupGraph, positions) -> sparse.csr_array:
     degrees.
     """
     pos = np.asarray(positions, dtype=np.intp)
-    dense = subgraph.adjacency.toarray()
-    inst = dense[np.ix_(pos, pos)]
-    degree = inst.sum(axis=1)
-    adj = sparse.csr_array(inst)
-    return _normalize(adj, degree)
+    adj = subgraph.adjacency[pos][:, pos]
+    return _normalize(adj, np.asarray(adj.sum(axis=1)).ravel())
 
 
 def dump_graph(graph: GroupGraph, group_ids, path) -> None:

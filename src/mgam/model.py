@@ -15,6 +15,14 @@ A row-wise self-attention over the stacked branch vectors fuses them;
 the prediction layer scores the fused vector against the item embedding.
 Any branch can be ablated; ablating the subset branch reseeds the batch
 stream with the group-branch vector.
+
+`forward_batch` runs every stage once over the whole batch, so the tape
+size does not grow with the number of instances: members are gathered
+into padded (k, w, d) arrays whose padding is masked out of the softmax
+with -inf, subset slots into (n, d) tensors with a zero row (masked out
+of the slot softmax) where an instance lacks the slot, and fusion is an
+(r, r, n) attention.  The same forward serves training, evaluation,
+`recommend` and `--explain`; `isolated=True` decouples the instances.
 """
 
 from __future__ import annotations
@@ -22,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .errors import UsageError
 from .graph import GroupGraph, expand_to_instances, induce_batch_subgraph
-
-_SINGLETON_NORM = np.ones((1, 1))
 
 
 @dataclass
@@ -129,51 +136,86 @@ def init_params(cfg: ModelConfig, n_users: int, n_items: int, n_groups: int,
 
 
 # ---------------------------------------------------------------------------
-# branch operations
+# branch operations (each runs once over the whole batch)
 
-def member_attention(member_vecs: Tensor, item_vec: Tensor,
-                     weight: Tensor, bias: Tensor) -> tuple:
-    """Item-conditioned softmax attention over member embedding rows.
+def _pad_mask(valid: np.ndarray) -> Tensor:
+    """Additive softmax mask: 0 on real entries, -inf on padding."""
+    return Tensor(np.where(valid, 0.0, -np.inf))
 
-    Scores are relu(weight * <e(u), e(v)> + bias); the output is the
-    attention-weighted sum of the member embeddings.  Used for both the
-    within-subset and the whole-group aggregation (different parameters).
+
+def _padded(lists) -> tuple:
+    """Index lists as rows padded to the longest one, plus a real-entry mask."""
+    width = max(map(len, lists), default=0)
+    idx = np.zeros((len(lists), width), dtype=np.intp)
+    valid = np.zeros((len(lists), width), dtype=bool)
+    for r, entries in enumerate(lists):
+        idx[r, :len(entries)] = entries
+        valid[r, :len(entries)] = True
+    return idx, valid
+
+
+def member_attention(member_vecs: Tensor, item_vecs: Tensor,
+                     weight: Tensor, bias: Tensor, valid=None) -> tuple:
+    """Item-conditioned softmax attention over padded rows of members.
+
+    `member_vecs` is (k, w, d): row r holds the member embeddings of
+    attention r, padded to width w, and `valid` (k, w) marks the real
+    members (all of them when omitted).  Scores are
+    relu(weight * <e(u), e(v_r)> + bias) with padding masked out of the
+    softmax; the output is each row's attention-weighted member sum,
+    (k, d), with the (k, w) weights.  Used for both the within-subset and
+    the whole-group aggregation (different parameters).
     """
-    if member_vecs.data.ndim != 2 or member_vecs.data.shape[0] == 0:
-        raise UsageError("member attention needs a non-empty (m, d) matrix")
-    dots = ad.matmul(member_vecs, item_vec)                 # (m,)
+    shape = member_vecs.data.shape
+    if (len(shape) != 3 or 0 in shape[:2]
+            or (valid is not None and not valid.any(axis=1).all())):
+        raise UsageError("member attention needs a non-empty (k, w, d) member "
+                         "array with at least one member per row")
+    k, w, d = shape
+    if item_vecs.data.shape != (k, d):
+        raise UsageError(f"member attention expects ({k}, {d}) item vectors, "
+                         f"got {item_vecs.data.shape}")
+    dots = ad.reshape(ad.matmul(member_vecs, ad.reshape(item_vecs, (k, d, 1))), (k, w))
     scores = ad.relu(ad.add(ad.mul(weight, dots), bias))
+    if valid is not None:
+        scores = ad.add(scores, _pad_mask(valid))
     attn = ad.softmax(scores)
-    return ad.matmul(attn, member_vecs), attn
+    h = ad.matmul(ad.reshape(attn, (k, 1, w)), member_vecs)
+    return ad.reshape(h, (k, d)), attn
 
 
-def subset_attention(slot_embs, params: dict, m: int) -> tuple:
-    """Slotted attention across subset embeddings.
+def subset_attention(slot_embs, params: dict, m: int, present=None) -> tuple:
+    """Slotted attention across subset embeddings, batched over instances.
 
-    `slot_embs` holds the real slots in their canonical order; slots past
-    m_effective are zero-padded so each slot's cross-weight keeps its
-    (m-1)d input width.  Softmax runs over real slots only.
+    `slot_embs[s]` is the (n, d) embedding of every instance's slot s, in
+    canonical slot order, and `present` (n, len(slot_embs)) marks the
+    slots an instance really has (all of them when omitted).  A missing
+    slot's row must be zero: it is masked out of the softmax but still
+    feeds the other slots' cross weights, which keep their (m-1)d input
+    width through zero slots up to m.  Returns the (n, d) output and the
+    (n, slots) weights.
     """
     m_eff = len(slot_embs)
-    if m_eff == 0:
+    if m_eff == 0 or (present is not None and not present.any(axis=1).all()):
         raise UsageError("subset attention needs at least one subset")
     if m_eff > m:
         raise UsageError(f"{m_eff} subsets exceed the configured maximum {m}")
-    d = slot_embs[0].data.shape[0]
-    zero = Tensor(np.zeros(d))
-    padded = list(slot_embs) + [zero] * (m - m_eff)
+    n, d = slot_embs[0].data.shape
+    padded = list(slot_embs) + [Tensor(np.zeros((n, d)))] * (m - m_eff)
     scores = []
     for i in range(m_eff):
         pre = ad.matmul(padded[i], params[f"subpe_self_w_{i + 1}"])
         if m > 1:
-            others = ad.concat([padded[j] for j in range(m) if j != i])
+            others = ad.concat([padded[j] for j in range(m) if j != i], axis=1)
             pre = ad.add(pre, ad.matmul(others, params[f"subpe_other_w_{i + 1}"]))
         pre = ad.add(pre, params[f"subpe_bias_{i + 1}"])
-        a_i = ad.add(ad.dot(params["subpe_score_w"], ad.relu(pre)),
-                     params["subpe_score_b"])
-        scores.append(a_i)
-    attn = ad.softmax(ad.stack(scores))
-    return ad.matmul(attn, ad.stack(slot_embs)), attn
+        scores.append(ad.matmul(ad.relu(pre), params["subpe_score_w"]))
+    scores = ad.add(ad.stack(scores, axis=1), params["subpe_score_b"])   # (n, m_eff)
+    if present is not None:
+        scores = ad.add(scores, _pad_mask(present))
+    attn = ad.softmax(scores)
+    h = ad.matmul(ad.reshape(attn, (n, 1, m_eff)), ad.stack(slot_embs, axis=1))
+    return ad.reshape(h, (n, d)), attn
 
 
 def superset_propagate(h0: Tensor, norm_adj, layer_weights) -> Tensor:
@@ -185,63 +227,69 @@ def superset_propagate(h0: Tensor, norm_adj, layer_weights) -> Tensor:
 
 
 def superset_embeddings(params: dict, cfg: ModelConfig, batch_groups,
-                        h0_rows, graph: GroupGraph,
-                        global_rows: Tensor | None = None) -> list:
+                        h0: Tensor, graph: GroupGraph,
+                        global_rows: Tensor | None = None,
+                        isolated: bool = False) -> tuple:
     """Two-stream superset branch for a batch of instances.
 
-    `batch_groups[i]` is instance i's group (duplicates allowed);
-    `h0_rows[i]` seeds the batch stream for that instance.  Returns one
-    (h_suppe (2d,), projected (d,)) pair per instance.  `global_rows`
-    optionally supplies a precomputed global-stream table (evaluation
-    caching); omitted, it is recomputed so gradients flow end to end.
+    `batch_groups[i]` is instance i's group (duplicates allowed) and row i
+    of `h0` (n, d) seeds the batch stream for that instance.  The batch
+    stream runs over the instance graph, where two instances are adjacent
+    iff their groups are; with `isolated` every instance is a one-node
+    graph instead.  Returns (h_suppe (n, 2d), projected (n, d)).
+    `global_rows` optionally supplies a precomputed global-stream table
+    (evaluation caching); omitted, it is recomputed so gradients flow end
+    to end.
     """
     layers = cfg.gcn_layers
     if global_rows is None:
         global_w = [params[f"gcn_global_w_{k}"] for k in range(1, layers + 1)]
         global_rows = superset_propagate(params["group_emb"], graph.normalized, global_w)
-    if len(batch_groups) == 1:
-        # a one-group induced subgraph is always the unit self-loop
-        norm_inst = _SINGLETON_NORM
+    if isolated:
+        norm_inst = sparse.eye_array(len(batch_groups), format="csr")
     else:
-        uniq = sorted(set(int(g) for g in batch_groups))
-        node_of = {g: i for i, g in enumerate(uniq)}
-        sub = induce_batch_subgraph(graph, uniq)
-        norm_inst = expand_to_instances(sub, [node_of[int(g)] for g in batch_groups])
+        uniq, pos = np.unique(np.asarray(batch_groups, dtype=np.intp),
+                              return_inverse=True)
+        norm_inst = expand_to_instances(induce_batch_subgraph(graph, uniq), pos)
     batch_w = [params[f"gcn_batch_w_{k}"] for k in range(1, layers + 1)]
-    batch_rows = superset_propagate(ad.stack(list(h0_rows)), norm_inst, batch_w)
-    out = []
-    for i, g in enumerate(batch_groups):
-        h_sup = ad.concat([ad.row(global_rows, int(g)), ad.row(batch_rows, i)])
-        projected = ad.add(ad.matmul(h_sup, params["suppe_proj_w"]),
-                           params["suppe_proj_b"])
-        out.append((h_sup, projected))
-    return out
+    batch_rows = superset_propagate(h0, norm_inst, batch_w)
+    h_sup = ad.concat([ad.take(global_rows, batch_groups), batch_rows], axis=1)
+    projected = ad.add(ad.matmul(h_sup, params["suppe_proj_w"]),
+                       params["suppe_proj_b"])
+    return h_sup, projected
 
 
 def fuse(rows, d: int) -> tuple:
     """Row-wise self-attention over stacked branch vectors, mean-pooled.
 
-    With a single row the softmax is a no-op and the input passes through.
+    `rows` holds r (n, d) branch outputs; the attention is (r, r, n), one
+    r x r matrix per instance.  With a single row the softmax is a no-op
+    and the input passes through.
     """
     rows = list(rows)
     if not rows:
         raise UsageError("fusion needs at least one active granularity")
-    for r in rows:
-        if r.data.shape != (d,):
-            raise UsageError(f"fusion rows must be ({d},) vectors, got {r.data.shape}")
-    h = ad.stack(rows)                                        # (r, d)
-    attn = ad.softmax(ad.scale(ad.matmul(h, ad.transpose(h)), 1.0 / np.sqrt(d)), axis=-1)
-    fused = ad.matmul(attn, h)                                # (r, d)
+    shape = rows[0].data.shape
+    if len(shape) != 2 or shape[1] != d or any(r.data.shape != shape for r in rows):
+        raise UsageError(f"fusion rows must be (n, {d}) tensors of one shape, "
+                         f"got {[r.data.shape for r in rows]}")
+    r, n = len(rows), shape[0]
+    h = ad.stack(rows)                                        # (r, n, d)
+    gram = ad.tensor_sum(ad.mul(ad.reshape(h, (r, 1, n, d)),
+                                ad.reshape(h, (1, r, n, d))), axis=-1)
+    attn = ad.softmax(ad.scale(gram, 1.0 / np.sqrt(d)), axis=1)   # (r, r, n)
+    fused = ad.tensor_sum(ad.mul(ad.reshape(attn, (r, r, n, 1)),
+                                 ad.reshape(h, (1, r, n, d))), axis=1)
     return ad.tensor_mean(fused, axis=0), attn
 
 
-def predict_logit(h_fusion: Tensor, item_vec: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Pre-sigmoid score from [h, h*e(v), e(v)]."""
-    if h_fusion.data.shape != item_vec.data.shape:
+def predict_logit(h_fusion: Tensor, item_vecs: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Pre-sigmoid scores (n,) from (n, 3d) features [h, h*e(v), e(v)]."""
+    if h_fusion.data.ndim != 2 or h_fusion.data.shape != item_vecs.data.shape:
         raise UsageError(f"fusion/item dimension mismatch: "
-                         f"{h_fusion.data.shape} vs {item_vec.data.shape}")
-    feats = ad.concat([h_fusion, ad.mul(h_fusion, item_vec), item_vec])
-    return ad.add(ad.dot(w, feats), b)
+                         f"{h_fusion.data.shape} vs {item_vecs.data.shape}")
+    feats = ad.concat([h_fusion, ad.mul(h_fusion, item_vecs), item_vecs], axis=1)
+    return ad.add(ad.matmul(feats, w), b)
 
 
 def compute_global_rows(params: dict, cfg: ModelConfig, graph: GroupGraph) -> Tensor:
@@ -265,12 +313,14 @@ def forward_batch(params: dict, cfg: ModelConfig, dataset: Dataset,
                   assignments, graph: GroupGraph, batch, *,
                   mask: AblationMask | None = None,
                   collect_state: bool = False,
-                  global_rows: Tensor | None = None) -> ForwardResult:
-    """Score a batch of (group, item) pairs.
+                  global_rows: Tensor | None = None,
+                  isolated: bool = False) -> ForwardResult:
+    """Score a batch of (group, item) pairs, each stage once for the batch.
 
-    The batch-stream graph couples the instances that are scored
-    together; evaluation therefore scores candidates in one-instance
-    batches so that a score depends only on its own (group, item) pair.
+    By default the batch-stream graph couples the instances scored
+    together, as in training.  `isolated=True` gives every instance its
+    own one-node batch graph, so that a score depends only on its own
+    (group, item) pair however many candidates one call scores.
     """
     mask = mask or AblationMask()
     if not (mask.use_subpe or mask.use_gpe or mask.use_suppe):
@@ -278,75 +328,64 @@ def forward_batch(params: dict, cfg: ModelConfig, dataset: Dataset,
     batch = [(int(g), int(v)) for g, v in batch]
     if not batch:
         raise UsageError("empty forward batch")
+    n, groups = len(batch), [g for g, _ in batch]
     need_gpe = mask.use_gpe or (mask.use_suppe and not mask.use_subpe)
+    item_vecs = ad.take(params["item_emb"], [v for _, v in batch])     # (n, d)
 
-    item_vecs, h_subpe, h_gpe = [], [], []
-    subset_member_w, subset_w, gpe_w = [], [], []
-    for g, v in batch:
-        e_v = ad.row(params["item_emb"], v)
-        item_vecs.append(e_v)
-        if mask.use_subpe:
-            slot_embs, mw = [], []
-            for subset in assignments[g].subsets:
-                u = ad.take(params["user_emb"], subset)
-                h_s, attn = member_attention(u, e_v, params["user_att_w"],
-                                             params["user_att_b"])
-                slot_embs.append(h_s)
-                mw.append(attn.data.copy() if collect_state else None)
-            h_sub, s_attn = subset_attention(slot_embs, params, cfg.num_subsets)
-            h_subpe.append(h_sub)
-            subset_member_w.append(mw)
-            subset_w.append(s_attn.data.copy() if collect_state else None)
-        else:
-            h_subpe.append(None)
-            subset_member_w.append(None)
-            subset_w.append(None)
-        if need_gpe:
-            u_all = ad.take(params["user_emb"], dataset.groups[g])
-            h_g, g_attn = member_attention(u_all, e_v, params["group_att_w"],
-                                           params["group_att_b"])
-            h_gpe.append(h_g)
-            gpe_w.append(g_attn.data.copy() if collect_state else None)
-        else:
-            h_gpe.append(None)
-            gpe_w.append(None)
-
-    suppe = None
+    h_subpe = h_gpe = h_suppe = None
+    if mask.use_subpe:
+        # one member-attention row per (instance, subset), in instance order
+        owner, slot, members = [], [], []
+        for i, g in enumerate(groups):
+            for s, subset in enumerate(assignments[g].subsets):
+                owner.append(i)
+                slot.append(s)
+                members.append(subset)
+        idx, valid = _padded(members)
+        h_rows, member_w = member_attention(
+            ad.take(params["user_emb"], idx), ad.take(item_vecs, owner),
+            params["user_att_w"], params["user_att_b"], valid)
+        # slot s of instance i reads its row, or the zero row past the end
+        row_of = np.full((max(slot) + 1, n), len(owner), dtype=np.intp)
+        row_of[slot, owner] = np.arange(len(owner))
+        table = ad.concat([h_rows, Tensor(np.zeros((1, cfg.embedding_dim)))])
+        h_subpe, slot_w = subset_attention([ad.take(table, r) for r in row_of],
+                                           params, cfg.num_subsets,
+                                           present=(row_of < len(owner)).T)
+    if need_gpe:
+        idx, valid = _padded([dataset.groups[g] for g in groups])
+        h_gpe, gpe_w = member_attention(
+            ad.take(params["user_emb"], idx), item_vecs,
+            params["group_att_w"], params["group_att_b"], valid)
     if mask.use_suppe:
-        h0_rows = [h_subpe[i] if mask.use_subpe else h_gpe[i] for i in range(len(batch))]
-        suppe = superset_embeddings(params, cfg, [g for g, _ in batch], h0_rows,
-                                    graph, global_rows=global_rows)
+        _, h_suppe = superset_embeddings(
+            params, cfg, groups, h_subpe if mask.use_subpe else h_gpe, graph,
+            global_rows=global_rows, isolated=isolated)
 
-    logits, fusion_attn, fusion_rows = [], [], []
-    for i in range(len(batch)):
-        rows, labels = [], []
-        if mask.use_subpe:
-            rows.append(h_subpe[i])
-            labels.append("subpe")
-        if mask.use_gpe:
-            rows.append(h_gpe[i])
-            labels.append("gpe")
-        if mask.use_suppe:
-            rows.append(suppe[i][1])
-            labels.append("suppe")
-        h_fus, attn = fuse(rows, cfg.embedding_dim)
-        logits.append(predict_logit(h_fus, item_vecs[i],
-                                    params["predict_w"], params["predict_b"]))
-        fusion_attn.append(attn.data.copy() if collect_state else None)
-        fusion_rows.append(labels)
+    branches = [(label, h) for label, on, h in (("subpe", mask.use_subpe, h_subpe),
+                                                ("gpe", mask.use_gpe, h_gpe),
+                                                ("suppe", mask.use_suppe, h_suppe)) if on]
+    h_fus, fusion_w = fuse([h for _, h in branches], cfg.embedding_dim)
+    logits = predict_logit(h_fus, item_vecs, params["predict_w"], params["predict_b"])
+    scores = ad.sigmoid(logits)
 
-    logits_t = ad.stack(logits)
-    scores = ad.sigmoid(logits_t)
     states = []
     if collect_state:
+        first_row = 0
         for i, (g, v) in enumerate(batch):
+            subsets = assignments[g].subsets
             states.append(GroupForwardState(
                 group=g, item=v,
-                subset_member_weights=subset_member_w[i],
-                subset_weights=subset_w[i],
-                gpe_member_weights=gpe_w[i],
-                fusion_rows=fusion_rows[i],
-                fusion_attention=fusion_attn[i],
+                subset_member_weights=[
+                    member_w.data[first_row + s, :len(subset)].copy()
+                    for s, subset in enumerate(subsets)] if mask.use_subpe else None,
+                subset_weights=(slot_w.data[i, :len(subsets)].copy()
+                                if mask.use_subpe else None),
+                gpe_member_weights=(gpe_w.data[i, :len(dataset.groups[g])].copy()
+                                    if need_gpe else None),
+                fusion_rows=[label for label, _ in branches],
+                fusion_attention=fusion_w.data[:, :, i].copy(),
                 score=float(scores.data[i]),
             ))
-    return ForwardResult(logits=logits_t, scores=scores, states=states)
+            first_row += len(subsets)
+    return ForwardResult(logits=logits, scores=scores, states=states)

@@ -77,15 +77,6 @@ def point_loss_from_logits(logits, labels):
     return ad.scale(ad.add(pos, neg), -1.0)
 
 
-def point_loss(y_hat: float, y: int) -> float:
-    """Cross-entropy of a probability prediction (convenience scalar form)."""
-    p = float(y_hat)
-    if not 0.0 < p < 1.0:
-        raise UsageError(f"prediction must lie strictly in (0, 1), got {p}")
-    logit = np.log(p) - np.log1p(-p)
-    return float(point_loss_from_logits(ad.as_tensor(logit), float(y)).data)
-
-
 def total_loss(triplet_terms, point_terms, lambda1: float):
     """Mean triplet term (over available triplets) + lambda1 * mean point term.
 

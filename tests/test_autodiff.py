@@ -58,15 +58,15 @@ def test_backward_requires_scalar():
 
 
 def test_backward_crossentropy_softmax_identity():
-    # d(-log softmax(z)_k)/dz == softmax(z) - onehot(k)
+    # The softmax Jacobian is d p_k / dz = p_k (onehot(k) - p), so
+    # d(-log p_k)/dz = -(d p_k / dz) / p_k == softmax(z) - onehot(k).
     z = Tensor([0.4, -1.1, 2.3, 0.0], requires_grad=True)
     k = 2
     p = ad.softmax(z)
-    ce = ad.scale(ad.tensor_sum(ad.log(ad.take(p, [k]))), -1.0)
-    ad.backward(ce)
-    expected = p.data.copy()
-    expected[k] -= 1.0
-    assert np.abs(z.grad - expected).max() < 1e-10
+    ad.backward(ad.tensor_sum(ad.take(p, [k])))
+    onehot = np.eye(4)[k]
+    assert np.abs(z.grad - p.data[k] * (onehot - p.data)).max() < 1e-15
+    assert np.abs(-z.grad / p.data[k] - (p.data - onehot)).max() < 1e-10
 
 
 def test_backward_two_layer_composite_matches_finite_differences():
@@ -140,10 +140,39 @@ def test_matmul_shapes_and_errors():
     m = Tensor(np.arange(6.0).reshape(2, 3))
     v = Tensor([1.0, 1.0, 1.0])
     assert ad.matmul(m, v).data.shape == (2,)
-    assert ad.matmul(v, ad.transpose(m)).data.shape == (2,)
-    assert ad.dot(v, v).data.shape == ()
+    assert ad.matmul(v, Tensor(m.data.T)).data.shape == (2,)
+    assert ad.matmul(v, v).data.shape == ()
+    assert ad.matmul(m, Tensor(m.data.T)).data.shape == (2, 2)
+    assert ad.matmul(Tensor(np.zeros((4, 2, 3))),
+                     Tensor(np.zeros((4, 3, 1)))).data.shape == (4, 2, 1)
     with pytest.raises(UsageError):
         ad.matmul(m, m)
+    with pytest.raises(UsageError):  # stacks must not broadcast
+        ad.matmul(Tensor(np.zeros((2, 2, 3))), m)
+    with pytest.raises(UsageError):
+        ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 1))))
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4, 2)), ((4,), (4,)),
+    ((5, 3, 4), (5, 4, 2)),
+])
+def test_matmul_gradients_match_finite_differences(shape_a, shape_b):
+    rng = np.random.default_rng(21)
+    a = Tensor(rng.uniform(-1, 1, shape_a), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, shape_b), requires_grad=True)
+
+    def forward():
+        return ad.tensor_sum(ad.sigmoid(ad.matmul(a, b)))
+
+    grads = ad.grad_map(forward(), {"a": a, "b": b})
+    for name, t in (("a", a), ("b", b)):
+        def f(arr):
+            with ad.no_grad():
+                return float(forward().data)
+        fd = ad.finite_difference_grad(f, t.data, 1e-5)
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
+        assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
 
 
 def test_scalar_broadcast_add_mul():
@@ -153,8 +182,41 @@ def test_scalar_broadcast_add_mul():
     assert np.array_equal(out.data, [3.0, 5.0, 7.0])
     ad.backward(ad.tensor_sum(out))
     assert float(w.grad) == 6.0
-    with pytest.raises(UsageError):
-        ad.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+    for op in (ad.add, ad.mul):
+        with pytest.raises(UsageError):
+            op(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+        with pytest.raises(UsageError):
+            op(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))))
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((4, 3), (3,)),          # (n, d) + (d,)
+    ((4, 1, 3), (4, 5, 3)),  # (n, 1, d) * (n, w, d)
+    ((), (4, 3)),            # scalar forms
+    ((2, 3), ()),
+    ((3, 1, 2), (1, 4, 2)),  # both sides broadcast
+])
+def test_broadcast_add_mul_gradients_match_finite_differences(shape_a, shape_b):
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.uniform(-1, 1, shape_a), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, shape_b), requires_grad=True)
+    out_shape = np.broadcast_shapes(shape_a, shape_b)
+    weights = Tensor(rng.uniform(-1, 1, out_shape))
+
+    def forward():
+        # a nonlinear composite so the mul gradient depends on both sides
+        return ad.tensor_sum(ad.mul(weights, ad.mul(ad.add(a, b), ad.sigmoid(ad.mul(a, b)))))
+
+    grads = ad.grad_map(forward(), {"a": a, "b": b})
+    for name, t in (("a", a), ("b", b)):
+        assert grads[name].shape == t.data.shape
+
+        def f(arr):
+            with ad.no_grad():
+                return float(forward().data)
+        fd = ad.finite_difference_grad(f, t.data, 1e-5)
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
+        assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
 
 
 def test_logsigmoid_matches_log_of_sigmoid():

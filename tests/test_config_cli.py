@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -181,6 +183,28 @@ def test_recommend_explain_json(workspace, capsys):
     assert abs(sum(payload["group_member_weights"].values()) - 1) < 1e-9
     assert abs(sum(payload["subset_weights"]) - 1) < 1e-9
     assert payload["recommendations"]
+    # every attention block has its documented shape
+    assert set(payload) == {"group", "item", "score", "fusion_rows",
+                            "fusion_attention", "recommendations",
+                            "group_member_weights", "subset_weights",
+                            "subsets", "config"}
+    assert payload["item"] == payload["recommendations"][0]["item"]
+    assert payload["score"] == pytest.approx(payload["recommendations"][0]["score"],
+                                             abs=1e-12)
+    assert len(payload["recommendations"]) == 2
+    assert [len(row) for row in payload["fusion_attention"]] == [3, 3, 3]
+    assert len(payload["subsets"]) == len(payload["subset_weights"])
+    for subset in payload["subsets"]:
+        assert len(subset["member_weights"]) == len(subset["users"])
+        assert abs(sum(subset["member_weights"]) - 1) < 1e-9
+    members = {u for s in payload["subsets"] for u in s["users"]}
+    assert members == set(payload["group_member_weights"])
+    assert len(payload["subsets"]) == len(payload["subset_weights"])
+    for subset in payload["subsets"]:
+        assert len(subset["member_weights"]) == len(subset["users"])
+        assert abs(sum(subset["member_weights"]) - 1) < 1e-9
+    members = {u for s in payload["subsets"] for u in s["users"]}
+    assert members == set(payload["group_member_weights"])
 
 
 def test_recommend_unknown_group(workspace, capsys):
@@ -197,6 +221,18 @@ def test_dump_graph_format(workspace, tmp_path):
         a, b = line.split("\t")
         assert a != b  # self-loops omitted
     assert (tmp_path / "graph.tsv.config").exists()
+
+
+def test_config_echo_follows_redirected_stdout(workspace, tmp_path):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["dump-graph", "--data", workspace["data"],
+                   "--out", str(tmp_path / "graph.tsv"), "--set", "seed=7"])
+    assert rc == 0
+    lines = buf.getvalue().splitlines()
+    assert "seed = 7" in lines
+    assert "embedding_dim = 32" in lines
+    assert lines[-1].startswith("graph written to")
 
 
 def test_dump_subsets_format(workspace, tmp_path):

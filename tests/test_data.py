@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgam.data import (Dataset, SyntheticParams, generate_synthetic,
-                       load_dataset, load_user_item, sample_negatives,
+                       load_dataset, sample_negatives,
                        split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
 
@@ -18,40 +18,36 @@ def _write(tmp_path, user_item, groups, group_items):
 # loaders
 
 def test_load_user_item_counts(tmp_path):
-    p = tmp_path / "ui.tsv"
-    p.write_text("7\t5\n9\t5\n", encoding="utf-8")
-    t = load_user_item(p)
-    assert (t.n_users, t.n_items) == (2, 1)
-    assert sum(len(x) for x in t.user_items) == 2
-    assert t.user_ids == ["7", "9"]
+    d = _write(tmp_path, "7\t5\n9\t5\n", "g1\t7\n", "g1\t5\n")
+    ds = load_dataset(d)
+    assert (ds.n_users, ds.n_items) == (2, 1)
+    assert sum(len(x) for x in ds.user_items) == 2
+    assert ds.user_ids == ["7", "9"]
 
 
 def test_load_user_item_dedup(tmp_path):
-    p = tmp_path / "ui.tsv"
-    p.write_text("7\t5\n7\t5\n", encoding="utf-8")
-    t = load_user_item(p)
-    assert sum(len(x) for x in t.user_items) == 1
+    d = _write(tmp_path, "7\t5\n7\t5\n", "g1\t7\n", "g1\t5\n")
+    ds = load_dataset(d)
+    assert ds.user_items == [[0]]
 
 
 def test_load_user_item_wrong_delimiter_names_line(tmp_path):
-    p = tmp_path / "ui.tsv"
-    p.write_text("7,5\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 1"):
-        load_user_item(p)
+    d = _write(tmp_path, "7,5\n", "g1\t7\n", "g1\t5\n")
+    with pytest.raises(DataError, match="user_item.tsv: line 1"):
+        load_dataset(d)
 
 
 def test_load_user_item_empty_file(tmp_path):
-    p = tmp_path / "ui.tsv"
-    p.write_text("# only a comment\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_user_item(p)
+    d = _write(tmp_path, "# only a comment\n", "g1\t7\n", "g1\t5\n")
+    with pytest.raises(DataError, match="user_item.tsv: no interaction records"):
+        load_dataset(d)
 
 
 def test_load_user_item_third_column_tolerated(tmp_path):
-    p = tmp_path / "ui.tsv"
-    p.write_text("7\t5\t123456\n", encoding="utf-8")
-    t = load_user_item(p)
-    assert (t.n_users, t.n_items) == (1, 1)
+    d = _write(tmp_path, "7\t5\t123456\n", "g1\t7\n", "g1\t5\n")
+    ds = load_dataset(d)
+    assert (ds.n_users, ds.n_items) == (1, 1)
+    assert ds.user_items == [[0]]
 
 
 def test_load_dataset_groups(tmp_path):

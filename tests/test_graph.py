@@ -3,7 +3,7 @@ import pytest
 
 from mgam.errors import UsageError
 from mgam.graph import (build_co_membership, expand_to_instances,
-                        induce_batch_subgraph, normalize_adjacency)
+                        induce_batch_subgraph)
 
 
 def dense_normalized_oracle(adj):
@@ -126,6 +126,30 @@ def test_expand_to_instances_duplicates():
 
 
 def test_normalize_adjacency_recompute():
+    # inducing on every node recomputes degrees and normalization unchanged
     g = build_co_membership([[0, 1], [1], [2]])
-    again = normalize_adjacency(g)
-    assert np.array_equal(again.toarray(), g.normalized.toarray())
+    again = induce_batch_subgraph(g, [0, 1, 2])
+    assert np.array_equal(again.normalized.toarray(), g.normalized.toarray())
+    assert np.array_equal(again.degree, g.degree)
+
+
+def test_expand_to_instances_sparse_matches_dense_bitwise():
+    """CSR row/column slicing gives exactly the dense-gather construction."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n_groups = int(rng.integers(1, 12))
+        g = build_co_membership(random_groups(rng, n_groups, 10))
+        ids = np.sort(rng.choice(n_groups, size=int(rng.integers(1, n_groups + 1)),
+                                 replace=False))
+        sub = induce_batch_subgraph(g, ids)
+        pos = rng.integers(0, len(ids), size=int(rng.integers(1, 20)))
+        norm = expand_to_instances(sub, pos)
+        inst = sub.adjacency.toarray()[np.ix_(pos, pos)]
+        deg = inst.sum(axis=1)
+        rows, cols = np.nonzero(inst)
+        expect = np.zeros_like(inst)
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        expect[rows, cols] = inv_sqrt[rows] * inv_sqrt[cols]
+        diag = rows == cols
+        expect[rows[diag], cols[diag]] = 1.0 / deg[rows[diag]]
+        assert np.array_equal(norm.toarray(), expect)

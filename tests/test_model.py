@@ -24,35 +24,48 @@ E = np.e
 # ---------------------------------------------------------------------------
 # member attention (used for both subset-level and group-level aggregation)
 
+def _one(rows):
+    """A single attention row: (w, d) members -> (1, w, d)."""
+    return Tensor(np.asarray(rows, dtype=float)[None])
+
+
 def test_member_attention_singleton_returns_embedding():
-    u = Tensor([[0.3, -0.7, 1.1]])
-    h, w = member_attention(u, Tensor([1.0, 0.0, 0.0]), Tensor(2.0), Tensor(0.5))
+    u = _one([[0.3, -0.7, 1.1]])
+    h, w = member_attention(u, Tensor([[1.0, 0.0, 0.0]]), Tensor(2.0), Tensor(0.5))
     assert np.array_equal(h.data, u.data[0])
-    assert np.array_equal(w.data, [1.0])
+    assert np.array_equal(w.data, [[1.0]])
 
 
 def test_member_attention_equal_scores_average():
-    u = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    item = Tensor([1.0, 1.0])  # equal dot products
+    u = _one([[1.0, 0.0], [0.0, 1.0]])
+    item = Tensor([[1.0, 1.0]])  # equal dot products
     h, w = member_attention(u, item, Tensor(1.0), Tensor(0.0))
-    assert np.allclose(w.data, [0.5, 0.5], atol=1e-15)
-    assert np.allclose(h.data, [0.5, 0.5], atol=1e-15)
+    assert np.allclose(w.data, [[0.5, 0.5]], atol=1e-15)
+    assert np.allclose(h.data, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_member_attention_hand_derived():
     # e(u1)=(1,0), e(u2)=(0,1), e(v)=(1,0), w=1, b=0:
     # scores=(relu(1), relu(0))=(1,0) -> weights=(e, 1)/(e+1)
-    u = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    h, w = member_attention(u, Tensor([1.0, 0.0]), Tensor(1.0), Tensor(0.0))
+    u = _one([[1.0, 0.0], [0.0, 1.0]])
+    h, w = member_attention(u, Tensor([[1.0, 0.0]]), Tensor(1.0), Tensor(0.0))
     w1 = E / (E + 1.0)
-    assert np.abs(w.data - [w1, 1 - w1]).max() < 1e-12
-    assert np.abs(h.data - [w1, 1 - w1]).max() < 1e-12
+    assert np.abs(w.data - [[w1, 1 - w1]]).max() < 1e-12
+    assert np.abs(h.data - [[w1, 1 - w1]]).max() < 1e-12
 
 
 def test_member_attention_empty_rejected():
     with pytest.raises(UsageError):
-        member_attention(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)),
+        member_attention(Tensor(np.zeros((1, 0, 3))), Tensor(np.zeros((1, 3))),
                          Tensor(1.0), Tensor(0.0))
+    with pytest.raises(UsageError):
+        member_attention(Tensor(np.zeros((0, 2, 3))), Tensor(np.zeros((0, 3))),
+                         Tensor(1.0), Tensor(0.0))
+    # a row whose members are all padding
+    with pytest.raises(UsageError):
+        member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3))),
+                         Tensor(1.0), Tensor(0.0),
+                         valid=np.array([[True, False], [False, False]]))
 
 
 def test_member_attention_convexity():
@@ -61,14 +74,39 @@ def test_member_attention_convexity():
     for _ in range(10):
         m, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
         u = rng.normal(size=(m, d))
-        h, w = member_attention(Tensor(u), Tensor(rng.normal(size=d)),
+        h, w = member_attention(_one(u), Tensor(rng.normal(size=(1, d))),
                                 Tensor(rng.normal()), Tensor(rng.normal()))
         assert w.data.min() >= 0 and abs(w.data.sum() - 1) < 1e-9
         a_eq = np.vstack([u.T, np.ones(m)])
-        b_eq = np.concatenate([h.data, [1.0]])
+        b_eq = np.concatenate([h.data[0], [1.0]])
         res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq,
                       bounds=[(0, 1)] * m, method="highs")
         assert res.status == 0
+
+
+def test_member_attention_padding_matches_unpadded_rows():
+    """Rows of different widths in one padded call equal separate calls;
+    padding gets exactly zero weight and zero gradient."""
+    rng = np.random.default_rng(4)
+    d = 3
+    rows = [rng.normal(size=(k, d)) for k in (1, 4, 2)]
+    items = rng.normal(size=(3, d))
+    w, b = Tensor(0.8), Tensor(0.1)
+    packed = np.zeros((3, 4, d))
+    valid = np.zeros((3, 4), dtype=bool)
+    for r, x in enumerate(rows):
+        packed[r, :len(x)] = x
+        valid[r, :len(x)] = True
+    members = Tensor(packed, requires_grad=True)
+    h, attn = member_attention(members, Tensor(items), w, b, valid)
+    assert np.array_equal(attn.data[~valid], np.zeros((~valid).sum()))
+    for r, x in enumerate(rows):
+        h1, w1 = member_attention(_one(x), Tensor(items[r:r + 1]), w, b)
+        assert np.abs(h.data[r] - h1.data[0]).max() < 1e-15
+        assert np.abs(attn.data[r, :len(x)] - w1.data[0]).max() < 1e-15
+    ad.backward(ad.tensor_sum(h))
+    assert np.isfinite(members.grad).all()
+    assert np.array_equal(members.grad[~valid], np.zeros(((~valid).sum(), d)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,37 +125,59 @@ def _slot_params(d, m, self_w=None, other_w=None, score_w=None):
     return params
 
 
+def _slots(*vecs):
+    """One instance's slot vectors as (1, d) slot tensors."""
+    return [Tensor(np.asarray(v, dtype=float)[None]) for v in vecs]
+
+
 def test_subset_attention_single_slot_is_identity():
     rng = np.random.default_rng(1)
     params = _slot_params(3, 4, self_w=rng.normal(size=(3, 3)),
                           other_w=rng.normal(size=(9, 3)),
                           score_w=rng.normal(size=3))
     h0 = rng.normal(size=3)
-    h, w = subset_attention([Tensor(h0)], params, 4)
-    assert np.array_equal(h.data, h0)
-    assert np.array_equal(w.data, [1.0])
+    h, w = subset_attention(_slots(h0), params, 4)
+    assert np.array_equal(h.data, [h0])
+    assert np.array_equal(w.data, [[1.0]])
 
 
 def test_subset_attention_zero_score_weight_means_uniform():
     rng = np.random.default_rng(2)
-    slots = [Tensor(rng.normal(size=3)) for _ in range(3)]
+    vecs = [rng.normal(size=3) for _ in range(3)]
     params = _slot_params(3, 3, self_w=rng.normal(size=(3, 3)),
                           other_w=rng.normal(size=(6, 3)))
-    h, w = subset_attention(slots, params, 3)
+    h, w = subset_attention(_slots(*vecs), params, 3)
     assert np.allclose(w.data, 1 / 3, atol=1e-15)
-    mean = np.mean([s.data for s in slots], axis=0)
-    assert np.abs(h.data - mean).max() < 1e-12
+    assert np.abs(h.data[0] - np.mean(vecs, axis=0)).max() < 1e-12
 
 
 def test_subset_attention_hand_derived():
     # identity self weights, zero cross weights, score_w=(1,0):
     # a=(2,0) -> weights=(e^2, 1)/(e^2+1) -> h=(1.7616, 0.2384)
     params = _slot_params(2, 2, score_w=np.array([1.0, 0.0]))
-    h, w = subset_attention([Tensor([2.0, 0.0]), Tensor([0.0, 2.0])], params, 2)
+    h, w = subset_attention(_slots([2.0, 0.0], [0.0, 2.0]), params, 2)
     w1 = E ** 2 / (E ** 2 + 1.0)
-    assert np.abs(w.data - [w1, 1 - w1]).max() < 1e-12
-    assert np.abs(h.data - [2 * w1, 2 * (1 - w1)]).max() < 1e-12
-    assert h.data == pytest.approx([1.7616, 0.2384], abs=1e-4)
+    assert np.abs(w.data - [[w1, 1 - w1]]).max() < 1e-12
+    assert np.abs(h.data - [[2 * w1, 2 * (1 - w1)]]).max() < 1e-12
+    assert h.data[0] == pytest.approx([1.7616, 0.2384], abs=1e-4)
+
+
+def test_subset_attention_missing_slot_matches_fewer_slots():
+    """An instance lacking slot 2 (zero row, masked) scores as if it had
+    been given one slot, while its batch neighbour uses both."""
+    rng = np.random.default_rng(6)
+    params = _slot_params(3, 3, self_w=rng.normal(size=(3, 3)),
+                          other_w=rng.normal(size=(6, 3)),
+                          score_w=rng.normal(size=3))
+    a1, a2, b1 = (rng.normal(size=3) for _ in range(3))
+    slots = [Tensor(np.stack([a1, b1])), Tensor(np.stack([a2, np.zeros(3)]))]
+    present = np.array([[True, True], [True, False]])
+    h, w = subset_attention(slots, params, 3, present=present)
+    ha, wa = subset_attention(_slots(a1, a2), params, 3)
+    hb, wb = subset_attention(_slots(b1), params, 3)
+    assert np.abs(h.data - np.vstack([ha.data, hb.data])).max() < 1e-15
+    assert np.abs(w.data[0] - wa.data[0]).max() < 1e-15
+    assert np.array_equal(w.data[1], [1.0, 0.0])
 
 
 def test_subset_attention_errors():
@@ -125,7 +185,9 @@ def test_subset_attention_errors():
     with pytest.raises(UsageError):
         subset_attention([], params, 2)
     with pytest.raises(UsageError):
-        subset_attention([Tensor([1.0, 0.0])] * 3, params, 2)
+        subset_attention(_slots([1.0, 0.0]) * 3, params, 2)
+    with pytest.raises(UsageError):
+        subset_attention(_slots([1.0, 0.0]), params, 2, present=np.array([[False]]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +241,12 @@ def test_superset_isolated_group_concatenates_initial_states():
     graph = build_co_membership([[0], [1]])  # isolated nodes
     params = _superset_params(d, layers, 2, identity=True)
     cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=layers)
-    h0 = Tensor(np.array([0.2, 0.0, 0.7]))
-    out = superset_embeddings(params, cfg, [0], [h0], graph)
-    h_sup, projected = out[0]
-    assert np.abs(h_sup.data - np.concatenate([params["group_emb"].data[0],
-                                               h0.data])).max() < 1e-15
+    h0 = Tensor(np.array([[0.2, 0.0, 0.7]]))
+    h_sup, projected = superset_embeddings(params, cfg, [0], h0, graph)
+    assert np.abs(h_sup.data[0] - np.concatenate([params["group_emb"].data[0],
+                                                  h0.data[0]])).max() < 1e-15
     # projection [I | 0] selects the global half
-    assert np.abs(projected.data - params["group_emb"].data[0]).max() < 1e-15
+    assert np.abs(projected.data[0] - params["group_emb"].data[0]).max() < 1e-15
 
 
 def test_superset_path_graph_matches_dense_oracle():
@@ -196,8 +257,8 @@ def test_superset_path_graph_matches_dense_oracle():
     params = _superset_params(d, layers, 3, rng=rng)
     cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0_rows = [rng.uniform(-0.5, 0.5, d) for _ in range(3)]
-    out = superset_embeddings(params, cfg, [0, 1, 2],
-                              [Tensor(r) for r in h0_rows], graph)
+    h_sup, projected = superset_embeddings(params, cfg, [0, 1, 2],
+                                           Tensor(np.stack(h0_rows)), graph)
 
     # dense straight-line re-computation
     adj = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
@@ -210,77 +271,116 @@ def test_superset_path_graph_matches_dense_oracle():
         hb = np.maximum(norm @ hb @ params[f"gcn_batch_w_{k}"].data, 0)
     for i in range(3):
         expect = np.concatenate([hg[i], hb[i]])
-        assert np.abs(out[i][0].data - expect).max() < 1e-10
+        assert np.abs(h_sup.data[i] - expect).max() < 1e-10
         proj = expect @ params["suppe_proj_w"].data + params["suppe_proj_b"].data
-        assert np.abs(out[i][1].data - proj).max() < 1e-10
+        assert np.abs(projected.data[i] - proj).max() < 1e-10
+
+
+def test_superset_isolated_instances_ignore_each_other():
+    """With isolated=True each instance's batch stream is its own seed
+    propagated through a unit self-loop, even for adjacent groups."""
+    d, layers = 4, 2
+    graph = build_co_membership([[0], [0, 1], [1]])
+    rng = np.random.default_rng(8)
+    params = _superset_params(d, layers, 3, rng=rng)
+    cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=layers)
+    h0 = rng.uniform(-0.5, 0.5, (3, d))
+    h_sup, _ = superset_embeddings(params, cfg, [0, 1, 1], Tensor(h0), graph,
+                                   isolated=True)
+    for i in range(3):
+        alone, _ = superset_embeddings(params, cfg, [[0, 1, 1][i]],
+                                       Tensor(h0[i:i + 1]), graph)
+        assert np.abs(h_sup.data[i] - alone.data[0]).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
 # fusion and prediction
 
+def _rows(*vecs):
+    """One instance's branch vectors as (1, d) fusion rows."""
+    return [Tensor(np.asarray(v, dtype=float)[None]) for v in vecs]
+
+
 def test_fuse_identical_rows_pass_through():
     x = np.array([0.3, -1.0, 0.5, 2.0])
-    h, attn = fuse([Tensor(x)] * 3, 4)
+    h, attn = fuse(_rows(x, x, x), 4)
+    assert attn.data.shape == (3, 3, 1)
     assert np.allclose(attn.data, 1 / 3, atol=1e-15)
-    assert np.abs(h.data - x).max() < 1e-12
+    assert np.abs(h.data[0] - x).max() < 1e-12
 
 
 def test_fuse_zero_rows_uniform_attention():
-    h, attn = fuse([Tensor(np.zeros(4))] * 3, 4)
+    h, attn = fuse(_rows(*[np.zeros(4)] * 3), 4)
     assert np.allclose(attn.data, 1 / 3, atol=1e-15)
-    assert np.array_equal(h.data, np.zeros(4))
+    assert np.array_equal(h.data, np.zeros((1, 4)))
 
 
 def test_fuse_single_row_identity():
     x = np.array([1.0, -2.0])
-    h, attn = fuse([Tensor(x)], 2)
-    assert np.array_equal(attn.data, [[1.0]])
-    assert np.array_equal(h.data, x)
+    h, attn = fuse(_rows(x), 2)
+    assert np.array_equal(attn.data[:, :, 0], [[1.0]])
+    assert np.array_equal(h.data, [x])
 
 
 def test_fuse_hand_derived_scaled_unit_rows():
     # rows 2*e1, 2*e2, 2*e3 in d=4: H H^T / sqrt(4) = 2I
-    rows = [Tensor(2.0 * np.eye(4)[i]) for i in range(3)]
-    h, attn = fuse(rows, 4)
+    h, attn = fuse(_rows(*(2.0 * np.eye(4)[:3])), 4)
     diag = E ** 2 / (E ** 2 + 2.0)
     off = 1.0 / (E ** 2 + 2.0)
     expect_attn = np.full((3, 3), off)
     np.fill_diagonal(expect_attn, diag)
-    assert np.abs(attn.data - expect_attn).max() < 1e-10
+    assert np.abs(attn.data[:, :, 0] - expect_attn).max() < 1e-10
     expect_h = np.array([2 / 3, 2 / 3, 2 / 3, 0.0])
-    assert np.abs(h.data - expect_h).max() < 1e-10
+    assert np.abs(h.data[0] - expect_h).max() < 1e-10
+
+
+def test_fuse_instances_are_independent():
+    """Each instance's (r, r) attention uses only its own rows."""
+    rng = np.random.default_rng(9)
+    rows = [rng.normal(size=(3, 4)) for _ in range(2)]
+    h, attn = fuse([Tensor(r) for r in rows], 4)
+    for i in range(3):
+        hi, ai = fuse(_rows(rows[0][i], rows[1][i]), 4)
+        assert np.abs(h.data[i] - hi.data[0]).max() < 1e-15
+        assert np.abs(attn.data[:, :, i] - ai.data[:, :, 0]).max() < 1e-15
 
 
 def test_fuse_dimension_mismatch():
     with pytest.raises(UsageError):
-        fuse([Tensor(np.zeros(3))], 4)
+        fuse(_rows(np.zeros(3)), 4)
     with pytest.raises(UsageError):
         fuse([], 4)
+    with pytest.raises(UsageError):
+        fuse([Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4)))], 4)
 
 
 def test_predict_zero_weights():
-    out = ad.sigmoid(predict_logit(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]),
+    out = ad.sigmoid(predict_logit(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]),
                                    Tensor(np.zeros(6)), Tensor(0.7)))
-    assert float(out.data) == pytest.approx(1 / (1 + np.exp(-0.7)), abs=1e-15)
+    assert out.data.shape == (1,)
+    assert float(out.data[0]) == pytest.approx(1 / (1 + np.exp(-0.7)), abs=1e-15)
 
 
 def test_predict_orthogonal_inputs_give_half():
     w = Tensor(np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-    out = ad.sigmoid(predict_logit(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]),
+    out = ad.sigmoid(predict_logit(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]),
                                    w, Tensor(0.0)))
-    assert float(out.data) == pytest.approx(0.5, abs=1e-15)
+    assert float(out.data[0]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_predict_log3_forced():
     w = Tensor(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    out = ad.sigmoid(predict_logit(Tensor([np.log(3.0), 0.0]),
-                                   Tensor([0.4, -0.2]), w, Tensor(0.0)))
-    assert float(out.data) == pytest.approx(0.75, abs=1e-12)
+    out = ad.sigmoid(predict_logit(Tensor([[np.log(3.0), 0.0]]),
+                                   Tensor([[0.4, -0.2]]), w, Tensor(0.0)))
+    assert float(out.data[0]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_predict_dimension_mismatch():
     with pytest.raises(UsageError):
-        predict_logit(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]),
+        predict_logit(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]]),
+                      Tensor(np.zeros(6)), Tensor(0.0))
+    with pytest.raises(UsageError):
+        predict_logit(Tensor([1.0, 2.0]), Tensor([1.0, 2.0]),
                       Tensor(np.zeros(6)), Tensor(0.0))
 
 
@@ -320,12 +420,49 @@ def test_forward_gpe_only_equals_direct_group_attention(toy):
 
 def test_forward_matches_reference_oracle(toy):
     raw = {k: v.data for k, v in toy["params"].items()}
-    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                        toy["assignments"], toy["graph"], toy["batch"])
-    ref = reference_forward(raw, toy["dataset"],
-                            [a.subsets for a in toy["assignments"]],
-                            toy["batch"], 8, 2, 2)
-    assert np.abs(res.scores.data - ref).max() < 1e-10
+    for flags in ((True, True, True), (False, True, True), (True, False, True),
+                  (True, True, False), (False, False, True)):
+        res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                            toy["assignments"], toy["graph"], toy["batch"],
+                            mask=AblationMask(*flags))
+        ref = reference_forward(raw, toy["dataset"],
+                                [a.subsets for a in toy["assignments"]],
+                                toy["batch"], 8, 2, 2, *flags)
+        assert np.abs(res.scores.data - ref).max() < 1e-10, flags
+
+
+def test_forward_isolated_candidates_score_alone(toy):
+    """One isolated call over a group's candidates equals scoring each
+    candidate in its own call and the oracle's one-instance forward."""
+    raw = {k: v.data for k, v in toy["params"].items()}
+    subsets = [a.subsets for a in toy["assignments"]]
+    for g in (0, 1):
+        batch = [(g, v) for v in range(toy["dataset"].n_items)]
+        together = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                                 toy["assignments"], toy["graph"], batch,
+                                 isolated=True).scores.data
+        for i, pair in enumerate(batch):
+            alone = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                                  toy["assignments"], toy["graph"], [pair])
+            ref = reference_forward(raw, toy["dataset"], subsets, [pair], 8, 2, 2)
+            assert abs(together[i] - alone.scores.data[0]) < 1e-12
+            assert abs(together[i] - ref[0]) < 1e-12
+
+
+def test_forward_tape_size_does_not_grow_with_batch(toy):
+    def tape_length(instances):
+        res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                            toy["assignments"], toy["graph"],
+                            [(g, v) for g, v, _ in instances])
+        labels = [y for _, _, y in instances]
+        triplets = _build_triplets(instances)
+        trip = triplet_loss(*(ad.take(res.scores, [t[k] for t in triplets])
+                              for k in range(3)), 1.0)
+        return len(ad.trace(total_loss(trip, point_loss_from_logits(res.logits, labels), 0.5)))
+
+    small = toy["instances"][:3]
+    assert _build_triplets(small)
+    assert tape_length(small) == tape_length(toy["instances"] * 8)
 
 
 def test_forward_attention_weights_are_probability_vectors(toy):

@@ -10,7 +10,7 @@ from mgam.graph import build_co_membership
 from mgam.model import AblationMask, ModelConfig, forward_batch
 from mgam.training import (TrainConfig, adam_step,
                            expected_param_shapes, init_adam, load_checkpoint,
-                           point_loss, point_loss_from_logits, save_checkpoint,
+                           point_loss_from_logits, save_checkpoint,
                            total_loss, train, train_epoch, triplet_loss,
                            _build_triplets)
 
@@ -33,12 +33,14 @@ def test_triplet_loss_vectorized():
 
 
 def test_point_loss_values():
-    assert point_loss(0.5, 1) == pytest.approx(np.log(2), abs=1e-12)
-    assert point_loss(0.5, 0) == pytest.approx(np.log(2), abs=1e-12)
-    p10 = 1 / (1 + np.exp(-10.0))
-    assert point_loss(p10, 1) == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-6)
-    with pytest.raises(UsageError):
-        point_loss(1.0, 1)
+    def loss(logit, y):
+        return float(point_loss_from_logits(logit, y).data)
+    assert loss(0.0, 1) == pytest.approx(np.log(2), abs=1e-12)
+    assert loss(0.0, 0) == pytest.approx(np.log(2), abs=1e-12)
+    assert loss(10.0, 1) == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-12)
+    # saturated logits stay finite (the stable log-sigmoid form)
+    assert loss(1000.0, 0) == pytest.approx(1000.0, rel=1e-12)
+    assert loss(-1000.0, 1) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_point_loss_from_logits_matches_definition():
