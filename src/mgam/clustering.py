@@ -1,18 +1,20 @@
 """Partition group members into preference subsets via global K-Means.
 
 Users are clustered once over all of a dataset (L2-normalized binary
-interaction vectors); each group is then partitioned by reusing the
-global labels.  Clustering tiny groups separately would be degenerate,
-and a single global clustering keeps identical users in identical
-subsets across groups.
+interaction vectors, stored as CSR rows); each group is then partitioned
+by reusing the global labels.  Clustering tiny groups separately would be
+degenerate, and a single global clustering keeps identical users in
+identical subsets across groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .data import Dataset
 from .errors import UsageError
@@ -43,31 +45,47 @@ class SubsetAssignment:
         return len(self.subsets)
 
 
-def build_user_features(dataset: Dataset) -> np.ndarray:
-    """Binary interaction indicator rows, L2-normalized; zero rows stay zero."""
-    feats = np.zeros((dataset.n_users, dataset.n_items))
-    for u, items in enumerate(dataset.user_items):
-        if items:
-            feats[u, items] = 1.0
-            feats[u] /= np.sqrt(len(items))
-    return feats
+class UserFeatures(sparse.csr_array):
+    """CSR feature rows whose `nbytes` is the stored size:
+    data + indices + indptr bytes."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||p||^2 - 2 p.c + ||c||^2, clipped to fend off tiny negatives
+def build_user_features(dataset: Dataset) -> UserFeatures:
+    """Binary interaction indicator rows, L2-normalized, as CSR.
+
+    Each stored entry is `1/sqrt(len(items))`; a user with no
+    interactions gets an empty row.
+    """
+    lengths = np.array([len(items) for items in dataset.user_items], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = np.fromiter(chain.from_iterable(dataset.user_items), dtype=np.int64)
+    data = np.repeat(1.0 / np.sqrt(np.maximum(lengths, 1)), lengths)
+    return UserFeatures((data, indices, indptr),
+                        shape=(dataset.n_users, dataset.n_items))
+
+
+def _squared_distances(points: sparse.csr_array, norms: np.ndarray,
+                       centroids: np.ndarray) -> np.ndarray:
+    # ||p||^2 - 2 p.c + ||c||^2, clipped to fend off tiny negatives;
+    # `norms` holds ||p||^2, computed once per kmeans call
     d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
+        norms[:, None]
+        - 2.0 * (points @ centroids.T)
         + (centroids * centroids).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp_init(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    k = len(points)
+def _kmeanspp_init(points: sparse.csr_array, norms: np.ndarray, m: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    k = points.shape[0]
     centroids = np.empty((m, points.shape[1]))
-    centroids[0] = points[int(rng.integers(k))]
-    closest = _squared_distances(points, centroids[:1]).ravel()
+    centroids[0] = points[[int(rng.integers(k))]].toarray()[0]
+    closest = _squared_distances(points, norms, centroids[:1]).ravel()
     for j in range(1, m):
         total = closest.sum()
         if total <= 0.0:
@@ -75,19 +93,21 @@ def _kmeanspp_init(points: np.ndarray, m: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(np.searchsorted(np.cumsum(closest / total), rng.random()))
             idx = min(idx, k - 1)
-        centroids[j] = points[idx]
-        closest = np.minimum(closest, _squared_distances(points, centroids[j:j + 1]).ravel())
+        centroids[j] = points[[idx]].toarray()[0]
+        closest = np.minimum(closest,
+                             _squared_distances(points, norms, centroids[j:j + 1]).ravel())
     return centroids
 
 
-def _lloyd(points: np.ndarray, m: int, max_iters: int,
+def _lloyd(points: sparse.csr_array, norms: np.ndarray, m: int, max_iters: int,
            rng: np.random.Generator) -> tuple:
-    centroids = _kmeanspp_init(points, m, rng)
-    labels = np.full(len(points), -1)
-    point_range = np.arange(len(points))
+    centroids = _kmeanspp_init(points, norms, m, rng)
+    n = points.shape[0]
+    labels = np.full(n, -1)
+    point_range = np.arange(n)
     history = []
     for _ in range(max_iters):
-        d2 = _squared_distances(points, centroids)
+        d2 = _squared_distances(points, norms, centroids)
         new_labels = d2.argmin(axis=1)  # ties -> lowest centroid index
         # repair empty clusters: reseed at the point farthest from its centroid,
         # never stealing a cluster's only member
@@ -101,9 +121,10 @@ def _lloyd(points: np.ndarray, m: int, max_iters: int,
                 counts[j] += 1
                 new_labels[far] = j
                 assigned_d2[far] = 0.0
-        for j in range(m):
-            centroids[j] = points[new_labels == j].mean(axis=0)
-        inertia = float(_squared_distances(points, centroids)[point_range, new_labels].sum())
+        # cluster sums as one (m x n) one-hot product, then means
+        onehot = sparse.csr_array((np.ones(n), (new_labels, point_range)), shape=(m, n))
+        centroids = (onehot @ points).toarray() / counts[:, None]
+        inertia = float(_squared_distances(points, norms, centroids)[point_range, new_labels].sum())
         history.append(inertia)
         if np.array_equal(new_labels, labels):
             break
@@ -111,19 +132,27 @@ def _lloyd(points: np.ndarray, m: int, max_iters: int,
     return labels, centroids, history[-1], history
 
 
-def kmeans(points: np.ndarray, m: int, max_iters: int = 100,
+def kmeans(points, m: int, max_iters: int = 100,
            restarts: int = 3, seed=0) -> KMeansResult:
-    """Best-of-`restarts` seeded K-Means (k-means++ init, Lloyd updates)."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(points) == 0:
+    """Best-of-`restarts` seeded K-Means (k-means++ init, Lloyd updates).
+
+    `points` may be dense or sparse; it is converted to CSR once, and
+    the centroids are dense.
+    """
+    if not sparse.issparse(points):
+        points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] == 0:
         raise UsageError("kmeans expects a non-empty 2-D point matrix")
-    if not 1 <= m <= len(points):
-        raise UsageError(f"cluster count {m} must be in [1, n_points={len(points)}]")
+    n = points.shape[0]
+    if not 1 <= m <= n:
+        raise UsageError(f"cluster count {m} must be in [1, n_points={n}]")
+    points = sparse.csr_array(points, dtype=np.float64)
+    norms = np.asarray(points.multiply(points).sum(axis=1)).ravel()
     seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed_base + [r])
-        labels, centroids, inertia, history = _lloyd(points, m, max_iters, rng)
+        labels, centroids, inertia, history = _lloyd(points, norms, m, max_iters, rng)
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centroids=centroids,
                                 inertia=inertia, inertia_history=history)

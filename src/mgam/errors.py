@@ -27,3 +27,8 @@ class SamplingError(MgamError):
 
 class CheckpointError(MgamError):
     """A checkpoint is missing, corrupt, or inconsistent with the config."""
+
+
+class NonFiniteError(MgamError):
+    """Training produced a non-finite loss or gradient; message names the
+    epoch, the batch and, for a gradient, the parameter."""

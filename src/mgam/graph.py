@@ -9,6 +9,7 @@ state.  Edges are unweighted (the shared-user count is ignored).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,25 +44,20 @@ def _finish(adjacency: sparse.csr_array) -> GroupGraph:
 
 
 def build_co_membership(groups) -> GroupGraph:
-    """Graph over groups with an edge per shared user, plus self-loops."""
+    """Graph over groups with an edge per shared user, plus self-loops.
+
+    With `B` the group x user incidence matrix, the adjacency is
+    `min(B B^T + I, 1)`.
+    """
     n = len(groups)
-    by_user: dict = {}
-    for g, members in enumerate(groups):
-        for u in members:
-            by_user.setdefault(u, []).append(g)
-    rows, cols = list(range(n)), list(range(n))  # self-loops
-    seen = set()
-    for gs in by_user.values():
-        for a_i in range(len(gs)):
-            for b_i in range(a_i + 1, len(gs)):
-                e = (gs[a_i], gs[b_i])
-                if e not in seen:
-                    seen.add(e)
-                    rows.extend((e[0], e[1]))
-                    cols.extend((e[1], e[0]))
-    adj = sparse.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    adj = adj.tocsr()
-    adj.data = np.minimum(adj.data, 1.0)  # collapse accidental duplicates
+    sizes = np.fromiter((len(members) for members in groups), dtype=np.intp, count=n)
+    users = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=int(sizes.sum()))
+    incidence = sparse.csr_array(
+        (np.ones(users.size), (np.repeat(np.arange(n), sizes), users)),
+        shape=(n, int(users.max(initial=-1)) + 1))
+    adj = incidence @ incidence.T + sparse.eye_array(n, format="csr")
+    adj.data = np.minimum(adj.data, 1.0)
+    adj.sort_indices()
     return _finish(adj)
 
 
@@ -95,9 +91,13 @@ def expand_to_instances(subgraph: GroupGraph, positions) -> sparse.csr_array:
 
 def dump_graph(graph: GroupGraph, group_ids, path) -> None:
     """Write one `group_id<TAB>group_id` line per undirected edge
-    (self-loops omitted)."""
-    coo = graph.adjacency.tocoo()
+    (self-loops omitted), in row-major order of the internal indices."""
+    upper = sparse.triu(graph.adjacency, k=1, format="csr")
+    upper.sort_indices()
+    bounds = upper.indptr.tolist()
     with open(Path(path), "w", encoding="utf-8") as f:
-        for i, j in sorted(zip(coo.row, coo.col)):
-            if i < j:
-                f.write(f"{group_ids[i]}\t{group_ids[j]}\n")
+        # one join per row keeps only that row's lines in memory
+        for i in range(graph.n):
+            head = f"{group_ids[i]}\t"
+            f.write("".join([f"{head}{group_ids[j]}\n"
+                             for j in upper.indices[bounds[i]:bounds[i + 1]].tolist()]))

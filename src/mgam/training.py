@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import STREAM_INIT, STREAM_TRAIN, substream
 from .data import Dataset, Split, sample_negatives
-from .errors import CheckpointError, UsageError
+from .errors import CheckpointError, NonFiniteError, UsageError
 from .model import AblationMask, ModelConfig, forward_batch, init_params
 
 CHECKPOINT_VERSION = 1
@@ -48,8 +48,8 @@ class TrainConfig:
             raise UsageError("lambda1 and margin must be non-negative")
         if self.learning_rate <= 0:
             raise UsageError("learning rate must be positive")
-        if self.batch_size < 1 or self.epochs < 0 or self.train_negatives < 0:
-            raise UsageError("batch_size must be >= 1; epochs/train_negatives >= 0")
+        if self.batch_size < 1 or self.epochs < 1 or self.train_negatives < 0:
+            raise UsageError("batch_size and epochs must be >= 1; train_negatives >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,17 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
             diffs = ad.take(result.scores, [d for _, _, d in triplets])
             trip_terms = triplet_loss(anchors, sames, diffs, train_cfg.margin)
         loss = total_loss(trip_terms, point_terms, train_cfg.lambda1)
+        if not np.isfinite(loss.data):
+            raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
+                                 f"{epoch}, batch {n_batches}")
 
         for p in params.values():
             p.grad = None
         grads = ad.grad_map(loss, params)
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NonFiniteError(f"non-finite gradient for parameter {name!r} "
+                                     f"at epoch {epoch}, batch {n_batches}")
         adam_step(params, grads, adam, train_cfg.learning_rate)
 
         k = len(instances)

@@ -1,0 +1,120 @@
+"""Slow reference implementations of mgam's preprocessing.
+
+These are the dense and loop-based forms that the production sparse
+code in `mgam.clustering` and `mgam.graph` replaced.  Tests compare the
+fast paths against them: a dense Lloyd K-Means over dense feature rows,
+the per-user pair loop that builds the co-membership adjacency, and the
+sorted-pair graph writer.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import sparse
+
+
+def dense_user_features(dataset) -> np.ndarray:
+    """Binary interaction indicator rows, L2-normalized; zero rows stay zero."""
+    feats = np.zeros((dataset.n_users, dataset.n_items))
+    for u, items in enumerate(dataset.user_items):
+        if items:
+            feats[u, items] = 1.0
+            feats[u] /= np.sqrt(len(items))
+    return feats
+
+
+def _squared_distances(points, centroids):
+    d2 = (
+        (points * points).sum(axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + (centroids * centroids).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _kmeanspp_init(points, m, rng):
+    k = len(points)
+    centroids = np.empty((m, points.shape[1]))
+    centroids[0] = points[int(rng.integers(k))]
+    closest = _squared_distances(points, centroids[:1]).ravel()
+    for j in range(1, m):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(k))
+        else:
+            idx = int(np.searchsorted(np.cumsum(closest / total), rng.random()))
+            idx = min(idx, k - 1)
+        centroids[j] = points[idx]
+        closest = np.minimum(closest, _squared_distances(points, centroids[j:j + 1]).ravel())
+    return centroids
+
+
+def _lloyd(points, m, max_iters, rng):
+    centroids = _kmeanspp_init(points, m, rng)
+    labels = np.full(len(points), -1)
+    point_range = np.arange(len(points))
+    history = []
+    for _ in range(max_iters):
+        d2 = _squared_distances(points, centroids)
+        new_labels = d2.argmin(axis=1)
+        assigned_d2 = d2[point_range, new_labels].copy()
+        counts = np.bincount(new_labels, minlength=m)
+        for j in range(m):
+            if counts[j] == 0:
+                candidates = np.where(counts[new_labels] >= 2, assigned_d2, -1.0)
+                far = int(candidates.argmax())
+                counts[new_labels[far]] -= 1
+                counts[j] += 1
+                new_labels[far] = j
+                assigned_d2[far] = 0.0
+        for j in range(m):
+            centroids[j] = points[new_labels == j].mean(axis=0)
+        inertia = float(_squared_distances(points, centroids)[point_range, new_labels].sum())
+        history.append(inertia)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, centroids, history[-1], history
+
+
+def dense_kmeans(points, m, max_iters=100, restarts=3, seed=0):
+    """Best-of-`restarts` dense K-Means: (labels, centroids, inertia, history)."""
+    points = np.asarray(points, dtype=np.float64)
+    seed_base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed_base + [r])
+        run = _lloyd(points, m, max_iters, rng)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
+def pair_loop_adjacency(groups) -> sparse.csr_array:
+    """0/1 co-membership adjacency with unit self-loops, one pair at a time."""
+    n = len(groups)
+    by_user: dict = {}
+    for g, members in enumerate(groups):
+        for u in members:
+            by_user.setdefault(u, []).append(g)
+    rows, cols = list(range(n)), list(range(n))
+    seen = set()
+    for gs in by_user.values():
+        for a_i in range(len(gs)):
+            for b_i in range(a_i + 1, len(gs)):
+                e = (gs[a_i], gs[b_i])
+                if e not in seen:
+                    seen.add(e)
+                    rows.extend((e[0], e[1]))
+                    cols.extend((e[1], e[0]))
+    adj = sparse.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    adj = adj.tocsr()
+    adj.data = np.minimum(adj.data, 1.0)
+    return adj
+
+
+def sorted_pair_dump(adjacency, group_ids) -> str:
+    """Graph dump text: one line per edge i < j, in sorted (i, j) order."""
+    coo = adjacency.tocoo()
+    return "".join(f"{group_ids[i]}\t{group_ids[j]}\n"
+                   for i, j in sorted(zip(coo.row, coo.col)) if i < j)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from mgam import clustering
 from mgam.clustering import (build_user_features, cluster_subsets, kmeans,
                              partition_group)
 from mgam.data import Dataset, SyntheticParams, generate_synthetic
 from mgam.errors import UsageError
+from reference_preprocessing import dense_kmeans, dense_user_features
 
 
 def _ds(user_items, groups=None, n_items=4):
@@ -22,11 +25,40 @@ def _ds(user_items, groups=None, n_items=4):
 # features
 
 def test_features_normalized_rows():
-    feats = build_user_features(_ds([[0, 2], [], [0, 2]]))
-    assert np.allclose(feats[0], np.array([1, 0, 1, 0]) / np.sqrt(2))
-    assert np.array_equal(feats[1], np.zeros(4))
-    assert np.array_equal(feats[0], feats[2])
-    assert np.allclose(np.linalg.norm(feats[0]), 1.0)
+    feats = build_user_features(_ds([[0, 2], [], [0, 1, 2]]))
+    dense = feats.toarray()
+    assert np.array_equal(dense[0], np.array([1, 0, 1, 0]) / np.sqrt(2))
+    assert np.array_equal(dense[1], np.zeros(4))
+    assert np.array_equal(dense[2], np.array([1, 1, 1, 0]) / np.sqrt(3))
+    assert np.allclose(np.linalg.norm(dense, axis=1), [1.0, 0.0, 1.0])
+    assert feats.nnz == 5                            # one entry per interaction
+    assert feats.indptr[1] == feats.indptr[2]        # the empty row stores nothing
+    assert feats.nbytes == (feats.data.nbytes + feats.indices.nbytes
+                            + feats.indptr.nbytes)
+
+
+def test_features_match_dense_reference():
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=60, n_items=90, n_groups=12, group_size_range=(2, 6),
+        n_cohorts=3, positives_per_group=5), seed=8)
+    ds.user_items[5] = []
+    assert np.array_equal(build_user_features(ds).toarray(), dense_user_features(ds))
+
+
+def test_cluster_subsets_memory_bounded(monkeypatch):
+    """10,000 users x 50,000 items would be a 4 GB dense feature matrix."""
+    n_users, n_items, per_user = 10_000, 50_000, 40
+    starts = np.random.default_rng(0).integers(0, n_items, size=n_users)
+    user_items = [sorted(((s + 1250 * np.arange(per_user)) % n_items).tolist())
+                  for s in starts]
+    groups = [list(range(u, u + 5)) for u in range(0, n_users, 5)]
+    ds = _ds(user_items, groups=groups, n_items=n_items)
+    built = []
+    monkeypatch.setattr(clustering, "build_user_features",
+                        lambda d: built.append(build_user_features(d)) or built[-1])
+    assignments = cluster_subsets(ds, 4, seed=0)
+    assert len(assignments) == len(groups)
+    assert built[0].nnz == n_users * per_user
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +118,41 @@ def test_kmeans_identical_rows_identical_labels():
     res = kmeans(pts, 3, seed=0)
     assert res.labels[10] == res.labels[3]
     assert res.labels[11] == res.labels[7]
+
+
+def _random_binary_features(rng, n, d):
+    """L2-normalized binary rows holding 0, 1, 4 or 16 entries, with one
+    empty row and one duplicate row.  Their values (1, 1/2, 1/4) and the
+    first-iteration distances are exact in any summation order, so the
+    dense and the sparse paths see the same exact ties; on other data the
+    dense path breaks exact ties by BLAS rounding."""
+    x = np.zeros((n, d))
+    for row in x:
+        row[rng.choice(d, size=rng.choice([0, 1, 4, 16]), replace=False)] = 1.0
+    if n > 2:
+        x[rng.integers(n)] = 0.0
+        x[rng.integers(n)] = x[rng.integers(n)]
+    norms = np.sqrt(x.sum(axis=1))
+    x[norms > 0] /= norms[norms > 0, None]
+    return x
+
+
+def test_kmeans_matches_dense_reference():
+    """The sparse Lloyd loop reproduces the dense one: same labels, the
+    same centroids to 1e-12 and the same inertia to 1e-9 relative."""
+    rng = np.random.default_rng(12)
+    for case in range(200):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(16, 40))
+        x = _random_binary_features(rng, n, d)
+        m = n if case % 4 == 0 else int(rng.integers(1, n + 1))
+        seed = int(rng.integers(1000))
+        res = kmeans(sparse.csr_array(x), m, seed=seed)
+        labels, centroids, inertia, history = dense_kmeans(x, m, seed=seed)
+        assert np.array_equal(res.labels, labels)
+        assert np.abs(res.centroids - centroids).max() <= 1e-12
+        # m = n drives the inertia to rounding noise around 0
+        assert res.inertia == pytest.approx(inertia, rel=1e-9, abs=1e-12)
+        assert len(res.inertia_history) == len(history)
 
 
 def test_kmeans_m_exceeds_points_rejected():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mgam.errors import UsageError
-from mgam.graph import (build_co_membership, expand_to_instances,
-                        induce_batch_subgraph)
+from mgam.graph import (_finish, build_co_membership, dump_graph,
+                        expand_to_instances, induce_batch_subgraph)
+from reference_preprocessing import pair_loop_adjacency, sorted_pair_dump
 
 
 def dense_normalized_oracle(adj):
@@ -153,3 +154,49 @@ def test_expand_to_instances_sparse_matches_dense_bitwise():
         diag = rows == cols
         expect[rows[diag], cols[diag]] = 1.0 / deg[rows[diag]]
         assert np.array_equal(norm.toarray(), expect)
+
+
+def _assert_csr_bitwise(a, b):
+    for field in ("data", "indices", "indptr"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_co_membership_matches_pair_loop_bitwise():
+    """`min(B B^T + I, 1)` equals the per-user pair loop, stored entry for
+    stored entry, and so do the degrees and the normalized adjacency."""
+    rng = np.random.default_rng(23)
+    cases = [[[4, 9]], [[0], [1], [2]], [[7, 3], [], [3]]]
+    for _ in range(200):
+        n_groups = int(rng.integers(1, 40))
+        user_ids = rng.choice(1000, size=int(rng.integers(1, 60)), replace=False)
+        cases.append([sorted(rng.choice(user_ids, size=int(rng.integers(1, 6)))
+                             .tolist())
+                      for _ in range(n_groups)])
+    for groups in cases:
+        fast = build_co_membership(groups)
+        slow = _finish(pair_loop_adjacency(groups))
+        assert fast.n == slow.n
+        _assert_csr_bitwise(fast.adjacency, slow.adjacency)
+        _assert_csr_bitwise(fast.normalized, slow.normalized)
+        assert fast.degree.dtype == slow.degree.dtype
+        assert np.array_equal(fast.degree, slow.degree)
+
+
+def test_dump_graph_follows_internal_index_order(tmp_path):
+    """Lines follow the numeric (row, col) order of internal indices even
+    where the ids sort differently as strings."""
+    ids = ["2", "10", "9", "1"]
+    g = build_co_membership([[0, 1], [1, 2], [0, 2], [2, 3]])
+    out = tmp_path / "graph.tsv"
+    dump_graph(g, ids, out)
+    text = out.read_text(encoding="utf-8")
+    assert text == sorted_pair_dump(g.adjacency, ids)
+    assert text == "2\t10\n2\t9\n10\t9\n10\t1\n9\t1\n"
+
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        g = build_co_membership(random_groups(rng, int(rng.integers(1, 30)), 12))
+        ids = [str(int(v)) for v in rng.permutation(10 * g.n)[:g.n]]
+        dump_graph(g, ids, out)
+        assert out.read_text(encoding="utf-8") == sorted_pair_dump(g.adjacency, ids)

@@ -12,8 +12,8 @@ from mgam.model import (AblationMask, ModelConfig, forward_batch, fuse,
                         init_params, member_attention, predict_logit,
                         subset_attention, superset_embeddings,
                         superset_propagate)
-from mgam.training import (point_loss_from_logits, total_loss, triplet_loss,
-                           _build_triplets)
+from mgam.training import (TrainConfig, point_loss_from_logits, total_loss,
+                           triplet_loss, _build_triplets)
 
 from conftest import fresh_toy_params
 from reference_forward import reference_forward
@@ -585,6 +585,8 @@ def test_model_config_validation():
         ModelConfig(num_subsets=0).validate()
     with pytest.raises(UsageError):
         ModelConfig(gcn_layers=0).validate()
+    with pytest.raises(UsageError, match="epochs"):
+        TrainConfig(epochs=0).validate()
 
 
 def test_single_subset_config_has_no_cross_weights():

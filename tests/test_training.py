@@ -5,9 +5,9 @@ from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.clustering import cluster_subsets
 from mgam.data import SyntheticParams, generate_synthetic, split_leave_one_out
-from mgam.errors import CheckpointError, UsageError
+from mgam.errors import CheckpointError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
-from mgam.model import AblationMask, ModelConfig, forward_batch
+from mgam.model import AblationMask, ModelConfig, forward_batch, init_params
 from mgam.training import (TrainConfig, adam_step,
                            expected_param_shapes, init_adam, load_checkpoint,
                            point_loss_from_logits, save_checkpoint,
@@ -190,6 +190,46 @@ def test_train_empty_split_rejected():
     with pytest.raises(UsageError):
         train_epoch({}, init_adam({}), ds, split, assignments, graph, cfg,
                     TrainConfig(), 0)
+
+
+def test_train_epoch_rejects_non_finite_loss():
+    ds, split, assignments, graph, cfg = _small_setup()
+    tc = TrainConfig(batch_size=8, seed=5)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    params["predict_w"].data[0] = np.nan
+    before = {k: p.data.copy() for k, p in params.items()}
+    adam = init_adam(params)
+    with pytest.raises(NonFiniteError, match=r"non-finite loss nan at epoch 3, batch 0"):
+        train_epoch(params, adam, ds, split, assignments, graph, cfg, tc, 3)
+    for k, p in params.items():
+        assert np.array_equal(p.data, before[k], equal_nan=True)
+    assert adam.step == 0
+
+
+def test_train_epoch_rejects_non_finite_gradient(monkeypatch):
+    ds, split, assignments, graph, cfg = _small_setup()
+    tc = TrainConfig(batch_size=8, seed=5)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    adam = init_adam(params)
+    grad_map = ad.grad_map
+    seen = []
+
+    def poisoned(loss, wrt):
+        grads = grad_map(loss, wrt)
+        seen.append({k: p.data.copy() for k, p in wrt.items()})
+        if len(seen) == 2:
+            grads["item_emb"][1, 0] = np.inf
+        return grads
+
+    monkeypatch.setattr(ad, "grad_map", poisoned)
+    with pytest.raises(NonFiniteError,
+                       match=r"parameter 'item_emb' at epoch 0, batch 1"):
+        train_epoch(params, adam, ds, split, assignments, graph, cfg, tc, 0)
+    assert adam.step == 1
+    for k, p in params.items():
+        assert np.array_equal(p.data, seen[1][k])
 
 
 def test_loss_decreases_for_some_small_lr(toy):
