@@ -9,6 +9,7 @@ configuration and persists it next to its outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,14 +19,14 @@ from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
 from .data import (SyntheticParams, generate_synthetic, load_dataset,
                    split_leave_one_out, write_dataset)
-from .errors import CheckpointError, MgamError, UsageError
+from .errors import MgamError, UsageError
 from .evaluation import (evaluate, make_baseline_scorer, make_mgam_scorer,
                          rank_candidates, train_mf_scorer, write_metrics_csv,
                          write_metrics_detail_csv, METRICS_FILE,
                          METRICS_DETAIL_FILE)
 from .graph import build_co_membership, dump_graph
-from .model import AblationMask, ModelConfig, forward_batch
-from .training import (TrainConfig, expected_param_shapes, load_checkpoint,
+from .model import AblationMask, forward_batch
+from .training import (expected_param_shapes, load_checkpoint, read_manifest,
                        save_checkpoint, train, TRAIN_LOG_FILE)
 
 
@@ -43,46 +44,26 @@ def _resolve_config(args, base=(), echo_to=None) -> Config:
 
 def _checkpoint_base(ckpt_dir) -> list:
     """Adopt the checkpoint's resolved config as the eval-time base."""
-    manifest_path = Path(ckpt_dir) / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint manifest {manifest_path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"{manifest_path} is not valid JSON: {e}") from e
-    echo = manifest.get("config", {})
+    echo = read_manifest(ckpt_dir).get("config", {})
     return [f"{k}={v}" for k, v in echo.items()]
 
 
-def _model_cfg(cfg: Config) -> ModelConfig:
-    return ModelConfig(embedding_dim=cfg.embedding_dim,
-                       num_subsets=cfg.num_subsets,
-                       gcn_layers=cfg.gcn_layers)
-
-
-def _train_cfg(cfg: Config) -> TrainConfig:
-    return TrainConfig(lambda1=cfg.lambda1, margin=cfg.margin,
-                       learning_rate=cfg.learning_rate,
-                       batch_size=cfg.batch_size, epochs=cfg.epochs,
-                       train_negatives=cfg.train_negatives, seed=cfg.seed)
-
-
-def _prepare(data_dir, cfg: Config, num_subsets=None):
+def _prepare(data_dir, cfg: Config):
     dataset = load_dataset(data_dir)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     assignments = cluster_subsets(
-        dataset, num_subsets if num_subsets is not None else cfg.num_subsets,
+        dataset, cfg.num_subsets,
         max_iters=cfg.kmeans_max_iters, restarts=cfg.kmeans_restarts,
         seed=substream(cfg.seed, STREAM_CLUSTER))
     graph = build_co_membership(dataset.groups)
     return dataset, split, assignments, graph
 
 
-def _load_model(ckpt_dir, cfg: Config, dataset):
-    expected = expected_param_shapes(_model_cfg(cfg), dataset.n_users,
-                                     dataset.n_items, dataset.n_groups)
-    params, manifest, adam_state = load_checkpoint(ckpt_dir, expected)
-    return params, manifest, adam_state
+def _load_model(ckpt_dir, cfg: Config, dataset) -> dict:
+    expected = expected_param_shapes(cfg, dataset.n_users, dataset.n_items,
+                                     dataset.n_groups)
+    params, _ = load_checkpoint(ckpt_dir, expected)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +96,9 @@ def cmd_train(args) -> int:
               f"triplet={stats.triplet_mean:.5f} point={stats.point_mean:.5f} "
               f"({stats.wall_seconds:.1f}s)")
 
-    params, adam, _ = train(dataset, split, assignments, graph,
-                            _model_cfg(cfg), _train_cfg(cfg), mask=mask,
-                            log_path=out / TRAIN_LOG_FILE, progress=progress)
-    save_checkpoint(out, params, cfg.resolved(), cfg.seed, adam_state=adam)
+    params, _ = train(dataset, split, assignments, graph, cfg, mask=mask,
+                      log_path=out / TRAIN_LOG_FILE, progress=progress)
+    save_checkpoint(out, params, cfg.resolved(), cfg.seed)
     write_resolved(cfg, out / "config.resolved")
     print(f"checkpoint written to {out}")
     return 0
@@ -128,13 +108,13 @@ def _run_eval(args, masks_from_cfg) -> int:
     cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt))
     masks = masks_from_cfg(cfg)
     dataset, split, assignments, graph = _prepare(args.data, cfg)
-    params, _, _ = _load_model(args.ckpt, cfg, dataset)
+    params = _load_model(args.ckpt, cfg, dataset)
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     for mask in masks:
-        scorer = make_mgam_scorer(params, _model_cfg(cfg), dataset,
-                                  assignments, graph, mask=mask)
+        scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph,
+                                  mask=mask)
         report = evaluate(scorer, dataset, split, cfg.eval_negatives,
                           cfg.ks_list(), cfg.seed)
         reports.append((mask.label(), report))
@@ -189,11 +169,9 @@ def cmd_sweep_subsets(args) -> int:
                                       max_iters=cfg.kmeans_max_iters,
                                       restarts=cfg.kmeans_restarts,
                                       seed=substream(cfg.seed, STREAM_CLUSTER))
-        model_cfg = _model_cfg(cfg)
-        model_cfg.num_subsets = m
-        params, _, _ = train(dataset, split, assignments, graph, model_cfg,
-                             _train_cfg(cfg))
-        scorer = make_mgam_scorer(params, model_cfg, dataset, assignments, graph)
+        m_cfg = dataclasses.replace(cfg, num_subsets=m)
+        params, _ = train(dataset, split, assignments, graph, m_cfg)
+        scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph)
         report = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed)
         rows.append((m, report))
         print(f"M={m}: " + " ".join(
@@ -218,13 +196,12 @@ def cmd_recommend(args) -> int:
     # config echo goes to stderr so stdout stays machine-readable
     cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt), echo_to=sys.stderr)
     dataset, _, assignments, graph = _prepare(args.data, cfg)
-    params, _, _ = _load_model(args.ckpt, cfg, dataset)
+    params = _load_model(args.ckpt, cfg, dataset)
     if args.group_id not in dataset.group_index:
         raise UsageError(f"unknown group id {args.group_id!r}")
     g = dataset.group_index[args.group_id]
     mask = AblationMask.from_disabled(cfg.ablated())
-    scorer = make_mgam_scorer(params, _model_cfg(cfg), dataset, assignments,
-                              graph, mask=mask)
+    scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, mask=mask)
     known = set(dataset.group_pos[g])
     candidates = [i for i in range(dataset.n_items) if i not in known]
     if not candidates:
@@ -239,8 +216,8 @@ def cmd_recommend(args) -> int:
             v = dataset.item_index[args.item]
         else:
             v = top[0][0]
-        result = forward_batch(params, _model_cfg(cfg), dataset, assignments,
-                               graph, [(g, v)], mask=mask, collect_state=True,
+        result = forward_batch(params, cfg, dataset, assignments, graph,
+                               [(g, v)], mask=mask, collect_state=True,
                                isolated=True)
         payload = _explain_json(result.states[0], dataset, assignments, top)
         payload["config"] = cfg.resolved()

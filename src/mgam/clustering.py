@@ -40,10 +40,6 @@ class SubsetAssignment:
     group: int
     subsets: list  # non-empty lists of member indices
 
-    @property
-    def m_effective(self) -> int:
-        return len(self.subsets)
-
 
 class UserFeatures(sparse.csr_array):
     """CSR feature rows whose `nbytes` is the stored size:

@@ -9,7 +9,7 @@ independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -39,7 +39,7 @@ class Config:
     lambda1: float = 0.5
     margin: float = 1.0
     learning_rate: float = 0.001
-    batch_size: int = 256
+    batch_size: int = 256        # positives per batch; negatives ride along
     epochs: int = 100
     train_negatives: int = 1
     eval_negatives: int = 100
@@ -47,7 +47,6 @@ class Config:
     kmeans_max_iters: int = 100
     kmeans_restarts: int = 3
     seed: int = 42
-    graph_weighted: bool = False
     ablate: str = ""
 
     def ks_list(self) -> list:
@@ -58,88 +57,43 @@ class Config:
 
     def resolved(self) -> dict:
         """File-key view of the full configuration, for echo/persistence."""
-        out = {}
-        for file_key, attr, _ in _KEYS:
-            v = getattr(self, attr)
-            out[file_key] = ("true" if v else "false") if isinstance(v, bool) else v
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def validate(self) -> None:
+        """Reject any out-of-range value, naming the key."""
+        if self.embedding_dim > 0 and self.embedding_dim % 2:
+            raise ConfigError(f"embedding_dim must be even, got {self.embedding_dim}")
+        for key in ("embedding_dim", "num_subsets", "gcn_layers", "learning_rate",
+                    "batch_size", "epochs", "eval_negatives", "kmeans_max_iters",
+                    "kmeans_restarts"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"configuration key {key!r} must be positive, "
+                                  f"got {getattr(self, key)}")
+        for key in ("lambda1", "margin", "train_negatives", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not self.ks_list():
+            raise ConfigError("ks must name at least one cutoff")
+        for k in self.ks_list():
+            if k < 1:
+                raise ConfigError(f"ks entries must be >= 1, got {k}")
+        for a in self.ablated():
+            if a not in _GRANULARITIES:
+                raise ConfigError(f"ablate names unknown granularity {a!r}")
 
 
-def _parse_bool(s: str) -> bool:
-    s = s.strip().lower()
-    if s in ("true", "1", "yes"):
-        return True
-    if s in ("false", "0", "no"):
-        return False
-    raise ValueError(s)
-
-
-# (file key, attribute, parser)
-_KEYS = [
-    ("embedding_dim", "embedding_dim", int),
-    ("num_subsets", "num_subsets", int),
-    ("gcn_layers", "gcn_layers", int),
-    ("lambda1", "lambda1", float),
-    ("margin", "margin", float),
-    ("learning_rate", "learning_rate", float),
-    ("batch_size", "batch_size", int),
-    ("epochs", "epochs", int),
-    ("train_negatives", "train_negatives", int),
-    ("eval_negatives", "eval_negatives", int),
-    ("ks", "ks", str),
-    ("kmeans_max_iters", "kmeans_max_iters", int),
-    ("kmeans_restarts", "kmeans_restarts", int),
-    ("seed", "seed", int),
-    ("graph.weighted", "graph_weighted", _parse_bool),
-    ("ablate", "ablate", str),
-]
-_KEY_MAP = {k: (attr, parse) for k, attr, parse in _KEYS}
+# file key -> parser: every key is its attribute name, parsed by the type
+# of the attribute's default
+_PARSERS = {f.name: type(f.default) for f in fields(Config)}
 
 
 def _apply(cfg: Config, key: str, raw: str, origin: str) -> None:
-    if key not in _KEY_MAP:
+    if key not in _PARSERS:
         raise ConfigError(f"{origin}: unknown configuration key {key!r}")
-    attr, parse = _KEY_MAP[key]
     try:
-        setattr(cfg, attr, parse(raw.strip()) if parse is not str else raw.strip())
+        setattr(cfg, key, _PARSERS[key](raw.strip()))
     except ValueError as e:
         raise ConfigError(f"{origin}: bad value for {key!r}: {raw!r}") from e
-
-
-def _validate(cfg: Config) -> None:
-    def positive(key, v):
-        if v <= 0:
-            raise ConfigError(f"configuration key {key!r} must be positive, got {v}")
-
-    positive("embedding_dim", cfg.embedding_dim)
-    if cfg.embedding_dim % 2:
-        raise ConfigError(f"embedding_dim must be even, got {cfg.embedding_dim}")
-    positive("num_subsets", cfg.num_subsets)
-    positive("gcn_layers", cfg.gcn_layers)
-    positive("learning_rate", cfg.learning_rate)
-    positive("batch_size", cfg.batch_size)
-    positive("epochs", cfg.epochs)
-    positive("eval_negatives", cfg.eval_negatives)
-    positive("kmeans_max_iters", cfg.kmeans_max_iters)
-    positive("kmeans_restarts", cfg.kmeans_restarts)
-    if cfg.lambda1 < 0:
-        raise ConfigError(f"lambda1 must be >= 0, got {cfg.lambda1}")
-    if cfg.margin < 0:
-        raise ConfigError(f"margin must be >= 0, got {cfg.margin}")
-    if cfg.train_negatives < 0:
-        raise ConfigError(f"train_negatives must be >= 0, got {cfg.train_negatives}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if not cfg.ks_list():
-        raise ConfigError("ks must name at least one cutoff")
-    for k in cfg.ks_list():
-        if k < 1:
-            raise ConfigError(f"ks entries must be >= 1, got {k}")
-    if cfg.graph_weighted:
-        raise ConfigError("graph.weighted=true is reserved and not supported")
-    for a in cfg.ablated():
-        if a not in _GRANULARITIES:
-            raise ConfigError(f"ablate names unknown granularity {a!r}")
 
 
 def parse_config(path=None, overrides=()) -> Config:
@@ -164,7 +118,7 @@ def parse_config(path=None, overrides=()) -> Config:
             raise ConfigError(f"override {item!r} must have the form key=value")
         key, raw = item.split("=", 1)
         _apply(cfg, key.strip(), raw, "command line")
-    _validate(cfg)
+    cfg.validate()
     return cfg
 
 

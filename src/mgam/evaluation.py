@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import STREAM_BASELINE, STREAM_EVAL, substream
+from .config import STREAM_BASELINE, STREAM_EVAL, Config, substream
 from .data import Dataset, Split, sample_negatives
 from .errors import SamplingError, UsageError
-from .model import AblationMask, ModelConfig, compute_global_rows, forward_batch
+from .model import AblationMask, compute_global_rows, forward_batch
 from .training import adam_step, init_adam, point_loss_from_logits
 
 METRICS_FILE = "metrics.csv"
@@ -104,7 +104,7 @@ def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
     )
 
 
-def make_mgam_scorer(params: dict, model_cfg: ModelConfig, dataset: Dataset,
+def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
                      assignments, graph, mask: AblationMask | None = None):
     """Forward-only scorer closure over a trained model.
 
@@ -112,11 +112,11 @@ def make_mgam_scorer(params: dict, model_cfg: ModelConfig, dataset: Dataset,
     a group's candidates in one isolated forward.
     """
     mask = mask or AblationMask()
-    global_rows = compute_global_rows(params, model_cfg, graph) if mask.use_suppe else None
+    global_rows = compute_global_rows(params, cfg, graph) if mask.use_suppe else None
 
     def score_fn(group, candidates):
         with ad.no_grad():
-            result = forward_batch(params, model_cfg, dataset, assignments, graph,
+            result = forward_batch(params, cfg, dataset, assignments, graph,
                                    [(group, v) for v in candidates], mask=mask,
                                    global_rows=global_rows, isolated=True)
         return result.scores.data
@@ -126,21 +126,6 @@ def make_mgam_scorer(params: dict, model_cfg: ModelConfig, dataset: Dataset,
 
 # ---------------------------------------------------------------------------
 # memory-based baselines: per-user dot-product scorer + score aggregation
-
-def baseline_aggregate(per_user_scores, strategy: str) -> float:
-    """Collapse member scores: avg -> mean, lm (least misery) -> min,
-    ms (maximum satisfaction) -> max."""
-    scores = np.asarray(per_user_scores, dtype=np.float64)
-    if scores.size == 0:
-        raise UsageError("cannot aggregate an empty score vector")
-    if strategy == "avg":
-        return float(scores.mean())
-    if strategy == "lm":
-        return float(scores.min())
-    if strategy == "ms":
-        return float(scores.max())
-    raise UsageError(f"unknown aggregation strategy {strategy!r}")
-
 
 def _sample_user_negatives(dataset: Dataset, user: int, n: int,
                            rng: np.random.Generator) -> list:
@@ -204,21 +189,21 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
     return params["user_emb"].data.copy(), params["item_emb"].data.copy()
 
 
+# member-score reductions: average, least misery, maximum satisfaction
+_AGGREGATE = {"avg": np.mean, "lm": np.min, "ms": np.max}
+
+
 def make_baseline_scorer(user_vecs: np.ndarray, item_vecs: np.ndarray,
                          dataset: Dataset, strategy: str):
     """Score candidates by aggregating member sigmoid dot-products."""
-    if strategy not in ("avg", "lm", "ms"):
+    if strategy not in _AGGREGATE:
         raise UsageError(f"unknown aggregation strategy {strategy!r}")
+    reduce = _AGGREGATE[strategy]
 
     def score_fn(group, candidates):
         members = dataset.groups[group]
         logits = user_vecs[members] @ item_vecs[list(candidates)].T  # (m, c)
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        if strategy == "avg":
-            return probs.mean(axis=0)
-        if strategy == "lm":
-            return probs.min(axis=0)
-        return probs.max(axis=0)
+        return reduce(1.0 / (1.0 + np.exp(-logits)), axis=0)
 
     return score_fn
 

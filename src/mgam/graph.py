@@ -27,14 +27,15 @@ class GroupGraph:
 
 
 def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
-    coo = adjacency.tocoo()
+    """Values on the adjacency's own (sorted) CSR structure."""
+    adj = adjacency.sorted_indices()
+    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
     inv_sqrt = 1.0 / np.sqrt(degree)
-    vals = inv_sqrt[coo.row] * inv_sqrt[coo.col]
+    vals = inv_sqrt[rows] * inv_sqrt[adj.indices]
     # diagonal computed directly so N(i,i) == 1/d_i exactly
-    diag = coo.row == coo.col
-    vals[diag] = 1.0 / degree[coo.row[diag]]
-    out = sparse.coo_array((vals, (coo.row, coo.col)), shape=adjacency.shape)
-    return out.tocsr()
+    diag = rows == adj.indices
+    vals[diag] = 1.0 / degree[rows[diag]]
+    return sparse.csr_array((vals, adj.indices, adj.indptr), shape=adj.shape)
 
 
 def _finish(adjacency: sparse.csr_array) -> GroupGraph:

@@ -34,28 +34,10 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import Config
 from .data import Dataset
 from .errors import UsageError
 from .graph import GroupGraph, expand_to_instances, induce_batch_subgraph
-
-
-@dataclass
-class ModelConfig:
-    embedding_dim: int = 32
-    num_subsets: int = 3
-    gcn_layers: int = 2
-    init_scale: float | None = None  # default 1/sqrt(embedding_dim)
-
-    def validate(self) -> None:
-        if self.embedding_dim < 2 or self.embedding_dim % 2:
-            raise UsageError("embedding_dim must be an even integer >= 2")
-        if self.num_subsets < 1:
-            raise UsageError("num_subsets must be >= 1")
-        if self.gcn_layers < 1:
-            raise UsageError("gcn_layers must be >= 1")
-
-    def scale(self) -> float:
-        return self.init_scale if self.init_scale is not None else 1.0 / np.sqrt(self.embedding_dim)
 
 
 @dataclass
@@ -93,15 +75,16 @@ class GroupForwardState:
     score: float
 
 
-def init_params(cfg: ModelConfig, n_users: int, n_items: int, n_groups: int,
+def init_params(cfg: Config, n_users: int, n_items: int, n_groups: int,
                 rng: np.random.Generator) -> dict:
     """Create all trainable tensors in a fixed, checkpoint-stable order.
 
-    Weights are uniform(-s, s) with s = init_scale; biases start at zero.
+    Weights are uniform(-s, s) with s = 1/sqrt(embedding_dim); biases
+    start at zero.
     """
     cfg.validate()
     d, m, layers = cfg.embedding_dim, cfg.num_subsets, cfg.gcn_layers
-    s = cfg.scale()
+    s = 1.0 / np.sqrt(d)
 
     def weight(shape):
         return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
@@ -226,7 +209,7 @@ def superset_propagate(h0: Tensor, norm_adj, layer_weights) -> Tensor:
     return h
 
 
-def superset_embeddings(params: dict, cfg: ModelConfig, batch_groups,
+def superset_embeddings(params: dict, cfg: Config, batch_groups,
                         h0: Tensor, graph: GroupGraph,
                         global_rows: Tensor | None = None,
                         isolated: bool = False) -> tuple:
@@ -292,7 +275,7 @@ def predict_logit(h_fusion: Tensor, item_vecs: Tensor, w: Tensor, b: Tensor) -> 
     return ad.add(ad.matmul(feats, w), b)
 
 
-def compute_global_rows(params: dict, cfg: ModelConfig, graph: GroupGraph) -> Tensor:
+def compute_global_rows(params: dict, cfg: Config, graph: GroupGraph) -> Tensor:
     """Forward-only global-stream table, for reuse across evaluation calls."""
     with ad.no_grad():
         global_w = [params[f"gcn_global_w_{k}"] for k in range(1, cfg.gcn_layers + 1)]
@@ -309,7 +292,7 @@ class ForwardResult:
     states: list = field(default_factory=list)  # GroupForwardState when collected
 
 
-def forward_batch(params: dict, cfg: ModelConfig, dataset: Dataset,
+def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                   assignments, graph: GroupGraph, batch, *,
                   mask: AblationMask | None = None,
                   collect_state: bool = False,

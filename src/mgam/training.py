@@ -21,35 +21,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import STREAM_INIT, STREAM_TRAIN, substream
+from .config import STREAM_INIT, STREAM_TRAIN, Config, substream
 from .data import Dataset, Split, sample_negatives
 from .errors import CheckpointError, NonFiniteError, UsageError
-from .model import AblationMask, ModelConfig, forward_batch, init_params
+from .model import AblationMask, forward_batch, init_params
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MANIFEST_FILE = "manifest.json"
 PARAMS_FILE = "params.bin"
-ADAM_FILE = "adam.bin"
 TRAIN_LOG_FILE = "train_log.csv"
-
-
-@dataclass
-class TrainConfig:
-    lambda1: float = 0.5
-    margin: float = 1.0
-    learning_rate: float = 0.001
-    batch_size: int = 256        # positives per batch; negatives ride along
-    epochs: int = 100
-    train_negatives: int = 1
-    seed: int = 42
-
-    def validate(self) -> None:
-        if self.lambda1 < 0 or self.margin < 0:
-            raise UsageError("lambda1 and margin must be non-negative")
-        if self.learning_rate <= 0:
-            raise UsageError("learning rate must be positive")
-        if self.batch_size < 1 or self.epochs < 1 or self.train_negatives < 0:
-            raise UsageError("batch_size and epochs must be >= 1; train_negatives >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +141,29 @@ def _build_triplets(instances) -> list:
 
 
 def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
-                assignments, graph, model_cfg: ModelConfig,
-                train_cfg: TrainConfig, epoch: int,
+                assignments, graph, cfg: Config, epoch: int,
                 mask: AblationMask | None = None) -> EpochStats:
     """One pass over the shuffled train positives with fresh negatives."""
     if not split.train:
         raise UsageError("cannot train on an empty split")
     t0 = time.perf_counter()
-    rng = np.random.default_rng(substream(train_cfg.seed, STREAM_TRAIN, epoch))
+    rng = np.random.default_rng(substream(cfg.seed, STREAM_TRAIN, epoch))
     order = rng.permutation(len(split.train))
 
     loss_sum = trip_sum = point_sum = 0.0
     n_inst = n_trip = n_batches = 0
-    for start in range(0, len(order), train_cfg.batch_size):
-        chunk = order[start:start + train_cfg.batch_size]
+    for start in range(0, len(order), cfg.batch_size):
+        chunk = order[start:start + cfg.batch_size]
         instances = []
         for oi in chunk:
             inst = split.train[int(oi)]
             instances.append((inst.group, inst.item, 1))
             for v in sample_negatives(dataset, inst.group,
-                                      train_cfg.train_negatives, rng=rng):
+                                      cfg.train_negatives, rng=rng):
                 instances.append((inst.group, v, 0))
         triplets = _build_triplets(instances)
 
-        result = forward_batch(params, model_cfg, dataset, assignments, graph,
+        result = forward_batch(params, cfg, dataset, assignments, graph,
                                [(g, v) for g, v, _ in instances], mask=mask)
         labels = np.array([y for _, _, y in instances], dtype=np.float64)
         point_terms = point_loss_from_logits(result.logits, labels)
@@ -193,8 +172,8 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
             anchors = ad.take(result.scores, [a for a, _, _ in triplets])
             sames = ad.take(result.scores, [s for _, s, _ in triplets])
             diffs = ad.take(result.scores, [d for _, _, d in triplets])
-            trip_terms = triplet_loss(anchors, sames, diffs, train_cfg.margin)
-        loss = total_loss(trip_terms, point_terms, train_cfg.lambda1)
+            trip_terms = triplet_loss(anchors, sames, diffs, cfg.margin)
+        loss = total_loss(trip_terms, point_terms, cfg.lambda1)
         if not np.isfinite(loss.data):
             raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
                                  f"{epoch}, batch {n_batches}")
@@ -206,7 +185,7 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
             if not np.isfinite(g).all():
                 raise NonFiniteError(f"non-finite gradient for parameter {name!r} "
                                      f"at epoch {epoch}, batch {n_batches}")
-        adam_step(params, grads, adam, train_cfg.learning_rate)
+        adam_step(params, grads, adam, cfg.learning_rate)
 
         k = len(instances)
         loss_sum += float(loss.data) * k
@@ -227,18 +206,18 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
     )
 
 
-def train(dataset: Dataset, split: Split, assignments, graph,
-          model_cfg: ModelConfig, train_cfg: TrainConfig,
+def train(dataset: Dataset, split: Split, assignments, graph, cfg: Config,
           mask: AblationMask | None = None, log_path=None,
           progress=None) -> tuple:
     """Initialize parameters and run the full epoch loop.
 
-    Returns (params, adam_state, [EpochStats]).  When `log_path` is given,
-    per-epoch rows are appended to it as CSV.
+    Returns (params, [EpochStats]).  The Adam state lives only for the
+    run.  When `log_path` is given, per-epoch rows are appended to it as
+    CSV.
     """
-    train_cfg.validate()
-    rng = np.random.default_rng(substream(train_cfg.seed, STREAM_INIT))
-    params = init_params(model_cfg, dataset.n_users, dataset.n_items,
+    cfg.validate()
+    rng = np.random.default_rng(substream(cfg.seed, STREAM_INIT))
+    params = init_params(cfg, dataset.n_users, dataset.n_items,
                          dataset.n_groups, rng)
     adam = init_adam(params)
     history = []
@@ -249,9 +228,9 @@ def train(dataset: Dataset, split: Split, assignments, graph,
         writer = csv.writer(log_file)
         writer.writerow(["epoch", "mean_loss", "triplet_mean", "point_mean", "wall_seconds"])
     try:
-        for epoch in range(train_cfg.epochs):
+        for epoch in range(cfg.epochs):
             stats = train_epoch(params, adam, dataset, split, assignments, graph,
-                                model_cfg, train_cfg, epoch, mask=mask)
+                                cfg, epoch, mask=mask)
             history.append(stats)
             if writer is not None:
                 writer.writerow([stats.epoch, repr(stats.mean_loss),
@@ -263,15 +242,14 @@ def train(dataset: Dataset, split: Split, assignments, graph,
     finally:
         if log_file is not None:
             log_file.close()
-    return params, adam, history
+    return params, history
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
-                    adam_state: AdamState | None = None) -> None:
-    """Write manifest.json + params.bin (+ adam.bin), float32 little-endian."""
+def save_checkpoint(directory, params: dict, config_echo: dict, seed: int) -> None:
+    """Write manifest.json + params.bin, float32 little-endian."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tensors = []
@@ -288,42 +266,46 @@ def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
         "seed": int(seed),
         "config": config_echo,
         "tensors": tensors,
-        "adam_step": adam_state.step if adam_state is not None else None,
     }
     (directory / MANIFEST_FILE).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     np.concatenate(blobs).tofile(directory / PARAMS_FILE)
-    if adam_state is not None:
-        m_blob = [adam_state.m[t["name"]].astype("<f4").ravel() for t in tensors]
-        v_blob = [adam_state.v[t["name"]].astype("<f4").ravel() for t in tensors]
-        np.concatenate(m_blob + v_blob).tofile(directory / ADAM_FILE)
 
 
-def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
-    """Load (params, manifest, adam_state|None), validating the archive.
-
-    `expected_shapes` (name -> shape tuple) guards against loading a
-    checkpoint trained under a different model configuration; the error
-    names the first offending tensor.
-    """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_FILE
+def read_manifest(directory) -> dict:
+    """Parse a checkpoint's manifest.json and check its format version."""
+    manifest_path = Path(directory) / MANIFEST_FILE
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as e:
         raise CheckpointError(f"cannot read {manifest_path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{manifest_path} is not valid JSON: {e}") from e
-
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version "
                               f"{manifest.get('format_version')!r} "
                               f"(expected {CHECKPOINT_VERSION})")
+    return manifest
+
+
+def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
+    """Load (params, manifest), validating the archive.
+
+    `expected_shapes` (name -> shape tuple) guards against loading a
+    checkpoint trained under a different model configuration; the error
+    names the first offending tensor.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
     tensors = manifest.get("tensors")
     if not isinstance(tensors, list) or not tensors:
-        raise CheckpointError(f"{manifest_path}: missing tensor table")
+        raise CheckpointError(f"{directory / MANIFEST_FILE}: missing tensor table")
 
-    raw = np.fromfile(directory / PARAMS_FILE, dtype="<f4")
+    params_path = directory / PARAMS_FILE
+    try:
+        raw = np.fromfile(params_path, dtype="<f4")
+    except OSError as e:
+        raise CheckpointError(f"cannot read {params_path}: {e}") from e
     params: dict = {}
     offset = 0
     for entry in tensors:
@@ -352,29 +334,12 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
         missing = set(expected_shapes) - set(params)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
-
-    adam_state = None
-    step = manifest.get("adam_step")
-    if step is not None:
-        raw_adam = np.fromfile(directory / ADAM_FILE, dtype="<f4")
-        if raw_adam.size != 2 * offset:
-            raise CheckpointError("corrupt checkpoint: adam.bin size mismatch")
-        adam_state = AdamState(m={}, v={}, step=int(step))
-        pos = 0
-        for entry in tensors:
-            size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-            adam_state.m[entry["name"]] = raw_adam[pos:pos + size].astype(np.float64).reshape(entry["shape"])
-            pos += size
-        for entry in tensors:
-            size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-            adam_state.v[entry["name"]] = raw_adam[pos:pos + size].astype(np.float64).reshape(entry["shape"])
-            pos += size
-    return params, manifest, adam_state
+    return params, manifest
 
 
-def expected_param_shapes(model_cfg: ModelConfig, n_users: int, n_items: int,
+def expected_param_shapes(cfg: Config, n_users: int, n_items: int,
                           n_groups: int) -> dict:
     """Tensor shapes a checkpoint must carry for this configuration."""
-    probe = init_params(model_cfg, n_users, n_items, n_groups,
+    probe = init_params(cfg, n_users, n_items, n_groups,
                         np.random.default_rng(0))
     return {name: p.data.shape for name, p in probe.items()}

@@ -4,7 +4,8 @@ import pytest
 from mgam.clustering import SubsetAssignment
 from mgam.data import Dataset
 from mgam.graph import build_co_membership
-from mgam.model import ModelConfig, init_params
+from mgam.config import Config
+from mgam.model import init_params
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +27,7 @@ def toy():
         SubsetAssignment(group=1, subsets=[[3, 4, 5], [6]]),
     ]
     graph = build_co_membership(ds.groups)
-    cfg = ModelConfig(embedding_dim=8, num_subsets=2, gcn_layers=2)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=2)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                          np.random.default_rng(12345))
     instances = [(0, 1, 1), (0, 8, 0), (0, 3, 1), (1, 2, 1), (1, 9, 0),

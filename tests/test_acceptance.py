@@ -16,14 +16,14 @@ import pytest
 
 from mgam import autodiff as ad
 from mgam.clustering import cluster_subsets
-from mgam.config import (STREAM_CLUSTER, STREAM_DATA, substream)
+from mgam.config import (STREAM_CLUSTER, STREAM_DATA, Config, substream)
 from mgam.data import (SyntheticParams, generate_synthetic,
                        split_leave_one_out)
 from mgam.evaluation import (evaluate, hr_at_k, make_mgam_scorer, ndcg_at_k,
                              rank_candidates)
 from mgam.graph import build_co_membership, induce_batch_subgraph
-from mgam.model import AblationMask, ModelConfig, forward_batch
-from mgam.training import (TrainConfig, total_loss, train,
+from mgam.model import AblationMask, forward_batch
+from mgam.training import (total_loss, train,
                            triplet_loss, point_loss_from_logits,
                            _build_triplets)
 
@@ -60,9 +60,9 @@ def planted_run():
     """Criterion 5 workhorse: full training run on the planted dataset."""
     t0 = time.perf_counter()
     ds, truth, split, assignments, graph = _planted_pipeline(42)
-    cfg = ModelConfig(embedding_dim=32, num_subsets=3, gcn_layers=2)
-    tc = TrainConfig(batch_size=64, epochs=30, seed=42)  # within the 50-epoch budget
-    params, _, history = train(ds, split, assignments, graph, cfg, tc)
+    cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2,
+                 batch_size=64, epochs=30, seed=42)  # within the 50-epoch budget
+    params, history = train(ds, split, assignments, graph, cfg)
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
     report = evaluate(scorer, ds, split, 100, [5, 10], seed=42)
     oracle = evaluate(lambda g, c: truth.group_utility[g, list(c)],
@@ -231,9 +231,9 @@ def test_criterion_6_ablation_harness(cli_workspace):
     full_vals, wo_subpe_vals = [], []
     for seed in (1, 2, 3, 4, 5):
         ds, _, split, assignments, graph = _planted_pipeline(seed)
-        cfg = ModelConfig(embedding_dim=32, num_subsets=3, gcn_layers=2)
-        params, _, _ = train(ds, split, assignments, graph, cfg,
-                             TrainConfig(batch_size=64, epochs=20, seed=seed))
+        cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2,
+                     batch_size=64, epochs=20, seed=seed)
+        params, _ = train(ds, split, assignments, graph, cfg)
         for mask, store in ((AblationMask(), full_vals),
                             (AblationMask(use_subpe=False), wo_subpe_vals)):
             scorer = make_mgam_scorer(params, cfg, ds, assignments, graph,

@@ -189,7 +189,7 @@ def test_cluster_subsets_partition_property():
     for g, a in enumerate(assignments):
         flat = sorted(u for s in a.subsets for u in s)
         assert flat == ds.groups[g]          # disjoint + covering
-        assert 1 <= a.m_effective <= min(3, len(ds.groups[g]))
+        assert 1 <= len(a.subsets) <= min(3, len(ds.groups[g]))
         sizes = [len(s) for s in a.subsets]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -206,7 +206,7 @@ def test_cluster_subsets_reproducible():
 def test_cluster_subsets_m_clamped_to_user_count():
     ds = _ds([[0], [1]], groups=[[0, 1]])
     assignments = cluster_subsets(ds, 5, seed=0)
-    assert assignments[0].m_effective <= 2
+    assert len(assignments[0].subsets) <= 2
 
 
 def test_singleton_subsets_when_all_labels_distinct():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 
@@ -28,8 +29,12 @@ def test_defaults():
     assert cfg.kmeans_max_iters == 100
     assert cfg.kmeans_restarts == 3
     assert cfg.seed == 42
-    assert cfg.graph_weighted is False
     assert cfg.ablated() == []
+    assert list(cfg.resolved()) == [
+        "embedding_dim", "num_subsets", "gcn_layers", "lambda1", "margin",
+        "learning_rate", "batch_size", "epochs", "train_negatives",
+        "eval_negatives", "ks", "kmeans_max_iters", "kmeans_restarts", "seed",
+        "ablate"]
 
 
 def test_file_then_override_precedence(tmp_path):
@@ -65,7 +70,7 @@ def test_out_of_range_values():
         parse_config(None, overrides=["lambda1=-1"])
     with pytest.raises(ConfigError, match="ks"):
         parse_config(None, overrides=["ks=0"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown configuration key 'graph.weighted'"):
         parse_config(None, overrides=["graph.weighted=true"])
     with pytest.raises(ConfigError, match="ablate"):
         parse_config(None, overrides=["ablate=fusion"])
@@ -77,7 +82,8 @@ def test_ablate_parsing():
 
 
 def test_resolved_echo_roundtrip():
-    cfg = parse_config(None, overrides=["num_subsets=5", "graph.weighted=false"])
+    cfg = parse_config(None, overrides=["num_subsets=5", "learning_rate=0.25",
+                                        "ks=1,20"])
     echo = cfg.resolved()
     again = parse_config(None, overrides=[f"{k}={v}" for k, v in echo.items()])
     assert again == cfg
@@ -115,7 +121,8 @@ def test_train_outputs(workspace):
     assert (ckpt / "train_log.csv").exists()
     assert (ckpt / "config.resolved").exists()
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
+    assert not (ckpt / "adam.bin").exists()
     assert manifest["config"]["embedding_dim"] == 8
 
 
@@ -316,3 +323,33 @@ def test_missing_checkpoint_is_runtime_error(workspace, tmp_path, capsys):
     rc = main(["eval", "--data", workspace["data"], "--ckpt",
                str(tmp_path / "nope")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["ablate"], ["recommend", "--group-id", "3"]])
+def test_version_1_checkpoint_refused(workspace, tmp_path, capsys, command):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "v1")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    # a version-1 manifest still carries the deleted graph.weighted key; the
+    # version check must fire before that key reaches the config parser
+    manifest["config"]["graph.weighted"] = "false"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    rc = main([command[0], "--data", workspace["data"], "--ckpt", str(ckpt),
+               *command[1:]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unsupported checkpoint format version 1 (expected 2)" in err
+    assert "graph.weighted" not in err
+
+
+def test_eval_missing_params_file_is_named(workspace, tmp_path, capsys):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "noparams")
+    (ckpt / "params.bin").unlink()
+    rc = main(["eval", "--data", workspace["data"], "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+    assert "params.bin" in err
+    assert "Traceback" not in err

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from mgam.clustering import cluster_subsets
-from mgam.config import STREAM_EVAL, substream
-from mgam.data import (SyntheticParams, generate_synthetic, sample_negatives,
-                       split_leave_one_out)
+from mgam.config import STREAM_EVAL, Config, substream
+from mgam.data import (Dataset, SyntheticParams, generate_synthetic,
+                       sample_negatives, split_leave_one_out)
 from mgam.errors import UsageError
-from mgam.evaluation import (MetricReport, baseline_aggregate, evaluate,
-                             hr_at_k, make_baseline_scorer, make_mgam_scorer,
+from mgam.evaluation import (MetricReport, evaluate, hr_at_k,
+                             make_baseline_scorer, make_mgam_scorer,
                              ndcg_at_k, rank_candidates, train_mf_scorer,
                              write_metrics_csv)
 from mgam.graph import build_co_membership
-from mgam.model import ModelConfig, init_params
+from mgam.model import init_params
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_mgam_scorer_matches_direct_forward():
     ds, truth, split = _planted(seed=6)
     assignments = cluster_subsets(ds, 2, seed=1)
     graph = build_co_membership(ds.groups)
-    cfg = ModelConfig(embedding_dim=8, num_subsets=2, gcn_layers=1)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                          np.random.default_rng(0))
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
@@ -186,27 +186,49 @@ def test_mgam_scorer_matches_direct_forward():
 # ---------------------------------------------------------------------------
 # baselines
 
+def _one_group_dataset(n_members=2):
+    """One group of `n_members` users over 3 items, no interactions."""
+    return Dataset(n_users=n_members, n_items=3, n_groups=1,
+                   user_items=[[] for _ in range(n_members)],
+                   groups=[list(range(n_members))], group_pos=[[]],
+                   user_ids=[str(u) for u in range(n_members)],
+                   item_ids=["a", "b", "c"], group_ids=["g"])
+
+
+def _logit(p):
+    return np.log(p / (1 - p))
+
+
 def test_baseline_aggregate_values():
-    assert baseline_aggregate([0.2, 0.8], "avg") == pytest.approx(0.5)
-    assert baseline_aggregate([0.2, 0.8], "lm") == 0.2
-    assert baseline_aggregate([0.2, 0.8], "ms") == 0.8
+    # member vectors are 1-D logits against a unit item vector
+    ds = _one_group_dataset()
+    u = _logit(np.array([[0.2], [0.8]]))
+    v = np.array([[1.0], [0.0], [0.0]])
+    expect = {"avg": 0.5, "lm": 0.2, "ms": 0.8}
     for s in ("avg", "lm", "ms"):
-        assert baseline_aggregate([0.4], s) == pytest.approx(0.4)
+        assert make_baseline_scorer(u, v, ds, s)(0, [0])[0] == pytest.approx(
+            expect[s], abs=1e-12)
+    one, u_one = _one_group_dataset(1), _logit(np.array([[0.4]]))
+    for s in ("avg", "lm", "ms"):
+        score = make_baseline_scorer(u_one, v, one, s)(0, [0])[0]
+        assert score == pytest.approx(0.4, abs=1e-12)
 
 
 def test_baseline_aggregate_permutation_invariant():
     rng = np.random.default_rng(0)
-    v = rng.random(6)
-    w = rng.permutation(v)
+    ds = _one_group_dataset(6)
+    u = rng.normal(size=(6, 4))
+    v = rng.normal(size=(3, 4))
     for s in ("avg", "lm", "ms"):
-        assert baseline_aggregate(v, s) == pytest.approx(baseline_aggregate(w, s))
+        a = make_baseline_scorer(u, v, ds, s)(0, [0, 1, 2])
+        b = make_baseline_scorer(u[rng.permutation(6)], v, ds, s)(0, [0, 1, 2])
+        assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 
 def test_baseline_aggregate_errors():
-    with pytest.raises(UsageError):
-        baseline_aggregate([], "avg")
-    with pytest.raises(UsageError):
-        baseline_aggregate([0.5], "median")
+    ds = _one_group_dataset()
+    with pytest.raises(UsageError, match="median"):
+        make_baseline_scorer(np.zeros((2, 1)), np.zeros((3, 1)), ds, "median")
 
 
 def test_baseline_scorer_consistent_with_aggregate():
@@ -214,14 +236,13 @@ def test_baseline_scorer_consistent_with_aggregate():
     rng = np.random.default_rng(0)
     u = rng.normal(size=(ds.n_users, 4))
     v = rng.normal(size=(ds.n_items, 4))
-    for strategy in ("avg", "lm", "ms"):
+    for strategy, reduce in (("avg", np.mean), ("lm", np.min), ("ms", np.max)):
         scorer = make_baseline_scorer(u, v, ds, strategy)
         scores = scorer(2, [5, 9])
         members = ds.groups[2]
         for j, item in enumerate([5, 9]):
             member_scores = 1 / (1 + np.exp(-(u[members] @ v[item])))
-            assert scores[j] == pytest.approx(
-                baseline_aggregate(member_scores, strategy), abs=1e-12)
+            assert scores[j] == pytest.approx(reduce(member_scores), abs=1e-12)
 
 
 def test_mf_baseline_learns_user_preferences():

@@ -134,26 +134,39 @@ def test_normalize_adjacency_recompute():
     assert np.array_equal(again.degree, g.degree)
 
 
+def _assert_normalized_bitwise(norm, adj):
+    """`norm` holds exactly A(i,j)/sqrt(d_i d_j), with 1/d_i on the diagonal,
+    on the sorted CSR structure of the sparse adjacency `adj`."""
+    dense = adj.toarray()
+    deg = dense.sum(axis=1)
+    rows, cols = np.nonzero(dense)
+    expect = np.zeros_like(dense)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    expect[rows, cols] = inv_sqrt[rows] * inv_sqrt[cols]
+    diag = rows == cols
+    expect[rows[diag], cols[diag]] = 1.0 / deg[rows[diag]]
+    assert np.array_equal(norm.toarray(), expect)
+    assert norm.has_sorted_indices
+    structure = adj.sorted_indices()
+    assert np.array_equal(norm.indices, structure.indices)
+    assert np.array_equal(norm.indptr, structure.indptr)
+
+
 def test_expand_to_instances_sparse_matches_dense_bitwise():
-    """CSR row/column slicing gives exactly the dense-gather construction."""
+    """CSR row/column slicing gives exactly the dense-gather construction,
+    and the co-membership graph's own normalization follows the same
+    formula."""
     rng = np.random.default_rng(17)
-    for _ in range(200):
+    for _ in range(300):
         n_groups = int(rng.integers(1, 12))
         g = build_co_membership(random_groups(rng, n_groups, 10))
+        _assert_normalized_bitwise(g.normalized, g.adjacency)
         ids = np.sort(rng.choice(n_groups, size=int(rng.integers(1, n_groups + 1)),
                                  replace=False))
         sub = induce_batch_subgraph(g, ids)
         pos = rng.integers(0, len(ids), size=int(rng.integers(1, 20)))
         norm = expand_to_instances(sub, pos)
-        inst = sub.adjacency.toarray()[np.ix_(pos, pos)]
-        deg = inst.sum(axis=1)
-        rows, cols = np.nonzero(inst)
-        expect = np.zeros_like(inst)
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        expect[rows, cols] = inv_sqrt[rows] * inv_sqrt[cols]
-        diag = rows == cols
-        expect[rows[diag], cols[diag]] = 1.0 / deg[rows[diag]]
-        assert np.array_equal(norm.toarray(), expect)
+        _assert_normalized_bitwise(norm, sub.adjacency[pos][:, pos])
 
 
 def _assert_csr_bitwise(a, b):

@@ -5,14 +5,15 @@ from scipy.optimize import linprog
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.clustering import SubsetAssignment
+from mgam.config import Config
 from mgam.data import Dataset
-from mgam.errors import UsageError
+from mgam.errors import ConfigError, UsageError
 from mgam.graph import build_co_membership
-from mgam.model import (AblationMask, ModelConfig, forward_batch, fuse,
+from mgam.model import (AblationMask, forward_batch, fuse,
                         init_params, member_attention, predict_logit,
                         subset_attention, superset_embeddings,
                         superset_propagate)
-from mgam.training import (TrainConfig, point_loss_from_logits, total_loss,
+from mgam.training import (point_loss_from_logits, total_loss,
                            triplet_loss, _build_triplets)
 
 from conftest import fresh_toy_params
@@ -240,7 +241,7 @@ def test_superset_isolated_group_concatenates_initial_states():
     d, layers = 3, 2
     graph = build_co_membership([[0], [1]])  # isolated nodes
     params = _superset_params(d, layers, 2, identity=True)
-    cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=layers)
+    cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0 = Tensor(np.array([[0.2, 0.0, 0.7]]))
     h_sup, projected = superset_embeddings(params, cfg, [0], h0, graph)
     assert np.abs(h_sup.data[0] - np.concatenate([params["group_emb"].data[0],
@@ -255,7 +256,7 @@ def test_superset_path_graph_matches_dense_oracle():
     graph = build_co_membership(groups)
     rng = np.random.default_rng(5)
     params = _superset_params(d, layers, 3, rng=rng)
-    cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=layers)
+    cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0_rows = [rng.uniform(-0.5, 0.5, d) for _ in range(3)]
     h_sup, projected = superset_embeddings(params, cfg, [0, 1, 2],
                                            Tensor(np.stack(h0_rows)), graph)
@@ -283,7 +284,7 @@ def test_superset_isolated_instances_ignore_each_other():
     graph = build_co_membership([[0], [0, 1], [1]])
     rng = np.random.default_rng(8)
     params = _superset_params(d, layers, 3, rng=rng)
-    cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=layers)
+    cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0 = rng.uniform(-0.5, 0.5, (3, d))
     h_sup, _ = superset_embeddings(params, cfg, [0, 1, 1], Tensor(h0), graph,
                                    isolated=True)
@@ -564,7 +565,7 @@ def test_model_gradients_match_finite_differences_sampled(toy):
 
 
 def test_init_params_shapes_and_determinism():
-    cfg = ModelConfig(embedding_dim=4, num_subsets=3, gcn_layers=2)
+    cfg = Config(embedding_dim=4, num_subsets=3, gcn_layers=2)
     a = init_params(cfg, 5, 6, 3, np.random.default_rng(0))
     b = init_params(cfg, 5, 6, 3, np.random.default_rng(0))
     assert list(a) == list(b)
@@ -580,17 +581,22 @@ def test_init_params_shapes_and_determinism():
 
 def test_model_config_validation():
     with pytest.raises(UsageError):
-        ModelConfig(embedding_dim=3).validate()
+        Config(embedding_dim=3).validate()
     with pytest.raises(UsageError):
-        ModelConfig(num_subsets=0).validate()
+        Config(num_subsets=0).validate()
     with pytest.raises(UsageError):
-        ModelConfig(gcn_layers=0).validate()
+        Config(gcn_layers=0).validate()
     with pytest.raises(UsageError, match="epochs"):
-        TrainConfig(epochs=0).validate()
+        Config(epochs=0).validate()
+    # init_params validates too, before drawing any weight
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="embedding_dim"):
+        init_params(Config(embedding_dim=3), 2, 2, 1, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_single_subset_config_has_no_cross_weights():
-    cfg = ModelConfig(embedding_dim=4, num_subsets=1, gcn_layers=1)
+    cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=1)
     params = init_params(cfg, 3, 3, 2, np.random.default_rng(0))
     assert "subpe_other_w_1" not in params
     assert "subpe_self_w_1" in params

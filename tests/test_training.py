@@ -1,18 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.clustering import cluster_subsets
+from mgam.config import Config
 from mgam.data import SyntheticParams, generate_synthetic, split_leave_one_out
 from mgam.errors import CheckpointError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
-from mgam.model import AblationMask, ModelConfig, forward_batch, init_params
-from mgam.training import (TrainConfig, adam_step,
-                           expected_param_shapes, init_adam, load_checkpoint,
-                           point_loss_from_logits, save_checkpoint,
-                           total_loss, train, train_epoch, triplet_loss,
-                           _build_triplets)
+from mgam.model import AblationMask, forward_batch, init_params
+from mgam.training import (adam_step, expected_param_shapes, init_adam,
+                           load_checkpoint, point_loss_from_logits,
+                           read_manifest, save_checkpoint, total_loss, train,
+                           train_epoch, triplet_loss, _build_triplets)
 
 from conftest import fresh_toy_params
 
@@ -153,15 +155,15 @@ def _small_setup(seed=0, n_groups=6):
     split = split_leave_one_out(ds, [seed, 1])
     assignments = cluster_subsets(ds, 2, seed=[seed, 2])
     graph = build_co_membership(ds.groups)
-    cfg = ModelConfig(embedding_dim=8, num_subsets=2, gcn_layers=2)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=2)
     return ds, split, assignments, graph, cfg
 
 
 def test_train_deterministic_bitwise():
     ds, split, assignments, graph, cfg = _small_setup()
-    tc = TrainConfig(epochs=2, batch_size=8, seed=5)
-    p1, _, h1 = train(ds, split, assignments, graph, cfg, tc)
-    p2, _, h2 = train(ds, split, assignments, graph, cfg, tc)
+    tc = replace(cfg, epochs=2, batch_size=8, seed=5)
+    p1, h1 = train(ds, split, assignments, graph, tc)
+    p2, h2 = train(ds, split, assignments, graph, tc)
     for k in p1:
         assert np.array_equal(p1[k].data, p2[k].data)
     assert [s.mean_loss for s in h1] == [s.mean_loss for s in h2]
@@ -169,11 +171,10 @@ def test_train_deterministic_bitwise():
 
 def test_train_epoch_lr_zero_keeps_parameters():
     ds, split, assignments, graph, cfg = _small_setup()
-    tc = TrainConfig(epochs=1, batch_size=8, seed=5, learning_rate=1e-300)
-    p, _, _ = train(ds, split, assignments, graph, cfg, tc)
-    q, _, _ = train(ds, split, assignments, graph, cfg,
-                    TrainConfig(epochs=1, batch_size=8, seed=5,
-                                learning_rate=1e-299))
+    tc = replace(cfg, epochs=1, batch_size=8, seed=5, learning_rate=1e-300)
+    p, _ = train(ds, split, assignments, graph, tc)
+    q, _ = train(ds, split, assignments, graph,
+                 replace(tc, learning_rate=1e-299))
     # effectively-zero learning rates keep parameters at their init values
     from mgam.config import STREAM_INIT, substream
     from mgam.model import init_params
@@ -188,20 +189,19 @@ def test_train_empty_split_rejected():
     ds, split, assignments, graph, cfg = _small_setup()
     split.train = []
     with pytest.raises(UsageError):
-        train_epoch({}, init_adam({}), ds, split, assignments, graph, cfg,
-                    TrainConfig(), 0)
+        train_epoch({}, init_adam({}), ds, split, assignments, graph, cfg, 0)
 
 
 def test_train_epoch_rejects_non_finite_loss():
     ds, split, assignments, graph, cfg = _small_setup()
-    tc = TrainConfig(batch_size=8, seed=5)
+    tc = replace(cfg, batch_size=8, seed=5)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                          np.random.default_rng(0))
     params["predict_w"].data[0] = np.nan
     before = {k: p.data.copy() for k, p in params.items()}
     adam = init_adam(params)
     with pytest.raises(NonFiniteError, match=r"non-finite loss nan at epoch 3, batch 0"):
-        train_epoch(params, adam, ds, split, assignments, graph, cfg, tc, 3)
+        train_epoch(params, adam, ds, split, assignments, graph, tc, 3)
     for k, p in params.items():
         assert np.array_equal(p.data, before[k], equal_nan=True)
     assert adam.step == 0
@@ -209,7 +209,7 @@ def test_train_epoch_rejects_non_finite_loss():
 
 def test_train_epoch_rejects_non_finite_gradient(monkeypatch):
     ds, split, assignments, graph, cfg = _small_setup()
-    tc = TrainConfig(batch_size=8, seed=5)
+    tc = replace(cfg, batch_size=8, seed=5)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                          np.random.default_rng(0))
     adam = init_adam(params)
@@ -226,7 +226,7 @@ def test_train_epoch_rejects_non_finite_gradient(monkeypatch):
     monkeypatch.setattr(ad, "grad_map", poisoned)
     with pytest.raises(NonFiniteError,
                        match=r"parameter 'item_emb' at epoch 0, batch 1"):
-        train_epoch(params, adam, ds, split, assignments, graph, cfg, tc, 0)
+        train_epoch(params, adam, ds, split, assignments, graph, tc, 0)
     assert adam.step == 1
     for k, p in params.items():
         assert np.array_equal(p.data, seen[1][k])
@@ -267,17 +267,17 @@ def test_overfit_small_dataset():
     assert len(split.train) == 20
     assignments = cluster_subsets(ds, 2, seed=1)
     graph = build_co_membership(ds.groups)
-    cfg = ModelConfig(embedding_dim=16, num_subsets=2, gcn_layers=2)
-    tc = TrainConfig(epochs=200, batch_size=64, seed=7, learning_rate=0.01)
-    _, _, history = train(ds, split, assignments, graph, cfg, tc)
+    cfg = Config(embedding_dim=16, num_subsets=2, gcn_layers=2,
+                 epochs=200, batch_size=64, seed=7, learning_rate=0.01)
+    _, history = train(ds, split, assignments, graph, cfg)
     assert history[-1].point_mean < 0.05
 
 
 def test_train_ablated_runs(toy):
     ds, split, assignments, graph, cfg = _small_setup()
-    tc = TrainConfig(epochs=1, batch_size=8, seed=2)
-    params, _, hist = train(ds, split, assignments, graph, cfg, tc,
-                            mask=AblationMask(use_suppe=False))
+    tc = replace(cfg, epochs=1, batch_size=8, seed=2)
+    params, hist = train(ds, split, assignments, graph, tc,
+                         mask=AblationMask(use_suppe=False))
     assert len(hist) == 1
     # superset weights never received a training signal
     from mgam.config import STREAM_INIT, substream
@@ -293,21 +293,18 @@ def test_train_ablated_runs(toy):
 # checkpoints
 
 def _checkpoint_roundtrip_setup(tmp_path):
-    cfg = ModelConfig(embedding_dim=4, num_subsets=2, gcn_layers=1)
-    from mgam.model import init_params
+    cfg = Config(embedding_dim=4, num_subsets=2, gcn_layers=1)
     params = init_params(cfg, 3, 5, 2, np.random.default_rng(0))
-    adam = init_adam(params)
-    adam.step = 7
-    save_checkpoint(tmp_path, params, {"embedding_dim": 4}, seed=9,
-                    adam_state=adam)
+    save_checkpoint(tmp_path, params, {"embedding_dim": 4}, seed=9)
     return cfg, params
 
 
 def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
-    loaded, manifest, adam = load_checkpoint(tmp_path)
+    loaded, manifest = load_checkpoint(tmp_path)
     assert manifest["seed"] == 9
-    assert adam.step == 7
+    assert manifest["format_version"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "params.bin"]
     for k, p in params.items():
         assert np.array_equal(loaded[k].data, p.data.astype(np.float32).astype(np.float64))
         assert loaded[k].requires_grad
@@ -317,10 +314,9 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     cfg, params = _checkpoint_roundtrip_setup(a_dir)
-    loaded, manifest, adam = load_checkpoint(a_dir)
-    save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"],
-                    adam_state=adam)
-    for name in ("manifest.json", "params.bin", "adam.bin"):
+    loaded, manifest = load_checkpoint(a_dir)
+    save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"])
+    for name in ("manifest.json", "params.bin"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
@@ -336,7 +332,7 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
 
 def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
     cfg, _ = _checkpoint_roundtrip_setup(tmp_path)
-    other = ModelConfig(embedding_dim=8, num_subsets=2, gcn_layers=1)
+    other = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
     expected = expected_param_shapes(other, 3, 5, 2)
     with pytest.raises(CheckpointError, match="user_emb"):
         load_checkpoint(tmp_path, expected)
@@ -346,10 +342,13 @@ def test_checkpoint_version_guard(tmp_path):
     import json
     _checkpoint_roundtrip_setup(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["format_version"] = 2
+    manifest["format_version"] = 1
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError,
+                       match=r"unsupported checkpoint format version 1 \(expected 2\)"):
         load_checkpoint(tmp_path)
+    with pytest.raises(CheckpointError, match="version 1"):
+        read_manifest(tmp_path)
 
 
 def test_checkpoint_truncated_params_rejected(tmp_path):
@@ -363,8 +362,8 @@ def test_checkpoint_truncated_params_rejected(tmp_path):
 def test_train_writes_log(tmp_path):
     ds, split, assignments, graph, cfg = _small_setup()
     log = tmp_path / "train_log.csv"
-    train(ds, split, assignments, graph, cfg,
-          TrainConfig(epochs=2, batch_size=8, seed=1), log_path=log)
+    train(ds, split, assignments, graph,
+          replace(cfg, epochs=2, batch_size=8, seed=1), log_path=log)
     lines = log.read_text().strip().splitlines()
     assert lines[0] == "epoch,mean_loss,triplet_mean,point_mean,wall_seconds"
     assert len(lines) == 3
