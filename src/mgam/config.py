@@ -72,9 +72,13 @@ class Config:
         for key in ("lambda1", "margin", "train_negatives", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if not self.ks_list():
+        try:
+            ks = self.ks_list()
+        except ValueError as e:
+            raise ConfigError(f"ks must be comma-separated integers, got {self.ks!r}") from e
+        if not ks:
             raise ConfigError("ks must name at least one cutoff")
-        for k in self.ks_list():
+        for k in ks:
             if k < 1:
                 raise ConfigError(f"ks entries must be >= 1, got {k}")
         for a in self.ablated():

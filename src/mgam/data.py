@@ -9,12 +9,14 @@ lines skipped):
 
 External ids are arbitrary tokens; they are remapped to contiguous
 internal indices sorted by external id (numerically when every id of a
-kind parses as an integer, else lexicographically).  Users that appear
-only as group members are registered with empty interaction histories.
+kind parses as an integer, else lexicographically; ids equal as integers,
+such as `1` and `01`, are ordered as strings).  Users that appear only as
+group members are registered with empty interaction histories.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,64 +77,87 @@ class Split:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# Each file is parsed column-wise: one StringDType array of lines, numpy
+# string ufuncs for comment skipping, field splitting and stripping, ids
+# interned to int64 codes through one dict, and per-row lists cut from one
+# sorted array of (row, column) codes.
 
-def _iter_rows(path, n_fields_min: int):
+# every character for which `str.isspace` is true
+_WHITESPACE = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+               "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029"
+               "\u202f\u205f\u3000")
+_STR = np.dtypes.StringDType()
+# `np.strings.partition` takes no plain `str` separator for StringDType input
+_TAB = np.array("\t", dtype=_STR)
+
+
+def _strip_set(text: str):
+    """The `chars` argument that makes `np.strings.strip` act as `str.strip`
+    on pieces of `text`.
+
+    numpy's default set is `str.isspace` plus NUL; naming the set is exact
+    but about 3x slower, so it is named only when `text` holds a NUL.
+    """
+    return _WHITESPACE if "\x00" in text else None
+
+
+def _read_table(path, empty_msg: str) -> tuple:
+    """(line numbers, first fields, second fields) of a TSV's record lines.
+
+    Blank, whitespace-only and `#` comment lines are skipped; both fields
+    are stripped and must be non-empty.  The fields are StringDType arrays.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: cannot read ({e})") from e
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < n_fields_min or any(not f.strip() for f in fields[:n_fields_min]):
-            raise DataError(f"{path}: line {lineno}: expected at least "
-                            f"{n_fields_min} tab-separated fields, got {line!r}")
-        rows.append((lineno, [f.strip() for f in fields]))
-    return rows
+    ws = _strip_set(text)
+    lines = np.array(text.splitlines(), dtype=_STR)
+    body = np.strings.lstrip(lines, ws)
+    kept = np.flatnonzero((np.strings.str_len(body) > 0)
+                          & ~np.strings.startswith(body, "#"))
+    if not len(kept):
+        raise DataError(f"{path}: {empty_msg}")
+    lines = lines[kept]
+    first, _, rest = np.strings.partition(lines, _TAB)
+    first = np.strings.strip(first, ws)
+    second = np.strings.strip(np.strings.partition(rest, _TAB)[0], ws)
+    bad = np.flatnonzero((np.strings.str_len(first) == 0)
+                         | (np.strings.str_len(second) == 0))
+    if len(bad):
+        r = bad[0]
+        raise DataError(f"{path}: line {kept[r] + 1}: expected at least "
+                        f"2 tab-separated fields, got {str(lines[r])!r}")
+    return kept + 1, first, second
 
 
 def _sorted_ids(ids) -> list:
-    ids = set(ids)
+    """Distinct ids, numerically ordered when all parse as integers, else
+    lexicographically; ids that tie numerically (`1`, `01`) keep string order."""
+    ids = sorted(set(ids))
     try:
-        return sorted(ids, key=lambda s: (0, int(s)))
+        return sorted(ids, key=int)
     except ValueError:
-        return sorted(ids)
+        return ids
 
 
-def _parse_user_item(path):
-    rows = _iter_rows(path, 2)
-    if not rows:
-        raise DataError(f"{path}: no interaction records")
-    return [(lineno, f[0], f[1]) for lineno, f in rows]
+def _intern(tokens: list) -> tuple:
+    """(sorted distinct ids, id -> index dict, int64 index of every token)."""
+    ids = _sorted_ids(tokens)
+    index = {e: k for k, e in enumerate(ids)}
+    codes = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    return ids, index, codes
 
 
-def _parse_groups(path):
-    rows = _iter_rows(path, 2)
-    if not rows:
-        raise DataError(f"{path}: no group records")
-    parsed = []
-    seen = {}
-    for lineno, f in rows:
-        gid = f[0]
-        members = [m.strip() for m in f[1].split(",") if m.strip()]
-        if not members:
-            raise DataError(f"{path}: line {lineno}: group {gid!r} has an empty member list")
-        if gid in seen:
-            raise DataError(f"{path}: line {lineno}: group {gid!r} already defined "
-                            f"on line {seen[gid]}")
-        seen[gid] = lineno
-        parsed.append((lineno, gid, members))
-    return parsed
-
-
-def _parse_group_items(path):
-    rows = _iter_rows(path, 2)
-    if not rows:
-        raise DataError(f"{path}: no group-item records")
-    return [(lineno, f[0], f[1]) for lineno, f in rows]
+def _row_lists(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> list:
+    """Per row, the sorted distinct columns paired with it, as int lists."""
+    codes = np.sort(rows * n_cols + cols)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    bounds = np.searchsorted(codes, np.arange(n_rows + 1) * n_cols).tolist()
+    flat = (codes % n_cols).tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def load_dataset(directory) -> Dataset:
@@ -142,39 +167,48 @@ def load_dataset(directory) -> Dataset:
     g_path = directory / GROUPS_FILE
     gi_path = directory / GROUP_ITEMS_FILE
 
-    interactions = _parse_user_item(ui_path)
-    group_defs = _parse_groups(g_path)
-    group_items = _parse_group_items(gi_path)
+    _, ui_users, ui_items = _read_table(ui_path, "no interaction records")
 
-    user_ids = _sorted_ids([u for _, u, _ in interactions]
-                           + [m for _, _, ms in group_defs for m in ms])
-    item_ids = _sorted_ids([i for _, _, i in interactions]
-                           + [i for _, _, i in group_items])
-    group_ids = _sorted_ids(g for _, g, _ in group_defs)
-    uidx = {e: k for k, e in enumerate(user_ids)}
-    iidx = {e: k for k, e in enumerate(item_ids)}
-    gidx = {e: k for k, e in enumerate(group_ids)}
+    g_lines, g_names, member_lists = _read_table(g_path, "no group records")
+    group_ids, group_index, g_codes = _intern(g_names.tolist())
+    n_defs = len(g_codes)
+    joined = ",".join(member_lists.tolist())
+    members = np.strings.strip(np.array(joined.split(","), dtype=_STR), _strip_set(joined))
+    owner = np.repeat(np.arange(n_defs), np.strings.count(member_lists, ",") + 1)
+    present = np.strings.str_len(members) > 0
+    members, owner = members[present], owner[present]
+    first_def = np.unique(g_codes, return_index=True)[1]  # row of each group's first line
+    no_members = np.bincount(owner, minlength=n_defs) == 0
+    broken = np.flatnonzero(no_members | (first_def[g_codes] != np.arange(n_defs)))
+    if len(broken):
+        r = broken[0]
+        gid = str(g_names[r])
+        if no_members[r]:
+            raise DataError(f"{g_path}: line {g_lines[r]}: group {gid!r} "
+                            f"has an empty member list")
+        raise DataError(f"{g_path}: line {g_lines[r]}: group {gid!r} already defined "
+                        f"on line {g_lines[first_def[g_codes[r]]]}")
 
-    per_user = [set() for _ in user_ids]
-    for _, u, i in interactions:
-        per_user[uidx[u]].add(iidx[i])
+    gi_lines, gi_groups, gi_items = _read_table(gi_path, "no group-item records")
+    gi_groups = gi_groups.tolist()
+    gi_codes = np.fromiter(map(group_index.get, gi_groups, itertools.repeat(-1)),
+                           np.int64, len(gi_groups))
+    unknown = np.flatnonzero(gi_codes < 0)
+    if len(unknown):
+        r = unknown[0]
+        raise DataError(f"{gi_path}: line {gi_lines[r]}: unknown group id {gi_groups[r]!r}")
 
-    members = [None] * len(group_ids)
-    for _, g, ms in group_defs:
-        members[gidx[g]] = sorted({uidx[m] for m in ms})
-
-    positives = [set() for _ in group_ids]
-    for lineno, g, i in group_items:
-        if g not in gidx:
-            raise DataError(f"{gi_path}: line {lineno}: unknown group id {g!r}")
-        positives[gidx[g]].add(iidx[i])
-
+    n_ui = len(ui_users)
+    user_ids, user_index, u_codes = _intern(ui_users.tolist() + members.tolist())
+    item_ids, item_index, i_codes = _intern(ui_items.tolist() + gi_items.tolist())
+    n_users, n_items, n_groups = len(user_ids), len(item_ids), len(group_ids)
     return Dataset(
-        n_users=len(user_ids), n_items=len(item_ids), n_groups=len(group_ids),
-        user_items=[sorted(s) for s in per_user],
-        groups=members,
-        group_pos=[sorted(s) for s in positives],
+        n_users=n_users, n_items=n_items, n_groups=n_groups,
+        user_items=_row_lists(u_codes[:n_ui], i_codes[:n_ui], n_users, n_items),
+        groups=_row_lists(g_codes[owner], u_codes[n_ui:], n_groups, n_users),
+        group_pos=_row_lists(gi_codes, i_codes[n_ui:], n_groups, n_items),
         user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
+        user_index=user_index, item_index=item_index, group_index=group_index,
     )
 
 
@@ -369,9 +403,9 @@ def generate_synthetic(params: SyntheticParams, seed) -> tuple:
             members.extend(rng.choice(pool_out, size=n_cross, replace=False))
         groups.append(sorted(int(u) for u in members))
 
-    group_utility = np.stack([
-        item_vecs @ user_vecs[members].mean(axis=0) for members in groups
-    ])
+    group_utility = np.empty((ng, ni))
+    for g, members in enumerate(groups):
+        group_utility[g] = item_vecs @ user_vecs[members].mean(axis=0)
     group_pos = []
     for g in range(ng):
         noisy = group_utility[g] + params.noise * rng.normal(size=ni)

@@ -1,16 +1,124 @@
 """Slow reference implementations of mgam's preprocessing.
 
-These are the dense and loop-based forms that the production sparse
-code in `mgam.clustering` and `mgam.graph` replaced.  Tests compare the
-fast paths against them: a dense Lloyd K-Means over dense feature rows,
-the per-user pair loop that builds the co-membership adjacency, and the
-sorted-pair graph writer.
+These are the line-by-line, dense and loop-based forms that the
+production code in `mgam.data`, `mgam.clustering` and `mgam.graph`
+replaced.  Tests compare the fast paths against them: a line-by-line TSV
+parser, a dense Lloyd K-Means over dense feature rows, the per-user pair
+loop that builds the co-membership adjacency, and the sorted-pair graph
+writer.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 from scipy import sparse
+
+from mgam.data import GROUP_ITEMS_FILE, GROUPS_FILE, USER_ITEM_FILE, Dataset
+from mgam.errors import DataError
+
+
+def _iter_rows(path, n_fields_min: int):
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"{path}: cannot read ({e})") from e
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) < n_fields_min or any(not f.strip() for f in fields[:n_fields_min]):
+            raise DataError(f"{path}: line {lineno}: expected at least "
+                            f"{n_fields_min} tab-separated fields, got {line!r}")
+        rows.append((lineno, [f.strip() for f in fields]))
+    return rows
+
+
+def _sorted_ids(ids) -> list:
+    ids = sorted(set(ids))
+    try:
+        return sorted(ids, key=int)
+    except ValueError:
+        return ids
+
+
+def _parse_user_item(path):
+    rows = _iter_rows(path, 2)
+    if not rows:
+        raise DataError(f"{path}: no interaction records")
+    return [(lineno, f[0], f[1]) for lineno, f in rows]
+
+
+def _parse_groups(path):
+    rows = _iter_rows(path, 2)
+    if not rows:
+        raise DataError(f"{path}: no group records")
+    parsed = []
+    seen = {}
+    for lineno, f in rows:
+        gid = f[0]
+        members = [m.strip() for m in f[1].split(",") if m.strip()]
+        if not members:
+            raise DataError(f"{path}: line {lineno}: group {gid!r} has an empty member list")
+        if gid in seen:
+            raise DataError(f"{path}: line {lineno}: group {gid!r} already defined "
+                            f"on line {seen[gid]}")
+        seen[gid] = lineno
+        parsed.append((lineno, gid, members))
+    return parsed
+
+
+def _parse_group_items(path):
+    rows = _iter_rows(path, 2)
+    if not rows:
+        raise DataError(f"{path}: no group-item records")
+    return [(lineno, f[0], f[1]) for lineno, f in rows]
+
+
+def line_parsed_dataset(directory) -> Dataset:
+    """`load_dataset`, one line and one id at a time."""
+    directory = Path(directory)
+    ui_path = directory / USER_ITEM_FILE
+    g_path = directory / GROUPS_FILE
+    gi_path = directory / GROUP_ITEMS_FILE
+
+    interactions = _parse_user_item(ui_path)
+    group_defs = _parse_groups(g_path)
+    group_items = _parse_group_items(gi_path)
+
+    user_ids = _sorted_ids([u for _, u, _ in interactions]
+                           + [m for _, _, ms in group_defs for m in ms])
+    item_ids = _sorted_ids([i for _, _, i in interactions]
+                           + [i for _, _, i in group_items])
+    group_ids = _sorted_ids(g for _, g, _ in group_defs)
+    uidx = {e: k for k, e in enumerate(user_ids)}
+    iidx = {e: k for k, e in enumerate(item_ids)}
+    gidx = {e: k for k, e in enumerate(group_ids)}
+
+    per_user = [set() for _ in user_ids]
+    for _, u, i in interactions:
+        per_user[uidx[u]].add(iidx[i])
+
+    members = [None] * len(group_ids)
+    for _, g, ms in group_defs:
+        members[gidx[g]] = sorted({uidx[m] for m in ms})
+
+    positives = [set() for _ in group_ids]
+    for lineno, g, i in group_items:
+        if g not in gidx:
+            raise DataError(f"{gi_path}: line {lineno}: unknown group id {g!r}")
+        positives[gidx[g]].add(iidx[i])
+
+    return Dataset(
+        n_users=len(user_ids), n_items=len(item_ids), n_groups=len(group_ids),
+        user_items=[sorted(s) for s in per_user],
+        groups=members,
+        group_pos=[sorted(s) for s in positives],
+        user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
+    )
 
 
 def dense_user_features(dataset) -> np.ndarray:

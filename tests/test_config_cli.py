@@ -353,3 +353,25 @@ def test_eval_missing_params_file_is_named(workspace, tmp_path, capsys):
     assert err.startswith("error: cannot read")
     assert "params.bin" in err
     assert "Traceback" not in err
+
+
+def test_non_utf8_data_file_is_named(workspace, tmp_path, capsys):
+    data = shutil.copytree(workspace["data"], tmp_path / "latin1")
+    (data / "user_item.tsv").write_bytes(b"caf\xe9\t5\n")
+    rc = main(["dump-graph", "--data", str(data), "--out", str(tmp_path / "g.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "user_item.tsv: cannot read (" in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_ks_is_config_error(workspace, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="ks must be comma-separated integers, got 'a'"):
+        parse_config(None, overrides=["ks=a"])
+    rc = main(["dump-graph", "--data", workspace["data"], "--out",
+               str(tmp_path / "g.tsv"), "--set", "ks=a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'a'" in err and "ks" in err
+    assert "Traceback" not in err

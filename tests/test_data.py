@@ -1,10 +1,19 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mgam
+from mgam import data
 from mgam.data import (Dataset, SyntheticParams, generate_synthetic,
                        load_dataset, sample_negatives,
                        split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
+from reference_preprocessing import line_parsed_dataset
 
 
 def _write(tmp_path, user_item, groups, group_items):
@@ -100,6 +109,179 @@ def test_numeric_id_ordering(tmp_path):
     d = _write(tmp_path, "10\t5\n9\t5\n", "g1\t10,9\n", "g1\t5\n")
     ds = load_dataset(d)
     assert ds.user_ids == ["9", "10"]  # numeric, not lexicographic
+
+
+def test_numeric_tie_ordered_by_string_under_any_hash_seed(tmp_path):
+    d = _write(tmp_path, "1\t5\n01\t5\n", "g1\t1\n", "g1\t5\n")
+    src = str(Path(mgam.__file__).parents[1])
+    code = f"from mgam.data import load_dataset; print(load_dataset({str(d)!r}).user_ids)"
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "['01', '1']", seed
+
+
+def test_group_error_messages_exact(tmp_path):
+    cases = [
+        # (groups.tsv, line and message after "groups.tsv: ")
+        ("g1\t7\n# c\ng2\t , ,\n", "line 3: group 'g2' has an empty member list"),
+        ("g1\t7\ng2\t7\n\ng1\t7\n", "line 4: group 'g1' already defined on line 1"),
+        # one line breaking both rules: the empty list is reported
+        ("g1\t7\ng1\t,\n", "line 2: group 'g1' has an empty member list"),
+        # the earlier line wins, whichever rule it breaks
+        ("g1\t7\ng1\t7\ng2\t,\n", "line 2: group 'g1' already defined on line 1"),
+    ]
+    for groups, message in cases:
+        d = _write(tmp_path, "7\t5\n", groups, "g1\t5\n")
+        with pytest.raises(DataError) as e:
+            load_dataset(d)
+        assert str(e.value) == f"{d / 'groups.tsv'}: {message}"
+
+
+def test_strip_sets_match_str_strip():
+    code_points = [chr(c) for c in range(sys.maxunicode + 1)
+                   if not 0xD800 <= c < 0xE000]
+    assert set(data._WHITESPACE) == {c for c in code_points if c.isspace()}
+    padded = [c + "x" + c for c in code_points]
+    a = np.array(padded, dtype=np.dtypes.StringDType())
+    exact = np.strings.strip(a, data._WHITESPACE).tolist()
+    default = np.strings.strip(a).tolist()
+    assert exact == [p.strip() for p in padded]
+    assert [p for p, got in zip(padded, default) if got != p.strip()] == ["\x00x\x00"]
+
+
+# ---------------------------------------------------------------------------
+# column-wise loader against the line-by-line reference parser
+
+_PADS = ["", "", "", " ", "\u3000", "\xa0", "\u2003 "]
+# `str.splitlines` also ends lines at \x85, \v, \x1c and \u2028
+_ENDS = ["\n", "\r\n", "\r", "\x85", "\v", "\x1c", "\u2028"]
+_ALPHA = ["a", "b", "c", "x y", "\u00e9", "u1", "10a", "Z"]
+
+
+def _id_pool(rng, n):
+    kind = rng.choice(["numeric", "alpha", "mixed"])
+    pool = set()
+    while len(pool) < n:
+        k = rng.randrange(30)
+        numeric = [str(k), "0" + str(k), "+" + str(k), "\u0663"]
+        if kind == "numeric" or (kind == "mixed" and rng.random() < 0.5):
+            pool.add(rng.choice(numeric))
+        else:
+            pool.add(rng.choice(_ALPHA) + rng.choice(["", str(k)]))
+    return sorted(pool)
+
+
+def _pad(rng, token):
+    if rng.random() < 0.03:
+        token = token + "\x00"
+    return rng.choice(_PADS) + token + rng.choice(_PADS)
+
+
+def _noise_line(rng):
+    return rng.choice(["", "   ", "\u3000\xa0", "# comment", "  # indented\tcomment", "#"])
+
+
+def _render(rng, records):
+    """Records (lists of fields) to file text with comments, blank lines,
+    extra columns and mixed line endings."""
+    lines = []
+    for fields in records:
+        while rng.random() < 0.2:
+            lines.append(_noise_line(rng))
+        line = "\t".join(fields)
+        if rng.random() < 0.15:
+            line += "\t" + rng.choice(["extra", "", "1\t2", " "])
+        lines.append(line)
+    if rng.random() < 0.2:
+        lines.append(_noise_line(rng))
+    ends = rng.choice([["\n"], ["\r\n"], _ENDS])
+    text = "".join(line + rng.choice(ends) for line in lines)
+    return text[:-1] if text and rng.random() < 0.3 else text
+
+
+def _random_tables(rng):
+    users = _id_pool(rng, rng.randint(1, 6))
+    items = _id_pool(rng, rng.randint(1, 6))
+    groups = _id_pool(rng, rng.randint(1, 4))
+    ui = [[_pad(rng, rng.choice(users)), _pad(rng, rng.choice(items))]
+          for _ in range(rng.randint(1, 8))]
+    gdefs = []
+    for g in groups:
+        tokens = [_pad(rng, rng.choice(users)) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 2)):
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(["", " ", "\u3000"]))
+        members = ",".join(tokens)
+        if not members.replace(",", "").strip():
+            members += "," + users[0]
+        if rng.random() < 0.1:
+            members += "\t" + users[-1]   # a tab ends the member list
+        gdefs.append([_pad(rng, g), members])
+    gi = [[_pad(rng, rng.choice(groups)), _pad(rng, rng.choice(items))]
+          for _ in range(rng.randint(1, 8))]
+    tables = {"user_item.tsv": ui, "groups.tsv": gdefs, "group_items.tsv": gi}
+    broken = {}
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        kind = rng.choice(["no_tab", "empty_field", "empty_file", "empty_members",
+                           "redefined", "unknown_group", "not_utf8", "missing"])
+        name = rng.choice(sorted(tables))
+        rows = tables[name]
+        at = rng.randrange(len(rows) + 1)
+        if kind == "no_tab":
+            rows.insert(at, [" ".join(rows[0]) if rows else "x y"])
+        elif kind == "empty_field":
+            rows.insert(at, rng.choice([["  ", "5"], ["7", ""], ["", " \u3000"]]))
+        elif kind == "empty_file":
+            rows.clear()
+        elif kind == "empty_members":
+            gdefs.insert(rng.randrange(len(gdefs) + 1),
+                         [rng.choice(["new", groups[0]]), rng.choice([",", ", ,", " ,\u3000"])])
+        elif kind == "redefined":
+            if gdefs:
+                gdefs.insert(rng.randrange(len(gdefs) + 1), [rng.choice(gdefs)[0], users[0]])
+        elif kind == "unknown_group":
+            gi.insert(rng.randrange(len(gi) + 1), ["nope", items[0]])
+        else:  # not_utf8, missing: applied when the file is written
+            broken[name] = kind
+    return tables, broken
+
+
+def _outcome(load, d):
+    try:
+        return load(d)
+    except DataError as e:
+        return str(e)
+
+
+_OUTCOMES = ["expected at least 2 tab-separated fields", "no interaction records",
+             "no group records", "no group-item records", "has an empty member list",
+             "already defined on line", "unknown group id", "cannot read (",
+             "No such file"]
+
+
+def test_load_dataset_matches_line_parser(tmp_path):
+    rng = random.Random(20261018)
+    seen = {}
+    for case in range(300):
+        d = tmp_path / str(case)
+        d.mkdir()
+        tables, broken = _random_tables(rng)
+        for name, records in tables.items():
+            raw = _render(rng, records).encode("utf-8")
+            if broken.get(name) == "not_utf8":
+                cut = rng.randrange(len(raw) + 1)
+                raw = raw[:cut] + b"caf\xe9" + raw[cut:]
+            if broken.get(name) != "missing":
+                (d / name).write_bytes(raw)
+        expected = _outcome(line_parsed_dataset, d)
+        got = _outcome(load_dataset, d)
+        assert got == expected, (case, sorted(p.name for p in d.iterdir()))
+        for outcome in ["ok"] if isinstance(expected, Dataset) else _OUTCOMES:
+            if outcome == "ok" or outcome in expected:
+                seen[outcome] = seen.get(outcome, 0) + 1
+    assert seen.keys() == {"ok", *_OUTCOMES}, seen
+    assert seen["ok"] >= 100, seen
 
 
 def test_remap_roundtrip_bijection(tmp_path):
