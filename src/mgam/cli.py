@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import autodiff as ad
 from .clustering import cluster_subsets, dump_subsets
 from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
@@ -86,8 +87,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    dataset, split, assignments, graph = _prepare(args.data, cfg)
     mask = AblationMask.from_disabled(cfg.ablated())
+    dataset, split, assignments, graph = _prepare(args.data, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -137,10 +138,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     if args.disable:
-        mask = AblationMask.from_disabled(args.disable)
-        if not (mask.use_subpe or mask.use_gpe or mask.use_suppe):
-            raise UsageError("all three granularities are ablated; nothing to fuse")
-        masks = [mask]
+        masks = [AblationMask.from_disabled(args.disable)]
     else:
         masks = [AblationMask(),
                  AblationMask(use_subpe=False),
@@ -151,6 +149,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_subsets(args) -> int:
     cfg = _resolve_config(args)
+    mask = AblationMask.from_disabled(cfg.ablated())
     try:
         m_values = [int(m) for m in args.m_values.split(",") if m.strip()]
     except ValueError as e:
@@ -170,8 +169,9 @@ def cmd_sweep_subsets(args) -> int:
                                       restarts=cfg.kmeans_restarts,
                                       seed=substream(cfg.seed, STREAM_CLUSTER))
         m_cfg = dataclasses.replace(cfg, num_subsets=m)
-        params, _ = train(dataset, split, assignments, graph, m_cfg)
-        scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph)
+        params, _ = train(dataset, split, assignments, graph, m_cfg, mask=mask)
+        scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph,
+                                  mask=mask)
         report = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed)
         rows.append((m, report))
         print(f"M={m}: " + " ".join(
@@ -193,14 +193,16 @@ def cmd_sweep_subsets(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     # config echo goes to stderr so stdout stays machine-readable
     cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt), echo_to=sys.stderr)
+    mask = AblationMask.from_disabled(cfg.ablated())
     dataset, _, assignments, graph = _prepare(args.data, cfg)
     params = _load_model(args.ckpt, cfg, dataset)
     if args.group_id not in dataset.group_index:
         raise UsageError(f"unknown group id {args.group_id!r}")
     g = dataset.group_index[args.group_id]
-    mask = AblationMask.from_disabled(cfg.ablated())
     scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, mask=mask)
     known = set(dataset.group_pos[g])
     candidates = [i for i in range(dataset.n_items) if i not in known]
@@ -216,10 +218,10 @@ def cmd_recommend(args) -> int:
             v = dataset.item_index[args.item]
         else:
             v = top[0][0]
-        result = forward_batch(params, cfg, dataset, assignments, graph,
-                               [(g, v)], mask=mask, collect_state=True,
-                               isolated=True)
-        payload = _explain_json(result.states[0], dataset, assignments, top)
+        with ad.no_grad():
+            result = forward_batch(params, cfg, dataset, assignments, graph,
+                                   [(g, v)], mask=mask, isolated=True)
+        payload = _explain_json(result, g, v, dataset, assignments, top)
         payload["config"] = cfg.resolved()
         print(json.dumps(payload, indent=2))
     else:
@@ -228,30 +230,30 @@ def cmd_recommend(args) -> int:
     return 0
 
 
-def _explain_json(state, dataset, assignments, top) -> dict:
-    g = state.group
+def _explain_json(result, g, v, dataset, assignments, top) -> dict:
+    """The attention weights of instance 0 of a one-instance forward."""
     out = {
         "group": dataset.group_ids[g],
-        "item": dataset.item_ids[state.item],
-        "score": state.score,
-        "fusion_rows": state.fusion_rows,
-        "fusion_attention": state.fusion_attention.tolist(),
+        "item": dataset.item_ids[v],
+        "score": float(result.scores.data[0]),
+        "fusion_rows": result.branches,
+        "fusion_attention": result.fusion_weights[:, :, 0].tolist(),
         "recommendations": [
             {"item": dataset.item_ids[i], "score": s} for i, s in top
         ],
     }
-    if state.gpe_member_weights is not None:
+    if result.group_weights is not None:
         out["group_member_weights"] = {
             dataset.user_ids[u]: w for u, w in
-            zip(dataset.groups[g], state.gpe_member_weights.tolist())
+            zip(dataset.groups[g], result.group_weights[0].tolist())
         }
-    if state.subset_weights is not None:
-        out["subset_weights"] = state.subset_weights.tolist()
+    if result.subset_weights is not None:
+        subsets = assignments[g].subsets
+        out["subset_weights"] = result.subset_weights[0, :len(subsets)].tolist()
         out["subsets"] = [
             {"users": [dataset.user_ids[u] for u in subset],
-             "member_weights": weights.tolist()}
-            for subset, weights in zip(assignments[g].subsets,
-                                       state.subset_member_weights)
+             "member_weights": weights[:len(subset)].tolist()}
+            for subset, weights in zip(subsets, result.member_weights)
         ]
     return out
 
@@ -405,7 +407,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except MgamError as e:
+    except (MgamError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

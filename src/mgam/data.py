@@ -255,34 +255,40 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
     return Split(train=train, test=test)
 
 
-def sample_negatives(dataset: Dataset, group: int, n: int, exclude=(),
-                     rng: np.random.Generator | None = None) -> list:
-    """Draw n distinct items uniformly from those the group never interacted
-    with (group positives and `exclude` are both off limits)."""
-    if rng is None:
-        raise UsageError("sample_negatives requires an explicit rng stream")
+def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
+                owner: str) -> list:
+    """Draw n distinct items uniformly from those not in `seen`; `owner`
+    (e.g. "group 7") names whose items they are in a SamplingError."""
     if n < 0:
         raise UsageError("cannot sample a negative number of items")
-    blocked = set(dataset.group_pos[group]) | set(exclude)
-    eligible_count = dataset.n_items - len(blocked)
+    blocked = set(seen)
+    eligible_count = n_items - len(blocked)
     if n > eligible_count:
         raise SamplingError(
-            f"group {dataset.group_ids[group]}: requested {n} negatives but only "
-            f"{eligible_count} of {dataset.n_items} items are eligible")
+            f"{owner}: requested {n} negatives but only "
+            f"{eligible_count} of {n_items} items are eligible")
     if n == 0:
         return []
     if n <= eligible_count // 2:
         out: list = []
         chosen: set = set()
         while len(out) < n:
-            cand = int(rng.integers(dataset.n_items))
+            cand = int(rng.integers(n_items))
             if cand in blocked or cand in chosen:
                 continue
             chosen.add(cand)
             out.append(cand)
         return out
-    eligible = np.array([i for i in range(dataset.n_items) if i not in blocked])
+    eligible = np.array([i for i in range(n_items) if i not in blocked])
     return [int(i) for i in rng.choice(eligible, size=n, replace=False)]
+
+
+def sample_negatives(dataset: Dataset, group: int, n: int,
+                     rng: np.random.Generator) -> list:
+    """Draw n distinct items uniformly from those the group never interacted
+    with."""
+    return draw_unseen(dataset.n_items, dataset.group_pos[group], n, rng,
+                       f"group {dataset.group_ids[group]}")
 
 
 # ---------------------------------------------------------------------------

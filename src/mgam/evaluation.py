@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import STREAM_BASELINE, STREAM_EVAL, Config, substream
-from .data import Dataset, Split, sample_negatives
-from .errors import SamplingError, UsageError
+from .data import Dataset, Split, draw_unseen, sample_negatives
+from .errors import UsageError
 from .model import AblationMask, compute_global_rows, forward_batch
 from .training import adam_step, init_adam, point_loss_from_logits
 
@@ -127,23 +127,6 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # memory-based baselines: per-user dot-product scorer + score aggregation
 
-def _sample_user_negatives(dataset: Dataset, user: int, n: int,
-                           rng: np.random.Generator) -> list:
-    blocked = set(dataset.user_items[user])
-    eligible = dataset.n_items - len(blocked)
-    if n > eligible:
-        raise SamplingError(f"user {dataset.user_ids[user]}: cannot draw {n} "
-                            f"negatives from {eligible} eligible items")
-    out, chosen = [], set()
-    while len(out) < n:
-        cand = int(rng.integers(dataset.n_items))
-        if cand in blocked or cand in chosen:
-            continue
-        chosen.add(cand)
-        out.append(cand)
-    return out
-
-
 def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
                     negatives: int, seed: int, batch_size: int = 1024) -> tuple:
     """Train sigma(<e(u), e(v)>) on the user-item interactions with BCE.
@@ -174,7 +157,8 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
                 users.append(u)
                 items.append(i)
                 labels.append(1.0)
-                for v in _sample_user_negatives(dataset, u, negatives, erng):
+                for v in draw_unseen(dataset.n_items, dataset.user_items[u],
+                                     negatives, erng, f"user {dataset.user_ids[u]}"):
                     users.append(u)
                     items.append(v)
                     labels.append(0.0)

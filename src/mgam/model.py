@@ -27,14 +27,14 @@ of the slot softmax) where an instance lacks the slot, and fusion is an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import Config
+from .config import _GRANULARITIES, Config
 from .data import Dataset
 from .errors import UsageError
 from .graph import GroupGraph, expand_to_instances, induce_batch_subgraph
@@ -49,9 +49,11 @@ class AblationMask:
     @classmethod
     def from_disabled(cls, disabled) -> "AblationMask":
         disabled = set(disabled)
-        unknown = disabled - {"subpe", "gpe", "suppe"}
+        unknown = disabled - set(_GRANULARITIES)
         if unknown:
             raise UsageError(f"unknown granularity name(s): {sorted(unknown)}")
+        if disabled == set(_GRANULARITIES):
+            raise UsageError("all three granularities are ablated; nothing to fuse")
         return cls(use_subpe="subpe" not in disabled,
                    use_gpe="gpe" not in disabled,
                    use_suppe="suppe" not in disabled)
@@ -60,19 +62,6 @@ class AblationMask:
         off = [n for n, on in (("subpe", self.use_subpe), ("gpe", self.use_gpe),
                                ("suppe", self.use_suppe)) if not on]
         return "mgam" if not off else "mgam-wo-" + "-".join(off)
-
-
-@dataclass
-class GroupForwardState:
-    """Attention internals retained for one (group, item) forward."""
-    group: int
-    item: int
-    subset_member_weights: list | None   # per subset: (m_i,) weights
-    subset_weights: np.ndarray | None    # (m_eff,)
-    gpe_member_weights: np.ndarray | None
-    fusion_rows: list                    # active branch names, stack order
-    fusion_attention: np.ndarray         # (r, r)
-    score: float
 
 
 def init_params(cfg: Config, n_users: int, n_items: int, n_groups: int,
@@ -287,15 +276,23 @@ def compute_global_rows(params: dict, cfg: Config, graph: GroupGraph) -> Tensor:
 
 @dataclass
 class ForwardResult:
-    logits: Tensor                 # (n,)
-    scores: Tensor                 # (n,), sigmoid(logits)
-    states: list = field(default_factory=list)  # GroupForwardState when collected
+    """Scores plus the attention weights the forward computed.
+
+    Weight arrays keep the forward's padding, where the weight is exactly
+    0; a weight array is None when its branch did not run.
+    """
+    logits: Tensor                     # (n,)
+    scores: Tensor                     # (n,), sigmoid(logits)
+    branches: list                     # active branch names, fusion stack order
+    fusion_weights: np.ndarray         # (r, r, n)
+    group_weights: np.ndarray | None   # (n, w) whole-group member weights
+    subset_weights: np.ndarray | None  # (n, slots)
+    member_weights: np.ndarray | None  # (rows, w), one row per (instance, subset)
 
 
 def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                   assignments, graph: GroupGraph, batch, *,
                   mask: AblationMask | None = None,
-                  collect_state: bool = False,
                   global_rows: Tensor | None = None,
                   isolated: bool = False) -> ForwardResult:
     """Score a batch of (group, item) pairs, each stage once for the batch.
@@ -315,7 +312,7 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
     need_gpe = mask.use_gpe or (mask.use_suppe and not mask.use_subpe)
     item_vecs = ad.take(params["item_emb"], [v for _, v in batch])     # (n, d)
 
-    h_subpe = h_gpe = h_suppe = None
+    h_subpe = h_gpe = h_suppe = member_w = slot_w = gpe_w = None
     if mask.use_subpe:
         # one member-attention row per (instance, subset), in instance order
         owner, slot, members = [], [], []
@@ -350,25 +347,10 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                                                 ("suppe", mask.use_suppe, h_suppe)) if on]
     h_fus, fusion_w = fuse([h for _, h in branches], cfg.embedding_dim)
     logits = predict_logit(h_fus, item_vecs, params["predict_w"], params["predict_b"])
-    scores = ad.sigmoid(logits)
-
-    states = []
-    if collect_state:
-        first_row = 0
-        for i, (g, v) in enumerate(batch):
-            subsets = assignments[g].subsets
-            states.append(GroupForwardState(
-                group=g, item=v,
-                subset_member_weights=[
-                    member_w.data[first_row + s, :len(subset)].copy()
-                    for s, subset in enumerate(subsets)] if mask.use_subpe else None,
-                subset_weights=(slot_w.data[i, :len(subsets)].copy()
-                                if mask.use_subpe else None),
-                gpe_member_weights=(gpe_w.data[i, :len(dataset.groups[g])].copy()
-                                    if need_gpe else None),
-                fusion_rows=[label for label, _ in branches],
-                fusion_attention=fusion_w.data[:, :, i].copy(),
-                score=float(scores.data[i]),
-            ))
-            first_row += len(subsets)
-    return ForwardResult(logits=logits, scores=scores, states=states)
+    return ForwardResult(
+        logits=logits, scores=ad.sigmoid(logits),
+        branches=[label for label, _ in branches],
+        fusion_weights=fusion_w.data,
+        group_weights=None if gpe_w is None else gpe_w.data,
+        subset_weights=None if slot_w is None else slot_w.data,
+        member_weights=None if member_w is None else member_w.data)

@@ -281,6 +281,9 @@ def read_manifest(directory) -> dict:
         raise CheckpointError(f"cannot read {manifest_path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{manifest_path} is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{manifest_path} must hold a JSON object, "
+                              f"got {type(manifest).__name__}")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version "
                               f"{manifest.get('format_version')!r} "
@@ -309,9 +312,14 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
     params: dict = {}
     offset = 0
     for entry in tensors:
-        name, shape = entry["name"], tuple(entry["shape"])
+        try:
+            name, shape = entry["name"], tuple(entry["shape"])
+            entry_offset, entry_size = entry["offset"], entry["size"]
+        except (KeyError, TypeError) as e:
+            raise CheckpointError(f"{directory / MANIFEST_FILE}: malformed tensor "
+                                  f"entry {entry!r}") from e
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if entry["offset"] != offset or entry["size"] != size:
+        if entry_offset != offset or entry_size != size:
             raise CheckpointError(f"corrupt checkpoint: tensor {name!r} has "
                                   f"inconsistent offset/size")
         if offset + size > raw.size:

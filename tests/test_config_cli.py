@@ -3,11 +3,15 @@ import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+import mgam.cli
 from mgam.cli import main
 from mgam.config import Config, parse_config, substream
+from mgam.data import load_dataset
 from mgam.errors import ConfigError
+from mgam.training import load_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +210,61 @@ def test_recommend_explain_json(workspace, capsys):
         assert abs(sum(subset["member_weights"]) - 1) < 1e-9
     members = {u for s in payload["subsets"] for u in s["users"]}
     assert members == set(payload["group_member_weights"])
-    assert len(payload["subsets"]) == len(payload["subset_weights"])
+
+
+def _member_softmax(params, dataset, user_ids, item_id, prefix):
+    """softmax(relu(w * <e_u, e_v> + b)) over the named users, in numpy."""
+    users = params["user_emb"].data[[dataset.user_index[u] for u in user_ids]]
+    e_v = params["item_emb"].data[dataset.item_index[item_id]]
+    scores = np.maximum(float(params[f"{prefix}_att_w"].data) * (users @ e_v)
+                        + float(params[f"{prefix}_att_b"].data), 0.0)
+    weights = np.exp(scores - scores.max())
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("extra", [[], ["--item", "12"]])
+def test_recommend_explain_member_weights_match_numpy(workspace, capsys, extra):
+    rc = main(["recommend", "--data", workspace["data"], "--ckpt",
+               workspace["ckpt"], "--group-id", "3", "--explain", *extra])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    dataset = load_dataset(workspace["data"])
+    params, _ = load_checkpoint(workspace["ckpt"])
+    if extra:
+        assert payload["item"] == "12"
+    g = dataset.group_index["3"]
+    assert list(payload["group_member_weights"]) == [
+        dataset.user_ids[u] for u in dataset.groups[g]]
+    expected = _member_softmax(params, dataset, payload["group_member_weights"],
+                               payload["item"], "group")
+    got = np.array(list(payload["group_member_weights"].values()))
+    assert np.abs(got - expected).max() < 1e-12
+    assert payload["subsets"]
     for subset in payload["subsets"]:
-        assert len(subset["member_weights"]) == len(subset["users"])
-        assert abs(sum(subset["member_weights"]) - 1) < 1e-9
-    members = {u for s in payload["subsets"] for u in s["users"]}
-    assert members == set(payload["group_member_weights"])
+        expected = _member_softmax(params, dataset, subset["users"],
+                                   payload["item"], "user")
+        assert np.abs(np.array(subset["member_weights"]) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, extra", [(0, ["--explain"]), (-3, [])])
+def test_recommend_k_below_one_is_usage_error(workspace, tmp_path, capsys, k, extra):
+    # a missing data directory proves the check fires before any data is read
+    rc = main(["recommend", "--data", str(tmp_path / "no-data"), "--ckpt",
+               workspace["ckpt"], "--group-id", "3", "--k", str(k), *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --k must be >= 1")
+    assert captured.out == ""
+
+
+def test_train_all_granularities_ablated_fails_before_output(workspace, tmp_path,
+                                                             capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", workspace["data"], "--out", str(out),
+               "--set", "ablate=subpe,gpe,suppe"])
+    assert rc == 2
+    assert "all three granularities are ablated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_recommend_unknown_group(workspace, capsys):
@@ -274,6 +327,24 @@ def test_sweep_subsets_one_row_per_m(workspace, tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
 
 
+def test_sweep_subsets_honours_ablate(workspace, tmp_path, monkeypatch):
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(*args, mask=None, **kwargs):
+        seen.append(mask and mask.label())
+        raise Stop
+
+    monkeypatch.setattr(mgam.cli, "train", spy)
+    with pytest.raises(Stop):
+        main(["sweep-subsets", "--data", workspace["data"],
+              "--out", str(tmp_path / "sweep"), "--m-values", "2",
+              "--set", "ablate=subpe,suppe"])
+    assert seen == ["mgam-wo-subpe-suppe"]
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
@@ -290,6 +361,39 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     rc = main(["dump-graph", "--data", str(tmp_path), "--out",
                str(tmp_path / "g.tsv")])
     assert rc == 1  # missing data files
+
+
+def _drop_first_offset(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["tensors"][0]["offset"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _manifest_as_list(ckpt):
+    (ckpt / "manifest.json").write_text(json.dumps([1, 2]))
+
+
+@pytest.mark.parametrize("damage", [_drop_first_offset, _manifest_as_list])
+def test_malformed_manifest_is_named(workspace, tmp_path, capsys, damage):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "bad")
+    damage(ckpt)
+    rc = main(["eval", "--data", workspace["data"], "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "manifest.json" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys):
+    rc = main(["dump-graph", "--data", workspace["data"],
+               "--out", str(tmp_path / "missing_dir" / "g.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "missing_dir" in err
+    assert "Traceback" not in err
 
 
 def test_gen_data_meta(workspace):

@@ -362,13 +362,6 @@ def test_sample_negatives_insufficient():
         sample_negatives(_tiny_ds(), 0, 3, rng=np.random.default_rng(0))
 
 
-def test_sample_negatives_respects_exclude():
-    with pytest.raises(SamplingError):
-        sample_negatives(_tiny_ds(), 0, 2, exclude={1}, rng=np.random.default_rng(0))
-    out = sample_negatives(_tiny_ds(), 0, 1, exclude={1}, rng=np.random.default_rng(0))
-    assert out == [2]
-
-
 def test_sample_negatives_never_returns_positive():
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=20, n_items=30, n_groups=6, group_size_range=(2, 4),

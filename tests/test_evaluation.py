@@ -5,7 +5,7 @@ from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_EVAL, Config, substream
 from mgam.data import (Dataset, SyntheticParams, generate_synthetic,
                        sample_negatives, split_leave_one_out)
-from mgam.errors import UsageError
+from mgam.errors import SamplingError, UsageError
 from mgam.evaluation import (MetricReport, evaluate, hr_at_k,
                              make_baseline_scorer, make_mgam_scorer,
                              ndcg_at_k, rank_candidates, train_mf_scorer,
@@ -261,3 +261,12 @@ def test_write_metrics_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "model,K,HR,NDCG,n_groups,seed"
     assert lines[1] == "mgam,5,0.5,0.25,4,1"
+
+
+def test_baseline_sampler_error_names_the_user():
+    # user "u1" has seen 2 of 3 items, so 2 negatives cannot be drawn
+    ds = Dataset(n_users=2, n_items=3, n_groups=1, user_items=[[0], [0, 1]],
+                 groups=[[0, 1]], group_pos=[[0]], user_ids=["u0", "u1"],
+                 item_ids=["0", "1", "2"], group_ids=["0"])
+    with pytest.raises(SamplingError, match="^user u1: requested 2 negatives"):
+        train_mf_scorer(ds, d=4, epochs=1, lr=0.01, negatives=2, seed=0)

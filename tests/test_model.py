@@ -466,17 +466,63 @@ def test_forward_tape_size_does_not_grow_with_batch(toy):
     assert tape_length(small) == tape_length(toy["instances"] * 8)
 
 
+def _check_attention_arrays(res, ds, assignments, batch):
+    subsets = [assignments[g].subsets for g, _ in batch]
+    assert res.branches == ["subpe", "gpe", "suppe"]
+    assert res.fusion_weights.shape == (3, 3, len(batch))
+    assert np.abs(res.fusion_weights.sum(axis=1) - 1).max() < 1e-9
+    # one member-weight row per (instance, subset), in instance order
+    rows = [subset for per_instance in subsets for subset in per_instance]
+    assert res.member_weights.shape[0] == len(rows)
+    for w, subset in zip(res.member_weights, rows):
+        assert w.min() >= 0 and abs(w.sum() - 1) < 1e-9
+        assert np.all(w[len(subset):] == 0)
+    assert res.subset_weights.shape[0] == len(batch)
+    for w, per_instance in zip(res.subset_weights, subsets):
+        assert w.min() >= 0 and abs(w.sum() - 1) < 1e-9
+        assert np.all(w[len(per_instance):] == 0)
+    assert res.group_weights.shape[0] == len(batch)
+    for w, (g, _) in zip(res.group_weights, batch):
+        assert w.min() >= 0 and abs(w.sum() - 1) < 1e-9
+        assert np.all(w[len(ds.groups[g]):] == 0)
+
+
 def test_forward_attention_weights_are_probability_vectors(toy):
     res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                        toy["assignments"], toy["graph"], toy["batch"])
+    _check_attention_arrays(res, toy["dataset"], toy["assignments"], toy["batch"])
+    # uneven groups and subset counts, so every weight array has padding
+    ds = toy["dataset"]
+    uneven = Dataset(
+        n_users=ds.n_users, n_items=ds.n_items, n_groups=ds.n_groups,
+        user_items=ds.user_items, groups=[[0, 1, 2], [3, 4, 5, 6]],
+        group_pos=ds.group_pos, user_ids=ds.user_ids, item_ids=ds.item_ids,
+        group_ids=ds.group_ids)
+    assignments = [SubsetAssignment(group=0, subsets=[[0, 1, 2]]),
+                   SubsetAssignment(group=1, subsets=[[3, 4, 5], [6]])]
+    res = forward_batch(toy["params"], toy["cfg"], uneven, assignments,
+                        build_co_membership(uneven.groups), toy["batch"])
+    # 4 instances of group 0 (1 subset each), 3 of group 1 (2 subsets each)
+    assert res.member_weights.shape == (4 * 1 + 3 * 2, 3)
+    assert res.subset_weights.shape == (len(toy["batch"]), 2)
+    assert res.group_weights.shape == (len(toy["batch"]), 4)
+    _check_attention_arrays(res, uneven, assignments, toy["batch"])
+
+
+def test_forward_attention_arrays_follow_the_mask(toy):
+    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
                         toy["assignments"], toy["graph"], toy["batch"],
-                        collect_state=True)
-    for st in res.states:
-        for w in st.subset_member_weights:
-            assert w.min() >= 0 and abs(w.sum() - 1) < 1e-9
-        assert abs(st.subset_weights.sum() - 1) < 1e-9
-        assert st.gpe_member_weights.min() >= 0
-        assert abs(st.gpe_member_weights.sum() - 1) < 1e-9
-        assert np.abs(st.fusion_attention.sum(axis=1) - 1).max() < 1e-9
+                        mask=AblationMask(use_subpe=False, use_gpe=False))
+    # the group branch still runs: it reseeds the batch stream
+    assert res.branches == ["suppe"]
+    assert res.member_weights is None and res.subset_weights is None
+    assert res.group_weights is not None
+    assert res.fusion_weights.shape == (1, 1, len(toy["batch"]))
+    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                        toy["assignments"], toy["graph"], toy["batch"],
+                        mask=AblationMask(use_gpe=False))
+    assert res.branches == ["subpe", "suppe"]
+    assert res.group_weights is None
 
 
 def test_forward_member_permutation_invariance(toy):
