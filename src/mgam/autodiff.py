@@ -9,10 +9,11 @@ central-difference oracle used to cross-check the analytic gradients.
 
 The op set is deliberately small: matrix products (dense, stacked and
 constant-sparse), elementwise add/mul, data movement (take/concat/stack/
-reshape), relu/sigmoid/logsigmoid/softmax and sum/mean reductions.  That
-closure is what the batch-wide model forward uses.  `add` and `mul`
-follow numpy broadcasting; their gradients are summed back to each
-operand's shape (`_unbroadcast`).  Every other op requires exact shapes.
+reshape/swapaxes), relu/sigmoid/logsigmoid/softmax and sum/mean
+reductions.  That closure is what the batch-wide model forward uses.
+`add`, `mul` and the leading (stack) axes of `matmul` follow numpy
+broadcasting; their gradients are summed back to each operand's shape
+(`_unbroadcast`).  Every other op requires exact shapes.
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ def grad_map(output: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]
 # ---------------------------------------------------------------------------
 # primitives
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _broadcast_op(op: str, f, a: Tensor, b: Tensor) -> np.ndarray:
+    """`f(a.data, b.data)`, with numpy's shape errors named as usage errors."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return f(a.data, b.data)
     except ValueError:
         raise UsageError(f"{op} shape mismatch: {a.data.shape} vs {b.data.shape}") from None
 
@@ -166,13 +168,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum under numpy broadcasting."""
-    _check_broadcast("add", a, b)
+    out_data = _broadcast_op("add", np.add, a, b)
 
     def vjp(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _result(a.data + b.data, "add", (a, b), vjp)
+    return _result(out_data, "add", (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -181,13 +183,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product under numpy broadcasting."""
-    _check_broadcast("mul", a, b)
+    out_data = _broadcast_op("mul", np.multiply, a, b)
 
     def vjp(g):
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _result(a.data * b.data, "mul", (a, b), vjp)
+    return _result(out_data, "mul", (a, b), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -202,26 +204,35 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product (numpy.matmul) of 1-D/2-D operands, or of two stacks
-    of matrices (..., m, k) @ (..., k, p) with equal leading axes."""
+    of matrices (..., m, k) @ (..., k, p) whose leading axes broadcast."""
     an, bn = a.data.ndim, b.data.ndim
-    stacked = an > 2 or bn > 2
-    if min(an, bn) == 0 or (stacked and (min(an, bn) < 3
-                                         or a.data.shape[:-2] != b.data.shape[:-2])):
-        raise UsageError(f"matmul supports 1-D/2-D operands or equal-batch "
-                         f"stacks, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2 if bn > 1 else 0]:
-        raise UsageError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    if min(an, bn) == 0 or (max(an, bn) > 2 and min(an, bn) < 3):
+        raise UsageError(f"matmul supports 1-D/2-D operands or two stacks, "
+                         f"got {a.data.shape} @ {b.data.shape}")
+    out_data = _broadcast_op("matmul", np.matmul, a, b)
 
     def vjp(g):
         # a 1-D operand acts as a (1, k) row or a (k, 1) column
         a2 = a.data if an > 1 else a.data[None, :]
         b2 = b.data if bn > 1 else b.data[:, None]
-        g2 = np.reshape(g, a2.shape[:-1] + b2.shape[-1:])
-        _accum(a, (g2 @ np.swapaxes(b2, -1, -2)).reshape(a.data.shape))
-        _accum(b, (np.swapaxes(a2, -1, -2) @ g2).reshape(b.data.shape))
+        g2 = np.reshape(g, out_data.shape[:-2] + a2.shape[-2:-1] + b2.shape[-1:])
+        ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape)
+        gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
+        _accum(a, ga.reshape(a.data.shape))
+        _accum(b, gb.reshape(b.data.shape))
 
     return _result(out_data, "matmul", (a, b), vjp)
+
+
+def swapaxes(x: Tensor) -> Tensor:
+    """Swap the last two axes: a stack of matrix transposes."""
+    if x.data.ndim < 2:
+        raise UsageError(f"swapaxes needs at least 2 axes, got {x.data.shape}")
+
+    def vjp(g):
+        _accum(x, np.swapaxes(g, -1, -2))
+
+    return _result(np.swapaxes(x.data, -1, -2), "swapaxes", (x,), vjp)
 
 
 def spmm(m, x: Tensor) -> Tensor:

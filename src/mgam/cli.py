@@ -21,10 +21,10 @@ from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
 from .data import (SyntheticParams, generate_synthetic, load_dataset,
                    split_leave_one_out, write_dataset)
 from .errors import MgamError, UsageError
-from .evaluation import (evaluate, make_baseline_scorer, make_mgam_scorer,
-                         rank_candidates, train_mf_scorer, write_metrics_csv,
-                         write_metrics_detail_csv, METRICS_FILE,
-                         METRICS_DETAIL_FILE)
+from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
+                         make_mgam_scorer, rank_candidates, train_mf_scorer,
+                         write_metrics_csv, write_metrics_detail_csv,
+                         METRICS_FILE, METRICS_DETAIL_FILE)
 from .graph import build_co_membership, dump_graph
 from .model import AblationMask, forward_batch
 from .training import (expected_param_shapes, load_checkpoint, read_manifest,
@@ -112,12 +112,13 @@ def _run_eval(args, masks_from_cfg) -> int:
     params = _load_model(args.ckpt, cfg, dataset)
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
+    drawn = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
     reports = []
     for mask in masks:
         scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph,
                                   mask=mask)
         report = evaluate(scorer, dataset, split, cfg.eval_negatives,
-                          cfg.ks_list(), cfg.seed)
+                          cfg.ks_list(), cfg.seed, candidates=drawn)
         reports.append((mask.label(), report))
         for k in report.ks:
             print(f"{mask.label()}: HR@{k}={report.hr[k]:.4f} "
@@ -291,11 +292,12 @@ def cmd_baseline(args) -> int:
         dataset, d=cfg.embedding_dim, epochs=cfg.epochs,
         lr=cfg.learning_rate, negatives=max(1, cfg.train_negatives),
         seed=cfg.seed)
+    drawn = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
     reports = []
     for strategy in ("avg", "lm", "ms"):
         scorer = make_baseline_scorer(user_vecs, item_vecs, dataset, strategy)
         report = evaluate(scorer, dataset, split, cfg.eval_negatives,
-                          cfg.ks_list(), cfg.seed)
+                          cfg.ks_list(), cfg.seed, candidates=drawn)
         reports.append((f"mf-{strategy}", report))
         for k in report.ks:
             print(f"mf-{strategy}: HR@{k}={report.hr[k]:.4f} "

@@ -4,6 +4,8 @@ For every test (group, held-out positive) the positive is ranked against
 `eval_negatives` sampled negatives (excluding all of the group's
 positives); HR@K and NDCG@K are averaged over groups.  Negative streams
 are keyed by group index so evaluation order cannot change the result.
+`eval`, `ablate` and `baseline` draw the candidate lists once per command
+and rank every model (ablation mask, aggregation strategy) against them.
 
 All of a group's candidates are scored in one batch-wide forward with
 `isolated=True`: each candidate gets its own one-node batch graph, so its
@@ -76,20 +78,40 @@ def ndcg_at_k(position: int, k: int) -> float:
     return float(1.0 / np.log2(position + 1)) if position <= k else 0.0
 
 
+def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
+                    seed: int) -> list:
+    """Each test entry's ranking list, [positive] + negatives, in split order.
+
+    Group g's negatives come from its own STREAM_EVAL stream, so the lists
+    do not depend on evaluation order, and one draw serves every model a
+    command scores.
+    """
+    lists = []
+    for group, positive in split.test:
+        rng = np.random.default_rng(substream(seed, STREAM_EVAL, group))
+        lists.append([positive] + sample_negatives(dataset, group, eval_negatives,
+                                                   rng=rng))
+    return lists
+
+
 def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
-             ks, seed: int) -> MetricReport:
-    """Rank every held-out positive among sampled negatives; average metrics."""
+             ks, seed: int, candidates=None) -> MetricReport:
+    """Rank every held-out positive among sampled negatives; average metrics.
+
+    `candidates` are the lists `draw_candidates` returns for the same
+    dataset, split, negative count and seed; they are drawn here when
+    omitted.
+    """
     if not split.test:
         raise UsageError("split has no test entries to evaluate")
+    if candidates is None:
+        candidates = draw_candidates(dataset, split, eval_negatives, seed)
     ks = [int(k) for k in ks]
     hr_sum = {k: 0.0 for k in ks}
     ndcg_sum = {k: 0.0 for k in ks}
     per_group = []
-    for group, positive in split.test:
-        rng = np.random.default_rng(substream(seed, STREAM_EVAL, group))
-        negatives = sample_negatives(dataset, group, eval_negatives, rng=rng)
-        ranked = rank_candidates(score_fn, group, [positive] + negatives,
-                                 target=positive)
+    for (group, positive), ranking in zip(split.test, candidates, strict=True):
+        ranked = rank_candidates(score_fn, group, ranking, target=positive)
         per_group.append((group, ranked.position))
         for k in ks:
             hr_sum[k] += hr_at_k(ranked.position, k)

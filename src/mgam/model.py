@@ -17,20 +17,27 @@ Any branch can be ablated; ablating the subset branch reseeds the batch
 stream with the group-branch vector.
 
 `forward_batch` runs every stage once over the whole batch, so the tape
-size does not grow with the number of instances: members are gathered
-into padded (k, w, d) arrays whose padding is masked out of the softmax
-with -inf, subset slots into (n, d) tensors with a zero row (masked out
-of the slot softmax) where an instance lacks the slot, and fusion is an
-(r, r, n) attention.  The same forward serves training, evaluation,
-`recommend` and `--explain`; `isolated=True` decouples the instances.
+size does not grow with the number of instances.  Member attention is
+group-major: the instances of each of the batch's G unique groups fill
+rows of c = ceil(n / G) item cells, a (rows, c, d) grid, and each row
+gathers its group's members once, into a padded (rows, W, d) table and a
+(rows, R, w, d) table of its R subsets.  A forward over one group's
+candidates (evaluation, `recommend`) has a single row whatever the
+candidate count.  Two stacked matmuls give every (item, member) dot
+product and weighted sum; padding is masked out of the softmax with -inf
+and the real grid cells are taken back into instance order.  Subset
+slots become (n, d) tensors with a zero row (masked out of the slot
+softmax) where an instance lacks the slot, and fusion is an (r, r, n)
+attention.  The same forward serves training, evaluation, `recommend`
+and `--explain`; `isolated=True` decouples the instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -116,44 +123,48 @@ def _pad_mask(valid: np.ndarray) -> Tensor:
 
 
 def _padded(lists) -> tuple:
-    """Index lists as rows padded to the longest one, plus a real-entry mask."""
-    width = max(map(len, lists), default=0)
-    idx = np.zeros((len(lists), width), dtype=np.intp)
-    valid = np.zeros((len(lists), width), dtype=bool)
-    for r, entries in enumerate(lists):
-        idx[r, :len(entries)] = entries
-        valid[r, :len(entries)] = True
+    """Index lists as rows padded to the longest one, plus a real-entry mask.
+
+    Padding reads index 0; the mask keeps it out of every softmax.
+    """
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    idx = np.zeros(valid.shape, dtype=np.intp)
+    idx[valid] = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
+                             count=int(lengths.sum()))
     return idx, valid
 
 
 def member_attention(member_vecs: Tensor, item_vecs: Tensor,
                      weight: Tensor, bias: Tensor, valid=None) -> tuple:
-    """Item-conditioned softmax attention over padded rows of members.
+    """Item-conditioned softmax attention of item grids over member tables.
 
-    `member_vecs` is (k, w, d): row r holds the member embeddings of
-    attention r, padded to width w, and `valid` (k, w) marks the real
-    members (all of them when omitted).  Scores are
-    relu(weight * <e(u), e(v_r)> + bias) with padding masked out of the
-    softmax; the output is each row's attention-weighted member sum,
-    (k, d), with the (k, w) weights.  Used for both the within-subset and
-    the whole-group aggregation (different parameters).
+    `member_vecs` (..., w, d) holds tables of w member embeddings, padded,
+    and `valid` (..., w) marks the real members (all of them when
+    omitted).  `item_vecs` (..., c, d) holds the c items that attend over
+    each table; the leading axes broadcast, so a row of c items attends
+    over its group's R subset tables at once, (rows, 1, c, d) against
+    (rows, R, w, d).  Scores are relu(weight * <e(u), e(v)> + bias) with
+    padding masked out of the softmax.  Returns the attention-weighted
+    member sums (..., c, d) and the weights (..., c, w).  Used for both the
+    within-subset and the whole-group aggregation (different parameters).
     """
-    shape = member_vecs.data.shape
-    if (len(shape) != 3 or 0 in shape[:2]
-            or (valid is not None and not valid.any(axis=1).all())):
-        raise UsageError("member attention needs a non-empty (k, w, d) member "
-                         "array with at least one member per row")
-    k, w, d = shape
-    if item_vecs.data.shape != (k, d):
-        raise UsageError(f"member attention expects ({k}, {d}) item vectors, "
-                         f"got {item_vecs.data.shape}")
-    dots = ad.reshape(ad.matmul(member_vecs, ad.reshape(item_vecs, (k, d, 1))), (k, w))
+    ms, xs = member_vecs.data.shape, item_vecs.data.shape
+    if (len(ms) < 3 or 0 in ms[:-1]
+            or (valid is not None and not valid.any(axis=-1).all())):
+        raise UsageError("member attention needs non-empty (..., w, d) member "
+                         "tables with at least one member per table")
+    if len(xs) != len(ms) or 0 in xs[:-1] or xs[-1] != ms[-1]:
+        raise UsageError(f"member attention expects (..., c, {ms[-1]}) item "
+                         f"vectors matching {ms}, got {xs}")
+    # (..., c, w); the item grid is transposed, not the member tables, which
+    # repeat per row and subset slot and are the larger array in training
+    dots = ad.swapaxes(ad.matmul(member_vecs, ad.swapaxes(item_vecs)))
     scores = ad.relu(ad.add(ad.mul(weight, dots), bias))
     if valid is not None:
-        scores = ad.add(scores, _pad_mask(valid))
+        scores = ad.add(scores, _pad_mask(valid[..., None, :]))
     attn = ad.softmax(scores)
-    h = ad.matmul(ad.reshape(attn, (k, 1, w)), member_vecs)
-    return ad.reshape(h, (k, d)), attn
+    return ad.matmul(attn, member_vecs), attn
 
 
 def subset_attention(slot_embs, params: dict, m: int, present=None) -> tuple:
@@ -191,10 +202,13 @@ def subset_attention(slot_embs, params: dict, m: int, present=None) -> tuple:
 
 
 def superset_propagate(h0: Tensor, norm_adj, layer_weights) -> Tensor:
-    """Stacked graph-convolution layers: h -> relu(norm_adj @ h @ W)."""
+    """Stacked graph-convolution layers: h -> relu(norm_adj @ h @ W).
+
+    `norm_adj` None is the identity: every node is its own one-node graph.
+    """
     h = h0
     for w in layer_weights:
-        h = ad.relu(ad.matmul(ad.spmm(norm_adj, h), w))
+        h = ad.relu(ad.matmul(h if norm_adj is None else ad.spmm(norm_adj, h), w))
     return h
 
 
@@ -217,9 +231,8 @@ def superset_embeddings(params: dict, cfg: Config, batch_groups,
     if global_rows is None:
         global_w = [params[f"gcn_global_w_{k}"] for k in range(1, layers + 1)]
         global_rows = superset_propagate(params["group_emb"], graph.normalized, global_w)
-    if isolated:
-        norm_inst = sparse.eye_array(len(batch_groups), format="csr")
-    else:
+    norm_inst = None
+    if not isolated:
         uniq, pos = np.unique(np.asarray(batch_groups, dtype=np.intp),
                               return_inverse=True)
         norm_inst = expand_to_instances(induce_batch_subgraph(graph, uniq), pos)
@@ -305,38 +318,64 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
     mask = mask or AblationMask()
     if not (mask.use_subpe or mask.use_gpe or mask.use_suppe):
         raise UsageError("all three granularities are ablated; nothing to fuse")
-    batch = [(int(g), int(v)) for g, v in batch]
-    if not batch:
+    pairs = np.fromiter(chain.from_iterable(batch), dtype=np.intp).reshape(-1, 2)
+    if not len(pairs):
         raise UsageError("empty forward batch")
-    n, groups = len(batch), [g for g, _ in batch]
+    groups, items = pairs[:, 0], pairs[:, 1]
+    d = cfg.embedding_dim
     need_gpe = mask.use_gpe or (mask.use_suppe and not mask.use_subpe)
-    item_vecs = ad.take(params["item_emb"], [v for _, v in batch])     # (n, d)
+    item_vecs = ad.take(params["item_emb"], items)                     # (n, d)
+
+    # group-major layout: the instances of each unique group fill rows of
+    # c = ceil(n / G) cells in batch order, so padding stays below n + G
+    # cells however unevenly the groups repeat; instance i sits in cell[i]
+    uniq, inv = np.unique(groups, return_inverse=True)
+    counts = np.bincount(inv)
+    c = -(-len(inv) // len(uniq))
+    rows_per = -(-counts // c)
+    first_row = np.cumsum(rows_per) - rows_per
+    rank = np.empty_like(inv)
+    rank[np.argsort(inv, kind="stable")] = (
+        np.arange(len(inv)) - np.repeat(np.cumsum(counts) - counts, counts))
+    cell = first_row[inv] * c + rank
+    row_group = np.repeat(np.arange(len(uniq)), rows_per)        # (rows,)
+    n_rows = len(row_group)
+    grid = np.zeros(n_rows * c, dtype=np.intp)
+    grid[cell] = items                    # padding cells read item 0, never read back
+    item_grid = ad.take(params["item_emb"], grid.reshape(n_rows, c))  # (rows, c, d)
 
     h_subpe = h_gpe = h_suppe = member_w = slot_w = gpe_w = None
     if mask.use_subpe:
-        # one member-attention row per (instance, subset), in instance order
-        owner, slot, members = [], [], []
-        for i, g in enumerate(groups):
-            for s, subset in enumerate(assignments[g].subsets):
-                owner.append(i)
-                slot.append(s)
-                members.append(subset)
-        idx, valid = _padded(members)
-        h_rows, member_w = member_attention(
-            ad.take(params["user_emb"], idx), ad.take(item_vecs, owner),
-            params["user_att_w"], params["user_att_b"], valid)
-        # slot s of instance i reads its row, or the zero row past the end
-        row_of = np.full((max(slot) + 1, n), len(owner), dtype=np.intp)
-        row_of[slot, owner] = np.arange(len(owner))
-        table = ad.concat([h_rows, Tensor(np.zeros((1, cfg.embedding_dim)))])
-        h_subpe, slot_w = subset_attention([ad.take(table, r) for r in row_of],
-                                           params, cfg.num_subsets,
-                                           present=(row_of < len(owner)).T)
+        per_group = [assignments[g].subsets for g in uniq]
+        n_sub = np.fromiter(map(len, per_group), dtype=np.intp, count=len(uniq))
+        r = int(n_sub.max())
+        idx, valid = _padded(list(chain.from_iterable(per_group)))   # (subsets, w)
+        has_slot = np.arange(r) < n_sub[:, None]                     # (G, R)
+        table = np.zeros((len(uniq), r, idx.shape[1]), dtype=np.intp)
+        table[has_slot] = idx
+        real = np.zeros(table.shape, dtype=bool)
+        real[has_slot] = valid
+        real[~has_slot, 0] = True         # a missing slot's stand-in, never read back
+        h_cells, attn = member_attention(
+            ad.take(params["user_emb"], table[row_group]),
+            ad.reshape(item_grid, (n_rows, 1, c, d)),
+            params["user_att_w"], params["user_att_b"], real[row_group])  # (rows, R, c, d)
+        # slot s of instance i reads its cell, or the zero row past the end
+        present = has_slot[inv]                                      # (n, R)
+        row, col = np.divmod(cell, c)
+        row_of = np.where(present, (row[:, None] * r + np.arange(r)) * c + col[:, None],
+                          n_rows * r * c)
+        flat = ad.concat([ad.reshape(h_cells, (n_rows * r * c, d)), Tensor(np.zeros((1, d)))])
+        h_subpe, slot_w = subset_attention([ad.take(flat, row_of[:, s]) for s in range(r)],
+                                           params, cfg.num_subsets, present=present)
+        member_w = attn.data.reshape(n_rows * r * c, -1)[row_of[present]]
     if need_gpe:
-        idx, valid = _padded([dataset.groups[g] for g in groups])
-        h_gpe, gpe_w = member_attention(
-            ad.take(params["user_emb"], idx), item_vecs,
-            params["group_att_w"], params["group_att_b"], valid)
+        idx, valid = _padded([dataset.groups[g] for g in uniq])      # (G, W)
+        h_cells, attn = member_attention(
+            ad.take(params["user_emb"], idx[row_group]), item_grid,
+            params["group_att_w"], params["group_att_b"], valid[row_group])  # (rows, c, d)
+        h_gpe = ad.take(ad.reshape(h_cells, (n_rows * c, d)), cell)
+        gpe_w = attn.data.reshape(n_rows * c, -1)[cell]
     if mask.use_suppe:
         _, h_suppe = superset_embeddings(
             params, cfg, groups, h_subpe if mask.use_subpe else h_gpe, graph,
@@ -351,6 +390,6 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
         logits=logits, scores=ad.sigmoid(logits),
         branches=[label for label, _ in branches],
         fusion_weights=fusion_w.data,
-        group_weights=None if gpe_w is None else gpe_w.data,
+        group_weights=gpe_w,
         subset_weights=None if slot_w is None else slot_w.data,
-        member_weights=None if member_w is None else member_w.data)
+        member_weights=member_w)

@@ -288,7 +288,15 @@ def read_manifest(directory) -> dict:
         raise CheckpointError(f"unsupported checkpoint format version "
                               f"{manifest.get('format_version')!r} "
                               f"(expected {CHECKPOINT_VERSION})")
+    if not isinstance(manifest.get("config", {}), dict):
+        raise CheckpointError(f"{manifest_path}: config must be a JSON object, "
+                              f"got {type(manifest['config']).__name__}")
     return manifest
+
+
+def _is_count(x) -> bool:
+    """A non-negative JSON integer (booleans excluded)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
@@ -313,11 +321,16 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
     offset = 0
     for entry in tensors:
         try:
-            name, shape = entry["name"], tuple(entry["shape"])
+            name, shape = entry["name"], entry["shape"]
             entry_offset, entry_size = entry["offset"], entry["size"]
-        except (KeyError, TypeError) as e:
+            well_formed = (isinstance(shape, list) and all(map(_is_count, shape))
+                           and _is_count(entry_offset) and _is_count(entry_size))
+        except (KeyError, TypeError):
+            well_formed = False
+        if not well_formed:
             raise CheckpointError(f"{directory / MANIFEST_FILE}: malformed tensor "
-                                  f"entry {entry!r}") from e
+                                  f"entry {entry!r}")
+        shape = tuple(shape)
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if entry_offset != offset or entry_size != size:
             raise CheckpointError(f"corrupt checkpoint: tensor {name!r} has "

@@ -145,17 +145,25 @@ def test_matmul_shapes_and_errors():
     assert ad.matmul(m, Tensor(m.data.T)).data.shape == (2, 2)
     assert ad.matmul(Tensor(np.zeros((4, 2, 3))),
                      Tensor(np.zeros((4, 3, 1)))).data.shape == (4, 2, 1)
+    # stacks broadcast their leading axes
+    assert ad.matmul(Tensor(np.zeros((4, 1, 2, 3))),
+                     Tensor(np.zeros((4, 5, 3, 1)))).data.shape == (4, 5, 2, 1)
     with pytest.raises(UsageError):
         ad.matmul(m, m)
-    with pytest.raises(UsageError):  # stacks must not broadcast
-        ad.matmul(Tensor(np.zeros((2, 2, 3))), m)
+    with pytest.raises(UsageError):  # a stack needs a stack on the other side
+        ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(m.data.T))
     with pytest.raises(UsageError):
+        ad.matmul(Tensor(np.zeros((2, 2, 3))), m)
+    with pytest.raises(UsageError):  # leading axes 2 and 3 do not broadcast
         ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 1))))
 
 
 @pytest.mark.parametrize("shape_a,shape_b", [
     ((3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4, 2)), ((4,), (4,)),
     ((5, 3, 4), (5, 4, 2)),
+    ((2, 1, 3, 4), (2, 3, 4, 2)),   # (G, 1, c, d) @ (G, R, d, w)
+    ((1, 3, 4), (2, 1, 4, 2)),      # both sides broadcast
+    ((3, 3, 4), (1, 4, 2)),
 ])
 def test_matmul_gradients_match_finite_differences(shape_a, shape_b):
     rng = np.random.default_rng(21)
@@ -173,6 +181,27 @@ def test_matmul_gradients_match_finite_differences(shape_a, shape_b):
         fd = ad.finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
+
+
+def test_swapaxes_transposes_the_last_two_axes():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    y = ad.swapaxes(x)
+    assert np.array_equal(y.data, np.transpose(x.data, (0, 2, 1)))
+    with pytest.raises(UsageError):
+        ad.swapaxes(Tensor([1.0, 2.0]))
+    weights = Tensor(rng.uniform(-1, 1, (2, 4, 3)))
+
+    def forward():
+        return ad.tensor_sum(ad.sigmoid(ad.mul(weights, ad.swapaxes(x))))
+
+    grad = ad.grad_map(forward(), {"x": x})["x"]
+
+    def f(arr):
+        with ad.no_grad():
+            return float(forward().data)
+    fd = ad.finite_difference_grad(f, x.data, 1e-5)
+    assert np.abs(fd - grad).max() < 1e-8
 
 
 def test_scalar_broadcast_add_mul():

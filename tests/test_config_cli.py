@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import mgam.cli
+import mgam.evaluation
 from mgam.cli import main
-from mgam.config import Config, parse_config, substream
-from mgam.data import load_dataset
+from mgam.config import STREAM_DATA, Config, parse_config, substream
+from mgam.data import load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
 from mgam.training import load_checkpoint
 
@@ -163,6 +164,33 @@ def test_ablate_runs_all_single_removals(workspace):
     rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
     models = {r.split(",")[0] for r in rows}
     assert models == {"mgam", "mgam-wo-subpe", "mgam-wo-gpe", "mgam-wo-suppe"}
+
+
+def test_ablate_draws_each_test_group_once(workspace, tmp_path, monkeypatch):
+    """Four masks share one draw of candidates: one sample_negatives call
+    per test group, and each mask's rows equal a separate `eval`."""
+    drawn = []
+    real = mgam.evaluation.sample_negatives
+
+    def spy(dataset, group, *args, **kwargs):
+        drawn.append(group)
+        return real(dataset, group, *args, **kwargs)
+
+    monkeypatch.setattr(mgam.evaluation, "sample_negatives", spy)
+    rc = main(["ablate", "--data", workspace["data"], "--ckpt", workspace["ckpt"],
+               "--out", str(tmp_path / "ablate")])
+    assert rc == 0
+    dataset = load_dataset(workspace["data"])
+    split = split_leave_one_out(dataset, substream(42, STREAM_DATA))
+    assert sorted(drawn) == sorted(g for g, _ in split.test)
+    rows = (tmp_path / "ablate" / "metrics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 * 2
+    rc = main(["eval", "--data", workspace["data"], "--ckpt", workspace["ckpt"],
+               "--out", str(tmp_path / "eval"), "--set", "ablate=gpe"])
+    assert rc == 0
+    alone = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()
+    assert [r.replace("mgam-wo-gpe,", "", 1) for r in rows if r.startswith("mgam-wo-gpe,")] \
+        == [r.replace("mgam-wo-gpe,", "", 1) for r in alone[1:]]
 
 
 def test_ablate_all_disabled_is_usage_error(workspace, capsys):
@@ -383,6 +411,23 @@ def test_malformed_manifest_is_named(workspace, tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "manifest.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["ablate"], ["recommend", "--group-id", "0"]],
+    ids=["eval", "ablate", "recommend"])
+def test_manifest_config_must_be_an_object(workspace, tmp_path, capsys, command):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "bad")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"] = [1]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    rc = main([command[0], "--data", workspace["data"], "--ckpt", str(ckpt),
+               *command[1:]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "manifest.json" in err and "config" in err
     assert "Traceback" not in err
 
 

@@ -26,47 +26,59 @@ E = np.e
 # member attention (used for both subset-level and group-level aggregation)
 
 def _one(rows):
-    """A single attention row: (w, d) members -> (1, w, d)."""
+    """A single member table: (w, d) members -> (1, w, d)."""
     return Tensor(np.asarray(rows, dtype=float)[None])
+
+
+def _item(vec):
+    """One item attending over one table: (d,) -> (1, 1, d)."""
+    return Tensor(np.asarray(vec, dtype=float).reshape(1, 1, -1))
 
 
 def test_member_attention_singleton_returns_embedding():
     u = _one([[0.3, -0.7, 1.1]])
-    h, w = member_attention(u, Tensor([[1.0, 0.0, 0.0]]), Tensor(2.0), Tensor(0.5))
-    assert np.array_equal(h.data, u.data[0])
-    assert np.array_equal(w.data, [[1.0]])
+    h, w = member_attention(u, _item([1.0, 0.0, 0.0]), Tensor(2.0), Tensor(0.5))
+    assert np.array_equal(h.data, u.data)
+    assert np.array_equal(w.data, [[[1.0]]])
 
 
 def test_member_attention_equal_scores_average():
     u = _one([[1.0, 0.0], [0.0, 1.0]])
-    item = Tensor([[1.0, 1.0]])  # equal dot products
+    item = _item([1.0, 1.0])  # equal dot products
     h, w = member_attention(u, item, Tensor(1.0), Tensor(0.0))
-    assert np.allclose(w.data, [[0.5, 0.5]], atol=1e-15)
-    assert np.allclose(h.data, [[0.5, 0.5]], atol=1e-15)
+    assert np.allclose(w.data, [[[0.5, 0.5]]], atol=1e-15)
+    assert np.allclose(h.data, [[[0.5, 0.5]]], atol=1e-15)
 
 
 def test_member_attention_hand_derived():
     # e(u1)=(1,0), e(u2)=(0,1), e(v)=(1,0), w=1, b=0:
     # scores=(relu(1), relu(0))=(1,0) -> weights=(e, 1)/(e+1)
     u = _one([[1.0, 0.0], [0.0, 1.0]])
-    h, w = member_attention(u, Tensor([[1.0, 0.0]]), Tensor(1.0), Tensor(0.0))
+    h, w = member_attention(u, _item([1.0, 0.0]), Tensor(1.0), Tensor(0.0))
     w1 = E / (E + 1.0)
-    assert np.abs(w.data - [[w1, 1 - w1]]).max() < 1e-12
-    assert np.abs(h.data - [[w1, 1 - w1]]).max() < 1e-12
+    assert np.abs(w.data - [[[w1, 1 - w1]]]).max() < 1e-12
+    assert np.abs(h.data - [[[w1, 1 - w1]]]).max() < 1e-12
 
 
 def test_member_attention_empty_rejected():
     with pytest.raises(UsageError):
-        member_attention(Tensor(np.zeros((1, 0, 3))), Tensor(np.zeros((1, 3))),
+        member_attention(Tensor(np.zeros((1, 0, 3))), Tensor(np.zeros((1, 1, 3))),
                          Tensor(1.0), Tensor(0.0))
     with pytest.raises(UsageError):
-        member_attention(Tensor(np.zeros((0, 2, 3))), Tensor(np.zeros((0, 3))),
+        member_attention(Tensor(np.zeros((0, 2, 3))), Tensor(np.zeros((0, 1, 3))),
                          Tensor(1.0), Tensor(0.0))
-    # a row whose members are all padding
+    # a table whose members are all padding
     with pytest.raises(UsageError):
-        member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3))),
+        member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 1, 3))),
                          Tensor(1.0), Tensor(0.0),
                          valid=np.array([[True, False], [False, False]]))
+    # item grids must match the tables' width and leading axes
+    with pytest.raises(UsageError):
+        member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3))),
+                         Tensor(1.0), Tensor(0.0))
+    with pytest.raises(UsageError):
+        member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 1, 3))),
+                         Tensor(1.0), Tensor(0.0))
 
 
 def test_member_attention_convexity():
@@ -75,23 +87,24 @@ def test_member_attention_convexity():
     for _ in range(10):
         m, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
         u = rng.normal(size=(m, d))
-        h, w = member_attention(_one(u), Tensor(rng.normal(size=(1, d))),
+        h, w = member_attention(_one(u), _item(rng.normal(size=d)),
                                 Tensor(rng.normal()), Tensor(rng.normal()))
         assert w.data.min() >= 0 and abs(w.data.sum() - 1) < 1e-9
         a_eq = np.vstack([u.T, np.ones(m)])
-        b_eq = np.concatenate([h.data[0], [1.0]])
+        b_eq = np.concatenate([h.data[0, 0], [1.0]])
         res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq,
                       bounds=[(0, 1)] * m, method="highs")
         assert res.status == 0
 
 
 def test_member_attention_padding_matches_unpadded_rows():
-    """Rows of different widths in one padded call equal separate calls;
-    padding gets exactly zero weight and zero gradient."""
+    """Tables of different widths in one padded call, each attended by a
+    grid of items, equal separate one-item calls; padding gets exactly zero
+    weight and zero gradient."""
     rng = np.random.default_rng(4)
-    d = 3
+    d, c = 3, 2
     rows = [rng.normal(size=(k, d)) for k in (1, 4, 2)]
-    items = rng.normal(size=(3, d))
+    items = rng.normal(size=(3, c, d))
     w, b = Tensor(0.8), Tensor(0.1)
     packed = np.zeros((3, 4, d))
     valid = np.zeros((3, 4), dtype=bool)
@@ -100,14 +113,32 @@ def test_member_attention_padding_matches_unpadded_rows():
         valid[r, :len(x)] = True
     members = Tensor(packed, requires_grad=True)
     h, attn = member_attention(members, Tensor(items), w, b, valid)
-    assert np.array_equal(attn.data[~valid], np.zeros((~valid).sum()))
+    assert h.data.shape == (3, c, d) and attn.data.shape == (3, c, 4)
+    assert np.array_equal(attn.data[~valid[:, None, :].repeat(c, axis=1)],
+                          np.zeros(c * (~valid).sum()))
     for r, x in enumerate(rows):
-        h1, w1 = member_attention(_one(x), Tensor(items[r:r + 1]), w, b)
-        assert np.abs(h.data[r] - h1.data[0]).max() < 1e-15
-        assert np.abs(attn.data[r, :len(x)] - w1.data[0]).max() < 1e-15
+        for j in range(c):
+            h1, w1 = member_attention(_one(x), _item(items[r, j]), w, b)
+            assert np.abs(h.data[r, j] - h1.data[0, 0]).max() < 1e-15
+            assert np.abs(attn.data[r, j, :len(x)] - w1.data[0, 0]).max() < 1e-15
     ad.backward(ad.tensor_sum(h))
     assert np.isfinite(members.grad).all()
     assert np.array_equal(members.grad[~valid], np.zeros(((~valid).sum(), d)))
+
+
+def test_member_attention_items_broadcast_over_tables():
+    """(G, 1, c, d) items against (G, R, w, d) tables equal one call per table."""
+    rng = np.random.default_rng(8)
+    tables = rng.normal(size=(2, 3, 4, 5))
+    items = rng.normal(size=(2, 1, 6, 5))
+    w, b = Tensor(0.7), Tensor(0.2)
+    h, attn = member_attention(Tensor(tables), Tensor(items), w, b)
+    assert h.data.shape == (2, 3, 6, 5) and attn.data.shape == (2, 3, 6, 4)
+    for g in range(2):
+        for r in range(3):
+            h1, w1 = member_attention(Tensor(tables[g, r][None]), Tensor(items[g]), w, b)
+            assert np.abs(h.data[g, r] - h1.data[0]).max() < 1e-14
+            assert np.abs(attn.data[g, r] - w1.data[0]).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -646,3 +677,134 @@ def test_single_subset_config_has_no_cross_weights():
     params = init_params(cfg, 3, 3, 2, np.random.default_rng(0))
     assert "subpe_other_w_1" not in params
     assert "subpe_self_w_1" in params
+
+
+# ---------------------------------------------------------------------------
+# group-major member attention on ragged batches
+
+_MASKS = [(True, True, True), (False, True, True), (True, False, True),
+          (True, True, False), (False, False, True)]
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    """Five overlapping groups of 2-6 members, M=3 subset slots but groups
+    with 1, 2 or 3 subsets, and batches that repeat groups unevenly."""
+    groups = [[0, 1, 2, 3, 4, 5], [5, 6], [6, 7, 8, 9], [1, 9, 10], [11, 12, 13]]
+    ds = Dataset(
+        n_users=14, n_items=12, n_groups=5,
+        user_items=[[] for _ in range(14)], groups=groups,
+        group_pos=[[] for _ in groups], user_ids=[str(i) for i in range(14)],
+        item_ids=[str(i) for i in range(12)], group_ids=[str(g) for g in range(5)])
+    assignments = [
+        SubsetAssignment(group=0, subsets=[[0, 2, 4], [1, 5], [3]]),
+        SubsetAssignment(group=1, subsets=[[5, 6]]),
+        SubsetAssignment(group=2, subsets=[[6, 7, 9], [8]]),
+        SubsetAssignment(group=3, subsets=[[1, 9], [10]]),
+        SubsetAssignment(group=4, subsets=[[11], [12], [13]]),
+    ]
+    cfg = Config(embedding_dim=8, num_subsets=3, gcn_layers=2)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(77))
+    batches = {
+        "unsorted": [(3, 1), (0, 2), (3, 5), (1, 4), (3, 0), (0, 7), (4, 3),
+                     (2, 2), (3, 9), (1, 11), (4, 8)],
+        "one-group": [(2, v) for v in (5, 1, 9, 3)],
+        "one-instance": [(1, 6)],
+    }
+    return ds, assignments, build_co_membership(ds.groups), cfg, params, batches
+
+
+@pytest.mark.parametrize("which", ["unsorted", "one-group", "one-instance"])
+@pytest.mark.parametrize("flags", _MASKS, ids=lambda f: AblationMask(*f).label())
+def test_forward_ragged_batches_match_reference_oracle(ragged, which, flags):
+    ds, assignments, graph, cfg, params, batches = ragged
+    batch = batches[which]
+    raw = {k: v.data for k, v in params.items()}
+    subsets = [a.subsets for a in assignments]
+    coupled = forward_batch(params, cfg, ds, assignments, graph, batch,
+                            mask=AblationMask(*flags))
+    ref = reference_forward(raw, ds, subsets, batch, 8, 3, 2, *flags)
+    assert np.abs(coupled.scores.data - ref).max() < 1e-10
+    isolated = forward_batch(params, cfg, ds, assignments, graph, batch,
+                             mask=AblationMask(*flags), isolated=True)
+    alone = [reference_forward(raw, ds, subsets, [pair], 8, 3, 2, *flags)[0]
+             for pair in batch]
+    assert np.abs(isolated.scores.data - alone).max() < 1e-10
+    # every weight array keeps its padding at exactly 0
+    if coupled.member_weights is not None:
+        rows = [s for g, _ in batch for s in assignments[g].subsets]
+        assert coupled.member_weights.shape == (len(rows), max(map(len, rows)))
+        for w, subset in zip(coupled.member_weights, rows):
+            assert np.all(w[len(subset):] == 0) and abs(w.sum() - 1) < 1e-12
+        for w, (g, _) in zip(coupled.subset_weights, batch):
+            assert np.all(w[len(assignments[g].subsets):] == 0)
+    if coupled.group_weights is not None:
+        for w, (g, _) in zip(coupled.group_weights, batch):
+            assert np.all(w[len(ds.groups[g]):] == 0) and abs(w.sum() - 1) < 1e-12
+
+
+def test_forward_padded_grid_cells_get_zero_gradient(ragged, monkeypatch):
+    """Padding cells of the item grid and padded member entries (including
+    the stand-in of a missing subset slot) get exactly zero gradient."""
+    ds, assignments, graph, cfg, params, batches = ragged
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(77))
+    batch = batches["unsorted"]
+    calls = []
+    real = member_attention
+
+    def spy(member_vecs, item_vecs, weight, bias, valid=None):
+        calls.append((member_vecs, item_vecs, valid))
+        return real(member_vecs, item_vecs, weight, bias, valid)
+
+    monkeypatch.setattr("mgam.model.member_attention", spy)
+    res = forward_batch(params, cfg, ds, assignments, graph, batch)
+    ad.backward(ad.tensor_sum(res.logits))
+    (sub_members, sub_items, sub_valid), (grp_members, grp_items, grp_valid) = calls
+    # 11 instances of 5 groups fill rows of c = ceil(11 / 5) = 3 cells;
+    # group 3's four instances span two rows: 7 padding cells in all
+    row_groups, real_cells = [0, 1, 2, 3, 3, 4], [2, 2, 1, 3, 1, 2]
+    assert sub_items.data.shape == (6, 1, 3, 8)
+    assert grp_items.data.shape == (6, 3, 8)
+    assert np.abs(grp_items.grad).max() > 0 and np.abs(sub_items.grad).max() > 0
+    for j, (g, n) in enumerate(zip(row_groups, real_cells)):
+        members = ds.groups[g]
+        assert np.array_equal(grp_members.data[j, :len(members)],
+                              params["user_emb"].data[members])
+        assert np.array_equal(sub_items.grad[j, 0, n:], np.zeros((3 - n, 8)))
+        assert np.array_equal(grp_items.grad[j, n:], np.zeros((3 - n, 8)))
+        n_sub = len(assignments[g].subsets)
+        assert np.array_equal(sub_members.grad[j, n_sub:],
+                              np.zeros_like(sub_members.grad[j, n_sub:]))
+    assert np.array_equal(sub_members.grad[~sub_valid], np.zeros(((~sub_valid).sum(), 8)))
+    assert np.array_equal(grp_members.grad[~grp_valid], np.zeros(((~grp_valid).sum(), 8)))
+
+
+def test_one_group_scoring_memory_grows_with_candidates_times_d():
+    """Scoring C candidates of one group holds O(C * d) floats, not a
+    per-candidate copy of the member tables, O(C * (subsets * w + w) * d)."""
+    import tracemalloc
+
+    n_cand, d, n_members, m = 500, 32, 64, 4
+    ds = Dataset(
+        n_users=n_members, n_items=n_cand, n_groups=1,
+        user_items=[[] for _ in range(n_members)], groups=[list(range(n_members))],
+        group_pos=[[]], user_ids=[str(u) for u in range(n_members)],
+        item_ids=[str(v) for v in range(n_cand)], group_ids=["0"])
+    assignments = [SubsetAssignment(group=0, subsets=[
+        list(range(k, n_members, m)) for k in range(m)])]
+    cfg = Config(embedding_dim=d, num_subsets=m, gcn_layers=2)
+    params = init_params(cfg, ds.n_users, ds.n_items, 1, np.random.default_rng(0))
+    graph = build_co_membership(ds.groups)
+    batch = [(0, v) for v in range(n_cand)]
+    with ad.no_grad():
+        forward_batch(params, cfg, ds, assignments, graph, batch, isolated=True)
+        tracemalloc.start()
+        try:
+            forward_batch(params, cfg, ds, assignments, graph, batch, isolated=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a per-candidate gather of the 64 + 4 * 16 member slots alone is 128 C d
+    assert peak < 48 * n_cand * d * 8, peak / (n_cand * d * 8)

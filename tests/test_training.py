@@ -330,6 +330,21 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
         load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("shape", "ab"), ("shape", [2.5]), ("shape", [-1]), ("shape", [True]),
+    ("offset", "0"), ("size", 1.5)],
+    ids=["shape-str", "shape-float", "shape-negative", "shape-bool", "offset-str",
+         "size-float"])
+def test_checkpoint_malformed_tensor_entry_is_named(tmp_path, field, value):
+    import json
+    _checkpoint_roundtrip_setup(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["tensors"][0][field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="malformed tensor entry"):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
     cfg, _ = _checkpoint_roundtrip_setup(tmp_path)
     other = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
