@@ -51,13 +51,12 @@ def _checkpoint_base(ckpt_dir) -> list:
 
 def _prepare(data_dir, cfg: Config):
     dataset = load_dataset(data_dir)
-    split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     assignments = cluster_subsets(
         dataset, cfg.num_subsets,
         max_iters=cfg.kmeans_max_iters, restarts=cfg.kmeans_restarts,
         seed=substream(cfg.seed, STREAM_CLUSTER))
     graph = build_co_membership(dataset.groups)
-    return dataset, split, assignments, graph
+    return dataset, assignments, graph
 
 
 def _load_model(ckpt_dir, cfg: Config, dataset) -> dict:
@@ -88,7 +87,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     mask = AblationMask.from_disabled(cfg.ablated())
-    dataset, split, assignments, graph = _prepare(args.data, cfg)
+    dataset, assignments, graph = _prepare(args.data, cfg)
+    split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -108,7 +108,8 @@ def cmd_train(args) -> int:
 def _run_eval(args, masks_from_cfg) -> int:
     cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt))
     masks = masks_from_cfg(cfg)
-    dataset, split, assignments, graph = _prepare(args.data, cfg)
+    dataset, assignments, graph = _prepare(args.data, cfg)
+    split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     params = _load_model(args.ckpt, cfg, dataset)
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,8 +132,6 @@ def _run_eval(args, masks_from_cfg) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.ks:
-        args.overrides.append(f"ks={args.ks}")
     return _run_eval(
         args, lambda cfg: [AblationMask.from_disabled(cfg.ablated())])
 
@@ -162,6 +161,7 @@ def cmd_sweep_subsets(args) -> int:
     dataset = load_dataset(args.data)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     graph = build_co_membership(dataset.groups)
+    drawn = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
     ks = cfg.ks_list()
     rows = []
     for m in m_values:
@@ -173,7 +173,8 @@ def cmd_sweep_subsets(args) -> int:
         params, _ = train(dataset, split, assignments, graph, m_cfg, mask=mask)
         scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph,
                                   mask=mask)
-        report = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed)
+        report = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed,
+                          candidates=drawn)
         rows.append((m, report))
         print(f"M={m}: " + " ".join(
             f"HR@{k}={report.hr[k]:.4f} NDCG@{k}={report.ndcg[k]:.4f}" for k in ks))
@@ -199,7 +200,7 @@ def cmd_recommend(args) -> int:
     # config echo goes to stderr so stdout stays machine-readable
     cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt), echo_to=sys.stderr)
     mask = AblationMask.from_disabled(cfg.ablated())
-    dataset, _, assignments, graph = _prepare(args.data, cfg)
+    dataset, assignments, graph = _prepare(args.data, cfg)
     params = _load_model(args.ckpt, cfg, dataset)
     if args.group_id not in dataset.group_index:
         raise UsageError(f"unknown group id {args.group_id!r}")
@@ -238,7 +239,7 @@ def _explain_json(result, g, v, dataset, assignments, top) -> dict:
         "item": dataset.item_ids[v],
         "score": float(result.scores.data[0]),
         "fusion_rows": result.branches,
-        "fusion_attention": result.fusion_weights[:, :, 0].tolist(),
+        "fusion_attention": result.fusion_weights[0].tolist(),
         "recommendations": [
             {"item": dataset.item_ids[i], "score": s} for i, s in top
         ],
@@ -344,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", default=None, help="default: the checkpoint directory")
-    p.add_argument("--ks", default=None, help="comma-separated cutoffs, e.g. 5,10")
     p.add_argument("--detail", action="store_true",
                    help="also write per-group metrics_detail.csv")
     _add_config_args(p)

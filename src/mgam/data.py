@@ -32,14 +32,6 @@ META_FILE = "meta.json"
 
 
 @dataclass
-class Instance:
-    """One labeled group-item training example."""
-    group: int
-    item: int
-    label: int
-
-
-@dataclass
 class Dataset:
     """Remapped users, items, groups and their interactions.
 
@@ -70,9 +62,13 @@ class Dataset:
 
 @dataclass
 class Split:
-    """Leave-one-out split: train keeps positives, test holds one per group."""
-    train: list  # of Instance (label 1)
-    test: list   # of (group, held_out_item)
+    """Leave-one-out split: train keeps positives, test holds one per group.
+
+    `train` is an (n, 2) int array of (group, item) positives in group
+    order; `test` lists (group, held_out_item) pairs.
+    """
+    train: np.ndarray
+    test: list
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +241,12 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
     rng = np.random.default_rng(seed)
     train, test = [], []
     for g in range(dataset.n_groups):
-        pos = dataset.group_pos[g]
+        pos, held = dataset.group_pos[g], None
         if len(pos) >= 2:
             held = pos[int(rng.integers(len(pos)))]
             test.append((g, held))
-            train.extend(Instance(g, i, 1) for i in pos if i != held)
-        else:
-            train.extend(Instance(g, i, 1) for i in pos)
-    return Split(train=train, test=test)
+        train.extend((g, i) for i in pos if i != held)
+    return Split(train=np.array(train, dtype=np.intp).reshape(-1, 2), test=test)
 
 
 def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,

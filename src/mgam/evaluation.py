@@ -139,8 +139,8 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
     def score_fn(group, candidates):
         with ad.no_grad():
             result = forward_batch(params, cfg, dataset, assignments, graph,
-                                   [(group, v) for v in candidates], mask=mask,
-                                   global_rows=global_rows, isolated=True)
+                                   np.c_[np.full(len(candidates), group), candidates],
+                                   mask=mask, global_rows=global_rows, isolated=True)
         return result.scores.data
 
     return score_fn

@@ -16,20 +16,22 @@ the prediction layer scores the fused vector against the item embedding.
 Any branch can be ablated; ablating the subset branch reseeds the batch
 stream with the group-branch vector.
 
-`forward_batch` runs every stage once over the whole batch, so the tape
-size does not grow with the number of instances.  Member attention is
-group-major: the instances of each of the batch's G unique groups fill
-rows of c = ceil(n / G) item cells, a (rows, c, d) grid, and each row
-gathers its group's members once, into a padded (rows, W, d) table and a
+`forward_batch` scores an (n, 2) integer array of (group, item) rows and
+runs every stage once over the whole batch, so the tape size does not
+grow with the number of instances.  Member attention is group-major: the
+instances of each of the batch's G unique groups fill rows of
+c = ceil(n / G) item cells, a (rows, c, d) grid, and each row gathers its
+group's members once, into a padded (rows, W, d) table and a
 (rows, R, w, d) table of its R subsets.  A forward over one group's
 candidates (evaluation, `recommend`) has a single row whatever the
 candidate count.  Two stacked matmuls give every (item, member) dot
 product and weighted sum; padding is masked out of the softmax with -inf
 and the real grid cells are taken back into instance order.  Subset
 slots become (n, d) tensors with a zero row (masked out of the slot
-softmax) where an instance lacks the slot, and fusion is an (r, r, n)
-attention.  The same forward serves training, evaluation, `recommend`
-and `--explain`; `isolated=True` decouples the instances.
+softmax) where an instance lacks the slot.  Fusion stacks the branches
+as (n, r, d) and is an (n, r, r) attention.  The same forward serves
+training, evaluation, `recommend` and `--explain`; `isolated=True`
+decouples the instances.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def superset_embeddings(params: dict, cfg: Config, batch_groups,
 def fuse(rows, d: int) -> tuple:
     """Row-wise self-attention over stacked branch vectors, mean-pooled.
 
-    `rows` holds r (n, d) branch outputs; the attention is (r, r, n), one
+    `rows` holds r (n, d) branch outputs; the attention is (n, r, r), one
     r x r matrix per instance.  With a single row the softmax is a no-op
     and the input passes through.
     """
@@ -258,14 +260,10 @@ def fuse(rows, d: int) -> tuple:
     if len(shape) != 2 or shape[1] != d or any(r.data.shape != shape for r in rows):
         raise UsageError(f"fusion rows must be (n, {d}) tensors of one shape, "
                          f"got {[r.data.shape for r in rows]}")
-    r, n = len(rows), shape[0]
-    h = ad.stack(rows)                                        # (r, n, d)
-    gram = ad.tensor_sum(ad.mul(ad.reshape(h, (r, 1, n, d)),
-                                ad.reshape(h, (1, r, n, d))), axis=-1)
-    attn = ad.softmax(ad.scale(gram, 1.0 / np.sqrt(d)), axis=1)   # (r, r, n)
-    fused = ad.tensor_sum(ad.mul(ad.reshape(attn, (r, r, n, 1)),
-                                 ad.reshape(h, (1, r, n, d))), axis=1)
-    return ad.tensor_mean(fused, axis=0), attn
+    h = ad.stack(rows, axis=1)                                # (n, r, d)
+    gram = ad.matmul(h, ad.swapaxes(h))                       # (n, r, r)
+    attn = ad.softmax(ad.scale(gram, 1.0 / np.sqrt(d)))
+    return ad.tensor_mean(ad.matmul(attn, h), axis=1), attn
 
 
 def predict_logit(h_fusion: Tensor, item_vecs: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -297,7 +295,7 @@ class ForwardResult:
     logits: Tensor                     # (n,)
     scores: Tensor                     # (n,), sigmoid(logits)
     branches: list                     # active branch names, fusion stack order
-    fusion_weights: np.ndarray         # (r, r, n)
+    fusion_weights: np.ndarray         # (n, r, r)
     group_weights: np.ndarray | None   # (n, w) whole-group member weights
     subset_weights: np.ndarray | None  # (n, slots)
     member_weights: np.ndarray | None  # (rows, w), one row per (instance, subset)
@@ -310,17 +308,19 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                   isolated: bool = False) -> ForwardResult:
     """Score a batch of (group, item) pairs, each stage once for the batch.
 
-    By default the batch-stream graph couples the instances scored
-    together, as in training.  `isolated=True` gives every instance its
+    `batch` is an (n, 2) integer array-like of (group, item) rows.  By
+    default the batch-stream graph couples the instances scored together,
+    as in training.  `isolated=True` gives every instance its
     own one-node batch graph, so that a score depends only on its own
     (group, item) pair however many candidates one call scores.
     """
     mask = mask or AblationMask()
     if not (mask.use_subpe or mask.use_gpe or mask.use_suppe):
         raise UsageError("all three granularities are ablated; nothing to fuse")
-    pairs = np.fromiter(chain.from_iterable(batch), dtype=np.intp).reshape(-1, 2)
-    if not len(pairs):
-        raise UsageError("empty forward batch")
+    pairs = np.asarray(batch, dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
+        raise UsageError(f"a forward batch is a non-empty (n, 2) array of "
+                         f"(group, item) rows, got shape {pairs.shape}")
     groups, items = pairs[:, 0], pairs[:, 1]
     d = cfg.embedding_dim
     need_gpe = mask.use_gpe or (mask.use_suppe and not mask.use_subpe)

@@ -123,56 +123,59 @@ class EpochStats:
 def _build_triplets(instances) -> list:
     """(anchor, same-label, different-label) index triples within a batch.
 
-    Partners must come from the anchor's group; anchors lacking a
-    same-label partner are skipped.
+    `instances` holds one (group, item, label) row per instance, labels 0
+    or 1.  An anchor's partners are the first other instance of its group
+    with its label and the first with the other label; anchors lacking
+    either are skipped.
     """
-    by_key: dict = {}
-    for idx, (g, _, y) in enumerate(instances):
-        by_key.setdefault((g, y), []).append(idx)
-    triplets = []
-    for idx, (g, _, y) in enumerate(instances):
-        same_pool = by_key.get((g, y), [])
-        diff_pool = by_key.get((g, 1 - y), [])
-        same = next((j for j in same_pool if j != idx), None)
-        if same is None or not diff_pool:
-            continue
-        triplets.append((idx, same, diff_pool[0]))
-    return triplets
+    rows = np.asarray(instances, dtype=np.intp).reshape(-1, 3)
+    key = 2 * rows[:, 0] + rows[:, 2]            # (group, label); key ^ 1 flips the label
+    order = np.argsort(key, kind="stable")
+    keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    first = order[start]                         # each key's first and second instance
+    second = np.where(count > 1, order[np.minimum(start + 1, len(order) - 1)], -1)
+    own = np.searchsorted(keys, key)
+    same = np.where(first[own] == np.arange(len(key)), second[own], first[own])
+    other = np.minimum(np.searchsorted(keys, key ^ 1), len(keys) - 1)
+    keep = (same >= 0) & (keys[other] == key ^ 1)
+    return list(zip(np.flatnonzero(keep).tolist(), same[keep].tolist(),
+                    first[other][keep].tolist()))
 
 
 def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
                 assignments, graph, cfg: Config, epoch: int,
                 mask: AblationMask | None = None) -> EpochStats:
-    """One pass over the shuffled train positives with fresh negatives."""
-    if not split.train:
+    """One pass over the shuffled train positives with fresh negatives.
+
+    A batch is one (n, 3) array of (group, item, label) rows: each
+    positive, then its `train_negatives` negatives.
+    """
+    if not len(split.train):
         raise UsageError("cannot train on an empty split")
     t0 = time.perf_counter()
     rng = np.random.default_rng(substream(cfg.seed, STREAM_TRAIN, epoch))
     order = rng.permutation(len(split.train))
+    per = 1 + cfg.train_negatives
 
     loss_sum = trip_sum = point_sum = 0.0
     n_inst = n_trip = n_batches = 0
     for start in range(0, len(order), cfg.batch_size):
-        chunk = order[start:start + cfg.batch_size]
-        instances = []
-        for oi in chunk:
-            inst = split.train[int(oi)]
-            instances.append((inst.group, inst.item, 1))
-            for v in sample_negatives(dataset, inst.group,
-                                      cfg.train_negatives, rng=rng):
-                instances.append((inst.group, v, 0))
-        triplets = _build_triplets(instances)
+        positives = split.train[order[start:start + cfg.batch_size]]
+        negatives = [sample_negatives(dataset, g, cfg.train_negatives, rng=rng)
+                     for g in positives[:, 0].tolist()]
+        rows = np.repeat(np.c_[positives, np.ones(len(positives), np.intp)], per, axis=0)
+        blocks = rows.reshape(len(positives), per, 3)   # a view: one block per positive
+        blocks[:, 1:, 1] = negatives
+        blocks[:, 1:, 2] = 0
+        triplets = _build_triplets(rows)
 
         result = forward_batch(params, cfg, dataset, assignments, graph,
-                               [(g, v) for g, v, _ in instances], mask=mask)
-        labels = np.array([y for _, _, y in instances], dtype=np.float64)
-        point_terms = point_loss_from_logits(result.logits, labels)
+                               rows[:, :2], mask=mask)
+        point_terms = point_loss_from_logits(result.logits, rows[:, 2])
         trip_terms = None
-        if triplets:
-            anchors = ad.take(result.scores, [a for a, _, _ in triplets])
-            sames = ad.take(result.scores, [s for _, s, _ in triplets])
-            diffs = ad.take(result.scores, [d for _, _, d in triplets])
-            trip_terms = triplet_loss(anchors, sames, diffs, cfg.margin)
+        if triplets:   # anchor, same-label and different-label scores
+            trip_terms = triplet_loss(*(ad.take(result.scores, idx) for idx in zip(*triplets)),
+                                      cfg.margin)
         loss = total_loss(trip_terms, point_terms, cfg.lambda1)
         if not np.isfinite(loss.data):
             raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
@@ -187,7 +190,7 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
                                      f"at epoch {epoch}, batch {n_batches}")
         adam_step(params, grads, adam, cfg.learning_rate)
 
-        k = len(instances)
+        k = len(rows)
         loss_sum += float(loss.data) * k
         point_sum += float(point_terms.data.mean()) * k
         if trip_terms is not None:
@@ -323,7 +326,8 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
         try:
             name, shape = entry["name"], entry["shape"]
             entry_offset, entry_size = entry["offset"], entry["size"]
-            well_formed = (isinstance(shape, list) and all(map(_is_count, shape))
+            well_formed = (isinstance(name, str)
+                           and isinstance(shape, list) and all(map(_is_count, shape))
                            and _is_count(entry_offset) and _is_count(entry_size))
         except (KeyError, TypeError):
             well_formed = False

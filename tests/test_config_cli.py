@@ -133,7 +133,7 @@ def test_train_outputs(workspace):
 
 def test_eval_writes_metrics(workspace, capsys):
     rc = main(["eval", "--data", workspace["data"], "--ckpt", workspace["ckpt"],
-               "--ks", "5,10"])
+               "--set", "ks=5,10"])
     assert rc == 0
     import pathlib
     lines = (pathlib.Path(workspace["ckpt"]) / "metrics.csv").read_text().strip().splitlines()
@@ -295,6 +295,30 @@ def test_train_all_granularities_ablated_fails_before_output(workspace, tmp_path
     assert not out.exists()
 
 
+def test_recommend_does_not_split(workspace, capsys, monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("recommend split the dataset")
+
+    monkeypatch.setattr(mgam.cli, "split_leave_one_out", spy)
+    rc = main(["recommend", "--data", workspace["data"], "--ckpt",
+               workspace["ckpt"], "--group-id", "3", "--k", "2", "--explain"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("name", [["user_emb"], 7], ids=["list", "int"])
+def test_recommend_non_string_tensor_name_is_named(workspace, tmp_path, capsys, name):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "bad")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"][0]["name"] = name
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["recommend", "--data", workspace["data"], "--ckpt", str(ckpt),
+               "--group-id", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err      # after the config echo
+    assert err.splitlines()[-1].startswith("error:")
+    assert "malformed tensor entry" in err and "Traceback" not in err
+
+
 def test_recommend_unknown_group(workspace, capsys):
     rc = main(["recommend", "--data", workspace["data"], "--ckpt",
                workspace["ckpt"], "--group-id", "nope"])
@@ -369,8 +393,44 @@ def test_sweep_subsets_honours_ablate(workspace, tmp_path, monkeypatch):
     with pytest.raises(Stop):
         main(["sweep-subsets", "--data", workspace["data"],
               "--out", str(tmp_path / "sweep"), "--m-values", "2",
-              "--set", "ablate=subpe,suppe"])
+              "--set", "ablate=subpe,suppe", "--set", "eval_negatives=30"])
     assert seen == ["mgam-wo-subpe-suppe"]
+
+
+def test_sweep_subsets_draws_each_test_group_once(workspace, tmp_path, monkeypatch):
+    """Every subset count is ranked against one draw of candidates."""
+    drawn = []
+    real = mgam.evaluation.sample_negatives
+
+    def spy(dataset, group, *args, **kwargs):
+        drawn.append(group)
+        return real(dataset, group, *args, **kwargs)
+
+    monkeypatch.setattr(mgam.evaluation, "sample_negatives", spy)
+    rc = main(["sweep-subsets", "--data", workspace["data"],
+               "--out", str(tmp_path / "sweep"), "--m-values", "1,2",
+               "--set", "epochs=1", "--set", "embedding_dim=8",
+               "--set", "eval_negatives=30"])
+    assert rc == 0
+    split = split_leave_one_out(load_dataset(workspace["data"]),
+                                substream(42, STREAM_DATA))
+    assert sorted(drawn) == sorted(g for g, _ in split.test)
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
+
+
+def test_sweep_subsets_checks_its_candidates_before_training(workspace, tmp_path,
+                                                             monkeypatch, capsys):
+    """More evaluation negatives than a group has unseen items fails
+    before any subset count is trained."""
+    trained = []
+    monkeypatch.setattr(mgam.cli, "train", lambda *a, **k: trained.append(1))
+    rc = main(["sweep-subsets", "--data", workspace["data"],
+               "--out", str(tmp_path / "sweep"), "--m-values", "2",
+               "--set", "eval_negatives=1000"])
+    assert rc == 1
+    assert "requested 1000 negatives" in capsys.readouterr().err
+    assert trained == []
 
 
 def test_unknown_command_exits_2():

@@ -308,7 +308,7 @@ def test_split_two_positives_forced(tmp_path):
     split = split_leave_one_out(ds, 0)
     assert len(split.test) == 1
     g, held = split.test[0]
-    rest = [i.item for i in split.train if i.group == 0]
+    rest = split.train[split.train[:, 0] == 0, 1].tolist()
     assert sorted(rest + [held]) == [0, 2]
 
 
@@ -318,7 +318,7 @@ def test_split_single_positive_stays_in_train():
                  user_ids=["0"], item_ids=["0", "1"], group_ids=["0"])
     split = split_leave_one_out(ds, 0)
     assert split.test == []
-    assert [(i.group, i.item, i.label) for i in split.train] == [(0, 1, 1)]
+    assert split.train.tolist() == [[0, 1]]
 
 
 def test_split_deterministic_and_union_preserved():
@@ -327,12 +327,13 @@ def test_split_deterministic_and_union_preserved():
         n_cohorts=2, positives_per_group=6), seed=1)
     s1 = split_leave_one_out(ds, 9)
     s2 = split_leave_one_out(ds, 9)
-    assert [(i.group, i.item) for i in s1.train] == [(i.group, i.item) for i in s2.train]
+    assert s1.train.dtype == np.intp and s1.train.shape[1] == 2
+    assert np.array_equal(s1.train, s2.train)
     assert s1.test == s2.test
     # exactly one held out per eligible group; union restores the positives
     held = dict(s1.test)
     for g in range(ds.n_groups):
-        train_g = sorted(i.item for i in s1.train if i.group == g)
+        train_g = sorted(s1.train[s1.train[:, 0] == g, 1].tolist())
         full = sorted(train_g + ([held[g]] if g in held else []))
         assert full == ds.group_pos[g]
         if len(ds.group_pos[g]) >= 2:

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mgam.training
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.clustering import cluster_subsets
-from mgam.config import Config
-from mgam.data import SyntheticParams, generate_synthetic, split_leave_one_out
+from mgam.config import STREAM_TRAIN, Config, substream
+from mgam.data import (SyntheticParams, generate_synthetic, sample_negatives,
+                       split_leave_one_out)
 from mgam.errors import CheckpointError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
 from mgam.model import AblationMask, forward_batch, init_params
@@ -145,6 +147,42 @@ def test_build_triplets_same_and_diff_from_same_group():
     assert 3 not in by_anchor  # no partner at all in group 1
 
 
+def _dict_triplets(instances) -> list:
+    """Reference triplet assembly: (group, label) pools in a dict."""
+    by_key: dict = {}
+    for idx, (g, _, y) in enumerate(instances):
+        by_key.setdefault((g, y), []).append(idx)
+    triplets = []
+    for idx, (g, _, y) in enumerate(instances):
+        same_pool = by_key.get((g, y), [])
+        diff_pool = by_key.get((g, 1 - y), [])
+        same = next((j for j in same_pool if j != idx), None)
+        if same is None or not diff_pool:
+            continue
+        triplets.append((idx, same, diff_pool[0]))
+    return triplets
+
+
+def test_build_triplets_matches_dict_reference():
+    rng = np.random.default_rng(0)
+    for trial in range(3000):
+        k = (0, 1, 3)[trial % 3]                 # negatives per positive
+        groups = rng.integers(0, 4, size=rng.integers(1, 9))
+        rows = []
+        for g in groups:
+            rows.append((int(g), int(rng.integers(50)), 1))
+            rows += [(int(g), int(rng.integers(50)), 0) for _ in range(k)]
+        if trial % 4 == 0:                       # a group with only negatives
+            rows += [(9, int(rng.integers(50)), 0) for _ in range(rng.integers(1, 3))]
+        if trial % 5 == 0:                       # labels in any order
+            rows = [(g, v, int(y)) for (g, v, _), y in
+                    zip(rows, rng.integers(0, 2, size=len(rows)))]
+        if trial % 7 == 0:
+            rows = rows[:1]
+        assert _build_triplets(np.array(rows)) == _dict_triplets(rows), rows
+    assert _build_triplets([(0, 1, 1)]) == []
+
+
 # ---------------------------------------------------------------------------
 # epoch loop
 
@@ -185,9 +223,49 @@ def test_train_epoch_lr_zero_keeps_parameters():
         assert np.abs(q[k].data - init[k].data).max() < 1e-12
 
 
+def test_train_epoch_batches_are_positive_then_negative_rows(monkeypatch):
+    """Each batch holds every positive followed by its negatives, drawn one
+    positive at a time from the epoch's STREAM_TRAIN stream."""
+    ds, split, assignments, graph, cfg = _small_setup()
+    tc = replace(cfg, batch_size=8, train_negatives=3, seed=5)
+    expected = []
+    for epoch in range(2):
+        rng = np.random.default_rng(substream(tc.seed, STREAM_TRAIN, epoch))
+        order = rng.permutation(len(split.train))
+        for start in range(0, len(order), tc.batch_size):
+            instances = []
+            for oi in order[start:start + tc.batch_size]:
+                g, v = (int(x) for x in split.train[oi])
+                instances.append((g, v, 1))
+                for u in sample_negatives(ds, g, tc.train_negatives, rng=rng):
+                    instances.append((g, u, 0))
+            expected.append(instances)
+
+    seen_pairs, seen_rows = [], []
+    real_forward, real_triplets = mgam.training.forward_batch, mgam.training._build_triplets
+
+    def forward_spy(*args, **kwargs):
+        seen_pairs.append(np.asarray(args[5]).tolist())
+        return real_forward(*args, **kwargs)
+
+    def triplets_spy(instances):
+        seen_rows.append(np.asarray(instances).tolist())
+        return real_triplets(instances)
+
+    monkeypatch.setattr(mgam.training, "forward_batch", forward_spy)
+    monkeypatch.setattr(mgam.training, "_build_triplets", triplets_spy)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    adam = init_adam(params)
+    for epoch in range(2):
+        train_epoch(params, adam, ds, split, assignments, graph, tc, epoch)
+    assert seen_rows == [[list(r) for r in batch] for batch in expected]
+    assert seen_pairs == [[[g, v] for g, v, _ in batch] for batch in expected]
+
+
 def test_train_empty_split_rejected():
     ds, split, assignments, graph, cfg = _small_setup()
-    split.train = []
+    split.train = np.empty((0, 2), dtype=np.intp)
     with pytest.raises(UsageError):
         train_epoch({}, init_adam({}), ds, split, assignments, graph, cfg, 0)
 
@@ -332,9 +410,9 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("shape", "ab"), ("shape", [2.5]), ("shape", [-1]), ("shape", [True]),
-    ("offset", "0"), ("size", 1.5)],
+    ("offset", "0"), ("size", 1.5), ("name", ["user_emb"]), ("name", 7)],
     ids=["shape-str", "shape-float", "shape-negative", "shape-bool", "offset-str",
-         "size-float"])
+         "size-float", "name-list", "name-int"])
 def test_checkpoint_malformed_tensor_entry_is_named(tmp_path, field, value):
     import json
     _checkpoint_roundtrip_setup(tmp_path)
