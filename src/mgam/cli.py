@@ -4,6 +4,12 @@ Commands: gen-data, train, eval, ablate, sweep-subsets, recommend,
 dump-graph, dump-subsets, baseline.  Exit codes: 0 success, 1 runtime
 failure, 2 usage/config error.  Every command echoes its fully resolved
 configuration and persists it next to its outputs.
+
+`train`, `sweep-subsets`, `baseline` and the dump commands parse the
+dataset TSVs (and cluster).  `eval`, `ablate` and `recommend` read the
+parsed dataset and subset assignments from the checkpoint instead; they
+only hash `--data` and refuse it unless it is the data the checkpoint was
+trained on.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from . import autodiff as ad
 from .clustering import cluster_subsets, dump_subsets
 from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
-from .data import (SyntheticParams, generate_synthetic, load_dataset,
-                   split_leave_one_out, write_dataset)
+from .data import (SyntheticParams, dataset_sha256, generate_synthetic,
+                   load_dataset, split_leave_one_out, write_dataset)
 from .errors import MgamError, UsageError
 from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
                          make_mgam_scorer, rank_candidates, train_mf_scorer,
@@ -27,8 +33,8 @@ from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
                          METRICS_FILE, METRICS_DETAIL_FILE)
 from .graph import build_co_membership, dump_graph
 from .model import AblationMask, forward_batch
-from .training import (expected_param_shapes, load_checkpoint, read_manifest,
-                       save_checkpoint, train, TRAIN_LOG_FILE)
+from .training import (expected_param_shapes, load_checkpoint, load_inputs,
+                       read_manifest, save_checkpoint, train, TRAIN_LOG_FILE)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -43,27 +49,40 @@ def _resolve_config(args, base=(), echo_to=None) -> Config:
     return cfg
 
 
-def _checkpoint_base(ckpt_dir) -> list:
-    """Adopt the checkpoint's resolved config as the eval-time base."""
-    echo = read_manifest(ckpt_dir).get("config", {})
-    return [f"{k}={v}" for k, v in echo.items()]
+# keys whose value the checkpoint's stored subset assignments already fix
+_CLUSTERING_KEYS = ("kmeans_max_iters", "kmeans_restarts")
 
 
-def _prepare(data_dir, cfg: Config):
-    dataset = load_dataset(data_dir)
-    assignments = cluster_subsets(
-        dataset, cfg.num_subsets,
-        max_iters=cfg.kmeans_max_iters, restarts=cfg.kmeans_restarts,
-        seed=substream(cfg.seed, STREAM_CLUSTER))
+def _checkpoint_config(args, echo_to=None) -> tuple:
+    """(config, manifest): the checkpoint's resolved config as the base of
+    the command's own; a changed clustering key is a usage error."""
+    manifest = read_manifest(args.ckpt)
+    trained = manifest.get("config", {})
+    cfg = _resolve_config(args, base=[f"{k}={v}" for k, v in trained.items()],
+                          echo_to=echo_to)
+    for key in _CLUSTERING_KEYS:
+        if key in trained and getattr(cfg, key) != trained[key]:
+            raise UsageError(f"{key}={getattr(cfg, key)} differs from the checkpoint's "
+                             f"{trained[key]}; its subsets are stored, retrain to "
+                             f"re-cluster")
+    return cfg, manifest
+
+
+def _load_trained(args, cfg: Config, manifest: dict) -> tuple:
+    """(dataset, assignments, graph, params) of the checkpoint, once
+    `--data` is shown to hold the files it was trained on."""
+    dataset, assignments = load_inputs(args.ckpt, args.data, manifest)
     graph = build_co_membership(dataset.groups)
-    return dataset, assignments, graph
-
-
-def _load_model(ckpt_dir, cfg: Config, dataset) -> dict:
     expected = expected_param_shapes(cfg, dataset.n_users, dataset.n_items,
                                      dataset.n_groups)
-    params, _ = load_checkpoint(ckpt_dir, expected)
-    return params
+    params, _ = load_checkpoint(args.ckpt, expected)
+    return dataset, assignments, graph, params
+
+
+def _cluster(dataset, cfg: Config, m: int) -> list:
+    return cluster_subsets(dataset, m, max_iters=cfg.kmeans_max_iters,
+                           restarts=cfg.kmeans_restarts,
+                           seed=substream(cfg.seed, STREAM_CLUSTER))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +106,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     mask = AblationMask.from_disabled(cfg.ablated())
-    dataset, assignments, graph = _prepare(args.data, cfg)
+    data_sha256 = dataset_sha256(args.data)
+    dataset = load_dataset(args.data)
+    assignments = _cluster(dataset, cfg, cfg.num_subsets)
+    graph = build_co_membership(dataset.groups)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -99,18 +121,18 @@ def cmd_train(args) -> int:
 
     params, _ = train(dataset, split, assignments, graph, cfg, mask=mask,
                       log_path=out / TRAIN_LOG_FILE, progress=progress)
-    save_checkpoint(out, params, cfg.resolved(), cfg.seed)
+    save_checkpoint(out, params, cfg.resolved(), cfg.seed, dataset, assignments,
+                    data_sha256)
     write_resolved(cfg, out / "config.resolved")
     print(f"checkpoint written to {out}")
     return 0
 
 
 def _run_eval(args, masks_from_cfg) -> int:
-    cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt))
+    cfg, manifest = _checkpoint_config(args)
     masks = masks_from_cfg(cfg)
-    dataset, assignments, graph = _prepare(args.data, cfg)
+    dataset, assignments, graph, params = _load_trained(args, cfg, manifest)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
-    params = _load_model(args.ckpt, cfg, dataset)
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
     drawn = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
@@ -165,10 +187,7 @@ def cmd_sweep_subsets(args) -> int:
     ks = cfg.ks_list()
     rows = []
     for m in m_values:
-        assignments = cluster_subsets(dataset, m,
-                                      max_iters=cfg.kmeans_max_iters,
-                                      restarts=cfg.kmeans_restarts,
-                                      seed=substream(cfg.seed, STREAM_CLUSTER))
+        assignments = _cluster(dataset, cfg, m)
         m_cfg = dataclasses.replace(cfg, num_subsets=m)
         params, _ = train(dataset, split, assignments, graph, m_cfg, mask=mask)
         scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph,
@@ -198,10 +217,9 @@ def cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     # config echo goes to stderr so stdout stays machine-readable
-    cfg = _resolve_config(args, base=_checkpoint_base(args.ckpt), echo_to=sys.stderr)
+    cfg, manifest = _checkpoint_config(args, echo_to=sys.stderr)
     mask = AblationMask.from_disabled(cfg.ablated())
-    dataset, assignments, graph = _prepare(args.data, cfg)
-    params = _load_model(args.ckpt, cfg, dataset)
+    dataset, assignments, graph, params = _load_trained(args, cfg, manifest)
     if args.group_id not in dataset.group_index:
         raise UsageError(f"unknown group id {args.group_id!r}")
     g = dataset.group_index[args.group_id]
@@ -273,10 +291,7 @@ def cmd_dump_graph(args) -> int:
 def cmd_dump_subsets(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_dataset(args.data)
-    assignments = cluster_subsets(dataset, cfg.num_subsets,
-                                  max_iters=cfg.kmeans_max_iters,
-                                  restarts=cfg.kmeans_restarts,
-                                  seed=substream(cfg.seed, STREAM_CLUSTER))
+    assignments = _cluster(dataset, cfg, cfg.num_subsets)
     dump_subsets(assignments, dataset, args.out)
     write_resolved(cfg, str(args.out) + ".config")
     print(f"subsets written to {args.out}")

@@ -10,13 +10,12 @@ identical subsets across groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .data import Dataset
+from .data import Dataset, from_csr, to_csr
 from .errors import UsageError
 
 
@@ -56,9 +55,8 @@ def build_user_features(dataset: Dataset) -> UserFeatures:
     Each stored entry is `1/sqrt(len(items))`; a user with no
     interactions gets an empty row.
     """
-    lengths = np.array([len(items) for items in dataset.user_items], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    indices = np.fromiter(chain.from_iterable(dataset.user_items), dtype=np.int64)
+    indptr, indices = to_csr(dataset.user_items)
+    lengths = np.diff(indptr)
     data = np.repeat(1.0 / np.sqrt(np.maximum(lengths, 1)), lengths)
     return UserFeatures((data, indices, indptr),
                         shape=(dataset.n_users, dataset.n_items))
@@ -184,6 +182,26 @@ def cluster_subsets(dataset: Dataset, m: int, max_iters: int = 100,
         SubsetAssignment(group=g, subsets=partition_group(dataset.groups[g], result.labels))
         for g in range(dataset.n_groups)
     ]
+
+
+def assignment_arrays(assignments) -> dict:
+    """Assignments in group order as int64 arrays: `subset_offsets` cuts
+    the subsets into groups, `member_offsets` cuts `subset_members` into
+    subsets."""
+    if any(a.group != g for g, a in enumerate(assignments)):
+        raise UsageError("assignments must list every group once, in group order")
+    counts = [len(a.subsets) for a in assignments]
+    member_offsets, members = to_csr([s for a in assignments for s in a.subsets])
+    return {"subset_offsets": np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            "member_offsets": member_offsets, "subset_members": members}
+
+
+def assignments_from_arrays(arrays) -> list:
+    """Inverse of `assignment_arrays`."""
+    subsets = from_csr(arrays["member_offsets"], arrays["subset_members"])
+    bounds = arrays["subset_offsets"].tolist()
+    return [SubsetAssignment(group=g, subsets=subsets[a:b])
+            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def dump_subsets(assignments, dataset: Dataset, path) -> None:

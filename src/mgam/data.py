@@ -16,6 +16,7 @@ group members are registered with empty interaction histories.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .errors import DataError, SamplingError, UsageError
 USER_ITEM_FILE = "user_item.tsv"
 GROUPS_FILE = "groups.tsv"
 GROUP_ITEMS_FILE = "group_items.tsv"
+DATA_FILES = (USER_ITEM_FILE, GROUPS_FILE, GROUP_ITEMS_FILE)
 META_FILE = "meta.json"
 
 
@@ -151,9 +153,8 @@ def _row_lists(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> 
     """Per row, the sorted distinct columns paired with it, as int lists."""
     codes = np.sort(rows * n_cols + cols)
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    bounds = np.searchsorted(codes, np.arange(n_rows + 1) * n_cols).tolist()
-    flat = (codes % n_cols).tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return from_csr(np.searchsorted(codes, np.arange(n_rows + 1) * n_cols),
+                    codes % n_cols)
 
 
 def load_dataset(directory) -> Dataset:
@@ -208,6 +209,18 @@ def load_dataset(directory) -> Dataset:
     )
 
 
+def dataset_sha256(directory) -> dict:
+    """File name -> sha256 hex digest of each of the three dataset files."""
+    digests = {}
+    for name in DATA_FILES:
+        path = Path(directory) / name
+        try:
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError as e:
+            raise DataError(f"{path}: cannot read ({e})") from e
+    return digests
+
+
 def write_dataset(dataset: Dataset, directory, meta: dict | None = None) -> None:
     """Write a dataset back to the three-file format (plus optional meta.json)."""
     directory = Path(directory)
@@ -228,6 +241,53 @@ def write_dataset(dataset: Dataset, directory, meta: dict | None = None) -> None
         with open(directory / META_FILE, "w", encoding="utf-8") as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# array form, as stored in checkpoints
+
+_LIST_FIELDS = ("user_items", "groups", "group_pos")
+_ID_FIELDS = ("user_ids", "item_ids", "group_ids")
+
+
+def to_csr(lists) -> tuple:
+    """(offsets, flat values) of a list of int lists, both int64."""
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    values = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(offsets[-1]))
+    return offsets, values
+
+
+def from_csr(offsets, values) -> list:
+    """The int lists `values[offsets[k]:offsets[k + 1]]`, inverse of `to_csr`."""
+    bounds = np.asarray(offsets).tolist()
+    flat = np.asarray(values).tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def dataset_arrays(dataset: Dataset) -> dict:
+    """The dataset as named arrays: each per-row index list as int64 CSR
+    `<field>_offsets` and `<field>_indices`, each id list as its
+    newline-joined UTF-8 bytes (uint8; loaded ids never hold a line break)."""
+    arrays = {}
+    for name in _LIST_FIELDS:
+        arrays[f"{name}_offsets"], arrays[f"{name}_indices"] = to_csr(getattr(dataset, name))
+    for name in _ID_FIELDS:
+        text = "\n".join(getattr(dataset, name))
+        arrays[name] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    return arrays
+
+
+def dataset_from_arrays(arrays) -> Dataset:
+    """Inverse of `dataset_arrays` (an empty id list is stored as no bytes)."""
+    lists = {name: from_csr(arrays[f"{name}_offsets"], arrays[f"{name}_indices"])
+             for name in _LIST_FIELDS}
+    ids = {}
+    for name in _ID_FIELDS:
+        text = arrays[name].tobytes().decode("utf-8")
+        ids[name] = text.split("\n") if text else []
+    return Dataset(n_users=len(ids["user_ids"]), n_items=len(ids["item_ids"]),
+                   n_groups=len(ids["group_ids"]), **lists, **ids)
 
 
 # ---------------------------------------------------------------------------

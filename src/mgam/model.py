@@ -102,7 +102,6 @@ def init_params(cfg: Config, n_users: int, n_items: int, n_groups: int,
             params[f"subpe_other_w_{i}"] = weight(((m - 1) * d, d))
         params[f"subpe_bias_{i}"] = bias((d,))
     params["subpe_score_w"] = weight((d,))
-    params["subpe_score_b"] = bias(())
     params["group_att_w"] = weight(())
     params["group_att_b"] = bias(())
     for k in range(1, layers + 1):
@@ -195,7 +194,7 @@ def subset_attention(slot_embs, params: dict, m: int, present=None) -> tuple:
             pre = ad.add(pre, ad.matmul(others, params[f"subpe_other_w_{i + 1}"]))
         pre = ad.add(pre, params[f"subpe_bias_{i + 1}"])
         scores.append(ad.matmul(ad.relu(pre), params["subpe_score_w"]))
-    scores = ad.add(ad.stack(scores, axis=1), params["subpe_score_b"])   # (n, m_eff)
+    scores = ad.stack(scores, axis=1)   # (n, m_eff)
     if present is not None:
         scores = ad.add(scores, _pad_mask(present))
     attn = ad.softmax(scores)

@@ -7,12 +7,22 @@ first other instance with the anchor's label, the different-label partner
 the first with the opposite label; anchors without a same-label partner
 contribute no triplet.  Both terms are averaged (not summed) over the
 batch so the learning rate is batch-size independent.
+
+A checkpoint is a directory of `params.bin` (float32 parameters),
+`inputs.npz` (the parsed dataset and the subset assignments training
+used) and `manifest.json`, written last, which records the sha256 of
+both files and of the three dataset TSVs.  Loading verifies every
+digest, so a checkpoint is only ever used with the data it was trained
+on, and a half-written one is refused.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,14 +31,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .clustering import assignment_arrays, assignments_from_arrays
 from .config import STREAM_INIT, STREAM_TRAIN, Config, substream
-from .data import Dataset, Split, sample_negatives
+from .data import (Dataset, Split, dataset_arrays, dataset_from_arrays,
+                   dataset_sha256, sample_negatives)
 from .errors import CheckpointError, NonFiniteError, UsageError
 from .model import AblationMask, forward_batch, init_params
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 MANIFEST_FILE = "manifest.json"
 PARAMS_FILE = "params.bin"
+INPUTS_FILE = "inputs.npz"
 TRAIN_LOG_FILE = "train_log.csv"
 
 
@@ -251,8 +264,26 @@ def train(dataset: Dataset, split: Split, assignments, graph, cfg: Config,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(directory, params: dict, config_echo: dict, seed: int) -> None:
-    """Write manifest.json + params.bin, float32 little-endian."""
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_replacing(path: Path, data: bytes) -> None:
+    """Write `data` under a temporary name next to `path`, then rename it
+    into place, so `path` never holds a partial write."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
+                    dataset: Dataset, assignments, data_sha256: dict) -> None:
+    """Write params.bin (float32 little-endian), inputs.npz (`dataset` and
+    `assignments` as arrays) and, last, manifest.json with their sha256
+    and the dataset files' `data_sha256`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tensors = []
@@ -264,15 +295,21 @@ def save_checkpoint(directory, params: dict, config_echo: dict, seed: int) -> No
                         "offset": offset, "size": size})
         blobs.append(p.data.astype("<f4").ravel())
         offset += size
+    inputs = io.BytesIO()
+    np.savez(inputs, **dataset_arrays(dataset), **assignment_arrays(assignments))
+    files = {PARAMS_FILE: np.concatenate(blobs).tobytes(), INPUTS_FILE: inputs.getvalue()}
+    for name, data in files.items():
+        _write_replacing(directory / name, data)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "seed": int(seed),
         "config": config_echo,
         "tensors": tensors,
+        "sha256": {name: _sha256(data) for name, data in files.items()},
+        "data_sha256": dict(data_sha256),
     }
-    (directory / MANIFEST_FILE).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    np.concatenate(blobs).tofile(directory / PARAMS_FILE)
+    _write_replacing(directory / MANIFEST_FILE, (
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_manifest(directory) -> dict:
@@ -297,6 +334,22 @@ def read_manifest(directory) -> dict:
     return manifest
 
 
+def _recorded(manifest: dict, table: str, name: str) -> str:
+    """The sha256 `manifest[table][name]`, or a CheckpointError."""
+    digest = manifest.get(table)
+    digest = digest.get(name) if isinstance(digest, dict) else None
+    if not isinstance(digest, str):
+        raise CheckpointError(f"{MANIFEST_FILE} records no sha256 for {name}")
+    return digest
+
+
+def _verify(manifest: dict, path: Path, data: bytes) -> None:
+    """Refuse a checkpoint file whose bytes are not the ones it was saved with."""
+    if _sha256(data) != _recorded(manifest, "sha256", path.name):
+        raise CheckpointError(f"corrupt checkpoint: {path} does not match "
+                              f"its sha256 in {MANIFEST_FILE}")
+
+
 def _is_count(x) -> bool:
     """A non-negative JSON integer (booleans excluded)."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
@@ -317,9 +370,10 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
 
     params_path = directory / PARAMS_FILE
     try:
-        raw = np.fromfile(params_path, dtype="<f4")
+        blob = params_path.read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read {params_path}: {e}") from e
+    raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4)
     params: dict = {}
     offset = 0
     for entry in tensors:
@@ -353,13 +407,39 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
         params[name] = Tensor(raw[offset:offset + size].astype(np.float64).reshape(shape),
                               requires_grad=True)
         offset += size
-    if offset != raw.size:
+    if offset * 4 != len(blob):
         raise CheckpointError("corrupt checkpoint: params.bin has trailing data")
+    _verify(manifest, params_path, blob)
     if expected_shapes is not None:
         missing = set(expected_shapes) - set(params)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
     return params, manifest
+
+
+def load_inputs(directory, data_dir, manifest: dict) -> tuple:
+    """(dataset, assignments) a checkpoint was trained on.
+
+    The three TSVs in `data_dir` must hash to the digests `manifest`
+    records; hashing them is the only read of `data_dir`.  The dataset
+    and assignments come from the checkpoint's inputs file.
+    """
+    for name, digest in dataset_sha256(data_dir).items():
+        if digest != _recorded(manifest, "data_sha256", name):
+            raise CheckpointError(
+                f"{Path(data_dir) / name} is not the file this checkpoint was "
+                f"trained on (sha256 differs); pass the training data or retrain")
+    path = Path(directory) / INPUTS_FILE
+    try:
+        blob = path.read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"cannot read {path}: {e}") from e
+    _verify(manifest, path, blob)
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
+            return dataset_from_arrays(arrays), assignments_from_arrays(arrays)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed inputs ({e})") from e
 
 
 def expected_param_shapes(cfg: Config, n_users: int, n_items: int,

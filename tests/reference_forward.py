@@ -69,8 +69,7 @@ def reference_forward(raw, dataset, subset_lists, batch, d, m_max, layers,
                     others = np.concatenate([padded[j] for j in range(m_max) if j != i])
                     pre = pre + others @ raw[f"subpe_other_w_{i + 1}"]
                 pre = pre + raw[f"subpe_bias_{i + 1}"]
-                acts.append(raw["subpe_score_w"] @ np.maximum(pre, 0.0)
-                            + raw["subpe_score_b"])
+                acts.append(raw["subpe_score_w"] @ np.maximum(pre, 0.0))
             weights = _softmax(np.array(acts))
             h_subpe.append(weights @ np.stack(slots))
         else:

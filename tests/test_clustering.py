@@ -3,8 +3,9 @@ import pytest
 from scipy import sparse
 
 from mgam import clustering
-from mgam.clustering import (build_user_features, cluster_subsets, kmeans,
-                             partition_group)
+from mgam.clustering import (SubsetAssignment, assignment_arrays,
+                             assignments_from_arrays, build_user_features,
+                             cluster_subsets, kmeans, partition_group)
 from mgam.data import Dataset, SyntheticParams, generate_synthetic
 from mgam.errors import UsageError
 from reference_preprocessing import dense_kmeans, dense_user_features
@@ -212,3 +213,29 @@ def test_cluster_subsets_m_clamped_to_user_count():
 def test_singleton_subsets_when_all_labels_distinct():
     labels = {3: 0, 4: 1, 5: 2}
     assert partition_group([3, 4, 5], labels) == [[3], [4], [5]]
+
+
+def test_assignment_arrays_roundtrip():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        assignments = []
+        for g in range(int(rng.integers(0, 6))):
+            members = rng.permutation(30)[:rng.integers(1, 9)]
+            labels = rng.integers(0, int(rng.integers(1, 4)), size=30)
+            assignments.append(SubsetAssignment(group=g, subsets=partition_group(
+                sorted(members.tolist()), labels)))
+        arrays = assignment_arrays(assignments)
+        assert all(a.dtype == np.int64 for a in arrays.values())
+        assert assignments_from_arrays(arrays) == assignments, trial
+
+
+def test_assignment_arrays_roundtrip_clustered_dataset():
+    ds, _ = generate_synthetic(SyntheticParams(n_users=40, n_items=60, n_groups=12),
+                               seed=4)
+    assignments = cluster_subsets(ds, 3, seed=1)
+    assert assignments_from_arrays(assignment_arrays(assignments)) == assignments
+
+
+def test_assignment_arrays_need_group_order():
+    with pytest.raises(UsageError, match="group order"):
+        assignment_arrays([SubsetAssignment(group=1, subsets=[[0]])])

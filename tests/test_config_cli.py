@@ -9,10 +9,11 @@ import pytest
 import mgam.cli
 import mgam.evaluation
 from mgam.cli import main
-from mgam.config import STREAM_DATA, Config, parse_config, substream
+from mgam.clustering import cluster_subsets
+from mgam.config import STREAM_CLUSTER, STREAM_DATA, Config, parse_config, substream
 from mgam.data import load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
-from mgam.training import load_checkpoint
+from mgam.training import load_checkpoint, load_inputs, read_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,8 @@ def test_train_outputs(workspace):
     assert (ckpt / "train_log.csv").exists()
     assert (ckpt / "config.resolved").exists()
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
+    assert (ckpt / "inputs.npz").exists()
     assert not (ckpt / "adam.bin").exists()
     assert manifest["config"]["embedding_dim"] == 8
 
@@ -303,6 +305,95 @@ def test_recommend_does_not_split(workspace, capsys, monkeypatch):
     rc = main(["recommend", "--data", workspace["data"], "--ckpt",
                workspace["ckpt"], "--group-id", "3", "--k", "2", "--explain"])
     assert rc == 0
+
+
+# the checkpoint commands, each with the arguments it needs besides --data/--ckpt
+CHECKPOINT_COMMANDS = [["eval"], ["ablate"], ["recommend", "--group-id", "3"]]
+CHECKPOINT_IDS = ["eval", "ablate", "recommend"]
+
+
+def _run_on_checkpoint(command, data, ckpt, tmp_path, *extra):
+    out = [] if command[0] == "recommend" else ["--out", str(tmp_path / "out")]
+    return main([command[0], "--data", str(data), "--ckpt", str(ckpt),
+                 *command[1:], *out, *extra])
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_commands_neither_parse_nor_cluster(workspace, tmp_path,
+                                                       monkeypatch, command):
+    def spy(*args, **kwargs):
+        raise AssertionError("a checkpoint command re-read or re-clustered the data")
+
+    monkeypatch.setattr(mgam.cli, "load_dataset", spy)
+    monkeypatch.setattr(mgam.cli, "cluster_subsets", spy)
+    assert _run_on_checkpoint(command, workspace["data"], workspace["ckpt"],
+                              tmp_path) == 0
+
+
+def test_checkpoint_inputs_equal_parsing_and_clustering(workspace):
+    """The stored dataset and subsets are the ones `train` computed."""
+    ckpt = workspace["ckpt"]
+    cfg = parse_config(None, overrides=[
+        f"{k}={v}" for k, v in read_manifest(ckpt)["config"].items()])
+    dataset, assignments = load_inputs(ckpt, workspace["data"], read_manifest(ckpt))
+    parsed = load_dataset(workspace["data"])
+    assert dataset == parsed
+    assert assignments == cluster_subsets(
+        parsed, cfg.num_subsets, max_iters=cfg.kmeans_max_iters,
+        restarts=cfg.kmeans_restarts, seed=substream(cfg.seed, STREAM_CLUSTER))
+
+
+@pytest.mark.parametrize("name", ["user_item.tsv", "groups.tsv", "group_items.tsv"])
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_refuses_data_it_was_not_trained_on(workspace, tmp_path, capsys,
+                                                        command, name):
+    data = shutil.copytree(workspace["data"], tmp_path / "data")
+    raw = bytearray((data / name).read_bytes())
+    raw[len(raw) // 2] ^= 0x01          # one byte, mid-file
+    (data / name).write_bytes(bytes(raw))
+    assert _run_on_checkpoint(command, data, workspace["ckpt"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error:")
+    assert f"{name} is not the file this checkpoint was trained on" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()      # refused before any scoring
+
+
+@pytest.mark.parametrize("name,at", [("params.bin", 40), ("inputs.npz", 200)])
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_flipped_byte_is_named(workspace, tmp_path, capsys, command,
+                                          name, at):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "ckpt")
+    raw = bytearray((ckpt / name).read_bytes())
+    raw[at] ^= 0x01
+    (ckpt / name).write_bytes(bytes(raw))
+    assert _run_on_checkpoint(command, workspace["data"], ckpt, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: corrupt checkpoint:")
+    assert f"{name} does not match its sha256" in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_missing_inputs_file_is_named(workspace, tmp_path, capsys):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "ckpt")
+    (ckpt / "inputs.npz").unlink()
+    assert _run_on_checkpoint(["eval"], workspace["data"], ckpt, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: cannot read")
+    assert "inputs.npz" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["kmeans_max_iters", "kmeans_restarts"])
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_clustering_override_is_usage_error(workspace, tmp_path, capsys, command, key):
+    trained = read_manifest(workspace["ckpt"])["config"][key]
+    assert _run_on_checkpoint(command, workspace["data"], workspace["ckpt"], tmp_path,
+                              "--set", f"{key}={trained}") == 0
+    capsys.readouterr()
+    assert _run_on_checkpoint(command, workspace["data"], workspace["ckpt"], tmp_path,
+                              "--set", f"{key}={trained + 1}") == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"usage error: {key}={trained + 1} differs")
 
 
 @pytest.mark.parametrize("name", [["user_emb"], 7], ids=["list", "int"])
@@ -548,7 +639,7 @@ def test_version_1_checkpoint_refused(workspace, tmp_path, capsys, command):
                *command[1:]])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "unsupported checkpoint format version 1 (expected 2)" in err
+    assert "unsupported checkpoint format version 1 (expected 3)" in err
     assert "graph.weighted" not in err
 
 

@@ -474,3 +474,54 @@ def test_write_dataset_meta(tmp_path):
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["seed"] == 1
     assert meta["params"]["n_users"] == 10
+
+
+# ---------------------------------------------------------------------------
+# array form (checkpoint inputs)
+
+def _roundtrip(dataset):
+    arrays = data.dataset_arrays(dataset)
+    assert all(a.dtype == (np.uint8 if k.endswith("_ids") else np.int64)
+               for k, a in arrays.items())
+    return data.dataset_from_arrays(arrays)
+
+
+def test_dataset_arrays_roundtrip_on_random_datasets(tmp_path):
+    """Every dataset the random-table cases load survives the array form,
+    including non-ASCII ids, NUL-ending ids and ids that tie as integers."""
+    rng = random.Random(20261018)
+    seen = {"non_ascii": 0, "nul_end": 0, "int_tie": 0}
+    for case in range(300):
+        d = tmp_path / str(case)
+        d.mkdir()
+        tables, broken = _random_tables(rng)
+        if broken:
+            continue
+        for name, records in tables.items():
+            (d / name).write_text(_render(rng, records), encoding="utf-8")
+        dataset = _outcome(load_dataset, d)
+        if not isinstance(dataset, Dataset):
+            continue
+        assert _roundtrip(dataset) == dataset, case
+        ids = dataset.user_ids + dataset.item_ids + dataset.group_ids
+        seen["non_ascii"] += any(not e.isascii() for e in ids)
+        seen["nul_end"] += any(e.endswith("\x00") for e in ids)
+        for kind in (dataset.user_ids, dataset.item_ids, dataset.group_ids):
+            try:
+                seen["int_tie"] += len({int(e) for e in kind}) < len(kind)
+            except ValueError:
+                pass
+    assert min(seen.values()) > 0, seen
+
+
+def test_dataset_arrays_roundtrip_edge_ids():
+    ds = Dataset(n_users=4, n_items=3, n_groups=2,
+                 user_items=[[0, 2], [], [1], [0, 1, 2]],
+                 groups=[[0, 1, 3], [2]], group_pos=[[1], [0, 2]],
+                 user_ids=["1", "01", "café", "x\x00"],
+                 item_ids=["٣", "+3", "\x00"],
+                 group_ids=["g　h", "2"])
+    assert _roundtrip(ds) == ds
+    empty = Dataset(n_users=0, n_items=0, n_groups=0, user_items=[], groups=[],
+                    group_pos=[], user_ids=[], item_ids=[], group_ids=[])
+    assert _roundtrip(empty) == empty

@@ -153,7 +153,6 @@ def _slot_params(d, m, self_w=None, other_w=None, score_w=None):
                 other_w if other_w is not None else np.zeros(((m - 1) * d, d)))
         params[f"subpe_bias_{i}"] = Tensor(np.zeros(d))
     params["subpe_score_w"] = Tensor(score_w if score_w is not None else np.zeros(d))
-    params["subpe_score_b"] = Tensor(0.0)
     return params
 
 

@@ -6,15 +6,16 @@ import pytest
 import mgam.training
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
-from mgam.clustering import cluster_subsets
+from mgam.clustering import SubsetAssignment, cluster_subsets
 from mgam.config import STREAM_TRAIN, Config, substream
-from mgam.data import (SyntheticParams, generate_synthetic, sample_negatives,
-                       split_leave_one_out)
+from mgam.data import (DATA_FILES, Dataset, SyntheticParams, dataset_sha256,
+                       generate_synthetic, sample_negatives, split_leave_one_out,
+                       write_dataset)
 from mgam.errors import CheckpointError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
 from mgam.model import AblationMask, forward_batch, init_params
 from mgam.training import (adam_step, expected_param_shapes, init_adam,
-                           load_checkpoint, point_loss_from_logits,
+                           load_checkpoint, load_inputs, point_loss_from_logits,
                            read_manifest, save_checkpoint, total_loss, train,
                            train_epoch, triplet_loss, _build_triplets)
 
@@ -370,10 +371,23 @@ def test_train_ablated_runs(toy):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _checkpoint_roundtrip_setup(tmp_path):
+# the 3-user, 5-item, 2-group problem the checkpoint helpers train on
+_CKPT_DATASET = Dataset(
+    n_users=3, n_items=5, n_groups=2, user_items=[[0, 1], [2], []],
+    groups=[[0, 1], [1, 2]], group_pos=[[3], [4]],
+    user_ids=["u0", "u1", "u2"], item_ids=[str(i) for i in range(5)],
+    group_ids=["g0", "g1"])
+_CKPT_ASSIGNMENTS = [SubsetAssignment(group=0, subsets=[[0], [1]]),
+                     SubsetAssignment(group=1, subsets=[[1, 2]])]
+
+
+def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
     cfg = Config(embedding_dim=4, num_subsets=2, gcn_layers=1)
     params = init_params(cfg, 3, 5, 2, np.random.default_rng(0))
-    save_checkpoint(tmp_path, params, {"embedding_dim": 4}, seed=9)
+    if data_sha256 is None:
+        data_sha256 = {name: "0" * 64 for name in DATA_FILES}
+    save_checkpoint(tmp_path, params, {"embedding_dim": 4}, 9, _CKPT_DATASET,
+                    _CKPT_ASSIGNMENTS, data_sha256)
     return cfg, params
 
 
@@ -381,8 +395,9 @@ def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
     loaded, manifest = load_checkpoint(tmp_path)
     assert manifest["seed"] == 9
-    assert manifest["format_version"] == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "params.bin"]
+    assert manifest["format_version"] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "inputs.npz", "manifest.json", "params.bin"]
     for k, p in params.items():
         assert np.array_equal(loaded[k].data, p.data.astype(np.float32).astype(np.float64))
         assert loaded[k].requires_grad
@@ -393,8 +408,9 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     b_dir = tmp_path / "b"
     cfg, params = _checkpoint_roundtrip_setup(a_dir)
     loaded, manifest = load_checkpoint(a_dir)
-    save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"])
-    for name in ("manifest.json", "params.bin"):
+    save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"],
+                    _CKPT_DATASET, _CKPT_ASSIGNMENTS, manifest["data_sha256"])
+    for name in ("manifest.json", "params.bin", "inputs.npz"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
@@ -438,7 +454,7 @@ def test_checkpoint_version_guard(tmp_path):
     manifest["format_version"] = 1
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError,
-                       match=r"unsupported checkpoint format version 1 \(expected 2\)"):
+                       match=r"unsupported checkpoint format version 1 \(expected 3\)"):
         load_checkpoint(tmp_path)
     with pytest.raises(CheckpointError, match="version 1"):
         read_manifest(tmp_path)
@@ -449,6 +465,77 @@ def test_checkpoint_truncated_params_rejected(tmp_path):
     raw = (tmp_path / "params.bin").read_bytes()
     (tmp_path / "params.bin").write_bytes(raw[:-8])
     with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw[:-8], "params.bin too short"),
+    (lambda raw: raw + b"\0\0\0\0", "params.bin has trailing data"),
+    (lambda raw: raw + b"\0\0", "params.bin has trailing data")],
+    ids=["short", "trailing", "trailing-partial"])
+def test_checkpoint_size_checks_come_before_the_digest(tmp_path, edit, message):
+    _checkpoint_roundtrip_setup(tmp_path)
+    path = tmp_path / "params.bin"
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(tmp_path)
+
+
+def _saved_with_data(tmp_path):
+    """A checkpoint of the helper problem, saved with the digests of its
+    dataset written out as TSVs; returns (checkpoint, data) directories."""
+    ckpt, data = tmp_path / "ckpt", tmp_path / "data"
+    write_dataset(_CKPT_DATASET, data)
+    _checkpoint_roundtrip_setup(ckpt, dataset_sha256(data))
+    return ckpt, data
+
+
+def test_checkpoint_inputs_roundtrip(tmp_path):
+    ckpt, data = _saved_with_data(tmp_path)
+    dataset, assignments = load_inputs(ckpt, data, read_manifest(ckpt))
+    assert dataset == _CKPT_DATASET
+    assert assignments == _CKPT_ASSIGNMENTS
+
+
+def test_checkpoint_inputs_missing_array_is_named(tmp_path):
+    """An inputs file whose digest matches but which lacks an array (a
+    hand-edited checkpoint) is a named error, not a KeyError."""
+    import hashlib
+    import json
+    ckpt, data = _saved_with_data(tmp_path)
+    with np.load(ckpt / "inputs.npz") as arrays:
+        kept = {k: arrays[k] for k in arrays.files if k != "subset_members"}
+    np.savez(ckpt / "inputs.npz", **kept)
+    manifest = read_manifest(ckpt)
+    manifest["sha256"]["inputs.npz"] = hashlib.sha256(
+        (ckpt / "inputs.npz").read_bytes()).hexdigest()
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=r"inputs\.npz: malformed inputs"):
+        load_inputs(ckpt, data, manifest)
+
+
+def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
+    """Each file is renamed into place, manifest.json last, so a save cut
+    short leaves files that the old manifest's digests refuse."""
+    cfg, _ = _checkpoint_roundtrip_setup(tmp_path)
+    replaced = []
+    real = mgam.training.os.replace
+
+    def cut_before_manifest(src, dst):
+        if dst.name == "manifest.json":
+            raise OSError("disk full")
+        replaced.append(dst.name)
+        real(src, dst)
+
+    monkeypatch.setattr(mgam.training.os, "replace", cut_before_manifest)
+    other = init_params(cfg, 3, 5, 2, np.random.default_rng(1))
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path, other, {"embedding_dim": 4}, 9, _CKPT_DATASET,
+                        _CKPT_ASSIGNMENTS, {name: "0" * 64 for name in DATA_FILES})
+    assert replaced == ["params.bin", "inputs.npz"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "inputs.npz", "manifest.json", "params.bin"]   # no temporary file left
+    with pytest.raises(CheckpointError, match=r"params\.bin does not match its sha256"):
         load_checkpoint(tmp_path)
 
 
