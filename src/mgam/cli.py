@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -328,7 +329,10 @@ def cmd_baseline(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and `append` actions copy their default before appending."""
     parser = argparse.ArgumentParser(
         prog="mgam",
         description="Multi-granularity attention model for group recommendation")

@@ -206,8 +206,10 @@ def assignments_from_arrays(arrays) -> list:
 
 def dump_subsets(assignments, dataset: Dataset, path) -> None:
     """Write `group_id<TAB>subset_index<TAB>user_id` lines."""
+    names = dataset.user_ids
     with open(Path(path), "w", encoding="utf-8") as f:
+        # one join per group keeps only that group's lines in memory
         for a in assignments:
-            for s_idx, subset in enumerate(a.subsets):
-                for u in subset:
-                    f.write(f"{dataset.group_ids[a.group]}\t{s_idx}\t{dataset.user_ids[u]}\n")
+            head = f"{dataset.group_ids[a.group]}\t"
+            f.write("".join([f"{head}{s}\t{names[u]}\n"
+                             for s, subset in enumerate(a.subsets) for u in subset]))

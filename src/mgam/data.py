@@ -76,59 +76,122 @@ class Split:
 # ---------------------------------------------------------------------------
 # parsing
 #
-# Each file is parsed column-wise: one StringDType array of lines, numpy
-# string ufuncs for comment skipping, field splitting and stripping, ids
-# interned to int64 codes through one dict, and per-row lists cut from one
-# sorted array of (row, column) codes.
+# Each file is decoded, then read as an array of code points
+# (UTF-32, so an array position is a `str` index into the text).  One table
+# lookup classes every code point as other, whitespace, tab or line break.
+# Lines are cut at the breaks, fields at the tabs, and a field is stripped
+# by the whitespace runs that cover its ends; every field of a file is then
+# cut out of the code points by one compress and one decode.  Ids are
+# interned per file, the distinct ids merged into the sorted global ids,
+# and per-row lists cut from one sorted array of (row, column) codes.
 
 # every character for which `str.isspace` is true
 _WHITESPACE = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
                "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029"
                "\u202f\u205f\u3000")
-_STR = np.dtypes.StringDType()
-# `np.strings.partition` takes no plain `str` separator for StringDType input
-_TAB = np.array("\t", dtype=_STR)
+# every character at which `str.splitlines` ends a line, all whitespace;
+# `read_text` turns `\r\n` and `\r` into `\n`, so no pair is ever one break
+_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_OTHER, _SPACE, _TAB, _BREAK = range(4)
+_CLASS = np.zeros(ord(max(_WHITESPACE)) + 2, np.uint8)  # the last entry: other
+_CLASS[[ord(c) for c in _WHITESPACE]] = _SPACE
+_CLASS[ord("\t")] = _TAB
+_CLASS[[ord(c) for c in _BREAKS]] = _BREAK
 
 
-def _strip_set(text: str):
-    """The `chars` argument that makes `np.strings.strip` act as `str.strip`
-    on pieces of `text`.
+def _classes(code_points: np.ndarray) -> np.ndarray:
+    """The `_CLASS` (uint8) of each code point of a uint32 array."""
+    return _CLASS[np.minimum(code_points, _CLASS.size - 1)]
 
-    numpy's default set is `str.isspace` plus NUL; naming the set is exact
-    but about 3x slower, so it is named only when `text` holds a NUL.
-    """
-    return _WHITESPACE if "\x00" in text else None
+
+class _Whitespace:
+    """Where a text's whitespace is: a mask over its code points and the
+    `[start, end)` bounds of its maximal runs."""
+
+    def __init__(self, classes: np.ndarray):
+        self.mask = classes != _OTHER
+        edges = np.flatnonzero(np.diff(self.mask, prepend=False, append=False))
+        self.start, self.end = edges[0::2], edges[1::2]
+
+    def strip(self, starts, ends) -> tuple:
+        """Stripped bounds `[a, b)` of the pieces `[starts, ends)`: a piece
+        that starts (ends) in a run starts at the run's end (ends at its
+        start); one of whitespace only comes out empty, `a == b`."""
+        a = starts.copy()
+        lead = np.flatnonzero(self.mask[starts])
+        a[lead] = self.end[np.searchsorted(self.start, starts[lead], "right") - 1]
+        b = ends.copy()
+        # an empty piece at 0 reads the closing break at -1; its b is replaced
+        trail = np.flatnonzero(self.mask[ends - 1])
+        b[trail] = self.start[np.searchsorted(self.start, ends[trail] - 1, "right") - 1]
+        return a, np.where(a < ends, b, a)
+
+
+def _cut(code_points: np.ndarray, starts, ends) -> list:
+    """The text of each of the ordered, disjoint pieces `[starts, ends)`.
+
+    The character after each piece belongs to no piece; it is kept too,
+    as a line break, so one compress, one decode and one split give all
+    the pieces."""
+    # a piece and the character after it: flip at each start and after each end
+    flip = np.zeros(len(code_points) + 1, bool)
+    flip[starts] = True
+    flip[ends + 1] ^= True
+    kept = code_points[np.logical_xor.accumulate(flip[:-1])]
+    kept[np.cumsum(ends - starts + 1) - 1] = ord("\n")
+    tokens = str(kept, "utf-32-le").split("\n")
+    tokens.pop()
+    return tokens
+
+
+def _records(path: Path, code_points: np.ndarray, empty_msg: str) -> tuple:
+    """(line numbers, starts, ends) of the record lines, with the stripped
+    bounds of each line's first and then second field; see `_read_table`."""
+    classes = _classes(code_points)
+    space = _Whitespace(classes)
+    end = np.flatnonzero(classes == _BREAK)
+    start = np.concatenate(([0], end[:-1] + 1))
+    first = space.strip(start, end)[0]
+    kept = np.flatnonzero(first < end)
+    kept = kept[code_points[first[kept]] != ord("#")]
+    if not len(kept):
+        raise DataError(f"{path}: {empty_msg}")
+    start, end = start[kept], end[kept]
+    # two sentinels past the text: a line without a (second) tab ends there
+    tabs = np.append(np.flatnonzero(classes == _TAB), [len(classes)] * 2)
+    t = np.searchsorted(tabs, start)
+    tab1 = np.minimum(tabs[t], end)
+    a1, b1 = space.strip(start, tab1)
+    a2, b2 = space.strip(np.minimum(tab1 + 1, end), np.minimum(tabs[t + 1], end))
+    bad = np.flatnonzero((a1 == b1) | (a2 == b2))
+    if len(bad):
+        r = bad[0]
+        line = str(code_points[start[r]:end[r]], "utf-32-le")
+        raise DataError(f"{path}: line {kept[r] + 1}: expected at least "
+                        f"2 tab-separated fields, got {line!r}")
+    return kept + 1, np.stack((a1, a2), axis=1).ravel(), np.stack((b1, b2), axis=1).ravel()
 
 
 def _read_table(path, empty_msg: str) -> tuple:
     """(line numbers, first fields, second fields) of a TSV's record lines.
 
     Blank, whitespace-only and `#` comment lines are skipped; both fields
-    are stripped and must be non-empty.  The fields are StringDType arrays.
+    are stripped and must be non-empty, or the first line where one is not
+    is named in a `DataError`.  The fields are lists of `str`, cut out of
+    the text in one step.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: cannot read ({e})") from e
-    ws = _strip_set(text)
-    lines = np.array(text.splitlines(), dtype=_STR)
-    body = np.strings.lstrip(lines, ws)
-    kept = np.flatnonzero((np.strings.str_len(body) > 0)
-                          & ~np.strings.startswith(body, "#"))
-    if not len(kept):
-        raise DataError(f"{path}: {empty_msg}")
-    lines = lines[kept]
-    first, _, rest = np.strings.partition(lines, _TAB)
-    first = np.strings.strip(first, ws)
-    second = np.strings.strip(np.strings.partition(rest, _TAB)[0], ws)
-    bad = np.flatnonzero((np.strings.str_len(first) == 0)
-                         | (np.strings.str_len(second) == 0))
-    if len(bad):
-        r = bad[0]
-        raise DataError(f"{path}: line {kept[r] + 1}: expected at least "
-                        f"2 tab-separated fields, got {str(lines[r])!r}")
-    return kept + 1, first, second
+    # a closing break, so every line and every field ends before a
+    # whitespace character; it adds at most one blank line
+    code_points = np.frombuffer((text + "\n").encode("utf-32-le"), np.uint32)
+    del text  # only the code points are read from here on
+    lines, starts, ends = _records(path, code_points, empty_msg)
+    tokens = _cut(code_points, starts, ends)
+    return lines, tokens[0::2], tokens[1::2]
 
 
 def _sorted_ids(ids) -> list:
@@ -141,12 +204,21 @@ def _sorted_ids(ids) -> list:
         return ids
 
 
-def _intern(tokens: list) -> tuple:
-    """(sorted distinct ids, id -> index dict, int64 index of every token)."""
-    ids = _sorted_ids(tokens)
+def _local_ids(tokens: list) -> tuple:
+    """(distinct tokens in first-seen order, int64 index of every token
+    into them)."""
+    index = {e: k for k, e in enumerate(dict.fromkeys(tokens))}
+    return list(index), np.fromiter(map(index.__getitem__, tokens), np.int64,
+                                    len(tokens))
+
+
+def _merge(*parts) -> tuple:
+    """(sorted ids, id -> index, each part's codes remapped to those ids)
+    of `_local_ids` parts."""
+    ids = _sorted_ids(itertools.chain.from_iterable(d for d, _ in parts))
     index = {e: k for k, e in enumerate(ids)}
-    codes = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
-    return ids, index, codes
+    return ids, index, [np.fromiter(map(index.__getitem__, d), np.int64, len(d))[c]
+                        for d, c in parts]
 
 
 def _row_lists(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> list:
@@ -165,45 +237,45 @@ def load_dataset(directory) -> Dataset:
     gi_path = directory / GROUP_ITEMS_FILE
 
     _, ui_users, ui_items = _read_table(ui_path, "no interaction records")
+    ui_users, ui_items = _local_ids(ui_users), _local_ids(ui_items)
 
     g_lines, g_names, member_lists = _read_table(g_path, "no group records")
-    group_ids, group_index, g_codes = _intern(g_names.tolist())
+    group_ids, group_index, (g_codes,) = _merge(_local_ids(g_names))
     n_defs = len(g_codes)
-    joined = ",".join(member_lists.tolist())
-    members = np.strings.strip(np.array(joined.split(","), dtype=_STR), _strip_set(joined))
-    owner = np.repeat(np.arange(n_defs), np.strings.count(member_lists, ",") + 1)
-    present = np.strings.str_len(members) > 0
-    members, owner = members[present], owner[present]
+    members = [m.strip() for m in ",".join(member_lists).split(",")]
+    owner = np.repeat(np.arange(n_defs), [m.count(",") + 1 for m in member_lists])
+    present = np.fromiter(map(bool, members), bool, len(members))
+    members, owner = list(itertools.compress(members, present)), owner[present]
     first_def = np.unique(g_codes, return_index=True)[1]  # row of each group's first line
     no_members = np.bincount(owner, minlength=n_defs) == 0
     broken = np.flatnonzero(no_members | (first_def[g_codes] != np.arange(n_defs)))
     if len(broken):
         r = broken[0]
-        gid = str(g_names[r])
         if no_members[r]:
-            raise DataError(f"{g_path}: line {g_lines[r]}: group {gid!r} "
+            raise DataError(f"{g_path}: line {g_lines[r]}: group {g_names[r]!r} "
                             f"has an empty member list")
-        raise DataError(f"{g_path}: line {g_lines[r]}: group {gid!r} already defined "
-                        f"on line {g_lines[first_def[g_codes[r]]]}")
+        raise DataError(f"{g_path}: line {g_lines[r]}: group {g_names[r]!r} already "
+                        f"defined on line {g_lines[first_def[g_codes[r]]]}")
+    members = _local_ids(members)
 
     gi_lines, gi_groups, gi_items = _read_table(gi_path, "no group-item records")
-    gi_groups = gi_groups.tolist()
-    gi_codes = np.fromiter(map(group_index.get, gi_groups, itertools.repeat(-1)),
-                           np.int64, len(gi_groups))
+    distinct, gi_codes = _local_ids(gi_groups)
+    gi_codes = np.fromiter(map(group_index.get, distinct, itertools.repeat(-1)),
+                           np.int64, len(distinct))[gi_codes]
     unknown = np.flatnonzero(gi_codes < 0)
     if len(unknown):
         r = unknown[0]
         raise DataError(f"{gi_path}: line {gi_lines[r]}: unknown group id {gi_groups[r]!r}")
+    gi_items = _local_ids(gi_items)
 
-    n_ui = len(ui_users)
-    user_ids, user_index, u_codes = _intern(ui_users.tolist() + members.tolist())
-    item_ids, item_index, i_codes = _intern(ui_items.tolist() + gi_items.tolist())
+    user_ids, user_index, (ui_u, member_u) = _merge(ui_users, members)
+    item_ids, item_index, (ui_i, gi_i) = _merge(ui_items, gi_items)
     n_users, n_items, n_groups = len(user_ids), len(item_ids), len(group_ids)
     return Dataset(
         n_users=n_users, n_items=n_items, n_groups=n_groups,
-        user_items=_row_lists(u_codes[:n_ui], i_codes[:n_ui], n_users, n_items),
-        groups=_row_lists(g_codes[owner], u_codes[n_ui:], n_groups, n_users),
-        group_pos=_row_lists(gi_codes, i_codes[n_ui:], n_groups, n_items),
+        user_items=_row_lists(ui_u, ui_i, n_users, n_items),
+        groups=_row_lists(g_codes[owner], member_u, n_groups, n_users),
+        group_pos=_row_lists(gi_codes, gi_i, n_groups, n_items),
         user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
         user_index=user_index, item_index=item_index, group_index=group_index,
     )

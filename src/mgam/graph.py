@@ -93,12 +93,16 @@ def expand_to_instances(subgraph: GroupGraph, positions) -> sparse.csr_array:
 def dump_graph(graph: GroupGraph, group_ids, path) -> None:
     """Write one `group_id<TAB>group_id` line per undirected edge
     (self-loops omitted), in row-major order of the internal indices."""
-    upper = sparse.triu(graph.adjacency, k=1, format="csr")
-    upper.sort_indices()
-    bounds = upper.indptr.tolist()
+    adj = graph.adjacency
+    if not adj.has_sorted_indices:
+        adj = adj.sorted_indices()
+    rows = np.repeat(np.arange(graph.n), np.diff(adj.indptr))
+    upper = adj.indices > rows  # the strict upper triangle
+    bounds = np.cumsum(np.bincount(rows[upper], minlength=graph.n)).tolist()
+    col_names = np.array(group_ids, dtype=object)[adj.indices[upper]].tolist()
     with open(Path(path), "w", encoding="utf-8") as f:
         # one join per row keeps only that row's lines in memory
-        for i in range(graph.n):
-            head = f"{group_ids[i]}\t"
-            f.write("".join([f"{head}{group_ids[j]}\n"
-                             for j in upper.indices[bounds[i]:bounds[i + 1]].tolist()]))
+        for i, (a, b) in enumerate(zip([0] + bounds, bounds)):
+            if a < b:
+                head = f"{group_ids[i]}\t"
+                f.write(head + f"\n{head}".join(col_names[a:b]) + "\n")

@@ -4,8 +4,8 @@ These are the line-by-line, dense and loop-based forms that the
 production code in `mgam.data`, `mgam.clustering` and `mgam.graph`
 replaced.  Tests compare the fast paths against them: a line-by-line TSV
 parser, a dense Lloyd K-Means over dense feature rows, the per-user pair
-loop that builds the co-membership adjacency, and the sorted-pair graph
-writer.
+loop that builds the co-membership adjacency, the sorted-pair graph
+writer and the one-line-at-a-time subset writer.
 """
 
 from __future__ import annotations
@@ -226,3 +226,14 @@ def sorted_pair_dump(adjacency, group_ids) -> str:
     coo = adjacency.tocoo()
     return "".join(f"{group_ids[i]}\t{group_ids[j]}\n"
                    for i, j in sorted(zip(coo.row, coo.col)) if i < j)
+
+
+def triple_loop_subset_dump(assignments, dataset) -> str:
+    """Subset dump text: one `group_id<TAB>subset_index<TAB>user_id` line
+    per member, one group, subset and member at a time."""
+    lines = []
+    for a in assignments:
+        for s_idx, subset in enumerate(a.subsets):
+            for u in subset:
+                lines.append(f"{dataset.group_ids[a.group]}\t{s_idx}\t{dataset.user_ids[u]}\n")
+    return "".join(lines)

@@ -5,10 +5,11 @@ from scipy import sparse
 from mgam import clustering
 from mgam.clustering import (SubsetAssignment, assignment_arrays,
                              assignments_from_arrays, build_user_features,
-                             cluster_subsets, kmeans, partition_group)
+                             cluster_subsets, dump_subsets, kmeans, partition_group)
 from mgam.data import Dataset, SyntheticParams, generate_synthetic
 from mgam.errors import UsageError
-from reference_preprocessing import dense_kmeans, dense_user_features
+from reference_preprocessing import (dense_kmeans, dense_user_features,
+                                     triple_loop_subset_dump)
 
 
 def _ds(user_items, groups=None, n_items=4):
@@ -239,3 +240,29 @@ def test_assignment_arrays_roundtrip_clustered_dataset():
 def test_assignment_arrays_need_group_order():
     with pytest.raises(UsageError, match="group order"):
         assignment_arrays([SubsetAssignment(group=1, subsets=[[0]])])
+
+
+# ids that are non-ASCII (one astral code point is four UTF-8 bytes), hold
+# spaces or NUL, or tie as integers
+_AWKWARD_IDS = ["1", "01", "+1", "10", "\u00e9", "\U0001F600", "x y", "\u0663",
+                "a\x00", "g\u3000h", "Z"]
+
+
+def test_dump_subsets_matches_triple_loop(tmp_path):
+    rng = np.random.default_rng(17)
+    out = tmp_path / "subsets.tsv"
+    for trial in range(100):
+        n_users, n_groups = int(rng.integers(1, 10)), int(rng.integers(0, 6))
+        pool = rng.permutation(_AWKWARD_IDS).tolist()
+        ds = Dataset(n_users=n_users, n_items=1, n_groups=n_groups,
+                     user_items=[[0]] * n_users,
+                     groups=[sorted(rng.permutation(n_users)[:rng.integers(1, n_users + 1)]
+                                    .tolist()) for _ in range(n_groups)],
+                     group_pos=[[0]] * n_groups,
+                     user_ids=pool[:n_users], item_ids=["i"],
+                     group_ids=rng.permutation(_AWKWARD_IDS).tolist()[:n_groups])
+        labels = rng.integers(0, int(rng.integers(1, 4)), size=n_users)
+        assignments = [SubsetAssignment(group=g, subsets=partition_group(members, labels))
+                       for g, members in enumerate(ds.groups)]
+        dump_subsets(assignments, ds, out)
+        assert out.read_bytes().decode("utf-8") == triple_loop_subset_dump(assignments, ds), trial

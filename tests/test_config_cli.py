@@ -14,6 +14,8 @@ from mgam.config import STREAM_CLUSTER, STREAM_DATA, Config, parse_config, subst
 from mgam.data import load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
 from mgam.training import load_checkpoint, load_inputs, read_manifest
+from reference_preprocessing import (line_parsed_dataset, pair_loop_adjacency,
+                                     sorted_pair_dump, triple_loop_subset_dump)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +438,80 @@ def test_config_echo_follows_redirected_stdout(workspace, tmp_path):
     assert "seed = 7" in lines
     assert "embedding_dim = 32" in lines
     assert lines[-1].startswith("graph written to")
+
+
+def _awkward_tsvs(rng, d):
+    """A random dataset with awkward ids (numeric ties, astral and other
+    non-ASCII characters, inner spaces, NUL), padded fields, extra columns,
+    comments, blank lines and CRLF line endings."""
+    def pool(n, prefixes):
+        names = [p + str(k) for p in prefixes for k in range(n)]
+        return rng.choice(names, size=n, replace=False).tolist()
+    numeric = ["", "0", "+"]
+    users = pool(12, numeric if rng.random() < 0.5 else
+                 numeric + ["\u00e9", "\U0001F600", "x y", "a\x00"])
+    items = pool(15, ["", "0", "#", "\U0001F600"])
+    groups = pool(6, numeric + ["g\u3000", "\u0663"])
+
+    def pad(token):
+        return rng.choice(["", "", " ", "\u3000"]) + token + rng.choice(["", "", " "])
+
+    def write(name, records):
+        lines = []
+        for fields in records:
+            while rng.random() < 0.2:
+                lines.append(rng.choice(["", "  ", "# comment", "  # indented\tcomment"]))
+            lines.append("\t".join(fields) + ("\textra" if rng.random() < 0.1 else ""))
+        (d / name).write_bytes("".join(l + "\r\n" for l in lines).encode("utf-8"))
+
+    write("user_item.tsv", [[pad(u), pad(rng.choice(items))]
+                            for u in users for _ in range(rng.integers(1, 5))])
+    write("groups.tsv", [[pad(g), rng.choice([",", ", "]).join(
+        pad(u) for u in rng.choice(users, size=rng.integers(1, 6), replace=False))]
+        for g in groups])
+    write("group_items.tsv", [[pad(g), pad(rng.choice(items))]
+                              for g in groups for _ in range(rng.integers(1, 4))])
+
+
+def test_dump_commands_match_line_parser_and_references(tmp_path):
+    """`dump-subsets` and `dump-graph` write what the line-by-line parser,
+    `cluster_subsets`, the one-line-at-a-time subset writer and the
+    sorted-pair graph writer give."""
+    rng = np.random.default_rng(23)
+    cfg = parse_config()
+    for case in range(5):
+        d = tmp_path / str(case)
+        d.mkdir()
+        _awkward_tsvs(rng, d)
+        ref = line_parsed_dataset(d)
+        assignments = cluster_subsets(ref, cfg.num_subsets, max_iters=cfg.kmeans_max_iters,
+                                      restarts=cfg.kmeans_restarts,
+                                      seed=substream(cfg.seed, STREAM_CLUSTER))
+        assert main(["dump-subsets", "--data", str(d), "--out", str(d / "subsets.out")]) == 0
+        assert main(["dump-graph", "--data", str(d), "--out", str(d / "graph.out")]) == 0
+        assert ((d / "subsets.out").read_bytes().decode("utf-8")
+                == triple_loop_subset_dump(assignments, ref)), case
+        assert ((d / "graph.out").read_bytes().decode("utf-8")
+                == sorted_pair_dump(pair_loop_adjacency(ref.groups), ref.group_ids)), case
+
+
+def test_parser_is_built_once_and_keeps_no_values(workspace, tmp_path):
+    """`main` reuses one parser: a `--set` or `--disable` of one call does
+    not reach the next, and a usage error still exits 2."""
+    mgam.cli.build_parser.cache_clear()
+    out, config = tmp_path / "graph.tsv", tmp_path / "graph.tsv.config"
+    assert main(["dump-graph", "--data", workspace["data"], "--out", str(out),
+                 "--set", "seed=7"]) == 0
+    assert "seed = 7" in config.read_text().splitlines()
+    assert main(["dump-graph", "--data", workspace["data"], "--out", str(out)]) == 0
+    assert "seed = 42" in config.read_text().splitlines()
+    with pytest.raises(SystemExit) as e:
+        main(["dump-graph", "--data", workspace["data"]])
+    assert e.value.code == 2
+    argv = ["ablate", "--data", "d", "--ckpt", "c"]
+    assert mgam.cli.build_parser().parse_args(argv + ["--disable", "gpe"]).disable == ["gpe"]
+    assert mgam.cli.build_parser().parse_args(argv).disable == []
+    assert mgam.cli.build_parser.cache_info().misses == 1
 
 
 def test_dump_subsets_format(workspace, tmp_path):

@@ -1,7 +1,9 @@
+import collections
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,12 +145,12 @@ def test_strip_sets_match_str_strip():
     code_points = [chr(c) for c in range(sys.maxunicode + 1)
                    if not 0xD800 <= c < 0xE000]
     assert set(data._WHITESPACE) == {c for c in code_points if c.isspace()}
-    padded = [c + "x" + c for c in code_points]
-    a = np.array(padded, dtype=np.dtypes.StringDType())
-    exact = np.strings.strip(a, data._WHITESPACE).tolist()
-    default = np.strings.strip(a).tolist()
-    assert exact == [p.strip() for p in padded]
-    assert [p for p, got in zip(padded, default) if got != p.strip()] == ["\x00x\x00"]
+    classes = data._classes(np.array([ord(c) for c in code_points], dtype=np.uint32))
+    assert [c for c, k in zip(code_points, classes) if k != data._OTHER] == \
+        [c for c in code_points if c.isspace()]
+    assert [c for c, k in zip(code_points, classes) if k == data._BREAK] == \
+        [c for c in code_points if len(("a" + c + "b").splitlines()) == 2]
+    assert [c for c, k in zip(code_points, classes) if k == data._TAB] == ["\t"]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,8 @@ def test_strip_sets_match_str_strip():
 _PADS = ["", "", "", " ", "\u3000", "\xa0", "\u2003 "]
 # `str.splitlines` also ends lines at \x85, \v, \x1c and \u2028
 _ENDS = ["\n", "\r\n", "\r", "\x85", "\v", "\x1c", "\u2028"]
-_ALPHA = ["a", "b", "c", "x y", "\u00e9", "u1", "10a", "Z"]
+# "\U0001F600" is one code point but four UTF-8 bytes
+_ALPHA = ["a", "b", "c", "x y", "\u00e9", "u1", "10a", "Z", "\U0001F600"]
 
 
 def _id_pool(rng, n):
@@ -183,9 +186,10 @@ def _noise_line(rng):
     return rng.choice(["", "   ", "\u3000\xa0", "# comment", "  # indented\tcomment", "#"])
 
 
-def _render(rng, records):
+def _render(rng, records, seen=None):
     """Records (lists of fields) to file text with comments, blank lines,
-    extra columns and mixed line endings."""
+    extra columns and mixed line endings.  `seen`, a Counter, counts the
+    lines ended by a lone `\\r` before a blank line."""
     lines = []
     for fields in records:
         while rng.random() < 0.2:
@@ -197,19 +201,32 @@ def _render(rng, records):
     if rng.random() < 0.2:
         lines.append(_noise_line(rng))
     ends = rng.choice([["\n"], ["\r\n"], _ENDS])
-    text = "".join(line + rng.choice(ends) for line in lines)
+    pieces = []
+    for line in lines:
+        if rng.random() < 0.05:
+            # a lone \r, then a blank line: `splitlines` pairs them as one \r\n
+            pieces.append(line + "\r" + "\n")
+            if seen is not None:
+                seen["lone_cr"] += 1
+        else:
+            pieces.append(line + rng.choice(ends))
+    text = "".join(pieces)
     return text[:-1] if text and rng.random() < 0.3 else text
 
 
 def _random_tables(rng):
     users = _id_pool(rng, rng.randint(1, 6))
     items = _id_pool(rng, rng.randint(1, 6))
+    if rng.random() < 0.2:
+        items.append("#x")  # a second field starting with `#`: a record, not a comment
     groups = _id_pool(rng, rng.randint(1, 4))
     ui = [[_pad(rng, rng.choice(users)), _pad(rng, rng.choice(items))]
           for _ in range(rng.randint(1, 8))]
     gdefs = []
     for g in groups:
         tokens = [_pad(rng, rng.choice(users)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.1:
+            tokens.insert(rng.randrange(len(tokens) + 1), "#m")
         for _ in range(rng.randint(0, 2)):
             tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(["", " ", "\u3000"]))
         members = ",".join(tokens)
@@ -282,6 +299,57 @@ def test_load_dataset_matches_line_parser(tmp_path):
                 seen[outcome] = seen.get(outcome, 0) + 1
     assert seen.keys() == {"ok", *_OUTCOMES}, seen
     assert seen["ok"] >= 100, seen
+
+
+def test_random_tables_cover_the_tokenizer_cases():
+    """The cases `test_load_dataset_matches_line_parser` draws (the same
+    seed and draws) hold astral-plane ids, records whose second field or a
+    member starts with `#`, and lone `\\r`s before a blank line."""
+    rng = random.Random(20261018)
+    seen = collections.Counter()
+    for case in range(300):
+        tables, broken = _random_tables(rng)
+        for name, records in tables.items():
+            raw = _render(rng, records, seen).encode("utf-8")
+            if broken.get(name) == "not_utf8":
+                rng.randrange(len(raw) + 1)
+            seen["astral"] += "\U0001F600".encode("utf-8") in raw
+        seen["hash_field"] += any(len(r) > 1 and r[1].strip() == "#x"
+                                  for name in ("user_item.tsv", "group_items.tsv")
+                                  for r in tables[name])
+        seen["hash_member"] += any("#m" in r[1].split("\t")[0].split(",")
+                                   for r in tables["groups.tsv"] if len(r) > 1)
+    assert seen.keys() == {"astral", "hash_field", "hash_member", "lone_cr"}, seen
+    assert min(seen.values()) > 0, seen
+
+
+def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
+    """The benchmark's ingest shape at half size: 1,000 users with 40 items
+    each, 3,000 items, 4,000 groups of 4-8 members with 10 positives each.
+    Per-character int64 arrays kept while the fields are cut, or one file's
+    tokens kept past its interning, cross the bound."""
+    rng = np.random.default_rng(11)
+
+    def draw(n, size):
+        return sorted(rng.choice(n, size=size, replace=False).tolist())
+    n_users, n_items, n_groups = 1000, 3000, 4000
+    ds = Dataset(n_users=n_users, n_items=n_items, n_groups=n_groups,
+                 user_items=[draw(n_items, 40) for _ in range(n_users)],
+                 groups=[draw(n_users, int(rng.integers(4, 9))) for _ in range(n_groups)],
+                 group_pos=[draw(n_items, 10) for _ in range(n_groups)],
+                 user_ids=[str(u) for u in range(n_users)],
+                 item_ids=[str(i) for i in range(n_items)],
+                 group_ids=[str(g) for g in range(n_groups)])
+    write_dataset(ds, tmp_path)
+    size = sum((tmp_path / name).stat().st_size for name in data.DATA_FILES)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == ds
+    assert peak <= 20 * size, f"{peak / size:.2f}x"
 
 
 def test_remap_roundtrip_bijection(tmp_path):

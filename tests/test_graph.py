@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mgam.errors import UsageError
-from mgam.graph import (_finish, build_co_membership, dump_graph,
+from mgam.graph import (GroupGraph, _finish, build_co_membership, dump_graph,
                         expand_to_instances, induce_batch_subgraph)
 from reference_preprocessing import pair_loop_adjacency, sorted_pair_dump
 
@@ -213,3 +214,28 @@ def test_dump_graph_follows_internal_index_order(tmp_path):
         ids = [str(int(v)) for v in rng.permutation(10 * g.n)[:g.n]]
         dump_graph(g, ids, out)
         assert out.read_text(encoding="utf-8") == sorted_pair_dump(g.adjacency, ids)
+
+
+def test_dump_graph_reads_unsorted_rows_and_needs_no_self_loops(tmp_path):
+    """Rows whose column indices are stored out of order, and a graph
+    without its unit diagonal, give the same lines as the sorted pairs."""
+    out = tmp_path / "graph.tsv"
+    rng = np.random.default_rng(31)
+    unsorted = 0
+    for _ in range(30):
+        g = build_co_membership(random_groups(rng, int(rng.integers(1, 20)), 10))
+        ids = ["\u00e9", "\U0001F600", "01", "1"] + [f"g{k}" for k in range(g.n)]
+        ids = ids[:g.n]
+        adj = g.adjacency
+        order = np.concatenate([rng.permutation(np.arange(a, b))
+                                for a, b in zip(adj.indptr[:-1], adj.indptr[1:])])
+        shuffled = sparse.csr_array((adj.data[order], adj.indices[order], adj.indptr),
+                                    shape=adj.shape)
+        unsorted += not shuffled.has_sorted_indices
+        no_loops = sparse.csr_array(adj - sparse.eye_array(g.n, format="csr"))
+        no_loops.eliminate_zeros()
+        for a in (shuffled, no_loops):
+            dump_graph(GroupGraph(n=g.n, adjacency=a, degree=g.degree,
+                                  normalized=g.normalized), ids, out)
+            assert out.read_bytes().decode("utf-8") == sorted_pair_dump(adj, ids)
+    assert unsorted > 10
