@@ -15,14 +15,17 @@ trained on.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import autodiff as ad
-from .clustering import cluster_subsets, dump_subsets
+from .clustering import SubsetTable, cluster_subsets, dump_subsets
 from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
 from .data import (SyntheticParams, dataset_sha256, generate_synthetic,
@@ -80,7 +83,7 @@ def _load_trained(args, cfg: Config, manifest: dict) -> tuple:
     return dataset, assignments, graph, params
 
 
-def _cluster(dataset, cfg: Config, m: int) -> list:
+def _cluster(dataset, cfg: Config, m: int) -> SubsetTable:
     return cluster_subsets(dataset, m, max_iters=cfg.kmeans_max_iters,
                            restarts=cfg.kmeans_restarts,
                            seed=substream(cfg.seed, STREAM_CLUSTER))
@@ -198,9 +201,8 @@ def cmd_sweep_subsets(args) -> int:
         rows.append((m, report))
         print(f"M={m}: " + " ".join(
             f"HR@{k}={report.hr[k]:.4f} NDCG@{k}={report.ndcg[k]:.4f}" for k in ks))
-    import csv as _csv
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         header = ["m"]
         for k in ks:
             header += [f"hr_{k}", f"ndcg_{k}"]
@@ -225,8 +227,7 @@ def cmd_recommend(args) -> int:
         raise UsageError(f"unknown group id {args.group_id!r}")
     g = dataset.group_index[args.group_id]
     scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, mask=mask)
-    known = set(dataset.group_pos[g])
-    candidates = [i for i in range(dataset.n_items) if i not in known]
+    candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g]).tolist()
     if not candidates:
         raise UsageError(f"group {args.group_id!r} has interacted with every item")
     ranked = rank_candidates(scorer, g, candidates)
@@ -266,7 +267,7 @@ def _explain_json(result, g, v, dataset, assignments, top) -> dict:
     if result.group_weights is not None:
         out["group_member_weights"] = {
             dataset.user_ids[u]: w for u, w in
-            zip(dataset.groups[g], result.group_weights[0].tolist())
+            zip(dataset.groups[g].tolist(), result.group_weights[0].tolist())
         }
     if result.subset_weights is not None:
         subsets = assignments[g].subsets

@@ -5,6 +5,10 @@ interaction vectors, stored as CSR rows); each group is then partitioned
 by reusing the global labels.  Clustering tiny groups separately would be
 degenerate, and a single global clustering keeps identical users in
 identical subsets across groups.
+
+Every group's subsets live in one `SubsetTable` of three int64 arrays:
+`subset_offsets` cuts the subsets into groups, and `member_offsets` cuts
+`subset_members` into subsets.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .data import Dataset, from_csr, to_csr
+from .data import Dataset, Rows
 from .errors import UsageError
 
 
@@ -29,15 +33,37 @@ class KMeansResult:
 
 @dataclass
 class SubsetAssignment:
-    """Ordered partition of one group's members into at most M subsets.
-
-    Subsets are sorted by descending size, ties broken by the smallest
-    member index; members inside each subset are in ascending index
-    order.  The ordering is part of the model contract because subset
-    slots carry their own parameters.
-    """
+    """One group's subsets as Python int lists, in slot order."""
     group: int
     subsets: list  # non-empty lists of member indices
+
+
+class SubsetTable:
+    """Every group's ordered partition into at most M subsets, as arrays.
+
+    `subsets` holds one row of members per subset (`member_offsets`,
+    `subset_members`), group after group in slot order; `slots[g]` holds
+    group g's subset indices, cut by `subset_offsets`.  A group's subsets
+    are sorted by descending size, ties broken by the smallest member, and
+    each lists its members in ascending order; the order is part of the
+    model contract because subset slots carry their own parameters.
+    `table[g]` is a `SubsetAssignment` copy, for readers outside the program.
+    """
+
+    def __init__(self, subset_offsets, member_offsets, subset_members):
+        self.subsets = Rows(member_offsets, subset_members)
+        self.slots = Rows(subset_offsets, np.arange(len(self.subsets)))
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, g) -> SubsetAssignment:
+        return SubsetAssignment(group=range(len(self))[g], subsets=[
+            self.subsets[k].tolist() for k in self.slots[g].tolist()])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SubsetTable) and self.slots == other.slots
+                and self.subsets == other.subsets)
 
 
 class UserFeatures(sparse.csr_array):
@@ -55,10 +81,10 @@ def build_user_features(dataset: Dataset) -> UserFeatures:
     Each stored entry is `1/sqrt(len(items))`; a user with no
     interactions gets an empty row.
     """
-    indptr, indices = to_csr(dataset.user_items)
-    lengths = np.diff(indptr)
+    rows = dataset.user_items
+    lengths = rows.lengths()
     data = np.repeat(1.0 / np.sqrt(np.maximum(lengths, 1)), lengths)
-    return UserFeatures((data, indices, indptr),
+    return UserFeatures((data, rows.indices, rows.offsets),
                         shape=(dataset.n_users, dataset.n_items))
 
 
@@ -153,63 +179,46 @@ def kmeans(points, m: int, max_iters: int = 100,
     return best
 
 
-def partition_group(members, labels) -> list:
-    """Group members by cluster label, dropping empty labels.
-
-    Returns subsets ordered by descending size then smallest member index.
-    """
-    by_label = {}
-    for u in members:
-        by_label.setdefault(int(labels[u]), []).append(int(u))
-    subsets = [sorted(s) for s in by_label.values()]
-    subsets.sort(key=lambda s: (-len(s), s[0]))
-    return subsets
-
-
 def cluster_subsets(dataset: Dataset, m: int, max_iters: int = 100,
-                    restarts: int = 3, seed=0) -> list:
+                    restarts: int = 3, seed=0) -> SubsetTable:
     """Cluster all users once, then partition every group's members.
 
-    Returns one SubsetAssignment per group.  The effective cluster count
-    is clamped to the number of users.
+    Group g's subsets are its members split by cluster label, each in
+    ascending member order, ordered by descending size and then by
+    smallest member.  The effective cluster count is clamped to the number
+    of users.
     """
     if m < 1:
         raise UsageError("subset count must be at least 1")
     feats = build_user_features(dataset)
-    result = kmeans(feats, min(m, dataset.n_users),
-                    max_iters=max_iters, restarts=restarts, seed=seed)
-    return [
-        SubsetAssignment(group=g, subsets=partition_group(dataset.groups[g], result.labels))
-        for g in range(dataset.n_groups)
-    ]
+    labels = kmeans(feats, min(m, dataset.n_users),
+                    max_iters=max_iters, restarts=restarts, seed=seed).labels
+    groups, n_labels = dataset.groups, int(labels.max()) + 1
+    # members sorted by (group, label, member): each run of one (group,
+    # label) key is a subset, in ascending member order
+    key = np.repeat(np.arange(len(groups)), groups.lengths()) * n_labels
+    key += labels[groups.indices]
+    order = np.lexsort((groups.indices, key))
+    members = groups.indices[order]
+    runs, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    # runs in slot order: by group, then descending size, then smallest member
+    slots = np.lexsort((members[start], -size, runs // n_labels))
+    member_offsets = np.concatenate(([0], np.cumsum(size[slots])))
+    gather = np.repeat(start[slots] - member_offsets[:-1], size[slots]) + np.arange(len(members))
+    return SubsetTable(np.searchsorted(runs[slots] // n_labels, np.arange(len(groups) + 1)),
+                       member_offsets, members[gather])
 
 
-def assignment_arrays(assignments) -> dict:
-    """Assignments in group order as int64 arrays: `subset_offsets` cuts
-    the subsets into groups, `member_offsets` cuts `subset_members` into
-    subsets."""
-    if any(a.group != g for g, a in enumerate(assignments)):
-        raise UsageError("assignments must list every group once, in group order")
-    counts = [len(a.subsets) for a in assignments]
-    member_offsets, members = to_csr([s for a in assignments for s in a.subsets])
-    return {"subset_offsets": np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
-            "member_offsets": member_offsets, "subset_members": members}
-
-
-def assignments_from_arrays(arrays) -> list:
-    """Inverse of `assignment_arrays`."""
-    subsets = from_csr(arrays["member_offsets"], arrays["subset_members"])
-    bounds = arrays["subset_offsets"].tolist()
-    return [SubsetAssignment(group=g, subsets=subsets[a:b])
-            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
-
-
-def dump_subsets(assignments, dataset: Dataset, path) -> None:
+def dump_subsets(table: SubsetTable, dataset: Dataset, path) -> None:
     """Write `group_id<TAB>subset_index<TAB>user_id` lines."""
-    names = dataset.user_ids
+    slots, subsets = table.slots, table.subsets
+    in_group = slots.indices - np.repeat(slots.offsets[:-1], slots.lengths())
+    slot = np.repeat(in_group, subsets.lengths()).tolist()
+    names = np.array(dataset.user_ids, dtype=object)[subsets.indices].tolist()
+    bounds = subsets.offsets[slots.offsets].tolist()
     with open(Path(path), "w", encoding="utf-8") as f:
         # one join per group keeps only that group's lines in memory
-        for a in assignments:
-            head = f"{dataset.group_ids[a.group]}\t"
-            f.write("".join([f"{head}{s}\t{names[u]}\n"
-                             for s, subset in enumerate(a.subsets) for u in subset]))
+        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            head = f"{dataset.group_ids[g]}\t"
+            f.write("".join([f"{head}{s}\t{name}\n"
+                             for s, name in zip(slot[a:b], names[a:b])]))

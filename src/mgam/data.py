@@ -33,19 +33,70 @@ DATA_FILES = (USER_ITEM_FILE, GROUPS_FILE, GROUP_ITEMS_FILE)
 META_FILE = "meta.json"
 
 
+class Rows:
+    """Ragged rows of int64 indices in CSR form: row k, `rows[k]`, is the
+    view `indices[offsets[k]:offsets[k + 1]]`; `len(rows)` is the row count."""
+
+    __slots__ = ("offsets", "indices")
+
+    def __init__(self, offsets, indices):
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        o = self.offsets
+        if not (o.ndim == self.indices.ndim == 1 and len(o) and o[0] == 0
+                and o[-1] == len(self.indices) and (o[1:] >= o[:-1]).all()):
+            raise UsageError("row offsets must be 1-D and rise from 0 to the index count")
+
+    @classmethod
+    def from_lists(cls, lists) -> "Rows":
+        """The rows of a list of int lists."""
+        lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+        return cls(np.concatenate(([0], np.cumsum(lengths))), np.fromiter(
+            itertools.chain.from_iterable(lists), np.int64, int(lengths.sum())))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k) -> np.ndarray:
+        k = range(len(self))[k]
+        return self.indices[self.offsets[k]:self.offsets[k + 1]]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Rows) and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.indices, other.indices))
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def padded(self, row_ids, present=True) -> tuple:
+        """The rows `row_ids` (an int array of any shape) padded to the
+        longest of them: an int64 (*row_ids.shape, width) table whose
+        padding reads index 0, and the mask of its real entries.  A row
+        where the mask `present` is False counts as empty."""
+        starts = self.offsets[row_ids]
+        lengths = np.where(present, self.offsets[np.asarray(row_ids) + 1] - starts, 0)
+        cols = np.arange(lengths.max(initial=0))
+        valid = cols < lengths[..., None]
+        idx = np.zeros(valid.shape, dtype=np.int64)
+        idx[valid] = self.indices[(starts[..., None] + cols)[valid]]
+        return idx, valid
+
+
 @dataclass
 class Dataset:
     """Remapped users, items, groups and their interactions.
 
-    Immutable after construction; all member/item lists are sorted by
+    Immutable after construction.  The three index tables are `Rows`: row
+    u of `user_items` holds user u's items, row g of `groups` group g's
+    members and row g of `group_pos` its positive items, each sorted by
     internal index and duplicate-free.
     """
     n_users: int
     n_items: int
     n_groups: int
-    user_items: list  # per user: sorted item indices
-    groups: list      # per group: sorted member user indices
-    group_pos: list   # per group: sorted positive item indices
+    user_items: Rows  # per user: sorted item indices
+    groups: Rows      # per group: sorted member user indices
+    group_pos: Rows   # per group: sorted positive item indices
     user_ids: list    # internal index -> external id (str)
     item_ids: list
     group_ids: list
@@ -67,7 +118,7 @@ class Split:
     """Leave-one-out split: train keeps positives, test holds one per group.
 
     `train` is an (n, 2) int array of (group, item) positives in group
-    order; `test` lists (group, held_out_item) pairs.
+    order; `test` lists (group, held_out_item) pairs of Python ints.
     """
     train: np.ndarray
     test: list
@@ -221,12 +272,12 @@ def _merge(*parts) -> tuple:
                         for d, c in parts]
 
 
-def _row_lists(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> list:
-    """Per row, the sorted distinct columns paired with it, as int lists."""
+def _rows(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> Rows:
+    """Per row, the sorted distinct columns paired with it."""
     codes = np.sort(rows * n_cols + cols)
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    return from_csr(np.searchsorted(codes, np.arange(n_rows + 1) * n_cols),
-                    codes % n_cols)
+    return Rows(np.searchsorted(codes, np.arange(n_rows + 1) * n_cols),
+                codes % n_cols)
 
 
 def load_dataset(directory) -> Dataset:
@@ -273,9 +324,9 @@ def load_dataset(directory) -> Dataset:
     n_users, n_items, n_groups = len(user_ids), len(item_ids), len(group_ids)
     return Dataset(
         n_users=n_users, n_items=n_items, n_groups=n_groups,
-        user_items=_row_lists(ui_u, ui_i, n_users, n_items),
-        groups=_row_lists(g_codes[owner], member_u, n_groups, n_users),
-        group_pos=_row_lists(gi_codes, gi_i, n_groups, n_items),
+        user_items=_rows(ui_u, ui_i, n_users, n_items),
+        groups=_rows(g_codes[owner], member_u, n_groups, n_users),
+        group_pos=_rows(gi_codes, gi_i, n_groups, n_items),
         user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
         user_index=user_index, item_index=item_index, group_index=group_index,
     )
@@ -299,15 +350,15 @@ def write_dataset(dataset: Dataset, directory, meta: dict | None = None) -> None
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / USER_ITEM_FILE, "w", encoding="utf-8") as f:
         for u in range(dataset.n_users):
-            for i in dataset.user_items[u]:
+            for i in dataset.user_items[u].tolist():
                 f.write(f"{dataset.user_ids[u]}\t{dataset.item_ids[i]}\n")
     with open(directory / GROUPS_FILE, "w", encoding="utf-8") as f:
         for g in range(dataset.n_groups):
-            members = ",".join(dataset.user_ids[u] for u in dataset.groups[g])
+            members = ",".join(dataset.user_ids[u] for u in dataset.groups[g].tolist())
             f.write(f"{dataset.group_ids[g]}\t{members}\n")
     with open(directory / GROUP_ITEMS_FILE, "w", encoding="utf-8") as f:
         for g in range(dataset.n_groups):
-            for i in dataset.group_pos[g]:
+            for i in dataset.group_pos[g].tolist():
                 f.write(f"{dataset.group_ids[g]}\t{dataset.item_ids[i]}\n")
     if meta is not None:
         with open(directory / META_FILE, "w", encoding="utf-8") as f:
@@ -318,32 +369,16 @@ def write_dataset(dataset: Dataset, directory, meta: dict | None = None) -> None
 # ---------------------------------------------------------------------------
 # array form, as stored in checkpoints
 
-_LIST_FIELDS = ("user_items", "groups", "group_pos")
+_ROWS_FIELDS = ("user_items", "groups", "group_pos")
 _ID_FIELDS = ("user_ids", "item_ids", "group_ids")
 
 
-def to_csr(lists) -> tuple:
-    """(offsets, flat values) of a list of int lists, both int64."""
-    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    values = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(offsets[-1]))
-    return offsets, values
-
-
-def from_csr(offsets, values) -> list:
-    """The int lists `values[offsets[k]:offsets[k + 1]]`, inverse of `to_csr`."""
-    bounds = np.asarray(offsets).tolist()
-    flat = np.asarray(values).tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def dataset_arrays(dataset: Dataset) -> dict:
-    """The dataset as named arrays: each per-row index list as int64 CSR
+    """The dataset as named arrays: each `Rows` table as its
     `<field>_offsets` and `<field>_indices`, each id list as its
     newline-joined UTF-8 bytes (uint8; loaded ids never hold a line break)."""
-    arrays = {}
-    for name in _LIST_FIELDS:
-        arrays[f"{name}_offsets"], arrays[f"{name}_indices"] = to_csr(getattr(dataset, name))
+    arrays = {f"{name}_{part}": getattr(getattr(dataset, name), part)
+              for name in _ROWS_FIELDS for part in ("offsets", "indices")}
     for name in _ID_FIELDS:
         text = "\n".join(getattr(dataset, name))
         arrays[name] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
@@ -352,14 +387,14 @@ def dataset_arrays(dataset: Dataset) -> dict:
 
 def dataset_from_arrays(arrays) -> Dataset:
     """Inverse of `dataset_arrays` (an empty id list is stored as no bytes)."""
-    lists = {name: from_csr(arrays[f"{name}_offsets"], arrays[f"{name}_indices"])
-             for name in _LIST_FIELDS}
+    rows = {name: Rows(arrays[f"{name}_offsets"], arrays[f"{name}_indices"])
+            for name in _ROWS_FIELDS}
     ids = {}
     for name in _ID_FIELDS:
         text = arrays[name].tobytes().decode("utf-8")
         ids[name] = text.split("\n") if text else []
     return Dataset(n_users=len(ids["user_ids"]), n_items=len(ids["item_ids"]),
-                   n_groups=len(ids["group_ids"]), **lists, **ids)
+                   n_groups=len(ids["group_ids"]), **rows, **ids)
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +406,25 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
     Groups with a single positive keep it in train and are not evaluated.
     """
     rng = np.random.default_rng(seed)
-    train, test = [], []
-    for g in range(dataset.n_groups):
-        pos, held = dataset.group_pos[g], None
-        if len(pos) >= 2:
-            held = pos[int(rng.integers(len(pos)))]
-            test.append((g, held))
-        train.extend((g, i) for i in pos if i != held)
-    return Split(train=np.array(train, dtype=np.intp).reshape(-1, 2), test=test)
+    pos = dataset.group_pos
+    lengths = pos.lengths()
+    tested = np.flatnonzero(lengths >= 2)
+    held = pos.offsets[tested] + np.array(
+        [rng.integers(n) for n in lengths[tested].tolist()], dtype=np.int64)
+    kept = ~np.isin(np.arange(len(pos.indices)), held)
+    owner = np.repeat(np.arange(len(pos)), lengths)
+    return Split(train=np.stack((owner[kept], pos.indices[kept]), axis=1),
+                 test=list(zip(tested.tolist(), pos.indices[held].tolist())))
 
 
 def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
                 owner: str) -> list:
-    """Draw n distinct items uniformly from those not in `seen`; `owner`
-    (e.g. "group 7") names whose items they are in a SamplingError."""
+    """Draw n distinct items uniformly from those not in `seen` (a list or
+    an int array) as Python ints; `owner` (e.g. "group 7") names whose
+    items they are in a SamplingError."""
     if n < 0:
         raise UsageError("cannot sample a negative number of items")
-    blocked = set(seen)
+    blocked = set(np.asarray(seen, dtype=np.int64).tolist())
     eligible_count = n_items - len(blocked)
     if n > eligible_count:
         raise SamplingError(
@@ -545,8 +582,8 @@ def generate_synthetic(params: SyntheticParams, seed) -> tuple:
         group_pos.append(sorted(int(i) for i in top))
 
     dataset = Dataset(
-        n_users=nu, n_items=ni, n_groups=ng,
-        user_items=user_items, groups=groups, group_pos=group_pos,
+        n_users=nu, n_items=ni, n_groups=ng, user_items=Rows.from_lists(user_items),
+        groups=Rows.from_lists(groups), group_pos=Rows.from_lists(group_pos),
         user_ids=[str(u) for u in range(nu)],
         item_ids=[str(i) for i in range(ni)],
         group_ids=[str(g) for g in range(ng)],

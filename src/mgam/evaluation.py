@@ -165,19 +165,20 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
                               requires_grad=True),
     }
     adam = init_adam(params)
-    positives = [(u, i) for u in range(dataset.n_users)
-                 for i in dataset.user_items[u]]
-    if not positives:
+    interactions = dataset.user_items
+    if not len(interactions.indices):
         raise UsageError("no user-item interactions to train the baseline on")
+    pos_users = np.repeat(np.arange(dataset.n_users), interactions.lengths()).tolist()
+    pos_items = interactions.indices.tolist()
     for epoch in range(epochs):
         erng = np.random.default_rng(substream(seed, STREAM_BASELINE, epoch + 1))
-        order = erng.permutation(len(positives))
+        order = erng.permutation(len(pos_items))
         for start in range(0, len(order), batch_size):
             users, items, labels = [], [], []
-            for oi in order[start:start + batch_size]:
-                u, i = positives[int(oi)]
+            for oi in order[start:start + batch_size].tolist():
+                u = pos_users[oi]
                 users.append(u)
-                items.append(i)
+                items.append(pos_items[oi])
                 labels.append(1.0)
                 for v in draw_unseen(dataset.n_items, dataset.user_items[u],
                                      negatives, erng, f"user {dataset.user_ids[u]}"):

@@ -9,12 +9,12 @@ state.  Edges are unweighted (the shared-user count is ignored).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
+from .data import Rows
 from .errors import UsageError
 
 
@@ -44,18 +44,16 @@ def _finish(adjacency: sparse.csr_array) -> GroupGraph:
                       degree=degree, normalized=_normalize(adjacency, degree))
 
 
-def build_co_membership(groups) -> GroupGraph:
+def build_co_membership(groups: Rows) -> GroupGraph:
     """Graph over groups with an edge per shared user, plus self-loops.
 
-    With `B` the group x user incidence matrix, the adjacency is
-    `min(B B^T + I, 1)`.
+    `groups[g]` holds group g's member users.  With `B` the group x user
+    incidence matrix, the adjacency is `min(B B^T + I, 1)`.
     """
     n = len(groups)
-    sizes = np.fromiter((len(members) for members in groups), dtype=np.intp, count=n)
-    users = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=int(sizes.sum()))
     incidence = sparse.csr_array(
-        (np.ones(users.size), (np.repeat(np.arange(n), sizes), users)),
-        shape=(n, int(users.max(initial=-1)) + 1))
+        (np.ones(len(groups.indices)), groups.indices, groups.offsets),
+        shape=(n, int(groups.indices.max(initial=-1)) + 1))
     adj = incidence @ incidence.T + sparse.eye_array(n, format="csr")
     adj.data = np.minimum(adj.data, 1.0)
     adj.sort_indices()

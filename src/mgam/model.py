@@ -22,27 +22,29 @@ grow with the number of instances.  Member attention is group-major: the
 instances of each of the batch's G unique groups fill rows of
 c = ceil(n / G) item cells, a (rows, c, d) grid, and each row gathers its
 group's members once, into a padded (rows, W, d) table and a
-(rows, R, w, d) table of its R subsets.  A forward over one group's
-candidates (evaluation, `recommend`) has a single row whatever the
-candidate count.  Two stacked matmuls give every (item, member) dot
-product and weighted sum; padding is masked out of the softmax with -inf
-and the real grid cells are taken back into instance order.  Subset
-slots become (n, d) tensors with a zero row (masked out of the slot
-softmax) where an instance lacks the slot.  Fusion stacks the branches
-as (n, r, d) and is an (n, r, r) attention.  The same forward serves
-training, evaluation, `recommend` and `--explain`; `isolated=True`
+(rows, R, w, d) table of its R subsets.  Both index tables are index
+arithmetic on CSR arrays: `Rows.padded` pads the batch groups' rows of
+`Dataset.groups`, and their subsets' rows of the `SubsetTable`.  A
+forward over one group's candidates (evaluation, `recommend`) has a
+single row whatever the candidate count.  Two stacked matmuls give every
+(item, member) dot product and weighted sum; padding is masked out of the
+softmax with -inf and the real grid cells are taken back into instance
+order.  Subset slots become (n, d) tensors with a zero row (masked out of
+the slot softmax) where an instance lacks the slot.  Fusion stacks the
+branches as (n, r, d) and is an (n, r, r) attention.  The same forward
+serves training, evaluation, `recommend` and `--explain`; `isolated=True`
 decouples the instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .clustering import SubsetTable
 from .config import _GRANULARITIES, Config
 from .data import Dataset
 from .errors import UsageError
@@ -121,19 +123,6 @@ def init_params(cfg: Config, n_users: int, n_items: int, n_groups: int,
 def _pad_mask(valid: np.ndarray) -> Tensor:
     """Additive softmax mask: 0 on real entries, -inf on padding."""
     return Tensor(np.where(valid, 0.0, -np.inf))
-
-
-def _padded(lists) -> tuple:
-    """Index lists as rows padded to the longest one, plus a real-entry mask.
-
-    Padding reads index 0; the mask keeps it out of every softmax.
-    """
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    idx = np.zeros(valid.shape, dtype=np.intp)
-    idx[valid] = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
-                             count=int(lengths.sum()))
-    return idx, valid
 
 
 def member_attention(member_vecs: Tensor, item_vecs: Tensor,
@@ -301,7 +290,7 @@ class ForwardResult:
 
 
 def forward_batch(params: dict, cfg: Config, dataset: Dataset,
-                  assignments, graph: GroupGraph, batch, *,
+                  assignments: SubsetTable, graph: GroupGraph, batch, *,
                   mask: AblationMask | None = None,
                   global_rows: Tensor | None = None,
                   isolated: bool = False) -> ForwardResult:
@@ -345,16 +334,10 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
 
     h_subpe = h_gpe = h_suppe = member_w = slot_w = gpe_w = None
     if mask.use_subpe:
-        per_group = [assignments[g].subsets for g in uniq]
-        n_sub = np.fromiter(map(len, per_group), dtype=np.intp, count=len(uniq))
-        r = int(n_sub.max())
-        idx, valid = _padded(list(chain.from_iterable(per_group)))   # (subsets, w)
-        has_slot = np.arange(r) < n_sub[:, None]                     # (G, R)
-        table = np.zeros((len(uniq), r, idx.shape[1]), dtype=np.intp)
-        table[has_slot] = idx
-        real = np.zeros(table.shape, dtype=bool)
-        real[has_slot] = valid
-        real[~has_slot, 0] = True         # a missing slot's stand-in, never read back
+        slots, has_slot = assignments.slots.padded(uniq)             # (G, R)
+        table, real = assignments.subsets.padded(slots, has_slot)    # (G, R, w)
+        real[..., 0] |= ~has_slot         # a missing slot's stand-in, never read back
+        r = slots.shape[1]
         h_cells, attn = member_attention(
             ad.take(params["user_emb"], table[row_group]),
             ad.reshape(item_grid, (n_rows, 1, c, d)),
@@ -369,7 +352,7 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                                            params, cfg.num_subsets, present=present)
         member_w = attn.data.reshape(n_rows * r * c, -1)[row_of[present]]
     if need_gpe:
-        idx, valid = _padded([dataset.groups[g] for g in uniq])      # (G, W)
+        idx, valid = dataset.groups.padded(uniq)                     # (G, W)
         h_cells, attn = member_attention(
             ad.take(params["user_emb"], idx[row_group]), item_grid,
             params["group_att_w"], params["group_att_b"], valid[row_group])  # (rows, c, d)

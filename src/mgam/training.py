@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clustering import assignment_arrays, assignments_from_arrays
+from .clustering import SubsetTable
 from .config import STREAM_INIT, STREAM_TRAIN, Config, substream
 from .data import (Dataset, Split, dataset_arrays, dataset_from_arrays,
                    dataset_sha256, sample_negatives)
@@ -269,21 +269,24 @@ def _sha256(data: bytes) -> str:
 
 
 def _write_replacing(path: Path, data: bytes) -> None:
-    """Write `data` under a temporary name next to `path`, then rename it
-    into place, so `path` never holds a partial write."""
+    """Write `data` under a temporary name next to `path`, fsync it, then
+    rename it into place, so `path` never holds a partial write."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
-                    dataset: Dataset, assignments, data_sha256: dict) -> None:
-    """Write params.bin (float32 little-endian), inputs.npz (`dataset` and
-    `assignments` as arrays) and, last, manifest.json with their sha256
-    and the dataset files' `data_sha256`."""
+                    dataset: Dataset, assignments: SubsetTable, data_sha256: dict) -> None:
+    """Write params.bin (float32 little-endian), inputs.npz (the arrays of
+    `dataset` and `assignments`) and, last, manifest.json with their
+    sha256 and the dataset files' `data_sha256`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tensors = []
@@ -296,7 +299,9 @@ def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
         blobs.append(p.data.astype("<f4").ravel())
         offset += size
     inputs = io.BytesIO()
-    np.savez(inputs, **dataset_arrays(dataset), **assignment_arrays(assignments))
+    np.savez(inputs, **dataset_arrays(dataset), subset_offsets=assignments.slots.offsets,
+             member_offsets=assignments.subsets.offsets,
+             subset_members=assignments.subsets.indices)
     files = {PARAMS_FILE: np.concatenate(blobs).tobytes(), INPUTS_FILE: inputs.getvalue()}
     for name, data in files.items():
         _write_replacing(directory / name, data)
@@ -310,6 +315,11 @@ def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
     }
     _write_replacing(directory / MANIFEST_FILE, (
         json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    fd = os.open(directory, os.O_RDONLY)   # the renames reach the disk too
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_manifest(directory) -> dict:
@@ -437,8 +447,9 @@ def load_inputs(directory, data_dir, manifest: dict) -> tuple:
     _verify(manifest, path, blob)
     try:
         with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
-            return dataset_from_arrays(arrays), assignments_from_arrays(arrays)
-    except (KeyError, ValueError) as e:
+            return dataset_from_arrays(arrays), SubsetTable(
+                arrays["subset_offsets"], arrays["member_offsets"], arrays["subset_members"])
+    except (KeyError, ValueError, UsageError) as e:
         raise CheckpointError(f"{path}: malformed inputs ({e})") from e
 
 

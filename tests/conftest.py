@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mgam.clustering import SubsetAssignment
-from mgam.data import Dataset
+from mgam.clustering import SubsetTable
+from mgam.data import Dataset, Rows
 from mgam.graph import build_co_membership
 from mgam.config import Config
 from mgam.model import init_params
@@ -15,17 +15,18 @@ def toy():
     contains same-group positives and negatives (so triplets exist)."""
     ds = Dataset(
         n_users=8, n_items=10, n_groups=2,
-        user_items=[[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], []],
-        groups=[[0, 1, 2, 3], [3, 4, 5, 6]],
-        group_pos=[[1, 3, 5], [2, 4, 7]],
+        user_items=Rows.from_lists(
+            [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], []]),
+        groups=Rows.from_lists([[0, 1, 2, 3], [3, 4, 5, 6]]),
+        group_pos=Rows.from_lists([[1, 3, 5], [2, 4, 7]]),
         user_ids=[str(i) for i in range(8)],
         item_ids=[str(i) for i in range(10)],
         group_ids=["0", "1"],
     )
-    assignments = [
-        SubsetAssignment(group=0, subsets=[[0, 1], [2, 3]]),
-        SubsetAssignment(group=1, subsets=[[3, 4, 5], [6]]),
-    ]
+    assignments = subset_table([
+        [[0, 1], [2, 3]],
+        [[3, 4, 5], [6]],
+    ])
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=2)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
@@ -48,3 +49,10 @@ def fresh_toy_params(toy, seed=12345):
     return init_params(toy["cfg"], toy["dataset"].n_users,
                        toy["dataset"].n_items, toy["dataset"].n_groups,
                        np.random.default_rng(seed))
+
+
+def subset_table(per_group) -> SubsetTable:
+    """The subset table of `per_group[g]`, group g's list of member lists."""
+    subsets = Rows.from_lists([s for group in per_group for s in group])
+    return SubsetTable(np.cumsum([0] + [len(group) for group in per_group]),
+                       subsets.offsets, subsets.indices)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from mgam.data import GROUP_ITEMS_FILE, GROUPS_FILE, USER_ITEM_FILE, Dataset
+from mgam.data import GROUP_ITEMS_FILE, GROUPS_FILE, USER_ITEM_FILE, Dataset, Rows
 from mgam.errors import DataError
 
 
@@ -114,9 +114,9 @@ def line_parsed_dataset(directory) -> Dataset:
 
     return Dataset(
         n_users=len(user_ids), n_items=len(item_ids), n_groups=len(group_ids),
-        user_items=[sorted(s) for s in per_user],
-        groups=members,
-        group_pos=[sorted(s) for s in positives],
+        user_items=Rows.from_lists([sorted(s) for s in per_user]),
+        groups=Rows.from_lists(members),
+        group_pos=Rows.from_lists([sorted(s) for s in positives]),
         user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
     )
 
@@ -125,7 +125,7 @@ def dense_user_features(dataset) -> np.ndarray:
     """Binary interaction indicator rows, L2-normalized; zero rows stay zero."""
     feats = np.zeros((dataset.n_users, dataset.n_items))
     for u, items in enumerate(dataset.user_items):
-        if items:
+        if len(items):
             feats[u, items] = 1.0
             feats[u] /= np.sqrt(len(items))
     return feats
@@ -226,6 +226,19 @@ def sorted_pair_dump(adjacency, group_ids) -> str:
     coo = adjacency.tocoo()
     return "".join(f"{group_ids[i]}\t{group_ids[j]}\n"
                    for i, j in sorted(zip(coo.row, coo.col)) if i < j)
+
+
+def partition_group(members, labels) -> list:
+    """Group members by cluster label, dropping empty labels.
+
+    Returns subsets ordered by descending size then smallest member index.
+    """
+    by_label = {}
+    for u in members:
+        by_label.setdefault(int(labels[u]), []).append(int(u))
+    subsets = [sorted(s) for s in by_label.values()]
+    subsets.sort(key=lambda s: (-len(s), s[0]))
+    return subsets
 
 
 def triple_loop_subset_dump(assignments, dataset) -> str:

@@ -17,7 +17,7 @@ import pytest
 from mgam import autodiff as ad
 from mgam.clustering import cluster_subsets
 from mgam.config import (STREAM_CLUSTER, STREAM_DATA, Config, substream)
-from mgam.data import (SyntheticParams, generate_synthetic,
+from mgam.data import (Rows, SyntheticParams, generate_synthetic,
                        split_leave_one_out)
 from mgam.evaluation import (evaluate, hr_at_k, make_mgam_scorer, ndcg_at_k,
                              rank_candidates)
@@ -150,7 +150,7 @@ def test_criterion_3_graph_oracle():
         n_groups = int(rng.integers(1, 31))
         groups = [sorted(rng.choice(12, size=rng.integers(1, 5), replace=False))
                   for _ in range(n_groups)]
-        g = build_co_membership(groups)
+        g = build_co_membership(Rows.from_lists(groups))
         # independent dense oracle: D^-1/2 (A + I) D^-1/2
         sets = [set(m) for m in groups]
         a = np.eye(n_groups)
@@ -305,7 +305,7 @@ def test_criterion_9_unit_values():
     shift = np.abs(ad.softmax(ad.Tensor([5.0, 5.7, 5.0])).data
                    - ad.softmax(ad.Tensor([0.0, 0.7, 0.0])).data).max()
     checks.append(shift < 1e-12)
-    g = build_co_membership([[0], [0, 1], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     n = g.normalized.toarray()
     checks.append(abs(n[0, 0] - 0.5) < 1e-15)
     checks.append(abs(n[0, 1] - 1 / np.sqrt(6)) < 1e-15)

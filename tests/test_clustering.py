@@ -3,21 +3,23 @@ import pytest
 from scipy import sparse
 
 from mgam import clustering
-from mgam.clustering import (SubsetAssignment, assignment_arrays,
-                             assignments_from_arrays, build_user_features,
-                             cluster_subsets, dump_subsets, kmeans, partition_group)
-from mgam.data import Dataset, SyntheticParams, generate_synthetic
+from mgam.clustering import (KMeansResult, SubsetAssignment, SubsetTable,
+                             build_user_features, cluster_subsets, dump_subsets,
+                             kmeans)
+from mgam.data import Dataset, Rows, SyntheticParams, generate_synthetic
 from mgam.errors import UsageError
+from conftest import subset_table
 from reference_preprocessing import (dense_kmeans, dense_user_features,
-                                     triple_loop_subset_dump)
+                                     partition_group, triple_loop_subset_dump)
 
 
 def _ds(user_items, groups=None, n_items=4):
     n_users = len(user_items)
-    groups = groups or [list(range(n_users))]
+    groups = [list(range(n_users))] if groups is None else groups
     return Dataset(n_users=n_users, n_items=n_items, n_groups=len(groups),
-                   user_items=user_items, groups=groups,
-                   group_pos=[[] for _ in groups],
+                   user_items=Rows.from_lists(user_items),
+                   groups=Rows.from_lists(groups),
+                   group_pos=Rows.from_lists([[] for _ in groups]),
                    user_ids=[str(i) for i in range(n_users)],
                    item_ids=[str(i) for i in range(n_items)],
                    group_ids=[str(i) for i in range(len(groups))])
@@ -43,7 +45,8 @@ def test_features_match_dense_reference():
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=60, n_items=90, n_groups=12, group_size_range=(2, 6),
         n_cohorts=3, positives_per_group=5), seed=8)
-    ds.user_items[5] = []
+    ds.user_items = Rows.from_lists([[] if u == 5 else items.tolist()
+                                     for u, items in enumerate(ds.user_items)])
     assert np.array_equal(build_user_features(ds).toarray(), dense_user_features(ds))
 
 
@@ -171,16 +174,53 @@ def test_kmeans_coincident_points_degenerate():
 # ---------------------------------------------------------------------------
 # partitioning
 
-def test_partition_examples():
-    assert partition_group([0, 1, 2], {0: 0, 1: 0, 2: 1}) == [[0, 1], [2]]
-    assert partition_group([0, 1, 2], {0: 1, 1: 1, 2: 1}) == [[0, 1, 2]]
-    assert partition_group([0, 1, 2], {0: 0, 1: 1, 2: 2}) == [[0], [1], [2]]
+def _cluster_with_labels(monkeypatch, groups, labels) -> SubsetTable:
+    """`cluster_subsets` of `groups` when K-Means returns `labels`, a
+    user -> label dict or array (unlisted users get label 0)."""
+    if isinstance(labels, dict):
+        labels = [labels.get(u, 0) for u in range(max(labels) + 1)]
+    labels = np.asarray(labels, dtype=np.int64)
+    monkeypatch.setattr(clustering, "kmeans", lambda *a, **k: KMeansResult(
+        labels=labels, centroids=np.zeros((1, 1)), inertia=0.0, inertia_history=[]))
+    return cluster_subsets(_ds([[0]] * len(labels), groups=groups, n_items=1), 1)
 
 
-def test_partition_ordering_rule():
+def _partition(monkeypatch, members, labels) -> list:
+    """`cluster_subsets`' partition of one group's members."""
+    return _cluster_with_labels(monkeypatch, [members], labels)[0].subsets
+
+
+def test_partition_examples(monkeypatch):
+    assert _partition(monkeypatch, [0, 1, 2], {0: 0, 1: 0, 2: 1}) == [[0, 1], [2]]
+    assert _partition(monkeypatch, [0, 1, 2], {0: 1, 1: 1, 2: 1}) == [[0, 1, 2]]
+    assert _partition(monkeypatch, [0, 1, 2], {0: 0, 1: 1, 2: 2}) == [[0], [1], [2]]
+
+
+def test_partition_ordering_rule(monkeypatch):
     # equal sizes tie-break on smallest member index
     labels = {0: 2, 1: 2, 5: 1, 7: 1}
-    assert partition_group([5, 7, 0, 1], labels) == [[0, 1], [5, 7]]
+    assert _partition(monkeypatch, [5, 7, 0, 1], labels) == [[0, 1], [5, 7]]
+
+
+def test_cluster_subsets_table_matches_reference_partition(monkeypatch):
+    """The vectorised table holds `partition_group`'s subsets for every
+    group: size ties, singletons, one-cluster groups, empty groups and
+    labels no member uses included."""
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        n_users = int(rng.integers(1, 25))
+        # up to 8 labels, often more labels than a group's members use
+        labels = rng.integers(0, int(rng.integers(1, 9)), size=n_users)
+        if trial % 5 == 0:
+            labels[:] = labels[0]                   # one cluster for everyone
+        groups = [sorted(rng.permutation(n_users)[:rng.integers(0, n_users + 1)].tolist())
+                  for _ in range(int(rng.integers(0, 7)))]
+        if trial % 7 == 0:
+            groups = rng.permutation(n_users)[:, None].tolist()  # singletons
+        table = _cluster_with_labels(monkeypatch, groups, labels)
+        want = [partition_group(members, labels) for members in groups]
+        assert table == subset_table(want), trial
+        assert [a.subsets for a in table] == want, trial
 
 
 def test_cluster_subsets_partition_property():
@@ -190,7 +230,7 @@ def test_cluster_subsets_partition_property():
     assignments = cluster_subsets(ds, 3, seed=1)
     for g, a in enumerate(assignments):
         flat = sorted(u for s in a.subsets for u in s)
-        assert flat == ds.groups[g]          # disjoint + covering
+        assert flat == ds.groups[g].tolist()  # disjoint + covering
         assert 1 <= len(a.subsets) <= min(3, len(ds.groups[g]))
         sizes = [len(s) for s in a.subsets]
         assert sizes == sorted(sizes, reverse=True)
@@ -211,12 +251,14 @@ def test_cluster_subsets_m_clamped_to_user_count():
     assert len(assignments[0].subsets) <= 2
 
 
-def test_singleton_subsets_when_all_labels_distinct():
+def test_singleton_subsets_when_all_labels_distinct(monkeypatch):
     labels = {3: 0, 4: 1, 5: 2}
-    assert partition_group([3, 4, 5], labels) == [[3], [4], [5]]
+    assert _partition(monkeypatch, [3, 4, 5], labels) == [[3], [4], [5]]
 
 
 def test_assignment_arrays_roundtrip():
+    """A table rebuilt from its three arrays equals the table, and its
+    views are the subset lists it was built from."""
     rng = np.random.default_rng(5)
     for trial in range(200):
         assignments = []
@@ -225,21 +267,28 @@ def test_assignment_arrays_roundtrip():
             labels = rng.integers(0, int(rng.integers(1, 4)), size=30)
             assignments.append(SubsetAssignment(group=g, subsets=partition_group(
                 sorted(members.tolist()), labels)))
-        arrays = assignment_arrays(assignments)
-        assert all(a.dtype == np.int64 for a in arrays.values())
-        assert assignments_from_arrays(arrays) == assignments, trial
+        table = subset_table([a.subsets for a in assignments])
+        arrays = (table.slots.offsets, table.subsets.offsets, table.subsets.indices)
+        assert all(a.dtype == np.int64 for a in arrays)
+        assert SubsetTable(*arrays) == table, trial
+        assert list(SubsetTable(*arrays)) == assignments, trial
 
 
 def test_assignment_arrays_roundtrip_clustered_dataset():
     ds, _ = generate_synthetic(SyntheticParams(n_users=40, n_items=60, n_groups=12),
                                seed=4)
     assignments = cluster_subsets(ds, 3, seed=1)
-    assert assignments_from_arrays(assignment_arrays(assignments)) == assignments
+    assert SubsetTable(assignments.slots.offsets, assignments.subsets.offsets,
+                       assignments.subsets.indices) == assignments
 
 
 def test_assignment_arrays_need_group_order():
-    with pytest.raises(UsageError, match="group order"):
-        assignment_arrays([SubsetAssignment(group=1, subsets=[[0]])])
+    """Subset offsets that run backwards (groups out of order) or do not
+    cover every subset are refused."""
+    with pytest.raises(UsageError, match="offsets"):
+        SubsetTable([0, 1, 0], [0, 1], [0])
+    with pytest.raises(UsageError, match="offsets"):
+        SubsetTable([0, 1], [0, 1, 2], [0, 1])
 
 
 # ids that are non-ASCII (one astral code point is four UTF-8 bytes), hold
@@ -254,15 +303,16 @@ def test_dump_subsets_matches_triple_loop(tmp_path):
     for trial in range(100):
         n_users, n_groups = int(rng.integers(1, 10)), int(rng.integers(0, 6))
         pool = rng.permutation(_AWKWARD_IDS).tolist()
+        groups = [sorted(rng.permutation(n_users)[:rng.integers(1, n_users + 1)].tolist())
+                  for _ in range(n_groups)]
         ds = Dataset(n_users=n_users, n_items=1, n_groups=n_groups,
-                     user_items=[[0]] * n_users,
-                     groups=[sorted(rng.permutation(n_users)[:rng.integers(1, n_users + 1)]
-                                    .tolist()) for _ in range(n_groups)],
-                     group_pos=[[0]] * n_groups,
+                     user_items=Rows.from_lists([[0]] * n_users),
+                     groups=Rows.from_lists(groups),
+                     group_pos=Rows.from_lists([[0]] * n_groups),
                      user_ids=pool[:n_users], item_ids=["i"],
                      group_ids=rng.permutation(_AWKWARD_IDS).tolist()[:n_groups])
         labels = rng.integers(0, int(rng.integers(1, 4)), size=n_users)
-        assignments = [SubsetAssignment(group=g, subsets=partition_group(members, labels))
-                       for g, members in enumerate(ds.groups)]
+        assignments = subset_table([partition_group(members, labels)
+                                              for members in groups])
         dump_subsets(assignments, ds, out)
         assert out.read_bytes().decode("utf-8") == triple_loop_subset_dump(assignments, ds), trial

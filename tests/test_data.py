@@ -11,8 +11,8 @@ import pytest
 
 import mgam
 from mgam import data
-from mgam.data import (Dataset, SyntheticParams, generate_synthetic,
-                       load_dataset, sample_negatives,
+from mgam.data import (Dataset, Rows, SyntheticParams, draw_unseen,
+                       generate_synthetic, load_dataset, sample_negatives,
                        split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
 from reference_preprocessing import line_parsed_dataset
@@ -39,7 +39,7 @@ def test_load_user_item_counts(tmp_path):
 def test_load_user_item_dedup(tmp_path):
     d = _write(tmp_path, "7\t5\n7\t5\n", "g1\t7\n", "g1\t5\n")
     ds = load_dataset(d)
-    assert ds.user_items == [[0]]
+    assert ds.user_items == Rows.from_lists([[0]])
 
 
 def test_load_user_item_wrong_delimiter_names_line(tmp_path):
@@ -58,21 +58,21 @@ def test_load_user_item_third_column_tolerated(tmp_path):
     d = _write(tmp_path, "7\t5\t123456\n", "g1\t7\n", "g1\t5\n")
     ds = load_dataset(d)
     assert (ds.n_users, ds.n_items) == (1, 1)
-    assert ds.user_items == [[0]]
+    assert ds.user_items == Rows.from_lists([[0]])
 
 
 def test_load_dataset_groups(tmp_path):
     d = _write(tmp_path, "7\t5\n9\t5\n", "g1\t7,9\n", "g1\t5\n")
     ds = load_dataset(d)
     assert ds.n_groups == 1
-    assert ds.groups[0] == [0, 1]
-    assert ds.group_pos[0] == [0]
+    assert ds.groups[0].tolist() == [0, 1]
+    assert ds.group_pos[0].tolist() == [0]
 
 
 def test_load_dataset_duplicate_member_collapses(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7,7\n", "g1\t5\n")
     ds = load_dataset(d)
-    assert ds.groups[0] == [0]
+    assert ds.groups[0].tolist() == [0]
 
 
 def test_load_dataset_empty_member_list_rejected(tmp_path):
@@ -90,7 +90,7 @@ def test_load_dataset_unknown_group_in_items(tmp_path):
 def test_load_dataset_duplicate_group_items_collapse(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7\n", "g1\t5\ng1\t5\n")
     ds = load_dataset(d)
-    assert ds.group_pos[0] == [0]
+    assert ds.group_pos[0].tolist() == [0]
 
 
 def test_load_dataset_group_only_users_registered(tmp_path):
@@ -98,7 +98,7 @@ def test_load_dataset_group_only_users_registered(tmp_path):
     ds = load_dataset(d)
     assert ds.n_users == 2
     u42 = ds.user_index["42"]
-    assert ds.user_items[u42] == []
+    assert ds.user_items[u42].tolist() == []
 
 
 def test_load_dataset_comments_and_blanks_skipped(tmp_path):
@@ -334,9 +334,10 @@ def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
         return sorted(rng.choice(n, size=size, replace=False).tolist())
     n_users, n_items, n_groups = 1000, 3000, 4000
     ds = Dataset(n_users=n_users, n_items=n_items, n_groups=n_groups,
-                 user_items=[draw(n_items, 40) for _ in range(n_users)],
-                 groups=[draw(n_users, int(rng.integers(4, 9))) for _ in range(n_groups)],
-                 group_pos=[draw(n_items, 10) for _ in range(n_groups)],
+                 user_items=Rows.from_lists([draw(n_items, 40) for _ in range(n_users)]),
+                 groups=Rows.from_lists([draw(n_users, int(rng.integers(4, 9)))
+                                         for _ in range(n_groups)]),
+                 group_pos=Rows.from_lists([draw(n_items, 10) for _ in range(n_groups)]),
                  user_ids=[str(u) for u in range(n_users)],
                  item_ids=[str(i) for i in range(n_items)],
                  group_ids=[str(g) for g in range(n_groups)])
@@ -370,8 +371,9 @@ def test_remap_roundtrip_bijection(tmp_path):
 # split
 
 def test_split_two_positives_forced(tmp_path):
-    ds = Dataset(n_users=2, n_items=3, n_groups=1, user_items=[[0], [1]],
-                 groups=[[0, 1]], group_pos=[[0, 2]],
+    ds = Dataset(n_users=2, n_items=3, n_groups=1,
+                 user_items=Rows.from_lists([[0], [1]]),
+                 groups=Rows.from_lists([[0, 1]]), group_pos=Rows.from_lists([[0, 2]]),
                  user_ids=["0", "1"], item_ids=["0", "1", "2"], group_ids=["0"])
     split = split_leave_one_out(ds, 0)
     assert len(split.test) == 1
@@ -381,8 +383,8 @@ def test_split_two_positives_forced(tmp_path):
 
 
 def test_split_single_positive_stays_in_train():
-    ds = Dataset(n_users=1, n_items=2, n_groups=1, user_items=[[0]],
-                 groups=[[0]], group_pos=[[1]],
+    ds = Dataset(n_users=1, n_items=2, n_groups=1, user_items=Rows.from_lists([[0]]),
+                 groups=Rows.from_lists([[0]]), group_pos=Rows.from_lists([[1]]),
                  user_ids=["0"], item_ids=["0", "1"], group_ids=["0"])
     split = split_leave_one_out(ds, 0)
     assert split.test == []
@@ -403,17 +405,33 @@ def test_split_deterministic_and_union_preserved():
     for g in range(ds.n_groups):
         train_g = sorted(s1.train[s1.train[:, 0] == g, 1].tolist())
         full = sorted(train_g + ([held[g]] if g in held else []))
-        assert full == ds.group_pos[g]
+        assert full == ds.group_pos[g].tolist()
         if len(ds.group_pos[g]) >= 2:
             assert g in held
+
+
+def test_split_test_and_draws_are_python_ints():
+    """`split.test` holds Python ints, and `draw_unseen` draws the same
+    list whether `seen` is an int array or a list."""
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=30, n_items=40, n_groups=8, group_size_range=(2, 4),
+        n_cohorts=2, positives_per_group=5), seed=3)
+    split = split_leave_one_out(ds, 4)
+    assert split.test and all(type(g) is int and type(v) is int for g, v in split.test)
+    for g in range(ds.n_groups):
+        for n in (3, 30):   # rejection draws, then a choice over the eligible
+            a = draw_unseen(ds.n_items, ds.group_pos[g], n, np.random.default_rng(g), "g")
+            b = draw_unseen(ds.n_items, ds.group_pos[g].tolist(), n,
+                            np.random.default_rng(g), "g")
+            assert a == b and all(type(v) is int for v in a)
 
 
 # ---------------------------------------------------------------------------
 # negative sampling
 
 def _tiny_ds():
-    return Dataset(n_users=1, n_items=3, n_groups=1, user_items=[[0]],
-                   groups=[[0]], group_pos=[[0]],
+    return Dataset(n_users=1, n_items=3, n_groups=1, user_items=Rows.from_lists([[0]]),
+                   groups=Rows.from_lists([[0]]), group_pos=Rows.from_lists([[0]]),
                    user_ids=["0"], item_ids=["0", "1", "2"], group_ids=["0"])
 
 
@@ -454,8 +472,8 @@ def test_sample_negatives_same_stream_identical():
 def test_sample_negatives_uniformity_chi_square():
     """10^4 single draws over 10 eligible items: every frequency within
     3 sigma of uniform."""
-    ds = Dataset(n_users=1, n_items=12, n_groups=1, user_items=[[0]],
-                 groups=[[0]], group_pos=[[0, 1]],
+    ds = Dataset(n_users=1, n_items=12, n_groups=1, user_items=Rows.from_lists([[0]]),
+                 groups=Rows.from_lists([[0]]), group_pos=Rows.from_lists([[0, 1]]),
                  user_ids=["0"], item_ids=[str(i) for i in range(12)],
                  group_ids=["0"])
     rng = np.random.default_rng(8)
@@ -486,7 +504,7 @@ def test_synthetic_degenerate_single_cohort_no_noise():
         n_cohorts=1, noise=0.0, positives_per_group=5), seed=2)
     top1 = int(np.argmax(truth.group_utility[0]))
     for g in range(ds.n_groups):
-        assert ds.group_pos[g] == ds.group_pos[0]
+        assert ds.group_pos[g].tolist() == ds.group_pos[0].tolist()
         assert top1 in ds.group_pos[g]
 
 
@@ -545,6 +563,57 @@ def test_write_dataset_meta(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Rows
+
+def test_rows_views_and_padding_match_lists():
+    """`Rows` against the lists it was built from: rows, lengths and
+    `padded` for repeated, single and empty rows (all padding), and for
+    absent rows of a 2-D id table."""
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        lists = [rng.integers(0, 50, size=int(rng.integers(0, 6))).tolist()
+                 for _ in range(int(rng.integers(1, 8)))]
+        rows = Rows.from_lists(lists)
+        assert len(rows) == len(lists)
+        assert [row.tolist() for row in rows] == lists
+        assert [rows[k].tolist() for k in range(-len(lists), 0)] == lists
+        assert rows.lengths().tolist() == [len(x) for x in lists]
+        ids = rng.integers(0, len(lists), size=int(rng.integers(1, 10)))
+        ids = np.append(ids, ids[:2])                           # repeated rows
+        for pick in (ids, ids[:1]):                              # and a single one
+            idx, valid = rows.padded(pick)
+            width = max(len(lists[k]) for k in pick.tolist())
+            assert idx.shape == valid.shape == (len(pick), width)
+            for r, k in enumerate(pick.tolist()):
+                n = len(lists[k])
+                assert idx[r, :n].tolist() == lists[k], trial
+                assert valid[r].tolist() == [True] * n + [False] * (width - n)
+                assert not idx[r, n:].any()                       # padding reads 0
+    idx, valid = Rows.from_lists([[], [4, 5], []]).padded([0, 2, 0])
+    assert idx.shape == valid.shape == (3, 0)
+    # a 2-D table of row ids, where rows marked absent count as empty
+    rows = Rows.from_lists([[7, 8, 9], [5], [6, 4]])
+    idx, valid = rows.padded(np.array([[1, 2], [0, 0]]),
+                             present=np.array([[True, True], [True, False]]))
+    assert idx.tolist() == [[[5, 0, 0], [6, 4, 0]], [[7, 8, 9], [0, 0, 0]]]
+    assert valid.tolist() == [[[True, False, False], [True, True, False]],
+                              [[True, True, True], [False, False, False]]]
+    with pytest.raises(IndexError):
+        Rows.from_lists([[1]])[1]
+
+
+def test_rows_equality_and_bad_offsets():
+    a = Rows.from_lists([[1, 2], [], [3]])
+    assert a == Rows([0, 2, 2, 3], [1, 2, 3])
+    assert a != Rows.from_lists([[1], [2], [3]])       # same indices, other cuts
+    assert a != Rows.from_lists([[1, 2], [], [4]])
+    assert a.offsets.dtype == a.indices.dtype == np.int64
+    for offsets in ([1, 3], [0, 2, 1, 3], [0, 2], []):
+        with pytest.raises(UsageError, match="offsets"):
+            Rows(offsets, [1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
 # array form (checkpoint inputs)
 
 def _roundtrip(dataset):
@@ -584,12 +653,14 @@ def test_dataset_arrays_roundtrip_on_random_datasets(tmp_path):
 
 def test_dataset_arrays_roundtrip_edge_ids():
     ds = Dataset(n_users=4, n_items=3, n_groups=2,
-                 user_items=[[0, 2], [], [1], [0, 1, 2]],
-                 groups=[[0, 1, 3], [2]], group_pos=[[1], [0, 2]],
+                 user_items=Rows.from_lists([[0, 2], [], [1], [0, 1, 2]]),
+                 groups=Rows.from_lists([[0, 1, 3], [2]]),
+                 group_pos=Rows.from_lists([[1], [0, 2]]),
                  user_ids=["1", "01", "café", "x\x00"],
                  item_ids=["٣", "+3", "\x00"],
                  group_ids=["g　h", "2"])
     assert _roundtrip(ds) == ds
-    empty = Dataset(n_users=0, n_items=0, n_groups=0, user_items=[], groups=[],
-                    group_pos=[], user_ids=[], item_ids=[], group_ids=[])
+    empty = Dataset(n_users=0, n_items=0, n_groups=0, user_items=Rows.from_lists([]),
+                    groups=Rows.from_lists([]), group_pos=Rows.from_lists([]),
+                    user_ids=[], item_ids=[], group_ids=[])
     assert _roundtrip(empty) == empty

@@ -3,7 +3,7 @@ import pytest
 
 from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_EVAL, Config, substream
-from mgam.data import (Dataset, SyntheticParams, generate_synthetic,
+from mgam.data import (Dataset, Rows, SyntheticParams, generate_synthetic,
                        sample_negatives, split_leave_one_out)
 from mgam.errors import SamplingError, UsageError
 from mgam.evaluation import (MetricReport, evaluate, hr_at_k,
@@ -189,8 +189,9 @@ def test_mgam_scorer_matches_direct_forward():
 def _one_group_dataset(n_members=2):
     """One group of `n_members` users over 3 items, no interactions."""
     return Dataset(n_users=n_members, n_items=3, n_groups=1,
-                   user_items=[[] for _ in range(n_members)],
-                   groups=[list(range(n_members))], group_pos=[[]],
+                   user_items=Rows.from_lists([[] for _ in range(n_members)]),
+                   groups=Rows.from_lists([list(range(n_members))]),
+                   group_pos=Rows.from_lists([[]]),
                    user_ids=[str(u) for u in range(n_members)],
                    item_ids=["a", "b", "c"], group_ids=["g"])
 
@@ -265,8 +266,10 @@ def test_write_metrics_csv(tmp_path):
 
 def test_baseline_sampler_error_names_the_user():
     # user "u1" has seen 2 of 3 items, so 2 negatives cannot be drawn
-    ds = Dataset(n_users=2, n_items=3, n_groups=1, user_items=[[0], [0, 1]],
-                 groups=[[0, 1]], group_pos=[[0]], user_ids=["u0", "u1"],
+    ds = Dataset(n_users=2, n_items=3, n_groups=1,
+                 user_items=Rows.from_lists([[0], [0, 1]]),
+                 groups=Rows.from_lists([[0, 1]]), group_pos=Rows.from_lists([[0]]),
+                 user_ids=["u0", "u1"],
                  item_ids=["0", "1", "2"], group_ids=["0"])
     with pytest.raises(SamplingError, match="^user u1: requested 2 negatives"):
         train_mf_scorer(ds, d=4, epochs=1, lr=0.01, negatives=2, seed=0)

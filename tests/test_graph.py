@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from mgam.data import Rows
 from mgam.errors import UsageError
 from mgam.graph import (GroupGraph, _finish, build_co_membership, dump_graph,
                         expand_to_instances, induce_batch_subgraph)
@@ -15,12 +16,12 @@ def dense_normalized_oracle(adj):
 
 
 def random_groups(rng, n_groups, n_users):
-    return [sorted(rng.choice(n_users, size=rng.integers(1, 5), replace=False))
-            for _ in range(n_groups)]
+    return Rows.from_lists([sorted(rng.choice(n_users, size=rng.integers(1, 5), replace=False))
+                            for _ in range(n_groups)])
 
 
 def test_co_membership_edges():
-    g = build_co_membership([[0, 1], [1, 2], [3]])
+    g = build_co_membership(Rows.from_lists([[0, 1], [1, 2], [3]]))
     a = g.adjacency.toarray()
     assert np.array_equal(np.diag(a), np.ones(3))
     assert a[0, 1] == 1 and a[1, 0] == 1
@@ -28,19 +29,19 @@ def test_co_membership_edges():
 
 
 def test_co_membership_no_shared_users_is_identity():
-    g = build_co_membership([[0], [1], [2]])
+    g = build_co_membership(Rows.from_lists([[0], [1], [2]]))
     assert np.array_equal(g.adjacency.toarray(), np.eye(3))
     assert np.array_equal(g.normalized.toarray(), np.eye(3))
 
 
 def test_co_membership_shared_user_complete_graph():
-    g = build_co_membership([[0, 1], [0, 2], [0, 3]])
+    g = build_co_membership(Rows.from_lists([[0, 1], [0, 2], [0, 3]]))
     assert np.array_equal(g.adjacency.toarray(), np.ones((3, 3)))
 
 
 def test_path_graph_normalized_entries():
     # A-B-C with self-loops: degrees (2, 3, 2)
-    g = build_co_membership([[0], [0, 1], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     n = g.normalized.toarray()
     assert n[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert n[0, 1] == pytest.approx(1 / np.sqrt(6), abs=1e-15)
@@ -71,7 +72,7 @@ def test_graph_invariants_randomized():
 
 
 def test_induce_single_node():
-    g = build_co_membership([[0], [0, 1], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     sub = induce_batch_subgraph(g, [2])
     assert np.array_equal(sub.adjacency.toarray(), [[1.0]])
     assert np.array_equal(sub.normalized.toarray(), [[1.0]])
@@ -86,7 +87,7 @@ def test_induce_full_set_equals_original():
 
 
 def test_induce_pair_from_path():
-    g = build_co_membership([[0], [0, 1], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     sub = induce_batch_subgraph(g, [0, 1])
     n = sub.normalized.toarray()
     # recomputed degrees are (2, 2)
@@ -108,7 +109,7 @@ def test_induce_matches_dense_oracle_randomized():
 
 
 def test_induce_rejects_bad_ids():
-    g = build_co_membership([[0], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [1]]))
     with pytest.raises(UsageError):
         induce_batch_subgraph(g, [0, 0])
     with pytest.raises(UsageError):
@@ -118,7 +119,7 @@ def test_induce_rejects_bad_ids():
 
 
 def test_expand_to_instances_duplicates():
-    g = build_co_membership([[0], [0, 1], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     sub = induce_batch_subgraph(g, [0, 1])
     # instances: group0, group0, group1 -> complete among first two, all linked
     norm = expand_to_instances(sub, [0, 0, 1])
@@ -129,7 +130,7 @@ def test_expand_to_instances_duplicates():
 
 def test_normalize_adjacency_recompute():
     # inducing on every node recomputes degrees and normalization unchanged
-    g = build_co_membership([[0, 1], [1], [2]])
+    g = build_co_membership(Rows.from_lists([[0, 1], [1], [2]]))
     again = induce_batch_subgraph(g, [0, 1, 2])
     assert np.array_equal(again.normalized.toarray(), g.normalized.toarray())
     assert np.array_equal(again.degree, g.degree)
@@ -188,7 +189,7 @@ def test_co_membership_matches_pair_loop_bitwise():
                              .tolist())
                       for _ in range(n_groups)])
     for groups in cases:
-        fast = build_co_membership(groups)
+        fast = build_co_membership(Rows.from_lists(groups))
         slow = _finish(pair_loop_adjacency(groups))
         assert fast.n == slow.n
         _assert_csr_bitwise(fast.adjacency, slow.adjacency)
@@ -201,7 +202,7 @@ def test_dump_graph_follows_internal_index_order(tmp_path):
     """Lines follow the numeric (row, col) order of internal indices even
     where the ids sort differently as strings."""
     ids = ["2", "10", "9", "1"]
-    g = build_co_membership([[0, 1], [1, 2], [0, 2], [2, 3]])
+    g = build_co_membership(Rows.from_lists([[0, 1], [1, 2], [0, 2], [2, 3]]))
     out = tmp_path / "graph.tsv"
     dump_graph(g, ids, out)
     text = out.read_text(encoding="utf-8")

@@ -4,9 +4,8 @@ from scipy.optimize import linprog
 
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
-from mgam.clustering import SubsetAssignment
 from mgam.config import Config
-from mgam.data import Dataset
+from mgam.data import Dataset, Rows
 from mgam.errors import ConfigError, UsageError
 from mgam.graph import build_co_membership
 from mgam.model import (AblationMask, forward_batch, fuse,
@@ -16,7 +15,7 @@ from mgam.model import (AblationMask, forward_batch, fuse,
 from mgam.training import (point_loss_from_logits, total_loss,
                            triplet_loss, _build_triplets)
 
-from conftest import fresh_toy_params
+from conftest import fresh_toy_params, subset_table
 from reference_forward import reference_forward
 
 E = np.e
@@ -232,7 +231,7 @@ def test_propagate_identity_on_single_node():
 
 def test_propagate_identity_weights_equal_matrix_power():
     rng = np.random.default_rng(3)
-    g = build_co_membership([[0, 1], [1, 2], [2], [0, 3]])
+    g = build_co_membership(Rows.from_lists([[0, 1], [1, 2], [2], [0, 3]]))
     h0 = np.abs(rng.normal(size=(4, 3)))
     out = superset_propagate(Tensor(h0), g.normalized, [Tensor(np.eye(3))] * 3)
     n = g.normalized.toarray()
@@ -241,7 +240,7 @@ def test_propagate_identity_weights_equal_matrix_power():
 
 
 def test_propagate_zero_weights_zero_output():
-    g = build_co_membership([[0], [1]])
+    g = build_co_membership(Rows.from_lists([[0], [1]]))
     out = superset_propagate(Tensor(np.ones((2, 3))), g.normalized,
                              [Tensor(np.zeros((3, 3)))])
     assert np.array_equal(out.data, np.zeros((2, 3)))
@@ -269,7 +268,7 @@ def _superset_params(d, layers, n_groups, rng=None, identity=False):
 
 def test_superset_isolated_group_concatenates_initial_states():
     d, layers = 3, 2
-    graph = build_co_membership([[0], [1]])  # isolated nodes
+    graph = build_co_membership(Rows.from_lists([[0], [1]]))  # isolated nodes
     params = _superset_params(d, layers, 2, identity=True)
     cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0 = Tensor(np.array([[0.2, 0.0, 0.7]]))
@@ -283,7 +282,7 @@ def test_superset_isolated_group_concatenates_initial_states():
 def test_superset_path_graph_matches_dense_oracle():
     d, layers = 4, 2
     groups = [[0], [0, 1], [1]]  # path
-    graph = build_co_membership(groups)
+    graph = build_co_membership(Rows.from_lists(groups))
     rng = np.random.default_rng(5)
     params = _superset_params(d, layers, 3, rng=rng)
     cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
@@ -311,7 +310,7 @@ def test_superset_isolated_instances_ignore_each_other():
     """With isolated=True each instance's batch stream is its own seed
     propagated through a unit self-loop, even for adjacent groups."""
     d, layers = 4, 2
-    graph = build_co_membership([[0], [0, 1], [1]])
+    graph = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     rng = np.random.default_rng(8)
     params = _superset_params(d, layers, 3, rng=rng)
     cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
@@ -527,11 +526,11 @@ def test_forward_attention_weights_are_probability_vectors(toy):
     ds = toy["dataset"]
     uneven = Dataset(
         n_users=ds.n_users, n_items=ds.n_items, n_groups=ds.n_groups,
-        user_items=ds.user_items, groups=[[0, 1, 2], [3, 4, 5, 6]],
+        user_items=ds.user_items, groups=Rows.from_lists([[0, 1, 2], [3, 4, 5, 6]]),
         group_pos=ds.group_pos, user_ids=ds.user_ids, item_ids=ds.item_ids,
         group_ids=ds.group_ids)
-    assignments = [SubsetAssignment(group=0, subsets=[[0, 1, 2]]),
-                   SubsetAssignment(group=1, subsets=[[3, 4, 5], [6]])]
+    assignments = subset_table([[[0, 1, 2]],
+                                          [[3, 4, 5], [6]]])
     res = forward_batch(toy["params"], toy["cfg"], uneven, assignments,
                         build_co_membership(uneven.groups), toy["batch"])
     # 4 instances of group 0 (1 subset each), 3 of group 1 (2 subsets each)
@@ -562,13 +561,13 @@ def test_forward_member_permutation_invariance(toy):
     permuted = Dataset(
         n_users=ds.n_users, n_items=ds.n_items, n_groups=ds.n_groups,
         user_items=ds.user_items,
-        groups=[[3, 0, 2, 1], [6, 4, 3, 5]],  # same members, shuffled
+        groups=Rows.from_lists([[3, 0, 2, 1], [6, 4, 3, 5]]),  # same members, shuffled
         group_pos=ds.group_pos, user_ids=ds.user_ids, item_ids=ds.item_ids,
         group_ids=ds.group_ids)
-    shuffled_assignments = [
-        SubsetAssignment(group=0, subsets=[[1, 0], [3, 2]]),
-        SubsetAssignment(group=1, subsets=[[5, 3, 4], [6]]),
-    ]
+    shuffled_assignments = subset_table([
+        [[1, 0], [3, 2]],
+        [[5, 3, 4], [6]],
+    ])
     a = forward_batch(toy["params"], toy["cfg"], ds, toy["assignments"],
                       toy["graph"], toy["batch"])
     b = forward_batch(toy["params"], toy["cfg"], permuted,
@@ -579,10 +578,10 @@ def test_forward_member_permutation_invariance(toy):
 def test_forward_slot_order_sensitivity(toy):
     """Per-slot parameters make subset order significant, which is why the
     clustering module pins a deterministic ordering."""
-    swapped = [
-        SubsetAssignment(group=0, subsets=[[2, 3], [0, 1]]),
-        SubsetAssignment(group=1, subsets=[[6], [3, 4, 5]]),
-    ]
+    swapped = subset_table([
+        [[2, 3], [0, 1]],
+        [[6], [3, 4, 5]],
+    ])
     a = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
                       toy["assignments"], toy["graph"], toy["batch"])
     b = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
@@ -694,16 +693,16 @@ def ragged():
     groups = [[0, 1, 2, 3, 4, 5], [5, 6], [6, 7, 8, 9], [1, 9, 10], [11, 12, 13]]
     ds = Dataset(
         n_users=14, n_items=12, n_groups=5,
-        user_items=[[] for _ in range(14)], groups=groups,
-        group_pos=[[] for _ in groups], user_ids=[str(i) for i in range(14)],
+        user_items=Rows.from_lists([[] for _ in range(14)]), groups=Rows.from_lists(groups),
+        group_pos=Rows.from_lists([[] for _ in groups]), user_ids=[str(i) for i in range(14)],
         item_ids=[str(i) for i in range(12)], group_ids=[str(g) for g in range(5)])
-    assignments = [
-        SubsetAssignment(group=0, subsets=[[0, 2, 4], [1, 5], [3]]),
-        SubsetAssignment(group=1, subsets=[[5, 6]]),
-        SubsetAssignment(group=2, subsets=[[6, 7, 9], [8]]),
-        SubsetAssignment(group=3, subsets=[[1, 9], [10]]),
-        SubsetAssignment(group=4, subsets=[[11], [12], [13]]),
-    ]
+    assignments = subset_table([
+        [[0, 2, 4], [1, 5], [3]],
+        [[5, 6]],
+        [[6, 7, 9], [8]],
+        [[1, 9], [10]],
+        [[11], [12], [13]],
+    ])
     cfg = Config(embedding_dim=8, num_subsets=3, gcn_layers=2)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                          np.random.default_rng(77))
@@ -790,11 +789,12 @@ def test_one_group_scoring_memory_grows_with_candidates_times_d():
     n_cand, d, n_members, m = 500, 32, 64, 4
     ds = Dataset(
         n_users=n_members, n_items=n_cand, n_groups=1,
-        user_items=[[] for _ in range(n_members)], groups=[list(range(n_members))],
-        group_pos=[[]], user_ids=[str(u) for u in range(n_members)],
+        user_items=Rows.from_lists([[] for _ in range(n_members)]),
+        groups=Rows.from_lists([list(range(n_members))]),
+        group_pos=Rows.from_lists([[]]), user_ids=[str(u) for u in range(n_members)],
         item_ids=[str(v) for v in range(n_cand)], group_ids=["0"])
-    assignments = [SubsetAssignment(group=0, subsets=[
-        list(range(k, n_members, m)) for k in range(m)])]
+    assignments = subset_table([[
+        list(range(k, n_members, m)) for k in range(m)]])
     cfg = Config(embedding_dim=d, num_subsets=m, gcn_layers=2)
     params = init_params(cfg, ds.n_users, ds.n_items, 1, np.random.default_rng(0))
     graph = build_co_membership(ds.groups)

@@ -1,4 +1,6 @@
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ import pytest
 import mgam.training
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
-from mgam.clustering import SubsetAssignment, cluster_subsets
+from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_TRAIN, Config, substream
-from mgam.data import (DATA_FILES, Dataset, SyntheticParams, dataset_sha256,
+from mgam.data import (DATA_FILES, Dataset, Rows, SyntheticParams, dataset_sha256,
                        generate_synthetic, sample_negatives, split_leave_one_out,
                        write_dataset)
 from mgam.errors import CheckpointError, NonFiniteError, UsageError
@@ -19,7 +21,7 @@ from mgam.training import (adam_step, expected_param_shapes, init_adam,
                            read_manifest, save_checkpoint, total_loss, train,
                            train_epoch, triplet_loss, _build_triplets)
 
-from conftest import fresh_toy_params
+from conftest import fresh_toy_params, subset_table
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +375,12 @@ def test_train_ablated_runs(toy):
 
 # the 3-user, 5-item, 2-group problem the checkpoint helpers train on
 _CKPT_DATASET = Dataset(
-    n_users=3, n_items=5, n_groups=2, user_items=[[0, 1], [2], []],
-    groups=[[0, 1], [1, 2]], group_pos=[[3], [4]],
+    n_users=3, n_items=5, n_groups=2, user_items=Rows.from_lists([[0, 1], [2], []]),
+    groups=Rows.from_lists([[0, 1], [1, 2]]), group_pos=Rows.from_lists([[3], [4]]),
     user_ids=["u0", "u1", "u2"], item_ids=[str(i) for i in range(5)],
     group_ids=["g0", "g1"])
-_CKPT_ASSIGNMENTS = [SubsetAssignment(group=0, subsets=[[0], [1]]),
-                     SubsetAssignment(group=1, subsets=[[1, 2]])]
+_CKPT_ASSIGNMENTS = subset_table([[[0], [1]],
+                                            [[1, 2]]])
 
 
 def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
@@ -401,6 +403,31 @@ def test_checkpoint_roundtrip_float32(tmp_path):
     for k, p in params.items():
         assert np.array_equal(loaded[k].data, p.data.astype(np.float32).astype(np.float64))
         assert loaded[k].requires_grad
+
+
+def test_checkpoint_files_reach_disk_before_their_rename(tmp_path, monkeypatch):
+    """Each file is fsynced under its temporary name before the rename that
+    publishes it, in the order params, inputs, manifest; the directory is
+    fsynced after the manifest's rename."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    _checkpoint_roundtrip_setup(tmp_path)
+    want = []
+    for name in ("params.bin", "inputs.npz", "manifest.json"):
+        inode = (tmp_path / name).stat().st_ino
+        want += [("fsync", inode), ("replace", inode, name)]
+    assert events == want + [("fsync", tmp_path.stat().st_ino)]
 
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
