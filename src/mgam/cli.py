@@ -227,10 +227,10 @@ def cmd_recommend(args) -> int:
         raise UsageError(f"unknown group id {args.group_id!r}")
     g = dataset.group_index[args.group_id]
     scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, mask=mask)
-    candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g]).tolist()
-    if not candidates:
+    candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g])
+    if not len(candidates):
         raise UsageError(f"group {args.group_id!r} has interacted with every item")
-    ranked = rank_candidates(scorer, g, candidates)
+    ranked = rank_candidates(scorer, g, candidates, group_id=args.group_id)
     top = list(zip(ranked.items, ranked.scores))[:args.k]
 
     if args.explain:

@@ -433,14 +433,16 @@ def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
     if n == 0:
         return []
     if n <= eligible_count // 2:
+        # rejection rounds: each round draws only as many numbers as items
+        # are still missing, all of which one-at-a-time draws would also
+        # consume, so the list and the stream's end position are theirs
         out: list = []
         chosen: set = set()
         while len(out) < n:
-            cand = int(rng.integers(n_items))
-            if cand in blocked or cand in chosen:
-                continue
-            chosen.add(cand)
-            out.append(cand)
+            for cand in rng.integers(n_items, size=n - len(out)).tolist():
+                if cand not in blocked and cand not in chosen:
+                    chosen.add(cand)
+                    out.append(cand)
         return out
     eligible = np.array([i for i in range(n_items) if i not in blocked])
     return [int(i) for i in rng.choice(eligible, size=n, replace=False)]

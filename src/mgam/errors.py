@@ -30,5 +30,6 @@ class CheckpointError(MgamError):
 
 
 class NonFiniteError(MgamError):
-    """Training produced a non-finite loss or gradient; message names the
-    epoch, the batch and, for a gradient, the parameter."""
+    """Training produced a non-finite loss or gradient (message names the
+    epoch, the batch and, for a gradient, the parameter), or a scorer a
+    non-finite score (message names the group)."""

@@ -7,15 +7,22 @@ are keyed by group index so evaluation order cannot change the result.
 `eval`, `ablate` and `baseline` draw the candidate lists once per command
 and rank every model (ablation mask, aggregation strategy) against them.
 
-All of a group's candidates are scored in one batch-wide forward with
-`isolated=True`: each candidate gets its own one-node batch graph, so its
-score depends only on its own (group, item) pair, never on the rest of
-the candidate list.
+A scorer is pairwise: `score_fn(groups, items)` takes two equal-length
+int arrays and returns one score per (group, item) row.  `evaluate` hands
+it every test group's candidate rows at once, and the mgam scorer cuts
+them into chunks of `SCORE_CHUNK_ROWS` rows, each one forward with
+`isolated=True` over rows of several groups: every row gets its own
+one-node batch graph, so its score depends only on its own (group, item)
+pair, never on the rows it shares a forward with.  The chunk size bounds
+the memory of a forward whatever the number of test groups.  A held-out
+item's position is 1 + the number of its group's candidates that score
+higher, or score the same and have a smaller item index.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +31,16 @@ import numpy as np
 from . import autodiff as ad
 from .config import STREAM_BASELINE, STREAM_EVAL, Config, substream
 from .data import Dataset, Split, draw_unseen, sample_negatives
-from .errors import UsageError
+from .errors import NonFiniteError, UsageError
 from .model import AblationMask, compute_global_rows, forward_batch
 from .training import adam_step, init_adam, point_loss_from_logits
 
 METRICS_FILE = "metrics.csv"
 METRICS_DETAIL_FILE = "metrics_detail.csv"
+
+# rows per scoring forward: a fixed count, so chunking never depends on the
+# machine and a default-size `recommend` (490 items) is one forward
+SCORE_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -48,20 +59,41 @@ class MetricReport:
     per_group: list = field(default_factory=list)  # (group, position) pairs
 
 
-def rank_candidates(score_fn, group: int, candidates, target=None) -> RankedList:
-    """Score and sort candidates for a group (deterministic tie-break)."""
-    candidates = [int(c) for c in candidates]
-    if not candidates:
+def _score(score_fn, groups: np.ndarray, items: np.ndarray, group_name) -> np.ndarray:
+    """Scores of the (group, item) rows; a non-finite score has no rank, so
+    it is refused, naming the group (`group_name(g)`) it was scored for."""
+    scores = np.asarray(score_fn(groups, items), dtype=np.float64)
+    if scores.shape != items.shape:
+        raise UsageError(f"scorer returned {scores.shape} scores for {len(items)} rows")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        i = bad[0]
+        raise NonFiniteError(f"non-finite score {float(scores[i])!r} for group "
+                             f"{group_name(int(groups[i]))}")
+    return scores
+
+
+def rank_candidates(score_fn, group: int, candidates, target=None,
+                    group_id=None) -> RankedList:
+    """Score and sort candidates for a group (deterministic tie-break).
+
+    `group_id` names the group in a `NonFiniteError` (default: the index).
+    """
+    items = np.asarray(candidates, dtype=np.int64)
+    if not len(items):
         raise UsageError("cannot rank an empty candidate list")
-    if len(set(candidates)) != len(candidates):
+    if len(np.unique(items)) != len(items):
         raise UsageError("candidates must be distinct")
-    scores = np.asarray(score_fn(group, candidates), dtype=np.float64)
-    order = np.lexsort((candidates, -scores))
-    items = [candidates[i] for i in order]
+    scores = _score(score_fn, np.full(len(items), group), items,
+                    lambda g: g if group_id is None else group_id)
+    order = np.lexsort((items, -scores))
     position = None
     if target is not None:
-        position = items.index(int(target)) + 1
-    return RankedList(items=items, scores=[float(scores[i]) for i in order],
+        hit = np.flatnonzero(items[order] == int(target))
+        if not len(hit):
+            raise UsageError(f"target item {int(target)} is not among the candidates")
+        position = int(hit[0]) + 1
+    return RankedList(items=items[order].tolist(), scores=scores[order].tolist(),
                       position=position)
 
 
@@ -106,16 +138,41 @@ def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
         raise UsageError("split has no test entries to evaluate")
     if candidates is None:
         candidates = draw_candidates(dataset, split, eval_negatives, seed)
+    if len(candidates) != len(split.test):
+        raise UsageError(f"{len(candidates)} candidate lists for "
+                         f"{len(split.test)} test entries")
+    test = np.asarray(split.test, dtype=np.int64)
+    lengths = np.array([len(c) for c in candidates], dtype=np.int64)
+    if not lengths.all():
+        raise UsageError("cannot rank an empty candidate list")
+    # every list's rows, concatenated; `entry` is a row's test entry
+    items = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.int64,
+                        count=int(lengths.sum()))
+    entry = np.repeat(np.arange(len(test)), lengths)
+    by_item = items[np.lexsort((items, entry))]   # entries stay contiguous
+    if np.any((by_item[1:] == by_item[:-1]) & (entry[1:] == entry[:-1])):
+        raise UsageError("candidates must be distinct")
+    del by_item
+    hit = np.flatnonzero(items == test[entry, 1])
+    if len(hit) != len(test):
+        missing = np.setdiff1d(np.arange(len(test)), entry[hit])[0]
+        raise UsageError(f"held-out item {int(test[missing, 1])} is not among the "
+                         f"candidates of group {dataset.group_ids[test[missing, 0]]}")
+    scores = _score(score_fn, test[entry, 0], items, dataset.group_ids.__getitem__)
+    # rows ranked ahead of their list's held-out item: the `lexsort` order
+    # by descending score, then ascending item
+    target_score, target_item = scores[hit][entry], items[hit][entry]
+    ahead = (scores > target_score) | ((scores == target_score) & (items < target_item))
+    positions = 1 + np.bincount(entry[ahead], minlength=len(test))
     ks = [int(k) for k in ks]
     hr_sum = {k: 0.0 for k in ks}
     ndcg_sum = {k: 0.0 for k in ks}
     per_group = []
-    for (group, positive), ranking in zip(split.test, candidates, strict=True):
-        ranked = rank_candidates(score_fn, group, ranking, target=positive)
-        per_group.append((group, ranked.position))
+    for (group, _), position in zip(split.test, positions.tolist()):
+        per_group.append((group, position))
         for k in ks:
-            hr_sum[k] += hr_at_k(ranked.position, k)
-            ndcg_sum[k] += ndcg_at_k(ranked.position, k)
+            hr_sum[k] += hr_at_k(position, k)
+            ndcg_sum[k] += ndcg_at_k(position, k)
     n = len(split.test)
     return MetricReport(
         ks=ks,
@@ -128,20 +185,26 @@ def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
 
 def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
                      assignments, graph, mask: AblationMask | None = None):
-    """Forward-only scorer closure over a trained model.
+    """Forward-only pairwise scorer over a trained model.
 
-    The global graph stream is precomputed once; each call scores all of
-    a group's candidates in one isolated forward.
+    The global graph stream is precomputed once; a call's (group, item)
+    rows are scored `SCORE_CHUNK_ROWS` at a time, one isolated forward per
+    chunk, whatever groups the rows belong to.
     """
     mask = mask or AblationMask()
     global_rows = compute_global_rows(params, cfg, graph) if mask.use_suppe else None
 
-    def score_fn(group, candidates):
+    def score_fn(groups, items):
+        groups, items = np.asarray(groups), np.asarray(items)
+        scores = np.empty(len(items))
         with ad.no_grad():
-            result = forward_batch(params, cfg, dataset, assignments, graph,
-                                   np.c_[np.full(len(candidates), group), candidates],
-                                   mask=mask, global_rows=global_rows, isolated=True)
-        return result.scores.data
+            for start in range(0, len(items), SCORE_CHUNK_ROWS):
+                chunk = slice(start, start + SCORE_CHUNK_ROWS)
+                scores[chunk] = forward_batch(
+                    params, cfg, dataset, assignments, graph,
+                    np.c_[groups[chunk], items[chunk]],
+                    mask=mask, global_rows=global_rows, isolated=True).scores.data
+        return scores
 
     return score_fn
 
@@ -202,15 +265,21 @@ _AGGREGATE = {"avg": np.mean, "lm": np.min, "ms": np.max}
 
 def make_baseline_scorer(user_vecs: np.ndarray, item_vecs: np.ndarray,
                          dataset: Dataset, strategy: str):
-    """Score candidates by aggregating member sigmoid dot-products."""
+    """Pairwise scorer aggregating member sigmoid dot-products; the rows
+    of each group are scored together, in their order."""
     if strategy not in _AGGREGATE:
         raise UsageError(f"unknown aggregation strategy {strategy!r}")
     reduce = _AGGREGATE[strategy]
 
-    def score_fn(group, candidates):
-        members = dataset.groups[group]
-        logits = user_vecs[members] @ item_vecs[list(candidates)].T  # (m, c)
-        return reduce(1.0 / (1.0 + np.exp(-logits)), axis=0)
+    def score_fn(groups, items):
+        groups, items = np.asarray(groups), np.asarray(items)
+        scores = np.empty(len(items))
+        by_group = np.argsort(groups, kind="stable")
+        uniq, starts = np.unique(groups[by_group], return_index=True)
+        for group, rows in zip(uniq.tolist(), np.split(by_group, starts[1:])):
+            logits = user_vecs[dataset.groups[group]] @ item_vecs[items[rows]].T  # (m, c)
+            scores[rows] = reduce(1.0 / (1.0 + np.exp(-logits)), axis=0)
+        return scores
 
     return score_fn
 

@@ -74,17 +74,19 @@ def induce_batch_subgraph(graph: GroupGraph, batch_group_ids) -> GroupGraph:
     return _finish(sub)
 
 
-def expand_to_instances(subgraph: GroupGraph, positions) -> sparse.csr_array:
+def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
     """Normalized instance-level adjacency for a batch.
 
-    `positions[i]` maps batch instance i to its group's node in
-    `subgraph`.  Two instances are adjacent iff their groups are (a group
-    is trivially adjacent to itself), and degrees are recomputed at the
-    instance level, so duplicate groups in a batch raise each other's
-    degrees.
+    `positions[i]` maps batch instance i to its group's node in `graph`:
+    the group index itself in the full co-membership graph, as the model
+    calls it, or a node of an `induce_batch_subgraph` result, which gives
+    the same matrix.  Two instances are adjacent iff their groups are (a
+    group is trivially adjacent to itself), and degrees are recomputed at
+    the instance level, so duplicate groups in a batch raise each other's
+    degrees.  One slice of the adjacency, normalized once.
     """
     pos = np.asarray(positions, dtype=np.intp)
-    adj = subgraph.adjacency[pos][:, pos]
+    adj = graph.adjacency[pos][:, pos]
     return _normalize(adj, np.asarray(adj.sum(axis=1)).ravel())
 
 

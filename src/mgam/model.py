@@ -25,13 +25,15 @@ group's members once, into a padded (rows, W, d) table and a
 (rows, R, w, d) table of its R subsets.  Both index tables are index
 arithmetic on CSR arrays: `Rows.padded` pads the batch groups' rows of
 `Dataset.groups`, and their subsets' rows of the `SubsetTable`.  A
-forward over one group's candidates (evaluation, `recommend`) has a
-single row whatever the candidate count.  Two stacked matmuls give every
+forward over one group's candidates (`recommend`) has a single row
+whatever the candidate count; an evaluation chunk of several groups'
+candidates has a row or two per group.  Two stacked matmuls give every
 (item, member) dot product and weighted sum; padding is masked out of the
 softmax with -inf and the real grid cells are taken back into instance
-order.  Subset slots become (n, d) tensors with a zero row (masked out of
-the slot softmax) where an instance lacks the slot.  Fusion stacks the
-branches as (n, r, d) and is an (n, r, r) attention.  The same forward
+order.  Subset slots become (n, d) tensors read from the cell table, with
+a row multiplied by zero (and masked out of the slot softmax) where an
+instance lacks the slot.  Fusion stacks the branches as (n, r, d) and is
+an (n, r, r) attention.  The same forward
 serves training, evaluation, `recommend` and `--explain`; `isolated=True`
 decouples the instances.
 """
@@ -48,7 +50,9 @@ from .clustering import SubsetTable
 from .config import _GRANULARITIES, Config
 from .data import Dataset
 from .errors import UsageError
-from .graph import GroupGraph, expand_to_instances, induce_batch_subgraph
+# induce_batch_subgraph is not called here; it stays importable from this
+# module, where benchmarks/tracing.py wraps it
+from .graph import GroupGraph, expand_to_instances, induce_batch_subgraph  # noqa: F401
 
 
 @dataclass
@@ -221,11 +225,7 @@ def superset_embeddings(params: dict, cfg: Config, batch_groups,
     if global_rows is None:
         global_w = [params[f"gcn_global_w_{k}"] for k in range(1, layers + 1)]
         global_rows = superset_propagate(params["group_emb"], graph.normalized, global_w)
-    norm_inst = None
-    if not isolated:
-        uniq, pos = np.unique(np.asarray(batch_groups, dtype=np.intp),
-                              return_inverse=True)
-        norm_inst = expand_to_instances(induce_batch_subgraph(graph, uniq), pos)
+    norm_inst = None if isolated else expand_to_instances(graph, batch_groups)
     batch_w = [params[f"gcn_batch_w_{k}"] for k in range(1, layers + 1)]
     batch_rows = superset_propagate(h0, norm_inst, batch_w)
     h_sup = ad.concat([ad.take(global_rows, batch_groups), batch_rows], axis=1)
@@ -268,6 +268,15 @@ def compute_global_rows(params: dict, cfg: Config, graph: GroupGraph) -> Tensor:
     with ad.no_grad():
         global_w = [params[f"gcn_global_w_{k}"] for k in range(1, cfg.gcn_layers + 1)]
         return superset_propagate(params["group_emb"], graph.normalized, global_w)
+
+
+def _slot_rows(table: Tensor, index: np.ndarray, present: np.ndarray) -> list:
+    """Slot s of instance i is row `index[i, s]` of the (rows, d) `table`,
+    multiplied by 0 where `present[i, s]` is False: the (n, d) inputs of
+    `subset_attention`, without a copy of the table."""
+    keep = present[:, :, None].astype(np.float64)                    # (n, R, 1)
+    return [ad.mul(ad.take(table, index[:, s]), Tensor(keep[:, s]))
+            for s in range(index.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +351,14 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
             ad.take(params["user_emb"], table[row_group]),
             ad.reshape(item_grid, (n_rows, 1, c, d)),
             params["user_att_w"], params["user_att_b"], real[row_group])  # (rows, R, c, d)
-        # slot s of instance i reads its cell, or the zero row past the end
+        # slot s of instance i reads its cell; a missing slot reads its
+        # stand-in's cell, zeroed
         present = has_slot[inv]                                      # (n, R)
         row, col = np.divmod(cell, c)
-        row_of = np.where(present, (row[:, None] * r + np.arange(r)) * c + col[:, None],
-                          n_rows * r * c)
-        flat = ad.concat([ad.reshape(h_cells, (n_rows * r * c, d)), Tensor(np.zeros((1, d)))])
-        h_subpe, slot_w = subset_attention([ad.take(flat, row_of[:, s]) for s in range(r)],
-                                           params, cfg.num_subsets, present=present)
+        row_of = (row[:, None] * r + np.arange(r)) * c + col[:, None]
+        h_subpe, slot_w = subset_attention(
+            _slot_rows(ad.reshape(h_cells, (n_rows * r * c, d)), row_of, present),
+            params, cfg.num_subsets, present=present)
         member_w = attn.data.reshape(n_rows * r * c, -1)[row_of[present]]
     if need_gpe:
         idx, valid = dataset.groups.padded(uniq)                     # (G, W)

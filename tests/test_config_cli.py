@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 
 import numpy as np
@@ -410,6 +411,27 @@ def test_recommend_non_string_tensor_name_is_named(workspace, tmp_path, capsys, 
     err = capsys.readouterr().err      # after the config echo
     assert err.splitlines()[-1].startswith("error:")
     assert "malformed tensor entry" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "recommend"])
+def test_non_finite_score_exits_1_naming_the_group(workspace, tmp_path, capsys,
+                                                   monkeypatch, command):
+    real = mgam.evaluation.forward_batch
+
+    def nan_for_row_3(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.scores.data[3] = np.nan
+        return result
+
+    monkeypatch.setattr(mgam.evaluation, "forward_batch", nan_for_row_3)
+    extra = (["--group-id", "3"] if command == "recommend"
+             else ["--out", str(tmp_path / "eval")])
+    rc = main([command, "--data", workspace["data"], "--ckpt", workspace["ckpt"], *extra])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    group = "3" if command == "recommend" else r"\S+"
+    assert re.search(rf"non-finite score nan for group {group}$", err.strip())
 
 
 def test_recommend_unknown_group(workspace, capsys):

@@ -429,6 +429,47 @@ def test_split_test_and_draws_are_python_ints():
 # ---------------------------------------------------------------------------
 # negative sampling
 
+def _scalar_draw_unseen(n_items, seen, n, rng):
+    """One `rng.integers` call per drawn number: the reference the bulk
+    rejection rounds of `draw_unseen` must reproduce exactly."""
+    blocked = set(np.asarray(seen, dtype=np.int64).tolist())
+    if n <= (n_items - len(blocked)) // 2:
+        out, chosen = [], set()
+        while len(out) < n:
+            cand = int(rng.integers(n_items))
+            if cand in blocked or cand in chosen:
+                continue
+            chosen.add(cand)
+            out.append(cand)
+        return out
+    eligible = np.array([i for i in range(n_items) if i not in blocked])
+    return [int(i) for i in rng.choice(eligible, size=n, replace=False)]
+
+
+@pytest.mark.parametrize("n_items", [500, 5000, 6000])
+def test_bulk_draw_unseen_equals_scalar_draws(n_items):
+    """Per-group streams (100 draws over up to 45% seen items) and the
+    dense `choice` branch give the scalar loop's lists; a stream shared by
+    2,000 draws of n = 1 or 3 gives its lists and ends where it ends."""
+    rng = np.random.default_rng(n_items)
+    for g in range(40):
+        seen = rng.choice(n_items, size=int(rng.integers(0, 0.45 * n_items)),
+                          replace=False)
+        for n in (100, (n_items - len(seen)) // 2 + 1):   # rejection, then choice
+            got = draw_unseen(n_items, seen, n, np.random.default_rng(g), "g")
+            assert got == _scalar_draw_unseen(n_items, seen, n, np.random.default_rng(g))
+    seens = [rng.choice(n_items, size=int(rng.integers(0, 0.45 * n_items)), replace=False)
+             for _ in range(20)]
+    for n in (1, 3):
+        bulk, scalar = np.random.default_rng(7), np.random.default_rng(7)
+        for i in range(2000):
+            seen = seens[i % len(seens)]
+            assert (draw_unseen(n_items, seen, n, bulk, "g")
+                    == _scalar_draw_unseen(n_items, seen, n, scalar))
+        assert bulk.integers(n_items) == scalar.integers(n_items)
+        assert bulk.random() == scalar.random()
+
+
 def _tiny_ds():
     return Dataset(n_users=1, n_items=3, n_groups=1, user_items=Rows.from_lists([[0]]),
                    groups=Rows.from_lists([[0]]), group_pos=Rows.from_lists([[0]]),

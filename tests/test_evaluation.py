@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_EVAL, Config, substream
 from mgam.data import (Dataset, Rows, SyntheticParams, generate_synthetic,
                        sample_negatives, split_leave_one_out)
-from mgam.errors import SamplingError, UsageError
-from mgam.evaluation import (MetricReport, evaluate, hr_at_k,
-                             make_baseline_scorer, make_mgam_scorer,
-                             ndcg_at_k, rank_candidates, train_mf_scorer,
-                             write_metrics_csv)
+from mgam.errors import NonFiniteError, SamplingError, UsageError
+from mgam.evaluation import (SCORE_CHUNK_ROWS, MetricReport, draw_candidates,
+                             evaluate, hr_at_k, make_baseline_scorer,
+                             make_mgam_scorer, ndcg_at_k, rank_candidates,
+                             train_mf_scorer, write_metrics_csv)
 from mgam.graph import build_co_membership
 from mgam.model import init_params
 
@@ -97,8 +99,9 @@ def test_evaluate_perfect_scorer_maxes_metrics():
     ds, truth, split = _planted()
     held = dict(split.test)
 
-    def scorer(group, candidates):
-        return np.array([1.0 if c == held[group] else 0.0 for c in candidates])
+    def scorer(groups, items):
+        return np.array([1.0 if v == held[g] else 0.0
+                         for g, v in zip(groups.tolist(), items.tolist())])
 
     report = evaluate(scorer, ds, split, 30, [5, 10], seed=3)
     assert report.hr[5] == 1.0
@@ -109,9 +112,10 @@ def test_evaluate_perfect_scorer_maxes_metrics():
 def test_evaluate_matches_independent_sort_oracle():
     ds, truth, split = _planted(seed=2)
 
-    def scorer(group, candidates):
+    def scorer(groups, items):
         # deterministic pseudo-model score
-        return np.array([np.sin(0.13 * group + 0.71 * c) for c in candidates])
+        return np.array([np.sin(0.13 * g + 0.71 * v)
+                         for g, v in zip(groups.tolist(), items.tolist())])
 
     ks = [3, 5, 10]
     report = evaluate(scorer, ds, split, 25, ks, seed=11)
@@ -124,7 +128,8 @@ def test_evaluate_matches_independent_sort_oracle():
         rng = np.random.default_rng(substream(11, STREAM_EVAL, group))
         negs = sample_negatives(ds, group, 25, rng=rng)
         cands = [positive] + negs
-        scored = sorted(((float(scorer(group, [c])[0]), c) for c in cands),
+        scored = sorted(((float(scorer(np.array([group]), np.array([c]))[0]), c)
+                         for c in cands),
                         key=lambda t: (-t[0], t[1]))
         position = [c for _, c in scored].index(positive) + 1
         for k in ks:
@@ -139,8 +144,8 @@ def test_evaluate_matches_independent_sort_oracle():
 def test_evaluate_deterministic():
     ds, truth, split = _planted(seed=4)
 
-    def scorer(group, candidates):
-        return np.array([((group * 31 + c * 17) % 97) / 97 for c in candidates])
+    def scorer(groups, items):
+        return ((groups * 31 + items * 17) % 97) / 97
 
     a = evaluate(scorer, ds, split, 20, [5], seed=13)
     b = evaluate(scorer, ds, split, 20, [5], seed=13)
@@ -152,6 +157,68 @@ def test_evaluate_requires_test_entries():
     split.test = []
     with pytest.raises(UsageError):
         evaluate(lambda g, c: np.zeros(len(c)), ds, split, 10, [5], seed=0)
+
+
+def test_evaluate_positions_match_rank_candidates_with_ties():
+    """The array position formula gives `rank_candidates`' lexsort order,
+    with many exact ties and the held-out item anywhere in its list."""
+    ds, truth, split = _planted(seed=3)
+    rng = np.random.default_rng(21)
+    drawn = draw_candidates(ds, split, 40, seed=5)
+    for trial in range(30):
+        levels = (2, 3, 8, 1000)[trial % 4]
+        table = rng.integers(0, levels, size=(ds.n_groups, ds.n_items)) / levels
+
+        def scorer(groups, items):
+            return table[groups, items]
+
+        lists = [list(rng.permutation(c)) for c in drawn]
+        report = evaluate(scorer, ds, split, 40, [1, 5], seed=5, candidates=lists)
+        for (group, positive), ranking, (g, position) in zip(
+                split.test, lists, report.per_group, strict=True):
+            assert g == group and type(position) is int
+            assert position == rank_candidates(scorer, group, ranking,
+                                               target=positive).position
+
+
+def test_evaluate_refuses_bad_candidate_lists():
+    ds, truth, split = _planted()
+    drawn = draw_candidates(ds, split, 10, seed=0)
+
+    def zeros(groups, items):
+        return np.zeros(len(items))
+
+    bad = {"empty": [[]] + drawn[1:],
+           "distinct": [drawn[0] + [drawn[0][1]]] + drawn[1:],
+           "held-out item": [drawn[0], drawn[1][1:]] + drawn[2:],
+           "candidate lists": drawn[:-1]}
+    for match, lists in bad.items():
+        with pytest.raises(UsageError, match=match):
+            evaluate(zeros, ds, split, 10, [5], seed=0, candidates=lists)
+    # an item in two groups' lists is no duplicate
+    shared = next(v for v in drawn[0] if v not in drawn[1])
+    assert evaluate(zeros, ds, split, 10, [5], seed=0,
+                    candidates=[drawn[0], drawn[1] + [shared]] + drawn[2:]).n_groups \
+        == len(split.test)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_refused_naming_the_group(bad):
+    ds, truth, split = _planted()
+    victim = split.test[3][0]
+
+    def scorer(groups, items):
+        scores = np.linspace(0.1, 0.9, len(items))
+        scores[np.flatnonzero(groups == victim)[-1]] = bad
+        return scores
+
+    with pytest.raises(NonFiniteError,
+                       match=rf"non-finite score {bad!r} for group {ds.group_ids[victim]}$"):
+        evaluate(scorer, ds, split, 10, [5], seed=0)
+    with pytest.raises(NonFiniteError, match=rf"for group {victim}$"):
+        rank_candidates(scorer, victim, [4, 2, 7])
+    with pytest.raises(NonFiniteError, match=r"for group g-7$"):
+        rank_candidates(scorer, victim, [4, 2, 7], group_id="g-7")
 
 
 def test_random_scorer_hr_within_3_sigma():
@@ -179,8 +246,88 @@ def test_mgam_scorer_matches_direct_forward():
     from mgam.model import forward_batch
     for g, v in [(0, 3), (5, 11), (11, 60)]:
         direct = forward_batch(params, cfg, ds, assignments, graph, [(g, v)])
-        assert scorer(g, [v])[0] == pytest.approx(float(direct.scores.data[0]),
-                                                  abs=1e-15)
+        assert scorer([g], [v])[0] == pytest.approx(float(direct.scores.data[0]),
+                                                    abs=1e-15)
+
+
+def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
+    """Rows of many groups are scored SCORE_CHUNK_ROWS at a time, each row
+    as it scores alone."""
+    ds, truth, split = _planted(seed=6)
+    assignments = cluster_subsets(ds, 2, seed=1)
+    graph = build_co_membership(ds.groups)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    import mgam.evaluation
+    sizes = []
+    real = mgam.evaluation.forward_batch
+
+    def spy(*args, **kwargs):
+        sizes.append(len(args[5]))
+        assert kwargs["isolated"]
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mgam.evaluation, "forward_batch", spy)
+    rng = np.random.default_rng(2)
+    n = 2 * SCORE_CHUNK_ROWS + 37
+    groups = rng.integers(0, ds.n_groups, size=n)
+    items = rng.integers(0, ds.n_items, size=n)
+    scores = make_mgam_scorer(params, cfg, ds, assignments, graph)(groups, items)
+    assert sizes == [SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS, 37]
+    for i in rng.choice(n, size=40, replace=False):
+        alone = real(params, cfg, ds, assignments, graph, [(groups[i], items[i])])
+        assert abs(scores[i] - float(alone.scores.data[0])) < 1e-12
+
+
+def test_scoring_memory_is_bounded_by_a_chunk():
+    """`evaluate` through the mgam scorer peaks at about the same level for
+    60 and 600 test groups: per extra row it holds a few int64 and float
+    arrays, not a share of a forward (about 5 KB per row at d = 32).  A
+    `recommend`-style ranking of 5,000 items stays within one chunk's
+    peak."""
+    import tracemalloc
+
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2)
+
+    def model(ds):
+        assignments = cluster_subsets(ds, 3, seed=1)
+        params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                             np.random.default_rng(0))
+        return make_mgam_scorer(params, cfg, ds, assignments, build_co_membership(ds.groups))
+
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=300, n_items=400, n_groups=600, positives_per_group=5), seed=1)
+    split = split_leave_one_out(ds, 2)
+    assert len(split.test) == 600
+    scorer = model(ds)
+    drawn = draw_candidates(ds, split, 100, seed=3)
+    peaks = {}
+    for n in (60, 600):
+        part = dataclasses.replace(split, test=split.test[:n])
+        peaks[n] = peak(lambda: evaluate(scorer, ds, part, 100, [5], 3,
+                                         candidates=drawn[:n]))
+    extra_rows = 101 * (600 - 60)
+    assert peaks[600] < 2 * peaks[60], peaks
+    assert peaks[600] - peaks[60] < 64 * extra_rows, peaks
+
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=60, n_items=5100, n_groups=4, positives_per_group=5), seed=1)
+    scorer = model(ds)
+    unseen = np.setdiff1d(np.arange(ds.n_items), ds.group_pos[0])[:5000]
+    chunk = peak(lambda: scorer(np.zeros(SCORE_CHUNK_ROWS, dtype=np.int64),
+                                unseen[:SCORE_CHUNK_ROWS]))
+    ranked = peak(lambda: rank_candidates(scorer, 0, unseen))
+    assert ranked < 1.25 * chunk, (ranked, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +354,11 @@ def test_baseline_aggregate_values():
     v = np.array([[1.0], [0.0], [0.0]])
     expect = {"avg": 0.5, "lm": 0.2, "ms": 0.8}
     for s in ("avg", "lm", "ms"):
-        assert make_baseline_scorer(u, v, ds, s)(0, [0])[0] == pytest.approx(
+        assert make_baseline_scorer(u, v, ds, s)([0], [0])[0] == pytest.approx(
             expect[s], abs=1e-12)
     one, u_one = _one_group_dataset(1), _logit(np.array([[0.4]]))
     for s in ("avg", "lm", "ms"):
-        score = make_baseline_scorer(u_one, v, one, s)(0, [0])[0]
+        score = make_baseline_scorer(u_one, v, one, s)([0], [0])[0]
         assert score == pytest.approx(0.4, abs=1e-12)
 
 
@@ -221,8 +368,8 @@ def test_baseline_aggregate_permutation_invariant():
     u = rng.normal(size=(6, 4))
     v = rng.normal(size=(3, 4))
     for s in ("avg", "lm", "ms"):
-        a = make_baseline_scorer(u, v, ds, s)(0, [0, 1, 2])
-        b = make_baseline_scorer(u[rng.permutation(6)], v, ds, s)(0, [0, 1, 2])
+        a = make_baseline_scorer(u, v, ds, s)([0, 0, 0], [0, 1, 2])
+        b = make_baseline_scorer(u[rng.permutation(6)], v, ds, s)([0, 0, 0], [0, 1, 2])
         assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 
@@ -239,10 +386,16 @@ def test_baseline_scorer_consistent_with_aggregate():
     v = rng.normal(size=(ds.n_items, 4))
     for strategy, reduce in (("avg", np.mean), ("lm", np.min), ("ms", np.max)):
         scorer = make_baseline_scorer(u, v, ds, strategy)
-        scores = scorer(2, [5, 9])
+        scores = scorer([2, 2], [5, 9])
         members = ds.groups[2]
         for j, item in enumerate([5, 9]):
             member_scores = 1 / (1 + np.exp(-(u[members] @ v[item])))
+            assert scores[j] == pytest.approx(reduce(member_scores), abs=1e-12)
+        # rows of several groups, interleaved
+        groups, items = [2, 0, 2, 1, 0], [5, 9, 9, 3, 5]
+        scores = scorer(groups, items)
+        for j, (g, item) in enumerate(zip(groups, items)):
+            member_scores = 1 / (1 + np.exp(-(u[ds.groups[g]] @ v[item])))
             assert scores[j] == pytest.approx(reduce(member_scores), abs=1e-12)
 
 

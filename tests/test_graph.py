@@ -157,7 +157,8 @@ def _assert_normalized_bitwise(norm, adj):
 def test_expand_to_instances_sparse_matches_dense_bitwise():
     """CSR row/column slicing gives exactly the dense-gather construction,
     and the co-membership graph's own normalization follows the same
-    formula."""
+    formula.  One slice of the full graph by the instances' group ids, as
+    the model takes it, equals expanding the induced batch subgraph."""
     rng = np.random.default_rng(17)
     for _ in range(300):
         n_groups = int(rng.integers(1, 12))
@@ -169,6 +170,7 @@ def test_expand_to_instances_sparse_matches_dense_bitwise():
         pos = rng.integers(0, len(ids), size=int(rng.integers(1, 20)))
         norm = expand_to_instances(sub, pos)
         _assert_normalized_bitwise(norm, sub.adjacency[pos][:, pos])
+        _assert_csr_bitwise(expand_to_instances(g, ids[pos]), norm)
 
 
 def _assert_csr_bitwise(a, b):

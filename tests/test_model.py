@@ -781,6 +781,52 @@ def test_forward_padded_grid_cells_get_zero_gradient(ragged, monkeypatch):
     assert np.array_equal(grp_members.grad[~grp_valid], np.zeros(((~grp_valid).sum(), 8)))
 
 
+def _concat_slot_rows(table, index, present):
+    """Missing slots read an appended zero row: the copy `_slot_rows` avoids."""
+    flat = ad.concat([table, Tensor(np.zeros((1, table.data.shape[1])))])
+    row_of = np.where(present, index, len(table.data))
+    return [ad.take(flat, row_of[:, s]) for s in range(index.shape[1])]
+
+
+def test_slot_rows_match_the_concat_form_bitwise(ragged, monkeypatch):
+    """Masking missing slots to zero gives the appended-zero-row gather's
+    values and gradients exactly, alone and through a whole forward and
+    backward (groups with 1, 2 and 3 of 3 subsets)."""
+    from mgam.model import _slot_rows
+
+    rng = np.random.default_rng(5)
+    index = rng.integers(0, 7, size=(9, 3))
+    present = rng.random((9, 3)) < 0.6
+    values, weights = rng.normal(size=(7, 4)), Tensor(rng.normal(size=(9, 3, 4)))
+    outs = []
+    for gather in (_slot_rows, _concat_slot_rows):
+        table = Tensor(values.copy(), requires_grad=True)
+        slots = gather(table, index, present)
+        ad.backward(ad.tensor_sum(ad.mul(ad.stack(slots, axis=1), weights)))
+        outs.append(([x.data for x in slots], table.grad))
+    (new_slots, new_grad), (old_slots, old_grad) = outs
+    assert all(np.array_equal(a, b) for a, b in zip(new_slots, old_slots))
+    assert np.array_equal(new_grad, old_grad)
+
+    ds, assignments, graph, cfg, _, batches = ragged
+    runs = []
+    for gather in (_slot_rows, _concat_slot_rows):
+        monkeypatch.setattr("mgam.model._slot_rows", gather)
+        params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                             np.random.default_rng(77))
+        res = forward_batch(params, cfg, ds, assignments, graph, batches["unsorted"])
+        ad.backward(ad.tensor_sum(res.logits))
+        runs.append((res.scores.data, res.subset_weights,
+                     {k: v.grad for k, v in params.items()}))
+    (scores, slot_w, grads), (old_scores, old_slot_w, old_grads) = runs
+    assert np.array_equal(scores, old_scores) and np.array_equal(slot_w, old_slot_w)
+    assert grads.keys() == old_grads.keys()
+    for name in grads:
+        assert (grads[name] is None) == (old_grads[name] is None), name
+        if grads[name] is not None:
+            assert np.array_equal(grads[name], old_grads[name]), name
+
+
 def test_one_group_scoring_memory_grows_with_candidates_times_d():
     """Scoring C candidates of one group holds O(C * d) floats, not a
     per-candidate copy of the member tables, O(C * (subsets * w + w) * d)."""
