@@ -212,13 +212,12 @@ def cluster_subsets(dataset: Dataset, m: int, max_iters: int = 100,
 def dump_subsets(table: SubsetTable, dataset: Dataset, path) -> None:
     """Write `group_id<TAB>subset_index<TAB>user_id` lines."""
     slots, subsets = table.slots, table.subsets
-    in_group = slots.indices - np.repeat(slots.offsets[:-1], slots.lengths())
-    slot = np.repeat(in_group, subsets.lengths()).tolist()
+    group = np.repeat(np.arange(len(slots)), slots.lengths()).tolist()
+    in_group = (slots.indices - np.repeat(slots.offsets[:-1], slots.lengths())).tolist()
     names = np.array(dataset.user_ids, dtype=object)[subsets.indices].tolist()
-    bounds = subsets.offsets[slots.offsets].tolist()
+    bounds = subsets.offsets.tolist()
     with open(Path(path), "w", encoding="utf-8") as f:
-        # one join per group keeps only that group's lines in memory
-        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            head = f"{dataset.group_ids[g]}\t"
-            f.write("".join([f"{head}{s}\t{name}\n"
-                             for s, name in zip(slot[a:b], names[a:b])]))
+        # one join per subset keeps only that subset's lines in memory
+        for g, s, a, b in zip(group, in_group, bounds[:-1], bounds[1:]):
+            head = f"{dataset.group_ids[g]}\t{s}\t"
+            f.write(head + f"\n{head}".join(names[a:b]) + "\n")

@@ -130,11 +130,14 @@ class Split:
 # Each file is decoded, then read as an array of code points
 # (UTF-32, so an array position is a `str` index into the text).  One table
 # lookup classes every code point as other, whitespace, tab or line break.
-# Lines are cut at the breaks, fields at the tabs, and a field is stripped
-# by the whitespace runs that cover its ends; every field of a file is then
-# cut out of the code points by one compress and one decode.  Ids are
-# interned per file, the distinct ids merged into the sorted global ids,
-# and per-row lists cut from one sorted array of (row, column) codes.
+# Lines are cut at the breaks, fields at the tabs and member lists at their
+# commas, and a piece is stripped by the whitespace runs that cover its
+# ends.  No piece becomes a `str` on its way to an index: its code points
+# are packed into integer key words, one sort groups equal keys, and only
+# the first piece of each distinct id is cut out of the code points (one
+# gather and one decode per column).  A file's distinct ids are merged
+# into the sorted global ids, and per-row tables built from one sorted
+# array of (row, column) codes.
 
 # every character for which `str.isspace` is true
 _WHITESPACE = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
@@ -179,25 +182,22 @@ class _Whitespace:
 
 
 def _cut(code_points: np.ndarray, starts, ends) -> list:
-    """The text of each of the ordered, disjoint pieces `[starts, ends)`.
-
-    The character after each piece belongs to no piece; it is kept too,
-    as a line break, so one compress, one decode and one split give all
-    the pieces."""
-    # a piece and the character after it: flip at each start and after each end
-    flip = np.zeros(len(code_points) + 1, bool)
-    flip[starts] = True
-    flip[ends + 1] ^= True
-    kept = code_points[np.logical_xor.accumulate(flip[:-1])]
-    kept[np.cumsum(ends - starts + 1) - 1] = ord("\n")
+    """The text of each piece `[starts, ends)`: one gather, one decode and
+    one split give them all."""
+    # each piece and one more slot, which holds the separator
+    lengths = ends - starts + 1
+    offsets = np.cumsum(lengths)
+    kept = code_points[np.arange(offsets[-1]) + np.repeat(starts - offsets + lengths, lengths)]
+    kept[offsets - 1] = ord("\n")
     tokens = str(kept, "utf-32-le").split("\n")
     tokens.pop()
     return tokens
 
 
 def _records(path: Path, code_points: np.ndarray, empty_msg: str) -> tuple:
-    """(line numbers, starts, ends) of the record lines, with the stripped
-    bounds of each line's first and then second field; see `_read_table`."""
+    """(whitespace, line numbers, first fields, second fields) of the record
+    lines, a field as the `(starts, ends)` of its stripped bounds; see
+    `_read_table`."""
     classes = _classes(code_points)
     space = _Whitespace(classes)
     end = np.flatnonzero(classes == _BREAK)
@@ -220,16 +220,17 @@ def _records(path: Path, code_points: np.ndarray, empty_msg: str) -> tuple:
         line = str(code_points[start[r]:end[r]], "utf-32-le")
         raise DataError(f"{path}: line {kept[r] + 1}: expected at least "
                         f"2 tab-separated fields, got {line!r}")
-    return kept + 1, np.stack((a1, a2), axis=1).ravel(), np.stack((b1, b2), axis=1).ravel()
+    return space, kept + 1, (a1, b1), (a2, b2)
 
 
 def _read_table(path, empty_msg: str) -> tuple:
-    """(line numbers, first fields, second fields) of a TSV's record lines.
+    """(code points, whitespace, line numbers, first fields, second fields)
+    of a TSV's record lines.
 
     Blank, whitespace-only and `#` comment lines are skipped; both fields
     are stripped and must be non-empty, or the first line where one is not
-    is named in a `DataError`.  The fields are lists of `str`, cut out of
-    the text in one step.
+    is named in a `DataError`.  A field is the `(starts, ends)` of its
+    bounds into the uint32 code points of the text, which end in a break.
     """
     path = Path(path)
     try:
@@ -240,9 +241,58 @@ def _read_table(path, empty_msg: str) -> tuple:
     # whitespace character; it adds at most one blank line
     code_points = np.frombuffer((text + "\n").encode("utf-32-le"), np.uint32)
     del text  # only the code points are read from here on
-    lines, starts, ends = _records(path, code_points, empty_msg)
-    tokens = _cut(code_points, starts, ends)
-    return lines, tokens[0::2], tokens[1::2]
+    return (code_points, *_records(path, code_points, empty_msg))
+
+
+def _split(code_points: np.ndarray, space: _Whitespace, starts, ends) -> tuple:
+    """(field of each piece, piece starts, piece ends): the fields
+    `[starts, ends)` cut at their commas, each piece stripped and the
+    empty ones dropped."""
+    commas = np.flatnonzero(code_points == ord(","))
+    field = np.searchsorted(starts, commas, "right") - 1
+    commas = commas[(field >= 0) & (commas < ends[field])]
+    a, b = space.strip(np.sort(np.concatenate((starts, commas + 1))),
+                       np.sort(np.concatenate((commas, ends))))
+    kept = a < b
+    a, b = a[kept], b[kept]
+    return np.searchsorted(starts, a, "right") - 1, a, b
+
+
+def _intern(code_points: np.ndarray, starts, ends) -> tuple:
+    """(distinct ids in first-seen order, int64 index of every piece into
+    them) of the non-empty pieces `[starts, ends)`, in text order.
+
+    A piece's key is its code points, each + 1, packed as many to a uint64
+    word as the text's largest code point allows, the last word padded
+    with 0; two pieces have equal keys exactly when their texts are equal.
+    The pieces of each key width are grouped by one sort, and only the
+    first piece of each distinct id is decoded."""
+    bits = (int(code_points.max()) + 1).bit_length()
+    per_word = 64 // bits
+    widths = (ends - starts + per_word - 1) // per_word
+    codes = np.empty(len(starts), np.int64)
+    firsts = []
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        rows = np.flatnonzero(widths == width)
+        at = starts[rows, None] + np.arange(0, width * per_word, per_word)
+        left = ends[rows, None] - at  # the piece's characters from each word on
+        keys = np.zeros(at.shape, np.uint64)
+        for k in range(min(per_word, int(left.max()))):
+            chars = (code_points.take(at + k, mode="clip") + 1) * (left > k)
+            keys |= chars.astype(np.uint64) << np.uint64(k * bits)
+        order = np.argsort(keys[:, 0]) if width == 1 else np.lexsort(keys.T)
+        keys = keys[order]
+        new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+        codes[rows[order]] = sum(map(len, firsts)) + np.cumsum(new) - 1
+        # the sort need not be stable: a distinct id's first piece is the
+        # least row among its equal keys
+        firsts.append(rows[np.minimum.reduceat(order, np.flatnonzero(new))])
+    firsts = np.concatenate(firsts)
+    by_text = np.argsort(firsts)
+    rank = np.empty(len(firsts), np.int64)
+    rank[by_text] = np.arange(len(firsts))
+    firsts = firsts[by_text]
+    return _cut(code_points, starts[firsts], ends[firsts]), rank[codes]
 
 
 def _sorted_ids(ids) -> list:
@@ -255,17 +305,9 @@ def _sorted_ids(ids) -> list:
         return ids
 
 
-def _local_ids(tokens: list) -> tuple:
-    """(distinct tokens in first-seen order, int64 index of every token
-    into them)."""
-    index = {e: k for k, e in enumerate(dict.fromkeys(tokens))}
-    return list(index), np.fromiter(map(index.__getitem__, tokens), np.int64,
-                                    len(tokens))
-
-
 def _merge(*parts) -> tuple:
     """(sorted ids, id -> index, each part's codes remapped to those ids)
-    of `_local_ids` parts."""
+    of `_intern` parts."""
     ids = _sorted_ids(itertools.chain.from_iterable(d for d, _ in parts))
     index = {e: k for k, e in enumerate(ids)}
     return ids, index, [np.fromiter(map(index.__getitem__, d), np.int64, len(d))[c]
@@ -287,37 +329,40 @@ def load_dataset(directory) -> Dataset:
     g_path = directory / GROUPS_FILE
     gi_path = directory / GROUP_ITEMS_FILE
 
-    _, ui_users, ui_items = _read_table(ui_path, "no interaction records")
-    ui_users, ui_items = _local_ids(ui_users), _local_ids(ui_items)
+    text, _, _, users, items = _read_table(ui_path, "no interaction records")
+    ui_users, ui_items = _intern(text, *users), _intern(text, *items)
+    del text  # one file's code points at a time
 
-    g_lines, g_names, member_lists = _read_table(g_path, "no group records")
-    group_ids, group_index, (g_codes,) = _merge(_local_ids(g_names))
+    text, space, g_lines, names, lists = _read_table(g_path, "no group records")
+    g_names, g_local = _intern(text, *names)
+    group_ids, group_index, (g_codes,) = _merge((g_names, g_local))
     n_defs = len(g_codes)
-    members = [m.strip() for m in ",".join(member_lists).split(",")]
-    owner = np.repeat(np.arange(n_defs), [m.count(",") + 1 for m in member_lists])
-    present = np.fromiter(map(bool, members), bool, len(members))
-    members, owner = list(itertools.compress(members, present)), owner[present]
+    owner, *pieces = _split(text, space, *lists)
     first_def = np.unique(g_codes, return_index=True)[1]  # row of each group's first line
     no_members = np.bincount(owner, minlength=n_defs) == 0
     broken = np.flatnonzero(no_members | (first_def[g_codes] != np.arange(n_defs)))
     if len(broken):
         r = broken[0]
+        name = g_names[g_local[r]]
         if no_members[r]:
-            raise DataError(f"{g_path}: line {g_lines[r]}: group {g_names[r]!r} "
+            raise DataError(f"{g_path}: line {g_lines[r]}: group {name!r} "
                             f"has an empty member list")
-        raise DataError(f"{g_path}: line {g_lines[r]}: group {g_names[r]!r} already "
+        raise DataError(f"{g_path}: line {g_lines[r]}: group {name!r} already "
                         f"defined on line {g_lines[first_def[g_codes[r]]]}")
-    members = _local_ids(members)
+    members = _intern(text, *pieces)
+    del text, space
 
-    gi_lines, gi_groups, gi_items = _read_table(gi_path, "no group-item records")
-    distinct, gi_codes = _local_ids(gi_groups)
+    text, _, gi_lines, groups, items = _read_table(gi_path, "no group-item records")
+    distinct, gi_local = _intern(text, *groups)
     gi_codes = np.fromiter(map(group_index.get, distinct, itertools.repeat(-1)),
-                           np.int64, len(distinct))[gi_codes]
+                           np.int64, len(distinct))[gi_local]
     unknown = np.flatnonzero(gi_codes < 0)
     if len(unknown):
         r = unknown[0]
-        raise DataError(f"{gi_path}: line {gi_lines[r]}: unknown group id {gi_groups[r]!r}")
-    gi_items = _local_ids(gi_items)
+        raise DataError(f"{gi_path}: line {gi_lines[r]}: unknown group id "
+                        f"{distinct[gi_local[r]]!r}")
+    gi_items = _intern(text, *items)
+    del text
 
     user_ids, user_index, (ui_u, member_u) = _merge(ui_users, members)
     item_ids, item_index, (ui_i, gi_i) = _merge(ui_items, gi_items)

@@ -323,6 +323,90 @@ def test_random_tables_cover_the_tokenizer_cases():
     assert min(seen.values()) > 0, seen
 
 
+# ids that share prefixes, tie as integers, hold NUL or astral-plane
+# characters, or need two or more key words (a word holds 3 characters of
+# a text with astral-plane ones, 9 of the ASCII texts below)
+_KEY_IDS = ["1", "10", "100", "1000000000", "10000000000", "01", "001", "+1",
+            "a", "a\x00", "\x00", "\x00a", "a\x00\x00", "\U0001F600",
+            "\U0001F600" * 4, "\U0001F600" * 4 + "\x00", "\U0010FFFF" * 7,
+            "x" * 12, "x" * 13, "x" * 12 + "y", "user-000000000001", "user-000000000010",
+            "\u00e9" * 20, "x y", "x,y"]
+_KEY_SEPARATORS = ["", " ", "\t", ",", "\n", "\U0001F601"]
+
+
+def _dict_interned(tokens):
+    """(distinct tokens in first-seen order, index of every token into them)."""
+    index = {t: k for k, t in enumerate(dict.fromkeys(tokens))}
+    return list(index), [index[t] for t in tokens]
+
+
+def test_intern_matches_dict_interning():
+    rng = random.Random(7)
+    for trial in range(400):
+        ascii_only = rng.random() < 0.3
+        pool = [t for t in _KEY_IDS if not ascii_only or t.isascii()]
+        alphabet = "019ax\x00" + ("" if ascii_only else "\u00e9\U0001F600\U0010FFFF")
+        for _ in range(rng.randrange(4)):
+            pool.append("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40))))
+        tokens = [rng.choice(pool) for _ in range(rng.randint(1, 60))]
+        seps = [t for t in _KEY_SEPARATORS if not ascii_only or t.isascii()]
+        text, starts, ends = "", [], []
+        for t in tokens:
+            text += rng.choice(seps)
+            starts.append(len(text))
+            text += t
+            ends.append(len(text))
+        code_points = np.frombuffer((text + "\n").encode("utf-32-le"), np.uint32)
+        distinct, codes = data._intern(code_points, np.array(starts), np.array(ends))
+        assert (distinct, codes.tolist()) == _dict_interned(tokens), (trial, tokens)
+
+
+def test_load_dataset_long_ids_match_line_parser(tmp_path):
+    rng = random.Random(5)
+    for case in range(30):
+        d = tmp_path / str(case)
+        d.mkdir()
+        users = rng.sample(_KEY_IDS, 8)
+        items = rng.sample(_KEY_IDS, 10)
+        groups = rng.sample(_KEY_IDS, 4)
+        pad = lambda t: rng.choice(["", " ", "\u3000"]) + t + rng.choice(["", " "])
+        ui = "".join(f"{pad(rng.choice(users))}\t{pad(rng.choice(items))}\n"
+                     for _ in range(rng.randint(1, 25)))
+        gdefs = "".join(f"{pad(g)}\t{','.join(pad(u) for u in rng.sample(users, rng.randint(1, 5)))}\n"
+                        for g in groups)
+        gi = "".join(f"{pad(rng.choice(groups))}\t{pad(rng.choice(items))}\n"
+                     for _ in range(rng.randint(1, 25)))
+        _write(d, ui, gdefs, gi)
+        assert load_dataset(d) == line_parsed_dataset(d), case
+
+
+def test_load_dataset_decodes_each_distinct_id_once(tmp_path, monkeypatch):
+    """Only distinct ids become `str`: every piece `_cut` decodes is the
+    first occurrence of one id in one field."""
+    rng = random.Random(3)
+    users, items, groups = ([f"{kind}{k}" for k in range(n)]
+                            for kind, n in (("u", 30), ("i", 40), ("g", 20)))
+    ui = [(rng.choice(users), rng.choice(items)) for _ in range(2000)]
+    gdefs = [(g, rng.sample(users, 6)) for g in groups]
+    gi = [(rng.choice(groups), rng.choice(items)) for _ in range(1000)]
+    d = _write(tmp_path, "".join(f"{u}\t{i}\n" for u, i in ui),
+               "".join(f"{g}\t{','.join(m)}\n" for g, m in gdefs),
+               "".join(f"{g}\t{i}\n" for g, i in gi))
+    fields = [[u for u, _ in ui], [i for _, i in ui], [g for g, _ in gdefs],
+              [u for _, m in gdefs for u in m], [g for g, _ in gi], [i for _, i in gi]]
+    decoded = []
+    cut = data._cut
+
+    def spy(code_points, starts, ends):
+        pieces = cut(code_points, starts, ends)
+        decoded.append(len(pieces))
+        return pieces
+    monkeypatch.setattr(data, "_cut", spy)
+    load_dataset(d)
+    assert decoded == [len(set(f)) for f in fields]
+    assert sum(decoded) * 20 < sum(map(len, fields))
+
+
 def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
     """The benchmark's ingest shape at half size: 1,000 users with 40 items
     each, 3,000 items, 4,000 groups of 4-8 members with 10 positives each.
