@@ -139,16 +139,13 @@ def _run_eval(args, masks_from_cfg) -> int:
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
-    drawn = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
-    reports = []
-    for mask in masks:
-        scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph,
-                                  mask=mask)
-        report = evaluate(scorer, dataset, split, cfg.eval_negatives,
-                          cfg.ks_list(), cfg.seed, candidates=drawn)
-        reports.append((mask.label(), report))
+    labels = [mask.label() for mask in masks]
+    scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, masks)
+    reports = list(zip(labels, evaluate(scorer, dataset, split, cfg.eval_negatives,
+                                        cfg.ks_list(), cfg.seed, labels=labels)))
+    for label, report in reports:
         for k in report.ks:
-            print(f"{mask.label()}: HR@{k}={report.hr[k]:.4f} "
+            print(f"{label}: HR@{k}={report.hr[k]:.4f} "
                   f"NDCG@{k}={report.ndcg[k]:.4f} ({report.n_groups} groups)")
     write_metrics_csv(out / METRICS_FILE, reports, cfg.seed)
     if getattr(args, "detail", False):
@@ -194,10 +191,9 @@ def cmd_sweep_subsets(args) -> int:
         assignments = _cluster(dataset, cfg, m)
         m_cfg = dataclasses.replace(cfg, num_subsets=m)
         params, _ = train(dataset, split, assignments, graph, m_cfg, mask=mask)
-        scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph,
-                                  mask=mask)
-        report = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed,
-                          candidates=drawn)
+        scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph, [mask])
+        [report] = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed,
+                            candidates=drawn)
         rows.append((m, report))
         print(f"M={m}: " + " ".join(
             f"HR@{k}={report.hr[k]:.4f} NDCG@{k}={report.ndcg[k]:.4f}" for k in ks))
@@ -226,7 +222,7 @@ def cmd_recommend(args) -> int:
     if args.group_id not in dataset.group_index:
         raise UsageError(f"unknown group id {args.group_id!r}")
     g = dataset.group_index[args.group_id]
-    scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, mask=mask)
+    scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, [mask])
     candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g])
     if not len(candidates):
         raise UsageError(f"group {args.group_id!r} has interacted with every item")
@@ -241,8 +237,8 @@ def cmd_recommend(args) -> int:
         else:
             v = top[0][0]
         with ad.no_grad():
-            result = forward_batch(params, cfg, dataset, assignments, graph,
-                                   [(g, v)], mask=mask, isolated=True)
+            [result] = forward_batch(params, cfg, dataset, assignments, graph,
+                                     [(g, v)], masks=[mask], isolated=True)
         payload = _explain_json(result, g, v, dataset, assignments, top)
         payload["config"] = cfg.resolved()
         print(json.dumps(payload, indent=2))
@@ -310,15 +306,14 @@ def cmd_baseline(args) -> int:
         dataset, d=cfg.embedding_dim, epochs=cfg.epochs,
         lr=cfg.learning_rate, negatives=max(1, cfg.train_negatives),
         seed=cfg.seed)
-    drawn = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
-    reports = []
-    for strategy in ("avg", "lm", "ms"):
-        scorer = make_baseline_scorer(user_vecs, item_vecs, dataset, strategy)
-        report = evaluate(scorer, dataset, split, cfg.eval_negatives,
-                          cfg.ks_list(), cfg.seed, candidates=drawn)
-        reports.append((f"mf-{strategy}", report))
+    strategies = ("avg", "lm", "ms")
+    labels = [f"mf-{strategy}" for strategy in strategies]
+    scorer = make_baseline_scorer(user_vecs, item_vecs, dataset, strategies)
+    reports = list(zip(labels, evaluate(scorer, dataset, split, cfg.eval_negatives,
+                                        cfg.ks_list(), cfg.seed, labels=labels)))
+    for label, report in reports:
         for k in report.ks:
-            print(f"mf-{strategy}: HR@{k}={report.hr[k]:.4f} "
+            print(f"{label}: HR@{k}={report.hr[k]:.4f} "
                   f"NDCG@{k}={report.ndcg[k]:.4f}")
     write_metrics_csv(out / METRICS_FILE, reports, cfg.seed)
     if args.detail:

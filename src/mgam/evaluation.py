@@ -4,14 +4,18 @@ For every test (group, held-out positive) the positive is ranked against
 `eval_negatives` sampled negatives (excluding all of the group's
 positives); HR@K and NDCG@K are averaged over groups.  Negative streams
 are keyed by group index so evaluation order cannot change the result.
-`eval`, `ablate` and `baseline` draw the candidate lists once per command
-and rank every model (ablation mask, aggregation strategy) against them.
+One pass serves many models: `eval`, `ablate` and `baseline` draw the
+candidate lists once per command and score every model (ablation mask,
+aggregation strategy) in one `evaluate` call, which returns a report per
+model.
 
 A scorer is pairwise: `score_fn(groups, items)` takes two equal-length
-int arrays and returns one score per (group, item) row.  `evaluate` hands
-it every test group's candidate rows at once, and the mgam scorer cuts
-them into chunks of `SCORE_CHUNK_ROWS` rows, each one forward with
-`isolated=True` over rows of several groups: every row gets its own
+int arrays and returns (models, n) scores, one row per model per
+(group, item) row.  `evaluate` hands it every test group's candidate
+rows at once, and the mgam scorer cuts them into chunks of
+`SCORE_CHUNK_ROWS` rows, each one forward with `isolated=True` over rows
+of several groups and under every mask: the branches run once per chunk
+and only fusion and prediction once per mask.  Every row gets its own
 one-node batch graph, so its score depends only on its own (group, item)
 pair, never on the rows it shares a forward with.  The chunk size bounds
 the memory of a forward whatever the number of test groups.  A held-out
@@ -59,17 +63,22 @@ class MetricReport:
     per_group: list = field(default_factory=list)  # (group, position) pairs
 
 
-def _score(score_fn, groups: np.ndarray, items: np.ndarray, group_name) -> np.ndarray:
-    """Scores of the (group, item) rows; a non-finite score has no rank, so
-    it is refused, naming the group (`group_name(g)`) it was scored for."""
-    scores = np.asarray(score_fn(groups, items), dtype=np.float64)
-    if scores.shape != items.shape:
-        raise UsageError(f"scorer returned {scores.shape} scores for {len(items)} rows")
-    bad = np.flatnonzero(~np.isfinite(scores))
+def _score(score_fn, groups: np.ndarray, items: np.ndarray, group_name,
+           labels=(None,)) -> np.ndarray:
+    """(models, n) scores of the (group, item) rows, one row per entry of
+    `labels`; a scorer of one model may return (n,) scores.  A non-finite
+    score has no rank, so it is refused, naming its model (`labels[m]`,
+    unless None) and the group (`group_name(g)`) it was scored for."""
+    scores = np.atleast_2d(np.asarray(score_fn(groups, items), dtype=np.float64))
+    if scores.shape != (len(labels), len(items)):
+        raise UsageError(f"scorer returned {scores.shape} scores for {len(labels)} "
+                         f"model(s) of {len(items)} rows")
+    bad = np.argwhere(~np.isfinite(scores))
     if len(bad):
-        i = bad[0]
-        raise NonFiniteError(f"non-finite score {float(scores[i])!r} for group "
-                             f"{group_name(int(groups[i]))}")
+        m, i = bad[0]
+        model = "" if labels[m] is None else f"model {labels[m]}: "
+        raise NonFiniteError(f"{model}non-finite score {float(scores[m, i])!r} for "
+                             f"group {group_name(int(groups[i]))}")
     return scores
 
 
@@ -84,8 +93,8 @@ def rank_candidates(score_fn, group: int, candidates, target=None,
         raise UsageError("cannot rank an empty candidate list")
     if len(np.unique(items)) != len(items):
         raise UsageError("candidates must be distinct")
-    scores = _score(score_fn, np.full(len(items), group), items,
-                    lambda g: g if group_id is None else group_id)
+    [scores] = _score(score_fn, np.full(len(items), group), items,
+                      lambda g: g if group_id is None else group_id)
     order = np.lexsort((items, -scores))
     position = None
     if target is not None:
@@ -127,12 +136,14 @@ def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
 
 
 def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
-             ks, seed: int, candidates=None) -> MetricReport:
+             ks, seed: int, candidates=None, labels=None) -> list:
     """Rank every held-out positive among sampled negatives; average metrics.
 
-    `candidates` are the lists `draw_candidates` returns for the same
-    dataset, split, negative count and seed; they are drawn here when
-    omitted.
+    `score_fn` scores one model, or one model per entry of `labels` (one
+    row of scores each; the labels name a model in errors).  Returns one
+    `MetricReport` per model.  `candidates` are the lists
+    `draw_candidates` returns for the same dataset, split, negative count
+    and seed; they are drawn here when omitted.
     """
     if not split.test:
         raise UsageError("split has no test entries to evaluate")
@@ -158,17 +169,27 @@ def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
         missing = np.setdiff1d(np.arange(len(test)), entry[hit])[0]
         raise UsageError(f"held-out item {int(test[missing, 1])} is not among the "
                          f"candidates of group {dataset.group_ids[test[missing, 0]]}")
-    scores = _score(score_fn, test[entry, 0], items, dataset.group_ids.__getitem__)
+    scores = _score(score_fn, test[entry, 0], items, dataset.group_ids.__getitem__,
+                    labels=(None,) if labels is None else list(labels))
     # rows ranked ahead of their list's held-out item: the `lexsort` order
     # by descending score, then ascending item
-    target_score, target_item = scores[hit][entry], items[hit][entry]
-    ahead = (scores > target_score) | ((scores == target_score) & (items < target_item))
-    positions = 1 + np.bincount(entry[ahead], minlength=len(test))
+    item_first = items < items[hit][entry]
     ks = [int(k) for k in ks]
+    reports = []
+    for model_scores in scores:
+        target_score = model_scores[hit][entry]
+        ahead = (model_scores > target_score) | ((model_scores == target_score) & item_first)
+        positions = 1 + np.bincount(entry[ahead], minlength=len(test))
+        reports.append(_report(split, positions.tolist(), ks))
+    return reports
+
+
+def _report(split: Split, positions: list, ks: list) -> MetricReport:
+    """HR@K and NDCG@K averaged over the test entries' positions."""
     hr_sum = {k: 0.0 for k in ks}
     ndcg_sum = {k: 0.0 for k in ks}
     per_group = []
-    for (group, _), position in zip(split.test, positions.tolist()):
+    for (group, _), position in zip(split.test, positions):
         per_group.append((group, position))
         for k in ks:
             hr_sum[k] += hr_at_k(position, k)
@@ -184,26 +205,31 @@ def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
 
 
 def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
-                     assignments, graph, mask: AblationMask | None = None):
-    """Forward-only pairwise scorer over a trained model.
+                     assignments, graph, masks=None):
+    """Forward-only pairwise scorer of ablation masks over a trained model.
 
-    The global graph stream is precomputed once; a call's (group, item)
-    rows are scored `SCORE_CHUNK_ROWS` at a time, one isolated forward per
-    chunk, whatever groups the rows belong to.
+    A call returns (len(masks), n) scores (`masks` defaults to the full
+    model).  The global graph stream is precomputed once; a call's
+    (group, item) rows are scored `SCORE_CHUNK_ROWS` at a time, one
+    isolated forward per chunk for every mask, whatever groups the rows
+    belong to.
     """
-    mask = mask or AblationMask()
-    global_rows = compute_global_rows(params, cfg, graph) if mask.use_suppe else None
+    masks = list(masks) if masks is not None else [AblationMask()]
+    global_rows = (compute_global_rows(params, cfg, graph)
+                   if any(m.use_suppe for m in masks) else None)
 
     def score_fn(groups, items):
         groups, items = np.asarray(groups), np.asarray(items)
-        scores = np.empty(len(items))
+        scores = np.empty((len(masks), len(items)))
         with ad.no_grad():
             for start in range(0, len(items), SCORE_CHUNK_ROWS):
                 chunk = slice(start, start + SCORE_CHUNK_ROWS)
-                scores[chunk] = forward_batch(
+                results = forward_batch(
                     params, cfg, dataset, assignments, graph,
                     np.c_[groups[chunk], items[chunk]],
-                    mask=mask, global_rows=global_rows, isolated=True).scores.data
+                    masks=masks, global_rows=global_rows, isolated=True)
+                for row, result in zip(scores, results):
+                    row[chunk] = result.scores.data
         return scores
 
     return score_fn
@@ -264,21 +290,26 @@ _AGGREGATE = {"avg": np.mean, "lm": np.min, "ms": np.max}
 
 
 def make_baseline_scorer(user_vecs: np.ndarray, item_vecs: np.ndarray,
-                         dataset: Dataset, strategy: str):
-    """Pairwise scorer aggregating member sigmoid dot-products; the rows
-    of each group are scored together, in their order."""
-    if strategy not in _AGGREGATE:
-        raise UsageError(f"unknown aggregation strategy {strategy!r}")
-    reduce = _AGGREGATE[strategy]
+                         dataset: Dataset, strategies):
+    """Pairwise scorer of aggregation strategies: a call returns
+    (len(strategies), n) scores.  The rows of each group are scored
+    together, in their order: its member sigmoid dot-products are computed
+    once and reduced by every strategy."""
+    for strategy in strategies:
+        if strategy not in _AGGREGATE:
+            raise UsageError(f"unknown aggregation strategy {strategy!r}")
+    reduces = [_AGGREGATE[s] for s in strategies]
 
     def score_fn(groups, items):
         groups, items = np.asarray(groups), np.asarray(items)
-        scores = np.empty(len(items))
+        scores = np.empty((len(reduces), len(items)))
         by_group = np.argsort(groups, kind="stable")
         uniq, starts = np.unique(groups[by_group], return_index=True)
         for group, rows in zip(uniq.tolist(), np.split(by_group, starts[1:])):
             logits = user_vecs[dataset.groups[group]] @ item_vecs[items[rows]].T  # (m, c)
-            scores[rows] = reduce(1.0 / (1.0 + np.exp(-logits)), axis=0)
+            member_scores = 1.0 / (1.0 + np.exp(-logits))
+            for row, reduce in zip(scores, reduces):
+                row[rows] = reduce(member_scores, axis=0)
         return scores
 
     return score_fn

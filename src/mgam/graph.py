@@ -27,8 +27,10 @@ class GroupGraph:
 
 
 def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
-    """Values on the adjacency's own (sorted) CSR structure."""
-    adj = adjacency.sorted_indices()
+    """Values on the adjacency's sorted CSR structure: its own index arrays
+    when they are sorted already, as `build_co_membership` leaves them,
+    else a sorted copy's."""
+    adj = adjacency if adjacency.has_sorted_indices else adjacency.sorted_indices()
     rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
     inv_sqrt = 1.0 / np.sqrt(degree)
     vals = inv_sqrt[rows] * inv_sqrt[adj.indices]

@@ -16,12 +16,15 @@ the prediction layer scores the fused vector against the item embedding.
 Any branch can be ablated; ablating the subset branch reseeds the batch
 stream with the group-branch vector.
 
-`forward_batch` scores an (n, 2) integer array of (group, item) rows and
-runs every stage once over the whole batch, so the tape size does not
-grow with the number of instances.  Member attention is group-major: the
-instances of each of the batch's G unique groups fill rows of
-c = ceil(n / G) item cells, a (rows, c, d) grid, and each row gathers its
-group's members once, into a padded (rows, W, d) table and a
+`forward_batch` scores an (n, 2) integer array of (group, item) rows
+under a list of ablation masks, one pass for many models: each branch
+runs once over the whole batch for every mask that reads it, and only
+fusion and prediction run once per mask.  With one mask (training,
+`recommend`, `--explain`) the forward is that mask's alone, and the tape
+size does not grow with the number of instances.  Member attention is
+group-major: the instances of each of the batch's G unique groups fill
+rows of c = ceil(n / G) item cells, a (rows, c, d) grid, and each row
+gathers its group's members once, into a padded (rows, W, d) table and a
 (rows, R, w, d) table of its R subsets.  Both index tables are index
 arithmetic on CSR arrays: `Rows.padded` pads the batch groups' rows of
 `Dataset.groups`, and their subsets' rows of the `SubsetTable`.  A
@@ -73,52 +76,55 @@ class AblationMask:
                    use_gpe="gpe" not in disabled,
                    use_suppe="suppe" not in disabled)
 
+    @property
+    def reads_gpe(self) -> bool:
+        """The group branch runs: fused, or seeding the superset branch."""
+        return self.use_gpe or (self.use_suppe and not self.use_subpe)
+
     def label(self) -> str:
         off = [n for n, on in (("subpe", self.use_subpe), ("gpe", self.use_gpe),
                                ("suppe", self.use_suppe)) if not on]
         return "mgam" if not off else "mgam-wo-" + "-".join(off)
 
 
+def param_table(cfg: Config, n_users: int, n_items: int, n_groups: int) -> list:
+    """(name, shape, is_weight) of every trainable tensor, in the
+    checkpoint-stable order `init_params` draws them."""
+    cfg.validate()
+    d, m, layers = cfg.embedding_dim, cfg.num_subsets, cfg.gcn_layers
+    table = [("user_emb", (n_users, d), True),
+             ("item_emb", (n_items, d), True),
+             ("group_emb", (n_groups, d), True),
+             ("user_att_w", (), True),
+             ("user_att_b", (), False)]
+    for i in range(1, m + 1):
+        table.append((f"subpe_self_w_{i}", (d, d), True))
+        if m > 1:
+            table.append((f"subpe_other_w_{i}", ((m - 1) * d, d), True))
+        table.append((f"subpe_bias_{i}", (d,), False))
+    table += [("subpe_score_w", (d,), True),
+              ("group_att_w", (), True),
+              ("group_att_b", (), False)]
+    table += [(f"gcn_global_w_{k}", (d, d), True) for k in range(1, layers + 1)]
+    table += [(f"gcn_batch_w_{k}", (d, d), True) for k in range(1, layers + 1)]
+    table += [("suppe_proj_w", (2 * d, d), True),
+              ("suppe_proj_b", (d,), False),
+              ("predict_w", (3 * d,), True),
+              ("predict_b", (), False)]
+    return table
+
+
 def init_params(cfg: Config, n_users: int, n_items: int, n_groups: int,
                 rng: np.random.Generator) -> dict:
-    """Create all trainable tensors in a fixed, checkpoint-stable order.
+    """Create all trainable tensors in `param_table` order.
 
     Weights are uniform(-s, s) with s = 1/sqrt(embedding_dim); biases
     start at zero.
     """
-    cfg.validate()
-    d, m, layers = cfg.embedding_dim, cfg.num_subsets, cfg.gcn_layers
-    s = 1.0 / np.sqrt(d)
-
-    def weight(shape):
-        return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
-
-    def bias(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    params: dict = {}
-    params["user_emb"] = weight((n_users, d))
-    params["item_emb"] = weight((n_items, d))
-    params["group_emb"] = weight((n_groups, d))
-    params["user_att_w"] = weight(())
-    params["user_att_b"] = bias(())
-    for i in range(1, m + 1):
-        params[f"subpe_self_w_{i}"] = weight((d, d))
-        if m > 1:
-            params[f"subpe_other_w_{i}"] = weight(((m - 1) * d, d))
-        params[f"subpe_bias_{i}"] = bias((d,))
-    params["subpe_score_w"] = weight((d,))
-    params["group_att_w"] = weight(())
-    params["group_att_b"] = bias(())
-    for k in range(1, layers + 1):
-        params[f"gcn_global_w_{k}"] = weight((d, d))
-    for k in range(1, layers + 1):
-        params[f"gcn_batch_w_{k}"] = weight((d, d))
-    params["suppe_proj_w"] = weight((2 * d, d))
-    params["suppe_proj_b"] = bias((d,))
-    params["predict_w"] = weight((3 * d,))
-    params["predict_b"] = bias(())
-    return params
+    s = 1.0 / np.sqrt(cfg.embedding_dim)
+    return {name: Tensor(rng.uniform(-s, s, size=shape) if is_weight
+                         else np.zeros(shape), requires_grad=True)
+            for name, shape, is_weight in param_table(cfg, n_users, n_items, n_groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +290,11 @@ def _slot_rows(table: Tensor, index: np.ndarray, present: np.ndarray) -> list:
 
 @dataclass
 class ForwardResult:
-    """Scores plus the attention weights the forward computed.
+    """One mask's scores plus the attention weights the forward computed.
 
     Weight arrays keep the forward's padding, where the weight is exactly
-    0; a weight array is None when its branch did not run.
+    0; a weight array is None when the mask does not read its branch.
+    Results of one forward share the arrays of the branches they read.
     """
     logits: Tensor                     # (n,)
     scores: Tensor                     # (n,), sigmoid(logits)
@@ -300,19 +307,26 @@ class ForwardResult:
 
 def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                   assignments: SubsetTable, graph: GroupGraph, batch, *,
-                  mask: AblationMask | None = None,
-                  global_rows: Tensor | None = None,
-                  isolated: bool = False) -> ForwardResult:
-    """Score a batch of (group, item) pairs, each stage once for the batch.
+                  masks=None, global_rows: Tensor | None = None,
+                  isolated: bool = False) -> list:
+    """Score a batch of (group, item) pairs under each ablation mask.
 
-    `batch` is an (n, 2) integer array-like of (group, item) rows.  By
-    default the batch-stream graph couples the instances scored together,
-    as in training.  `isolated=True` gives every instance its
+    `batch` is an (n, 2) integer array-like of (group, item) rows and
+    `masks` a sequence of `AblationMask`s (default: the full model).
+    Returns one `ForwardResult` per mask.  Each branch runs once for the
+    batch, whatever the number of masks that read it: member attention
+    over the subsets and over the whole group, and the superset branch
+    once per seed (subset- or group-seeded); only fusion and prediction
+    run once per mask.  With one mask the forward is exactly that mask's.
+    By default the batch-stream graph couples the instances scored
+    together, as in training.  `isolated=True` gives every instance its
     own one-node batch graph, so that a score depends only on its own
     (group, item) pair however many candidates one call scores.
     """
-    mask = mask or AblationMask()
-    if not (mask.use_subpe or mask.use_gpe or mask.use_suppe):
+    masks = list(masks) if masks is not None else [AblationMask()]
+    if not masks:
+        raise UsageError("a forward needs at least one ablation mask")
+    if not all(m.use_subpe or m.use_gpe or m.use_suppe for m in masks):
         raise UsageError("all three granularities are ablated; nothing to fuse")
     pairs = np.asarray(batch, dtype=np.intp)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
@@ -320,7 +334,6 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                          f"(group, item) rows, got shape {pairs.shape}")
     groups, items = pairs[:, 0], pairs[:, 1]
     d = cfg.embedding_dim
-    need_gpe = mask.use_gpe or (mask.use_suppe and not mask.use_subpe)
     item_vecs = ad.take(params["item_emb"], items)                     # (n, d)
 
     # group-major layout: the instances of each unique group fill rows of
@@ -341,8 +354,8 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
     grid[cell] = items                    # padding cells read item 0, never read back
     item_grid = ad.take(params["item_emb"], grid.reshape(n_rows, c))  # (rows, c, d)
 
-    h_subpe = h_gpe = h_suppe = member_w = slot_w = gpe_w = None
-    if mask.use_subpe:
+    h_subpe = h_gpe = member_w = slot_w = gpe_w = None
+    if any(m.use_subpe for m in masks):
         slots, has_slot = assignments.slots.padded(uniq)             # (G, R)
         table, real = assignments.subsets.padded(slots, has_slot)    # (G, R, w)
         real[..., 0] |= ~has_slot         # a missing slot's stand-in, never read back
@@ -360,27 +373,32 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
             _slot_rows(ad.reshape(h_cells, (n_rows * r * c, d)), row_of, present),
             params, cfg.num_subsets, present=present)
         member_w = attn.data.reshape(n_rows * r * c, -1)[row_of[present]]
-    if need_gpe:
+    if any(m.reads_gpe for m in masks):
         idx, valid = dataset.groups.padded(uniq)                     # (G, W)
         h_cells, attn = member_attention(
             ad.take(params["user_emb"], idx[row_group]), item_grid,
             params["group_att_w"], params["group_att_b"], valid[row_group])  # (rows, c, d)
         h_gpe = ad.take(ad.reshape(h_cells, (n_rows * c, d)), cell)
         gpe_w = attn.data.reshape(n_rows * c, -1)[cell]
-    if mask.use_suppe:
-        _, h_suppe = superset_embeddings(
-            params, cfg, groups, h_subpe if mask.use_subpe else h_gpe, graph,
-            global_rows=global_rows, isolated=isolated)
 
-    branches = [(label, h) for label, on, h in (("subpe", mask.use_subpe, h_subpe),
-                                                ("gpe", mask.use_gpe, h_gpe),
-                                                ("suppe", mask.use_suppe, h_suppe)) if on]
-    h_fus, fusion_w = fuse([h for _, h in branches], cfg.embedding_dim)
-    logits = predict_logit(h_fus, item_vecs, params["predict_w"], params["predict_b"])
-    return ForwardResult(
-        logits=logits, scores=ad.sigmoid(logits),
-        branches=[label for label, _ in branches],
-        fusion_weights=fusion_w.data,
-        group_weights=gpe_w,
-        subset_weights=None if slot_w is None else slot_w.data,
-        member_weights=member_w)
+    h_suppe = {}   # the superset branch's output, by the branch seeding it
+    results = []
+    for mask in masks:
+        seed = "subpe" if mask.use_subpe else "gpe"
+        if mask.use_suppe and seed not in h_suppe:
+            _, h_suppe[seed] = superset_embeddings(
+                params, cfg, groups, h_subpe if mask.use_subpe else h_gpe, graph,
+                global_rows=global_rows, isolated=isolated)
+        branches = [(label, h) for label, on, h in (
+            ("subpe", mask.use_subpe, h_subpe), ("gpe", mask.use_gpe, h_gpe),
+            ("suppe", mask.use_suppe, h_suppe.get(seed))) if on]
+        h_fus, fusion_w = fuse([h for _, h in branches], d)
+        logits = predict_logit(h_fus, item_vecs, params["predict_w"], params["predict_b"])
+        results.append(ForwardResult(
+            logits=logits, scores=ad.sigmoid(logits),
+            branches=[label for label, _ in branches],
+            fusion_weights=fusion_w.data,
+            group_weights=gpe_w if mask.reads_gpe else None,
+            subset_weights=slot_w.data if mask.use_subpe else None,
+            member_weights=member_w if mask.use_subpe else None))
+    return results

@@ -36,7 +36,7 @@ from .config import STREAM_INIT, STREAM_TRAIN, Config, substream
 from .data import (Dataset, Split, dataset_arrays, dataset_from_arrays,
                    dataset_sha256, sample_negatives)
 from .errors import CheckpointError, NonFiniteError, UsageError
-from .model import AblationMask, forward_batch, init_params
+from .model import AblationMask, forward_batch, init_params, param_table
 
 CHECKPOINT_VERSION = 3
 MANIFEST_FILE = "manifest.json"
@@ -182,8 +182,8 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         blocks[:, 1:, 2] = 0
         triplets = _build_triplets(rows)
 
-        result = forward_batch(params, cfg, dataset, assignments, graph,
-                               rows[:, :2], mask=mask)
+        [result] = forward_batch(params, cfg, dataset, assignments, graph,
+                                 rows[:, :2], masks=[mask or AblationMask()])
         point_terms = point_loss_from_logits(result.logits, rows[:, 2])
         trip_terms = None
         if triplets:   # anchor, same-label and different-label scores
@@ -456,6 +456,5 @@ def load_inputs(directory, data_dir, manifest: dict) -> tuple:
 def expected_param_shapes(cfg: Config, n_users: int, n_items: int,
                           n_groups: int) -> dict:
     """Tensor shapes a checkpoint must carry for this configuration."""
-    probe = init_params(cfg, n_users, n_items, n_groups,
-                        np.random.default_rng(0))
-    return {name: p.data.shape for name, p in probe.items()}
+    return {name: shape for name, shape, _ in
+            param_table(cfg, n_users, n_items, n_groups)}

@@ -64,9 +64,9 @@ def planted_run():
                  batch_size=64, epochs=30, seed=42)  # within the 50-epoch budget
     params, history = train(ds, split, assignments, graph, cfg)
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
-    report = evaluate(scorer, ds, split, 100, [5, 10], seed=42)
-    oracle = evaluate(lambda g, c: truth.group_utility[g, list(c)],
-                      ds, split, 100, [5], seed=42)
+    [report] = evaluate(scorer, ds, split, 100, [5, 10], seed=42)
+    [oracle] = evaluate(lambda g, c: truth.group_utility[g, list(c)],
+                        ds, split, 100, [5], seed=42)
     return {"hr5": report.hr[5], "hr10": report.hr[10],
             "oracle_hr5": oracle.hr[5], "seconds": time.perf_counter() - t0,
             "history": history}
@@ -97,8 +97,8 @@ def test_criterion_1_gradient_correctness(toy):
     triplets = _build_triplets(instances)
 
     def loss_tensor():
-        res = forward_batch(params, toy["cfg"], toy["dataset"],
-                            toy["assignments"], toy["graph"], toy["batch"])
+        [res] = forward_batch(params, toy["cfg"], toy["dataset"],
+                              toy["assignments"], toy["graph"], toy["batch"])
         pt = point_loss_from_logits(res.logits, toy["labels"])
         ya = ad.take(res.scores, [a for a, _, _ in triplets])
         yp = ad.take(res.scores, [s for _, s, _ in triplets])
@@ -130,8 +130,8 @@ def test_criterion_1_gradient_correctness(toy):
 
 def test_criterion_2_forward_oracle_equivalence(toy):
     raw = {k: v.data for k, v in toy["params"].items()}
-    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                        toy["assignments"], toy["graph"], toy["batch"])
+    [res] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                          toy["assignments"], toy["graph"], toy["batch"])
     ref = reference_forward(raw, toy["dataset"],
                             [a.subsets for a in toy["assignments"]],
                             toy["batch"], 8, 2, 2)
@@ -234,11 +234,12 @@ def test_criterion_6_ablation_harness(cli_workspace):
         cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2,
                      batch_size=64, epochs=20, seed=seed)
         params, _ = train(ds, split, assignments, graph, cfg)
-        for mask, store in ((AblationMask(), full_vals),
-                            (AblationMask(use_subpe=False), wo_subpe_vals)):
-            scorer = make_mgam_scorer(params, cfg, ds, assignments, graph,
-                                      mask=mask)
-            store.append(evaluate(scorer, ds, split, 100, [5], seed=seed).hr[5])
+        masks = [AblationMask(), AblationMask(use_subpe=False)]
+        scorer = make_mgam_scorer(params, cfg, ds, assignments, graph, masks)
+        full_report, wo_report = evaluate(scorer, ds, split, 100, [5], seed=seed,
+                                          labels=[m.label() for m in masks])
+        full_vals.append(full_report.hr[5])
+        wo_subpe_vals.append(wo_report.hr[5])
     full = float(np.mean(full_vals))
     wo = float(np.mean(wo_subpe_vals))
     _report(6, harness_ok and full >= wo - 0.02,

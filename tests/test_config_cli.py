@@ -173,7 +173,8 @@ def test_ablate_runs_all_single_removals(workspace):
 
 def test_ablate_draws_each_test_group_once(workspace, tmp_path, monkeypatch):
     """Four masks share one draw of candidates: one sample_negatives call
-    per test group, and each mask's rows equal a separate `eval`."""
+    per test group, and each mask's rows, summary and per-group detail
+    alike, equal a separate `eval --set ablate=...`."""
     drawn = []
     real = mgam.evaluation.sample_negatives
 
@@ -183,19 +184,23 @@ def test_ablate_draws_each_test_group_once(workspace, tmp_path, monkeypatch):
 
     monkeypatch.setattr(mgam.evaluation, "sample_negatives", spy)
     rc = main(["ablate", "--data", workspace["data"], "--ckpt", workspace["ckpt"],
-               "--out", str(tmp_path / "ablate")])
+               "--out", str(tmp_path / "ablate"), "--detail"])
     assert rc == 0
     dataset = load_dataset(workspace["data"])
     split = split_leave_one_out(dataset, substream(42, STREAM_DATA))
     assert sorted(drawn) == sorted(g for g, _ in split.test)
-    rows = (tmp_path / "ablate" / "metrics.csv").read_text().splitlines()
-    assert len(rows) == 1 + 4 * 2
-    rc = main(["eval", "--data", workspace["data"], "--ckpt", workspace["ckpt"],
-               "--out", str(tmp_path / "eval"), "--set", "ablate=gpe"])
-    assert rc == 0
-    alone = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()
-    assert [r.replace("mgam-wo-gpe,", "", 1) for r in rows if r.startswith("mgam-wo-gpe,")] \
-        == [r.replace("mgam-wo-gpe,", "", 1) for r in alone[1:]]
+    assert len((tmp_path / "ablate" / "metrics.csv").read_text().splitlines()) == 1 + 4 * 2
+    for label, ablated in (("mgam", ""), ("mgam-wo-subpe", "subpe"),
+                           ("mgam-wo-gpe", "gpe"), ("mgam-wo-suppe", "suppe")):
+        out = tmp_path / label
+        rc = main(["eval", "--data", workspace["data"], "--ckpt", workspace["ckpt"],
+                   "--out", str(out), "--set", f"ablate={ablated}", "--detail"])
+        assert rc == 0
+        for name in ("metrics.csv", "metrics_detail.csv"):
+            rows = (tmp_path / "ablate" / name).read_text().splitlines()
+            alone = (out / name).read_text().splitlines()
+            assert alone[0] == rows[0]
+            assert [r for r in rows if r.startswith(label + ",")] == alone[1:], (label, name)
 
 
 def test_ablate_all_disabled_is_usage_error(workspace, capsys):
@@ -419,9 +424,9 @@ def test_non_finite_score_exits_1_naming_the_group(workspace, tmp_path, capsys,
     real = mgam.evaluation.forward_batch
 
     def nan_for_row_3(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.scores.data[3] = np.nan
-        return result
+        results = real(*args, **kwargs)
+        results[0].scores.data[3] = np.nan
+        return results
 
     monkeypatch.setattr(mgam.evaluation, "forward_batch", nan_for_row_3)
     extra = (["--group-id", "3"] if command == "recommend"

@@ -13,7 +13,7 @@ from mgam.evaluation import (SCORE_CHUNK_ROWS, MetricReport, draw_candidates,
                              make_mgam_scorer, ndcg_at_k, rank_candidates,
                              train_mf_scorer, write_metrics_csv)
 from mgam.graph import build_co_membership
-from mgam.model import init_params
+from mgam.model import AblationMask, init_params
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_evaluate_perfect_scorer_maxes_metrics():
         return np.array([1.0 if v == held[g] else 0.0
                          for g, v in zip(groups.tolist(), items.tolist())])
 
-    report = evaluate(scorer, ds, split, 30, [5, 10], seed=3)
+    [report] = evaluate(scorer, ds, split, 30, [5, 10], seed=3)
     assert report.hr[5] == 1.0
     assert report.ndcg[5] == 1.0
     assert report.hr[10] == 1.0
@@ -118,7 +118,7 @@ def test_evaluate_matches_independent_sort_oracle():
                          for g, v in zip(groups.tolist(), items.tolist())])
 
     ks = [3, 5, 10]
-    report = evaluate(scorer, ds, split, 25, ks, seed=11)
+    [report] = evaluate(scorer, ds, split, 25, ks, seed=11)
 
     # independent recomputation: same negative streams, own ranking logic
     import math
@@ -147,8 +147,8 @@ def test_evaluate_deterministic():
     def scorer(groups, items):
         return ((groups * 31 + items * 17) % 97) / 97
 
-    a = evaluate(scorer, ds, split, 20, [5], seed=13)
-    b = evaluate(scorer, ds, split, 20, [5], seed=13)
+    [a] = evaluate(scorer, ds, split, 20, [5], seed=13)
+    [b] = evaluate(scorer, ds, split, 20, [5], seed=13)
     assert a.hr == b.hr and a.ndcg == b.ndcg and a.per_group == b.per_group
 
 
@@ -173,7 +173,7 @@ def test_evaluate_positions_match_rank_candidates_with_ties():
             return table[groups, items]
 
         lists = [list(rng.permutation(c)) for c in drawn]
-        report = evaluate(scorer, ds, split, 40, [1, 5], seed=5, candidates=lists)
+        [report] = evaluate(scorer, ds, split, 40, [1, 5], seed=5, candidates=lists)
         for (group, positive), ranking, (g, position) in zip(
                 split.test, lists, report.per_group, strict=True):
             assert g == group and type(position) is int
@@ -197,9 +197,9 @@ def test_evaluate_refuses_bad_candidate_lists():
             evaluate(zeros, ds, split, 10, [5], seed=0, candidates=lists)
     # an item in two groups' lists is no duplicate
     shared = next(v for v in drawn[0] if v not in drawn[1])
-    assert evaluate(zeros, ds, split, 10, [5], seed=0,
-                    candidates=[drawn[0], drawn[1] + [shared]] + drawn[2:]).n_groups \
-        == len(split.test)
+    [report] = evaluate(zeros, ds, split, 10, [5], seed=0,
+                        candidates=[drawn[0], drawn[1] + [shared]] + drawn[2:])
+    assert report.n_groups == len(split.test)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -219,6 +219,57 @@ def test_non_finite_scores_are_refused_naming_the_group(bad):
         rank_candidates(scorer, victim, [4, 2, 7])
     with pytest.raises(NonFiniteError, match=r"for group g-7$"):
         rank_candidates(scorer, victim, [4, 2, 7], group_id="g-7")
+
+
+def test_evaluate_many_models_equals_one_model_runs():
+    """A scorer of several models gives each model the report of its own
+    run, against one draw of candidates; its row count must match."""
+    ds, truth, split = _planted(seed=5)
+    rng = np.random.default_rng(3)
+    tables = [rng.integers(0, levels, size=(ds.n_groups, ds.n_items)) / levels
+              for levels in (2, 7, 1000)]
+
+    def scorer(groups, items):
+        return np.stack([t[groups, items] for t in tables])
+
+    reports = evaluate(scorer, ds, split, 30, [1, 5], seed=9, labels=["a", "b", "c"])
+    assert len(reports) == 3
+    for table, report in zip(tables, reports):
+        [alone] = evaluate(lambda g, v, t=table: t[g, v], ds, split, 30, [1, 5], seed=9)
+        assert (report.hr, report.ndcg, report.per_group) == \
+            (alone.hr, alone.ndcg, alone.per_group)
+    with pytest.raises(UsageError, match=r"\(3, \d+\) scores for 2 model"):
+        evaluate(scorer, ds, split, 30, [5], seed=9, labels=["a", "b"])
+    with pytest.raises(UsageError, match=r"\(3, \d+\) scores for 1 model"):
+        evaluate(scorer, ds, split, 30, [5], seed=9)
+
+
+def test_non_finite_score_names_the_model_and_the_group():
+    """A NaN parameter that only one mask reads: the error names that mask
+    and the group, and the other masks score as they do alone."""
+    ds, truth, split = _planted(seed=6)
+    assignments = cluster_subsets(ds, 2, seed=1)
+    graph = build_co_membership(ds.groups)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    params["suppe_proj_b"].data[0] = np.nan   # read by the superset branch only
+    masks = [AblationMask(True, False, False), AblationMask(False, True, False),
+             AblationMask(False, False, True)]
+    labels = [m.label() for m in masks]
+    assert labels[2] == "mgam-wo-subpe-gpe"
+    scorer = make_mgam_scorer(params, cfg, ds, assignments, graph, masks)
+    first = ds.group_ids[split.test[0][0]]
+    with pytest.raises(NonFiniteError,
+                       match=rf"^model mgam-wo-subpe-gpe: non-finite score nan "
+                             rf"for group {first}$"):
+        evaluate(scorer, ds, split, 10, [5], seed=0, labels=labels)
+    groups, items = np.repeat(np.arange(ds.n_groups), 3), np.arange(3 * ds.n_groups)
+    scores = scorer(groups, items)
+    assert np.isnan(scores[2]).all()
+    for mask, row in zip(masks[:2], scores):
+        alone = make_mgam_scorer(params, cfg, ds, assignments, graph, [mask])
+        assert np.array_equal(row, alone(groups, items)[0])
 
 
 def test_random_scorer_hr_within_3_sigma():
@@ -245,9 +296,9 @@ def test_mgam_scorer_matches_direct_forward():
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
     from mgam.model import forward_batch
     for g, v in [(0, 3), (5, 11), (11, 60)]:
-        direct = forward_batch(params, cfg, ds, assignments, graph, [(g, v)])
-        assert scorer([g], [v])[0] == pytest.approx(float(direct.scores.data[0]),
-                                                    abs=1e-15)
+        [direct] = forward_batch(params, cfg, ds, assignments, graph, [(g, v)])
+        assert scorer([g], [v])[0, 0] == pytest.approx(float(direct.scores.data[0]),
+                                                       abs=1e-15)
 
 
 def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
@@ -276,8 +327,8 @@ def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
     scores = make_mgam_scorer(params, cfg, ds, assignments, graph)(groups, items)
     assert sizes == [SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS, 37]
     for i in rng.choice(n, size=40, replace=False):
-        alone = real(params, cfg, ds, assignments, graph, [(groups[i], items[i])])
-        assert abs(scores[i] - float(alone.scores.data[0])) < 1e-12
+        [alone] = real(params, cfg, ds, assignments, graph, [(groups[i], items[i])])
+        assert abs(scores[0, i] - float(alone.scores.data[0])) < 1e-12
 
 
 def test_scoring_memory_is_bounded_by_a_chunk():
@@ -330,6 +381,42 @@ def test_scoring_memory_is_bounded_by_a_chunk():
     assert ranked < 1.25 * chunk, (ranked, chunk)
 
 
+def test_many_mask_scoring_memory_stays_near_one_mask():
+    """Scoring a chunk under the four `ablate` masks peaks within 1.5x of
+    scoring it under the full model: the branches are shared, and only
+    fusion and prediction run per mask."""
+    import tracemalloc
+
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2)
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=300, n_items=400, n_groups=600, positives_per_group=5), seed=1)
+    assignments = cluster_subsets(ds, 3, seed=1)
+    graph = build_co_membership(ds.groups)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    rng = np.random.default_rng(4)
+    # a chunk of whole and partial 101-row candidate lists of several groups
+    groups = np.repeat(rng.choice(ds.n_groups, size=7, replace=False), 101)
+    groups = groups[50:50 + SCORE_CHUNK_ROWS]
+    items = rng.integers(0, ds.n_items, size=SCORE_CHUNK_ROWS)
+    masks = [AblationMask(), AblationMask(use_subpe=False),
+             AblationMask(use_gpe=False), AblationMask(use_suppe=False)]
+    one = make_mgam_scorer(params, cfg, ds, assignments, graph, masks[:1])
+    four = make_mgam_scorer(params, cfg, ds, assignments, graph, masks)
+    assert np.array_equal(four(groups, items)[:1], one(groups, items))
+    one_peak, four_peak = peak(lambda: one(groups, items)), peak(lambda: four(groups, items))
+    assert four_peak < 1.5 * one_peak, (four_peak, one_peak)
+
+
 # ---------------------------------------------------------------------------
 # baselines
 
@@ -354,11 +441,11 @@ def test_baseline_aggregate_values():
     v = np.array([[1.0], [0.0], [0.0]])
     expect = {"avg": 0.5, "lm": 0.2, "ms": 0.8}
     for s in ("avg", "lm", "ms"):
-        assert make_baseline_scorer(u, v, ds, s)([0], [0])[0] == pytest.approx(
+        assert make_baseline_scorer(u, v, ds, [s])([0], [0])[0, 0] == pytest.approx(
             expect[s], abs=1e-12)
     one, u_one = _one_group_dataset(1), _logit(np.array([[0.4]]))
     for s in ("avg", "lm", "ms"):
-        score = make_baseline_scorer(u_one, v, one, s)([0], [0])[0]
+        score = make_baseline_scorer(u_one, v, one, [s])([0], [0])[0, 0]
         assert score == pytest.approx(0.4, abs=1e-12)
 
 
@@ -368,15 +455,15 @@ def test_baseline_aggregate_permutation_invariant():
     u = rng.normal(size=(6, 4))
     v = rng.normal(size=(3, 4))
     for s in ("avg", "lm", "ms"):
-        a = make_baseline_scorer(u, v, ds, s)([0, 0, 0], [0, 1, 2])
-        b = make_baseline_scorer(u[rng.permutation(6)], v, ds, s)([0, 0, 0], [0, 1, 2])
+        a = make_baseline_scorer(u, v, ds, [s])([0, 0, 0], [0, 1, 2])
+        b = make_baseline_scorer(u[rng.permutation(6)], v, ds, [s])([0, 0, 0], [0, 1, 2])
         assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 
 def test_baseline_aggregate_errors():
     ds = _one_group_dataset()
     with pytest.raises(UsageError, match="median"):
-        make_baseline_scorer(np.zeros((2, 1)), np.zeros((3, 1)), ds, "median")
+        make_baseline_scorer(np.zeros((2, 1)), np.zeros((3, 1)), ds, ["avg", "median"])
 
 
 def test_baseline_scorer_consistent_with_aggregate():
@@ -385,25 +472,37 @@ def test_baseline_scorer_consistent_with_aggregate():
     u = rng.normal(size=(ds.n_users, 4))
     v = rng.normal(size=(ds.n_items, 4))
     for strategy, reduce in (("avg", np.mean), ("lm", np.min), ("ms", np.max)):
-        scorer = make_baseline_scorer(u, v, ds, strategy)
-        scores = scorer([2, 2], [5, 9])
+        [scores] = make_baseline_scorer(u, v, ds, [strategy])([2, 2], [5, 9])
         members = ds.groups[2]
         for j, item in enumerate([5, 9]):
             member_scores = 1 / (1 + np.exp(-(u[members] @ v[item])))
             assert scores[j] == pytest.approx(reduce(member_scores), abs=1e-12)
         # rows of several groups, interleaved
         groups, items = [2, 0, 2, 1, 0], [5, 9, 9, 3, 5]
-        scores = scorer(groups, items)
+        [scores] = make_baseline_scorer(u, v, ds, [strategy])(groups, items)
         for j, (g, item) in enumerate(zip(groups, items)):
             member_scores = 1 / (1 + np.exp(-(u[ds.groups[g]] @ v[item])))
             assert scores[j] == pytest.approx(reduce(member_scores), abs=1e-12)
 
 
+def test_baseline_strategies_in_one_pass_equal_separate_scorers():
+    ds, truth, split = _planted(seed=7)
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=(ds.n_users, 4))
+    v = rng.normal(size=(ds.n_items, 4))
+    groups = rng.integers(0, ds.n_groups, size=200)
+    items = rng.integers(0, ds.n_items, size=200)
+    scores = make_baseline_scorer(u, v, ds, ["avg", "lm", "ms"])(groups, items)
+    assert scores.shape == (3, 200)
+    for strategy, row in zip(["avg", "lm", "ms"], scores):
+        assert np.array_equal(row, make_baseline_scorer(u, v, ds, [strategy])(groups, items)[0])
+
+
 def test_mf_baseline_learns_user_preferences():
     ds, truth, split = _planted(seed=8)
     u, v = train_mf_scorer(ds, d=16, epochs=30, lr=0.01, negatives=2, seed=5)
-    scorer = make_baseline_scorer(u, v, ds, "avg")
-    report = evaluate(scorer, ds, split, 30, [5], seed=3)
+    scorer = make_baseline_scorer(u, v, ds, ["avg"])
+    [report] = evaluate(scorer, ds, split, 30, [5], seed=3)
     assert report.hr[5] > 5 / 31 + 0.1  # clearly better than random
 
 

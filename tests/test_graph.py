@@ -4,8 +4,8 @@ from scipy import sparse
 
 from mgam.data import Rows
 from mgam.errors import UsageError
-from mgam.graph import (GroupGraph, _finish, build_co_membership, dump_graph,
-                        expand_to_instances, induce_batch_subgraph)
+from mgam.graph import (GroupGraph, _finish, _normalize, build_co_membership,
+                        dump_graph, expand_to_instances, induce_batch_subgraph)
 from reference_preprocessing import pair_loop_adjacency, sorted_pair_dump
 
 
@@ -171,6 +171,25 @@ def test_expand_to_instances_sparse_matches_dense_bitwise():
         norm = expand_to_instances(sub, pos)
         _assert_normalized_bitwise(norm, sub.adjacency[pos][:, pos])
         _assert_csr_bitwise(expand_to_instances(g, ids[pos]), norm)
+
+
+def test_normalize_reuses_a_sorted_structure_bitwise():
+    """A sorted adjacency's index arrays are shared, not copied, and the
+    values equal those normalized on a shuffled copy of it."""
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        g = build_co_membership(random_groups(rng, int(rng.integers(1, 20)), 10))
+        adj = g.adjacency
+        assert adj.has_sorted_indices
+        assert np.shares_memory(g.normalized.indices, adj.indices)
+        assert np.shares_memory(g.normalized.indptr, adj.indptr)
+        order = np.concatenate([rng.permutation(np.arange(a, b))
+                                for a, b in zip(adj.indptr[:-1], adj.indptr[1:])])
+        shuffled = sparse.csr_array((adj.data[order], adj.indices[order], adj.indptr),
+                                    shape=adj.shape)
+        from_copy = _normalize(shuffled, g.degree)
+        _assert_csr_bitwise(g.normalized, from_copy)
+        _assert_normalized_bitwise(g.normalized, adj)
 
 
 def _assert_csr_bitwise(a, b):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import mgam.model
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.config import Config
 from mgam.data import Dataset, Rows
 from mgam.errors import ConfigError, UsageError
 from mgam.graph import build_co_membership
-from mgam.model import (AblationMask, forward_batch, fuse,
-                        init_params, member_attention, predict_logit,
+from mgam.model import (AblationMask, compute_global_rows, forward_batch,
+                        fuse, init_params, member_attention, predict_logit,
                         subset_attention, superset_embeddings,
                         superset_propagate)
 from mgam.training import (point_loss_from_logits, total_loss,
@@ -421,7 +422,7 @@ def test_forward_all_ablated_rejected(toy):
     with pytest.raises(UsageError):
         forward_batch(toy["params"], toy["cfg"], toy["dataset"],
                       toy["assignments"], toy["graph"], [(0, 1)],
-                      mask=AblationMask(False, False, False))
+                      masks=[AblationMask(False, False, False)])
 
 
 def test_forward_empty_batch_rejected(toy):
@@ -435,9 +436,9 @@ def test_forward_empty_batch_rejected(toy):
 def test_forward_gpe_only_equals_direct_group_attention(toy):
     ds, params = toy["dataset"], toy["params"]
     g, v = 1, 4
-    res = forward_batch(params, toy["cfg"], ds, toy["assignments"],
-                        toy["graph"], [(g, v)],
-                        mask=AblationMask(use_subpe=False, use_suppe=False))
+    [res] = forward_batch(params, toy["cfg"], ds, toy["assignments"],
+                          toy["graph"], [(g, v)],
+                          masks=[AblationMask(use_subpe=False, use_suppe=False)])
     e_v = params["item_emb"].data[v]
     u = params["user_emb"].data[ds.groups[g]]
     scores = np.maximum(float(params["group_att_w"].data) * (u @ e_v)
@@ -454,9 +455,9 @@ def test_forward_matches_reference_oracle(toy):
     raw = {k: v.data for k, v in toy["params"].items()}
     for flags in ((True, True, True), (False, True, True), (True, False, True),
                   (True, True, False), (False, False, True)):
-        res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                            toy["assignments"], toy["graph"], toy["batch"],
-                            mask=AblationMask(*flags))
+        [res] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                              toy["assignments"], toy["graph"], toy["batch"],
+                              masks=[AblationMask(*flags)])
         ref = reference_forward(raw, toy["dataset"],
                                 [a.subsets for a in toy["assignments"]],
                                 toy["batch"], 8, 2, 2, *flags)
@@ -470,12 +471,13 @@ def test_forward_isolated_candidates_score_alone(toy):
     subsets = [a.subsets for a in toy["assignments"]]
     for g in (0, 1):
         batch = [(g, v) for v in range(toy["dataset"].n_items)]
-        together = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                                 toy["assignments"], toy["graph"], batch,
-                                 isolated=True).scores.data
+        [together] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                                   toy["assignments"], toy["graph"], batch,
+                                   isolated=True)
+        together = together.scores.data
         for i, pair in enumerate(batch):
-            alone = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                                  toy["assignments"], toy["graph"], [pair])
+            [alone] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                                    toy["assignments"], toy["graph"], [pair])
             ref = reference_forward(raw, toy["dataset"], subsets, [pair], 8, 2, 2)
             assert abs(together[i] - alone.scores.data[0]) < 1e-12
             assert abs(together[i] - ref[0]) < 1e-12
@@ -483,9 +485,9 @@ def test_forward_isolated_candidates_score_alone(toy):
 
 def test_forward_tape_size_does_not_grow_with_batch(toy):
     def tape_length(instances):
-        res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                            toy["assignments"], toy["graph"],
-                            [(g, v) for g, v, _ in instances])
+        [res] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                              toy["assignments"], toy["graph"],
+                              [(g, v) for g, v, _ in instances])
         labels = [y for _, _, y in instances]
         triplets = _build_triplets(instances)
         trip = triplet_loss(*(ad.take(res.scores, [t[k] for t in triplets])
@@ -519,8 +521,8 @@ def _check_attention_arrays(res, ds, assignments, batch):
 
 
 def test_forward_attention_weights_are_probability_vectors(toy):
-    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                        toy["assignments"], toy["graph"], toy["batch"])
+    [res] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                          toy["assignments"], toy["graph"], toy["batch"])
     _check_attention_arrays(res, toy["dataset"], toy["assignments"], toy["batch"])
     # uneven groups and subset counts, so every weight array has padding
     ds = toy["dataset"]
@@ -531,8 +533,8 @@ def test_forward_attention_weights_are_probability_vectors(toy):
         group_ids=ds.group_ids)
     assignments = subset_table([[[0, 1, 2]],
                                           [[3, 4, 5], [6]]])
-    res = forward_batch(toy["params"], toy["cfg"], uneven, assignments,
-                        build_co_membership(uneven.groups), toy["batch"])
+    [res] = forward_batch(toy["params"], toy["cfg"], uneven, assignments,
+                          build_co_membership(uneven.groups), toy["batch"])
     # 4 instances of group 0 (1 subset each), 3 of group 1 (2 subsets each)
     assert res.member_weights.shape == (4 * 1 + 3 * 2, 3)
     assert res.subset_weights.shape == (len(toy["batch"]), 2)
@@ -541,17 +543,17 @@ def test_forward_attention_weights_are_probability_vectors(toy):
 
 
 def test_forward_attention_arrays_follow_the_mask(toy):
-    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                        toy["assignments"], toy["graph"], toy["batch"],
-                        mask=AblationMask(use_subpe=False, use_gpe=False))
+    [res] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                          toy["assignments"], toy["graph"], toy["batch"],
+                          masks=[AblationMask(use_subpe=False, use_gpe=False)])
     # the group branch still runs: it reseeds the batch stream
     assert res.branches == ["suppe"]
     assert res.member_weights is None and res.subset_weights is None
     assert res.group_weights is not None
     assert res.fusion_weights.shape == (len(toy["batch"]), 1, 1)
-    res = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                        toy["assignments"], toy["graph"], toy["batch"],
-                        mask=AblationMask(use_gpe=False))
+    [res] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                          toy["assignments"], toy["graph"], toy["batch"],
+                          masks=[AblationMask(use_gpe=False)])
     assert res.branches == ["subpe", "suppe"]
     assert res.group_weights is None
 
@@ -568,10 +570,10 @@ def test_forward_member_permutation_invariance(toy):
         [[1, 0], [3, 2]],
         [[5, 3, 4], [6]],
     ])
-    a = forward_batch(toy["params"], toy["cfg"], ds, toy["assignments"],
-                      toy["graph"], toy["batch"])
-    b = forward_batch(toy["params"], toy["cfg"], permuted,
-                      shuffled_assignments, toy["graph"], toy["batch"])
+    [a] = forward_batch(toy["params"], toy["cfg"], ds, toy["assignments"],
+                        toy["graph"], toy["batch"])
+    [b] = forward_batch(toy["params"], toy["cfg"], permuted,
+                        shuffled_assignments, toy["graph"], toy["batch"])
     assert np.abs(a.scores.data - b.scores.data).max() < 1e-12
 
 
@@ -582,27 +584,27 @@ def test_forward_slot_order_sensitivity(toy):
         [[2, 3], [0, 1]],
         [[6], [3, 4, 5]],
     ])
-    a = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                      toy["assignments"], toy["graph"], toy["batch"])
-    b = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                      swapped, toy["graph"], toy["batch"])
+    [a] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                        toy["assignments"], toy["graph"], toy["batch"])
+    [b] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                        swapped, toy["graph"], toy["batch"])
     assert np.abs(a.scores.data - b.scores.data).max() > 1e-6
 
 
 def test_forward_deterministic_bitwise(toy):
-    a = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                      toy["assignments"], toy["graph"], toy["batch"])
-    b = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
-                      toy["assignments"], toy["graph"], toy["batch"])
+    [a] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                        toy["assignments"], toy["graph"], toy["batch"])
+    [b] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
+                        toy["assignments"], toy["graph"], toy["batch"])
     assert np.array_equal(a.scores.data, b.scores.data)
 
 
 def test_ablation_gradient_consistency(toy):
     """GPE-only forward leaves every subset/superset parameter untouched."""
     params = fresh_toy_params(toy)
-    res = forward_batch(params, toy["cfg"], toy["dataset"], toy["assignments"],
-                        toy["graph"], toy["batch"],
-                        mask=AblationMask(use_subpe=False, use_suppe=False))
+    [res] = forward_batch(params, toy["cfg"], toy["dataset"], toy["assignments"],
+                          toy["graph"], toy["batch"],
+                          masks=[AblationMask(use_subpe=False, use_suppe=False)])
     labels = toy["labels"]
     loss = total_loss(None, point_loss_from_logits(res.logits, labels), 0.5)
     grads = ad.grad_map(loss, params)
@@ -620,8 +622,8 @@ def test_model_gradients_match_finite_differences_sampled(toy):
     triplets = _build_triplets(instances)
 
     def loss_tensor():
-        res = forward_batch(params, toy["cfg"], toy["dataset"],
-                            toy["assignments"], toy["graph"], toy["batch"])
+        [res] = forward_batch(params, toy["cfg"], toy["dataset"],
+                              toy["assignments"], toy["graph"], toy["batch"])
         pt = point_loss_from_logits(res.logits, toy["labels"])
         ya = ad.take(res.scores, [a for a, _, _ in triplets])
         yp = ad.take(res.scores, [s for _, s, _ in triplets])
@@ -722,12 +724,12 @@ def test_forward_ragged_batches_match_reference_oracle(ragged, which, flags):
     batch = batches[which]
     raw = {k: v.data for k, v in params.items()}
     subsets = [a.subsets for a in assignments]
-    coupled = forward_batch(params, cfg, ds, assignments, graph, batch,
-                            mask=AblationMask(*flags))
+    [coupled] = forward_batch(params, cfg, ds, assignments, graph, batch,
+                              masks=[AblationMask(*flags)])
     ref = reference_forward(raw, ds, subsets, batch, 8, 3, 2, *flags)
     assert np.abs(coupled.scores.data - ref).max() < 1e-10
-    isolated = forward_batch(params, cfg, ds, assignments, graph, batch,
-                             mask=AblationMask(*flags), isolated=True)
+    [isolated] = forward_batch(params, cfg, ds, assignments, graph, batch,
+                               masks=[AblationMask(*flags)], isolated=True)
     alone = [reference_forward(raw, ds, subsets, [pair], 8, 3, 2, *flags)[0]
              for pair in batch]
     assert np.abs(isolated.scores.data - alone).max() < 1e-10
@@ -742,6 +744,69 @@ def test_forward_ragged_batches_match_reference_oracle(ragged, which, flags):
     if coupled.group_weights is not None:
         for w, (g, _) in zip(coupled.group_weights, batch):
             assert np.all(w[len(ds.groups[g]):] == 0) and abs(w.sum() - 1) < 1e-12
+
+
+# the four `ablate` masks, then the three one-branch masks
+_ALL_MASKS = [AblationMask(), AblationMask(use_subpe=False), AblationMask(use_gpe=False),
+              AblationMask(use_suppe=False), AblationMask(True, False, False),
+              AblationMask(False, True, False), AblationMask(False, False, True)]
+
+
+@pytest.mark.parametrize("isolated", [True, False], ids=["isolated", "coupled"])
+def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch, isolated):
+    """One forward under many masks gives, field for field, each mask's own
+    forward, and runs each branch once: member attention over the subsets
+    and over the group, and the superset branch once per seed."""
+    ds, assignments, graph, cfg, params, batches = ragged
+    # a chunk's ragged tail: the end of one candidate list, a whole list,
+    # the start of another
+    tail = [(g, v) for g, n in ((3, 2), (0, 12), (4, 5), (1, 1)) for v in range(12 - n, 12)]
+    global_rows = compute_global_rows(params, cfg, graph) if isolated else None
+    calls = []
+
+    def counted(name):
+        real = getattr(mgam.model, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return spy
+
+    for name in ("member_attention", "superset_embeddings"):
+        monkeypatch.setattr(mgam.model, name, counted(name))
+    for batch in (tail, batches["unsorted"], batches["one-instance"]):
+        for masks in (_ALL_MASKS, _ALL_MASKS[:4], _ALL_MASKS[4:], _ALL_MASKS[3:5]):
+            calls.clear()
+            together = forward_batch(params, cfg, ds, assignments, graph, batch,
+                                     masks=masks, global_rows=global_rows,
+                                     isolated=isolated)
+            seeds = {m.use_subpe for m in masks if m.use_suppe}
+            assert calls.count("member_attention") == (
+                any(m.use_subpe for m in masks) + any(m.reads_gpe for m in masks))
+            assert calls.count("superset_embeddings") == len(seeds)
+            assert len(together) == len(masks)
+            for mask, res in zip(masks, together):
+                [alone] = forward_batch(params, cfg, ds, assignments, graph, batch,
+                                        masks=[mask], global_rows=global_rows,
+                                        isolated=isolated)
+                assert res.branches == alone.branches
+                for field in ("logits", "scores"):
+                    assert np.array_equal(getattr(res, field).data,
+                                          getattr(alone, field).data), (mask, field)
+                for field in ("fusion_weights", "group_weights", "subset_weights",
+                              "member_weights"):
+                    a, b = getattr(res, field), getattr(alone, field)
+                    assert (a is None) == (b is None), (mask, field)
+                    assert a is None or np.array_equal(a, b), (mask, field)
+
+
+def test_forward_needs_a_mask(ragged):
+    ds, assignments, graph, cfg, params, batches = ragged
+    with pytest.raises(UsageError, match="at least one ablation mask"):
+        forward_batch(params, cfg, ds, assignments, graph, batches["unsorted"], masks=[])
+    with pytest.raises(UsageError, match="nothing to fuse"):
+        forward_batch(params, cfg, ds, assignments, graph, batches["unsorted"],
+                      masks=[AblationMask(), AblationMask(False, False, False)])
 
 
 def test_forward_padded_grid_cells_get_zero_gradient(ragged, monkeypatch):
@@ -759,7 +824,7 @@ def test_forward_padded_grid_cells_get_zero_gradient(ragged, monkeypatch):
         return real(member_vecs, item_vecs, weight, bias, valid)
 
     monkeypatch.setattr("mgam.model.member_attention", spy)
-    res = forward_batch(params, cfg, ds, assignments, graph, batch)
+    [res] = forward_batch(params, cfg, ds, assignments, graph, batch)
     ad.backward(ad.tensor_sum(res.logits))
     (sub_members, sub_items, sub_valid), (grp_members, grp_items, grp_valid) = calls
     # 11 instances of 5 groups fill rows of c = ceil(11 / 5) = 3 cells;
@@ -814,7 +879,7 @@ def test_slot_rows_match_the_concat_form_bitwise(ragged, monkeypatch):
         monkeypatch.setattr("mgam.model._slot_rows", gather)
         params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                              np.random.default_rng(77))
-        res = forward_batch(params, cfg, ds, assignments, graph, batches["unsorted"])
+        [res] = forward_batch(params, cfg, ds, assignments, graph, batches["unsorted"])
         ad.backward(ad.tensor_sum(res.logits))
         runs.append((res.scores.data, res.subset_weights,
                      {k: v.grad for k, v in params.items()}))

@@ -13,7 +13,7 @@ from mgam.config import STREAM_TRAIN, Config, substream
 from mgam.data import (DATA_FILES, Dataset, Rows, SyntheticParams, dataset_sha256,
                        generate_synthetic, sample_negatives, split_leave_one_out,
                        write_dataset)
-from mgam.errors import CheckpointError, NonFiniteError, UsageError
+from mgam.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
 from mgam.model import AblationMask, forward_batch, init_params
 from mgam.training import (adam_step, expected_param_shapes, init_adam,
@@ -319,8 +319,8 @@ def test_loss_decreases_for_some_small_lr(toy):
     labels = toy["labels"]
 
     def loss_value():
-        res = forward_batch(params, toy["cfg"], toy["dataset"],
-                            toy["assignments"], toy["graph"], toy["batch"])
+        [res] = forward_batch(params, toy["cfg"], toy["dataset"],
+                              toy["assignments"], toy["graph"], toy["batch"])
         return total_loss(None, point_loss_from_logits(res.logits, labels), 0.5)
 
     base = loss_value()
@@ -472,6 +472,26 @@ def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
     expected = expected_param_shapes(other, 3, 5, 2)
     with pytest.raises(CheckpointError, match="user_emb"):
         load_checkpoint(tmp_path, expected)
+
+
+@pytest.mark.parametrize("m,layers", [(1, 1), (2, 2), (3, 3)])
+def test_expected_param_shapes_follow_init_params_in_order(m, layers):
+    """The shapes come from the table `init_params` draws from, in its
+    order, without drawing a parameter."""
+    cfg = Config(embedding_dim=8, num_subsets=m, gcn_layers=layers)
+    params = init_params(cfg, 7, 9, 4, np.random.default_rng(0))
+    assert list(expected_param_shapes(cfg, 7, 9, 4).items()) == [
+        (name, p.data.shape) for name, p in params.items()]
+    if m == 2:   # the checkpoint-stable order, which fixes every draw
+        assert list(params) == [
+            "user_emb", "item_emb", "group_emb", "user_att_w", "user_att_b",
+            "subpe_self_w_1", "subpe_other_w_1", "subpe_bias_1",
+            "subpe_self_w_2", "subpe_other_w_2", "subpe_bias_2", "subpe_score_w",
+            "group_att_w", "group_att_b", "gcn_global_w_1", "gcn_global_w_2",
+            "gcn_batch_w_1", "gcn_batch_w_2", "suppe_proj_w", "suppe_proj_b",
+            "predict_w", "predict_b"]
+    with pytest.raises(ConfigError, match="embedding_dim"):
+        expected_param_shapes(Config(embedding_dim=3), 7, 9, 4)
 
 
 def test_checkpoint_version_guard(tmp_path):
