@@ -317,7 +317,8 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, g * mask)
 
-    return _result(np.where(mask, x.data, 0.0), "relu", (x,), vjp)
+    # a NaN passes through (`x <= 0` is false for it); -0.0 maps to +0.0
+    return _result(np.where(x.data <= 0, 0.0, x.data), "relu", (x,), vjp)
 
 
 def _sigmoid_nd(x: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ def _load_trained(args, cfg: Config, manifest: dict) -> tuple:
     graph = build_co_membership(dataset.groups)
     expected = expected_param_shapes(cfg, dataset.n_users, dataset.n_items,
                                      dataset.n_groups)
-    params, _ = load_checkpoint(args.ckpt, expected)
+    params = load_checkpoint(args.ckpt, manifest, expected)
     return dataset, assignments, graph, params
 
 

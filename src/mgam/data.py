@@ -501,6 +501,19 @@ def sample_negatives(dataset: Dataset, group: int, n: int,
                        f"group {dataset.group_ids[group]}")
 
 
+def label_blocks(positives, negatives) -> np.ndarray:
+    """(n, 1 + k, 3) int64 (owner, item, label) rows, as training batches and
+    ranking lists lay them out: each (owner, item) of the (n, 2) `positives`,
+    labelled 1, then its row of the (n, k) `negatives`, labelled 0."""
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    negatives = np.array(negatives, dtype=np.int64, ndmin=2)   # no rows: (1, 0)
+    blocks = np.zeros((len(positives), 1 + negatives.shape[1], 3), dtype=np.int64)
+    blocks[:, :, :2] = positives[:, None]
+    blocks[:, 1:, 1] = negatives
+    blocks[:, 0, 2] = 1
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 

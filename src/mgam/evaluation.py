@@ -2,12 +2,13 @@
 
 For every test (group, held-out positive) the positive is ranked against
 `eval_negatives` sampled negatives (excluding all of the group's
-positives); HR@K and NDCG@K are averaged over groups.  Negative streams
-are keyed by group index so evaluation order cannot change the result.
-One pass serves many models: `eval`, `ablate` and `baseline` draw the
-candidate lists once per command and score every model (ablation mask,
-aggregation strategy) in one `evaluate` call, which returns a report per
-model.
+positives); HR@K and NDCG@K are averaged over groups.  Row i of the
+candidate table is test entry i's held-out item, in column 0, then its
+negatives (`data.label_blocks`, the layout of training batches).
+Negative streams are keyed by group index so evaluation order cannot
+change the result.  One pass serves many models: `eval`, `ablate` and
+`baseline` draw the table once per command and score every model
+(ablation mask, aggregation strategy) in one `evaluate` call.
 
 A scorer is pairwise: `score_fn(groups, items)` takes two equal-length
 int arrays and returns (models, n) scores, one row per model per
@@ -19,14 +20,13 @@ and only fusion and prediction once per mask.  Every row gets its own
 one-node batch graph, so its score depends only on its own (group, item)
 pair, never on the rows it shares a forward with.  The chunk size bounds
 the memory of a forward whatever the number of test groups.  A held-out
-item's position is 1 + the number of its group's candidates that score
-higher, or score the same and have a smaller item index.
+item's position is 1 + the number of candidates in its row that score
+higher than column 0, or score the same and have a smaller item index.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import STREAM_BASELINE, STREAM_EVAL, Config, substream
-from .data import Dataset, Split, draw_unseen, sample_negatives
+from .data import Dataset, Split, draw_unseen, label_blocks, sample_negatives
 from .errors import NonFiniteError, UsageError
 from .model import AblationMask, compute_global_rows, forward_batch
 from .training import adam_step, init_adam, point_loss_from_logits
@@ -120,19 +120,17 @@ def ndcg_at_k(position: int, k: int) -> float:
 
 
 def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
-                    seed: int) -> list:
-    """Each test entry's ranking list, [positive] + negatives, in split order.
+                    seed: int) -> np.ndarray:
+    """The (tests, 1 + eval_negatives) int64 candidate table: row i is
+    test entry i's held-out item, in column 0, then its negatives.
 
-    Group g's negatives come from its own STREAM_EVAL stream, so the lists
+    Group g's negatives come from its own STREAM_EVAL stream, so the rows
     do not depend on evaluation order, and one draw serves every model a
     command scores.
     """
-    lists = []
-    for group, positive in split.test:
-        rng = np.random.default_rng(substream(seed, STREAM_EVAL, group))
-        lists.append([positive] + sample_negatives(dataset, group, eval_negatives,
-                                                   rng=rng))
-    return lists
+    negatives = [sample_negatives(dataset, g, eval_negatives, np.random.default_rng(
+        substream(seed, STREAM_EVAL, g))) for g, _ in split.test]
+    return label_blocks(split.test, negatives)[:, :, 1].copy()   # not a view of the blocks
 
 
 def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
@@ -141,47 +139,30 @@ def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
 
     `score_fn` scores one model, or one model per entry of `labels` (one
     row of scores each; the labels name a model in errors).  Returns one
-    `MetricReport` per model.  `candidates` are the lists
-    `draw_candidates` returns for the same dataset, split, negative count
-    and seed; they are drawn here when omitted.
+    `MetricReport` per model.  `candidates` is the table `draw_candidates`
+    returns for the same dataset, split, negative count and seed; it is
+    drawn here when omitted.
     """
     if not split.test:
         raise UsageError("split has no test entries to evaluate")
     if candidates is None:
         candidates = draw_candidates(dataset, split, eval_negatives, seed)
-    if len(candidates) != len(split.test):
-        raise UsageError(f"{len(candidates)} candidate lists for "
-                         f"{len(split.test)} test entries")
     test = np.asarray(split.test, dtype=np.int64)
-    lengths = np.array([len(c) for c in candidates], dtype=np.int64)
-    if not lengths.all():
-        raise UsageError("cannot rank an empty candidate list")
-    # every list's rows, concatenated; `entry` is a row's test entry
-    items = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.int64,
-                        count=int(lengths.sum()))
-    entry = np.repeat(np.arange(len(test)), lengths)
-    by_item = items[np.lexsort((items, entry))]   # entries stay contiguous
-    if np.any((by_item[1:] == by_item[:-1]) & (entry[1:] == entry[:-1])):
-        raise UsageError("candidates must be distinct")
-    del by_item
-    hit = np.flatnonzero(items == test[entry, 1])
-    if len(hit) != len(test):
-        missing = np.setdiff1d(np.arange(len(test)), entry[hit])[0]
-        raise UsageError(f"held-out item {int(test[missing, 1])} is not among the "
-                         f"candidates of group {dataset.group_ids[test[missing, 0]]}")
-    scores = _score(score_fn, test[entry, 0], items, dataset.group_ids.__getitem__,
-                    labels=(None,) if labels is None else list(labels))
-    # rows ranked ahead of their list's held-out item: the `lexsort` order
-    # by descending score, then ascending item
-    item_first = items < items[hit][entry]
+    if candidates.shape != (len(test), 1 + eval_negatives):
+        raise UsageError(f"candidate table of shape {candidates.shape} for "
+                         f"{len(test)} test entries and {eval_negatives} negatives")
+    wrong = np.flatnonzero(candidates[:, 0] != test[:, 1])
+    if len(wrong):
+        raise UsageError(f"column 0 of group {dataset.group_ids[test[wrong[0], 0]]}'s "
+                         f"candidates is not its held-out item {test[wrong[0], 1]}")
+    scores = _score(score_fn, np.repeat(test[:, 0], candidates.shape[1]), candidates.ravel(),
+                    dataset.group_ids.__getitem__, (None,) if labels is None else list(labels))
+    # (models, tests, 1 + k); ahead of column 0: by descending score, then ascending item
+    scores = scores.reshape(len(scores), *candidates.shape)
+    target = scores[:, :, :1]
+    ahead = (scores > target) | ((scores == target) & (candidates < candidates[:, :1]))
     ks = [int(k) for k in ks]
-    reports = []
-    for model_scores in scores:
-        target_score = model_scores[hit][entry]
-        ahead = (model_scores > target_score) | ((model_scores == target_score) & item_first)
-        positions = 1 + np.bincount(entry[ahead], minlength=len(test))
-        reports.append(_report(split, positions.tolist(), ks))
-    return reports
+    return [_report(split, (1 + a.sum(axis=1)).tolist(), ks) for a in ahead]
 
 
 def _report(split: Split, positions: list, ks: list) -> MetricReport:
@@ -257,27 +238,21 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
     interactions = dataset.user_items
     if not len(interactions.indices):
         raise UsageError("no user-item interactions to train the baseline on")
-    pos_users = np.repeat(np.arange(dataset.n_users), interactions.lengths()).tolist()
-    pos_items = interactions.indices.tolist()
+    positives = np.c_[np.repeat(np.arange(dataset.n_users), interactions.lengths()),
+                      interactions.indices]
     for epoch in range(epochs):
         erng = np.random.default_rng(substream(seed, STREAM_BASELINE, epoch + 1))
-        order = erng.permutation(len(pos_items))
+        order = erng.permutation(len(positives))
         for start in range(0, len(order), batch_size):
-            users, items, labels = [], [], []
-            for oi in order[start:start + batch_size].tolist():
-                u = pos_users[oi]
-                users.append(u)
-                items.append(pos_items[oi])
-                labels.append(1.0)
-                for v in draw_unseen(dataset.n_items, dataset.user_items[u],
-                                     negatives, erng, f"user {dataset.user_ids[u]}"):
-                    users.append(u)
-                    items.append(v)
-                    labels.append(0.0)
-            u_vecs = ad.take(params["user_emb"], users)
-            i_vecs = ad.take(params["item_emb"], items)
+            batch = positives[order[start:start + batch_size]]
+            drawn = [draw_unseen(dataset.n_items, dataset.user_items[u], negatives,
+                                 erng, f"user {dataset.user_ids[u]}")
+                     for u in batch[:, 0].tolist()]
+            rows = label_blocks(batch, drawn).reshape(-1, 3)
+            u_vecs = ad.take(params["user_emb"], rows[:, 0])
+            i_vecs = ad.take(params["item_emb"], rows[:, 1])
             logits = ad.tensor_sum(ad.mul(u_vecs, i_vecs), axis=1)
-            loss = ad.tensor_mean(point_loss_from_logits(logits, labels))
+            loss = ad.tensor_mean(point_loss_from_logits(logits, rows[:, 2]))
             for p in params.values():
                 p.grad = None
             grads = ad.grad_map(loss, params)

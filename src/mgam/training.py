@@ -34,7 +34,7 @@ from .autodiff import Tensor
 from .clustering import SubsetTable
 from .config import STREAM_INIT, STREAM_TRAIN, Config, substream
 from .data import (Dataset, Split, dataset_arrays, dataset_from_arrays,
-                   dataset_sha256, sample_negatives)
+                   dataset_sha256, label_blocks, sample_negatives)
 from .errors import CheckpointError, NonFiniteError, UsageError
 from .model import AblationMask, forward_batch, init_params, param_table
 
@@ -160,15 +160,14 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
                 mask: AblationMask | None = None) -> EpochStats:
     """One pass over the shuffled train positives with fresh negatives.
 
-    A batch is one (n, 3) array of (group, item, label) rows: each
-    positive, then its `train_negatives` negatives.
+    A batch is the `label_blocks` of its positives and their
+    `train_negatives` negatives each, flattened to (n, 3) rows.
     """
     if not len(split.train):
         raise UsageError("cannot train on an empty split")
     t0 = time.perf_counter()
     rng = np.random.default_rng(substream(cfg.seed, STREAM_TRAIN, epoch))
     order = rng.permutation(len(split.train))
-    per = 1 + cfg.train_negatives
 
     loss_sum = trip_sum = point_sum = 0.0
     n_inst = n_trip = n_batches = 0
@@ -176,10 +175,7 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         positives = split.train[order[start:start + cfg.batch_size]]
         negatives = [sample_negatives(dataset, g, cfg.train_negatives, rng=rng)
                      for g in positives[:, 0].tolist()]
-        rows = np.repeat(np.c_[positives, np.ones(len(positives), np.intp)], per, axis=0)
-        blocks = rows.reshape(len(positives), per, 3)   # a view: one block per positive
-        blocks[:, 1:, 1] = negatives
-        blocks[:, 1:, 2] = 0
+        rows = label_blocks(positives, negatives).reshape(-1, 3)
         triplets = _build_triplets(rows)
 
         [result] = forward_batch(params, cfg, dataset, assignments, graph,
@@ -365,15 +361,15 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
-    """Load (params, manifest), validating the archive.
+def load_checkpoint(directory, manifest: dict, expected_shapes: dict | None = None) -> dict:
+    """Load params, validating the archive against `manifest`: the one
+    `read_manifest` read, which the caller checks its config and inputs by.
 
     `expected_shapes` (name -> shape tuple) guards against loading a
     checkpoint trained under a different model configuration; the error
     names the first offending tensor.
     """
     directory = Path(directory)
-    manifest = read_manifest(directory)
     tensors = manifest.get("tensors")
     if not isinstance(tensors, list) or not tensors:
         raise CheckpointError(f"{directory / MANIFEST_FILE}: missing tensor table")
@@ -424,7 +420,7 @@ def load_checkpoint(directory, expected_shapes: dict | None = None) -> tuple:
         missing = set(expected_shapes) - set(params)
         if missing:
             raise CheckpointError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
-    return params, manifest
+    return params
 
 
 def load_inputs(directory, data_dir, manifest: dict) -> tuple:

@@ -45,6 +45,23 @@ def test_activations():
     assert (x > 0).all() and (x < 1).all()
 
 
+def test_relu_keeps_finite_values_bitwise_and_passes_nan():
+    """On non-NaN inputs relu is bitwise `where(x > 0, x, 0.0)`, ±0 giving
+    +0.0; a NaN passes through, and its gradient is 0."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=1000), [0.0, -0.0, np.inf, -np.inf, 5e-324,
+                                                -5e-324, 1e308, -1e308]])
+    out = ad.relu(Tensor(x)).data
+    assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert not np.signbit(out[x == 0]).any()
+    t = Tensor([np.nan, 2.0, -3.0, -0.0], requires_grad=True)
+    y = ad.relu(t)
+    assert np.isnan(y.data[0]) and y.data[1:].tolist() == [2.0, 0.0, 0.0]
+    assert not np.signbit(y.data[3])
+    ad.backward(ad.tensor_sum(ad.mul(y, Tensor([0.0, 1.0, 1.0, 1.0]))))
+    assert t.grad.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
 def test_backward_square():
     x = Tensor(3.0, requires_grad=True)
     ad.backward(ad.mul(x, x))

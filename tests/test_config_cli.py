@@ -267,7 +267,7 @@ def test_recommend_explain_member_weights_match_numpy(workspace, capsys, extra):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     dataset = load_dataset(workspace["data"])
-    params, _ = load_checkpoint(workspace["ckpt"])
+    params = load_checkpoint(workspace["ckpt"], read_manifest(workspace["ckpt"]))
     if extra:
         assert payload["item"] == "12"
     g = dataset.group_index["3"]
@@ -389,6 +389,34 @@ def test_checkpoint_missing_inputs_file_is_named(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: cannot read")
     assert "inputs.npz" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_replaced_after_its_inputs_load_is_refused(workspace, tmp_path,
+                                                              capsys, monkeypatch, command):
+    """A command reads manifest.json once: when another run's checkpoint
+    replaces the files after the inputs are loaded, params.bin fails the
+    digest of the manifest the config and inputs were checked against."""
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "ckpt")
+    other = tmp_path / "other"
+    assert main(["train", "--data", workspace["data"], "--out", str(other),
+                 "--set", "epochs=1", "--set", "batch_size=16",
+                 "--set", "embedding_dim=8", "--set", "eval_negatives=30"]) == 0
+    real = mgam.cli.load_inputs
+
+    def load_then_replace(*args):
+        loaded = real(*args)
+        for name in ("params.bin", "inputs.npz", "manifest.json"):
+            shutil.copy(other / name, ckpt / name)
+        return loaded
+
+    monkeypatch.setattr(mgam.cli, "load_inputs", load_then_replace)
+    capsys.readouterr()
+    assert _run_on_checkpoint(command, workspace["data"], ckpt, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"error: corrupt checkpoint: {ckpt / 'params.bin'} "
+                                    f"does not match its sha256 in manifest.json")
+    assert (other / "params.bin").read_bytes() == (ckpt / "params.bin").read_bytes()
 
 
 @pytest.mark.parametrize("key", ["kmeans_max_iters", "kmeans_restarts"])

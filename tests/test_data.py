@@ -12,8 +12,8 @@ import pytest
 import mgam
 from mgam import data
 from mgam.data import (Dataset, Rows, SyntheticParams, draw_unseen,
-                       generate_synthetic, load_dataset, sample_negatives,
-                       split_leave_one_out, write_dataset)
+                       generate_synthetic, label_blocks, load_dataset,
+                       sample_negatives, split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
 from reference_preprocessing import line_parsed_dataset
 
@@ -610,6 +610,17 @@ def test_sample_negatives_uniformity_chi_square():
     expected = n / 10
     sigma = np.sqrt(n * 0.1 * 0.9)
     assert np.abs(counts[2:] - expected).max() <= 3 * sigma
+
+
+def test_label_blocks_layout():
+    """Each positive, labelled 1, then its own negatives, labelled 0, all
+    owned by the positive's owner; no negatives and no rows keep that shape."""
+    blocks = label_blocks(np.array([[3, 7], [5, 1]]), [[2, 4, 6], [8, 0, 9]])
+    assert blocks.dtype == np.int64 and blocks.shape == (2, 4, 3)
+    assert blocks.tolist() == [[[3, 7, 1], [3, 2, 0], [3, 4, 0], [3, 6, 0]],
+                               [[5, 1, 1], [5, 8, 0], [5, 0, 0], [5, 9, 0]]]
+    assert label_blocks([(3, 7), (5, 1)], [[], []]).tolist() == [[[3, 7, 1]], [[5, 1, 1]]]
+    assert label_blocks([], []).shape == (0, 1, 3)
 
 
 # ---------------------------------------------------------------------------

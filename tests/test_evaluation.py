@@ -161,7 +161,7 @@ def test_evaluate_requires_test_entries():
 
 def test_evaluate_positions_match_rank_candidates_with_ties():
     """The array position formula gives `rank_candidates`' lexsort order,
-    with many exact ties and the held-out item anywhere in its list."""
+    with many exact ties and the negatives in any column order."""
     ds, truth, split = _planted(seed=3)
     rng = np.random.default_rng(21)
     drawn = draw_candidates(ds, split, 40, seed=5)
@@ -172,10 +172,11 @@ def test_evaluate_positions_match_rank_candidates_with_ties():
         def scorer(groups, items):
             return table[groups, items]
 
-        lists = [list(rng.permutation(c)) for c in drawn]
-        [report] = evaluate(scorer, ds, split, 40, [1, 5], seed=5, candidates=lists)
+        candidates = drawn.copy()
+        candidates[:, 1:] = rng.permuted(drawn[:, 1:], axis=1)
+        [report] = evaluate(scorer, ds, split, 40, [1, 5], seed=5, candidates=candidates)
         for (group, positive), ranking, (g, position) in zip(
-                split.test, lists, report.per_group, strict=True):
+                split.test, candidates, report.per_group, strict=True):
             assert g == group and type(position) is int
             assert position == rank_candidates(scorer, group, ranking,
                                                target=positive).position
@@ -188,18 +189,50 @@ def test_evaluate_refuses_bad_candidate_lists():
     def zeros(groups, items):
         return np.zeros(len(items))
 
-    bad = {"empty": [[]] + drawn[1:],
-           "distinct": [drawn[0] + [drawn[0][1]]] + drawn[1:],
-           "held-out item": [drawn[0], drawn[1][1:]] + drawn[2:],
-           "candidate lists": drawn[:-1]}
-    for match, lists in bad.items():
+    swapped = drawn.copy()
+    swapped[1, [0, 1]] = swapped[1, [1, 0]]
+    bad = {rf"shape \({len(drawn) - 1}, 11\) for {len(drawn)} test entries": drawn[:-1],
+           rf"shape \({len(drawn)}, 10\) for {len(drawn)} test entries and 10": drawn[:, :-1],
+           rf"column 0 of group {ds.group_ids[split.test[1][0]]}'s candidates is not "
+           rf"its held-out item {split.test[1][1]}$": swapped}
+    for match, candidates in bad.items():
         with pytest.raises(UsageError, match=match):
-            evaluate(zeros, ds, split, 10, [5], seed=0, candidates=lists)
-    # an item in two groups' lists is no duplicate
-    shared = next(v for v in drawn[0] if v not in drawn[1])
-    [report] = evaluate(zeros, ds, split, 10, [5], seed=0,
-                        candidates=[drawn[0], drawn[1] + [shared]] + drawn[2:])
-    assert report.n_groups == len(split.test)
+            evaluate(zeros, ds, split, 10, [5], seed=0, candidates=candidates)
+
+
+def _draw_property_cases():
+    """Planted datasets and draws, the last one with every unseen item of
+    some group drawn."""
+    for seed in range(4):
+        ds, truth, split = _planted(seed=seed)
+        yield ds, split, 10 + 7 * seed
+    ds, truth, split = _planted(seed=5)
+    yield ds, split, min(ds.n_items - len(ds.group_pos[g]) for g, _ in split.test)
+
+
+def test_draw_candidates_table_properties():
+    """The properties `evaluate` relies on without checking them: one
+    (tests, 1 + k) int64 row per test entry, the held-out item in column
+    0, k distinct negatives that are none of the group's positives."""
+    for ds, split, k in _draw_property_cases():
+        table = draw_candidates(ds, split, k, seed=k)
+        assert table.dtype == np.int64 and table.shape == (len(split.test), 1 + k)
+        assert table[:, 0].tolist() == [v for _, v in split.test]
+        for (group, _), row in zip(split.test, table.tolist()):
+            assert len(set(row)) == len(row)
+            assert not set(row[1:]) & set(ds.group_pos[group].tolist())
+            assert all(0 <= v < ds.n_items for v in row)
+
+
+def test_draw_candidates_rows_do_not_depend_on_split_order():
+    """Each row comes from its group's own stream: any order of
+    `split.test` gives the same rows, permuted alike."""
+    rng = np.random.default_rng(8)
+    for ds, split, k in _draw_property_cases():
+        table = draw_candidates(ds, split, k, seed=3)
+        perm = rng.permutation(len(split.test))
+        shuffled = dataclasses.replace(split, test=[split.test[i] for i in perm])
+        assert np.array_equal(draw_candidates(ds, shuffled, k, seed=3), table[perm])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -270,6 +303,29 @@ def test_non_finite_score_names_the_model_and_the_group():
     for mask, row in zip(masks[:2], scores):
         alone = make_mgam_scorer(params, cfg, ds, assignments, graph, [mask])
         assert np.array_equal(row, alone(groups, items)[0])
+
+
+def test_nan_gcn_weight_is_refused_naming_a_superset_model():
+    """A NaN weight in the batch GCN stream reaches every score of the
+    masks that read the superset branch (relu passes NaN on), so the
+    error names one of them; the mask without that branch stays finite."""
+    ds, truth, split = _planted(seed=6)
+    assignments = cluster_subsets(ds, 2, seed=1)
+    graph = build_co_membership(ds.groups)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=2)
+    params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
+                         np.random.default_rng(0))
+    params["gcn_batch_w_1"].data[0, 0] = np.nan
+    masks = [AblationMask(), AblationMask(use_subpe=False), AblationMask(use_gpe=False),
+             AblationMask(use_suppe=False)]
+    labels = [m.label() for m in masks]
+    scorer = make_mgam_scorer(params, cfg, ds, assignments, graph, masks)
+    with pytest.raises(NonFiniteError, match=r"^model (mgam|mgam-wo-subpe|mgam-wo-gpe): "
+                                             r"non-finite score nan for group "):
+        evaluate(scorer, ds, split, 10, [5], seed=0, labels=labels)
+    groups, items = np.repeat(np.arange(ds.n_groups), 3), np.arange(3 * ds.n_groups)
+    scores = scorer(groups, items)
+    assert np.isnan(scores[:3]).all() and np.isfinite(scores[3]).all()
 
 
 def test_random_scorer_hr_within_3_sigma():

@@ -395,7 +395,8 @@ def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
 
 def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
-    loaded, manifest = load_checkpoint(tmp_path)
+    manifest = read_manifest(tmp_path)
+    loaded = load_checkpoint(tmp_path, manifest)
     assert manifest["seed"] == 9
     assert manifest["format_version"] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -434,7 +435,8 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     cfg, params = _checkpoint_roundtrip_setup(a_dir)
-    loaded, manifest = load_checkpoint(a_dir)
+    manifest = read_manifest(a_dir)
+    loaded = load_checkpoint(a_dir, manifest)
     save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"],
                     _CKPT_DATASET, _CKPT_ASSIGNMENTS, manifest["data_sha256"])
     for name in ("manifest.json", "params.bin", "inputs.npz"):
@@ -448,7 +450,7 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
     manifest["tensors"][0]["shape"] = [999, 4]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path)
+        load_checkpoint(tmp_path, read_manifest(tmp_path))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -463,7 +465,7 @@ def test_checkpoint_malformed_tensor_entry_is_named(tmp_path, field, value):
     manifest["tensors"][0][field] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="malformed tensor entry"):
-        load_checkpoint(tmp_path)
+        load_checkpoint(tmp_path, read_manifest(tmp_path))
 
 
 def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
@@ -471,7 +473,7 @@ def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
     other = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
     expected = expected_param_shapes(other, 3, 5, 2)
     with pytest.raises(CheckpointError, match="user_emb"):
-        load_checkpoint(tmp_path, expected)
+        load_checkpoint(tmp_path, read_manifest(tmp_path), expected)
 
 
 @pytest.mark.parametrize("m,layers", [(1, 1), (2, 2), (3, 3)])
@@ -502,7 +504,7 @@ def test_checkpoint_version_guard(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError,
                        match=r"unsupported checkpoint format version 1 \(expected 3\)"):
-        load_checkpoint(tmp_path)
+        load_checkpoint(tmp_path, read_manifest(tmp_path))
     with pytest.raises(CheckpointError, match="version 1"):
         read_manifest(tmp_path)
 
@@ -512,7 +514,7 @@ def test_checkpoint_truncated_params_rejected(tmp_path):
     raw = (tmp_path / "params.bin").read_bytes()
     (tmp_path / "params.bin").write_bytes(raw[:-8])
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path)
+        load_checkpoint(tmp_path, read_manifest(tmp_path))
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -525,7 +527,7 @@ def test_checkpoint_size_checks_come_before_the_digest(tmp_path, edit, message):
     path = tmp_path / "params.bin"
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(tmp_path)
+        load_checkpoint(tmp_path, read_manifest(tmp_path))
 
 
 def _saved_with_data(tmp_path):
@@ -583,7 +585,7 @@ def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "inputs.npz", "manifest.json", "params.bin"]   # no temporary file left
     with pytest.raises(CheckpointError, match=r"params\.bin does not match its sha256"):
-        load_checkpoint(tmp_path)
+        load_checkpoint(tmp_path, read_manifest(tmp_path))
 
 
 def test_train_writes_log(tmp_path):
