@@ -4,8 +4,8 @@ A Tensor wraps an ndarray plus the tape links (op kind, inputs, vjp
 closure) recorded while building a forward computation.  `trace` returns
 the recorded graph in topological order and `backward` walks it in
 reverse, accumulating gradients into the `.grad` buffers of every tensor
-that requires them.  `finite_difference_grad` is the independent
-central-difference oracle used to cross-check the analytic gradients.
+that requires them.  The tests check the analytic gradients against a
+central-difference oracle of their own (`tests/finite_difference.py`).
 
 The op set is deliberately small: matrix products (dense, stacked and
 constant-sparse), elementwise add/mul, data movement (take/concat/stack/
@@ -19,6 +19,7 @@ broadcasting; their gradients are summed back to each operand's shape
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,11 +86,14 @@ def _result(data, op: str, inputs: Sequence[Tensor], vjp: Callable | None) -> Te
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`.  A first gradient is copied, so `t.grad` is
+    always a C-contiguous float64 array that no caller holds."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +269,11 @@ def take(x: Tensor, idx) -> Tensor:
             return
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        # np.add.at over rows, as one scatter of elements: each element
+        # still takes its addends in the order idx lists them
+        d = math.prod(x.data.shape[1:])
+        np.add.at(x.grad.reshape(-1), (idx.reshape(-1, 1) * d + np.arange(d)).ravel(),
+                  np.reshape(g, -1))
 
     return _result(out_data, "take", (x,), vjp)
 
@@ -386,30 +394,3 @@ def tensor_mean(x: Tensor, axis: int | None = None) -> Tensor:
             _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape).copy())
 
     return _result(out_data, "mean", (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-
-def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                           h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient (f(x+he_i) - f(x-he_i)) / 2h per coordinate.
-
-    `f` must recompute from the array it is handed on every call; the
-    array is perturbed in place and restored afterwards.
-    """
-    if h <= 0:
-        raise UsageError("finite difference step h must be positive")
-    x = np.asarray(x, dtype=np.float64, order="C")
-    grad = np.zeros_like(x)
-    flat_x = x.ravel()
-    flat_g = grad.ravel()
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        fp = float(f(x))
-        flat_x[i] = orig - h
-        fm = float(f(x))
-        flat_x[i] = orig
-        flat_g[i] = (fp - fm) / (2.0 * h)
-    return grad

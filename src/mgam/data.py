@@ -462,6 +462,11 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
                  test=list(zip(tested.tolist(), pos.indices[held].tolist())))
 
 
+def _too_few(owner: str, n: int, eligible: int, n_items: int) -> SamplingError:
+    return SamplingError(f"{owner}: requested {n} negatives but only "
+                         f"{eligible} of {n_items} items are eligible")
+
+
 def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
                 owner: str) -> list:
     """Draw n distinct items uniformly from those not in `seen` (a list or
@@ -472,9 +477,7 @@ def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
     blocked = set(np.asarray(seen, dtype=np.int64).tolist())
     eligible_count = n_items - len(blocked)
     if n > eligible_count:
-        raise SamplingError(
-            f"{owner}: requested {n} negatives but only "
-            f"{eligible_count} of {n_items} items are eligible")
+        raise _too_few(owner, n, eligible_count, n_items)
     if n == 0:
         return []
     if n <= eligible_count // 2:
@@ -493,12 +496,78 @@ def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
     return [int(i) for i in rng.choice(eligible, size=n, replace=False)]
 
 
-def sample_negatives(dataset: Dataset, group: int, n: int,
-                     rng: np.random.Generator) -> list:
+def sample_negatives(dataset: Dataset, group, n: int, rng: np.random.Generator):
     """Draw n distinct items uniformly from those the group never interacted
-    with."""
-    return draw_unseen(dataset.n_items, dataset.group_pos[group], n, rng,
-                       f"group {dataset.group_ids[group]}")
+    with: a list for one group.  For a 1-D array of groups, an (len(groups),
+    n) int64 table whose row i, and the stream `rng` is left at, are those
+    of one scalar call per group in order."""
+    if np.ndim(group) == 0:
+        return draw_unseen(dataset.n_items, dataset.group_pos[group], n, rng,
+                           f"group {dataset.group_ids[group]}")
+    if n < 0:
+        raise UsageError("cannot sample a negative number of items")
+    groups = np.asarray(group, dtype=np.int64)
+    out = np.empty((len(groups), n), dtype=np.int64)
+    eligible = dataset.n_items - dataset.group_pos.lengths()[groups]
+    short = np.flatnonzero(eligible < n)
+    if len(short):
+        g = int(groups[short[0]])
+        raise _too_few(f"group {dataset.group_ids[g]}", n, int(eligible[short[0]]),
+                       dataset.n_items)
+    if n == 0:
+        return out
+    # a row drawing more than half its eligible items takes draw_unseen's
+    # rng.choice branch, at its own place in the stream
+    start = 0
+    for c in np.flatnonzero(n > eligible // 2).tolist() + [len(groups)]:
+        if start < c:
+            out[start:c] = _rejection_walk(dataset, groups[start:c], n, rng)
+        if c < len(groups):
+            out[c] = sample_negatives(dataset, int(groups[c]), n, rng)
+        start = c + 1
+    return out
+
+
+def _rejection_walk(dataset: Dataset, groups: np.ndarray, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The (len(groups), n) negatives draw_unseen's rejection rounds draw
+    for each of `groups` in turn.
+
+    Those rounds consume each value they draw, in stream order: a value
+    fills its row's next slot unless it is a positive of the row's group
+    or already in the row, and a group ends exactly when its row is full.
+    `rng.integers` gives the same values in one call as in several, so
+    each round here draws as many values as slots are still missing,
+    keeps the accepted prefix up to the first rejection, and carries the
+    values after it over to the next round, where they meet other slots.
+    """
+    n_items = dataset.n_items
+    uniq, inv = np.unique(groups, return_inverse=True)
+    table, valid = dataset.group_pos.padded(uniq)
+    # the (group, positive) keys, sorted, and one above them all
+    seen = np.append((np.arange(len(uniq))[:, None] * n_items + table)[valid],
+                     len(uniq) * n_items)
+    flat = np.empty(len(groups) * n, dtype=np.int64)
+    filled, pending = 0, np.empty(0, dtype=np.int64)
+    while filled < len(flat):
+        vals = np.concatenate((pending, rng.integers(
+            n_items, size=len(flat) - filled - len(pending))))
+        rows = np.arange(filled, len(flat)) // n
+        key = inv[rows] * n_items + vals
+        reject = seen[np.searchsorted(seen, key)] == key
+        # a value the row took before: in this round, or in the row's
+        # slots filled in earlier rounds
+        done = flat[rows[0] * n:filled]
+        taken = np.concatenate((rows[0] * n_items + done, rows * n_items + vals))
+        order = np.argsort(taken, kind="stable")
+        again = np.zeros(len(taken), dtype=bool)
+        again[order[1:]] = taken[order[1:]] == taken[order[:-1]]
+        reject |= again[len(done):]
+        p = int(np.argmax(reject)) if reject.any() else len(vals)
+        flat[filled:filled + p] = vals[:p]
+        filled += p
+        pending = vals[p + 1:]
+    return flat.reshape(-1, n)
 
 
 def label_blocks(positives, negatives) -> np.ndarray:

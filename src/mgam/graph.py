@@ -85,11 +85,33 @@ def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
     the same matrix.  Two instances are adjacent iff their groups are (a
     group is trivially adjacent to itself), and degrees are recomputed at
     the instance level, so duplicate groups in a batch raise each other's
-    degrees.  One slice of the adjacency, normalized once.
+    degrees.  The structure is that of `adjacency[pos][:, pos]` with
+    sorted columns, read from the sorted adjacency rows of the batch's
+    distinct groups; the values are `_normalize`'s.
     """
     pos = np.asarray(positions, dtype=np.intp)
-    adj = graph.adjacency[pos][:, pos]
-    return _normalize(adj, np.asarray(adj.sum(axis=1)).ravel())
+    adj = graph.adjacency
+    if not adj.has_sorted_indices:
+        adj = adj.sorted_indices()
+    uniq, inv = np.unique(pos, return_inverse=True)
+    # the distinct groups' adjacency rows, and which of them are batch groups
+    starts, lengths = adj.indptr[uniq], np.diff(adj.indptr)[uniq]
+    nbr = adj.indices[np.arange(lengths.sum())
+                      + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)]
+    k = np.searchsorted(uniq, nbr)
+    hit = np.append(uniq, graph.n)[k] == nbr
+    near = np.zeros((len(uniq), len(uniq)), dtype=bool)
+    near[np.repeat(np.arange(len(uniq)), lengths)[hit], k[hit]] = True
+    # each distinct group's instance columns, ascending; an instance's row is its group's
+    owner, cols = np.nonzero(near[:, inv])
+    per_group = np.bincount(owner, minlength=len(uniq))
+    degree = per_group[inv]
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    first = np.cumsum(per_group) - per_group
+    indices = cols[np.arange(indptr[-1]) + np.repeat(first[inv] - indptr[:-1], degree)]
+    return _normalize(sparse.csr_array((np.ones(len(indices)), indices, indptr),
+                                       shape=(len(pos), len(pos))),
+                      degree.astype(np.float64))
 
 
 def dump_graph(graph: GroupGraph, group_ids, path) -> None:

@@ -8,6 +8,13 @@ the first with the opposite label; anchors without a same-label partner
 contribute no triplet.  Both terms are averaged (not summed) over the
 batch so the learning rate is batch-size independent.
 
+A batch's negatives come from one `sample_negatives` call on the epoch's
+random stream, which draws what one call per positive would draw and
+leaves the stream where those calls would.  Adam keeps the parameters
+and both moments in flat buffers (`AdamState`) and gathers a step's
+gradients into one, so a step is a dozen ufunc calls whatever the
+parameter count.
+
 A checkpoint is a directory of `params.bin` (float32 parameters),
 `inputs.npz` (the parsed dataset and the subset assignments training
 used) and `manifest.json`, written last, which records the sha256 of
@@ -87,37 +94,91 @@ def total_loss(triplet_terms, point_terms, lambda1: float):
 
 @dataclass
 class AdamState:
+    """Adam's state for the parameters `init_adam` was given.
+
+    The parameters and each moment live in one flat float64 buffer, in
+    the parameters' order: `init_adam` rebinds every parameter's `data`
+    to a view of `flat`, and `m[name]` and `v[name]` are views of
+    `moments`.
+    """
     m: dict
     v: dict
+    flat: np.ndarray
+    moments: np.ndarray     # (2, size): m, then v
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
 
+def _views(buffer: np.ndarray, params: dict) -> dict:
+    """{name: the part of the flat `buffer` shaped like params[name]}, in order."""
+    views, offset = {}, 0
+    for name, p in params.items():
+        views[name] = buffer[offset:offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
+    return views
+
+
 def init_adam(params: dict) -> AdamState:
-    return AdamState(m={n: np.zeros_like(p.data) for n, p in params.items()},
-                     v={n: np.zeros_like(p.data) for n, p in params.items()})
+    """Zero moments for `params`, whose data move into one flat buffer."""
+    size = sum(p.data.size for p in params.values())
+    flat = np.empty(size)
+    for p, view in zip(params.values(), _views(flat, params).values()):
+        view[...] = p.data
+        p.data = view
+    moments = np.zeros((2, size))
+    return AdamState(m=_views(moments[0], params), v=_views(moments[1], params),
+                     flat=flat, moments=moments)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    `params` are those `init_adam` set up; a name missing from `grads`
+    has a zero gradient.  The gradients are gathered into one buffer and
+    checked for finiteness before anything changes.  Then each of Adam's
+    operations is one ufunc over every parameter, in the order and with
+    the rounding of the per-array update `m = b1 m + (1 - b1) g`,
+    `v = b2 v + (1 - b2) g g`, `p -= lr (m / c1) / (sqrt(v / c2) + eps)`.
+    """
+    if params.keys() != state.m.keys():
+        raise UsageError("adam_step needs the parameters its state was made for")
+    parts = []
+    for name, p in params.items():
+        if p.data.base is not state.flat:
+            raise UsageError(f"parameter {name!r} no longer holds the data "
+                             f"init_adam gave it")
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros(p.data.shape)
+        elif g.shape != p.data.shape:
+            raise UsageError(f"gradient shape {g.shape} does not match "
+                             f"parameter {name!r} shape {p.data.shape}")
+        parts.append(g.reshape(-1))
+    g = np.concatenate(parts) if parts else np.empty(0)
+    if not np.isfinite(g).all():
+        name = next(n for n, part in zip(params, parts) if not np.isfinite(part).all())
+        raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise UsageError(f"gradient shape {g.shape} does not match "
-                             f"parameter {name!r} shape {p.data.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.moments
+    scratch = np.multiply(1.0 - state.beta1, g)
+    m *= state.beta1
+    m += scratch
+    np.multiply(1.0 - state.beta2, g, out=scratch)
+    scratch *= g
+    v *= state.beta2
+    v += scratch
+    step = np.divide(m, c1, out=g)   # the gradient is spent
+    step *= lr
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    step /= scratch
+    state.flat -= step
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +222,10 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
     """One pass over the shuffled train positives with fresh negatives.
 
     A batch is the `label_blocks` of its positives and their
-    `train_negatives` negatives each, flattened to (n, 3) rows.
+    `train_negatives` negatives each, flattened to (n, 3) rows.  The
+    negatives of a batch are one `sample_negatives` draw on the epoch's
+    stream.  A non-finite loss or gradient raises NonFiniteError naming
+    the epoch and batch before any parameter changes.
     """
     if not len(split.train):
         raise UsageError("cannot train on an empty split")
@@ -173,8 +237,7 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
     n_inst = n_trip = n_batches = 0
     for start in range(0, len(order), cfg.batch_size):
         positives = split.train[order[start:start + cfg.batch_size]]
-        negatives = [sample_negatives(dataset, g, cfg.train_negatives, rng=rng)
-                     for g in positives[:, 0].tolist()]
+        negatives = sample_negatives(dataset, positives[:, 0], cfg.train_negatives, rng)
         rows = label_blocks(positives, negatives).reshape(-1, 3)
         triplets = _build_triplets(rows)
 
@@ -193,18 +256,19 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         for p in params.values():
             p.grad = None
         grads = ad.grad_map(loss, params)
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"non-finite gradient for parameter {name!r} "
-                                     f"at epoch {epoch}, batch {n_batches}")
-        adam_step(params, grads, adam, cfg.learning_rate)
-
         k = len(rows)
         loss_sum += float(loss.data) * k
         point_sum += float(point_terms.data.mean()) * k
         if trip_terms is not None:
             trip_sum += float(trip_terms.data.sum())
             n_trip += trip_terms.data.size
+        # free the tape first: the step's flat buffers then take its memory
+        # instead of adding to the batch's peak
+        del result, loss, point_terms, trip_terms
+        try:
+            adam_step(params, grads, adam, cfg.learning_rate)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"{e} at epoch {epoch}, batch {n_batches}") from None
         n_inst += k
         n_batches += 1
 

@@ -4,6 +4,9 @@ import pytest
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.errors import UsageError
+from mgam.training import adam_step, init_adam
+
+from finite_difference import finite_difference_grad
 
 
 def test_softmax_symmetry():
@@ -101,7 +104,7 @@ def test_backward_two_layer_composite_matches_finite_differences():
         def f(arr):
             with ad.no_grad():
                 return float(forward().data)
-        fd = ad.finite_difference_grad(f, t.data, 1e-5)
+        fd = finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-5
 
@@ -116,18 +119,18 @@ def test_unreached_parameters_get_zero_gradients():
 
 
 def test_finite_difference_trivials():
-    assert ad.finite_difference_grad(lambda a: float(a ** 2), np.array(3.0),
-                                     1e-4) == pytest.approx(6.0, abs=1e-6)
+    assert finite_difference_grad(lambda a: float(a ** 2), np.array(3.0),
+                                  1e-4) == pytest.approx(6.0, abs=1e-6)
     assert np.array_equal(
-        ad.finite_difference_grad(lambda a: 1.23, np.ones(4), 1e-5), np.zeros(4))
-    g = ad.finite_difference_grad(lambda a: float((1.0 / (1.0 + np.exp(-a))).sum()),
-                                  np.zeros(3), 1e-5)
+        finite_difference_grad(lambda a: 1.23, np.ones(4), 1e-5), np.zeros(4))
+    g = finite_difference_grad(lambda a: float((1.0 / (1.0 + np.exp(-a))).sum()),
+                               np.zeros(3), 1e-5)
     assert np.abs(g - 0.25).max() < 1e-6
 
 
 def test_finite_difference_needs_positive_step():
     with pytest.raises(UsageError):
-        ad.finite_difference_grad(lambda a: 0.0, np.ones(2), 0.0)
+        finite_difference_grad(lambda a: 0.0, np.ones(2), 0.0)
 
 
 def test_take_duplicate_indices_accumulate():
@@ -136,6 +139,91 @@ def test_take_duplicate_indices_accumulate():
     assert np.array_equal(e.grad[1], [2.0, 2.0, 2.0])
     assert np.array_equal(e.grad[3], [1.0, 1.0, 1.0])
     assert np.array_equal(e.grad[0], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("table_shape, idx_shape", [
+    ((7, 3), (12,)), ((7, 3), (4, 5)), ((7, 3), (2, 3, 4)), ((5, 2, 3), (3, 4)),
+    ((9,), (3, 6))])
+@pytest.mark.parametrize("existing", [False, True])
+def test_take_scatter_is_bitwise_np_add_at(table_shape, idx_shape, existing):
+    """take's vjp scatters elements through one flat index, yet every
+    entry gets exactly what np.add.at over rows gives: the same addends
+    in the same order, duplicates, -0.0 and inf included.  An entry is NaN
+    in both or neither; when two NaNs meet, which one's sign survives
+    depends on the operand order numpy's loop uses, so NaN bits are not
+    compared."""
+    rng = np.random.default_rng(sum(table_shape) + len(idx_shape))
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e-320])
+    for _ in range(20):
+        idx = rng.integers(0, table_shape[0], size=idx_shape)   # duplicates
+        g = rng.standard_normal(idx_shape + table_shape[1:])
+        g.flat[rng.integers(0, g.size, size=g.size // 3)] = rng.choice(
+            special, size=g.size // 3)
+        x = Tensor(rng.standard_normal(table_shape), requires_grad=True)
+        expect = np.zeros(table_shape)
+        if existing:
+            x.grad = rng.choice(special, size=table_shape) + rng.standard_normal(table_shape)
+            expect = x.grad.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(expect, idx, g)
+            ad.take(x, idx)._vjp(g)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(x.grad), nan)
+        assert x.grad[~nan].tobytes() == expect[~nan].tobytes()
+
+
+def test_first_gradient_is_copied_not_aliased():
+    """A node's first gradient is a copy: writing to the array handed in,
+    or to another node's gradient it came from, leaves it unchanged."""
+    t = Tensor(np.zeros(3), requires_grad=True)
+    g = np.array([1.0, -0.0, 2.0])
+    ad._accum(t, g)
+    g[:] = 7.0
+    assert t.grad.tobytes() == np.array([1.0, -0.0, 2.0]).tobytes()
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    r = ad.reshape(x, (3, 2))
+    ad.backward(ad.tensor_sum(r))
+    assert not np.shares_memory(x.grad, r.grad)
+    r.grad += 5.0
+    assert np.array_equal(x.grad, np.ones((2, 3)))
+
+
+def _adam_oracle(data, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam update, one parameter at a time; a missing
+    gradient is zero."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name in data:
+        g = grads.get(name, np.zeros_like(data[name]))
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        data[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+def test_flat_adam_is_bitwise_the_per_array_update():
+    """Five flat-buffer Adam steps on parameters of mixed shapes, with
+    some gradients zero and some missing, equal the per-array update."""
+    rng = np.random.default_rng(23)
+    shapes = {"s": (), "v": (5,), "w": (3, 4), "t": (2, 3, 2), "z": (4,), "gone": (2, 2)}
+    params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    data = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = init_adam(params)
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-8, 4)
+                 for k, s in shapes.items() if k != "gone"}
+        grads["z"] = np.zeros(4)
+        if t % 2:
+            del grads["v"]
+        adam_step(params, grads, state, lr=0.01)
+        _adam_oracle(data, m, v, grads, t, lr=0.01)
+        for k in shapes:
+            assert params[k].data.tobytes() == data[k].tobytes()
+            assert state.m[k].tobytes() == m[k].tobytes()
+            assert state.v[k].tobytes() == v[k].tobytes()
 
 
 def test_concat_and_stack_gradients():
@@ -195,7 +283,7 @@ def test_matmul_gradients_match_finite_differences(shape_a, shape_b):
         def f(arr):
             with ad.no_grad():
                 return float(forward().data)
-        fd = ad.finite_difference_grad(f, t.data, 1e-5)
+        fd = finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
 
@@ -217,7 +305,7 @@ def test_swapaxes_transposes_the_last_two_axes():
     def f(arr):
         with ad.no_grad():
             return float(forward().data)
-    fd = ad.finite_difference_grad(f, x.data, 1e-5)
+    fd = finite_difference_grad(f, x.data, 1e-5)
     assert np.abs(fd - grad).max() < 1e-8
 
 
@@ -260,7 +348,7 @@ def test_broadcast_add_mul_gradients_match_finite_differences(shape_a, shape_b):
         def f(arr):
             with ad.no_grad():
                 return float(forward().data)
-        fd = ad.finite_difference_grad(f, t.data, 1e-5)
+        fd = finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
 
@@ -295,7 +383,7 @@ def test_gradient_check_property_random_composites():
             def f(arr):
                 with ad.no_grad():
                     return float(forward().data)
-            fd = ad.finite_difference_grad(f, t.data, 1e-5)
+            fd = finite_difference_grad(f, t.data, 1e-5)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
             assert (np.abs(fd - grads[name]) / denom).max() < 1e-4
 

@@ -4,6 +4,7 @@ argument, must fail here, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,9 @@ def test_tracer_counts_equal_the_rows_the_program_handled(tmp_path, monkeypatch,
     equals the rows those commands really handled."""
     import mgam.autodiff
     from mgam.cli import main
+    traced = [w[:2] for w in tracing.WRAPPED] + [c[:2] for c in tracing.COUNTED]
+    assert all(callable(getattr(sys.modules.get(m), a, None)) for m, a in traced), \
+        "after importing mgam.cli, an attribute the tracer wraps does not resolve"
     from mgam.config import STREAM_DATA, substream
     from mgam.data import load_dataset, split_leave_one_out
 
@@ -81,8 +85,9 @@ def test_tracer_counts_equal_the_rows_the_program_handled(tmp_path, monkeypatch,
     assert tracer.counts["evaluation.candidates"] == unseen
     assert tracer.counts["model.forward_score.instances"] == (
         len(split.test) * (1 + eval_negatives) + unseen)
+    # one draw per training batch, one per test group
     assert tracer.names.count("data.sample_negatives") == (
-        epochs * len(split.train) + len(split.test))
+        epochs * -(-len(split.train) // 16) + len(split.test))
     values = tracing.summarize(tracer, 1)
     assert values["autodiff.tape_nodes_per_instance"] == sum(walked) / trained
     assert values["evaluation.candidates"] == unseen

@@ -612,6 +612,66 @@ def test_sample_negatives_uniformity_chi_square():
     assert np.abs(counts[2:] - expected).max() <= 3 * sigma
 
 
+def _replayed(ds, groups, n, seed):
+    """One scalar sample_negatives call per group, in order, on a fresh
+    generator: the rows and the generator state they leave."""
+    rng = np.random.default_rng(seed)
+    rows = [sample_negatives(ds, g, n, rng) for g in np.asarray(groups).tolist()]
+    return rows, rng.bit_generator.state
+
+
+def _mixed_ds():
+    """12 items.  g0 and g2 have 2 positives each, g1 has 8 (4 eligible
+    items, so 3 negatives take draw_unseen's rng.choice branch), g3 has 11
+    (1 eligible, so even 1 negative takes it)."""
+    return Dataset(n_users=1, n_items=12, n_groups=4, user_items=Rows.from_lists([[0]]),
+                   groups=Rows.from_lists([[0]] * 4),
+                   group_pos=Rows.from_lists([[0, 5], list(range(8)), [3, 11],
+                                              list(range(11))]),
+                   user_ids=["0"], item_ids=[str(i) for i in range(12)],
+                   group_ids=["g0", "g1", "g2", "g3"])
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_sample_negatives_batch_replays_scalar_calls(n):
+    """A batch of groups, repeats included, gets the rows and leaves the
+    generator state of one scalar call per group, also when rejected
+    draws (positives, repeats within a row) are frequent."""
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=20, n_items=30, n_groups=6, group_size_range=(2, 4),
+        n_cohorts=2, positives_per_group=4), seed=5)
+    for seed in range(20):
+        groups = np.random.default_rng(seed).integers(ds.n_groups, size=25)
+        assert len(np.unique(groups)) < len(groups)
+        rng = np.random.default_rng(seed)
+        table = sample_negatives(ds, groups, n, rng)
+        rows, state = _replayed(ds, groups, n, seed)
+        assert table.dtype == np.int64 and table.shape == (len(groups), n)
+        assert table.tolist() == rows
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n, groups", [(3, [0, 2, 1, 0, 2, 0]), (1, [2, 0, 3, 3, 1, 0])])
+def test_sample_negatives_batch_draws_choice_rows_in_place(n, groups):
+    """A group drawing over half its eligible items takes rng.choice at its
+    own place in the batch, between rejection-drawn rows."""
+    ds = _mixed_ds()
+    eligible = ds.n_items - ds.group_pos.lengths()
+    assert any(n > eligible[g] // 2 for g in groups[1:-1])
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        table = sample_negatives(ds, np.array(groups), n, rng)
+        rows, state = _replayed(ds, groups, n, seed)
+        assert table.tolist() == rows
+        assert rng.bit_generator.state == state
+
+
+def test_sample_negatives_batch_names_a_group_without_enough_items():
+    with pytest.raises(SamplingError, match=r"^group g3: requested 2 negatives but "
+                                            r"only 1 of 12 items are eligible$"):
+        sample_negatives(_mixed_ds(), np.array([0, 2, 3, 1]), 2, np.random.default_rng(0))
+
+
 def test_label_blocks_layout():
     """Each positive, labelled 1, then its own negatives, labelled 0, all
     owned by the positive's owner; no negatives and no rows keep that shape."""
