@@ -240,9 +240,12 @@ def swapaxes(x: Tensor) -> Tensor:
 
 
 def spmm(m, x: Tensor) -> Tensor:
-    """Left-multiply by a constant matrix (scipy sparse or ndarray).
+    """Left-multiply by a constant symmetric matrix (scipy sparse or ndarray).
 
     Only `x` receives gradients; `m` is graph structure, not a parameter.
+    `m` must equal its transpose bitwise, as the normalized group and
+    instance adjacencies do by construction: the vjp computes `m.T @ g`
+    as `m @ g`, without building the transpose.
     """
     if x.data.ndim != 2:
         raise UsageError(f"spmm expects a 2-D right operand, got {x.data.shape}")
@@ -251,7 +254,7 @@ def spmm(m, x: Tensor) -> Tensor:
     out_data = np.asarray(m @ x.data)
 
     def vjp(g):
-        _accum(x, np.asarray(m.T @ g))
+        _accum(x, np.asarray(m @ g))
 
     return _result(out_data, "spmm", (x,), vjp)
 

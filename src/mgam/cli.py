@@ -226,8 +226,8 @@ def cmd_recommend(args) -> int:
     candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g])
     if not len(candidates):
         raise UsageError(f"group {args.group_id!r} has interacted with every item")
-    ranked = rank_candidates(scorer, g, candidates, group_id=args.group_id)
-    top = list(zip(ranked.items, ranked.scores))[:args.k]
+    items, scores = rank_candidates(scorer, g, candidates, args.group_id)
+    top = list(zip(items[:args.k].tolist(), scores[:args.k].tolist()))
 
     if args.explain:
         if args.item is not None:

@@ -100,13 +100,10 @@ class Dataset:
     user_ids: list    # internal index -> external id (str)
     item_ids: list
     group_ids: list
-    user_index: dict = field(default_factory=dict)
     item_index: dict = field(default_factory=dict)
     group_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.user_index:
-            self.user_index = {e: i for i, e in enumerate(self.user_ids)}
         if not self.item_index:
             self.item_index = {e: i for i, e in enumerate(self.item_ids)}
         if not self.group_index:
@@ -364,7 +361,7 @@ def load_dataset(directory) -> Dataset:
     gi_items = _intern(text, *items)
     del text
 
-    user_ids, user_index, (ui_u, member_u) = _merge(ui_users, members)
+    user_ids, _, (ui_u, member_u) = _merge(ui_users, members)
     item_ids, item_index, (ui_i, gi_i) = _merge(ui_items, gi_items)
     n_users, n_items, n_groups = len(user_ids), len(item_ids), len(group_ids)
     return Dataset(
@@ -373,7 +370,7 @@ def load_dataset(directory) -> Dataset:
         groups=_rows(g_codes[owner], member_u, n_groups, n_users),
         group_pos=_rows(gi_codes, gi_i, n_groups, n_items),
         user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
-        user_index=user_index, item_index=item_index, group_index=group_index,
+        item_index=item_index, group_index=group_index,
     )
 
 
@@ -492,7 +489,7 @@ def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
                     chosen.add(cand)
                     out.append(cand)
         return out
-    eligible = np.array([i for i in range(n_items) if i not in blocked])
+    eligible = np.setdiff1d(np.arange(n_items), seen)
     return [int(i) for i in rng.choice(eligible, size=n, replace=False)]
 
 

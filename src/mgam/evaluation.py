@@ -22,6 +22,8 @@ pair, never on the rows it shares a forward with.  The chunk size bounds
 the memory of a forward whatever the number of test groups.  A held-out
 item's position is 1 + the number of candidates in its row that score
 higher than column 0, or score the same and have a smaller item index.
+`rank_candidates`, which `recommend` calls on one group's unseen items,
+sorts by the same rule.
 """
 
 from __future__ import annotations
@@ -46,12 +48,8 @@ METRICS_DETAIL_FILE = "metrics_detail.csv"
 # machine and a default-size `recommend` (490 items) is one forward
 SCORE_CHUNK_ROWS = 512
 
-
-@dataclass
-class RankedList:
-    items: list            # candidates by descending score, ties by ascending item
-    scores: list           # aligned scores
-    position: int | None   # 1-indexed rank of the target item, when given
+# positives per MF baseline step
+MF_BATCH_SIZE = 1024
 
 
 @dataclass
@@ -82,28 +80,20 @@ def _score(score_fn, groups: np.ndarray, items: np.ndarray, group_name,
     return scores
 
 
-def rank_candidates(score_fn, group: int, candidates, target=None,
-                    group_id=None) -> RankedList:
-    """Score and sort candidates for a group (deterministic tie-break).
+def rank_candidates(score_fn, group: int, candidates, group_id) -> tuple:
+    """Score a group's distinct candidates and sort them: (items, scores)
+    arrays by descending score, ties by ascending item, `evaluate`'s order.
 
-    `group_id` names the group in a `NonFiniteError` (default: the index).
+    `group_id` names the group in a `NonFiniteError`.
     """
     items = np.asarray(candidates, dtype=np.int64)
     if not len(items):
         raise UsageError("cannot rank an empty candidate list")
     if len(np.unique(items)) != len(items):
         raise UsageError("candidates must be distinct")
-    [scores] = _score(score_fn, np.full(len(items), group), items,
-                      lambda g: g if group_id is None else group_id)
+    [scores] = _score(score_fn, np.full(len(items), group), items, lambda g: group_id)
     order = np.lexsort((items, -scores))
-    position = None
-    if target is not None:
-        hit = np.flatnonzero(items[order] == int(target))
-        if not len(hit):
-            raise UsageError(f"target item {int(target)} is not among the candidates")
-        position = int(hit[0]) + 1
-    return RankedList(items=items[order].tolist(), scores=scores[order].tolist(),
-                      position=position)
+    return items[order], scores[order]
 
 
 def hr_at_k(position: int, k: int) -> float:
@@ -220,7 +210,7 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
 # memory-based baselines: per-user dot-product scorer + score aggregation
 
 def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
-                    negatives: int, seed: int, batch_size: int = 1024) -> tuple:
+                    negatives: int, seed: int) -> tuple:
     """Train sigma(<e(u), e(v)>) on the user-item interactions with BCE.
 
     Returns (user_vecs, item_vecs) as plain arrays; aggregation into group
@@ -243,8 +233,8 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
     for epoch in range(epochs):
         erng = np.random.default_rng(substream(seed, STREAM_BASELINE, epoch + 1))
         order = erng.permutation(len(positives))
-        for start in range(0, len(order), batch_size):
-            batch = positives[order[start:start + batch_size]]
+        for start in range(0, len(order), MF_BATCH_SIZE):
+            batch = positives[order[start:start + MF_BATCH_SIZE]]
             drawn = [draw_unseen(dataset.n_items, dataset.user_items[u], negatives,
                                  erng, f"user {dataset.user_ids[u]}")
                      for u in batch[:, 0].tolist()]

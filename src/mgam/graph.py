@@ -22,8 +22,7 @@ from .errors import UsageError
 class GroupGraph:
     n: int
     adjacency: sparse.csr_array   # 0/1 symmetric, unit diagonal
-    degree: np.ndarray            # row sums (self-loop included)
-    normalized: sparse.csr_array  # entry (i,j) = A(i,j) / sqrt(d_i d_j)
+    normalized: sparse.csr_array  # entry (i,j) = A(i,j) / sqrt(d_i d_j), d the row sums
 
 
 def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
@@ -43,7 +42,7 @@ def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_ar
 def _finish(adjacency: sparse.csr_array) -> GroupGraph:
     degree = np.asarray(adjacency.sum(axis=1)).ravel()
     return GroupGraph(n=adjacency.shape[0], adjacency=adjacency,
-                      degree=degree, normalized=_normalize(adjacency, degree))
+                      normalized=_normalize(adjacency, degree))
 
 
 def build_co_membership(groups: Rows) -> GroupGraph:

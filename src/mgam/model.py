@@ -136,22 +136,21 @@ def _pad_mask(valid: np.ndarray) -> Tensor:
 
 
 def member_attention(member_vecs: Tensor, item_vecs: Tensor,
-                     weight: Tensor, bias: Tensor, valid=None) -> tuple:
+                     weight: Tensor, bias: Tensor, valid: np.ndarray) -> tuple:
     """Item-conditioned softmax attention of item grids over member tables.
 
     `member_vecs` (..., w, d) holds tables of w member embeddings, padded,
-    and `valid` (..., w) marks the real members (all of them when
-    omitted).  `item_vecs` (..., c, d) holds the c items that attend over
-    each table; the leading axes broadcast, so a row of c items attends
-    over its group's R subset tables at once, (rows, 1, c, d) against
-    (rows, R, w, d).  Scores are relu(weight * <e(u), e(v)> + bias) with
-    padding masked out of the softmax.  Returns the attention-weighted
-    member sums (..., c, d) and the weights (..., c, w).  Used for both the
-    within-subset and the whole-group aggregation (different parameters).
+    and `valid` (..., w) marks the real members.  `item_vecs` (..., c, d)
+    holds the c items that attend over each table; the leading axes
+    broadcast, so a row of c items attends over its group's R subset
+    tables at once, (rows, 1, c, d) against (rows, R, w, d).  Scores are
+    relu(weight * <e(u), e(v)> + bias) with padding masked out of the
+    softmax.  Returns the attention-weighted member sums (..., c, d) and
+    the weights (..., c, w).  Used for both the within-subset and the
+    whole-group aggregation (different parameters).
     """
     ms, xs = member_vecs.data.shape, item_vecs.data.shape
-    if (len(ms) < 3 or 0 in ms[:-1]
-            or (valid is not None and not valid.any(axis=-1).all())):
+    if len(ms) < 3 or 0 in ms[:-1] or not valid.any(axis=-1).all():
         raise UsageError("member attention needs non-empty (..., w, d) member "
                          "tables with at least one member per table")
     if len(xs) != len(ms) or 0 in xs[:-1] or xs[-1] != ms[-1]:
@@ -161,25 +160,22 @@ def member_attention(member_vecs: Tensor, item_vecs: Tensor,
     # repeat per row and subset slot and are the larger array in training
     dots = ad.swapaxes(ad.matmul(member_vecs, ad.swapaxes(item_vecs)))
     scores = ad.relu(ad.add(ad.mul(weight, dots), bias))
-    if valid is not None:
-        scores = ad.add(scores, _pad_mask(valid[..., None, :]))
-    attn = ad.softmax(scores)
+    attn = ad.softmax(ad.add(scores, _pad_mask(valid[..., None, :])))
     return ad.matmul(attn, member_vecs), attn
 
 
-def subset_attention(slot_embs, params: dict, m: int, present=None) -> tuple:
+def subset_attention(slot_embs, params: dict, m: int, present: np.ndarray) -> tuple:
     """Slotted attention across subset embeddings, batched over instances.
 
     `slot_embs[s]` is the (n, d) embedding of every instance's slot s, in
     canonical slot order, and `present` (n, len(slot_embs)) marks the
-    slots an instance really has (all of them when omitted).  A missing
-    slot's row must be zero: it is masked out of the softmax but still
-    feeds the other slots' cross weights, which keep their (m-1)d input
-    width through zero slots up to m.  Returns the (n, d) output and the
-    (n, slots) weights.
+    slots an instance really has.  A missing slot's row must be zero: it
+    is masked out of the softmax but still feeds the other slots' cross
+    weights, which keep their (m-1)d input width through zero slots up to
+    m.  Returns the (n, d) output and the (n, slots) weights.
     """
     m_eff = len(slot_embs)
-    if m_eff == 0 or (present is not None and not present.any(axis=1).all()):
+    if m_eff == 0 or not present.any(axis=1).all():
         raise UsageError("subset attention needs at least one subset")
     if m_eff > m:
         raise UsageError(f"{m_eff} subsets exceed the configured maximum {m}")
@@ -194,9 +190,7 @@ def subset_attention(slot_embs, params: dict, m: int, present=None) -> tuple:
         pre = ad.add(pre, params[f"subpe_bias_{i + 1}"])
         scores.append(ad.matmul(ad.relu(pre), params["subpe_score_w"]))
     scores = ad.stack(scores, axis=1)   # (n, m_eff)
-    if present is not None:
-        scores = ad.add(scores, _pad_mask(present))
-    attn = ad.softmax(scores)
+    attn = ad.softmax(ad.add(scores, _pad_mask(present)))
     h = ad.matmul(ad.reshape(attn, (n, 1, m_eff)), ad.stack(slot_embs, axis=1))
     return ad.reshape(h, (n, d)), attn
 
@@ -371,7 +365,7 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
         row_of = (row[:, None] * r + np.arange(r)) * c + col[:, None]
         h_subpe, slot_w = subset_attention(
             _slot_rows(ad.reshape(h_cells, (n_rows * r * c, d)), row_of, present),
-            params, cfg.num_subsets, present=present)
+            params, cfg.num_subsets, present)
         member_w = attn.data.reshape(n_rows * r * c, -1)[row_of[present]]
     if any(m.reads_gpe for m in masks):
         idx, valid = dataset.groups.padded(uniq)                     # (G, W)

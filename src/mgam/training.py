@@ -80,11 +80,11 @@ def point_loss_from_logits(logits, labels):
 def total_loss(triplet_terms, point_terms, lambda1: float):
     """Mean triplet term (over available triplets) + lambda1 * mean point term.
 
-    `triplet_terms` may be None/empty when no anchor had a same-label
-    partner; the triplet contribution is then zero.
+    `triplet_terms` is None when no anchor had a same-label partner; the
+    triplet contribution is then zero.
     """
     point_part = ad.scale(ad.tensor_mean(ad.as_tensor(point_terms)), float(lambda1))
-    if triplet_terms is None or (isinstance(triplet_terms, Tensor) and triplet_terms.data.size == 0):
+    if triplet_terms is None:
         return point_part
     return ad.add(ad.tensor_mean(ad.as_tensor(triplet_terms)), point_part)
 
@@ -97,12 +97,11 @@ class AdamState:
     """Adam's state for the parameters `init_adam` was given.
 
     The parameters and each moment live in one flat float64 buffer, in
-    the parameters' order: `init_adam` rebinds every parameter's `data`
-    to a view of `flat`, and `m[name]` and `v[name]` are views of
-    `moments`.
+    the order of `names`: `init_adam` rebinds every parameter's `data` to
+    a view of `flat`, and row 0 of `moments` holds the first moment, row 1
+    the second, each laid out like `flat`.
     """
-    m: dict
-    v: dict
+    names: tuple
     flat: np.ndarray
     moments: np.ndarray     # (2, size): m, then v
     step: int = 0
@@ -111,38 +110,30 @@ class AdamState:
     eps: float = 1e-8
 
 
-def _views(buffer: np.ndarray, params: dict) -> dict:
-    """{name: the part of the flat `buffer` shaped like params[name]}, in order."""
-    views, offset = {}, 0
-    for name, p in params.items():
-        views[name] = buffer[offset:offset + p.data.size].reshape(p.data.shape)
-        offset += p.data.size
-    return views
-
-
 def init_adam(params: dict) -> AdamState:
     """Zero moments for `params`, whose data move into one flat buffer."""
     size = sum(p.data.size for p in params.values())
     flat = np.empty(size)
-    for p, view in zip(params.values(), _views(flat, params).values()):
+    offset = 0
+    for p in params.values():
+        view = flat[offset:offset + p.data.size].reshape(p.data.shape)
         view[...] = p.data
         p.data = view
-    moments = np.zeros((2, size))
-    return AdamState(m=_views(moments[0], params), v=_views(moments[1], params),
-                     flat=flat, moments=moments)
+        offset += view.size
+    return AdamState(names=tuple(params), flat=flat, moments=np.zeros((2, size)))
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update, in place.
 
-    `params` are those `init_adam` set up; a name missing from `grads`
-    has a zero gradient.  The gradients are gathered into one buffer and
+    `params` are those `init_adam` set up, and `grads` holds a gradient
+    for each of them.  The gradients are gathered into one buffer and
     checked for finiteness before anything changes.  Then each of Adam's
     operations is one ufunc over every parameter, in the order and with
     the rounding of the per-array update `m = b1 m + (1 - b1) g`,
     `v = b2 v + (1 - b2) g g`, `p -= lr (m / c1) / (sqrt(v / c2) + eps)`.
     """
-    if params.keys() != state.m.keys():
+    if tuple(params) != state.names:
         raise UsageError("adam_step needs the parameters its state was made for")
     parts = []
     for name, p in params.items():
@@ -151,8 +142,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
                              f"init_adam gave it")
         g = grads.get(name)
         if g is None:
-            g = np.zeros(p.data.shape)
-        elif g.shape != p.data.shape:
+            raise UsageError(f"no gradient for parameter {name!r}")
+        if g.shape != p.data.shape:
             raise UsageError(f"gradient shape {g.shape} does not match "
                              f"parameter {name!r} shape {p.data.shape}")
         parts.append(g.reshape(-1))
@@ -190,7 +181,6 @@ class EpochStats:
     mean_loss: float
     triplet_mean: float
     point_mean: float
-    n_batches: int
     wall_seconds: float
 
 
@@ -234,8 +224,8 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
     order = rng.permutation(len(split.train))
 
     loss_sum = trip_sum = point_sum = 0.0
-    n_inst = n_trip = n_batches = 0
-    for start in range(0, len(order), cfg.batch_size):
+    n_inst = n_trip = 0
+    for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
         positives = split.train[order[start:start + cfg.batch_size]]
         negatives = sample_negatives(dataset, positives[:, 0], cfg.train_negatives, rng)
         rows = label_blocks(positives, negatives).reshape(-1, 3)
@@ -251,7 +241,7 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         loss = total_loss(trip_terms, point_terms, cfg.lambda1)
         if not np.isfinite(loss.data):
             raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
-                                 f"{epoch}, batch {n_batches}")
+                                 f"{epoch}, batch {batch}")
 
         for p in params.values():
             p.grad = None
@@ -268,16 +258,14 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         try:
             adam_step(params, grads, adam, cfg.learning_rate)
         except NonFiniteError as e:
-            raise NonFiniteError(f"{e} at epoch {epoch}, batch {n_batches}") from None
+            raise NonFiniteError(f"{e} at epoch {epoch}, batch {batch}") from None
         n_inst += k
-        n_batches += 1
 
     return EpochStats(
         epoch=epoch,
         mean_loss=loss_sum / n_inst,
         triplet_mean=(trip_sum / n_trip) if n_trip else 0.0,
         point_mean=point_sum / n_inst,
-        n_batches=n_batches,
         wall_seconds=time.perf_counter() - t0,
     )
 
@@ -425,13 +413,13 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def load_checkpoint(directory, manifest: dict, expected_shapes: dict | None = None) -> dict:
+def load_checkpoint(directory, manifest: dict, expected_shapes: dict) -> dict:
     """Load params, validating the archive against `manifest`: the one
     `read_manifest` read, which the caller checks its config and inputs by.
 
-    `expected_shapes` (name -> shape tuple) guards against loading a
-    checkpoint trained under a different model configuration; the error
-    names the first offending tensor.
+    `expected_shapes` (name -> shape tuple, `expected_param_shapes`)
+    guards against loading a checkpoint trained under a different model
+    configuration; the error names the first offending tensor.
     """
     directory = Path(directory)
     tensors = manifest.get("tensors")
@@ -466,24 +454,22 @@ def load_checkpoint(directory, manifest: dict, expected_shapes: dict | None = No
         if offset + size > raw.size:
             raise CheckpointError(f"corrupt checkpoint: params.bin too short "
                                   f"for tensor {name!r}")
-        if expected_shapes is not None:
-            if name not in expected_shapes:
-                raise CheckpointError(f"checkpoint tensor {name!r} not expected "
-                                      f"under the current configuration")
-            if tuple(expected_shapes[name]) != shape:
-                raise CheckpointError(
-                    f"checkpoint tensor {name!r} has shape {list(shape)} but the "
-                    f"current configuration requires {list(expected_shapes[name])}")
+        if name not in expected_shapes:
+            raise CheckpointError(f"checkpoint tensor {name!r} not expected "
+                                  f"under the current configuration")
+        if tuple(expected_shapes[name]) != shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} has shape {list(shape)} but the "
+                f"current configuration requires {list(expected_shapes[name])}")
         params[name] = Tensor(raw[offset:offset + size].astype(np.float64).reshape(shape),
                               requires_grad=True)
         offset += size
     if offset * 4 != len(blob):
         raise CheckpointError("corrupt checkpoint: params.bin has trailing data")
     _verify(manifest, params_path, blob)
-    if expected_shapes is not None:
-        missing = set(expected_shapes) - set(params)
-        if missing:
-            raise CheckpointError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
+    missing = set(expected_shapes) - set(params)
+    if missing:
+        raise CheckpointError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
     return params
 
 

@@ -194,9 +194,9 @@ def test_criterion_4_metric_oracle():
     n = 10_000
     hits = 0
     for _ in range(n):
-        ranked = rank_candidates(lambda g, c, r=rng: r.random(len(c)),
-                                 0, list(range(101)), target=0)
-        hits += ranked.position <= 5
+        items, _ = rank_candidates(lambda g, c, r=rng: r.random(len(c)),
+                                   0, list(range(101)), 0)
+        hits += 1 + np.flatnonzero(items == 0)[0] <= 5
     p = 5 / 101
     sigma = float(np.sqrt(p * (1 - p) / n))
     dev = abs(hits / n - p)

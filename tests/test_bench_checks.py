@@ -10,7 +10,8 @@ from mgam.clustering import cluster_subsets
 from mgam.config import Config
 from mgam.data import SyntheticParams, dataset_sha256, generate_synthetic, write_dataset
 from mgam.model import init_params
-from mgam.training import load_checkpoint, read_manifest, save_checkpoint
+from mgam.training import (expected_param_shapes, load_checkpoint, read_manifest,
+                           save_checkpoint)
 
 CHECKS = Path(__file__).resolve().parents[1] / "benchmarks" / "checks.py"
 
@@ -33,7 +34,9 @@ def test_read_params_matches_load_checkpoint(tmp_path):
                     cluster_subsets(dataset, cfg.num_subsets, seed=1),
                     dataset_sha256(tmp_path / "data"))
     read = _load_checks().read_params(tmp_path / "ckpt")
-    loaded = load_checkpoint(tmp_path / "ckpt", read_manifest(tmp_path / "ckpt"))
+    loaded = load_checkpoint(tmp_path / "ckpt", read_manifest(tmp_path / "ckpt"),
+                             expected_param_shapes(cfg, dataset.n_users, dataset.n_items,
+                                                   dataset.n_groups))
     assert list(read) == list(loaded) == list(params)
     for name, p in params.items():
         rounded = p.data.astype(np.float32).astype(np.float64)

@@ -14,7 +14,8 @@ from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_CLUSTER, STREAM_DATA, Config, parse_config, substream
 from mgam.data import load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
-from mgam.training import load_checkpoint, load_inputs, read_manifest
+from mgam.training import (expected_param_shapes, load_checkpoint, load_inputs,
+                           read_manifest)
 from reference_preprocessing import (line_parsed_dataset, pair_loop_adjacency,
                                      sorted_pair_dump, triple_loop_subset_dump)
 
@@ -252,7 +253,7 @@ def test_recommend_explain_json(workspace, capsys):
 
 def _member_softmax(params, dataset, user_ids, item_id, prefix):
     """softmax(relu(w * <e_u, e_v> + b)) over the named users, in numpy."""
-    users = params["user_emb"].data[[dataset.user_index[u] for u in user_ids]]
+    users = params["user_emb"].data[[dataset.user_ids.index(u) for u in user_ids]]
     e_v = params["item_emb"].data[dataset.item_index[item_id]]
     scores = np.maximum(float(params[f"{prefix}_att_w"].data) * (users @ e_v)
                         + float(params[f"{prefix}_att_b"].data), 0.0)
@@ -267,7 +268,9 @@ def test_recommend_explain_member_weights_match_numpy(workspace, capsys, extra):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     dataset = load_dataset(workspace["data"])
-    params = load_checkpoint(workspace["ckpt"], read_manifest(workspace["ckpt"]))
+    manifest = read_manifest(workspace["ckpt"])
+    params = load_checkpoint(workspace["ckpt"], manifest, expected_param_shapes(
+        Config(**manifest["config"]), dataset.n_users, dataset.n_items, dataset.n_groups))
     if extra:
         assert payload["item"] == "12"
     g = dataset.group_index["3"]

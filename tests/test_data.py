@@ -97,7 +97,7 @@ def test_load_dataset_group_only_users_registered(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7,42\n", "g1\t5\n")
     ds = load_dataset(d)
     assert ds.n_users == 2
-    u42 = ds.user_index["42"]
+    u42 = ds.user_ids.index("42")
     assert ds.user_items[u42].tolist() == []
 
 
@@ -664,6 +664,27 @@ def test_sample_negatives_batch_draws_choice_rows_in_place(n, groups):
         rows, state = _replayed(ds, groups, n, seed)
         assert table.tolist() == rows
         assert rng.bit_generator.state == state
+
+
+def test_draw_unseen_choice_branch_is_rng_choice_over_the_eligible_items():
+    """Drawing over half the eligible items is one `rng.choice` without
+    replacement over the ascending items not seen, whether `seen` is sorted
+    or not, and leaves the stream where that call leaves it."""
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n_items = int(rng.integers(2, 300))
+        seen = rng.choice(n_items, size=int(rng.integers(0, n_items - 1)), replace=False)
+        if trial % 2:
+            seen = np.sort(seen).tolist()
+        blocked = set(np.asarray(seen).tolist())
+        eligible = np.array([i for i in range(n_items) if i not in blocked])
+        for n in range(len(eligible) // 2 + 1, len(eligible) + 1):
+            got = np.random.default_rng(trial)
+            want = np.random.default_rng(trial)
+            drawn = draw_unseen(n_items, seen, n, got, "g")
+            assert drawn == want.choice(eligible, size=n, replace=False).tolist()
+            assert all(type(v) is int for v in drawn)
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_sample_negatives_batch_names_a_group_without_enough_items():

@@ -21,25 +21,27 @@ from mgam.model import AblationMask, init_params
 
 def test_rank_candidates_ordering():
     scores = {7: 0.9, 3: 0.1, 5: 0.5}
-    ranked = rank_candidates(lambda g, c: [scores[i] for i in c], 0, [7, 3, 5])
-    assert ranked.items == [7, 5, 3]
+    items, ranked_scores = rank_candidates(lambda g, c: [scores[i] for i in c],
+                                           0, [7, 3, 5], "g")
+    assert items.tolist() == [7, 5, 3]
+    assert ranked_scores.tolist() == [0.9, 0.5, 0.1]
 
 
 def test_rank_candidates_tie_breaks_by_item():
-    ranked = rank_candidates(lambda g, c: [0.5, 0.5], 0, [4, 2])
-    assert ranked.items == [2, 4]
+    items, _ = rank_candidates(lambda g, c: [0.5, 0.5], 0, [4, 2], "g")
+    assert items.tolist() == [2, 4]
 
 
 def test_rank_candidates_singleton():
-    ranked = rank_candidates(lambda g, c: [0.3], 0, [9], target=9)
-    assert ranked.position == 1
+    items, _ = rank_candidates(lambda g, c: [0.3], 0, [9], "g")
+    assert 1 + np.flatnonzero(items == 9)[0] == 1
 
 
 def test_rank_candidates_errors():
     with pytest.raises(UsageError):
-        rank_candidates(lambda g, c: [], 0, [])
+        rank_candidates(lambda g, c: [], 0, [], "g")
     with pytest.raises(UsageError):
-        rank_candidates(lambda g, c: [1, 2], 0, [3, 3])
+        rank_candidates(lambda g, c: [1, 2], 0, [3, 3], "g")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +180,8 @@ def test_evaluate_positions_match_rank_candidates_with_ties():
         for (group, positive), ranking, (g, position) in zip(
                 split.test, candidates, report.per_group, strict=True):
             assert g == group and type(position) is int
-            assert position == rank_candidates(scorer, group, ranking,
-                                               target=positive).position
+            items, _ = rank_candidates(scorer, group, ranking, group)
+            assert position == 1 + np.flatnonzero(items == positive)[0]
 
 
 def test_evaluate_refuses_bad_candidate_lists():
@@ -249,9 +251,9 @@ def test_non_finite_scores_are_refused_naming_the_group(bad):
                        match=rf"non-finite score {bad!r} for group {ds.group_ids[victim]}$"):
         evaluate(scorer, ds, split, 10, [5], seed=0)
     with pytest.raises(NonFiniteError, match=rf"for group {victim}$"):
-        rank_candidates(scorer, victim, [4, 2, 7])
+        rank_candidates(scorer, victim, [4, 2, 7], victim)
     with pytest.raises(NonFiniteError, match=r"for group g-7$"):
-        rank_candidates(scorer, victim, [4, 2, 7], group_id="g-7")
+        rank_candidates(scorer, victim, [4, 2, 7], "g-7")
 
 
 def test_evaluate_many_models_equals_one_model_runs():
@@ -334,9 +336,9 @@ def test_random_scorer_hr_within_3_sigma():
     n = 10_000
     hits = 0
     for _ in range(n):
-        ranked = rank_candidates(
-            lambda g, c, r=rng: r.random(len(c)), 0, list(range(101)), target=0)
-        hits += ranked.position <= 5
+        items, _ = rank_candidates(
+            lambda g, c, r=rng: r.random(len(c)), 0, list(range(101)), 0)
+        hits += 1 + np.flatnonzero(items == 0)[0] <= 5
     p = 5 / 101
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * sigma
@@ -433,7 +435,7 @@ def test_scoring_memory_is_bounded_by_a_chunk():
     unseen = np.setdiff1d(np.arange(ds.n_items), ds.group_pos[0])[:5000]
     chunk = peak(lambda: scorer(np.zeros(SCORE_CHUNK_ROWS, dtype=np.int64),
                                 unseen[:SCORE_CHUNK_ROWS]))
-    ranked = peak(lambda: rank_candidates(scorer, 0, unseen))
+    ranked = peak(lambda: rank_candidates(scorer, 0, unseen, 0))
     assert ranked < 1.25 * chunk, (ranked, chunk)
 
 

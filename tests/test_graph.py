@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from mgam import autodiff as ad
+from mgam.autodiff import Tensor
 from mgam.data import Rows
 from mgam.errors import UsageError
 from mgam.graph import (GroupGraph, _finish, _normalize, build_co_membership,
@@ -57,6 +59,11 @@ def test_normalized_matches_dense_oracle_randomized():
         assert np.abs(g.normalized.toarray() - oracle).max() < 1e-12
 
 
+def _degree(g):
+    """The row sums of a graph's adjacency, self-loop included."""
+    return np.asarray(g.adjacency.sum(axis=1)).ravel()
+
+
 def test_graph_invariants_randomized():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -67,8 +74,9 @@ def test_graph_invariants_randomized():
         assert np.array_equal(np.diag(a), np.ones(g.n))
         assert np.array_equal(n, n.T)
         assert n.max() <= 1.0
+        degree = _degree(g)
         for i in range(g.n):
-            assert n[i, i] == 1.0 / g.degree[i]  # exact by construction
+            assert n[i, i] == 1.0 / degree[i]  # exact by construction
 
 
 def test_induce_single_node():
@@ -133,7 +141,7 @@ def test_normalize_adjacency_recompute():
     g = build_co_membership(Rows.from_lists([[0, 1], [1], [2]]))
     again = induce_batch_subgraph(g, [0, 1, 2])
     assert np.array_equal(again.normalized.toarray(), g.normalized.toarray())
-    assert np.array_equal(again.degree, g.degree)
+    assert np.array_equal(_degree(again), _degree(g))
 
 
 def _assert_normalized_bitwise(norm, adj):
@@ -187,7 +195,7 @@ def test_normalize_reuses_a_sorted_structure_bitwise():
                                 for a, b in zip(adj.indptr[:-1], adj.indptr[1:])])
         shuffled = sparse.csr_array((adj.data[order], adj.indices[order], adj.indptr),
                                     shape=adj.shape)
-        from_copy = _normalize(shuffled, g.degree)
+        from_copy = _normalize(shuffled, _degree(g))
         _assert_csr_bitwise(g.normalized, from_copy)
         _assert_normalized_bitwise(g.normalized, adj)
 
@@ -215,8 +223,24 @@ def test_co_membership_matches_pair_loop_bitwise():
         assert fast.n == slow.n
         _assert_csr_bitwise(fast.adjacency, slow.adjacency)
         _assert_csr_bitwise(fast.normalized, slow.normalized)
-        assert fast.degree.dtype == slow.degree.dtype
-        assert np.array_equal(fast.degree, slow.degree)
+        assert _degree(fast).dtype == _degree(slow).dtype
+        assert np.array_equal(_degree(fast), _degree(slow))
+
+
+def test_spmm_vjp_is_the_transpose_product_on_both_normalized_graphs():
+    """The matrices the model hands `spmm`, the normalized group adjacency
+    and `expand_to_instances`' instance adjacency, equal their transposes
+    bitwise, so the vjp's `m @ g` equals `m.T @ g` bitwise."""
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        g = build_co_membership(random_groups(rng, int(rng.integers(1, 30)), 12))
+        batch = rng.integers(g.n, size=int(rng.integers(1, 3 * g.n + 1)))
+        for m in (g.normalized, expand_to_instances(g, batch)):
+            assert m.toarray().tobytes() == m.T.toarray().tobytes()
+            x = Tensor(rng.standard_normal((m.shape[0], 5)), requires_grad=True)
+            upstream = rng.standard_normal((m.shape[0], 5))
+            ad.backward(ad.tensor_sum(ad.mul(ad.spmm(m, x), Tensor(upstream))))
+            assert x.grad.tobytes() == np.asarray(m.T @ upstream).tobytes()
 
 
 def test_dump_graph_follows_internal_index_order(tmp_path):
@@ -257,7 +281,6 @@ def test_dump_graph_reads_unsorted_rows_and_needs_no_self_loops(tmp_path):
         no_loops = sparse.csr_array(adj - sparse.eye_array(g.n, format="csr"))
         no_loops.eliminate_zeros()
         for a in (shuffled, no_loops):
-            dump_graph(GroupGraph(n=g.n, adjacency=a, degree=g.degree,
-                                  normalized=g.normalized), ids, out)
+            dump_graph(GroupGraph(n=g.n, adjacency=a, normalized=g.normalized), ids, out)
             assert out.read_bytes().decode("utf-8") == sorted_pair_dump(adj, ids)
     assert unsorted > 10

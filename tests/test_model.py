@@ -36,9 +36,15 @@ def _item(vec):
     return Tensor(np.asarray(vec, dtype=float).reshape(1, 1, -1))
 
 
+def _real(members):
+    """The all-True `valid` mask of member tables (..., w, d): every member real."""
+    return np.ones(members.data.shape[:-1], dtype=bool)
+
+
 def test_member_attention_singleton_returns_embedding():
     u = _one([[0.3, -0.7, 1.1]])
-    h, w = member_attention(u, _item([1.0, 0.0, 0.0]), Tensor(2.0), Tensor(0.5))
+    h, w = member_attention(u, _item([1.0, 0.0, 0.0]), Tensor(2.0), Tensor(0.5),
+                            _real(u))
     assert np.array_equal(h.data, u.data)
     assert np.array_equal(w.data, [[[1.0]]])
 
@@ -46,7 +52,7 @@ def test_member_attention_singleton_returns_embedding():
 def test_member_attention_equal_scores_average():
     u = _one([[1.0, 0.0], [0.0, 1.0]])
     item = _item([1.0, 1.0])  # equal dot products
-    h, w = member_attention(u, item, Tensor(1.0), Tensor(0.0))
+    h, w = member_attention(u, item, Tensor(1.0), Tensor(0.0), _real(u))
     assert np.allclose(w.data, [[[0.5, 0.5]]], atol=1e-15)
     assert np.allclose(h.data, [[[0.5, 0.5]]], atol=1e-15)
 
@@ -55,7 +61,7 @@ def test_member_attention_hand_derived():
     # e(u1)=(1,0), e(u2)=(0,1), e(v)=(1,0), w=1, b=0:
     # scores=(relu(1), relu(0))=(1,0) -> weights=(e, 1)/(e+1)
     u = _one([[1.0, 0.0], [0.0, 1.0]])
-    h, w = member_attention(u, _item([1.0, 0.0]), Tensor(1.0), Tensor(0.0))
+    h, w = member_attention(u, _item([1.0, 0.0]), Tensor(1.0), Tensor(0.0), _real(u))
     w1 = E / (E + 1.0)
     assert np.abs(w.data - [[[w1, 1 - w1]]]).max() < 1e-12
     assert np.abs(h.data - [[[w1, 1 - w1]]]).max() < 1e-12
@@ -64,10 +70,10 @@ def test_member_attention_hand_derived():
 def test_member_attention_empty_rejected():
     with pytest.raises(UsageError):
         member_attention(Tensor(np.zeros((1, 0, 3))), Tensor(np.zeros((1, 1, 3))),
-                         Tensor(1.0), Tensor(0.0))
+                         Tensor(1.0), Tensor(0.0), np.ones((1, 0), dtype=bool))
     with pytest.raises(UsageError):
         member_attention(Tensor(np.zeros((0, 2, 3))), Tensor(np.zeros((0, 1, 3))),
-                         Tensor(1.0), Tensor(0.0))
+                         Tensor(1.0), Tensor(0.0), np.ones((0, 2), dtype=bool))
     # a table whose members are all padding
     with pytest.raises(UsageError):
         member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 1, 3))),
@@ -76,10 +82,10 @@ def test_member_attention_empty_rejected():
     # item grids must match the tables' width and leading axes
     with pytest.raises(UsageError):
         member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3))),
-                         Tensor(1.0), Tensor(0.0))
+                         Tensor(1.0), Tensor(0.0), np.ones((2, 2), dtype=bool))
     with pytest.raises(UsageError):
         member_attention(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 1, 3))),
-                         Tensor(1.0), Tensor(0.0))
+                         Tensor(1.0), Tensor(0.0), np.ones((2, 2), dtype=bool))
 
 
 def test_member_attention_convexity():
@@ -89,7 +95,7 @@ def test_member_attention_convexity():
         m, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
         u = rng.normal(size=(m, d))
         h, w = member_attention(_one(u), _item(rng.normal(size=d)),
-                                Tensor(rng.normal()), Tensor(rng.normal()))
+                                Tensor(rng.normal()), Tensor(rng.normal()), _real(_one(u)))
         assert w.data.min() >= 0 and abs(w.data.sum() - 1) < 1e-9
         a_eq = np.vstack([u.T, np.ones(m)])
         b_eq = np.concatenate([h.data[0, 0], [1.0]])
@@ -119,7 +125,7 @@ def test_member_attention_padding_matches_unpadded_rows():
                           np.zeros(c * (~valid).sum()))
     for r, x in enumerate(rows):
         for j in range(c):
-            h1, w1 = member_attention(_one(x), _item(items[r, j]), w, b)
+            h1, w1 = member_attention(_one(x), _item(items[r, j]), w, b, _real(_one(x)))
             assert np.abs(h.data[r, j] - h1.data[0, 0]).max() < 1e-15
             assert np.abs(attn.data[r, j, :len(x)] - w1.data[0, 0]).max() < 1e-15
     ad.backward(ad.tensor_sum(h))
@@ -133,11 +139,13 @@ def test_member_attention_items_broadcast_over_tables():
     tables = rng.normal(size=(2, 3, 4, 5))
     items = rng.normal(size=(2, 1, 6, 5))
     w, b = Tensor(0.7), Tensor(0.2)
-    h, attn = member_attention(Tensor(tables), Tensor(items), w, b)
+    h, attn = member_attention(Tensor(tables), Tensor(items), w, b,
+                               np.ones(tables.shape[:-1], dtype=bool))
     assert h.data.shape == (2, 3, 6, 5) and attn.data.shape == (2, 3, 6, 4)
     for g in range(2):
         for r in range(3):
-            h1, w1 = member_attention(Tensor(tables[g, r][None]), Tensor(items[g]), w, b)
+            h1, w1 = member_attention(Tensor(tables[g, r][None]), Tensor(items[g]), w, b,
+                                      np.ones((1, 4), dtype=bool))
             assert np.abs(h.data[g, r] - h1.data[0]).max() < 1e-14
             assert np.abs(attn.data[g, r] - w1.data[0]).max() < 1e-14
 
@@ -162,13 +170,18 @@ def _slots(*vecs):
     return [Tensor(np.asarray(v, dtype=float)[None]) for v in vecs]
 
 
+def _present(k):
+    """The `present` mask of one instance that has all of its k slots."""
+    return np.ones((1, k), dtype=bool)
+
+
 def test_subset_attention_single_slot_is_identity():
     rng = np.random.default_rng(1)
     params = _slot_params(3, 4, self_w=rng.normal(size=(3, 3)),
                           other_w=rng.normal(size=(9, 3)),
                           score_w=rng.normal(size=3))
     h0 = rng.normal(size=3)
-    h, w = subset_attention(_slots(h0), params, 4)
+    h, w = subset_attention(_slots(h0), params, 4, _present(1))
     assert np.array_equal(h.data, [h0])
     assert np.array_equal(w.data, [[1.0]])
 
@@ -178,7 +191,7 @@ def test_subset_attention_zero_score_weight_means_uniform():
     vecs = [rng.normal(size=3) for _ in range(3)]
     params = _slot_params(3, 3, self_w=rng.normal(size=(3, 3)),
                           other_w=rng.normal(size=(6, 3)))
-    h, w = subset_attention(_slots(*vecs), params, 3)
+    h, w = subset_attention(_slots(*vecs), params, 3, _present(3))
     assert np.allclose(w.data, 1 / 3, atol=1e-15)
     assert np.abs(h.data[0] - np.mean(vecs, axis=0)).max() < 1e-12
 
@@ -187,7 +200,7 @@ def test_subset_attention_hand_derived():
     # identity self weights, zero cross weights, score_w=(1,0):
     # a=(2,0) -> weights=(e^2, 1)/(e^2+1) -> h=(1.7616, 0.2384)
     params = _slot_params(2, 2, score_w=np.array([1.0, 0.0]))
-    h, w = subset_attention(_slots([2.0, 0.0], [0.0, 2.0]), params, 2)
+    h, w = subset_attention(_slots([2.0, 0.0], [0.0, 2.0]), params, 2, _present(2))
     w1 = E ** 2 / (E ** 2 + 1.0)
     assert np.abs(w.data - [[w1, 1 - w1]]).max() < 1e-12
     assert np.abs(h.data - [[2 * w1, 2 * (1 - w1)]]).max() < 1e-12
@@ -205,8 +218,8 @@ def test_subset_attention_missing_slot_matches_fewer_slots():
     slots = [Tensor(np.stack([a1, b1])), Tensor(np.stack([a2, np.zeros(3)]))]
     present = np.array([[True, True], [True, False]])
     h, w = subset_attention(slots, params, 3, present=present)
-    ha, wa = subset_attention(_slots(a1, a2), params, 3)
-    hb, wb = subset_attention(_slots(b1), params, 3)
+    ha, wa = subset_attention(_slots(a1, a2), params, 3, _present(2))
+    hb, wb = subset_attention(_slots(b1), params, 3, _present(1))
     assert np.abs(h.data - np.vstack([ha.data, hb.data])).max() < 1e-15
     assert np.abs(w.data[0] - wa.data[0]).max() < 1e-15
     assert np.array_equal(w.data[1], [1.0, 0.0])
@@ -215,9 +228,9 @@ def test_subset_attention_missing_slot_matches_fewer_slots():
 def test_subset_attention_errors():
     params = _slot_params(2, 2)
     with pytest.raises(UsageError):
-        subset_attention([], params, 2)
+        subset_attention([], params, 2, _present(0))
     with pytest.raises(UsageError):
-        subset_attention(_slots([1.0, 0.0]) * 3, params, 2)
+        subset_attention(_slots([1.0, 0.0]) * 3, params, 2, _present(3))
     with pytest.raises(UsageError):
         subset_attention(_slots([1.0, 0.0]), params, 2, present=np.array([[False]]))
 
@@ -820,7 +833,7 @@ def test_forward_padded_grid_cells_get_zero_gradient(ragged, monkeypatch):
     calls = []
     real = member_attention
 
-    def spy(member_vecs, item_vecs, weight, bias, valid=None):
+    def spy(member_vecs, item_vecs, weight, bias, valid):
         calls.append((member_vecs, item_vecs, valid))
         return real(member_vecs, item_vecs, weight, bias, valid)
 

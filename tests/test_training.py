@@ -110,8 +110,7 @@ def test_adam_zero_gradient_is_noop():
     state = init_adam(p)
     adam_step(p, {"x": np.zeros(2)}, state, lr=0.1)
     assert np.array_equal(p["x"].data, [1.0, 2.0])
-    assert np.array_equal(state.m["x"], np.zeros(2))
-    assert np.array_equal(state.v["x"], np.zeros(2))
+    assert np.array_equal(state.moments, np.zeros((2, 2)))
 
 
 def test_adam_quadratic_convergence_matches_recurrence():
@@ -135,6 +134,16 @@ def test_adam_shape_mismatch_rejected():
     p = {"x": Tensor(np.zeros(3), requires_grad=True)}
     with pytest.raises(UsageError):
         adam_step(p, {"x": np.zeros(2)}, init_adam(p), lr=0.1)
+
+
+def test_adam_missing_gradient_names_the_parameter():
+    p = {"x": Tensor(np.zeros(3), requires_grad=True),
+         "y": Tensor(np.ones(2), requires_grad=True)}
+    state = init_adam(p)
+    with pytest.raises(UsageError, match="no gradient for parameter 'y'"):
+        adam_step(p, {"x": np.ones(3)}, state, lr=0.1)
+    assert state.step == 0
+    assert np.array_equal(p["x"].data, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +392,12 @@ _CKPT_ASSIGNMENTS = subset_table([[[0], [1]],
                                             [[1, 2]]])
 
 
+_CKPT_CFG = Config(embedding_dim=4, num_subsets=2, gcn_layers=1)
+_CKPT_SHAPES = expected_param_shapes(_CKPT_CFG, 3, 5, 2)
+
+
 def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
-    cfg = Config(embedding_dim=4, num_subsets=2, gcn_layers=1)
+    cfg = _CKPT_CFG
     params = init_params(cfg, 3, 5, 2, np.random.default_rng(0))
     if data_sha256 is None:
         data_sha256 = {name: "0" * 64 for name in DATA_FILES}
@@ -396,7 +409,7 @@ def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
 def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
     manifest = read_manifest(tmp_path)
-    loaded = load_checkpoint(tmp_path, manifest)
+    loaded = load_checkpoint(tmp_path, manifest, _CKPT_SHAPES)
     assert manifest["seed"] == 9
     assert manifest["format_version"] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -436,7 +449,7 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     b_dir = tmp_path / "b"
     cfg, params = _checkpoint_roundtrip_setup(a_dir)
     manifest = read_manifest(a_dir)
-    loaded = load_checkpoint(a_dir, manifest)
+    loaded = load_checkpoint(a_dir, manifest, _CKPT_SHAPES)
     save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"],
                     _CKPT_DATASET, _CKPT_ASSIGNMENTS, manifest["data_sha256"])
     for name in ("manifest.json", "params.bin", "inputs.npz"):
@@ -450,7 +463,7 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
     manifest["tensors"][0]["shape"] = [999, 4]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path, read_manifest(tmp_path))
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -465,7 +478,7 @@ def test_checkpoint_malformed_tensor_entry_is_named(tmp_path, field, value):
     manifest["tensors"][0][field] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="malformed tensor entry"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path))
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
 
 
 def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
@@ -504,7 +517,7 @@ def test_checkpoint_version_guard(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError,
                        match=r"unsupported checkpoint format version 1 \(expected 3\)"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path))
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
     with pytest.raises(CheckpointError, match="version 1"):
         read_manifest(tmp_path)
 
@@ -514,7 +527,7 @@ def test_checkpoint_truncated_params_rejected(tmp_path):
     raw = (tmp_path / "params.bin").read_bytes()
     (tmp_path / "params.bin").write_bytes(raw[:-8])
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path, read_manifest(tmp_path))
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -527,7 +540,7 @@ def test_checkpoint_size_checks_come_before_the_digest(tmp_path, edit, message):
     path = tmp_path / "params.bin"
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(tmp_path, read_manifest(tmp_path))
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
 
 
 def _saved_with_data(tmp_path):
@@ -585,7 +598,7 @@ def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "inputs.npz", "manifest.json", "params.bin"]   # no temporary file left
     with pytest.raises(CheckpointError, match=r"params\.bin does not match its sha256"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path))
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
 
 
 def test_train_writes_log(tmp_path):
