@@ -32,9 +32,8 @@ from .data import (SyntheticParams, dataset_sha256, generate_synthetic,
                    load_dataset, split_leave_one_out, write_dataset)
 from .errors import MgamError, UsageError
 from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
-                         make_mgam_scorer, rank_candidates, train_mf_scorer,
-                         write_metrics_csv, write_metrics_detail_csv,
-                         METRICS_FILE, METRICS_DETAIL_FILE)
+                         make_mgam_scorer, rank_candidates, report_metrics,
+                         train_mf_scorer)
 from .graph import build_co_membership, dump_graph
 from .model import AblationMask, forward_batch
 from .training import (expected_param_shapes, load_checkpoint, load_inputs,
@@ -132,6 +131,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _evaluate_models(cfg: Config, dataset, split, scorer, labels, out: Path,
+                     detail: bool) -> int:
+    """Rank the test entries under each of `labels`' models against one
+    draw of candidates; print and write the metrics and the config."""
+    candidates = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
+    reports = evaluate(scorer, dataset, split, candidates, labels, cfg.ks_list())
+    report_metrics(out, labels, reports, dataset, split, cfg.seed, detail)
+    write_resolved(cfg, out / "config.resolved")
+    return 0
+
+
 def _run_eval(args, masks_from_cfg) -> int:
     cfg, manifest = _checkpoint_config(args)
     masks = masks_from_cfg(cfg)
@@ -139,19 +149,9 @@ def _run_eval(args, masks_from_cfg) -> int:
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
-    labels = [mask.label() for mask in masks]
     scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, masks)
-    reports = list(zip(labels, evaluate(scorer, dataset, split, cfg.eval_negatives,
-                                        cfg.ks_list(), cfg.seed, labels=labels)))
-    for label, report in reports:
-        for k in report.ks:
-            print(f"{label}: HR@{k}={report.hr[k]:.4f} "
-                  f"NDCG@{k}={report.ndcg[k]:.4f} ({report.n_groups} groups)")
-    write_metrics_csv(out / METRICS_FILE, reports, cfg.seed)
-    if getattr(args, "detail", False):
-        write_metrics_detail_csv(out / METRICS_DETAIL_FILE, reports, dataset)
-    write_resolved(cfg, out / "config.resolved")
-    return 0
+    return _evaluate_models(cfg, dataset, split, scorer, [mask.label() for mask in masks],
+                            out, args.detail)
 
 
 def cmd_eval(args) -> int:
@@ -192,8 +192,7 @@ def cmd_sweep_subsets(args) -> int:
         m_cfg = dataclasses.replace(cfg, num_subsets=m)
         params, _ = train(dataset, split, assignments, graph, m_cfg, mask=mask)
         scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph, [mask])
-        [report] = evaluate(scorer, dataset, split, cfg.eval_negatives, ks, cfg.seed,
-                            candidates=drawn)
+        [report] = evaluate(scorer, dataset, split, drawn, [mask.label()], ks)
         rows.append((m, report))
         print(f"M={m}: " + " ".join(
             f"HR@{k}={report.hr[k]:.4f} NDCG@{k}={report.ndcg[k]:.4f}" for k in ks))
@@ -226,7 +225,7 @@ def cmd_recommend(args) -> int:
     candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g])
     if not len(candidates):
         raise UsageError(f"group {args.group_id!r} has interacted with every item")
-    items, scores = rank_candidates(scorer, g, candidates, args.group_id)
+    items, scores = rank_candidates(scorer, g, candidates, mask.label(), args.group_id)
     top = list(zip(items[:args.k].tolist(), scores[:args.k].tolist()))
 
     if args.explain:
@@ -307,19 +306,9 @@ def cmd_baseline(args) -> int:
         lr=cfg.learning_rate, negatives=max(1, cfg.train_negatives),
         seed=cfg.seed)
     strategies = ("avg", "lm", "ms")
-    labels = [f"mf-{strategy}" for strategy in strategies]
     scorer = make_baseline_scorer(user_vecs, item_vecs, dataset, strategies)
-    reports = list(zip(labels, evaluate(scorer, dataset, split, cfg.eval_negatives,
-                                        cfg.ks_list(), cfg.seed, labels=labels)))
-    for label, report in reports:
-        for k in report.ks:
-            print(f"{label}: HR@{k}={report.hr[k]:.4f} "
-                  f"NDCG@{k}={report.ndcg[k]:.4f}")
-    write_metrics_csv(out / METRICS_FILE, reports, cfg.seed)
-    if args.detail:
-        write_metrics_detail_csv(out / METRICS_DETAIL_FILE, reports, dataset)
-    write_resolved(cfg, out / "config.resolved")
-    return 0
+    return _evaluate_models(cfg, dataset, split, scorer,
+                            [f"mf-{strategy}" for strategy in strategies], out, args.detail)
 
 
 # ---------------------------------------------------------------------------

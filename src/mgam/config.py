@@ -128,8 +128,7 @@ def parse_config(path=None, overrides=()) -> Config:
 
 def write_resolved(cfg: Config, path) -> None:
     """Persist the fully resolved configuration as `key = value` lines."""
-    lines = [f"{k} = {v}" for k, v in cfg.resolved().items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(format_resolved(cfg) + "\n", encoding="utf-8")
 
 
 def format_resolved(cfg: Config) -> str:

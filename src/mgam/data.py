@@ -495,63 +495,76 @@ def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
 
 def sample_negatives(dataset: Dataset, group, n: int, rng: np.random.Generator):
     """Draw n distinct items uniformly from those the group never interacted
-    with: a list for one group.  For a 1-D array of groups, an (len(groups),
-    n) int64 table whose row i, and the stream `rng` is left at, are those
-    of one scalar call per group in order."""
+    with: a list for one group, or `draw_unseen_rows` over the groups' rows
+    of positives for a 1-D array of groups."""
     if np.ndim(group) == 0:
         return draw_unseen(dataset.n_items, dataset.group_pos[group], n, rng,
                            f"group {dataset.group_ids[group]}")
+    return draw_unseen_rows(dataset.n_items, dataset.group_pos, group, n, rng,
+                            lambda g: f"group {dataset.group_ids[g]}")
+
+
+def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
+                     rng: np.random.Generator, name) -> np.ndarray:
+    """An (len(owners), n) int64 table whose row i, and the stream `rng` is
+    left at, are those of one `draw_unseen(n_items, seen[o], n, rng,
+    name(o))` call per owner o of the 1-D `owners`, in order.  `seen`'s
+    rows are sorted and duplicate-free, as a `Dataset`'s are."""
     if n < 0:
         raise UsageError("cannot sample a negative number of items")
-    groups = np.asarray(group, dtype=np.int64)
-    out = np.empty((len(groups), n), dtype=np.int64)
-    eligible = dataset.n_items - dataset.group_pos.lengths()[groups]
+    owners = np.asarray(owners, dtype=np.int64)
+    out = np.empty((len(owners), n), dtype=np.int64)
+    eligible = n_items - seen.lengths()[owners]
     short = np.flatnonzero(eligible < n)
     if len(short):
-        g = int(groups[short[0]])
-        raise _too_few(f"group {dataset.group_ids[g]}", n, int(eligible[short[0]]),
-                       dataset.n_items)
+        raise _too_few(name(int(owners[short[0]])), n, int(eligible[short[0]]), n_items)
     if n == 0:
         return out
     # a row drawing more than half its eligible items takes draw_unseen's
     # rng.choice branch, at its own place in the stream
     start = 0
-    for c in np.flatnonzero(n > eligible // 2).tolist() + [len(groups)]:
+    for c in np.flatnonzero(n > eligible // 2).tolist() + [len(owners)]:
         if start < c:
-            out[start:c] = _rejection_walk(dataset, groups[start:c], n, rng)
-        if c < len(groups):
-            out[c] = sample_negatives(dataset, int(groups[c]), n, rng)
+            out[start:c] = _rejection_walk(n_items, seen, owners[start:c], n, rng)
+        if c < len(owners):
+            o = int(owners[c])
+            out[c] = draw_unseen(n_items, seen[o], n, rng, name(o))
         start = c + 1
     return out
 
 
-def _rejection_walk(dataset: Dataset, groups: np.ndarray, n: int,
+# values one round of `_rejection_walk` draws at most: a rejection ends a
+# round, so a short round keeps the cost of each rejection small
+WALK_ROUND = 64
+
+
+def _rejection_walk(n_items: int, seen: Rows, owners: np.ndarray, n: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """The (len(groups), n) negatives draw_unseen's rejection rounds draw
-    for each of `groups` in turn.
+    """The (len(owners), n) items draw_unseen's rejection rounds draw for
+    each of `owners` in turn, avoiding its row of `seen`.
 
     Those rounds consume each value they draw, in stream order: a value
-    fills its row's next slot unless it is a positive of the row's group
-    or already in the row, and a group ends exactly when its row is full.
+    fills its row's next slot unless it is in the row's `seen` items or
+    already in the row, and an owner ends exactly when its row is full.
     `rng.integers` gives the same values in one call as in several, so
-    each round here draws as many values as slots are still missing,
-    keeps the accepted prefix up to the first rejection, and carries the
-    values after it over to the next round, where they meet other slots.
+    each round here takes the values carried over from the last round and
+    draws more, up to `WALK_ROUND` values and never more than slots are
+    still missing.  It keeps the accepted prefix up to the first
+    rejection and carries the values after it over to the next round.
     """
-    n_items = dataset.n_items
-    uniq, inv = np.unique(groups, return_inverse=True)
-    table, valid = dataset.group_pos.padded(uniq)
-    # the (group, positive) keys, sorted, and one above them all
-    seen = np.append((np.arange(len(uniq))[:, None] * n_items + table)[valid],
+    uniq, inv = np.unique(owners, return_inverse=True)
+    table, valid = seen.padded(uniq)
+    # the (owner, seen item) keys, sorted, and one above them all
+    keys = np.append((np.arange(len(uniq))[:, None] * n_items + table)[valid],
                      len(uniq) * n_items)
-    flat = np.empty(len(groups) * n, dtype=np.int64)
+    flat = np.empty(len(owners) * n, dtype=np.int64)
     filled, pending = 0, np.empty(0, dtype=np.int64)
     while filled < len(flat):
-        vals = np.concatenate((pending, rng.integers(
-            n_items, size=len(flat) - filled - len(pending))))
-        rows = np.arange(filled, len(flat)) // n
+        size = min(WALK_ROUND, len(flat) - filled)
+        vals = np.concatenate((pending, rng.integers(n_items, size=size - len(pending))))
+        rows = np.arange(filled, filled + size) // n
         key = inv[rows] * n_items + vals
-        reject = seen[np.searchsorted(seen, key)] == key
+        reject = keys[np.searchsorted(keys, key)] == key
         # a value the row took before: in this round, or in the row's
         # slots filled in earlier rounds
         done = flat[rows[0] * n:filled]
@@ -560,7 +573,7 @@ def _rejection_walk(dataset: Dataset, groups: np.ndarray, n: int,
         again = np.zeros(len(taken), dtype=bool)
         again[order[1:]] = taken[order[1:]] == taken[order[:-1]]
         reject |= again[len(done):]
-        p = int(np.argmax(reject)) if reject.any() else len(vals)
+        p = int(np.argmax(reject)) if reject.any() else size
         flat[filled:filled + p] = vals[:p]
         filled += p
         pending = vals[p + 1:]

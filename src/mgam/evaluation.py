@@ -2,13 +2,13 @@
 
 For every test (group, held-out positive) the positive is ranked against
 `eval_negatives` sampled negatives (excluding all of the group's
-positives); HR@K and NDCG@K are averaged over groups.  Row i of the
-candidate table is test entry i's held-out item, in column 0, then its
-negatives (`data.label_blocks`, the layout of training batches).
-Negative streams are keyed by group index so evaluation order cannot
-change the result.  One pass serves many models: `eval`, `ablate` and
-`baseline` draw the table once per command and score every model
-(ablation mask, aggregation strategy) in one `evaluate` call.
+positives); HR@K and NDCG@K are averaged over groups.  Every command
+draws the candidate table once, with `draw_candidates`: row i is test
+entry i's held-out item, in column 0, then its negatives
+(`data.label_blocks`, the layout of training batches).  Negative streams
+are keyed by group index so evaluation order cannot change the result.
+One `evaluate` call scores every model a command names (ablation mask,
+aggregation strategy, subset count) against that table.
 
 A scorer is pairwise: `score_fn(groups, items)` takes two equal-length
 int arrays and returns (models, n) scores, one row per model per
@@ -19,24 +19,26 @@ of several groups and under every mask: the branches run once per chunk
 and only fusion and prediction once per mask.  Every row gets its own
 one-node batch graph, so its score depends only on its own (group, item)
 pair, never on the rows it shares a forward with.  The chunk size bounds
-the memory of a forward whatever the number of test groups.  A held-out
-item's position is 1 + the number of candidates in its row that score
-higher than column 0, or score the same and have a smaller item index.
-`rank_candidates`, which `recommend` calls on one group's unseen items,
-sorts by the same rule.
+the memory of a forward whatever the number of test groups.
+
+One rule, `_ranking`, orders candidates: by descending score, ties by
+ascending item.  `evaluate` reads each held-out item's 1-based position
+from it and `rank_candidates` (`recommend`) sorts by it.  `hit_and_gain`
+is the one definition of HR and NDCG per position, for `metrics.csv`'s
+means and `metrics_detail.csv`'s rows, which `report_metrics` writes.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .config import STREAM_BASELINE, STREAM_EVAL, Config, substream
-from .data import Dataset, Split, draw_unseen, label_blocks, sample_negatives
+from .data import Dataset, Split, draw_unseen_rows, label_blocks, sample_negatives
 from .errors import NonFiniteError, UsageError
 from .model import AblationMask, compute_global_rows, forward_batch
 from .training import adam_step, init_adam, point_loss_from_logits
@@ -54,59 +56,67 @@ MF_BATCH_SIZE = 1024
 
 @dataclass
 class MetricReport:
+    """One model's evaluation: the held-out item's 1-based position per
+    test entry, in `split.test` order, and HR@K and NDCG@K averaged over
+    them."""
     ks: list
     hr: dict               # K -> mean HR@K
     ndcg: dict             # K -> mean NDCG@K
-    n_groups: int
-    per_group: list = field(default_factory=list)  # (group, position) pairs
+    positions: np.ndarray  # (tests,) int64
 
 
-def _score(score_fn, groups: np.ndarray, items: np.ndarray, group_name,
-           labels=(None,)) -> np.ndarray:
+def _score(score_fn, groups: np.ndarray, items: np.ndarray, labels,
+           group_name) -> np.ndarray:
     """(models, n) scores of the (group, item) rows, one row per entry of
-    `labels`; a scorer of one model may return (n,) scores.  A non-finite
-    score has no rank, so it is refused, naming its model (`labels[m]`,
-    unless None) and the group (`group_name(g)`) it was scored for."""
-    scores = np.atleast_2d(np.asarray(score_fn(groups, items), dtype=np.float64))
+    `labels`.  A non-finite score has no rank, so it is refused, naming
+    its model (`labels[m]`) and the group (`group_name(g)`) it was scored
+    for."""
+    scores = np.asarray(score_fn(groups, items), dtype=np.float64)
     if scores.shape != (len(labels), len(items)):
         raise UsageError(f"scorer returned {scores.shape} scores for {len(labels)} "
                          f"model(s) of {len(items)} rows")
     bad = np.argwhere(~np.isfinite(scores))
     if len(bad):
         m, i = bad[0]
-        model = "" if labels[m] is None else f"model {labels[m]}: "
-        raise NonFiniteError(f"{model}non-finite score {float(scores[m, i])!r} for "
-                             f"group {group_name(int(groups[i]))}")
+        raise NonFiniteError(f"model {labels[m]}: non-finite score {float(scores[m, i])!r} "
+                             f"for group {group_name(int(groups[i]))}")
     return scores
 
 
-def rank_candidates(score_fn, group: int, candidates, group_id) -> tuple:
-    """Score a group's distinct candidates and sort them: (items, scores)
-    arrays by descending score, ties by ascending item, `evaluate`'s order.
+def _ranking(items: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The order of each last-axis list of candidates: by descending
+    score, ties by ascending item."""
+    return np.lexsort((items, -scores), axis=-1)
 
-    `group_id` names the group in a `NonFiniteError`.
+
+def rank_candidates(score_fn, group: int, candidates, label, group_id) -> tuple:
+    """Score a group's distinct candidates under the one model `label` and
+    sort them by `_ranking`: (items, scores) arrays.
+
+    `label` and `group_id` name the model and the group in a
+    `NonFiniteError`.
     """
     items = np.asarray(candidates, dtype=np.int64)
     if not len(items):
         raise UsageError("cannot rank an empty candidate list")
     if len(np.unique(items)) != len(items):
         raise UsageError("candidates must be distinct")
-    [scores] = _score(score_fn, np.full(len(items), group), items, lambda g: group_id)
-    order = np.lexsort((items, -scores))
+    [scores] = _score(score_fn, np.full(len(items), group), items, [label],
+                      lambda g: group_id)
+    order = _ranking(items, scores)
     return items[order], scores[order]
 
 
-def hr_at_k(position: int, k: int) -> float:
-    if position < 1 or k < 1:
+def hit_and_gain(positions, ks) -> tuple:
+    """HR@K and NDCG@K of each 1-based position at each cutoff K: two
+    float arrays of shape (*positions.shape, len(ks)).  With one relevant
+    item, NDCG@K is 1/log2(position + 1) inside the cutoff, else 0."""
+    positions = np.asarray(positions, dtype=np.int64)[..., None]
+    ks = np.asarray(ks, dtype=np.int64)
+    if (positions < 1).any() or (ks < 1).any():
         raise UsageError("position and K are 1-based")
-    return 1.0 if position <= k else 0.0
-
-
-def ndcg_at_k(position: int, k: int) -> float:
-    """Single-relevant-item NDCG: 1/log2(position+1) inside the cutoff."""
-    if position < 1 or k < 1:
-        raise UsageError("position and K are 1-based")
-    return float(1.0 / np.log2(position + 1)) if position <= k else 0.0
+    hit = positions <= ks
+    return hit.astype(np.float64), np.where(hit, 1.0 / np.log2(positions + 1), 0.0)
 
 
 def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
@@ -123,56 +133,67 @@ def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
     return label_blocks(split.test, negatives)[:, :, 1].copy()   # not a view of the blocks
 
 
-def evaluate(score_fn, dataset: Dataset, split: Split, eval_negatives: int,
-             ks, seed: int, candidates=None, labels=None) -> list:
-    """Rank every held-out positive among sampled negatives; average metrics.
+def evaluate(score_fn, dataset: Dataset, split: Split, candidates: np.ndarray,
+             labels, ks) -> list:
+    """Rank every held-out positive among its row of `candidates`, the
+    table `draw_candidates` returns for `split`, and average metrics.
 
-    `score_fn` scores one model, or one model per entry of `labels` (one
-    row of scores each; the labels name a model in errors).  Returns one
-    `MetricReport` per model.  `candidates` is the table `draw_candidates`
-    returns for the same dataset, split, negative count and seed; it is
-    drawn here when omitted.
+    `score_fn` scores one model per entry of `labels` (one row of scores
+    each; the labels name a model in errors).  Returns one `MetricReport`
+    per model.  The means add the test entries in `split.test` order.
     """
     if not split.test:
         raise UsageError("split has no test entries to evaluate")
-    if candidates is None:
-        candidates = draw_candidates(dataset, split, eval_negatives, seed)
     test = np.asarray(split.test, dtype=np.int64)
-    if candidates.shape != (len(test), 1 + eval_negatives):
+    if candidates.ndim != 2 or len(candidates) != len(test) or candidates.shape[1] < 2:
         raise UsageError(f"candidate table of shape {candidates.shape} for "
-                         f"{len(test)} test entries and {eval_negatives} negatives")
+                         f"{len(test)} test entries; each needs a row of at least "
+                         f"one negative")
     wrong = np.flatnonzero(candidates[:, 0] != test[:, 1])
     if len(wrong):
         raise UsageError(f"column 0 of group {dataset.group_ids[test[wrong[0], 0]]}'s "
                          f"candidates is not its held-out item {test[wrong[0], 1]}")
     scores = _score(score_fn, np.repeat(test[:, 0], candidates.shape[1]), candidates.ravel(),
-                    dataset.group_ids.__getitem__, (None,) if labels is None else list(labels))
-    # (models, tests, 1 + k); ahead of column 0: by descending score, then ascending item
-    scores = scores.reshape(len(scores), *candidates.shape)
-    target = scores[:, :, :1]
-    ahead = (scores > target) | ((scores == target) & (candidates < candidates[:, :1]))
+                    labels, dataset.group_ids.__getitem__)
+    scores = scores.reshape(len(labels), *candidates.shape)   # (models, tests, 1 + k)
+    positions = 1 + np.argmax(_ranking(np.broadcast_to(candidates, scores.shape), scores) == 0,
+                              axis=-1)
     ks = [int(k) for k in ks]
-    return [_report(split, (1 + a.sum(axis=1)).tolist(), ks) for a in ahead]
+    # cumsum adds in test order, where a sum may pair terms
+    hr, ndcg = (np.cumsum(m, axis=1)[:, -1] / len(test) for m in hit_and_gain(positions, ks))
+    return [MetricReport(ks, dict(zip(ks, h.tolist())), dict(zip(ks, n.tolist())), p)
+            for h, n, p in zip(hr, ndcg, positions)]
 
 
-def _report(split: Split, positions: list, ks: list) -> MetricReport:
-    """HR@K and NDCG@K averaged over the test entries' positions."""
-    hr_sum = {k: 0.0 for k in ks}
-    ndcg_sum = {k: 0.0 for k in ks}
-    per_group = []
-    for (group, _), position in zip(split.test, positions):
-        per_group.append((group, position))
-        for k in ks:
-            hr_sum[k] += hr_at_k(position, k)
-            ndcg_sum[k] += ndcg_at_k(position, k)
+def report_metrics(out: Path, labels, reports, dataset: Dataset, split: Split,
+                   seed: int, detail: bool) -> None:
+    """Print each model's HR@K and NDCG@K and write them to `metrics.csv`
+    (model, K, HR, NDCG, n_groups, seed); with `detail`, also write each
+    test entry's to `metrics_detail.csv` (model, group, position, K, HR,
+    NDCG)."""
     n = len(split.test)
-    return MetricReport(
-        ks=ks,
-        hr={k: hr_sum[k] / n for k in ks},
-        ndcg={k: ndcg_sum[k] / n for k in ks},
-        n_groups=n,
-        per_group=per_group,
-    )
+    for label, report in zip(labels, reports):
+        for k in report.ks:
+            print(f"{label}: HR@{k}={report.hr[k]:.4f} "
+                  f"NDCG@{k}={report.ndcg[k]:.4f} ({n} groups)")
+    with open(out / METRICS_FILE, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["model", "K", "HR", "NDCG", "n_groups", "seed"])
+        for label, report in zip(labels, reports):
+            w.writerows([label, k, repr(report.hr[k]), repr(report.ndcg[k]), n, seed]
+                        for k in report.ks)
+    if not detail:
+        return
+    group_ids = [dataset.group_ids[g] for g, _ in split.test]
+    with open(out / METRICS_DETAIL_FILE, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["model", "group", "position", "K", "HR", "NDCG"])
+        for label, report in zip(labels, reports):
+            hr, ndcg = (m.tolist() for m in hit_and_gain(report.positions, report.ks))
+            for group, position, hrs, ndcgs in zip(group_ids, report.positions.tolist(),
+                                                    hr, ndcg):
+                w.writerows([label, group, position, k, repr(h), repr(g)]
+                            for k, h, g in zip(report.ks, hrs, ndcgs))
 
 
 def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
@@ -235,9 +256,8 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
         order = erng.permutation(len(positives))
         for start in range(0, len(order), MF_BATCH_SIZE):
             batch = positives[order[start:start + MF_BATCH_SIZE]]
-            drawn = [draw_unseen(dataset.n_items, dataset.user_items[u], negatives,
-                                 erng, f"user {dataset.user_ids[u]}")
-                     for u in batch[:, 0].tolist()]
+            drawn = draw_unseen_rows(dataset.n_items, interactions, batch[:, 0], negatives,
+                                     erng, lambda u: f"user {dataset.user_ids[u]}")
             rows = label_blocks(batch, drawn).reshape(-1, 3)
             u_vecs = ad.take(params["user_emb"], rows[:, 0])
             i_vecs = ad.take(params["item_emb"], rows[:, 1])
@@ -278,30 +298,3 @@ def make_baseline_scorer(user_vecs: np.ndarray, item_vecs: np.ndarray,
         return scores
 
     return score_fn
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-
-def write_metrics_csv(path, labeled_reports, seed: int) -> None:
-    """`metrics.csv` rows: model, K, HR, NDCG, n_groups, seed."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "K", "HR", "NDCG", "n_groups", "seed"])
-        for label, report in labeled_reports:
-            for k in report.ks:
-                w.writerow([label, k, repr(float(report.hr[k])),
-                            repr(float(report.ndcg[k])), report.n_groups, seed])
-
-
-def write_metrics_detail_csv(path, labeled_reports, dataset: Dataset) -> None:
-    """Optional per-group detail: model, group_id, position, HR/NDCG per K."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "group", "position", "K", "HR", "NDCG"])
-        for label, report in labeled_reports:
-            for group, position in report.per_group:
-                for k in report.ks:
-                    w.writerow([label, dataset.group_ids[group], position, k,
-                                repr(float(hr_at_k(position, k))),
-                                repr(float(ndcg_at_k(position, k)))])

@@ -19,8 +19,9 @@ from mgam.clustering import cluster_subsets
 from mgam.config import (STREAM_CLUSTER, STREAM_DATA, Config, substream)
 from mgam.data import (Rows, SyntheticParams, generate_synthetic,
                        split_leave_one_out)
-from mgam.evaluation import (evaluate, hr_at_k, make_mgam_scorer, ndcg_at_k,
+from mgam.evaluation import (draw_candidates, evaluate, hit_and_gain, make_mgam_scorer,
                              rank_candidates)
+from mgam.errors import UsageError
 from mgam.graph import build_co_membership, induce_batch_subgraph
 from mgam.model import AblationMask, forward_batch
 from mgam.training import (total_loss, train,
@@ -65,9 +66,10 @@ def planted_run():
                  batch_size=64, epochs=30, seed=42)  # within the 50-epoch budget
     params, history = train(ds, split, assignments, graph, cfg)
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
-    [report] = evaluate(scorer, ds, split, 100, [5, 10], seed=42)
-    [oracle] = evaluate(lambda g, c: truth.group_utility[g, list(c)],
-                        ds, split, 100, [5], seed=42)
+    drawn = draw_candidates(ds, split, 100, seed=42)
+    [report] = evaluate(scorer, ds, split, drawn, ["mgam"], [5, 10])
+    [oracle] = evaluate(lambda g, c: truth.group_utility[g, c][None],
+                        ds, split, drawn, ["planted"], [5])
     return {"hr5": report.hr[5], "hr10": report.hr[10],
             "oracle_hr5": oracle.hr[5], "seconds": time.perf_counter() - t0,
             "history": history}
@@ -183,19 +185,22 @@ def test_criterion_4_metric_oracle():
     import math
     rng = np.random.default_rng(7)
     exact = True
-    for _ in range(1000):
-        position = int(rng.integers(1, 200))
-        k = int(rng.integers(1, 25))
+    cases = [(int(rng.integers(1, 200)), int(rng.integers(1, 25))) for _ in range(1000)]
+    hr, ndcg = hit_and_gain(*zip(*cases))   # every position at every cutoff
+    for i, (position, k) in enumerate(cases):
         hr_oracle = 1.0 if position <= k else 0.0
         ndcg_oracle = (math.log(2) / math.log(position + 1)) if position <= k else 0.0
-        exact &= hr_at_k(position, k) == hr_oracle
-        exact &= abs(ndcg_at_k(position, k) - ndcg_oracle) < 1e-14
+        exact &= hr[i, i] == hr_oracle
+        exact &= abs(ndcg[i, i] - ndcg_oracle) < 1e-14
+    for position, k in ((0, 5), (3, 0)):   # positions and cutoffs are 1-based
+        with pytest.raises(UsageError, match="1-based"):
+            hit_and_gain([position], [k])
 
     n = 10_000
     hits = 0
     for _ in range(n):
-        items, _ = rank_candidates(lambda g, c, r=rng: r.random(len(c)),
-                                   0, list(range(101)), 0)
+        items, _ = rank_candidates(lambda g, c, r=rng: r.random((1, len(c))),
+                                   0, list(range(101)), "random", 0)
         hits += 1 + np.flatnonzero(items == 0)[0] <= 5
     p = 5 / 101
     sigma = float(np.sqrt(p * (1 - p) / n))
@@ -237,8 +242,9 @@ def test_criterion_6_ablation_harness(cli_workspace):
         params, _ = train(ds, split, assignments, graph, cfg)
         masks = [AblationMask(), AblationMask(use_subpe=False)]
         scorer = make_mgam_scorer(params, cfg, ds, assignments, graph, masks)
-        full_report, wo_report = evaluate(scorer, ds, split, 100, [5], seed=seed,
-                                          labels=[m.label() for m in masks])
+        full_report, wo_report = evaluate(scorer, ds, split,
+                                          draw_candidates(ds, split, 100, seed=seed),
+                                          [m.label() for m in masks], [5])
         full_vals.append(full_report.hr[5])
         wo_subpe_vals.append(wo_report.hr[5])
     full = float(np.mean(full_vals))

@@ -593,6 +593,40 @@ def test_baseline_writes_three_models(workspace, tmp_path):
     assert models == {"mf-avg", "mf-lm", "mf-ms"}
 
 
+def test_eval_ablate_and_baseline_report_metrics_alike(workspace, tmp_path, capsys):
+    """The three commands share one report writer: the same headers, each
+    `metrics.csv` row the mean of its `metrics_detail.csv` rows, added in
+    test order, and stdout lines that carry the group count."""
+    common = ["--detail", "--set", "ks=1,5,10"]
+    runs = {"eval": ["eval", "--data", workspace["data"], "--ckpt", workspace["ckpt"]],
+            "ablate": ["ablate", "--data", workspace["data"], "--ckpt", workspace["ckpt"]],
+            "baseline": ["baseline", "--data", workspace["data"], "--set", "epochs=2",
+                         "--set", "eval_negatives=30"]}
+    headers = set()
+    for name, args in runs.items():
+        out = tmp_path / name
+        capsys.readouterr()
+        assert main([*args, "--out", str(out), *common]) == 0
+        printed = [l for l in capsys.readouterr().out.splitlines() if "HR@" in l]
+        summary = (out / "metrics.csv").read_text().splitlines()
+        detail = (out / "metrics_detail.csv").read_text().splitlines()
+        headers.add((summary[0], detail[0]))
+        detail_rows = [r.split(",") for r in detail[1:]]
+        assert len(printed) == len(summary) - 1
+        for line, row in zip(printed, summary[1:]):
+            model, k, hr, ndcg, n_groups, _ = row.split(",")
+            assert line == (f"{model}: HR@{k}={float(hr):.4f} NDCG@{k}={float(ndcg):.4f} "
+                            f"({n_groups} groups)"), name
+            mine = [r for r in detail_rows if r[0] == model and r[3] == k]
+            assert len(mine) == int(n_groups) > 0
+            hr_sum = ndcg_sum = 0.0
+            for r in mine:
+                hr_sum += float(r[4])
+                ndcg_sum += float(r[5])
+            assert (float(hr), float(ndcg)) == (hr_sum / len(mine), ndcg_sum / len(mine))
+    assert headers == {("model,K,HR,NDCG,n_groups,seed", "model,group,position,K,HR,NDCG")}
+
+
 def test_sweep_subsets_one_row_per_m(workspace, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep-subsets", "--data", workspace["data"], "--out", str(out),

@@ -687,6 +687,30 @@ def test_draw_unseen_choice_branch_is_rng_choice_over_the_eligible_items():
             assert got.bit_generator.state == want.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_draw_unseen_rows_over_user_items_replays_one_draw_per_positive(n):
+    """The MF baseline's batch draw: rows of users who have seen up to 40%
+    of the items, batches of over 1,000 slots, so rejections are frequent
+    and the walk's rounds cross their `WALK_ROUND` cap many times.  Each
+    row, and the stream's end state, are those of one `draw_unseen` call
+    per positive's user, in order."""
+    rng = np.random.default_rng(17)
+    n_users, n_items = 150, 50
+    seen = Rows.from_lists([np.sort(rng.choice(n_items, size=int(rng.integers(0, 21)),
+                                               replace=False)).tolist()
+                            for _ in range(n_users)])
+    assert seen.lengths().max() == 0.4 * n_items
+    for seed in range(6):
+        users = np.random.default_rng(seed).integers(n_users, size=1000 + 97 * seed)
+        assert len(users) * n > 15 * data.WALK_ROUND
+        got = np.random.default_rng([seed, n])
+        table = data.draw_unseen_rows(n_items, seen, users, n, got, lambda u: f"user {u}")
+        want = np.random.default_rng([seed, n])
+        rows = [draw_unseen(n_items, seen[u], n, want, f"user {u}") for u in users.tolist()]
+        assert table.dtype == np.int64 and table.tolist() == rows
+        assert got.bit_generator.state == want.bit_generator.state
+
+
 def test_sample_negatives_batch_names_a_group_without_enough_items():
     with pytest.raises(SamplingError, match=r"^group g3: requested 2 negatives but "
                                             r"only 1 of 12 items are eligible$"):

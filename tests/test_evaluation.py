@@ -5,13 +5,13 @@ import pytest
 
 from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_EVAL, Config, substream
-from mgam.data import (Dataset, Rows, SyntheticParams, generate_synthetic,
+from mgam.data import (Dataset, Rows, Split, SyntheticParams, generate_synthetic,
                        sample_negatives, split_leave_one_out)
 from mgam.errors import NonFiniteError, SamplingError, UsageError
 from mgam.evaluation import (SCORE_CHUNK_ROWS, MetricReport, draw_candidates,
-                             evaluate, hr_at_k, make_baseline_scorer,
-                             make_mgam_scorer, ndcg_at_k, rank_candidates,
-                             train_mf_scorer, write_metrics_csv)
+                             evaluate, hit_and_gain, make_baseline_scorer,
+                             make_mgam_scorer, rank_candidates, report_metrics,
+                             train_mf_scorer)
 from mgam.graph import build_co_membership
 from mgam.model import AblationMask, init_params
 
@@ -21,69 +21,72 @@ from mgam.model import AblationMask, init_params
 
 def test_rank_candidates_ordering():
     scores = {7: 0.9, 3: 0.1, 5: 0.5}
-    items, ranked_scores = rank_candidates(lambda g, c: [scores[i] for i in c],
-                                           0, [7, 3, 5], "g")
+    items, ranked_scores = rank_candidates(lambda g, c: [[scores[i] for i in c]],
+                                           0, [7, 3, 5], "m", "g")
     assert items.tolist() == [7, 5, 3]
     assert ranked_scores.tolist() == [0.9, 0.5, 0.1]
 
 
 def test_rank_candidates_tie_breaks_by_item():
-    items, _ = rank_candidates(lambda g, c: [0.5, 0.5], 0, [4, 2], "g")
+    items, _ = rank_candidates(lambda g, c: [[0.5, 0.5]], 0, [4, 2], "m", "g")
     assert items.tolist() == [2, 4]
 
 
 def test_rank_candidates_singleton():
-    items, _ = rank_candidates(lambda g, c: [0.3], 0, [9], "g")
+    items, _ = rank_candidates(lambda g, c: [[0.3]], 0, [9], "m", "g")
     assert 1 + np.flatnonzero(items == 9)[0] == 1
 
 
 def test_rank_candidates_errors():
     with pytest.raises(UsageError):
-        rank_candidates(lambda g, c: [], 0, [], "g")
+        rank_candidates(lambda g, c: [[]], 0, [], "m", "g")
     with pytest.raises(UsageError):
-        rank_candidates(lambda g, c: [1, 2], 0, [3, 3], "g")
+        rank_candidates(lambda g, c: [[1, 2]], 0, [3, 3], "m", "g")
+    with pytest.raises(UsageError, match=r"\(3,\) scores for 1 model"):
+        rank_candidates(lambda g, c: [1, 2, 3], 0, [3, 4, 5], "m", "g")
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 def test_hr_ndcg_values():
-    assert hr_at_k(3, 5) == 1.0
-    assert ndcg_at_k(3, 5) == pytest.approx(0.5, abs=1e-12)  # 1/log2(4)
-    assert hr_at_k(7, 5) == 0.0
-    assert ndcg_at_k(7, 5) == 0.0
-    assert hr_at_k(1, 1) == 1.0
-    assert ndcg_at_k(1, 17) == 1.0
+    hr, ndcg = hit_and_gain([3, 7, 1], [1, 5, 17])
+    assert hr.tolist() == [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    assert ndcg[0, 1] == pytest.approx(0.5, abs=1e-12)  # 1/log2(4)
+    assert ndcg[1, 1] == 0.0 and ndcg[0, 0] == 0.0
+    assert ndcg[2].tolist() == [1.0, 1.0, 1.0]
+    hr, ndcg = hit_and_gain(np.array([[2, 4], [6, 8]]), [3])
+    assert hr.shape == ndcg.shape == (2, 2, 1)
 
 
 def test_hr_ndcg_validation():
-    with pytest.raises(UsageError):
-        hr_at_k(0, 5)
-    with pytest.raises(UsageError):
-        ndcg_at_k(3, 0)
+    with pytest.raises(UsageError, match="1-based"):
+        hit_and_gain([3, 0], [5])
+    with pytest.raises(UsageError, match="1-based"):
+        hit_and_gain([3], [5, 0])
 
 
 def test_metrics_match_brute_force_oracle():
     """Exact agreement with an independent formulation on random cases."""
     import math
     rng = np.random.default_rng(0)
-    for _ in range(1000):
-        position = int(rng.integers(1, 200))
-        k = int(rng.integers(1, 25))
-        hr_oracle = 1.0 if position <= k else 0.0
-        ndcg_oracle = (math.log(2) / math.log(position + 1)) if position <= k else 0.0
-        assert hr_at_k(position, k) == hr_oracle
-        assert ndcg_at_k(position, k) == pytest.approx(ndcg_oracle, abs=1e-14)
+    positions = rng.integers(1, 200, size=1000)
+    ks = rng.integers(1, 25, size=40)
+    hr, ndcg = hit_and_gain(positions, ks)
+    assert hr.shape == ndcg.shape == (1000, 40)
+    for i, position in enumerate(positions.tolist()):
+        for j, k in enumerate(ks.tolist()):
+            hr_oracle = 1.0 if position <= k else 0.0
+            ndcg_oracle = (math.log(2) / math.log(position + 1)) if position <= k else 0.0
+            assert hr[i, j] == hr_oracle
+            assert ndcg[i, j] == pytest.approx(ndcg_oracle, abs=1e-14)
 
 
 def test_metrics_monotone_in_k():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        position = int(rng.integers(1, 30))
-        hrs = [hr_at_k(position, k) for k in range(1, 31)]
-        ndcgs = [ndcg_at_k(position, k) for k in range(1, 31)]
-        assert hrs == sorted(hrs)
-        assert ndcgs == sorted(ndcgs)
+    hr, ndcg = hit_and_gain(rng.integers(1, 30, size=100), range(1, 31))
+    assert (np.diff(hr, axis=1) >= 0).all()
+    assert (np.diff(ndcg, axis=1) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +105,11 @@ def test_evaluate_perfect_scorer_maxes_metrics():
     held = dict(split.test)
 
     def scorer(groups, items):
-        return np.array([1.0 if v == held[g] else 0.0
-                         for g, v in zip(groups.tolist(), items.tolist())])
+        return np.array([[1.0 if v == held[g] else 0.0
+                          for g, v in zip(groups.tolist(), items.tolist())]])
 
-    [report] = evaluate(scorer, ds, split, 30, [5, 10], seed=3)
+    [report] = evaluate(scorer, ds, split, draw_candidates(ds, split, 30, seed=3), ["m"],
+                        [5, 10])
     assert report.hr[5] == 1.0
     assert report.ndcg[5] == 1.0
     assert report.hr[10] == 1.0
@@ -116,11 +120,11 @@ def test_evaluate_matches_independent_sort_oracle():
 
     def scorer(groups, items):
         # deterministic pseudo-model score
-        return np.array([np.sin(0.13 * g + 0.71 * v)
-                         for g, v in zip(groups.tolist(), items.tolist())])
+        return np.array([[np.sin(0.13 * g + 0.71 * v)
+                          for g, v in zip(groups.tolist(), items.tolist())]])
 
     ks = [3, 5, 10]
-    [report] = evaluate(scorer, ds, split, 25, ks, seed=11)
+    [report] = evaluate(scorer, ds, split, draw_candidates(ds, split, 25, seed=11), ["m"], ks)
 
     # independent recomputation: same negative streams, own ranking logic
     import math
@@ -130,7 +134,7 @@ def test_evaluate_matches_independent_sort_oracle():
         rng = np.random.default_rng(substream(11, STREAM_EVAL, group))
         negs = sample_negatives(ds, group, 25, rng=rng)
         cands = [positive] + negs
-        scored = sorted(((float(scorer(np.array([group]), np.array([c]))[0]), c)
+        scored = sorted(((float(scorer(np.array([group]), np.array([c]))[0, 0]), c)
                          for c in cands),
                         key=lambda t: (-t[0], t[1]))
         position = [c for _, c in scored].index(positive) + 1
@@ -147,23 +151,32 @@ def test_evaluate_deterministic():
     ds, truth, split = _planted(seed=4)
 
     def scorer(groups, items):
-        return ((groups * 31 + items * 17) % 97) / 97
+        return ((groups * 31 + items * 17) % 97)[None] / 97
 
-    [a] = evaluate(scorer, ds, split, 20, [5], seed=13)
-    [b] = evaluate(scorer, ds, split, 20, [5], seed=13)
-    assert a.hr == b.hr and a.ndcg == b.ndcg and a.per_group == b.per_group
+    [a] = evaluate(scorer, ds, split, draw_candidates(ds, split, 20, seed=13), ["m"], [5])
+    [b] = evaluate(scorer, ds, split, draw_candidates(ds, split, 20, seed=13), ["m"], [5])
+    assert a.hr == b.hr and a.ndcg == b.ndcg and np.array_equal(a.positions, b.positions)
 
 
 def test_evaluate_requires_test_entries():
     ds, truth, split = _planted()
     split.test = []
-    with pytest.raises(UsageError):
-        evaluate(lambda g, c: np.zeros(len(c)), ds, split, 10, [5], seed=0)
+    with pytest.raises(UsageError, match="no test entries"):
+        evaluate(lambda g, c: np.zeros((1, len(c))), ds, split,
+                 draw_candidates(ds, split, 10, seed=0), ["m"], [5])
+
+
+def _ahead_count_positions(scores, candidates):
+    """Oracle: 1 + the candidates of a row that score higher than column
+    0, or score the same and have a smaller item index."""
+    target, first = scores[:, :1], candidates[:, :1]
+    return 1 + ((scores > target) | ((scores == target) & (candidates < first))).sum(axis=1)
 
 
 def test_evaluate_positions_match_rank_candidates_with_ties():
-    """The array position formula gives `rank_candidates`' lexsort order,
-    with many exact ties and the negatives in any column order."""
+    """`evaluate`'s positions and `rank_candidates`' order both follow the
+    ahead-count rule, with many exact ties and the negatives in any column
+    order."""
     ds, truth, split = _planted(seed=3)
     rng = np.random.default_rng(21)
     drawn = draw_candidates(ds, split, 40, seed=5)
@@ -172,16 +185,18 @@ def test_evaluate_positions_match_rank_candidates_with_ties():
         table = rng.integers(0, levels, size=(ds.n_groups, ds.n_items)) / levels
 
         def scorer(groups, items):
-            return table[groups, items]
+            return table[groups, items][None]
 
         candidates = drawn.copy()
         candidates[:, 1:] = rng.permuted(drawn[:, 1:], axis=1)
-        [report] = evaluate(scorer, ds, split, 40, [1, 5], seed=5, candidates=candidates)
-        for (group, positive), ranking, (g, position) in zip(
-                split.test, candidates, report.per_group, strict=True):
-            assert g == group and type(position) is int
-            items, _ = rank_candidates(scorer, group, ranking, group)
-            assert position == 1 + np.flatnonzero(items == positive)[0]
+        [report] = evaluate(scorer, ds, split, candidates, ["m"], [1, 5])
+        groups = np.array([g for g, _ in split.test])
+        oracle = _ahead_count_positions(table[groups[:, None], candidates], candidates)
+        assert report.positions.dtype == np.int64
+        assert report.positions.tolist() == oracle.tolist()
+        for group, ranking, position in zip(groups.tolist(), candidates, oracle.tolist()):
+            items, _ = rank_candidates(scorer, group, ranking, "m", group)
+            assert 1 + np.flatnonzero(items == ranking[0])[0] == position
 
 
 def test_evaluate_refuses_bad_candidate_lists():
@@ -189,17 +204,17 @@ def test_evaluate_refuses_bad_candidate_lists():
     drawn = draw_candidates(ds, split, 10, seed=0)
 
     def zeros(groups, items):
-        return np.zeros(len(items))
+        return np.zeros((1, len(items)))
 
     swapped = drawn.copy()
     swapped[1, [0, 1]] = swapped[1, [1, 0]]
     bad = {rf"shape \({len(drawn) - 1}, 11\) for {len(drawn)} test entries": drawn[:-1],
-           rf"shape \({len(drawn)}, 10\) for {len(drawn)} test entries and 10": drawn[:, :-1],
+           rf"shape \({len(drawn)}, 1\) for {len(drawn)} test entries": drawn[:, :1],
            rf"column 0 of group {ds.group_ids[split.test[1][0]]}'s candidates is not "
            rf"its held-out item {split.test[1][1]}$": swapped}
     for match, candidates in bad.items():
         with pytest.raises(UsageError, match=match):
-            evaluate(zeros, ds, split, 10, [5], seed=0, candidates=candidates)
+            evaluate(zeros, ds, split, candidates, ["m"], [5])
 
 
 def _draw_property_cases():
@@ -245,15 +260,15 @@ def test_non_finite_scores_are_refused_naming_the_group(bad):
     def scorer(groups, items):
         scores = np.linspace(0.1, 0.9, len(items))
         scores[np.flatnonzero(groups == victim)[-1]] = bad
-        return scores
+        return scores[None]
 
-    with pytest.raises(NonFiniteError,
-                       match=rf"non-finite score {bad!r} for group {ds.group_ids[victim]}$"):
-        evaluate(scorer, ds, split, 10, [5], seed=0)
-    with pytest.raises(NonFiniteError, match=rf"for group {victim}$"):
-        rank_candidates(scorer, victim, [4, 2, 7], victim)
-    with pytest.raises(NonFiniteError, match=r"for group g-7$"):
-        rank_candidates(scorer, victim, [4, 2, 7], "g-7")
+    with pytest.raises(NonFiniteError, match=rf"^model m: non-finite score {bad!r} "
+                                             rf"for group {ds.group_ids[victim]}$"):
+        evaluate(scorer, ds, split, draw_candidates(ds, split, 10, seed=0), ["m"], [5])
+    with pytest.raises(NonFiniteError, match=rf"^model m: .* for group {victim}$"):
+        rank_candidates(scorer, victim, [4, 2, 7], "m", victim)
+    with pytest.raises(NonFiniteError, match=r"^model mgam-wo-gpe: .* for group g-7$"):
+        rank_candidates(scorer, victim, [4, 2, 7], "mgam-wo-gpe", "g-7")
 
 
 def test_evaluate_many_models_equals_one_model_runs():
@@ -267,16 +282,18 @@ def test_evaluate_many_models_equals_one_model_runs():
     def scorer(groups, items):
         return np.stack([t[groups, items] for t in tables])
 
-    reports = evaluate(scorer, ds, split, 30, [1, 5], seed=9, labels=["a", "b", "c"])
+    drawn = draw_candidates(ds, split, 30, seed=9)
+    reports = evaluate(scorer, ds, split, drawn, ["a", "b", "c"], [1, 5])
     assert len(reports) == 3
     for table, report in zip(tables, reports):
-        [alone] = evaluate(lambda g, v, t=table: t[g, v], ds, split, 30, [1, 5], seed=9)
-        assert (report.hr, report.ndcg, report.per_group) == \
-            (alone.hr, alone.ndcg, alone.per_group)
+        [alone] = evaluate(lambda g, v, t=table: t[g, v][None], ds, split, drawn, ["a"],
+                           [1, 5])
+        assert (report.hr, report.ndcg) == (alone.hr, alone.ndcg)
+        assert np.array_equal(report.positions, alone.positions)
     with pytest.raises(UsageError, match=r"\(3, \d+\) scores for 2 model"):
-        evaluate(scorer, ds, split, 30, [5], seed=9, labels=["a", "b"])
+        evaluate(scorer, ds, split, drawn, ["a", "b"], [5])
     with pytest.raises(UsageError, match=r"\(3, \d+\) scores for 1 model"):
-        evaluate(scorer, ds, split, 30, [5], seed=9)
+        evaluate(scorer, ds, split, drawn, ["a"], [5])
 
 
 def test_non_finite_score_names_the_model_and_the_group():
@@ -298,7 +315,7 @@ def test_non_finite_score_names_the_model_and_the_group():
     with pytest.raises(NonFiniteError,
                        match=rf"^model mgam-wo-subpe-gpe: non-finite score nan "
                              rf"for group {first}$"):
-        evaluate(scorer, ds, split, 10, [5], seed=0, labels=labels)
+        evaluate(scorer, ds, split, draw_candidates(ds, split, 10, seed=0), labels, [5])
     groups, items = np.repeat(np.arange(ds.n_groups), 3), np.arange(3 * ds.n_groups)
     scores = scorer(groups, items)
     assert np.isnan(scores[2]).all()
@@ -324,7 +341,7 @@ def test_nan_gcn_weight_is_refused_naming_a_superset_model():
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph, masks)
     with pytest.raises(NonFiniteError, match=r"^model (mgam|mgam-wo-subpe|mgam-wo-gpe): "
                                              r"non-finite score nan for group "):
-        evaluate(scorer, ds, split, 10, [5], seed=0, labels=labels)
+        evaluate(scorer, ds, split, draw_candidates(ds, split, 10, seed=0), labels, [5])
     groups, items = np.repeat(np.arange(ds.n_groups), 3), np.arange(3 * ds.n_groups)
     scores = scorer(groups, items)
     assert np.isnan(scores[:3]).all() and np.isfinite(scores[3]).all()
@@ -337,7 +354,7 @@ def test_random_scorer_hr_within_3_sigma():
     hits = 0
     for _ in range(n):
         items, _ = rank_candidates(
-            lambda g, c, r=rng: r.random(len(c)), 0, list(range(101)), 0)
+            lambda g, c, r=rng: r.random((1, len(c))), 0, list(range(101)), "random", 0)
         hits += 1 + np.flatnonzero(items == 0)[0] <= 5
     p = 5 / 101
     sigma = np.sqrt(p * (1 - p) / n)
@@ -423,8 +440,7 @@ def test_scoring_memory_is_bounded_by_a_chunk():
     peaks = {}
     for n in (60, 600):
         part = dataclasses.replace(split, test=split.test[:n])
-        peaks[n] = peak(lambda: evaluate(scorer, ds, part, 100, [5], 3,
-                                         candidates=drawn[:n]))
+        peaks[n] = peak(lambda: evaluate(scorer, ds, part, drawn[:n], ["mgam"], [5]))
     extra_rows = 101 * (600 - 60)
     assert peaks[600] < 2 * peaks[60], peaks
     assert peaks[600] - peaks[60] < 64 * extra_rows, peaks
@@ -435,7 +451,7 @@ def test_scoring_memory_is_bounded_by_a_chunk():
     unseen = np.setdiff1d(np.arange(ds.n_items), ds.group_pos[0])[:5000]
     chunk = peak(lambda: scorer(np.zeros(SCORE_CHUNK_ROWS, dtype=np.int64),
                                 unseen[:SCORE_CHUNK_ROWS]))
-    ranked = peak(lambda: rank_candidates(scorer, 0, unseen, 0))
+    ranked = peak(lambda: rank_candidates(scorer, 0, unseen, "mgam", 0))
     assert ranked < 1.25 * chunk, (ranked, chunk)
 
 
@@ -560,18 +576,27 @@ def test_mf_baseline_learns_user_preferences():
     ds, truth, split = _planted(seed=8)
     u, v = train_mf_scorer(ds, d=16, epochs=30, lr=0.01, negatives=2, seed=5)
     scorer = make_baseline_scorer(u, v, ds, ["avg"])
-    [report] = evaluate(scorer, ds, split, 30, [5], seed=3)
+    [report] = evaluate(scorer, ds, split, draw_candidates(ds, split, 30, seed=3),
+                        ["mf-avg"], [5])
     assert report.hr[5] > 5 / 31 + 0.1  # clearly better than random
 
 
-def test_write_metrics_csv(tmp_path):
-    report = MetricReport(ks=[5], hr={5: 0.5}, ndcg={5: 0.25}, n_groups=4,
-                          per_group=[(0, 3), (1, 9)])
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [("mgam", report)], seed=1)
-    lines = path.read_text().strip().splitlines()
+def test_write_metrics_csv(tmp_path, capsys):
+    ds = Dataset(n_users=1, n_items=10, n_groups=2, user_items=Rows.from_lists([[0]]),
+                 groups=Rows.from_lists([[0], [0]]), group_pos=Rows.from_lists([[3], [9]]),
+                 user_ids=["u"], item_ids=[str(v) for v in range(10)],
+                 group_ids=["g0", "g1"])
+    split = Split(train=np.empty((0, 2), dtype=np.int64), test=[(1, 9), (0, 3)])
+    report = MetricReport(ks=[5], hr={5: 0.5}, ndcg={5: 0.25}, positions=np.array([3, 9]))
+    report_metrics(tmp_path, ["mgam"], [report], ds, split, seed=1, detail=False)
+    assert capsys.readouterr().out == "mgam: HR@5=0.5000 NDCG@5=0.2500 (2 groups)\n"
+    lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "model,K,HR,NDCG,n_groups,seed"
-    assert lines[1] == "mgam,5,0.5,0.25,4,1"
+    assert lines[1] == "mgam,5,0.5,0.25,2,1"
+    assert not (tmp_path / "metrics_detail.csv").exists()
+    report_metrics(tmp_path, ["mgam"], [report], ds, split, seed=1, detail=True)
+    assert (tmp_path / "metrics_detail.csv").read_text().splitlines() == [
+        "model,group,position,K,HR,NDCG", "mgam,g1,3,5,1.0,0.5", "mgam,g0,9,5,0.0,0.0"]
 
 
 def test_baseline_sampler_error_names_the_user():
