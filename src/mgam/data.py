@@ -16,6 +16,7 @@ group members are registered with empty interaction histories.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -660,13 +661,34 @@ class PlantedTruth:
     cohort_of: np.ndarray      # (n_users,)
     user_vecs: np.ndarray      # (n_users, latent_dim)
     item_vecs: np.ndarray      # (n_items, latent_dim)
-    group_utility: np.ndarray  # (n_groups, n_items), noiseless mean member utility
+    group_means: np.ndarray    # (n_groups, latent_dim), mean member vector
+
+    @functools.cached_property
+    def group_utility(self) -> np.ndarray:
+        """(n_groups, n_items) noiseless mean member utility, the rows the
+        generator drew its positives around, bit for bit."""
+        out = np.empty((len(self.group_means), len(self.item_vecs)))
+        for g, mean in enumerate(self.group_means):
+            np.matmul(self.item_vecs, mean, out=out[g])
+        return out
+
+
+def _noisy_top(utility: np.ndarray, noise: float, n_take: int, rng) -> list:
+    """The sorted `n_take` largest entries of `utility` plus Gaussian noise
+    scaled by `noise`, drawing one normal per entry from `rng`."""
+    noisy = rng.normal(size=len(utility))
+    noisy *= noise
+    noisy += utility
+    np.negative(noisy, out=noisy)
+    return sorted(np.argpartition(noisy, n_take - 1)[:n_take].tolist())
 
 
 def generate_synthetic(params: SyntheticParams, seed) -> tuple:
     """Generate a planted-cohort dataset; returns (Dataset, PlantedTruth).
 
-    Deterministic for a given (params, seed).
+    Deterministic for a given (params, seed).  Each group's utility row is
+    computed into one reused buffer, so no `n_groups x n_items` array is
+    held; `PlantedTruth.group_utility` recomputes it on first read.
     """
     params.validate()
     rng = np.random.default_rng(seed)
@@ -680,11 +702,8 @@ def generate_synthetic(params: SyntheticParams, seed) -> tuple:
     utility = user_vecs @ item_vecs.T  # (nu, ni)
 
     n_take = params.resolved_items_per_user()
-    user_sets = []
-    for u in range(nu):
-        noisy = utility[u] + params.noise * rng.normal(size=ni)
-        top = np.argpartition(-noisy, n_take - 1)[:n_take]
-        user_sets.append({int(i) for i in top})
+    user_sets = [set(_noisy_top(utility[u], params.noise, n_take, rng)) for u in range(nu)]
+    del utility
     # hand every never-interacted item to a random user so the written
     # dataset keeps the full item universe
     mentioned = set().union(*user_sets)
@@ -694,31 +713,29 @@ def generate_synthetic(params: SyntheticParams, seed) -> tuple:
     user_items = [sorted(s) for s in user_sets]
 
     cohort_pools = [np.flatnonzero(cohort_of == c) for c in range(params.n_cohorts)]
+    cohort_outs = [np.flatnonzero(cohort_of != c) for c in range(params.n_cohorts)]
     lo, hi = params.group_size_range
     groups = []
     for _ in range(ng):
         size = int(rng.integers(lo, hi + 1))
         c = int(rng.integers(params.n_cohorts))
-        pool_in = cohort_pools[c]
-        pool_out = np.flatnonzero(cohort_of != c)
+        pool_in, pool_out = cohort_pools[c], cohort_outs[c]
         n_cross = int((rng.random(size) < params.cross_rate).sum())
         n_cross = min(n_cross, len(pool_out), size - 1 if len(pool_in) else size)
         n_in = min(size - n_cross, len(pool_in))
         members = []
         if n_in:
-            members.extend(rng.choice(pool_in, size=n_in, replace=False))
+            members.append(rng.choice(pool_in, size=n_in, replace=False))
         if n_cross:
-            members.extend(rng.choice(pool_out, size=n_cross, replace=False))
-        groups.append(sorted(int(u) for u in members))
+            members.append(rng.choice(pool_out, size=n_cross, replace=False))
+        groups.append(np.sort(np.concatenate(members)).tolist())
 
-    group_utility = np.empty((ng, ni))
-    for g, members in enumerate(groups):
-        group_utility[g] = item_vecs @ user_vecs[members].mean(axis=0)
+    group_means = np.stack([user_vecs[members].mean(axis=0) for members in groups])
+    row = np.empty(ni)
     group_pos = []
-    for g in range(ng):
-        noisy = group_utility[g] + params.noise * rng.normal(size=ni)
-        top = np.argpartition(-noisy, params.positives_per_group - 1)[:params.positives_per_group]
-        group_pos.append(sorted(int(i) for i in top))
+    for mean in group_means:
+        np.matmul(item_vecs, mean, out=row)
+        group_pos.append(_noisy_top(row, params.noise, params.positives_per_group, rng))
 
     dataset = Dataset(
         n_users=nu, n_items=ni, n_groups=ng, user_items=Rows.from_lists(user_items),
@@ -728,5 +745,5 @@ def generate_synthetic(params: SyntheticParams, seed) -> tuple:
         group_ids=[str(g) for g in range(ng)],
     )
     truth = PlantedTruth(cohort_of=cohort_of, user_vecs=user_vecs,
-                         item_vecs=item_vecs, group_utility=group_utility)
+                         item_vecs=item_vecs, group_means=group_means)
     return dataset, truth

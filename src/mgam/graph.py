@@ -4,10 +4,15 @@ Groups are nodes; an undirected edge connects two groups whenever they
 share at least one member.  Unit self-loops are always added so that
 every degree is positive and isolated groups still propagate their own
 state.  Edges are unweighted (the shared-user count is ignored).
+
+The adjacency is one boolean product whose CSC arrays are its sorted CSR
+arrays; the normalized matrix is computed on its first read, so commands
+that only write the edges (`dump_graph`) never hold it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +27,13 @@ from .errors import UsageError
 class GroupGraph:
     n: int
     adjacency: sparse.csr_array   # 0/1 symmetric, unit diagonal
-    normalized: sparse.csr_array  # entry (i,j) = A(i,j) / sqrt(d_i d_j), d the row sums
+
+    @functools.cached_property
+    def normalized(self) -> sparse.csr_array:
+        """Entry (i,j) = A(i,j) / sqrt(d_i d_j), d the row sums; computed
+        on first read and kept, on the adjacency's own index arrays."""
+        degree = np.asarray(self.adjacency.sum(axis=1)).ravel()
+        return _normalize(self.adjacency, degree)
 
 
 def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
@@ -39,26 +50,27 @@ def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_ar
     return sparse.csr_array((vals, adj.indices, adj.indptr), shape=adj.shape)
 
 
-def _finish(adjacency: sparse.csr_array) -> GroupGraph:
-    degree = np.asarray(adjacency.sum(axis=1)).ravel()
-    return GroupGraph(n=adjacency.shape[0], adjacency=adjacency,
-                      normalized=_normalize(adjacency, degree))
-
-
 def build_co_membership(groups: Rows) -> GroupGraph:
     """Graph over groups with an edge per shared user, plus self-loops.
 
     `groups[g]` holds group g's member users.  With `B` the group x user
-    incidence matrix, the adjacency is `min(B B^T + I, 1)`.
+    incidence matrix, the adjacency is `min(B B^T + I, 1)`, formed as the
+    boolean product `[B | I] [B | I]^T`: each group's private column puts
+    the unit diagonal in the product, and boolean sums cap every entry at
+    1.  The product is symmetric, so its CSC arrays are its CSR arrays
+    with sorted columns; only they outlive the 1-byte product.
     """
     n = len(groups)
-    incidence = sparse.csr_array(
-        (np.ones(len(groups.indices)), groups.indices, groups.offsets),
-        shape=(n, int(groups.indices.max(initial=-1)) + 1))
-    adj = incidence @ incidence.T + sparse.eye_array(n, format="csr")
-    adj.data = np.minimum(adj.data, 1.0)
-    adj.sort_indices()
-    return _finish(adj)
+    n_users = int(groups.indices.max(initial=-1)) + 1
+    # row g: group g's members, then its private column n_users + g
+    member_or_own = sparse.csr_array(
+        (np.ones(len(groups.indices) + n, dtype=bool),
+         np.insert(groups.indices, groups.offsets[1:], n_users + np.arange(n)),
+         groups.offsets + np.arange(n + 1)),
+        shape=(n, n_users + n))
+    adj = (member_or_own @ member_or_own.T).tocsc()
+    return GroupGraph(n=n, adjacency=sparse.csr_array(
+        (np.ones(adj.nnz), adj.indices, adj.indptr), shape=(n, n)))
 
 
 def induce_batch_subgraph(graph: GroupGraph, batch_group_ids) -> GroupGraph:
@@ -71,8 +83,7 @@ def induce_batch_subgraph(graph: GroupGraph, batch_group_ids) -> GroupGraph:
         raise UsageError("batch group ids must be distinct")
     if ids.min() < 0 or ids.max() >= graph.n:
         raise UsageError(f"batch group id out of range [0, {graph.n})")
-    sub = graph.adjacency[ids][:, ids].tocsr()
-    return _finish(sub)
+    return GroupGraph(n=ids.size, adjacency=graph.adjacency[ids][:, ids].tocsr())
 
 
 def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
@@ -115,17 +126,19 @@ def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
 
 def dump_graph(graph: GroupGraph, group_ids, path) -> None:
     """Write one `group_id<TAB>group_id` line per undirected edge
-    (self-loops omitted), in row-major order of the internal indices."""
+    (self-loops omitted), in row-major order of the internal indices.
+
+    Rows are written one at a time from their sorted column slices, so
+    only one row's names are held at once."""
     adj = graph.adjacency
     if not adj.has_sorted_indices:
         adj = adj.sorted_indices()
-    rows = np.repeat(np.arange(graph.n), np.diff(adj.indptr))
-    upper = adj.indices > rows  # the strict upper triangle
-    bounds = np.cumsum(np.bincount(rows[upper], minlength=graph.n)).tolist()
-    col_names = np.array(group_ids, dtype=object)[adj.indices[upper]].tolist()
+    indptr, indices = adj.indptr.tolist(), adj.indices
+    names = np.array(group_ids, dtype=object)
     with open(Path(path), "w", encoding="utf-8") as f:
-        # one join per row keeps only that row's lines in memory
-        for i, (a, b) in enumerate(zip([0] + bounds, bounds)):
-            if a < b:
+        for i in range(graph.n):
+            row = indices[indptr[i]:indptr[i + 1]]
+            upper = row[row.searchsorted(i, "right"):]  # the strict upper triangle
+            if len(upper):
                 head = f"{group_ids[i]}\t"
-                f.write(head + f"\n{head}".join(col_names[a:b]) + "\n")
+                f.write(head + f"\n{head}".join(names[upper].tolist()) + "\n")

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+import mgam.cli
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.data import Rows
 from mgam.errors import UsageError
-from mgam.graph import (GroupGraph, _finish, _normalize, build_co_membership,
+from mgam.graph import (GroupGraph, _normalize, build_co_membership,
                         dump_graph, expand_to_instances, induce_batch_subgraph)
 from reference_preprocessing import pair_loop_adjacency, sorted_pair_dump
 
@@ -208,9 +211,13 @@ def _assert_csr_bitwise(a, b):
 
 def test_co_membership_matches_pair_loop_bitwise():
     """`min(B B^T + I, 1)` equals the per-user pair loop, stored entry for
-    stored entry, and so do the degrees and the normalized adjacency."""
+    stored entry, and so do the degrees and the normalized adjacency.  The
+    fixed cases hold a single group, empty member lists (each keeps its
+    self-loop), repeated members and user ids above 2**16."""
     rng = np.random.default_rng(23)
-    cases = [[[4, 9]], [[0], [1], [2]], [[7, 3], [], [3]]]
+    cases = [[[4, 9]], [[0], [1], [2]], [[7, 3], [], [3]], [[]], [[], [], []],
+             [[3, 3, 1], [1, 1], [2, 2, 2], [0, 3, 0]],
+             [[70_000, 3], [70_000], [2**20, 3], [65_536], [2**20]]]
     for _ in range(200):
         n_groups = int(rng.integers(1, 40))
         user_ids = rng.choice(1000, size=int(rng.integers(1, 60)), replace=False)
@@ -219,12 +226,86 @@ def test_co_membership_matches_pair_loop_bitwise():
                       for _ in range(n_groups)])
     for groups in cases:
         fast = build_co_membership(Rows.from_lists(groups))
-        slow = _finish(pair_loop_adjacency(groups))
+        slow = GroupGraph(n=len(groups), adjacency=pair_loop_adjacency(groups))
         assert fast.n == slow.n
         _assert_csr_bitwise(fast.adjacency, slow.adjacency)
         _assert_csr_bitwise(fast.normalized, slow.normalized)
         assert _degree(fast).dtype == _degree(slow).dtype
         assert np.array_equal(_degree(fast), _degree(slow))
+
+
+def overlapping_groups(rng, n_groups, n_users, lo, hi):
+    """Groups of `lo..hi` members drawn with replacement from `n_users`
+    users, so many groups share members."""
+    sizes = rng.integers(lo, hi + 1, size=n_groups)
+    return Rows(np.concatenate(([0], np.cumsum(sizes))),
+                rng.integers(n_users, size=int(sizes.sum())))
+
+
+def test_co_membership_index_dtypes_are_pinned():
+    """int64 indices and float64 values, at a toy size and at the ingest
+    benchmark's (8,000 groups of 4-8 of 2,000 users, over a million stored
+    entries), for the adjacency and the normalized matrix alike."""
+    small = build_co_membership(Rows.from_lists([[0, 1], [1], [2]]))
+    large = build_co_membership(overlapping_groups(np.random.default_rng(59), 8000, 2000, 4, 8))
+    assert large.adjacency.nnz > 1_000_000
+    for g in (small, large):
+        for m in (g.adjacency, g.normalized):
+            assert m.indices.dtype == m.indptr.dtype == np.int64
+            assert m.data.dtype == np.float64
+
+
+def _traced_peak(fn):
+    """`fn()` and the peak of memory it traced above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _csr_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_building_and_dumping_the_graph_hold_little_beyond_it(tmp_path):
+    """On a heavily overlapping group set, building the graph peaks at
+    under 1.5 times the adjacency's own bytes (the product's 1-byte values
+    and its sorted index arrays, then float64 ones over those arrays), and
+    writing it holds under a tenth of them on top of the graph (one row's
+    names at a time)."""
+    groups = overlapping_groups(np.random.default_rng(53), 1000, 300, 6, 13)
+    g, build_peak = _traced_peak(lambda: build_co_membership(groups))
+    assert g.adjacency.nnz >= 200_000
+    size = _csr_bytes(g.adjacency)
+    assert build_peak < 1.5 * size
+    ids = [f"g{k}" for k in range(g.n)]
+    _, dump_peak = _traced_peak(lambda: dump_graph(g, ids, tmp_path / "graph.tsv"))
+    assert dump_peak < 0.1 * size
+    assert "normalized" not in g.__dict__
+
+
+def test_dump_graph_command_never_normalizes(tmp_path, monkeypatch):
+    """`dump-graph` reads only the adjacency, so the normalized matrix,
+    computed on first read, is never computed."""
+    built = []
+
+    def recording_build(groups):
+        built.append(build_co_membership(groups))
+        return built[-1]
+
+    data = tmp_path / "data"
+    assert mgam.cli.main(["gen-data", "--out", str(data), "--users", "30",
+                          "--items", "40", "--groups", "12", "--seed", "3"]) == 0
+    monkeypatch.setattr(mgam.cli, "build_co_membership", recording_build)
+    assert mgam.cli.main(["dump-graph", "--data", str(data),
+                          "--out", str(tmp_path / "graph.tsv")]) == 0
+    [graph] = built
+    assert "normalized" not in graph.__dict__
+    graph.normalized
+    assert "normalized" in graph.__dict__
 
 
 def test_spmm_vjp_is_the_transpose_product_on_both_normalized_graphs():
@@ -281,6 +362,6 @@ def test_dump_graph_reads_unsorted_rows_and_needs_no_self_loops(tmp_path):
         no_loops = sparse.csr_array(adj - sparse.eye_array(g.n, format="csr"))
         no_loops.eliminate_zeros()
         for a in (shuffled, no_loops):
-            dump_graph(GroupGraph(n=g.n, adjacency=a, normalized=g.normalized), ids, out)
+            dump_graph(GroupGraph(n=g.n, adjacency=a), ids, out)
             assert out.read_bytes().decode("utf-8") == sorted_pair_dump(adj, ids)
     assert unsorted > 10
