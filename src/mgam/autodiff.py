@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-A Tensor wraps an ndarray plus the tape links (op kind, inputs, vjp
-closure) recorded while building a forward computation.  `trace` returns
+A Tensor wraps an ndarray plus the tape links (inputs, vjp closure)
+recorded while building a forward computation.  `trace` returns
 the recorded graph in topological order and `backward` walks it in
 reverse, accumulating gradients into the `.grad` buffers of every tensor
 that requires them.  The tests check the analytic gradients against a
@@ -50,25 +50,17 @@ class Tensor:
     routes the output gradient back to them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "inputs", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "inputs", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, *, op: str = "leaf",
-                 inputs: tuple = (), vjp: Callable | None = None):
+    def __init__(self, data, requires_grad: bool = False, *, inputs: tuple = (),
+                 vjp: Callable | None = None):
         # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would
         # promote them to shape (1,))
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.op = op
         self.inputs = inputs
         self._vjp = vjp
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -78,11 +70,12 @@ def as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _result(data, op: str, inputs: Sequence[Tensor], vjp: Callable | None) -> Tensor:
-    """Build an op result, recording tape links only when gradients are on."""
+def _result(data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+    """Build an op result, recording tape links only when gradients are on
+    and some input requires them."""
     if _grad_enabled and any(t.requires_grad for t in inputs):
-        return Tensor(data, requires_grad=True, op=op, inputs=tuple(inputs), vjp=vjp)
-    return Tensor(data, op=op)
+        return Tensor(data, requires_grad=True, inputs=tuple(inputs), vjp=vjp)
+    return Tensor(data)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -178,7 +171,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _result(out_data, "add", (a, b), vjp)
+    return _result(out_data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -193,7 +186,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _result(out_data, "mul", (a, b), vjp)
+    return _result(out_data, (a, b), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -203,7 +196,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     def vjp(g):
         _accum(x, g * c)
 
-    return _result(x.data * c, "scale", (x,), vjp)
+    return _result(x.data * c, (x,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,7 +218,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, ga.reshape(a.data.shape))
         _accum(b, gb.reshape(b.data.shape))
 
-    return _result(out_data, "matmul", (a, b), vjp)
+    return _result(out_data, (a, b), vjp)
 
 
 def swapaxes(x: Tensor) -> Tensor:
@@ -236,7 +229,7 @@ def swapaxes(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, np.swapaxes(g, -1, -2))
 
-    return _result(np.swapaxes(x.data, -1, -2), "swapaxes", (x,), vjp)
+    return _result(np.swapaxes(x.data, -1, -2), (x,), vjp)
 
 
 def spmm(m, x: Tensor) -> Tensor:
@@ -256,7 +249,7 @@ def spmm(m, x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, np.asarray(m @ g))
 
-    return _result(out_data, "spmm", (x,), vjp)
+    return _result(out_data, (x,), vjp)
 
 
 def take(x: Tensor, idx) -> Tensor:
@@ -267,9 +260,7 @@ def take(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out_data = x.data[idx]
 
-    def vjp(g):
-        if not x.requires_grad:
-            return
+    def vjp(g):   # recorded only when x requires gradients (`_result`)
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         # np.add.at over rows, as one scatter of elements: each element
@@ -278,7 +269,7 @@ def take(x: Tensor, idx) -> Tensor:
         np.add.at(x.grad.reshape(-1), (idx.reshape(-1, 1) * d + np.arange(d)).ravel(),
                   np.reshape(g, -1))
 
-    return _result(out_data, "take", (x,), vjp)
+    return _result(out_data, (x,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -296,7 +287,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(lo, hi)
             _accum(p, g[tuple(sl)])
 
-    return _result(out_data, "concat", tuple(parts), vjp)
+    return _result(out_data, tuple(parts), vjp)
 
 
 def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -310,7 +301,7 @@ def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         for i, p in enumerate(parts):
             _accum(p, np.take(g, i, axis=axis))
 
-    return _result(out_data, "stack", tuple(parts), vjp)
+    return _result(out_data, tuple(parts), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -319,7 +310,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def vjp(g):
         _accum(x, g.reshape(orig))
 
-    return _result(x.data.reshape(shape), "reshape", (x,), vjp)
+    return _result(x.data.reshape(shape), (x,), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -329,7 +320,7 @@ def relu(x: Tensor) -> Tensor:
         _accum(x, g * mask)
 
     # a NaN passes through (`x <= 0` is false for it); -0.0 maps to +0.0
-    return _result(np.where(x.data <= 0, 0.0, x.data), "relu", (x,), vjp)
+    return _result(np.where(x.data <= 0, 0.0, x.data), (x,), vjp)
 
 
 def _sigmoid_nd(x: np.ndarray) -> np.ndarray:
@@ -344,7 +335,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, g * out_data * (1.0 - out_data))
 
-    return _result(out_data, "sigmoid", (x,), vjp)
+    return _result(out_data, (x,), vjp)
 
 
 def logsigmoid(x: Tensor) -> Tensor:
@@ -354,7 +345,7 @@ def logsigmoid(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, g * _sigmoid_nd(-x.data))
 
-    return _result(out_data, "logsigmoid", (x,), vjp)
+    return _result(out_data, (x,), vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -369,19 +360,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = (g * out_data).sum(axis=axis, keepdims=True)
         _accum(x, out_data * (g - inner))
 
-    return _result(out_data, "softmax", (x,), vjp)
+    return _result(out_data, (x,), vjp)
 
 
 def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
     out_data = x.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+        _accum(x, np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                  x.data.shape).copy())
 
-    return _result(out_data, "sum", (x,), vjp)
+    return _result(out_data, (x,), vjp)
 
 
 def tensor_mean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -391,9 +380,8 @@ def tensor_mean(x: Tensor, axis: int | None = None) -> Tensor:
     out_data = x.data.mean(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g / n, x.data.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.data.shape).copy())
+        g = g / n
+        _accum(x, np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                  x.data.shape).copy())
 
-    return _result(out_data, "mean", (x,), vjp)
+    return _result(out_data, (x,), vjp)

@@ -214,6 +214,8 @@ def cmd_sweep_subsets(args) -> int:
 def cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
+    if args.item is not None and not args.explain:
+        raise UsageError("--item names the item to explain; it needs --explain")
     # config echo goes to stderr so stdout stays machine-readable
     cfg, manifest = _checkpoint_config(args, echo_to=sys.stderr)
     mask = AblationMask.from_disabled(cfg.ablated())

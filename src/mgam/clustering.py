@@ -61,10 +61,6 @@ class SubsetTable:
         return SubsetAssignment(group=range(len(self))[g], subsets=[
             self.subsets[k].tolist() for k in self.slots[g].tolist()])
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubsetTable) and self.slots == other.slots
-                and self.subsets == other.subsets)
-
 
 class UserFeatures(sparse.csr_array):
     """CSR feature rows whose `nbytes` is the stored size:
@@ -152,15 +148,12 @@ def _lloyd(points: sparse.csr_array, norms: np.ndarray, m: int, max_iters: int,
     return labels, centroids, history[-1], history
 
 
-def kmeans(points, m: int, max_iters: int = 100,
-           restarts: int = 3, seed=0) -> KMeansResult:
+def kmeans(points, m: int, max_iters: int, restarts: int, seed) -> KMeansResult:
     """Best-of-`restarts` seeded K-Means (k-means++ init, Lloyd updates).
 
-    `points` may be dense or sparse; it is converted to CSR once, and
-    the centroids are dense.
+    `points` is a 2-D ndarray or sparse matrix; it is converted to CSR
+    once, and the centroids are dense.
     """
-    if not sparse.issparse(points):
-        points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise UsageError("kmeans expects a non-empty 2-D point matrix")
     n = points.shape[0]
@@ -179,8 +172,8 @@ def kmeans(points, m: int, max_iters: int = 100,
     return best
 
 
-def cluster_subsets(dataset: Dataset, m: int, max_iters: int = 100,
-                    restarts: int = 3, seed=0) -> SubsetTable:
+def cluster_subsets(dataset: Dataset, m: int, max_iters: int, restarts: int,
+                    seed) -> SubsetTable:
     """Cluster all users once, then partition every group's members.
 
     Group g's subsets are its members split by cluster label, each in

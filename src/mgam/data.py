@@ -16,7 +16,6 @@ group members are registered with empty interaction histories.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -61,10 +60,6 @@ class Rows:
     def __getitem__(self, k) -> np.ndarray:
         k = range(len(self))[k]
         return self.indices[self.offsets[k]:self.offsets[k + 1]]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Rows) and np.array_equal(self.offsets, other.offsets)
-                and np.array_equal(self.indices, other.indices))
 
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -663,15 +658,6 @@ class PlantedTruth:
     item_vecs: np.ndarray      # (n_items, latent_dim)
     group_means: np.ndarray    # (n_groups, latent_dim), mean member vector
 
-    @functools.cached_property
-    def group_utility(self) -> np.ndarray:
-        """(n_groups, n_items) noiseless mean member utility, the rows the
-        generator drew its positives around, bit for bit."""
-        out = np.empty((len(self.group_means), len(self.item_vecs)))
-        for g, mean in enumerate(self.group_means):
-            np.matmul(self.item_vecs, mean, out=out[g])
-        return out
-
 
 def _noisy_top(utility: np.ndarray, noise: float, n_take: int, rng) -> list:
     """The sorted `n_take` largest entries of `utility` plus Gaussian noise
@@ -686,9 +672,9 @@ def _noisy_top(utility: np.ndarray, noise: float, n_take: int, rng) -> list:
 def generate_synthetic(params: SyntheticParams, seed) -> tuple:
     """Generate a planted-cohort dataset; returns (Dataset, PlantedTruth).
 
-    Deterministic for a given (params, seed).  Each group's utility row is
-    computed into one reused buffer, so no `n_groups x n_items` array is
-    held; `PlantedTruth.group_utility` recomputes it on first read.
+    Deterministic for a given (params, seed).  Each group's utility row,
+    `item_vecs @ group_means[g]`, is computed into one reused buffer, so
+    no `n_groups x n_items` array is held.
     """
     params.validate()
     rng = np.random.default_rng(seed)

@@ -7,7 +7,10 @@ state.  Edges are unweighted (the shared-user count is ignored).
 
 The adjacency is one boolean product whose CSC arrays are its sorted CSR
 arrays; the normalized matrix is computed on its first read, so commands
-that only write the edges (`dump_graph`) never hold it.
+that only write the edges (`dump_graph`) never hold it.  Every reader
+(`_normalize`, `expand_to_instances`, `dump_graph`) walks the adjacency's
+rows in ascending column order, so a `GroupGraph` refuses an adjacency
+whose CSR column indices are not sorted within each row.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from .errors import UsageError
 
 @dataclass
 class GroupGraph:
-    n: int
-    adjacency: sparse.csr_array   # 0/1 symmetric, unit diagonal
+    adjacency: sparse.csr_array   # 0/1 symmetric, unit diagonal, sorted indices
+
+    def __post_init__(self):
+        if not self.adjacency.has_sorted_indices:
+            raise UsageError("graph adjacency must have sorted column indices")
 
     @functools.cached_property
     def normalized(self) -> sparse.csr_array:
@@ -36,11 +42,9 @@ class GroupGraph:
         return _normalize(self.adjacency, degree)
 
 
-def _normalize(adjacency: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
-    """Values on the adjacency's sorted CSR structure: its own index arrays
-    when they are sorted already, as `build_co_membership` leaves them,
-    else a sorted copy's."""
-    adj = adjacency if adjacency.has_sorted_indices else adjacency.sorted_indices()
+def _normalize(adj: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
+    """Values on the CSR structure of `adj`, whose column indices must be
+    sorted within each row; its own index arrays are the result's."""
     rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
     inv_sqrt = 1.0 / np.sqrt(degree)
     vals = inv_sqrt[rows] * inv_sqrt[adj.indices]
@@ -69,21 +73,24 @@ def build_co_membership(groups: Rows) -> GroupGraph:
          groups.offsets + np.arange(n + 1)),
         shape=(n, n_users + n))
     adj = (member_or_own @ member_or_own.T).tocsc()
-    return GroupGraph(n=n, adjacency=sparse.csr_array(
+    return GroupGraph(adjacency=sparse.csr_array(
         (np.ones(adj.nnz), adj.indices, adj.indptr), shape=(n, n)))
 
 
 def induce_batch_subgraph(graph: GroupGraph, batch_group_ids) -> GroupGraph:
     """Restrict the graph to the given nodes, recomputing degrees and
-    normalization on the subgraph (self-loops are retained)."""
+    normalization on the subgraph (self-loops are retained).  Node k of
+    the result is `batch_group_ids[k]`; its rows are sorted again, since
+    slicing by unordered ids leaves their columns unordered."""
     ids = np.asarray(batch_group_ids, dtype=np.intp)
+    n = graph.adjacency.shape[0]
     if ids.size == 0:
         raise UsageError("batch subgraph needs at least one group")
     if len(np.unique(ids)) != ids.size:
         raise UsageError("batch group ids must be distinct")
-    if ids.min() < 0 or ids.max() >= graph.n:
-        raise UsageError(f"batch group id out of range [0, {graph.n})")
-    return GroupGraph(n=ids.size, adjacency=graph.adjacency[ids][:, ids].tocsr())
+    if ids.min() < 0 or ids.max() >= n:
+        raise UsageError(f"batch group id out of range [0, {n})")
+    return GroupGraph(adjacency=graph.adjacency[ids][:, ids].sorted_indices())
 
 
 def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
@@ -101,15 +108,13 @@ def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
     """
     pos = np.asarray(positions, dtype=np.intp)
     adj = graph.adjacency
-    if not adj.has_sorted_indices:
-        adj = adj.sorted_indices()
     uniq, inv = np.unique(pos, return_inverse=True)
     # the distinct groups' adjacency rows, and which of them are batch groups
     starts, lengths = adj.indptr[uniq], np.diff(adj.indptr)[uniq]
     nbr = adj.indices[np.arange(lengths.sum())
                       + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)]
     k = np.searchsorted(uniq, nbr)
-    hit = np.append(uniq, graph.n)[k] == nbr
+    hit = np.append(uniq, adj.shape[0])[k] == nbr
     near = np.zeros((len(uniq), len(uniq)), dtype=bool)
     near[np.repeat(np.arange(len(uniq)), lengths)[hit], k[hit]] = True
     # each distinct group's instance columns, ascending; an instance's row is its group's
@@ -130,13 +135,10 @@ def dump_graph(graph: GroupGraph, group_ids, path) -> None:
 
     Rows are written one at a time from their sorted column slices, so
     only one row's names are held at once."""
-    adj = graph.adjacency
-    if not adj.has_sorted_indices:
-        adj = adj.sorted_indices()
-    indptr, indices = adj.indptr.tolist(), adj.indices
+    indptr, indices = graph.adjacency.indptr.tolist(), graph.adjacency.indices
     names = np.array(group_ids, dtype=object)
     with open(Path(path), "w", encoding="utf-8") as f:
-        for i in range(graph.n):
+        for i in range(len(indptr) - 1):
             row = indices[indptr[i]:indptr[i + 1]]
             upper = row[row.searchsorted(i, "right"):]  # the strict upper triangle
             if len(upper):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ def fresh_toy_params(toy, seed=12345):
     return init_params(toy["cfg"], toy["dataset"].n_users,
                        toy["dataset"].n_items, toy["dataset"].n_groups,
                        np.random.default_rng(seed))
+
+
+def same_rows(a: Rows, b: Rows) -> bool:
+    """Whether two `Rows` hold equal offsets and equal indices."""
+    return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.indices, b.indices)
+
+
+def same_subsets(a: SubsetTable, b: SubsetTable) -> bool:
+    """Whether two subset tables cut the same subsets into the same groups."""
+    return same_rows(a.slots, b.slots) and same_rows(a.subsets, b.subsets)
+
+
+def same_dataset(a, b) -> bool:
+    """Whether two datasets are equal field by field, `Rows` by `same_rows`;
+    outcomes other than two datasets (an error message) compare by `==`."""
+    if not (isinstance(a, Dataset) and isinstance(b, Dataset)):
+        return a == b
+    return all(same_rows(x, y) if isinstance(x, Rows) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in dataclasses.fields(Dataset)))
 
 
 def subset_table(per_group) -> SubsetTable:

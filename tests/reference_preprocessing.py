@@ -5,7 +5,9 @@ production code in `mgam.data`, `mgam.clustering` and `mgam.graph`
 replaced.  Tests compare the fast paths against them: a line-by-line TSV
 parser, a dense Lloyd K-Means over dense feature rows, the per-user pair
 loop that builds the co-membership adjacency, the sorted-pair graph
-writer and the one-line-at-a-time subset writer.
+writer and the one-line-at-a-time subset writer.  `planted_utility`
+recomputes the synthetic generator's noiseless group utilities, which
+the generator itself never holds as one matrix.
 """
 
 from __future__ import annotations
@@ -196,6 +198,17 @@ def dense_kmeans(points, m, max_iters=100, restarts=3, seed=0):
         if best is None or run[2] < best[2]:
             best = run
     return best
+
+
+def planted_utility(truth) -> np.ndarray:
+    """(n_groups, n_items) noiseless mean member utility of a synthetic
+    dataset's `PlantedTruth`: row g is `item_vecs @ group_means[g]`,
+    computed as `generate_synthetic` computes the row it draws group g's
+    positives around, so the rows are the generator's bit for bit."""
+    out = np.empty((len(truth.group_means), len(truth.item_vecs)))
+    for g, mean in enumerate(truth.group_means):
+        np.matmul(truth.item_vecs, mean, out=out[g])
+    return out
 
 
 def pair_loop_adjacency(groups) -> sparse.csr_array:

@@ -30,6 +30,7 @@ from mgam.training import (total_loss, train,
 
 from finite_difference import finite_difference_grad
 from reference_forward import reference_forward
+from reference_preprocessing import planted_utility
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -52,7 +53,8 @@ PLANTED = SyntheticParams()  # 200 users, 500 items, 60 groups, 3 cohorts
 def _planted_pipeline(seed: int):
     ds, truth = generate_synthetic(PLANTED, seed)
     split = split_leave_one_out(ds, substream(seed, STREAM_DATA))
-    assignments = cluster_subsets(ds, 3, seed=substream(seed, STREAM_CLUSTER))
+    assignments = cluster_subsets(ds, 3, max_iters=100, restarts=3,
+                                  seed=substream(seed, STREAM_CLUSTER))
     graph = build_co_membership(ds.groups)
     return ds, truth, split, assignments, graph
 
@@ -68,7 +70,8 @@ def planted_run():
     scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
     drawn = draw_candidates(ds, split, 100, seed=42)
     [report] = evaluate(scorer, ds, split, drawn, ["mgam"], [5, 10])
-    [oracle] = evaluate(lambda g, c: truth.group_utility[g, c][None],
+    utility = planted_utility(truth)
+    [oracle] = evaluate(lambda g, c: utility[g, c][None],
                         ds, split, drawn, ["planted"], [5])
     return {"hr5": report.hr[5], "hr10": report.hr[10],
             "oracle_hr5": oracle.hr[5], "seconds": time.perf_counter() - t0,

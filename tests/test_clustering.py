@@ -8,7 +8,7 @@ from mgam.clustering import (KMeansResult, SubsetAssignment, SubsetTable,
                              kmeans)
 from mgam.data import Dataset, Rows, SyntheticParams, generate_synthetic
 from mgam.errors import UsageError
-from conftest import subset_table
+from conftest import same_subsets, subset_table
 from reference_preprocessing import (dense_kmeans, dense_user_features,
                                      partition_group, triple_loop_subset_dump)
 
@@ -61,7 +61,7 @@ def test_cluster_subsets_memory_bounded(monkeypatch):
     built = []
     monkeypatch.setattr(clustering, "build_user_features",
                         lambda d: built.append(build_user_features(d)) or built[-1])
-    assignments = cluster_subsets(ds, 4, seed=0)
+    assignments = cluster_subsets(ds, 4, max_iters=100, restarts=3, seed=0)
     assert len(assignments) == len(groups)
     assert built[0].nnz == n_users * per_user
 
@@ -71,14 +71,14 @@ def test_cluster_subsets_memory_bounded(monkeypatch):
 
 def test_kmeans_geometry_forced():
     pts = np.array([[0, 0], [0.1, 0], [10, 10], [10.1, 10]])
-    res = kmeans(pts, 2, seed=0)
+    res = kmeans(pts, 2, max_iters=100, restarts=3, seed=0)
     assert res.labels[0] == res.labels[1]
     assert res.labels[2] == res.labels[3]
     assert res.labels[0] != res.labels[2]
 
 
 def test_kmeans_single_point():
-    res = kmeans(np.array([[3.0, 4.0]]), 1, seed=0)
+    res = kmeans(np.array([[3.0, 4.0]]), 1, max_iters=100, restarts=3, seed=0)
     assert np.allclose(res.centroids[0], [3.0, 4.0])
     assert res.inertia == 0.0
 
@@ -86,7 +86,7 @@ def test_kmeans_single_point():
 def test_kmeans_beats_random_assignment_oracle():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(50, 4))
-    res = kmeans(pts, 3, seed=1)
+    res = kmeans(pts, 3, max_iters=100, restarts=3, seed=1)
     best_random = np.inf
     for _ in range(100):
         labels = rng.integers(3, size=50)
@@ -102,7 +102,7 @@ def test_kmeans_beats_random_assignment_oracle():
 def test_kmeans_inertia_monotone_within_run():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(60, 5))
-    res = kmeans(pts, 4, restarts=1, seed=3)
+    res = kmeans(pts, 4, max_iters=100, restarts=1, seed=3)
     hist = res.inertia_history
     assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
@@ -110,8 +110,8 @@ def test_kmeans_inertia_monotone_within_run():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(40, 3))
-    a = kmeans(pts, 3, seed=7)
-    b = kmeans(pts, 3, seed=7)
+    a = kmeans(pts, 3, max_iters=100, restarts=3, seed=7)
+    b = kmeans(pts, 3, max_iters=100, restarts=3, seed=7)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centroids, b.centroids)
 
@@ -120,7 +120,7 @@ def test_kmeans_identical_rows_identical_labels():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(10, 4))
     pts = np.vstack([base, base[3], base[7]])
-    res = kmeans(pts, 3, seed=0)
+    res = kmeans(pts, 3, max_iters=100, restarts=3, seed=0)
     assert res.labels[10] == res.labels[3]
     assert res.labels[11] == res.labels[7]
 
@@ -151,7 +151,7 @@ def test_kmeans_matches_dense_reference():
         x = _random_binary_features(rng, n, d)
         m = n if case % 4 == 0 else int(rng.integers(1, n + 1))
         seed = int(rng.integers(1000))
-        res = kmeans(sparse.csr_array(x), m, seed=seed)
+        res = kmeans(sparse.csr_array(x), m, max_iters=100, restarts=3, seed=seed)
         labels, centroids, inertia, history = dense_kmeans(x, m, seed=seed)
         assert np.array_equal(res.labels, labels)
         assert np.abs(res.centroids - centroids).max() <= 1e-12
@@ -162,12 +162,12 @@ def test_kmeans_matches_dense_reference():
 
 def test_kmeans_m_exceeds_points_rejected():
     with pytest.raises(UsageError):
-        kmeans(np.zeros((2, 2)), 3, seed=0)
+        kmeans(np.zeros((2, 2)), 3, max_iters=100, restarts=3, seed=0)
 
 
 def test_kmeans_coincident_points_degenerate():
     pts = np.ones((5, 3))
-    res = kmeans(pts, 2, max_iters=10, seed=0)
+    res = kmeans(pts, 2, max_iters=10, restarts=3, seed=0)
     assert res.inertia == 0.0
 
 
@@ -182,7 +182,8 @@ def _cluster_with_labels(monkeypatch, groups, labels) -> SubsetTable:
     labels = np.asarray(labels, dtype=np.int64)
     monkeypatch.setattr(clustering, "kmeans", lambda *a, **k: KMeansResult(
         labels=labels, centroids=np.zeros((1, 1)), inertia=0.0, inertia_history=[]))
-    return cluster_subsets(_ds([[0]] * len(labels), groups=groups, n_items=1), 1)
+    return cluster_subsets(_ds([[0]] * len(labels), groups=groups, n_items=1), 1,
+                           max_iters=100, restarts=3, seed=0)
 
 
 def _partition(monkeypatch, members, labels) -> list:
@@ -219,7 +220,7 @@ def test_cluster_subsets_table_matches_reference_partition(monkeypatch):
             groups = rng.permutation(n_users)[:, None].tolist()  # singletons
         table = _cluster_with_labels(monkeypatch, groups, labels)
         want = [partition_group(members, labels) for members in groups]
-        assert table == subset_table(want), trial
+        assert same_subsets(table, subset_table(want)), trial
         assert [a.subsets for a in table] == want, trial
 
 
@@ -227,7 +228,7 @@ def test_cluster_subsets_partition_property():
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=50, n_items=80, n_groups=15, group_size_range=(2, 6),
         n_cohorts=3, positives_per_group=5), seed=6)
-    assignments = cluster_subsets(ds, 3, seed=1)
+    assignments = cluster_subsets(ds, 3, max_iters=100, restarts=3, seed=1)
     for g, a in enumerate(assignments):
         flat = sorted(u for s in a.subsets for u in s)
         assert flat == ds.groups[g].tolist()  # disjoint + covering
@@ -240,14 +241,14 @@ def test_cluster_subsets_reproducible():
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=40, n_items=60, n_groups=10, group_size_range=(3, 5),
         n_cohorts=2, positives_per_group=5), seed=2)
-    a = cluster_subsets(ds, 3, seed=[9, 1])
-    b = cluster_subsets(ds, 3, seed=[9, 1])
+    a = cluster_subsets(ds, 3, max_iters=100, restarts=3, seed=[9, 1])
+    b = cluster_subsets(ds, 3, max_iters=100, restarts=3, seed=[9, 1])
     assert [x.subsets for x in a] == [y.subsets for y in b]
 
 
 def test_cluster_subsets_m_clamped_to_user_count():
     ds = _ds([[0], [1]], groups=[[0, 1]])
-    assignments = cluster_subsets(ds, 5, seed=0)
+    assignments = cluster_subsets(ds, 5, max_iters=100, restarts=3, seed=0)
     assert len(assignments[0].subsets) <= 2
 
 
@@ -270,16 +271,16 @@ def test_assignment_arrays_roundtrip():
         table = subset_table([a.subsets for a in assignments])
         arrays = (table.slots.offsets, table.subsets.offsets, table.subsets.indices)
         assert all(a.dtype == np.int64 for a in arrays)
-        assert SubsetTable(*arrays) == table, trial
+        assert same_subsets(SubsetTable(*arrays), table), trial
         assert list(SubsetTable(*arrays)) == assignments, trial
 
 
 def test_assignment_arrays_roundtrip_clustered_dataset():
     ds, _ = generate_synthetic(SyntheticParams(n_users=40, n_items=60, n_groups=12),
                                seed=4)
-    assignments = cluster_subsets(ds, 3, seed=1)
-    assert SubsetTable(assignments.slots.offsets, assignments.subsets.offsets,
-                       assignments.subsets.indices) == assignments
+    assignments = cluster_subsets(ds, 3, max_iters=100, restarts=3, seed=1)
+    assert same_subsets(SubsetTable(assignments.slots.offsets, assignments.subsets.offsets,
+                                    assignments.subsets.indices), assignments)
 
 
 def test_assignment_arrays_need_group_order():

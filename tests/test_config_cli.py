@@ -16,6 +16,7 @@ from mgam.data import load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
 from mgam.training import (expected_param_shapes, load_checkpoint, load_inputs,
                            read_manifest)
+from conftest import same_dataset, same_subsets
 from reference_preprocessing import (line_parsed_dataset, pair_loop_adjacency,
                                      sorted_pair_dump, triple_loop_subset_dump)
 
@@ -348,10 +349,10 @@ def test_checkpoint_inputs_equal_parsing_and_clustering(workspace):
         f"{k}={v}" for k, v in read_manifest(ckpt)["config"].items()])
     dataset, assignments = load_inputs(ckpt, workspace["data"], read_manifest(ckpt))
     parsed = load_dataset(workspace["data"])
-    assert dataset == parsed
-    assert assignments == cluster_subsets(
+    assert same_dataset(dataset, parsed)
+    assert same_subsets(assignments, cluster_subsets(
         parsed, cfg.num_subsets, max_iters=cfg.kmeans_max_iters,
-        restarts=cfg.kmeans_restarts, seed=substream(cfg.seed, STREAM_CLUSTER))
+        restarts=cfg.kmeans_restarts, seed=substream(cfg.seed, STREAM_CLUSTER)))
 
 
 @pytest.mark.parametrize("name", ["user_item.tsv", "groups.tsv", "group_items.tsv"])
@@ -785,6 +786,20 @@ def test_recommend_explain_specific_item(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["item"] == "12"
     assert 0.0 < payload["score"] < 1.0
+
+
+@pytest.mark.parametrize("ckpt", ["trained", "missing"])
+def test_recommend_item_without_explain_is_usage_error(workspace, tmp_path, capsys, ckpt):
+    """`--item` names the item `--explain` explains.  Without `--explain`
+    it is refused, before the checkpoint is read (a missing one is never
+    noticed), instead of printing the plain list and ignoring the item."""
+    path = workspace["ckpt"] if ckpt == "trained" else str(tmp_path / "no-ckpt")
+    rc = main(["recommend", "--data", workspace["data"], "--ckpt", path,
+               "--group-id", "3", "--item", "12"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --item")
+    assert captured.out == ""
 
 
 def test_missing_checkpoint_is_runtime_error(workspace, tmp_path, capsys):

@@ -15,7 +15,8 @@ from mgam.data import (Dataset, Rows, SyntheticParams, draw_unseen,
                        generate_synthetic, label_blocks, load_dataset,
                        sample_negatives, split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
-from reference_preprocessing import line_parsed_dataset
+from conftest import same_dataset, same_rows
+from reference_preprocessing import line_parsed_dataset, planted_utility
 
 
 def _write(tmp_path, user_item, groups, group_items):
@@ -39,7 +40,7 @@ def test_load_user_item_counts(tmp_path):
 def test_load_user_item_dedup(tmp_path):
     d = _write(tmp_path, "7\t5\n7\t5\n", "g1\t7\n", "g1\t5\n")
     ds = load_dataset(d)
-    assert ds.user_items == Rows.from_lists([[0]])
+    assert same_rows(ds.user_items, Rows.from_lists([[0]]))
 
 
 def test_load_user_item_wrong_delimiter_names_line(tmp_path):
@@ -58,7 +59,7 @@ def test_load_user_item_third_column_tolerated(tmp_path):
     d = _write(tmp_path, "7\t5\t123456\n", "g1\t7\n", "g1\t5\n")
     ds = load_dataset(d)
     assert (ds.n_users, ds.n_items) == (1, 1)
-    assert ds.user_items == Rows.from_lists([[0]])
+    assert same_rows(ds.user_items, Rows.from_lists([[0]]))
 
 
 def test_load_dataset_groups(tmp_path):
@@ -293,7 +294,7 @@ def test_load_dataset_matches_line_parser(tmp_path):
                 (d / name).write_bytes(raw)
         expected = _outcome(line_parsed_dataset, d)
         got = _outcome(load_dataset, d)
-        assert got == expected, (case, sorted(p.name for p in d.iterdir()))
+        assert same_dataset(got, expected), (case, sorted(p.name for p in d.iterdir()))
         for outcome in ["ok"] if isinstance(expected, Dataset) else _OUTCOMES:
             if outcome == "ok" or outcome in expected:
                 seen[outcome] = seen.get(outcome, 0) + 1
@@ -377,7 +378,7 @@ def test_load_dataset_long_ids_match_line_parser(tmp_path):
         gi = "".join(f"{pad(rng.choice(groups))}\t{pad(rng.choice(items))}\n"
                      for _ in range(rng.randint(1, 25)))
         _write(d, ui, gdefs, gi)
-        assert load_dataset(d) == line_parsed_dataset(d), case
+        assert same_dataset(load_dataset(d), line_parsed_dataset(d)), case
 
 
 def test_load_dataset_decodes_each_distinct_id_once(tmp_path, monkeypatch):
@@ -433,7 +434,7 @@ def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded == ds
+    assert same_dataset(loaded, ds)
     assert peak <= 20 * size, f"{peak / size:.2f}x"
 
 
@@ -446,7 +447,7 @@ def test_remap_roundtrip_bijection(tmp_path):
     write_dataset(ds, d1)
     loaded = load_dataset(d1)
     write_dataset(loaded, d2)
-    assert load_dataset(d2) == loaded
+    assert same_dataset(load_dataset(d2), loaded)
     for name in ("user_item.tsv", "groups.tsv", "group_items.tsv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -743,10 +744,34 @@ def test_synthetic_degenerate_single_cohort_no_noise():
     ds, truth = generate_synthetic(SyntheticParams(
         n_users=20, n_items=50, n_groups=8, group_size_range=(2, 4),
         n_cohorts=1, noise=0.0, positives_per_group=5), seed=2)
-    top1 = int(np.argmax(truth.group_utility[0]))
+    top1 = int(np.argmax(planted_utility(truth)[0]))
     for g in range(ds.n_groups):
         assert ds.group_pos[g].tolist() == ds.group_pos[0].tolist()
         assert top1 in ds.group_pos[g]
+
+
+def test_planted_utility_equals_the_generator_rows_bitwise(monkeypatch):
+    """The tests' `planted_utility` holds, bit for bit, the utility rows
+    the generator drew each group's positives around (its last
+    `n_groups` calls of `_noisy_top`; the first `n_users` are users')."""
+    real = data._noisy_top
+    for params, seed in ((SyntheticParams(), 42),
+                         (SyntheticParams(n_users=20, n_items=50, n_groups=8, noise=0.0,
+                                          group_size_range=(2, 4), n_cohorts=1), 2),
+                         (SyntheticParams(n_users=90, n_items=700, n_groups=31,
+                                          latent_dim=5, noise=0.3), 7)):
+        rows = []
+
+        def recording(utility, *rest):
+            rows.append(utility.copy())
+            return real(utility, *rest)
+
+        monkeypatch.setattr(data, "_noisy_top", recording)
+        _, truth = generate_synthetic(params, seed)
+        monkeypatch.setattr(data, "_noisy_top", real)
+        drawn = np.stack(rows[params.n_users:])
+        assert drawn.shape == (params.n_groups, params.n_items)
+        assert planted_utility(truth).tobytes() == drawn.tobytes()
 
 
 def test_synthetic_cohort_overlap_structure():
@@ -771,7 +796,7 @@ def test_synthetic_deterministic():
                         positives_per_group=4)
     a, _ = generate_synthetic(p, 7)
     b, _ = generate_synthetic(p, 7)
-    assert a == b
+    assert same_dataset(a, b)
 
 
 def test_synthetic_infeasible_params_rejected():
@@ -845,9 +870,9 @@ def test_rows_views_and_padding_match_lists():
 
 def test_rows_equality_and_bad_offsets():
     a = Rows.from_lists([[1, 2], [], [3]])
-    assert a == Rows([0, 2, 2, 3], [1, 2, 3])
-    assert a != Rows.from_lists([[1], [2], [3]])       # same indices, other cuts
-    assert a != Rows.from_lists([[1, 2], [], [4]])
+    assert same_rows(a, Rows([0, 2, 2, 3], [1, 2, 3]))
+    assert not same_rows(a, Rows.from_lists([[1], [2], [3]]))   # same indices, other cuts
+    assert not same_rows(a, Rows.from_lists([[1, 2], [], [4]]))
     assert a.offsets.dtype == a.indices.dtype == np.int64
     for offsets in ([1, 3], [0, 2, 1, 3], [0, 2], []):
         with pytest.raises(UsageError, match="offsets"):
@@ -880,7 +905,7 @@ def test_dataset_arrays_roundtrip_on_random_datasets(tmp_path):
         dataset = _outcome(load_dataset, d)
         if not isinstance(dataset, Dataset):
             continue
-        assert _roundtrip(dataset) == dataset, case
+        assert same_dataset(_roundtrip(dataset), dataset), case
         ids = dataset.user_ids + dataset.item_ids + dataset.group_ids
         seen["non_ascii"] += any(not e.isascii() for e in ids)
         seen["nul_end"] += any(e.endswith("\x00") for e in ids)
@@ -900,8 +925,8 @@ def test_dataset_arrays_roundtrip_edge_ids():
                  user_ids=["1", "01", "café", "x\x00"],
                  item_ids=["٣", "+3", "\x00"],
                  group_ids=["g　h", "2"])
-    assert _roundtrip(ds) == ds
+    assert same_dataset(_roundtrip(ds), ds)
     empty = Dataset(n_users=0, n_items=0, n_groups=0, user_items=Rows.from_lists([]),
                     groups=Rows.from_lists([]), group_pos=Rows.from_lists([]),
                     user_ids=[], item_ids=[], group_ids=[])
-    assert _roundtrip(empty) == empty
+    assert same_dataset(_roundtrip(empty), empty)

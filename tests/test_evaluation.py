@@ -300,7 +300,7 @@ def test_non_finite_score_names_the_model_and_the_group():
     """A NaN parameter that only one mask reads: the error names that mask
     and the group, and the other masks score as they do alone."""
     ds, truth, split = _planted(seed=6)
-    assignments = cluster_subsets(ds, 2, seed=1)
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
@@ -329,7 +329,7 @@ def test_nan_gcn_weight_is_refused_naming_a_superset_model():
     masks that read the superset branch (relu passes NaN on), so the
     error names one of them; the mask without that branch stays finite."""
     ds, truth, split = _planted(seed=6)
-    assignments = cluster_subsets(ds, 2, seed=1)
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=2)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
@@ -363,7 +363,7 @@ def test_random_scorer_hr_within_3_sigma():
 
 def test_mgam_scorer_matches_direct_forward():
     ds, truth, split = _planted(seed=6)
-    assignments = cluster_subsets(ds, 2, seed=1)
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
@@ -380,7 +380,7 @@ def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
     """Rows of many groups are scored SCORE_CHUNK_ROWS at a time, each row
     as it scores alone."""
     ds, truth, split = _planted(seed=6)
-    assignments = cluster_subsets(ds, 2, seed=1)
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
@@ -426,7 +426,7 @@ def test_scoring_memory_is_bounded_by_a_chunk():
     cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2)
 
     def model(ds):
-        assignments = cluster_subsets(ds, 3, seed=1)
+        assignments = cluster_subsets(ds, 3, max_iters=100, restarts=3, seed=1)
         params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                              np.random.default_rng(0))
         return make_mgam_scorer(params, cfg, ds, assignments, build_co_membership(ds.groups))
@@ -473,7 +473,7 @@ def test_many_mask_scoring_memory_stays_near_one_mask():
     cfg = Config(embedding_dim=32, num_subsets=3, gcn_layers=2)
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=300, n_items=400, n_groups=600, positives_per_group=5), seed=1)
-    assignments = cluster_subsets(ds, 3, seed=1)
+    assignments = cluster_subsets(ds, 3, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
     params = init_params(cfg, ds.n_users, ds.n_items, ds.n_groups,
                          np.random.default_rng(0))

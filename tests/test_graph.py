@@ -9,7 +9,7 @@ from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.data import Rows
 from mgam.errors import UsageError
-from mgam.graph import (GroupGraph, _normalize, build_co_membership,
+from mgam.graph import (GroupGraph, build_co_membership,
                         dump_graph, expand_to_instances, induce_batch_subgraph)
 from reference_preprocessing import pair_loop_adjacency, sorted_pair_dump
 
@@ -74,11 +74,11 @@ def test_graph_invariants_randomized():
         a = g.adjacency.toarray()
         n = g.normalized.toarray()
         assert np.array_equal(a, a.T)
-        assert np.array_equal(np.diag(a), np.ones(g.n))
+        assert np.array_equal(np.diag(a), np.ones(g.adjacency.shape[0]))
         assert np.array_equal(n, n.T)
         assert n.max() <= 1.0
         degree = _degree(g)
-        for i in range(g.n):
+        for i in range(g.adjacency.shape[0]):
             assert n[i, i] == 1.0 / degree[i]  # exact by construction
 
 
@@ -92,7 +92,7 @@ def test_induce_single_node():
 def test_induce_full_set_equals_original():
     rng = np.random.default_rng(2)
     g = build_co_membership(random_groups(rng, 14, 9))
-    sub = induce_batch_subgraph(g, list(range(g.n)))
+    sub = induce_batch_subgraph(g, list(range(g.adjacency.shape[0])))
     assert np.array_equal(sub.adjacency.toarray(), g.adjacency.toarray())
     assert np.array_equal(sub.normalized.toarray(), g.normalized.toarray())
 
@@ -110,8 +110,8 @@ def test_induce_matches_dense_oracle_randomized():
     rng = np.random.default_rng(3)
     for _ in range(100):
         g = build_co_membership(random_groups(rng, int(rng.integers(2, 31)), 12))
-        k = int(rng.integers(1, g.n + 1))
-        ids = sorted(rng.choice(g.n, size=k, replace=False))
+        k = int(rng.integers(1, g.adjacency.shape[0] + 1))
+        ids = sorted(rng.choice(g.adjacency.shape[0], size=k, replace=False))
         sub = induce_batch_subgraph(g, ids)
         dense = g.adjacency.toarray()[np.ix_(ids, ids)]
         assert np.array_equal(sub.adjacency.toarray(), dense)
@@ -186,7 +186,8 @@ def test_expand_to_instances_sparse_matches_dense_bitwise():
 
 def test_normalize_reuses_a_sorted_structure_bitwise():
     """A sorted adjacency's index arrays are shared, not copied, and the
-    values equal those normalized on a shuffled copy of it."""
+    values equal, bit for bit, those of the graph induced on a permutation
+    of its nodes."""
     rng = np.random.default_rng(41)
     for _ in range(50):
         g = build_co_membership(random_groups(rng, int(rng.integers(1, 20)), 10))
@@ -194,12 +195,11 @@ def test_normalize_reuses_a_sorted_structure_bitwise():
         assert adj.has_sorted_indices
         assert np.shares_memory(g.normalized.indices, adj.indices)
         assert np.shares_memory(g.normalized.indptr, adj.indptr)
-        order = np.concatenate([rng.permutation(np.arange(a, b))
-                                for a, b in zip(adj.indptr[:-1], adj.indptr[1:])])
-        shuffled = sparse.csr_array((adj.data[order], adj.indices[order], adj.indptr),
-                                    shape=adj.shape)
-        from_copy = _normalize(shuffled, _degree(g))
-        _assert_csr_bitwise(g.normalized, from_copy)
+        perm = rng.permutation(adj.shape[0])
+        permuted = induce_batch_subgraph(g, perm)
+        assert permuted.normalized.toarray().tobytes() == \
+            g.normalized.toarray()[np.ix_(perm, perm)].tobytes()
+        _assert_normalized_bitwise(permuted.normalized, permuted.adjacency)
         _assert_normalized_bitwise(g.normalized, adj)
 
 
@@ -226,8 +226,8 @@ def test_co_membership_matches_pair_loop_bitwise():
                       for _ in range(n_groups)])
     for groups in cases:
         fast = build_co_membership(Rows.from_lists(groups))
-        slow = GroupGraph(n=len(groups), adjacency=pair_loop_adjacency(groups))
-        assert fast.n == slow.n
+        slow = GroupGraph(adjacency=pair_loop_adjacency(groups))
+        assert fast.adjacency.shape == slow.adjacency.shape
         _assert_csr_bitwise(fast.adjacency, slow.adjacency)
         _assert_csr_bitwise(fast.normalized, slow.normalized)
         assert _degree(fast).dtype == _degree(slow).dtype
@@ -281,7 +281,7 @@ def test_building_and_dumping_the_graph_hold_little_beyond_it(tmp_path):
     assert g.adjacency.nnz >= 200_000
     size = _csr_bytes(g.adjacency)
     assert build_peak < 1.5 * size
-    ids = [f"g{k}" for k in range(g.n)]
+    ids = [f"g{k}" for k in range(g.adjacency.shape[0])]
     _, dump_peak = _traced_peak(lambda: dump_graph(g, ids, tmp_path / "graph.tsv"))
     assert dump_peak < 0.1 * size
     assert "normalized" not in g.__dict__
@@ -315,7 +315,8 @@ def test_spmm_vjp_is_the_transpose_product_on_both_normalized_graphs():
     rng = np.random.default_rng(37)
     for _ in range(60):
         g = build_co_membership(random_groups(rng, int(rng.integers(1, 30)), 12))
-        batch = rng.integers(g.n, size=int(rng.integers(1, 3 * g.n + 1)))
+        n = g.adjacency.shape[0]
+        batch = rng.integers(n, size=int(rng.integers(1, 3 * n + 1)))
         for m in (g.normalized, expand_to_instances(g, batch)):
             assert m.toarray().tobytes() == m.T.toarray().tobytes()
             x = Tensor(rng.standard_normal((m.shape[0], 5)), requires_grad=True)
@@ -338,30 +339,61 @@ def test_dump_graph_follows_internal_index_order(tmp_path):
     rng = np.random.default_rng(29)
     for _ in range(50):
         g = build_co_membership(random_groups(rng, int(rng.integers(1, 30)), 12))
-        ids = [str(int(v)) for v in rng.permutation(10 * g.n)[:g.n]]
+        n = g.adjacency.shape[0]
+        ids = [str(int(v)) for v in rng.permutation(10 * n)[:n]]
         dump_graph(g, ids, out)
         assert out.read_text(encoding="utf-8") == sorted_pair_dump(g.adjacency, ids)
 
 
 def test_dump_graph_reads_unsorted_rows_and_needs_no_self_loops(tmp_path):
-    """Rows whose column indices are stored out of order, and a graph
-    without its unit diagonal, give the same lines as the sorted pairs."""
+    """A graph induced on shuffled ids, whose sliced rows come out of order
+    until `induce_batch_subgraph` sorts them, and that graph without its
+    unit diagonal, give the same lines as the sorted pairs."""
     out = tmp_path / "graph.tsv"
     rng = np.random.default_rng(31)
     unsorted = 0
     for _ in range(30):
         g = build_co_membership(random_groups(rng, int(rng.integers(1, 20)), 10))
-        ids = ["\u00e9", "\U0001F600", "01", "1"] + [f"g{k}" for k in range(g.n)]
-        ids = ids[:g.n]
-        adj = g.adjacency
-        order = np.concatenate([rng.permutation(np.arange(a, b))
-                                for a, b in zip(adj.indptr[:-1], adj.indptr[1:])])
-        shuffled = sparse.csr_array((adj.data[order], adj.indices[order], adj.indptr),
-                                    shape=adj.shape)
-        unsorted += not shuffled.has_sorted_indices
-        no_loops = sparse.csr_array(adj - sparse.eye_array(g.n, format="csr"))
+        n = g.adjacency.shape[0]
+        ids = ["\u00e9", "\U0001F600", "01", "1"] + [f"g{k}" for k in range(n)]
+        ids = ids[:n]
+        perm = rng.permutation(n)
+        unsorted += not g.adjacency[perm][:, perm].has_sorted_indices
+        shuffled = induce_batch_subgraph(g, perm)
+        adj = shuffled.adjacency
+        no_loops = sparse.csr_array(adj - sparse.eye_array(n, format="csr"))
         no_loops.eliminate_zeros()
-        for a in (shuffled, no_loops):
-            dump_graph(GroupGraph(n=g.n, adjacency=a), ids, out)
+        for graph in (shuffled, GroupGraph(adjacency=no_loops)):
+            dump_graph(graph, ids, out)
             assert out.read_bytes().decode("utf-8") == sorted_pair_dump(adj, ids)
     assert unsorted > 10
+
+
+def test_group_graph_refuses_an_unsorted_adjacency():
+    """Every reader walks rows in ascending column order, so a graph whose
+    stored column indices are out of order is refused when it is built."""
+    g = build_co_membership(Rows.from_lists([[0, 1], [1, 2], [0, 2]]))
+    adj = g.adjacency
+    indices = adj.indices.copy()
+    indices[:2] = indices[1::-1]                 # row 0 reads 1, 0, 2
+    shuffled = sparse.csr_array((adj.data, indices, adj.indptr), shape=adj.shape)
+    with pytest.raises(UsageError, match="sorted"):
+        GroupGraph(adjacency=shuffled)
+
+
+def test_induced_subgraph_has_sorted_indices_for_shuffled_ids():
+    """Slicing by unordered ids leaves rows unordered; the induced graph
+    is sorted again, and equals the dense slice."""
+    rng = np.random.default_rng(43)
+    unsorted = 0
+    for _ in range(200):
+        g = build_co_membership(random_groups(rng, int(rng.integers(2, 30)), 12))
+        n = g.adjacency.shape[0]
+        ids = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        unsorted += not g.adjacency[ids][:, ids].has_sorted_indices
+        sub = induce_batch_subgraph(g, ids).adjacency
+        assert sub.has_sorted_indices
+        for a, b in zip(sub.indptr[:-1], sub.indptr[1:]):
+            assert np.all(np.diff(sub.indices[a:b]) > 0)
+        assert np.array_equal(sub.toarray(), g.adjacency.toarray()[np.ix_(ids, ids)])
+    assert unsorted > 50

@@ -21,7 +21,7 @@ from mgam.training import (adam_step, expected_param_shapes, init_adam,
                            read_manifest, save_checkpoint, total_loss, train,
                            train_epoch, triplet_loss, _build_triplets)
 
-from conftest import fresh_toy_params, subset_table
+from conftest import fresh_toy_params, same_dataset, same_subsets, subset_table
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def _small_setup(seed=0, n_groups=6):
         n_users=24, n_items=40, n_groups=n_groups, group_size_range=(3, 5),
         n_cohorts=2, positives_per_group=5), seed=seed)
     split = split_leave_one_out(ds, [seed, 1])
-    assignments = cluster_subsets(ds, 2, seed=[seed, 2])
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=[seed, 2])
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=2)
     return ds, split, assignments, graph, cfg
@@ -355,7 +355,7 @@ def test_overfit_small_dataset():
         n_cohorts=2, positives_per_group=5), seed=3)
     split = split_leave_one_out(ds, 0)
     assert len(split.train) == 20
-    assignments = cluster_subsets(ds, 2, seed=1)
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
     cfg = Config(embedding_dim=16, num_subsets=2, gcn_layers=2,
                  epochs=200, batch_size=64, seed=7, learning_rate=0.01)
@@ -555,8 +555,8 @@ def _saved_with_data(tmp_path):
 def test_checkpoint_inputs_roundtrip(tmp_path):
     ckpt, data = _saved_with_data(tmp_path)
     dataset, assignments = load_inputs(ckpt, data, read_manifest(ckpt))
-    assert dataset == _CKPT_DATASET
-    assert assignments == _CKPT_ASSIGNMENTS
+    assert same_dataset(dataset, _CKPT_DATASET)
+    assert same_subsets(assignments, _CKPT_ASSIGNMENTS)
 
 
 def test_checkpoint_inputs_missing_array_is_named(tmp_path):
