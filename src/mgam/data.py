@@ -455,125 +455,60 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
                  test=list(zip(tested.tolist(), pos.indices[held].tolist())))
 
 
-def _too_few(owner: str, n: int, eligible: int, n_items: int) -> SamplingError:
-    return SamplingError(f"{owner}: requested {n} negatives but only "
-                         f"{eligible} of {n_items} items are eligible")
-
-
-def draw_unseen(n_items: int, seen, n: int, rng: np.random.Generator,
-                owner: str) -> list:
-    """Draw n distinct items uniformly from those not in `seen` (a list or
-    an int array) as Python ints; `owner` (e.g. "group 7") names whose
-    items they are in a SamplingError."""
-    if n < 0:
-        raise UsageError("cannot sample a negative number of items")
-    blocked = set(np.asarray(seen, dtype=np.int64).tolist())
-    eligible_count = n_items - len(blocked)
-    if n > eligible_count:
-        raise _too_few(owner, n, eligible_count, n_items)
-    if n == 0:
-        return []
-    if n <= eligible_count // 2:
-        # rejection rounds: each round draws only as many numbers as items
-        # are still missing, all of which one-at-a-time draws would also
-        # consume, so the list and the stream's end position are theirs
-        out: list = []
-        chosen: set = set()
-        while len(out) < n:
-            for cand in rng.integers(n_items, size=n - len(out)).tolist():
-                if cand not in blocked and cand not in chosen:
-                    chosen.add(cand)
-                    out.append(cand)
-        return out
-    eligible = np.setdiff1d(np.arange(n_items), seen)
-    return [int(i) for i in rng.choice(eligible, size=n, replace=False)]
-
-
 def sample_negatives(dataset: Dataset, group, n: int, rng: np.random.Generator):
     """Draw n distinct items uniformly from those the group never interacted
-    with: a list for one group, or `draw_unseen_rows` over the groups' rows
-    of positives for a 1-D array of groups."""
-    if np.ndim(group) == 0:
-        return draw_unseen(dataset.n_items, dataset.group_pos[group], n, rng,
-                           f"group {dataset.group_ids[group]}")
-    return draw_unseen_rows(dataset.n_items, dataset.group_pos, group, n, rng,
-                            lambda g: f"group {dataset.group_ids[g]}")
+    with: row 0 of a one-row `draw_unseen_rows` table, as Python ints, for
+    one group, or the table over a 1-D array of groups."""
+    rows = draw_unseen_rows(dataset.n_items, dataset.group_pos, np.atleast_1d(group), n,
+                            rng, lambda g: f"group {dataset.group_ids[g]}")
+    return rows[0].tolist() if np.ndim(group) == 0 else rows
 
 
 def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
                      rng: np.random.Generator, name) -> np.ndarray:
-    """An (len(owners), n) int64 table whose row i, and the stream `rng` is
-    left at, are those of one `draw_unseen(n_items, seen[o], n, rng,
-    name(o))` call per owner o of the 1-D `owners`, in order.  `seen`'s
-    rows are sorted and duplicate-free, as a `Dataset`'s are."""
+    """An (len(owners), n) int64 table whose row i holds n distinct items
+    drawn uniformly, in uniformly random order, from those not in row
+    owners[i] of `seen` (sorted, duplicate-free rows, as a `Dataset`'s);
+    `name(o)` names owner o in a SamplingError.
+
+    Floyd's algorithm draws each row's ranks (rank r: the r-th item not
+    seen) among its E eligible items: slot j draws from [0, E - n + j],
+    in one `rng.integers` call for all slots, and a rank an earlier slot
+    holds becomes E - n + j.  One `rng.permuted` then shuffles each row,
+    since Floyd alone never puts the top n - 1 ranks in slot 0.
+    """
     if n < 0:
         raise UsageError("cannot sample a negative number of items")
     owners = np.asarray(owners, dtype=np.int64)
-    out = np.empty((len(owners), n), dtype=np.int64)
     eligible = n_items - seen.lengths()[owners]
     short = np.flatnonzero(eligible < n)
     if len(short):
-        raise _too_few(name(int(owners[short[0]])), n, int(eligible[short[0]]), n_items)
-    if n == 0:
-        return out
-    # a row drawing more than half its eligible items takes draw_unseen's
-    # rng.choice branch, at its own place in the stream
-    start = 0
-    for c in np.flatnonzero(n > eligible // 2).tolist() + [len(owners)]:
-        if start < c:
-            out[start:c] = _rejection_walk(n_items, seen, owners[start:c], n, rng)
-        if c < len(owners):
-            o = int(owners[c])
-            out[c] = draw_unseen(n_items, seen[o], n, rng, name(o))
-        start = c + 1
-    return out
-
-
-# values one round of `_rejection_walk` draws at most: a rejection ends a
-# round, so a short round keeps the cost of each rejection small
-WALK_ROUND = 64
-
-
-def _rejection_walk(n_items: int, seen: Rows, owners: np.ndarray, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """The (len(owners), n) items draw_unseen's rejection rounds draw for
-    each of `owners` in turn, avoiding its row of `seen`.
-
-    Those rounds consume each value they draw, in stream order: a value
-    fills its row's next slot unless it is in the row's `seen` items or
-    already in the row, and an owner ends exactly when its row is full.
-    `rng.integers` gives the same values in one call as in several, so
-    each round here takes the values carried over from the last round and
-    draws more, up to `WALK_ROUND` values and never more than slots are
-    still missing.  It keeps the accepted prefix up to the first
-    rejection and carries the values after it over to the next round.
-    """
-    uniq, inv = np.unique(owners, return_inverse=True)
-    table, valid = seen.padded(uniq)
-    # the (owner, seen item) keys, sorted, and one above them all
-    keys = np.append((np.arange(len(uniq))[:, None] * n_items + table)[valid],
-                     len(uniq) * n_items)
-    flat = np.empty(len(owners) * n, dtype=np.int64)
-    filled, pending = 0, np.empty(0, dtype=np.int64)
-    while filled < len(flat):
-        size = min(WALK_ROUND, len(flat) - filled)
-        vals = np.concatenate((pending, rng.integers(n_items, size=size - len(pending))))
-        rows = np.arange(filled, filled + size) // n
-        key = inv[rows] * n_items + vals
-        reject = keys[np.searchsorted(keys, key)] == key
-        # a value the row took before: in this round, or in the row's
-        # slots filled in earlier rounds
-        done = flat[rows[0] * n:filled]
-        taken = np.concatenate((rows[0] * n_items + done, rows * n_items + vals))
-        order = np.argsort(taken, kind="stable")
-        again = np.zeros(len(taken), dtype=bool)
-        again[order[1:]] = taken[order[1:]] == taken[order[:-1]]
-        reject |= again[len(done):]
-        p = int(np.argmax(reject)) if reject.any() else size
-        flat[filled:filled + p] = vals[:p]
-        filled += p
-        pending = vals[p + 1:]
-    return flat.reshape(-1, n)
+        raise SamplingError(f"{name(int(owners[short[0]]))}: requested {n} negatives but "
+                            f"only {eligible[short[0]]} of {n_items} items are eligible")
+    slots = np.arange(n)
+    low = (eligible - n)[:, None]
+    drawn = rng.integers(low + slots + 1)
+    # an earlier slot holds slot j's draw if it drew it too (a stable sort puts
+    # equal draws in slot order: all but the first are repeats), or if the draw
+    # is its top and it took that; each pass settles one more slot
+    order = np.argsort(drawn, axis=1, kind="stable")
+    ordered = np.take_along_axis(drawn, order, axis=1)
+    repeat = np.zeros(drawn.shape, dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    top_slot = drawn - low
+    at_top = (top_slot >= 0) & (top_slot < slots)
+    top_slot[~at_top] = 0
+    clash, settled = repeat, None
+    while not np.array_equal(clash, settled):
+        settled, clash = clash, repeat | at_top & np.take_along_axis(clash, top_slot, axis=1)
+    ranks = rng.permuted(np.where(clash, low + slots, drawn), axis=1)
+    # rank r is item r plus the count of seen items k with seen_k - k <= r;
+    # each row's keys are sorted, and padding sorts above every rank
+    table, valid = seen.padded(owners)
+    row = np.arange(len(owners))[:, None]
+    keys = row * (n_items + 1) + np.where(valid, table - np.arange(table.shape[1]), n_items)
+    return ranks + np.searchsorted(keys.ravel(), row * (n_items + 1) + ranks,
+                                   "right") - row * table.shape[1]
 
 
 def label_blocks(positives, negatives) -> np.ndarray:

@@ -5,8 +5,9 @@ For every test (group, held-out positive) the positive is ranked against
 positives); HR@K and NDCG@K are averaged over groups.  Every command
 draws the candidate table once, with `draw_candidates`: row i is test
 entry i's held-out item, in column 0, then its negatives
-(`data.label_blocks`, the layout of training batches).  Negative streams
-are keyed by group index so evaluation order cannot change the result.
+(`data.label_blocks`, the layout of training batches).  Negatives come
+from `data.draw_unseen_rows`, the sampler training uses, on streams
+keyed by group index, so evaluation order cannot change the result.
 One `evaluate` call scores every model a command names (ablation mask,
 aggregation strategy, subset count) against that table.
 
@@ -22,10 +23,11 @@ pair, never on the rows it shares a forward with.  The chunk size bounds
 the memory of a forward whatever the number of test groups.
 
 One rule, `_ranking`, orders candidates: by descending score, ties by
-ascending item.  `evaluate` reads each held-out item's 1-based position
-from it and `rank_candidates` (`recommend`) sorts by it.  `hit_and_gain`
-is the one definition of HR and NDCG per position, for `metrics.csv`'s
-means and `metrics_detail.csv`'s rows, which `report_metrics` writes.
+ascending item.  `rank_candidates` (`recommend`) sorts by it, and
+`evaluate` counts the candidates it puts ahead of each held-out item.
+`hit_and_gain` is the one definition of HR and NDCG per position, for
+`metrics.csv`'s means and `metrics_detail.csv`'s rows, which
+`report_metrics` writes.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
     """The (tests, 1 + eval_negatives) int64 candidate table: row i is
     test entry i's held-out item, in column 0, then its negatives.
 
-    Group g's negatives come from its own STREAM_EVAL stream, so the rows
-    do not depend on evaluation order, and one draw serves every model a
-    command scores.
+    Group g's negatives are one scalar `sample_negatives` call on its own
+    STREAM_EVAL stream, so the rows do not depend on evaluation order,
+    and one draw serves every model a command scores.
     """
     negatives = [sample_negatives(dataset, g, eval_negatives, np.random.default_rng(
         substream(seed, STREAM_EVAL, g))) for g, _ in split.test]
@@ -156,8 +158,11 @@ def evaluate(score_fn, dataset: Dataset, split: Split, candidates: np.ndarray,
     scores = _score(score_fn, np.repeat(test[:, 0], candidates.shape[1]), candidates.ravel(),
                     labels, dataset.group_ids.__getitem__)
     scores = scores.reshape(len(labels), *candidates.shape)   # (models, tests, 1 + k)
-    positions = 1 + np.argmax(_ranking(np.broadcast_to(candidates, scores.shape), scores) == 0,
-                              axis=-1)
+    # `_ranking` puts ahead of the held-out item (column 0) each candidate
+    # scoring higher, or the same with a smaller item
+    held = scores[..., :1]
+    ahead = (scores > held) | (scores == held) & (candidates < candidates[:, :1])
+    positions = 1 + ahead.sum(axis=-1)
     ks = [int(k) for k in ks]
     # cumsum adds in test order, where a sum may pair terms
     hr, ndcg = (np.cumsum(m, axis=1)[:, -1] / len(test) for m in hit_and_gain(positions, ks))

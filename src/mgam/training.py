@@ -9,11 +9,10 @@ contribute no triplet.  Both terms are averaged (not summed) over the
 batch so the learning rate is batch-size independent.
 
 A batch's negatives come from one `sample_negatives` call on the epoch's
-random stream, which draws what one call per positive would draw and
-leaves the stream where those calls would.  Adam keeps the parameters
-and both moments in flat buffers (`AdamState`) and gathers a step's
-gradients into one, so a step is a dozen ufunc calls whatever the
-parameter count.
+random stream, a fixed number of draws per positive with no rejection
+(`data.draw_unseen_rows`).  Adam keeps the parameters and both moments
+in flat buffers (`AdamState`) and gathers a step's gradients into one,
+so a step is a dozen ufunc calls whatever the parameter count.
 
 A checkpoint is a directory of `params.bin` (float32 parameters),
 `inputs.npz` (the parsed dataset and the subset assignments training

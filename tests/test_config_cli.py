@@ -3,6 +3,9 @@ import io
 import json
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -858,3 +861,12 @@ def test_non_integer_ks_is_config_error(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'a'" in err and "ks" in err
     assert "Traceback" not in err
+
+
+def test_every_src_statement_runs_in_some_command():
+    """`tests/trace_cli.py` runs every command under a line trace: it
+    prints nothing, so no statement of `src/mgam` outside its allowlist
+    goes unexecuted and no allowlist entry is unused."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("trace_cli.py"))],
+                          capture_output=True, text=True, timeout=600)
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr

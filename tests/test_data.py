@@ -11,9 +11,9 @@ import pytest
 
 import mgam
 from mgam import data
-from mgam.data import (Dataset, Rows, SyntheticParams, draw_unseen,
-                       generate_synthetic, label_blocks, load_dataset,
-                       sample_negatives, split_leave_one_out, write_dataset)
+from mgam.data import (Dataset, Rows, SyntheticParams, generate_synthetic,
+                       label_blocks, load_dataset, sample_negatives,
+                       split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
 from conftest import same_dataset, same_rows
 from reference_preprocessing import line_parsed_dataset, planted_utility
@@ -496,64 +496,21 @@ def test_split_deterministic_and_union_preserved():
 
 
 def test_split_test_and_draws_are_python_ints():
-    """`split.test` holds Python ints, and `draw_unseen` draws the same
-    list whether `seen` is an int array or a list."""
+    """`split.test` holds Python ints, and so does a scalar
+    `sample_negatives` draw."""
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=30, n_items=40, n_groups=8, group_size_range=(2, 4),
         n_cohorts=2, positives_per_group=5), seed=3)
     split = split_leave_one_out(ds, 4)
     assert split.test and all(type(g) is int and type(v) is int for g, v in split.test)
     for g in range(ds.n_groups):
-        for n in (3, 30):   # rejection draws, then a choice over the eligible
-            a = draw_unseen(ds.n_items, ds.group_pos[g], n, np.random.default_rng(g), "g")
-            b = draw_unseen(ds.n_items, ds.group_pos[g].tolist(), n,
-                            np.random.default_rng(g), "g")
-            assert a == b and all(type(v) is int for v in a)
+        for n in (3, 30):
+            drawn = sample_negatives(ds, g, n, np.random.default_rng(g))
+            assert type(drawn) is list and all(type(v) is int for v in drawn)
 
 
 # ---------------------------------------------------------------------------
 # negative sampling
-
-def _scalar_draw_unseen(n_items, seen, n, rng):
-    """One `rng.integers` call per drawn number: the reference the bulk
-    rejection rounds of `draw_unseen` must reproduce exactly."""
-    blocked = set(np.asarray(seen, dtype=np.int64).tolist())
-    if n <= (n_items - len(blocked)) // 2:
-        out, chosen = [], set()
-        while len(out) < n:
-            cand = int(rng.integers(n_items))
-            if cand in blocked or cand in chosen:
-                continue
-            chosen.add(cand)
-            out.append(cand)
-        return out
-    eligible = np.array([i for i in range(n_items) if i not in blocked])
-    return [int(i) for i in rng.choice(eligible, size=n, replace=False)]
-
-
-@pytest.mark.parametrize("n_items", [500, 5000, 6000])
-def test_bulk_draw_unseen_equals_scalar_draws(n_items):
-    """Per-group streams (100 draws over up to 45% seen items) and the
-    dense `choice` branch give the scalar loop's lists; a stream shared by
-    2,000 draws of n = 1 or 3 gives its lists and ends where it ends."""
-    rng = np.random.default_rng(n_items)
-    for g in range(40):
-        seen = rng.choice(n_items, size=int(rng.integers(0, 0.45 * n_items)),
-                          replace=False)
-        for n in (100, (n_items - len(seen)) // 2 + 1):   # rejection, then choice
-            got = draw_unseen(n_items, seen, n, np.random.default_rng(g), "g")
-            assert got == _scalar_draw_unseen(n_items, seen, n, np.random.default_rng(g))
-    seens = [rng.choice(n_items, size=int(rng.integers(0, 0.45 * n_items)), replace=False)
-             for _ in range(20)]
-    for n in (1, 3):
-        bulk, scalar = np.random.default_rng(7), np.random.default_rng(7)
-        for i in range(2000):
-            seen = seens[i % len(seens)]
-            assert (draw_unseen(n_items, seen, n, bulk, "g")
-                    == _scalar_draw_unseen(n_items, seen, n, scalar))
-        assert bulk.integers(n_items) == scalar.integers(n_items)
-        assert bulk.random() == scalar.random()
-
 
 def _tiny_ds():
     return Dataset(n_users=1, n_items=3, n_groups=1, user_items=Rows.from_lists([[0]]),
@@ -567,7 +524,10 @@ def test_sample_negatives_forced_set():
 
 
 def test_sample_negatives_zero():
+    """No negatives: an empty list for one group, an (n, 0) table for n."""
     assert sample_negatives(_tiny_ds(), 0, 0, rng=np.random.default_rng(0)) == []
+    table = sample_negatives(_tiny_ds(), np.array([0, 0]), 0, rng=np.random.default_rng(0))
+    assert table.dtype == np.int64 and table.shape == (2, 0)
 
 
 def test_sample_negatives_insufficient():
@@ -596,35 +556,89 @@ def test_sample_negatives_same_stream_identical():
 
 
 def test_sample_negatives_uniformity_chi_square():
-    """10^4 single draws over 10 eligible items: every frequency within
-    3 sigma of uniform."""
+    """10^5 single draws over 10 eligible items, as one batch (a scalar call
+    is row 0 of a one-row batch, tested below): every frequency within
+    0.009 of uniform (about 9.5 sigma), and the counts pass a chi-square
+    test against uniform (9 degrees of freedom, 33.72 is the 1e-4 tail)."""
     ds = Dataset(n_users=1, n_items=12, n_groups=1, user_items=Rows.from_lists([[0]]),
                  groups=Rows.from_lists([[0]]), group_pos=Rows.from_lists([[0, 1]]),
                  user_ids=["0"], item_ids=[str(i) for i in range(12)],
                  group_ids=["0"])
     rng = np.random.default_rng(8)
-    counts = np.zeros(12)
-    n = 10_000
-    for _ in range(n):
-        counts[sample_negatives(ds, 0, 1, rng=rng)[0]] += 1
+    n = 100_000
+    counts = np.bincount(sample_negatives(ds, np.zeros(n, np.int64), 1, rng).ravel(),
+                         minlength=12)
     assert counts[0] == 0 and counts[1] == 0
     expected = n / 10
-    sigma = np.sqrt(n * 0.1 * 0.9)
-    assert np.abs(counts[2:] - expected).max() <= 3 * sigma
+    assert np.abs(counts[2:] / n - 0.1).max() <= 0.009
+    assert ((counts[2:] - expected) ** 2 / expected).sum() < 33.72
 
 
-def _replayed(ds, groups, n, seed):
-    """One scalar sample_negatives call per group, in order, on a fresh
-    generator: the rows and the generator state they leave."""
-    rng = np.random.default_rng(seed)
-    rows = [sample_negatives(ds, g, n, rng) for g in np.asarray(groups).tolist()]
-    return rows, rng.bit_generator.state
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_draw_unseen_rows_are_distinct_unseen_and_in_range(n):
+    """Owners that have seen every count of items from none to
+    n_items - n, each repeated in a shuffled batch: every row holds n
+    distinct items, none seen by its owner, all in range."""
+    n_items = 20
+    rng = np.random.default_rng(n)
+    seen = Rows.from_lists([np.sort(rng.choice(n_items, size=k, replace=False)).tolist()
+                            for k in range(n_items - n + 1) for _ in range(3)])
+    owners = rng.permutation(np.repeat(np.arange(len(seen)), 4))
+    for seed in range(10):
+        table = data.draw_unseen_rows(n_items, seen, owners, n,
+                                      np.random.default_rng(seed), str)
+        assert table.dtype == np.int64 and table.shape == (len(owners), n)
+        for o, row in zip(owners.tolist(), table.tolist()):
+            assert len(set(row)) == n and not set(row) & set(seen[o].tolist())
+            assert all(0 <= v < n_items for v in row)
+
+
+def test_draw_unseen_rows_wanting_every_eligible_item_gets_them_all():
+    rng = np.random.default_rng(5)
+    n_items = 15
+    for k in range(n_items + 1):
+        seen = Rows.from_lists([np.sort(rng.choice(n_items, size=k, replace=False)).tolist()])
+        eligible = np.setdiff1d(np.arange(n_items), seen[0])
+        table = data.draw_unseen_rows(n_items, seen, [0, 0, 0], len(eligible), rng, str)
+        assert table.shape == (3, len(eligible))
+        assert (np.sort(table, axis=1) == eligible).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_draw_unseen_rows_every_slot_is_uniform(n):
+    """12,000 rows of n of the 6 items not in {1, 4}, out of 8: each slot
+    on its own passes a chi-square test against uniform (5 degrees of
+    freedom, 25.74 is the 1e-4 tail).  Floyd's ranks alone would fail it,
+    since slot 0 never holds the top n - 1 ranks."""
+    rows = 12_000
+    table = data.draw_unseen_rows(8, Rows.from_lists([[1, 4]]), np.zeros(rows, np.int64),
+                                  n, np.random.default_rng(n), str)
+    expected = rows / 6
+    for slot in table.T:
+        counts = np.bincount(slot, minlength=8)
+        assert counts[1] == counts[4] == 0
+        assert ((counts[[0, 2, 3, 5, 6, 7]] - expected) ** 2 / expected).sum() < 25.74
+
+
+def test_scalar_sample_negatives_is_row_0_of_a_one_row_batch():
+    """`benchmarks/checks.py` recomputes evaluation candidates with scalar
+    calls: one draws, as Python ints, row 0 of a one-group batch on the
+    same stream, and leaves the stream where the batch does."""
+    ds, _ = generate_synthetic(SyntheticParams(
+        n_users=20, n_items=30, n_groups=6, group_size_range=(2, 4),
+        n_cohorts=2, positives_per_group=4), seed=5)
+    for g in range(ds.n_groups):
+        for n in (1, 5, 20):
+            scalar, batch = np.random.default_rng([g, n]), np.random.default_rng([g, n])
+            drawn = sample_negatives(ds, g, n, scalar)
+            assert all(type(v) is int for v in drawn)
+            assert drawn == sample_negatives(ds, np.array([g]), n, batch)[0].tolist()
+            assert scalar.bit_generator.state == batch.bit_generator.state
 
 
 def _mixed_ds():
-    """12 items.  g0 and g2 have 2 positives each, g1 has 8 (4 eligible
-    items, so 3 negatives take draw_unseen's rng.choice branch), g3 has 11
-    (1 eligible, so even 1 negative takes it)."""
+    """12 items.  g0 and g2 have 2 positives each, g1 has 8 and g3 has 11
+    (1 eligible item)."""
     return Dataset(n_users=1, n_items=12, n_groups=4, user_items=Rows.from_lists([[0]]),
                    groups=Rows.from_lists([[0]] * 4),
                    group_pos=Rows.from_lists([[0, 5], list(range(8)), [3, 11],
@@ -633,89 +647,18 @@ def _mixed_ds():
                    group_ids=["g0", "g1", "g2", "g3"])
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_sample_negatives_batch_replays_scalar_calls(n):
-    """A batch of groups, repeats included, gets the rows and leaves the
-    generator state of one scalar call per group, also when rejected
-    draws (positives, repeats within a row) are frequent."""
-    ds, _ = generate_synthetic(SyntheticParams(
-        n_users=20, n_items=30, n_groups=6, group_size_range=(2, 4),
-        n_cohorts=2, positives_per_group=4), seed=5)
-    for seed in range(20):
-        groups = np.random.default_rng(seed).integers(ds.n_groups, size=25)
-        assert len(np.unique(groups)) < len(groups)
-        rng = np.random.default_rng(seed)
-        table = sample_negatives(ds, groups, n, rng)
-        rows, state = _replayed(ds, groups, n, seed)
-        assert table.dtype == np.int64 and table.shape == (len(groups), n)
-        assert table.tolist() == rows
-        assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("n, groups", [(3, [0, 2, 1, 0, 2, 0]), (1, [2, 0, 3, 3, 1, 0])])
-def test_sample_negatives_batch_draws_choice_rows_in_place(n, groups):
-    """A group drawing over half its eligible items takes rng.choice at its
-    own place in the batch, between rejection-drawn rows."""
-    ds = _mixed_ds()
-    eligible = ds.n_items - ds.group_pos.lengths()
-    assert any(n > eligible[g] // 2 for g in groups[1:-1])
-    for seed in range(30):
-        rng = np.random.default_rng(seed)
-        table = sample_negatives(ds, np.array(groups), n, rng)
-        rows, state = _replayed(ds, groups, n, seed)
-        assert table.tolist() == rows
-        assert rng.bit_generator.state == state
-
-
-def test_draw_unseen_choice_branch_is_rng_choice_over_the_eligible_items():
-    """Drawing over half the eligible items is one `rng.choice` without
-    replacement over the ascending items not seen, whether `seen` is sorted
-    or not, and leaves the stream where that call leaves it."""
-    rng = np.random.default_rng(41)
-    for trial in range(60):
-        n_items = int(rng.integers(2, 300))
-        seen = rng.choice(n_items, size=int(rng.integers(0, n_items - 1)), replace=False)
-        if trial % 2:
-            seen = np.sort(seen).tolist()
-        blocked = set(np.asarray(seen).tolist())
-        eligible = np.array([i for i in range(n_items) if i not in blocked])
-        for n in range(len(eligible) // 2 + 1, len(eligible) + 1):
-            got = np.random.default_rng(trial)
-            want = np.random.default_rng(trial)
-            drawn = draw_unseen(n_items, seen, n, got, "g")
-            assert drawn == want.choice(eligible, size=n, replace=False).tolist()
-            assert all(type(v) is int for v in drawn)
-            assert got.bit_generator.state == want.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_draw_unseen_rows_over_user_items_replays_one_draw_per_positive(n):
-    """The MF baseline's batch draw: rows of users who have seen up to 40%
-    of the items, batches of over 1,000 slots, so rejections are frequent
-    and the walk's rounds cross their `WALK_ROUND` cap many times.  Each
-    row, and the stream's end state, are those of one `draw_unseen` call
-    per positive's user, in order."""
-    rng = np.random.default_rng(17)
-    n_users, n_items = 150, 50
-    seen = Rows.from_lists([np.sort(rng.choice(n_items, size=int(rng.integers(0, 21)),
-                                               replace=False)).tolist()
-                            for _ in range(n_users)])
-    assert seen.lengths().max() == 0.4 * n_items
-    for seed in range(6):
-        users = np.random.default_rng(seed).integers(n_users, size=1000 + 97 * seed)
-        assert len(users) * n > 15 * data.WALK_ROUND
-        got = np.random.default_rng([seed, n])
-        table = data.draw_unseen_rows(n_items, seen, users, n, got, lambda u: f"user {u}")
-        want = np.random.default_rng([seed, n])
-        rows = [draw_unseen(n_items, seen[u], n, want, f"user {u}") for u in users.tolist()]
-        assert table.dtype == np.int64 and table.tolist() == rows
-        assert got.bit_generator.state == want.bit_generator.state
-
-
 def test_sample_negatives_batch_names_a_group_without_enough_items():
     with pytest.raises(SamplingError, match=r"^group g3: requested 2 negatives but "
                                             r"only 1 of 12 items are eligible$"):
         sample_negatives(_mixed_ds(), np.array([0, 2, 3, 1]), 2, np.random.default_rng(0))
+
+
+def test_draw_unseen_rows_names_a_user_without_enough_items():
+    users = Rows.from_lists([[0, 5], list(range(8)), [3, 11], list(range(11))])
+    with pytest.raises(SamplingError, match=r"^user u3: requested 2 negatives but "
+                                            r"only 1 of 12 items are eligible$"):
+        data.draw_unseen_rows(12, users, np.array([0, 2, 3, 1]), 2, np.random.default_rng(0),
+                              lambda u: f"user u{u}")
 
 
 def test_label_blocks_layout():

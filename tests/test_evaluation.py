@@ -11,7 +11,7 @@ from mgam.errors import NonFiniteError, SamplingError, UsageError
 from mgam.evaluation import (SCORE_CHUNK_ROWS, MetricReport, draw_candidates,
                              evaluate, hit_and_gain, make_baseline_scorer,
                              make_mgam_scorer, rank_candidates, report_metrics,
-                             train_mf_scorer)
+                             train_mf_scorer, _ranking)
 from mgam.graph import build_co_membership
 from mgam.model import AblationMask, init_params
 
@@ -166,37 +166,39 @@ def test_evaluate_requires_test_entries():
                  draw_candidates(ds, split, 10, seed=0), ["m"], [5])
 
 
-def _ahead_count_positions(scores, candidates):
-    """Oracle: 1 + the candidates of a row that score higher than column
-    0, or score the same and have a smaller item index."""
-    target, first = scores[:, :1], candidates[:, :1]
-    return 1 + ((scores > target) | ((scores == target) & (candidates < first))).sum(axis=1)
-
-
 def test_evaluate_positions_match_rank_candidates_with_ties():
-    """`evaluate`'s positions and `rank_candidates`' order both follow the
-    ahead-count rule, with many exact ties and the negatives in any column
-    order."""
+    """`evaluate` counts the candidates ahead of each held-out item; every
+    position is where `_ranking`'s order, and `rank_candidates`, put it,
+    with many exact ties and the negatives in any column order, for one
+    model and for four scored in one pass."""
     ds, truth, split = _planted(seed=3)
     rng = np.random.default_rng(21)
     drawn = draw_candidates(ds, split, 40, seed=5)
+    groups = np.array([g for g, _ in split.test])
     for trial in range(30):
-        levels = (2, 3, 8, 1000)[trial % 4]
-        table = rng.integers(0, levels, size=(ds.n_groups, ds.n_items)) / levels
+        models = (1, 4)[trial % 2]
+        levels = np.array([(2, 3, 8, 1000)[(trial + m) % 4] for m in range(models)])
+        tables = (rng.integers(0, levels[:, None, None], size=(models, ds.n_groups, ds.n_items))
+                  / levels[:, None, None])
 
         def scorer(groups, items):
-            return table[groups, items][None]
+            return tables[:, groups, items]
 
         candidates = drawn.copy()
         candidates[:, 1:] = rng.permuted(drawn[:, 1:], axis=1)
-        [report] = evaluate(scorer, ds, split, candidates, ["m"], [1, 5])
-        groups = np.array([g for g, _ in split.test])
-        oracle = _ahead_count_positions(table[groups[:, None], candidates], candidates)
-        assert report.positions.dtype == np.int64
-        assert report.positions.tolist() == oracle.tolist()
-        for group, ranking, position in zip(groups.tolist(), candidates, oracle.tolist()):
-            items, _ = rank_candidates(scorer, group, ranking, "m", group)
-            assert 1 + np.flatnonzero(items == ranking[0])[0] == position
+        reports = evaluate(scorer, ds, split, candidates, [f"m{m}" for m in range(models)],
+                           [1, 5])
+        scores = tables[:, groups[:, None], candidates]   # (models, tests, 1 + k)
+        orders = _ranking(np.broadcast_to(candidates, scores.shape), scores)
+        for m, (report, order) in enumerate(zip(reports, orders)):
+            positions = 1 + np.argmax(order == 0, axis=1)
+            assert report.positions.dtype == np.int64
+            assert report.positions.tolist() == positions.tolist()
+            for group, ranking, position in zip(groups.tolist(), candidates,
+                                                positions.tolist()):
+                items, _ = rank_candidates(lambda g, c: tables[m:m + 1, g, c], group,
+                                           ranking, "m", group)
+                assert 1 + np.flatnonzero(items == ranking[0])[0] == position
 
 
 def test_evaluate_refuses_bad_candidate_lists():

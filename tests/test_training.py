@@ -236,8 +236,9 @@ def test_train_epoch_lr_zero_keeps_parameters():
 
 
 def test_train_epoch_batches_are_positive_then_negative_rows(monkeypatch):
-    """Each batch holds every positive followed by its negatives, drawn one
-    positive at a time from the epoch's STREAM_TRAIN stream."""
+    """Each batch holds every positive followed by its negatives, drawn in
+    one `sample_negatives` call per batch on the epoch's STREAM_TRAIN
+    stream."""
     ds, split, assignments, graph, cfg = _small_setup()
     tc = replace(cfg, batch_size=8, train_negatives=3, seed=5)
     expected = []
@@ -245,12 +246,11 @@ def test_train_epoch_batches_are_positive_then_negative_rows(monkeypatch):
         rng = np.random.default_rng(substream(tc.seed, STREAM_TRAIN, epoch))
         order = rng.permutation(len(split.train))
         for start in range(0, len(order), tc.batch_size):
+            positives = split.train[order[start:start + tc.batch_size]]
+            negatives = sample_negatives(ds, positives[:, 0], tc.train_negatives, rng=rng)
             instances = []
-            for oi in order[start:start + tc.batch_size]:
-                g, v = (int(x) for x in split.train[oi])
-                instances.append((g, v, 1))
-                for u in sample_negatives(ds, g, tc.train_negatives, rng=rng):
-                    instances.append((g, u, 0))
+            for (g, v), row in zip(positives.tolist(), negatives.tolist()):
+                instances += [(g, v, 1)] + [(g, u, 0) for u in row]
             expected.append(instances)
 
     seen_pairs, seen_rows = [], []
@@ -349,7 +349,7 @@ def test_loss_decreases_for_some_small_lr(toy):
 
 def test_overfit_small_dataset():
     """Capacity check: 20 train positives, 5 groups, d=16 drive mean
-    point-loss under 0.05."""
+    point-loss under 0.05, from each of three training seeds."""
     ds, _ = generate_synthetic(SyntheticParams(
         n_users=15, n_items=30, n_groups=5, group_size_range=(3, 4),
         n_cohorts=2, positives_per_group=5), seed=3)
@@ -357,10 +357,11 @@ def test_overfit_small_dataset():
     assert len(split.train) == 20
     assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
-    cfg = Config(embedding_dim=16, num_subsets=2, gcn_layers=2,
-                 epochs=200, batch_size=64, seed=7, learning_rate=0.01)
-    _, history = train(ds, split, assignments, graph, cfg)
-    assert history[-1].point_mean < 0.05
+    for seed in (7, 8, 9):
+        cfg = Config(embedding_dim=16, num_subsets=2, gcn_layers=2,
+                     epochs=600, batch_size=64, seed=seed, learning_rate=0.01)
+        _, history = train(ds, split, assignments, graph, cfg)
+        assert history[-1].point_mean < 0.05, seed
 
 
 def test_train_ablated_runs(toy):

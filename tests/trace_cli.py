@@ -5,7 +5,7 @@
 Runs every `mgam` command in-process under a line trace (`sys.settrace`),
 on the default `gen-data` dataset and on a tiny hand-written one whose
 ids are not integers and whose items are few (so the string order of ids
-and the `rng.choice` branch of negative sampling run).  Then it prints
+runs, and some groups draw most of their eligible items).  Then it prints
 `path:line: statement` for each statement of `src/mgam` that no command
 executed and that `ALLOWED` does not name, and `unused: ...` for each
 `ALLOWED` entry that names no such statement, and exits 1 if it printed
@@ -43,9 +43,6 @@ ALLOWED = [
      "benchmarks/tracing.py reads the features' stored bytes"),
     ("graph.py", "induce_batch_subgraph", "*",
      "benchmarks/tracing.py wraps it through its mgam.model re-export"),
-    ("data.py", "draw_unseen", "return []",
-     "zero draws of the scalar `sample_negatives`, which benchmarks/checks.py calls"),
-    ("data.py", "_too_few", "*", "error path: the samplers raise what it builds"),
     ("training.py", "load_checkpoint", "well_formed = False",
      "error path: a malformed manifest entry"),
     ("cli.py", "main", "print(f\"usage error: {e}\"", "error path: exit 2"),
@@ -85,7 +82,7 @@ g-gold\tann,hal,dan
 g-grey\tbob,gus
 """,
     # g-blue holds 7 of the 12 items, so its 3 training and 4 evaluation
-    # negatives are drawn by `rng.choice`
+    # negatives take most of its 5 eligible items
     "group_items.tsv": """\
 g-red\tapple
 g-red\tcherry
