@@ -35,9 +35,9 @@ from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
                          make_mgam_scorer, rank_candidates, report_metrics,
                          train_mf_scorer)
 from .graph import build_co_membership, dump_graph
-from .model import AblationMask, forward_batch
-from .training import (expected_param_shapes, load_checkpoint, load_inputs,
-                       read_manifest, save_checkpoint, train, TRAIN_LOG_FILE)
+from .model import AblationMask, forward_batch, param_table
+from .training import (load_checkpoint, load_inputs, read_manifest, save_checkpoint,
+                       train, TRAIN_LOG_FILE)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -76,9 +76,8 @@ def _load_trained(args, cfg: Config, manifest: dict) -> tuple:
     `--data` is shown to hold the files it was trained on."""
     dataset, assignments = load_inputs(args.ckpt, args.data, manifest)
     graph = build_co_membership(dataset.groups)
-    expected = expected_param_shapes(cfg, dataset.n_users, dataset.n_items,
-                                     dataset.n_groups)
-    params = load_checkpoint(args.ckpt, manifest, expected)
+    params = load_checkpoint(args.ckpt, manifest, param_table(
+        cfg, dataset.n_users, dataset.n_items, dataset.n_groups))
     return dataset, assignments, graph, params
 
 

@@ -4,10 +4,10 @@ For every test (group, held-out positive) the positive is ranked against
 `eval_negatives` sampled negatives (excluding all of the group's
 positives); HR@K and NDCG@K are averaged over groups.  Every command
 draws the candidate table once, with `draw_candidates`: row i is test
-entry i's held-out item, in column 0, then its negatives
-(`data.label_blocks`, the layout of training batches).  Negatives come
-from `data.draw_unseen_rows`, the sampler training uses, on streams
-keyed by group index, so evaluation order cannot change the result.
+entry i's held-out item, in column 0, then its negatives: one scalar
+`sample_negatives` row (`data.draw_unseen_rows`, the sampler training
+uses) on the group's own STREAM_EVAL stream, so evaluation order cannot
+change the result.
 One `evaluate` call scores every model a command names (ablation mask,
 aggregation strategy, subset count) against that table.
 
@@ -130,9 +130,9 @@ def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
     STREAM_EVAL stream, so the rows do not depend on evaluation order,
     and one draw serves every model a command scores.
     """
-    negatives = [sample_negatives(dataset, g, eval_negatives, np.random.default_rng(
-        substream(seed, STREAM_EVAL, g))) for g, _ in split.test]
-    return label_blocks(split.test, negatives)[:, :, 1].copy()   # not a view of the blocks
+    rows = [[item, *sample_negatives(dataset, g, eval_negatives, np.random.default_rng(
+        substream(seed, STREAM_EVAL, g)))] for g, item in split.test]
+    return np.array(rows, dtype=np.int64).reshape(-1, 1 + eval_negatives)
 
 
 def evaluate(score_fn, dataset: Dataset, split: Split, candidates: np.ndarray,

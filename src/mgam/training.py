@@ -17,9 +17,12 @@ so a step is a dozen ufunc calls whatever the parameter count.
 A checkpoint is a directory of `params.bin` (float32 parameters),
 `inputs.npz` (the parsed dataset and the subset assignments training
 used) and `manifest.json`, written last, which records the sha256 of
-both files and of the three dataset TSVs.  Loading verifies every
-digest, so a checkpoint is only ever used with the data it was trained
-on, and a half-written one is refused.
+both files and of the three dataset TSVs, and params.bin's tensor table
+(`tensor_layout`).  Loading verifies every digest, so a checkpoint is
+only ever used with the data it was trained on, and a half-written one
+is refused; it refuses a tensor table that is not the layout of
+`param_table` for the configuration and inputs, naming the first
+differing entry.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +47,7 @@ from .config import STREAM_INIT, STREAM_TRAIN, Config, substream
 from .data import (Dataset, Split, dataset_arrays, dataset_from_arrays,
                    dataset_sha256, label_blocks, sample_negatives)
 from .errors import CheckpointError, NonFiniteError, UsageError
-from .model import AblationMask, forward_batch, init_params, param_table
+from .model import AblationMask, forward_batch, init_params
 
 CHECKPOINT_VERSION = 3
 MANIFEST_FILE = "manifest.json"
@@ -91,6 +96,9 @@ def total_loss(triplet_terms, point_terms, lambda1: float):
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam's state for the parameters `init_adam` was given.
@@ -104,9 +112,6 @@ class AdamState:
     flat: np.ndarray
     moments: np.ndarray     # (2, size): m, then v
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: dict) -> AdamState:
@@ -152,21 +157,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.moments
-    scratch = np.multiply(1.0 - state.beta1, g)
-    m *= state.beta1
+    scratch = np.multiply(1.0 - ADAM_BETA1, g)
+    m *= ADAM_BETA1
     m += scratch
-    np.multiply(1.0 - state.beta2, g, out=scratch)
+    np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
     scratch *= g
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += scratch
     step = np.divide(m, c1, out=g)   # the gradient is spent
     step *= lr
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.eps
+    scratch += ADAM_EPS
     step /= scratch
     state.flat -= step
 
@@ -329,6 +334,18 @@ def _write_replacing(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def tensor_layout(shapes) -> list:
+    """The manifest's tensor table for `(name, shape)` pairs in params.bin
+    order: each tensor's name and shape, and the offset and size of its
+    float32 values in params.bin."""
+    layout, offset = [], 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        layout.append({"name": name, "offset": offset, "shape": list(shape), "size": size})
+        offset += size
+    return layout
+
+
 def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
                     dataset: Dataset, assignments: SubsetTable, data_sha256: dict) -> None:
     """Write params.bin (float32 little-endian), inputs.npz (the arrays of
@@ -336,27 +353,19 @@ def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
     sha256 and the dataset files' `data_sha256`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensors = []
-    offset = 0
-    blobs = []
-    for name, p in params.items():
-        size = int(p.data.size)
-        tensors.append({"name": name, "shape": list(p.data.shape),
-                        "offset": offset, "size": size})
-        blobs.append(p.data.astype("<f4").ravel())
-        offset += size
     inputs = io.BytesIO()
     np.savez(inputs, **dataset_arrays(dataset), subset_offsets=assignments.slots.offsets,
              member_offsets=assignments.subsets.offsets,
              subset_members=assignments.subsets.indices)
-    files = {PARAMS_FILE: np.concatenate(blobs).tobytes(), INPUTS_FILE: inputs.getvalue()}
+    blob = np.concatenate([p.data.astype("<f4").ravel() for p in params.values()])
+    files = {PARAMS_FILE: blob.tobytes(), INPUTS_FILE: inputs.getvalue()}
     for name, data in files.items():
         _write_replacing(directory / name, data)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "seed": int(seed),
         "config": config_echo,
-        "tensors": tensors,
+        "tensors": tensor_layout((name, p.data.shape) for name, p in params.items()),
         "sha256": {name: _sha256(data) for name, data in files.items()},
         "data_sha256": dict(data_sha256),
     }
@@ -407,69 +416,41 @@ def _verify(manifest: dict, path: Path, data: bytes) -> None:
                               f"its sha256 in {MANIFEST_FILE}")
 
 
-def _is_count(x) -> bool:
-    """A non-negative JSON integer (booleans excluded)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def load_checkpoint(directory, manifest: dict, expected_shapes: dict) -> dict:
+def load_checkpoint(directory, manifest: dict, table: list) -> dict:
     """Load params, validating the archive against `manifest`: the one
     `read_manifest` read, which the caller checks its config and inputs by.
 
-    `expected_shapes` (name -> shape tuple, `expected_param_shapes`)
-    guards against loading a checkpoint trained under a different model
-    configuration; the error names the first offending tensor.
+    `table` is the `param_table` of the configuration and the sizes of
+    the inputs the params are used with.  The manifest's tensor table
+    must equal its `tensor_layout`, or the error names the first entry
+    that differs; params.bin must then hold exactly that layout's values,
+    which are sliced by the layout, never by the manifest's numbers.
     """
     directory = Path(directory)
+    layout = tensor_layout((name, shape) for name, shape, _ in table)
     tensors = manifest.get("tensors")
-    if not isinstance(tensors, list) or not tensors:
+    if not isinstance(tensors, list):
         raise CheckpointError(f"{directory / MANIFEST_FILE}: missing tensor table")
+    if tensors != layout:
+        i, found, expected = next((i, a, b) for i, (a, b) in
+                                  enumerate(zip_longest(tensors, layout)) if a != b)
+        raise CheckpointError(
+            f"{directory / MANIFEST_FILE}: tensor entry {i} is {found!r}, but the "
+            f"current configuration and inputs give {expected!r}")
 
     params_path = directory / PARAMS_FILE
     try:
         blob = params_path.read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read {params_path}: {e}") from e
-    raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4)
-    params: dict = {}
-    offset = 0
-    for entry in tensors:
-        try:
-            name, shape = entry["name"], entry["shape"]
-            entry_offset, entry_size = entry["offset"], entry["size"]
-            well_formed = (isinstance(name, str)
-                           and isinstance(shape, list) and all(map(_is_count, shape))
-                           and _is_count(entry_offset) and _is_count(entry_size))
-        except (KeyError, TypeError):
-            well_formed = False
-        if not well_formed:
-            raise CheckpointError(f"{directory / MANIFEST_FILE}: malformed tensor "
-                                  f"entry {entry!r}")
-        shape = tuple(shape)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if entry_offset != offset or entry_size != size:
-            raise CheckpointError(f"corrupt checkpoint: tensor {name!r} has "
-                                  f"inconsistent offset/size")
-        if offset + size > raw.size:
-            raise CheckpointError(f"corrupt checkpoint: params.bin too short "
-                                  f"for tensor {name!r}")
-        if name not in expected_shapes:
-            raise CheckpointError(f"checkpoint tensor {name!r} not expected "
-                                  f"under the current configuration")
-        if tuple(expected_shapes[name]) != shape:
-            raise CheckpointError(
-                f"checkpoint tensor {name!r} has shape {list(shape)} but the "
-                f"current configuration requires {list(expected_shapes[name])}")
-        params[name] = Tensor(raw[offset:offset + size].astype(np.float64).reshape(shape),
-                              requires_grad=True)
-        offset += size
-    if offset * 4 != len(blob):
-        raise CheckpointError("corrupt checkpoint: params.bin has trailing data")
+    nbytes = 4 * sum(entry["size"] for entry in layout)
+    if len(blob) != nbytes:
+        raise CheckpointError(f"corrupt checkpoint: {PARAMS_FILE} holds {len(blob)} "
+                              f"bytes but its tensor table needs {nbytes}")
     _verify(manifest, params_path, blob)
-    missing = set(expected_shapes) - set(params)
-    if missing:
-        raise CheckpointError(f"checkpoint is missing tensor {sorted(missing)[0]!r}")
-    return params
+    raw = np.frombuffer(blob, dtype="<f4")
+    return {e["name"]: Tensor(raw[e["offset"]:e["offset"] + e["size"]].astype(np.float64)
+                              .reshape(e["shape"]), requires_grad=True) for e in layout}
 
 
 def load_inputs(directory, data_dir, manifest: dict) -> tuple:
@@ -497,9 +478,3 @@ def load_inputs(directory, data_dir, manifest: dict) -> tuple:
     except (KeyError, ValueError, UsageError) as e:
         raise CheckpointError(f"{path}: malformed inputs ({e})") from e
 
-
-def expected_param_shapes(cfg: Config, n_users: int, n_items: int,
-                          n_groups: int) -> dict:
-    """Tensor shapes a checkpoint must carry for this configuration."""
-    return {name: shape for name, shape, _ in
-            param_table(cfg, n_users, n_items, n_groups)}

@@ -9,9 +9,8 @@ import numpy as np
 from mgam.clustering import cluster_subsets
 from mgam.config import Config
 from mgam.data import SyntheticParams, dataset_sha256, generate_synthetic, write_dataset
-from mgam.model import init_params
-from mgam.training import (expected_param_shapes, load_checkpoint, read_manifest,
-                           save_checkpoint)
+from mgam.model import init_params, param_table
+from mgam.training import load_checkpoint, read_manifest, save_checkpoint
 
 CHECKS = Path(__file__).resolve().parents[1] / "benchmarks" / "checks.py"
 
@@ -35,8 +34,8 @@ def test_read_params_matches_load_checkpoint(tmp_path):
                     dataset_sha256(tmp_path / "data"))
     read = _load_checks().read_params(tmp_path / "ckpt")
     loaded = load_checkpoint(tmp_path / "ckpt", read_manifest(tmp_path / "ckpt"),
-                             expected_param_shapes(cfg, dataset.n_users, dataset.n_items,
-                                                   dataset.n_groups))
+                             param_table(cfg, dataset.n_users, dataset.n_items,
+                                         dataset.n_groups))
     assert list(read) == list(loaded) == list(params)
     for name, p in params.items():
         rounded = p.data.astype(np.float32).astype(np.float64)

@@ -17,8 +17,8 @@ from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_CLUSTER, STREAM_DATA, Config, parse_config, substream
 from mgam.data import load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
-from mgam.training import (expected_param_shapes, load_checkpoint, load_inputs,
-                           read_manifest)
+from mgam.model import param_table
+from mgam.training import load_checkpoint, load_inputs, read_manifest
 from conftest import same_dataset, same_subsets
 from reference_preprocessing import (line_parsed_dataset, pair_loop_adjacency,
                                      sorted_pair_dump, triple_loop_subset_dump)
@@ -273,7 +273,7 @@ def test_recommend_explain_member_weights_match_numpy(workspace, capsys, extra):
     payload = json.loads(capsys.readouterr().out)
     dataset = load_dataset(workspace["data"])
     manifest = read_manifest(workspace["ckpt"])
-    params = load_checkpoint(workspace["ckpt"], manifest, expected_param_shapes(
+    params = load_checkpoint(workspace["ckpt"], manifest, param_table(
         Config(**manifest["config"]), dataset.n_users, dataset.n_items, dataset.n_groups))
     if extra:
         assert payload["item"] == "12"
@@ -450,7 +450,7 @@ def test_recommend_non_string_tensor_name_is_named(workspace, tmp_path, capsys, 
     assert rc == 1
     err = capsys.readouterr().err      # after the config echo
     assert err.splitlines()[-1].startswith("error:")
-    assert "malformed tensor entry" in err and "Traceback" not in err
+    assert "tensor entry 0 is" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["eval", "recommend"])

@@ -15,11 +15,11 @@ from mgam.data import (DATA_FILES, Dataset, Rows, SyntheticParams, dataset_sha25
                        write_dataset)
 from mgam.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
-from mgam.model import AblationMask, forward_batch, init_params
-from mgam.training import (adam_step, expected_param_shapes, init_adam,
-                           load_checkpoint, load_inputs, point_loss_from_logits,
-                           read_manifest, save_checkpoint, total_loss, train,
-                           train_epoch, triplet_loss, _build_triplets)
+from mgam.model import AblationMask, forward_batch, init_params, param_table
+from mgam.training import (adam_step, init_adam, load_checkpoint, load_inputs,
+                           point_loss_from_logits, read_manifest, save_checkpoint,
+                           tensor_layout, total_loss, train, train_epoch,
+                           triplet_loss, _build_triplets)
 
 from conftest import fresh_toy_params, same_dataset, same_subsets, subset_table
 
@@ -394,7 +394,7 @@ _CKPT_ASSIGNMENTS = subset_table([[[0], [1]],
 
 
 _CKPT_CFG = Config(embedding_dim=4, num_subsets=2, gcn_layers=1)
-_CKPT_SHAPES = expected_param_shapes(_CKPT_CFG, 3, 5, 2)
+_CKPT_TABLE = param_table(_CKPT_CFG, 3, 5, 2)
 
 
 def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
@@ -410,7 +410,7 @@ def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
 def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
     manifest = read_manifest(tmp_path)
-    loaded = load_checkpoint(tmp_path, manifest, _CKPT_SHAPES)
+    loaded = load_checkpoint(tmp_path, manifest, _CKPT_TABLE)
     assert manifest["seed"] == 9
     assert manifest["format_version"] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -450,21 +450,27 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     b_dir = tmp_path / "b"
     cfg, params = _checkpoint_roundtrip_setup(a_dir)
     manifest = read_manifest(a_dir)
-    loaded = load_checkpoint(a_dir, manifest, _CKPT_SHAPES)
+    loaded = load_checkpoint(a_dir, manifest, _CKPT_TABLE)
     save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"],
                     _CKPT_DATASET, _CKPT_ASSIGNMENTS, manifest["data_sha256"])
     for name in ("manifest.json", "params.bin", "inputs.npz"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
-def test_checkpoint_tampered_manifest_rejected(tmp_path):
+def _edit_tensor_table(tmp_path, edit):
+    """Save the helper checkpoint, then rewrite its manifest's tensor
+    table with `edit(tensors)`."""
     import json
     _checkpoint_roundtrip_setup(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["tensors"][0]["shape"] = [999, 4]
+    edit(manifest["tensors"])
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_checkpoint_tampered_manifest_rejected(tmp_path):
+    _edit_tensor_table(tmp_path, lambda t: t[0].update(shape=[999, 4]))
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -473,31 +479,68 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
     ids=["shape-str", "shape-float", "shape-negative", "shape-bool", "offset-str",
          "size-float", "name-list", "name-int"])
 def test_checkpoint_malformed_tensor_entry_is_named(tmp_path, field, value):
-    import json
-    _checkpoint_roundtrip_setup(tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["tensors"][0][field] = value
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="malformed tensor entry"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
+    _edit_tensor_table(tmp_path, lambda t: t[0].update({field: value}))
+    with pytest.raises(CheckpointError, match="tensor entry 0 is"):
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
+
+
+@pytest.mark.parametrize("edit,entry,name", [
+    (lambda t: t.insert(0, t.pop(1)), 0, "item_emb"),
+    (lambda t: t[0].update(dtype="<f4"), 0, "dtype"),
+    (lambda t: t.pop(), 19, "predict_b"),
+    (lambda t: t.append(dict(t[-1], name="extra_b", offset=t[-1]["offset"] + 1)),
+     20, "extra_b")],
+    ids=["permuted", "fifth-key", "missing", "extra"])
+def test_checkpoint_tensor_table_must_equal_the_layout(tmp_path, edit, entry, name):
+    """The table is compared whole with the configuration's layout: any
+    order, key set or tensor count other than that layout's is refused,
+    naming the first entry that differs."""
+    _edit_tensor_table(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=rf"tensor entry {entry} is .*{name}"):
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
+
+
+def test_checkpoint_tensor_table_compares_json_values_by_equality(tmp_path):
+    """Entries whose values only equal the layout's (a float dimension, a
+    float offset, `true` for a size of 1) load the same params, since
+    params.bin is sliced by the layout, not by the manifest's numbers."""
+    _checkpoint_roundtrip_setup(tmp_path / "clean")
+    clean = load_checkpoint(tmp_path / "clean", read_manifest(tmp_path / "clean"),
+                            _CKPT_TABLE)
+
+    def equal_values(tensors):   # user_emb, item_emb and user_att_w
+        tensors[0]["shape"] = [3.0, 4]
+        tensors[1]["offset"] = 12.0
+        tensors[3]["size"] = True
+    _edit_tensor_table(tmp_path / "edited", equal_values)
+    manifest = read_manifest(tmp_path / "edited")
+    assert [type(v) for v in (manifest["tensors"][0]["shape"][0],
+                              manifest["tensors"][1]["offset"],
+                              manifest["tensors"][3]["size"])] == [float, float, bool]
+    loaded = load_checkpoint(tmp_path / "edited", manifest, _CKPT_TABLE)
+    assert list(loaded) == list(clean)
+    for name, p in clean.items():
+        assert np.array_equal(loaded[name].data, p.data), name
 
 
 def test_checkpoint_wrong_dimension_names_tensor(tmp_path):
     cfg, _ = _checkpoint_roundtrip_setup(tmp_path)
     other = Config(embedding_dim=8, num_subsets=2, gcn_layers=1)
-    expected = expected_param_shapes(other, 3, 5, 2)
-    with pytest.raises(CheckpointError, match="user_emb"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), expected)
+    with pytest.raises(CheckpointError, match="tensor entry 0 is .*user_emb"):
+        load_checkpoint(tmp_path, read_manifest(tmp_path), param_table(other, 3, 5, 2))
 
 
 @pytest.mark.parametrize("m,layers", [(1, 1), (2, 2), (3, 3)])
-def test_expected_param_shapes_follow_init_params_in_order(m, layers):
-    """The shapes come from the table `init_params` draws from, in its
-    order, without drawing a parameter."""
+def test_param_table_layout_is_the_saved_tensor_table(tmp_path, m, layers):
+    """The layout the loader derives from `param_table`, without drawing
+    a parameter, is the tensor table `save_checkpoint` writes for
+    `init_params`, in its order."""
     cfg = Config(embedding_dim=8, num_subsets=m, gcn_layers=layers)
-    params = init_params(cfg, 7, 9, 4, np.random.default_rng(0))
-    assert list(expected_param_shapes(cfg, 7, 9, 4).items()) == [
-        (name, p.data.shape) for name, p in params.items()]
+    params = init_params(cfg, 3, 5, 2, np.random.default_rng(0))
+    save_checkpoint(tmp_path, params, {}, 9, _CKPT_DATASET, _CKPT_ASSIGNMENTS,
+                    {name: "0" * 64 for name in DATA_FILES})
+    layout = tensor_layout((name, shape) for name, shape, _ in param_table(cfg, 3, 5, 2))
+    assert read_manifest(tmp_path)["tensors"] == layout
     if m == 2:   # the checkpoint-stable order, which fixes every draw
         assert list(params) == [
             "user_emb", "item_emb", "group_emb", "user_att_w", "user_att_b",
@@ -507,7 +550,7 @@ def test_expected_param_shapes_follow_init_params_in_order(m, layers):
             "gcn_batch_w_1", "gcn_batch_w_2", "suppe_proj_w", "suppe_proj_b",
             "predict_w", "predict_b"]
     with pytest.raises(ConfigError, match="embedding_dim"):
-        expected_param_shapes(Config(embedding_dim=3), 7, 9, 4)
+        param_table(Config(embedding_dim=3), 7, 9, 4)
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -518,7 +561,7 @@ def test_checkpoint_version_guard(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError,
                        match=r"unsupported checkpoint format version 1 \(expected 3\)"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
     with pytest.raises(CheckpointError, match="version 1"):
         read_manifest(tmp_path)
 
@@ -528,20 +571,20 @@ def test_checkpoint_truncated_params_rejected(tmp_path):
     raw = (tmp_path / "params.bin").read_bytes()
     (tmp_path / "params.bin").write_bytes(raw[:-8])
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda raw: raw[:-8], "params.bin too short"),
-    (lambda raw: raw + b"\0\0\0\0", "params.bin has trailing data"),
-    (lambda raw: raw + b"\0\0", "params.bin has trailing data")],
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:-8], lambda raw: raw + b"\0\0\0\0", lambda raw: raw + b"\0\0"],
     ids=["short", "trailing", "trailing-partial"])
-def test_checkpoint_size_checks_come_before_the_digest(tmp_path, edit, message):
+def test_checkpoint_size_checks_come_before_the_digest(tmp_path, edit):
     _checkpoint_roundtrip_setup(tmp_path)
     path = tmp_path / "params.bin"
-    path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
+    raw = path.read_bytes()
+    path.write_bytes(edit(raw))
+    with pytest.raises(CheckpointError, match=rf"params\.bin holds {len(edit(raw))} "
+                                              rf"bytes but its tensor table needs {len(raw)}"):
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
 
 
 def _saved_with_data(tmp_path):
@@ -599,7 +642,7 @@ def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "inputs.npz", "manifest.json", "params.bin"]   # no temporary file left
     with pytest.raises(CheckpointError, match=r"params\.bin does not match its sha256"):
-        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_SHAPES)
+        load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
 
 
 def test_train_writes_log(tmp_path):

@@ -43,8 +43,6 @@ ALLOWED = [
      "benchmarks/tracing.py reads the features' stored bytes"),
     ("graph.py", "induce_batch_subgraph", "*",
      "benchmarks/tracing.py wraps it through its mgam.model re-export"),
-    ("training.py", "load_checkpoint", "well_formed = False",
-     "error path: a malformed manifest entry"),
     ("cli.py", "main", "print(f\"usage error: {e}\"", "error path: exit 2"),
     ("cli.py", "main", "return 2", "error path: exit 2"),
     ("cli.py", "main", "print(f\"error: {e}\"", "error path: exit 1"),
