@@ -35,9 +35,9 @@ from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
                          make_mgam_scorer, rank_candidates, report_metrics,
                          train_mf_scorer)
 from .graph import build_co_membership, dump_graph
-from .model import AblationMask, forward_batch, param_table
-from .training import (load_checkpoint, load_inputs, read_manifest, save_checkpoint,
-                       train, TRAIN_LOG_FILE)
+from .model import AblationMask, compute_global_rows, forward_batch, param_table
+from .training import (MANIFEST_FILE, TRAIN_LOG_FILE, load_checkpoint, load_inputs,
+                       read_manifest, save_checkpoint, train)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -47,7 +47,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args, base=(), echo_to=None) -> Config:
-    cfg = parse_config(args.config, overrides=list(base) + list(args.overrides))
+    cfg = parse_config(args.config, overrides=args.overrides, base=base)
     print(format_resolved(cfg), file=echo_to)  # None: sys.stdout at call time
     return cfg
 
@@ -58,10 +58,12 @@ _CLUSTERING_KEYS = ("kmeans_max_iters", "kmeans_restarts")
 
 def _checkpoint_config(args, echo_to=None) -> tuple:
     """(config, manifest): the checkpoint's resolved config as the base of
-    the command's own; a changed clustering key is a usage error."""
+    the command's own, under `--config` and `--set`; a changed clustering
+    key is a usage error."""
     manifest = read_manifest(args.ckpt)
     trained = manifest.get("config", {})
-    cfg = _resolve_config(args, base=[f"{k}={v}" for k, v in trained.items()],
+    origin = str(Path(args.ckpt) / MANIFEST_FILE)
+    cfg = _resolve_config(args, base=[(origin, k, v) for k, v in trained.items()],
                           echo_to=echo_to)
     for key in _CLUSTERING_KEYS:
         if key in trained and getattr(cfg, key) != trained[key]:
@@ -107,7 +109,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    mask = AblationMask.from_disabled(cfg.ablated())
     data_sha256 = dataset_sha256(args.data)
     dataset = load_dataset(args.data)
     assignments = _cluster(dataset, cfg, cfg.num_subsets)
@@ -121,7 +122,7 @@ def cmd_train(args) -> int:
               f"triplet={stats.triplet_mean:.5f} point={stats.point_mean:.5f} "
               f"({stats.wall_seconds:.1f}s)")
 
-    params, _ = train(dataset, split, assignments, graph, cfg, mask=mask,
+    params, _ = train(dataset, split, assignments, graph, cfg,
                       log_path=out / TRAIN_LOG_FILE, progress=progress)
     save_checkpoint(out, params, cfg.resolved(), cfg.seed, dataset, assignments,
                     data_sha256)
@@ -154,18 +155,13 @@ def _run_eval(args, masks_from_cfg) -> int:
 
 
 def cmd_eval(args) -> int:
-    return _run_eval(
-        args, lambda cfg: [AblationMask.from_disabled(cfg.ablated())])
+    return _run_eval(args, lambda cfg: [AblationMask.from_disabled(cfg.ablated())])
 
 
 def cmd_ablate(args) -> int:
-    if args.disable:
-        masks = [AblationMask.from_disabled(args.disable)]
-    else:
-        masks = [AblationMask(),
-                 AblationMask(use_subpe=False),
-                 AblationMask(use_gpe=False),
-                 AblationMask(use_suppe=False)]
+    # one combined removal, or the full model and each single removal
+    masks = [AblationMask.from_disabled(disabled) for disabled in
+             ([args.disable] if args.disable else [[], ["subpe"], ["gpe"], ["suppe"]])]
     return _run_eval(args, lambda cfg: masks)
 
 
@@ -189,7 +185,7 @@ def cmd_sweep_subsets(args) -> int:
     for m in m_values:
         assignments = _cluster(dataset, cfg, m)
         m_cfg = dataclasses.replace(cfg, num_subsets=m)
-        params, _ = train(dataset, split, assignments, graph, m_cfg, mask=mask)
+        params, _ = train(dataset, split, assignments, graph, m_cfg)
         scorer = make_mgam_scorer(params, m_cfg, dataset, assignments, graph, [mask])
         [report] = evaluate(scorer, dataset, split, drawn, [mask.label()], ks)
         rows.append((m, report))
@@ -237,8 +233,9 @@ def cmd_recommend(args) -> int:
         else:
             v = top[0][0]
         with ad.no_grad():
-            [result] = forward_batch(params, cfg, dataset, assignments, graph,
-                                     [(g, v)], masks=[mask], isolated=True)
+            [result] = forward_batch(params, cfg, dataset, assignments, graph, [(g, v)],
+                                     masks=[mask],
+                                     global_rows=compute_global_rows(params, cfg, graph))
         payload = _explain_json(result, g, v, dataset, assignments, top)
         payload["config"] = cfg.resolved()
         print(json.dumps(payload, indent=2))

@@ -122,12 +122,12 @@ def _lloyd(points: sparse.csr_array, norms: np.ndarray, m: int, max_iters: int,
     labels = np.full(n, -1)
     point_range = np.arange(n)
     history = []
+    d2 = _squared_distances(points, norms, centroids)
     for _ in range(max_iters):
-        d2 = _squared_distances(points, norms, centroids)
         new_labels = d2.argmin(axis=1)  # ties -> lowest centroid index
         # repair empty clusters: reseed at the point farthest from its centroid,
         # never stealing a cluster's only member
-        assigned_d2 = d2[point_range, new_labels].copy()
+        assigned_d2 = d2[point_range, new_labels]
         counts = np.bincount(new_labels, minlength=m)
         for j in range(m):
             if counts[j] == 0:
@@ -140,8 +140,9 @@ def _lloyd(points: sparse.csr_array, norms: np.ndarray, m: int, max_iters: int,
         # cluster sums as one (m x n) one-hot product, then means
         onehot = sparse.csr_array((np.ones(n), (new_labels, point_range)), shape=(m, n))
         centroids = (onehot @ points).toarray() / counts[:, None]
-        inertia = float(_squared_distances(points, norms, centroids)[point_range, new_labels].sum())
-        history.append(inertia)
+        # the new centroids' distances give this inertia and the next labels
+        d2 = _squared_distances(points, norms, centroids)
+        history.append(float(d2[point_range, new_labels].sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

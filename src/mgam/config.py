@@ -1,10 +1,10 @@
 """Flat key=value experiment configuration and derived seed streams.
 
-Precedence: built-in defaults, then the config file, then command-line
-overrides.  Unknown keys are rejected.  Every random decision in the
-package draws from a named substream of the single `seed` key so that
-data splitting, clustering, training and evaluation can be varied
-independently.
+Precedence: built-in defaults, then a base such as a checkpoint's stored
+configuration, then the config file, then command-line overrides.
+Unknown keys are rejected.  Every random decision in the package draws
+from a named substream of the single `seed` key so that data splitting,
+clustering, training and evaluation can be varied independently.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class Config:
         for a in self.ablated():
             if a not in _GRANULARITIES:
                 raise ConfigError(f"ablate names unknown granularity {a!r}")
+        if set(self.ablated()) == set(_GRANULARITIES):
+            raise ConfigError("all three granularities are ablated; nothing to fuse")
 
 
 # file key -> parser: every key is its attribute name, parsed by the type
@@ -100,9 +102,13 @@ def _apply(cfg: Config, key: str, raw: str, origin: str) -> None:
         raise ConfigError(f"{origin}: bad value for {key!r}: {raw!r}") from e
 
 
-def parse_config(path=None, overrides=()) -> Config:
-    """Resolve defaults <- file <- overrides, validating every key."""
+def parse_config(path=None, overrides=(), base=()) -> Config:
+    """Resolve defaults <- base <- file <- overrides, validating every key.
+    `base` holds (origin, key, value) triples, such as a checkpoint's
+    stored configuration; an error names a bad one's `origin`."""
     cfg = Config()
+    for origin, key, value in base:
+        _apply(cfg, key, str(value), origin)
     if path is not None:
         path = Path(path)
         try:

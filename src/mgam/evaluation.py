@@ -15,12 +15,12 @@ A scorer is pairwise: `score_fn(groups, items)` takes two equal-length
 int arrays and returns (models, n) scores, one row per model per
 (group, item) row.  `evaluate` hands it every test group's candidate
 rows at once, and the mgam scorer cuts them into chunks of
-`SCORE_CHUNK_ROWS` rows, each one forward with `isolated=True` over rows
-of several groups and under every mask: the branches run once per chunk
-and only fusion and prediction once per mask.  Every row gets its own
-one-node batch graph, so its score depends only on its own (group, item)
-pair, never on the rows it shares a forward with.  The chunk size bounds
-the memory of a forward whatever the number of test groups.
+`SCORE_CHUNK_ROWS` rows, each one scoring forward (given the cached global
+rows) over rows of several groups and under every mask: the branches run
+once per chunk and only fusion and prediction once per mask.  Every row
+is its own one-node batch graph, so its score depends only on its own
+(group, item) pair, never on the rows it shares a forward with.  The
+chunk size bounds the memory of a forward whatever the number of groups.
 
 One rule, `_ranking`, orders candidates: by descending score, ties by
 ascending item.  `rank_candidates` (`recommend`) sorts by it, and
@@ -206,14 +206,14 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
     """Forward-only pairwise scorer of ablation masks over a trained model.
 
     A call returns (len(masks), n) scores (`masks` defaults to the full
-    model).  The global graph stream is precomputed once; a call's
+    model).  The global graph stream is computed once, and a call's
     (group, item) rows are scored `SCORE_CHUNK_ROWS` at a time, one
-    isolated forward per chunk for every mask, whatever groups the rows
+    scoring forward per chunk for every mask, whatever groups the rows
     belong to.
     """
     masks = list(masks) if masks is not None else [AblationMask()]
-    global_rows = (compute_global_rows(params, cfg, graph)
-                   if any(m.use_suppe for m in masks) else None)
+    with ad.no_grad():
+        global_rows = compute_global_rows(params, cfg, graph)
 
     def score_fn(groups, items):
         groups, items = np.asarray(groups), np.asarray(items)
@@ -224,7 +224,7 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
                 results = forward_batch(
                     params, cfg, dataset, assignments, graph,
                     np.c_[groups[chunk], items[chunk]],
-                    masks=masks, global_rows=global_rows, isolated=True)
+                    masks=masks, global_rows=global_rows)
                 for row, result in zip(scores, results):
                     row[chunk] = result.scores.data
         return scores

@@ -36,9 +36,9 @@ softmax with -inf and the real grid cells are taken back into instance
 order.  Subset slots become (n, d) tensors read from the cell table, with
 a row multiplied by zero (and masked out of the slot softmax) where an
 instance lacks the slot.  Fusion stacks the branches as (n, r, d) and is
-an (n, r, r) attention.  The same forward
-serves training, evaluation, `recommend` and `--explain`; `isolated=True`
-decouples the instances.
+an (n, r, r) attention.  The same forward serves training, evaluation,
+`recommend` and `--explain`; a forward given cached global rows is a
+scoring forward, where every instance is a one-node batch graph.
 """
 
 from __future__ import annotations
@@ -206,32 +206,21 @@ def superset_propagate(h0: Tensor, norm_adj, layer_weights) -> Tensor:
     return h
 
 
-def superset_embeddings(params: dict, cfg: Config, batch_groups,
-                        h0: Tensor, graph: GroupGraph,
-                        global_rows: Tensor | None = None,
-                        isolated: bool = False) -> tuple:
-    """Two-stream superset branch for a batch of instances.
+def superset_embeddings(params: dict, cfg: Config, global_rows: Tensor,
+                        h0: Tensor, norm_inst) -> Tensor:
+    """Two-stream superset branch for a batch of n instances: (n, d).
 
-    `batch_groups[i]` is instance i's group (duplicates allowed) and row i
-    of `h0` (n, d) seeds the batch stream for that instance.  The batch
-    stream runs over the instance graph, where two instances are adjacent
-    iff their groups are; with `isolated` every instance is a one-node
-    graph instead.  Returns (h_suppe (n, 2d), projected (n, d)).
-    `global_rows` optionally supplies a precomputed global-stream table
-    (evaluation caching); omitted, it is recomputed so gradients flow end
-    to end.
+    Row i of `global_rows` (n, d) is the global stream's row of instance
+    i's group, and row i of `h0` (n, d) seeds the batch stream for that
+    instance.  The batch stream runs over `norm_inst`, the normalized
+    instance graph (`expand_to_instances`), where two instances are
+    adjacent iff their groups are; None makes every instance a one-node
+    graph.  The two streams' rows, (n, 2d), are projected back to d.
     """
-    layers = cfg.gcn_layers
-    if global_rows is None:
-        global_w = [params[f"gcn_global_w_{k}"] for k in range(1, layers + 1)]
-        global_rows = superset_propagate(params["group_emb"], graph.normalized, global_w)
-    norm_inst = None if isolated else expand_to_instances(graph, batch_groups)
-    batch_w = [params[f"gcn_batch_w_{k}"] for k in range(1, layers + 1)]
+    batch_w = [params[f"gcn_batch_w_{k}"] for k in range(1, cfg.gcn_layers + 1)]
     batch_rows = superset_propagate(h0, norm_inst, batch_w)
-    h_sup = ad.concat([ad.take(global_rows, batch_groups), batch_rows], axis=1)
-    projected = ad.add(ad.matmul(h_sup, params["suppe_proj_w"]),
-                       params["suppe_proj_b"])
-    return h_sup, projected
+    h_sup = ad.concat([global_rows, batch_rows], axis=1)
+    return ad.add(ad.matmul(h_sup, params["suppe_proj_w"]), params["suppe_proj_b"])
 
 
 def fuse(rows, d: int) -> tuple:
@@ -264,10 +253,10 @@ def predict_logit(h_fusion: Tensor, item_vecs: Tensor, w: Tensor, b: Tensor) -> 
 
 
 def compute_global_rows(params: dict, cfg: Config, graph: GroupGraph) -> Tensor:
-    """Forward-only global-stream table, for reuse across evaluation calls."""
-    with ad.no_grad():
-        global_w = [params[f"gcn_global_w_{k}"] for k in range(1, cfg.gcn_layers + 1)]
-        return superset_propagate(params["group_emb"], graph.normalized, global_w)
+    """The global stream, (n_groups, d): on the tape in a training forward;
+    a scorer builds it once under `no_grad` and passes it to its forwards."""
+    global_w = [params[f"gcn_global_w_{k}"] for k in range(1, cfg.gcn_layers + 1)]
+    return superset_propagate(params["group_emb"], graph.normalized, global_w)
 
 
 def _slot_rows(table: Tensor, index: np.ndarray, present: np.ndarray) -> list:
@@ -301,21 +290,21 @@ class ForwardResult:
 
 def forward_batch(params: dict, cfg: Config, dataset: Dataset,
                   assignments: SubsetTable, graph: GroupGraph, batch, *,
-                  masks=None, global_rows: Tensor | None = None,
-                  isolated: bool = False) -> list:
+                  masks=None, global_rows: Tensor | None = None) -> list:
     """Score a batch of (group, item) pairs under each ablation mask.
 
     `batch` is an (n, 2) integer array-like of (group, item) rows and
     `masks` a sequence of `AblationMask`s (default: the full model).
     Returns one `ForwardResult` per mask.  Each branch runs once for the
     batch, whatever the number of masks that read it: member attention
-    over the subsets and over the whole group, and the superset branch
-    once per seed (subset- or group-seeded); only fusion and prediction
-    run once per mask.  With one mask the forward is exactly that mask's.
-    By default the batch-stream graph couples the instances scored
-    together, as in training.  `isolated=True` gives every instance its
-    own one-node batch graph, so that a score depends only on its own
-    (group, item) pair however many candidates one call scores.
+    over the subsets and over the whole group, the global stream, and
+    the batch stream once per seed (subset- or group-seeded); only fusion
+    and prediction run once per mask.  With one mask the forward is
+    exactly that mask's.  Given `global_rows` (`compute_global_rows`), it
+    is a scoring forward: every instance is its own one-node batch graph,
+    so its score depends only on its (group, item) pair.  Without, it is
+    a training forward, which builds the global stream on the tape where
+    the superset branch first reads it and couples the instances.
     """
     masks = list(masks) if masks is not None else [AblationMask()]
     if not masks:
@@ -376,13 +365,18 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
         gpe_w = attn.data.reshape(n_rows * c, -1)[cell]
 
     h_suppe = {}   # the superset branch's output, by the branch seeding it
+    norm_inst = None
     results = []
     for mask in masks:
         seed = "subpe" if mask.use_subpe else "gpe"
         if mask.use_suppe and seed not in h_suppe:
-            _, h_suppe[seed] = superset_embeddings(
-                params, cfg, groups, h_subpe if mask.use_subpe else h_gpe, graph,
-                global_rows=global_rows, isolated=isolated)
+            if not h_suppe:   # built at first read: step time follows allocation order
+                if global_rows is None:   # a training forward
+                    global_rows = compute_global_rows(params, cfg, graph)
+                    norm_inst = expand_to_instances(graph, groups)
+                instance_rows = ad.take(global_rows, groups)
+            h_suppe[seed] = superset_embeddings(
+                params, cfg, instance_rows, h_subpe if mask.use_subpe else h_gpe, norm_inst)
         branches = [(label, h) for label, on, h in (
             ("subpe", mask.use_subpe, h_subpe), ("gpe", mask.use_gpe, h_gpe),
             ("suppe", mask.use_suppe, h_suppe.get(seed))) if on]

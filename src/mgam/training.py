@@ -211,18 +211,19 @@ def _build_triplets(instances) -> list:
 
 
 def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
-                assignments, graph, cfg: Config, epoch: int,
-                mask: AblationMask | None = None) -> EpochStats:
+                assignments, graph, cfg: Config, epoch: int) -> EpochStats:
     """One pass over the shuffled train positives with fresh negatives.
 
     A batch is the `label_blocks` of its positives and their
-    `train_negatives` negatives each, flattened to (n, 3) rows.  The
-    negatives of a batch are one `sample_negatives` draw on the epoch's
-    stream.  A non-finite loss or gradient raises NonFiniteError naming
-    the epoch and batch before any parameter changes.
+    `train_negatives` negatives each, flattened to (n, 3) rows, one
+    training forward of the variant `cfg.ablate` names.  The negatives of
+    a batch are one `sample_negatives` draw on the epoch's stream.  A
+    non-finite loss or gradient raises NonFiniteError naming the epoch
+    and batch before any parameter changes.
     """
     if not len(split.train):
         raise UsageError("cannot train on an empty split")
+    mask = AblationMask.from_disabled(cfg.ablated())
     t0 = time.perf_counter()
     rng = np.random.default_rng(substream(cfg.seed, STREAM_TRAIN, epoch))
     order = rng.permutation(len(split.train))
@@ -236,7 +237,7 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         triplets = _build_triplets(rows)
 
         [result] = forward_batch(params, cfg, dataset, assignments, graph,
-                                 rows[:, :2], masks=[mask or AblationMask()])
+                                 rows[:, :2], masks=[mask])
         point_terms = point_loss_from_logits(result.logits, rows[:, 2])
         trip_terms = None
         if triplets:   # anchor, same-label and different-label scores
@@ -275,9 +276,9 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
 
 
 def train(dataset: Dataset, split: Split, assignments, graph, cfg: Config,
-          mask: AblationMask | None = None, log_path=None,
-          progress=None) -> tuple:
-    """Initialize parameters and run the full epoch loop.
+          log_path=None, progress=None) -> tuple:
+    """Initialize parameters and train the variant `cfg.ablate` names;
+    parameters it does not read keep their initial values.
 
     Returns (params, [EpochStats]).  The Adam state lives only for the
     run.  When `log_path` is given, per-epoch rows are appended to it as
@@ -298,7 +299,7 @@ def train(dataset: Dataset, split: Split, assignments, graph, cfg: Config,
     try:
         for epoch in range(cfg.epochs):
             stats = train_epoch(params, adam, dataset, split, assignments, graph,
-                                cfg, epoch, mask=mask)
+                                cfg, epoch)
             history.append(stats)
             if writer is not None:
                 writer.writerow([stats.epoch, repr(stats.mean_loss),

@@ -107,6 +107,22 @@ def test_kmeans_inertia_monotone_within_run():
     assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
 
+def test_lloyd_computes_distances_once_per_iteration_plus_one(monkeypatch):
+    """A Lloyd run reuses the inertia's distance matrix as the next
+    iteration's labelling matrix."""
+    rng = np.random.default_rng(2)
+    points = sparse.csr_array(rng.normal(size=(60, 5)))
+    norms = np.asarray(points.multiply(points).sum(axis=1)).ravel()
+    centroids = clustering._kmeanspp_init(points, norms, 4, np.random.default_rng(3))
+    calls = []
+    real = clustering._squared_distances
+    monkeypatch.setattr(clustering, "_kmeanspp_init", lambda *args: centroids)
+    monkeypatch.setattr(clustering, "_squared_distances",
+                        lambda *args: calls.append(args) or real(*args))
+    history = clustering._lloyd(points, norms, 4, 100, np.random.default_rng(3))[3]
+    assert len(history) > 2 and len(calls) == len(history) + 1
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(40, 3))

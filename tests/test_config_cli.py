@@ -14,11 +14,14 @@ import mgam.cli
 import mgam.evaluation
 from mgam.cli import main
 from mgam.clustering import cluster_subsets
-from mgam.config import STREAM_CLUSTER, STREAM_DATA, Config, parse_config, substream
-from mgam.data import load_dataset, split_leave_one_out
+from mgam.config import (STREAM_CLUSTER, STREAM_DATA, STREAM_INIT, Config, parse_config,
+                         substream)
+from mgam.data import dataset_sha256, load_dataset, split_leave_one_out
 from mgam.errors import ConfigError
-from mgam.model import param_table
-from mgam.training import load_checkpoint, load_inputs, read_manifest
+from mgam.graph import build_co_membership
+from mgam.model import AblationMask, init_params, param_table
+from mgam.training import (load_checkpoint, load_inputs, read_manifest, save_checkpoint,
+                           train)
 from conftest import same_dataset, same_subsets
 from reference_preprocessing import (line_parsed_dataset, pair_loop_adjacency,
                                      sorted_pair_dump, triple_loop_subset_dump)
@@ -345,6 +348,76 @@ def test_checkpoint_commands_neither_parse_nor_cluster(workspace, tmp_path,
                               tmp_path) == 0
 
 
+def _echo(command, captured):
+    """The command's config echo: stderr for `recommend`, else stdout."""
+    return captured.err if command[0] == "recommend" else captured.out
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_commands_read_config_file_over_checkpoint(workspace, tmp_path,
+                                                              capsys, command):
+    """Precedence is checkpoint < --config file < --set."""
+    path = tmp_path / "f.conf"
+    path.write_text("eval_negatives = 7\nks = 4\n")
+    assert _run_on_checkpoint(command, workspace["data"], workspace["ckpt"], tmp_path,
+                              "--config", str(path), "--set", "ks=2") == 0
+    echo = _echo(command, capsys.readouterr()).splitlines()
+    assert "eval_negatives = 7" in echo and "ks = 2" in echo
+    assert "embedding_dim = 8" in echo       # the checkpoint's, under the file
+    if command[0] != "recommend":
+        resolved = (tmp_path / "out" / "config.resolved").read_text().splitlines()
+        assert "eval_negatives = 7" in resolved
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_config_file_cannot_change_clustering(workspace, tmp_path, capsys,
+                                                         command):
+    path = tmp_path / "f.conf"
+    path.write_text("kmeans_restarts = 5\n")
+    assert _run_on_checkpoint(command, workspace["data"], workspace["ckpt"], tmp_path,
+                              "--config", str(path)) == 2
+    assert "kmeans_restarts=5 differs from the checkpoint's 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_unknown_stored_key_names_manifest(workspace, tmp_path, capsys):
+    ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "ckpt")
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["graph.weighted"] = True
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert _run_on_checkpoint(["eval"], workspace["data"], ckpt, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt / 'manifest.json'}: unknown configuration key 'graph.weighted'" in err
+    assert "command line" not in err
+
+
+def test_api_train_trains_and_eval_scores_the_ablated_variant(workspace, tmp_path):
+    """`train` trains the variant `cfg.ablate` names: the superset branch's
+    parameters keep their initial values, and `eval` of the saved
+    checkpoint reports that variant."""
+    dataset = load_dataset(workspace["data"])
+    cfg = Config(embedding_dim=8, epochs=2, batch_size=16, eval_negatives=30,
+                 ablate="suppe")
+    assignments = cluster_subsets(dataset, cfg.num_subsets, max_iters=cfg.kmeans_max_iters,
+                                  restarts=cfg.kmeans_restarts,
+                                  seed=substream(cfg.seed, STREAM_CLUSTER))
+    split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
+    params, _ = train(dataset, split, assignments, build_co_membership(dataset.groups), cfg)
+    init = init_params(cfg, dataset.n_users, dataset.n_items, dataset.n_groups,
+                       np.random.default_rng(substream(cfg.seed, STREAM_INIT)))
+    superset = ["group_emb", "suppe_proj_w", "suppe_proj_b"] + [
+        f"gcn_{stream}_w_{k}" for stream in ("global", "batch") for k in (1, 2)]
+    for name in superset:
+        assert np.array_equal(params[name].data, init[name].data), name
+    assert not np.array_equal(params["user_emb"].data, init["user_emb"].data)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, params, cfg.resolved(), cfg.seed, dataset, assignments,
+                    dataset_sha256(workspace["data"]))
+    assert main(["eval", "--data", workspace["data"], "--ckpt", str(ckpt)]) == 0
+    rows = (ckpt / "metrics.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"mgam-wo-suppe"}
+
+
 def test_checkpoint_inputs_equal_parsing_and_clustering(workspace):
     """The stored dataset and subsets are the ones `train` computed."""
     ckpt = workspace["ckpt"]
@@ -648,8 +721,8 @@ def test_sweep_subsets_honours_ablate(workspace, tmp_path, monkeypatch):
     class Stop(Exception):
         pass
 
-    def spy(*args, mask=None, **kwargs):
-        seen.append(mask and mask.label())
+    def spy(dataset, split, assignments, graph, cfg, **kwargs):
+        seen.append(AblationMask.from_disabled(cfg.ablated()).label())
         raise Stop
 
     monkeypatch.setattr(mgam.cli, "train", spy)

@@ -393,7 +393,7 @@ def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
 
     def spy(*args, **kwargs):
         sizes.append(len(args[5]))
-        assert kwargs["isolated"]
+        assert kwargs["global_rows"] is not None   # a scoring forward
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mgam.evaluation, "forward_batch", spy)

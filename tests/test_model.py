@@ -8,7 +8,7 @@ from mgam.autodiff import Tensor
 from mgam.config import Config
 from mgam.data import Dataset, Rows
 from mgam.errors import ConfigError, UsageError
-from mgam.graph import build_co_membership
+from mgam.graph import build_co_membership, expand_to_instances
 from mgam.model import (AblationMask, compute_global_rows, forward_batch,
                         fuse, init_params, member_attention, predict_logit,
                         subset_attention, superset_embeddings,
@@ -281,14 +281,34 @@ def _superset_params(d, layers, n_groups, rng=None, identity=False):
     return params
 
 
+def _h_sup(params, cfg, graph, groups, h0, coupled=True):
+    """The (n, 2d) [global | batch] superset features of instances of
+    `groups`, read through the [I | 0] and [0 | I] projections."""
+    d = h0.data.shape[1]
+    rows = ad.take(compute_global_rows(params, cfg, graph), groups)
+    norm_inst = expand_to_instances(graph, groups) if coupled else None
+    halves = []
+    for proj in (np.eye(2 * d, d), np.eye(2 * d, d, k=-d)):
+        p = dict(params, suppe_proj_w=Tensor(proj), suppe_proj_b=Tensor(np.zeros(d)))
+        halves.append(superset_embeddings(p, cfg, rows, h0, norm_inst).data)
+    return np.concatenate(halves, axis=1)
+
+
+def _projected(params, cfg, graph, groups, h0):
+    """The superset branch's (n, d) output for coupled instances of `groups`."""
+    rows = ad.take(compute_global_rows(params, cfg, graph), groups)
+    return superset_embeddings(params, cfg, rows, h0, expand_to_instances(graph, groups))
+
+
 def test_superset_isolated_group_concatenates_initial_states():
     d, layers = 3, 2
     graph = build_co_membership(Rows.from_lists([[0], [1]]))  # isolated nodes
     params = _superset_params(d, layers, 2, identity=True)
     cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0 = Tensor(np.array([[0.2, 0.0, 0.7]]))
-    h_sup, projected = superset_embeddings(params, cfg, [0], h0, graph)
-    assert np.abs(h_sup.data[0] - np.concatenate([params["group_emb"].data[0],
+    h_sup = _h_sup(params, cfg, graph, [0], h0)
+    projected = _projected(params, cfg, graph, [0], h0)
+    assert np.abs(h_sup[0] - np.concatenate([params["group_emb"].data[0],
                                                   h0.data[0]])).max() < 1e-15
     # projection [I | 0] selects the global half
     assert np.abs(projected.data[0] - params["group_emb"].data[0]).max() < 1e-15
@@ -302,8 +322,8 @@ def test_superset_path_graph_matches_dense_oracle():
     params = _superset_params(d, layers, 3, rng=rng)
     cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0_rows = [rng.uniform(-0.5, 0.5, d) for _ in range(3)]
-    h_sup, projected = superset_embeddings(params, cfg, [0, 1, 2],
-                                           Tensor(np.stack(h0_rows)), graph)
+    h_sup = _h_sup(params, cfg, graph, [0, 1, 2], Tensor(np.stack(h0_rows)))
+    projected = _projected(params, cfg, graph, [0, 1, 2], Tensor(np.stack(h0_rows)))
 
     # dense straight-line re-computation
     adj = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
@@ -316,26 +336,24 @@ def test_superset_path_graph_matches_dense_oracle():
         hb = np.maximum(norm @ hb @ params[f"gcn_batch_w_{k}"].data, 0)
     for i in range(3):
         expect = np.concatenate([hg[i], hb[i]])
-        assert np.abs(h_sup.data[i] - expect).max() < 1e-10
+        assert np.abs(h_sup[i] - expect).max() < 1e-10
         proj = expect @ params["suppe_proj_w"].data + params["suppe_proj_b"].data
         assert np.abs(projected.data[i] - proj).max() < 1e-10
 
 
 def test_superset_isolated_instances_ignore_each_other():
-    """With isolated=True each instance's batch stream is its own seed
-    propagated through a unit self-loop, even for adjacent groups."""
+    """Without an instance graph each instance's batch stream is its own
+    seed propagated through a unit self-loop, even for adjacent groups."""
     d, layers = 4, 2
     graph = build_co_membership(Rows.from_lists([[0], [0, 1], [1]]))
     rng = np.random.default_rng(8)
     params = _superset_params(d, layers, 3, rng=rng)
     cfg = Config(embedding_dim=4, num_subsets=1, gcn_layers=layers)
     h0 = rng.uniform(-0.5, 0.5, (3, d))
-    h_sup, _ = superset_embeddings(params, cfg, [0, 1, 1], Tensor(h0), graph,
-                                   isolated=True)
+    h_sup = _h_sup(params, cfg, graph, [0, 1, 1], Tensor(h0), coupled=False)
     for i in range(3):
-        alone, _ = superset_embeddings(params, cfg, [[0, 1, 1][i]],
-                                       Tensor(h0[i:i + 1]), graph)
-        assert np.abs(h_sup.data[i] - alone.data[0]).max() < 1e-15
+        alone = _h_sup(params, cfg, graph, [[0, 1, 1][i]], Tensor(h0[i:i + 1]))
+        assert np.abs(h_sup[i] - alone[0]).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +497,7 @@ def test_forward_matches_reference_oracle(toy):
 
 
 def test_forward_isolated_candidates_score_alone(toy):
-    """One isolated call over a group's candidates equals scoring each
+    """One scoring call over a group's candidates equals scoring each
     candidate in its own call and the oracle's one-instance forward."""
     raw = {k: v.data for k, v in toy["params"].items()}
     subsets = [a.subsets for a in toy["assignments"]]
@@ -487,7 +505,8 @@ def test_forward_isolated_candidates_score_alone(toy):
         batch = [(g, v) for v in range(toy["dataset"].n_items)]
         [together] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
                                    toy["assignments"], toy["graph"], batch,
-                                   isolated=True)
+                                   global_rows=compute_global_rows(
+                                       toy["params"], toy["cfg"], toy["graph"]))
         together = together.scores.data
         for i, pair in enumerate(batch):
             [alone] = forward_batch(toy["params"], toy["cfg"], toy["dataset"],
@@ -743,7 +762,8 @@ def test_forward_ragged_batches_match_reference_oracle(ragged, which, flags):
     ref = reference_forward(raw, ds, subsets, batch, 8, 3, 2, *flags)
     assert np.abs(coupled.scores.data - ref).max() < 1e-10
     [isolated] = forward_batch(params, cfg, ds, assignments, graph, batch,
-                               masks=[AblationMask(*flags)], isolated=True)
+                               masks=[AblationMask(*flags)],
+                               global_rows=compute_global_rows(params, cfg, graph))
     alone = [reference_forward(raw, ds, subsets, [pair], 8, 3, 2, *flags)[0]
              for pair in batch]
     assert np.abs(isolated.scores.data - alone).max() < 1e-10
@@ -766,8 +786,8 @@ _ALL_MASKS = [AblationMask(), AblationMask(use_subpe=False), AblationMask(use_gp
               AblationMask(False, True, False), AblationMask(False, False, True)]
 
 
-@pytest.mark.parametrize("isolated", [True, False], ids=["isolated", "coupled"])
-def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch, isolated):
+@pytest.mark.parametrize("scoring", [True, False], ids=["isolated", "coupled"])
+def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch, scoring):
     """One forward under many masks gives, field for field, each mask's own
     forward, and runs each branch once: member attention over the subsets
     and over the group, and the superset branch once per seed."""
@@ -775,7 +795,7 @@ def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch
     # a chunk's ragged tail: the end of one candidate list, a whole list,
     # the start of another
     tail = [(g, v) for g, n in ((3, 2), (0, 12), (4, 5), (1, 1)) for v in range(12 - n, 12)]
-    global_rows = compute_global_rows(params, cfg, graph) if isolated else None
+    global_rows = compute_global_rows(params, cfg, graph) if scoring else None
     calls = []
 
     def counted(name):
@@ -792,8 +812,7 @@ def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch
         for masks in (_ALL_MASKS, _ALL_MASKS[:4], _ALL_MASKS[4:], _ALL_MASKS[3:5]):
             calls.clear()
             together = forward_batch(params, cfg, ds, assignments, graph, batch,
-                                     masks=masks, global_rows=global_rows,
-                                     isolated=isolated)
+                                     masks=masks, global_rows=global_rows)
             seeds = {m.use_subpe for m in masks if m.use_suppe}
             assert calls.count("member_attention") == (
                 any(m.use_subpe for m in masks) + any(m.reads_gpe for m in masks))
@@ -801,8 +820,7 @@ def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch
             assert len(together) == len(masks)
             for mask, res in zip(masks, together):
                 [alone] = forward_batch(params, cfg, ds, assignments, graph, batch,
-                                        masks=[mask], global_rows=global_rows,
-                                        isolated=isolated)
+                                        masks=[mask], global_rows=global_rows)
                 assert res.branches == alone.branches
                 for field in ("logits", "scores"):
                     assert np.array_equal(getattr(res, field).data,
@@ -812,6 +830,22 @@ def test_multi_mask_forward_equals_one_mask_forwards_bitwise(ragged, monkeypatch
                     a, b = getattr(res, field), getattr(alone, field)
                     assert (a is None) == (b is None), (mask, field)
                     assert a is None or np.array_equal(a, b), (mask, field)
+
+
+def test_coupled_two_seed_forward_propagates_the_global_stream_once(ragged, monkeypatch):
+    """A training forward under a subset- and a group-seeded mask builds
+    the global stream once and the batch stream once per seed."""
+    ds, assignments, graph, cfg, params, batches = ragged
+    seeds = []
+
+    def spy(h0, norm_adj, layer_weights):
+        seeds.append("global" if h0 is params["group_emb"] else "batch")
+        return superset_propagate(h0, norm_adj, layer_weights)
+
+    monkeypatch.setattr(mgam.model, "superset_propagate", spy)
+    forward_batch(params, cfg, ds, assignments, graph, batches["unsorted"],
+                  masks=[AblationMask(), AblationMask(use_subpe=False)])
+    assert sorted(seeds) == ["batch", "batch", "global"]
 
 
 def test_forward_needs_a_mask(ragged):
@@ -925,10 +959,11 @@ def test_one_group_scoring_memory_grows_with_candidates_times_d():
     graph = build_co_membership(ds.groups)
     batch = [(0, v) for v in range(n_cand)]
     with ad.no_grad():
-        forward_batch(params, cfg, ds, assignments, graph, batch, isolated=True)
+        global_rows = compute_global_rows(params, cfg, graph)
+        forward_batch(params, cfg, ds, assignments, graph, batch, global_rows=global_rows)
         tracemalloc.start()
         try:
-            forward_batch(params, cfg, ds, assignments, graph, batch, isolated=True)
+            forward_batch(params, cfg, ds, assignments, graph, batch, global_rows=global_rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,7 +15,7 @@ from mgam.data import (DATA_FILES, Dataset, Rows, SyntheticParams, dataset_sha25
                        write_dataset)
 from mgam.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
-from mgam.model import AblationMask, forward_batch, init_params, param_table
+from mgam.model import forward_batch, init_params, param_table
 from mgam.training import (adam_step, init_adam, load_checkpoint, load_inputs,
                            point_loss_from_logits, read_manifest, save_checkpoint,
                            tensor_layout, total_loss, train, train_epoch,
@@ -366,9 +366,8 @@ def test_overfit_small_dataset():
 
 def test_train_ablated_runs(toy):
     ds, split, assignments, graph, cfg = _small_setup()
-    tc = replace(cfg, epochs=1, batch_size=8, seed=2)
-    params, hist = train(ds, split, assignments, graph, tc,
-                         mask=AblationMask(use_suppe=False))
+    tc = replace(cfg, epochs=1, batch_size=8, seed=2, ablate="suppe")
+    params, hist = train(ds, split, assignments, graph, tc)
     assert len(hist) == 1
     # superset weights never received a training signal
     from mgam.config import STREAM_INIT, substream
