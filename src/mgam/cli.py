@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .clustering import SubsetTable, cluster_subsets, dump_subsets
 from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
@@ -35,7 +34,7 @@ from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
                          make_mgam_scorer, rank_candidates, report_metrics,
                          train_mf_scorer)
 from .graph import build_co_membership, dump_graph
-from .model import AblationMask, compute_global_rows, forward_batch, param_table
+from .model import AblationMask, param_table
 from .training import (MANIFEST_FILE, TRAIN_LOG_FILE, load_checkpoint, load_inputs,
                        read_manifest, save_checkpoint, train)
 
@@ -232,10 +231,7 @@ def cmd_recommend(args) -> int:
             v = dataset.item_index[args.item]
         else:
             v = top[0][0]
-        with ad.no_grad():
-            [result] = forward_batch(params, cfg, dataset, assignments, graph, [(g, v)],
-                                     masks=[mask],
-                                     global_rows=compute_global_rows(params, cfg, graph))
+        [result] = scorer.forward([(g, v)])
         payload = _explain_json(result, g, v, dataset, assignments, top)
         payload["config"] = cfg.resolved()
         print(json.dumps(payload, indent=2))

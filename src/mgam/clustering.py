@@ -9,6 +9,12 @@ identical subsets across groups.
 Every group's subsets live in one `SubsetTable` of three int64 arrays:
 `subset_offsets` cuts the subsets into groups, and `member_offsets` cuts
 `subset_members` into subsets.
+
+scipy loads at the first sparse operation, not with this module:
+`build_user_features` returns plain CSR arrays, and `UserFeatures.tocsr`,
+`kmeans` and `_lloyd` import `scipy.sparse` when called, so a process
+that only generates data (`gen-data`) never imports it.  Annotations that
+name `sparse.csr_array` are strings, never evaluated.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .data import Dataset, Rows
 from .errors import UsageError
@@ -62,13 +67,24 @@ class SubsetTable:
             self.subsets[k].tolist() for k in self.slots[g].tolist()])
 
 
-class UserFeatures(sparse.csr_array):
-    """CSR feature rows whose `nbytes` is the stored size:
-    data + indices + indptr bytes."""
+@dataclass
+class UserFeatures:
+    """CSR feature rows as their three arrays: row u is `data[k]` at
+    column `indices[k]` for k in `indptr[u]:indptr[u + 1]`."""
+    data: np.ndarray      # (nnz,) float64
+    indices: np.ndarray   # (nnz,) int64, sorted within each row
+    indptr: np.ndarray    # (n_users + 1,) int64
+    shape: tuple          # (n_users, n_items)
 
     @property
     def nbytes(self) -> int:
+        """The stored size: data + indices + indptr bytes."""
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def tocsr(self) -> sparse.csr_array:
+        """The rows as a `csr_array` over these same arrays."""
+        from scipy import sparse
+        return sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
 
 
 def build_user_features(dataset: Dataset) -> UserFeatures:
@@ -80,8 +96,7 @@ def build_user_features(dataset: Dataset) -> UserFeatures:
     rows = dataset.user_items
     lengths = rows.lengths()
     data = np.repeat(1.0 / np.sqrt(np.maximum(lengths, 1)), lengths)
-    return UserFeatures((data, rows.indices, rows.offsets),
-                        shape=(dataset.n_users, dataset.n_items))
+    return UserFeatures(data, rows.indices, rows.offsets, (dataset.n_users, dataset.n_items))
 
 
 def _squared_distances(points: sparse.csr_array, norms: np.ndarray,
@@ -117,6 +132,7 @@ def _kmeanspp_init(points: sparse.csr_array, norms: np.ndarray, m: int,
 
 def _lloyd(points: sparse.csr_array, norms: np.ndarray, m: int, max_iters: int,
            rng: np.random.Generator) -> tuple:
+    from scipy import sparse
     centroids = _kmeanspp_init(points, norms, m, rng)
     n = points.shape[0]
     labels = np.full(n, -1)
@@ -155,6 +171,7 @@ def kmeans(points, m: int, max_iters: int, restarts: int, seed) -> KMeansResult:
     `points` is a 2-D ndarray or sparse matrix; it is converted to CSR
     once, and the centroids are dense.
     """
+    from scipy import sparse
     if points.ndim != 2 or points.shape[0] == 0:
         raise UsageError("kmeans expects a non-empty 2-D point matrix")
     n = points.shape[0]
@@ -185,7 +202,7 @@ def cluster_subsets(dataset: Dataset, m: int, max_iters: int, restarts: int,
     if m < 1:
         raise UsageError("subset count must be at least 1")
     feats = build_user_features(dataset)
-    labels = kmeans(feats, min(m, dataset.n_users),
+    labels = kmeans(feats.tocsr(), min(m, dataset.n_users),
                     max_iters=max_iters, restarts=restarts, seed=seed).labels
     groups, n_labels = dataset.groups, int(labels.max()) + 1
     # members sorted by (group, label, member): each run of one (group,

@@ -596,8 +596,11 @@ class PlantedTruth:
 
 def _noisy_top(utility: np.ndarray, noise: float, n_take: int, rng) -> list:
     """The sorted `n_take` largest entries of `utility` plus Gaussian noise
-    scaled by `noise`, drawing one normal per entry from `rng`."""
-    noisy = rng.normal(size=len(utility))
+    scaled by `noise`, drawing one standard normal per entry from `rng`.
+    `rng.standard_normal(n)` returns the values of `rng.normal(size=n)`,
+    which computes `0.0 + 1.0 * z` from the same draw, and leaves the
+    stream at the same position, without the per-value location and scale."""
+    noisy = rng.standard_normal(len(utility))
     noisy *= noise
     noisy += utility
     np.negative(noisy, out=noisy)
@@ -609,7 +612,10 @@ def generate_synthetic(params: SyntheticParams, seed) -> tuple:
 
     Deterministic for a given (params, seed).  Each group's utility row,
     `item_vecs @ group_means[g]`, is computed into one reused buffer, so
-    no `n_groups x n_items` array is held.
+    no `n_groups x n_items` array is held.  Each utility row's noise is
+    one `standard_normal` draw per item (`_noisy_top`), which reads the
+    stream exactly as `normal(0, 1)` does, so the files are byte-identical
+    to those of a `normal` draw.
     """
     params.validate()
     rng = np.random.default_rng(seed)

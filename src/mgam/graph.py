@@ -11,6 +11,12 @@ that only write the edges (`dump_graph`) never hold it.  Every reader
 (`_normalize`, `expand_to_instances`, `dump_graph`) walks the adjacency's
 rows in ascending column order, so a `GroupGraph` refuses an adjacency
 whose CSR column indices are not sorted within each row.
+
+scipy loads at the first sparse operation, not with this module: the
+functions that build a sparse array (`build_co_membership`, `_normalize`,
+`expand_to_instances`) import `scipy.sparse` when called, so a process
+that only generates data (`gen-data`) never imports it.  Annotations
+that name `sparse.csr_array` are strings, never evaluated.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .data import Rows
 from .errors import UsageError
+
+# stored adjacency entries per block of rows that `dump_graph` writes at once
+DUMP_BLOCK = 4096
 
 
 @dataclass
@@ -45,6 +53,7 @@ class GroupGraph:
 def _normalize(adj: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
     """Values on the CSR structure of `adj`, whose column indices must be
     sorted within each row; its own index arrays are the result's."""
+    from scipy import sparse
     rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
     inv_sqrt = 1.0 / np.sqrt(degree)
     vals = inv_sqrt[rows] * inv_sqrt[adj.indices]
@@ -64,6 +73,7 @@ def build_co_membership(groups: Rows) -> GroupGraph:
     1.  The product is symmetric, so its CSC arrays are its CSR arrays
     with sorted columns; only they outlive the 1-byte product.
     """
+    from scipy import sparse
     n = len(groups)
     n_users = int(groups.indices.max(initial=-1)) + 1
     # row g: group g's members, then its private column n_users + g
@@ -106,6 +116,7 @@ def expand_to_instances(graph: GroupGraph, positions) -> sparse.csr_array:
     sorted columns, read from the sorted adjacency rows of the batch's
     distinct groups; the values are `_normalize`'s.
     """
+    from scipy import sparse
     pos = np.asarray(positions, dtype=np.intp)
     adj = graph.adjacency
     uniq, inv = np.unique(pos, return_inverse=True)
@@ -133,14 +144,21 @@ def dump_graph(graph: GroupGraph, group_ids, path) -> None:
     """Write one `group_id<TAB>group_id` line per undirected edge
     (self-loops omitted), in row-major order of the internal indices.
 
-    Rows are written one at a time from their sorted column slices, so
-    only one row's names are held at once."""
-    indptr, indices = graph.adjacency.indptr.tolist(), graph.adjacency.indices
+    Rows are written in blocks of about `DUMP_BLOCK` stored entries: one
+    gather of a block's upper-triangle column names, then one write of its
+    lines, so only one block's names are held at once."""
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
     names = np.array(group_ids, dtype=object)
+    # a block starts at the row holding each DUMP_BLOCK-th stored entry
+    starts = np.searchsorted(indptr, np.arange(0, indptr[-1], DUMP_BLOCK), "right") - 1
+    cuts = np.append(np.unique(starts), len(indptr) - 1).tolist()
     with open(Path(path), "w", encoding="utf-8") as f:
-        for i in range(len(indptr) - 1):
-            row = indices[indptr[i]:indptr[i + 1]]
-            upper = row[row.searchsorted(i, "right"):]  # the strict upper triangle
-            if len(upper):
-                head = f"{group_ids[i]}\t"
-                f.write(head + f"\n{head}".join(names[upper].tolist()) + "\n")
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            rows = np.repeat(np.arange(r0, r1), np.diff(indptr[r0:r1 + 1]))
+            cols = indices[indptr[r0]:indptr[r1]]
+            upper = cols > rows  # the strict upper triangle
+            ends = np.cumsum(np.bincount(rows[upper] - r0, minlength=r1 - r0)).tolist()
+            tails = names[cols[upper]].tolist()
+            heads = [f"{group_ids[i]}\t" for i in range(r0, r1)]
+            f.write("".join([head + f"\n{head}".join(tails[a:b]) + "\n"
+                             for head, a, b in zip(heads, [0] + ends, ends) if a < b]))

@@ -304,7 +304,8 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
     is a scoring forward: every instance is its own one-node batch graph,
     so its score depends only on its (group, item) pair.  Without, it is
     a training forward, which builds the global stream on the tape where
-    the superset branch first reads it and couples the instances.
+    the superset branch first reads it and couples the instances; when no
+    mask reads the superset branch, the two forwards are the same.
     """
     masks = list(masks) if masks is not None else [AblationMask()]
     if not masks:

@@ -30,12 +30,12 @@ def _ds(user_items, groups=None, n_items=4):
 
 def test_features_normalized_rows():
     feats = build_user_features(_ds([[0, 2], [], [0, 1, 2]]))
-    dense = feats.toarray()
+    dense = feats.tocsr().toarray()
     assert np.array_equal(dense[0], np.array([1, 0, 1, 0]) / np.sqrt(2))
     assert np.array_equal(dense[1], np.zeros(4))
     assert np.array_equal(dense[2], np.array([1, 1, 1, 0]) / np.sqrt(3))
     assert np.allclose(np.linalg.norm(dense, axis=1), [1.0, 0.0, 1.0])
-    assert feats.nnz == 5                            # one entry per interaction
+    assert len(feats.data) == 5                      # one entry per interaction
     assert feats.indptr[1] == feats.indptr[2]        # the empty row stores nothing
     assert feats.nbytes == (feats.data.nbytes + feats.indices.nbytes
                             + feats.indptr.nbytes)
@@ -47,7 +47,7 @@ def test_features_match_dense_reference():
         n_cohorts=3, positives_per_group=5), seed=8)
     ds.user_items = Rows.from_lists([[] if u == 5 else items.tolist()
                                      for u, items in enumerate(ds.user_items)])
-    assert np.array_equal(build_user_features(ds).toarray(), dense_user_features(ds))
+    assert np.array_equal(build_user_features(ds).tocsr().toarray(), dense_user_features(ds))
 
 
 def test_cluster_subsets_memory_bounded(monkeypatch):
@@ -63,7 +63,7 @@ def test_cluster_subsets_memory_bounded(monkeypatch):
                         lambda d: built.append(build_user_features(d)) or built[-1])
     assignments = cluster_subsets(ds, 4, max_iters=100, restarts=3, seed=0)
     assert len(assignments) == len(groups)
-    assert built[0].nnz == n_users * per_user
+    assert len(built[0].data) == n_users * per_user
 
 
 # ---------------------------------------------------------------------------

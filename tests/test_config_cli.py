@@ -12,6 +12,7 @@ import pytest
 
 import mgam.cli
 import mgam.evaluation
+import mgam.model
 from mgam.cli import main
 from mgam.clustering import cluster_subsets
 from mgam.config import (STREAM_CLUSTER, STREAM_DATA, STREAM_INIT, Config, parse_config,
@@ -862,6 +863,34 @@ def test_recommend_explain_specific_item(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["item"] == "12"
     assert 0.0 < payload["score"] < 1.0
+
+
+@pytest.fixture(scope="module")
+def suppe_ckpt(workspace):
+    """A checkpoint of the variant without the superset branch."""
+    ckpt = workspace["root"] / "ckpt-wo-suppe"
+    assert main(["train", "--data", workspace["data"], "--out", str(ckpt),
+                 "--set", "epochs=1", "--set", "batch_size=16", "--set", "embedding_dim=8",
+                 "--set", "ablate=suppe"]) == 0
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("variant, extra, builds", [
+    ("full", ["--explain"], 1), ("wo-suppe", [], 0), ("wo-suppe", ["--explain"], 0)])
+def test_recommend_builds_the_global_stream_once_and_only_when_read(
+        workspace, suppe_ckpt, capsys, monkeypatch, variant, extra, builds):
+    """`recommend --explain` scores its list and explains its item on one
+    build of the global stream, and a checkpoint whose variant never reads
+    the superset branch builds none."""
+    calls, real = [], mgam.model.compute_global_rows
+    for module in (mgam.model, mgam.evaluation, mgam.cli):   # wherever a caller looks it up
+        monkeypatch.setattr(module, "compute_global_rows",
+                            lambda *a: calls.append(1) or real(*a), raising=False)
+    ckpt = workspace["ckpt"] if variant == "full" else suppe_ckpt
+    assert main(["recommend", "--data", workspace["data"], "--ckpt", ckpt,
+                 "--group-id", "3", *extra]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("ckpt", ["trained", "missing"])

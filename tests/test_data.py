@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import os
 import random
 import subprocess
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 import mgam
+import mgam.cli
 from mgam import data
 from mgam.data import (Dataset, Rows, SyntheticParams, generate_synthetic,
                        label_blocks, load_dataset, sample_negatives,
                        split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
+from mgam.training import load_inputs, read_manifest
 from conftest import same_dataset, same_rows
 from reference_preprocessing import line_parsed_dataset, planted_utility
 
@@ -769,6 +772,62 @@ def test_write_dataset_meta(tmp_path):
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["seed"] == 1
     assert meta["params"]["n_users"] == 10
+
+
+# sha256 of every file `gen-data` writes, per argument list: any change to
+# how the generator reads its seeded stream shows here
+GEN_DATA_DIGESTS = {
+    "default": (["--seed", "42"], {
+        "user_item.tsv": "45aedd307e290ccbee1da679c9e045dfd33d50dfbf9a8706f266bd60d1045cc7",
+        "groups.tsv": "d72b8c46f4205368b3bb218e6d486ff05aa370242752b10947d676fcabac14bf",
+        "group_items.tsv": "d32b780bd4dbc4d9d37b5663c1f82d6f85a2a3c67f1f9317823aee769eabeef8",
+        "meta.json": "693c1c5843655a61729fc16399f5cc0f4ac9bdb8104cb366efcb7a246f6af8db"}),
+    "small": (["--users", "300", "--items", "900", "--groups", "400",
+               "--items-per-user", "12", "--cohorts", "5", "--seed", "7"], {
+        "user_item.tsv": "c8a0cc3d092e6436e1afb8afe0914c9e800de327858df39d8ac116e6d5e3a7b6",
+        "groups.tsv": "e72c458b9c2af8f0bbbf2c0844f34e720ace1e4a6cb3c6759deecfaa90646087",
+        "group_items.tsv": "f716f397fa464c6ce6495c0cde5c1340511b07f627ed200a41dd696b204c2a33",
+        "meta.json": "b4c54a40f0a318adb98bb26dda497abf4947e1501c746258f4143d6395d9b62f"}),
+}
+
+
+@pytest.mark.parametrize("args, digests", GEN_DATA_DIGESTS.values(), ids=GEN_DATA_DIGESTS)
+def test_gen_data_writes_pinned_bytes(tmp_path, args, digests):
+    out = tmp_path / "data"
+    assert mgam.cli.main(["gen-data", "--out", str(out), *args]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
+def test_gen_data_never_imports_scipy_and_train_still_clusters(tmp_path):
+    """A fresh interpreter runs `gen-data` and `train --help` without
+    loading scipy; a `train` in the same process then imports it where it
+    first builds a sparse array, clusters and writes a checkpoint."""
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    code = f"""
+import contextlib, io, sys
+import mgam.cli
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()):
+    assert mgam.cli.main(["gen-data", "--out", {str(data)!r}, "--users", "30",
+                          "--items", "40", "--groups", "8", "--seed", "3"]) == 0
+    loaded.append("scipy" in sys.modules)
+    try:
+        mgam.cli.main(["train", "--help"])
+    except SystemExit as e:
+        assert e.code == 0
+    loaded.append("scipy" in sys.modules)
+    assert mgam.cli.main(["train", "--data", {str(data)!r}, "--out", {str(ckpt)!r},
+                          "--set", "epochs=1", "--set", "embedding_dim=8"]) == 0
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(mgam.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[False, False, True]"
+    assert (ckpt / "params.bin").exists()
+    assert len(load_inputs(ckpt, data, read_manifest(ckpt))[1]) == 8
 
 
 # ---------------------------------------------------------------------------

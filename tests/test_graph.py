@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 import mgam.cli
+import mgam.graph
 from mgam import autodiff as ad
 from mgam.autodiff import Tensor
 from mgam.data import Rows
@@ -274,8 +275,8 @@ def test_building_and_dumping_the_graph_hold_little_beyond_it(tmp_path):
     """On a heavily overlapping group set, building the graph peaks at
     under 1.5 times the adjacency's own bytes (the product's 1-byte values
     and its sorted index arrays, then float64 ones over those arrays), and
-    writing it holds under a tenth of them on top of the graph (one row's
-    names at a time)."""
+    writing it holds under a tenth of them on top of the graph (one block
+    of rows' names at a time)."""
     groups = overlapping_groups(np.random.default_rng(53), 1000, 300, 6, 13)
     g, build_peak = _traced_peak(lambda: build_co_membership(groups))
     assert g.adjacency.nnz >= 200_000
@@ -343,6 +344,26 @@ def test_dump_graph_follows_internal_index_order(tmp_path):
         ids = [str(int(v)) for v in rng.permutation(10 * n)[:n]]
         dump_graph(g, ids, out)
         assert out.read_text(encoding="utf-8") == sorted_pair_dump(g.adjacency, ids)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_dump_graph_cuts_blocks_anywhere_without_changing_the_lines(tmp_path, monkeypatch,
+                                                                     block):
+    """However few entries a block of rows holds, down to one (a row per
+    block), the lines are the sorted pairs; rows without an edge above the
+    diagonal, and graphs without self-loops, write nothing of their own."""
+    monkeypatch.setattr(mgam.graph, "DUMP_BLOCK", block)
+    out = tmp_path / "graph.tsv"
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        g = build_co_membership(random_groups(rng, int(rng.integers(1, 40)), 12))
+        n = g.adjacency.shape[0]
+        ids = [f"g{k}" for k in range(n)]
+        no_loops = sparse.csr_array(g.adjacency - sparse.eye_array(n, format="csr"))
+        no_loops.eliminate_zeros()
+        for graph in (g, GroupGraph(adjacency=no_loops)):
+            dump_graph(graph, ids, out)
+            assert out.read_text(encoding="utf-8") == sorted_pair_dump(g.adjacency, ids)
 
 
 def test_dump_graph_reads_unsorted_rows_and_needs_no_self_loops(tmp_path):
