@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import SubsetTable, cluster_subsets, dump_subsets
-from .config import (STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
+from .config import (GRANULARITIES, STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
 from .data import (SyntheticParams, dataset_sha256, generate_synthetic,
                    load_dataset, split_leave_one_out, write_dataset)
@@ -39,12 +39,6 @@ from .training import (MANIFEST_FILE, TRAIN_LOG_FILE, load_checkpoint, load_inpu
                        read_manifest, save_checkpoint, train)
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override one configuration key")
-
-
 def _resolve_config(args, base=(), echo_to=None) -> Config:
     cfg = parse_config(args.config, overrides=args.overrides, base=base)
     print(format_resolved(cfg), file=echo_to)  # None: sys.stdout at call time
@@ -56,9 +50,11 @@ _CLUSTERING_KEYS = ("kmeans_max_iters", "kmeans_restarts")
 
 
 def _checkpoint_config(args, echo_to=None) -> tuple:
-    """(config, manifest): the checkpoint's resolved config as the base of
-    the command's own, under `--config` and `--set`; a changed clustering
-    key is a usage error."""
+    """(config, manifest, trained_off): the checkpoint's resolved config as
+    the base of the command's own, under `--config` and `--set`, and the
+    branches the checkpoint was trained without.  A changed clustering key
+    is a usage error, and so is an `ablate` that re-enables one of those
+    branches, whose weights were never trained."""
     manifest = read_manifest(args.ckpt)
     trained = manifest.get("config", {})
     origin = str(Path(args.ckpt) / MANIFEST_FILE)
@@ -69,7 +65,12 @@ def _checkpoint_config(args, echo_to=None) -> tuple:
             raise UsageError(f"{key}={getattr(cfg, key)} differs from the checkpoint's "
                              f"{trained[key]}; its subsets are stored, retrain to "
                              f"re-cluster")
-    return cfg, manifest
+    trained_off = Config(ablate=str(trained.get("ablate", ""))).ablated()
+    if not set(trained_off) <= set(cfg.ablated()):
+        raise UsageError(f"ablate={cfg.ablate!r} re-enables a branch the checkpoint was "
+                         f"trained without (ablate={','.join(trained_off)!r}); its weights "
+                         f"were never trained")
+    return cfg, manifest, trained_off
 
 
 def _load_trained(args, cfg: Config, manifest: dict) -> tuple:
@@ -91,13 +92,16 @@ def _cluster(dataset, cfg: Config, m: int) -> SubsetTable:
 # ---------------------------------------------------------------------------
 # commands
 
+# gen-data's flags: the dest of each, and the SyntheticParams field it sets
+_GEN_FIELDS = {"users": "n_users", "items": "n_items", "groups": "n_groups",
+               "cohorts": "n_cohorts", "latent_dim": "latent_dim", "noise": "noise",
+               "cross_rate": "cross_rate", "positives_per_group": "positives_per_group",
+               "items_per_user": "items_per_user"}
+
+
 def cmd_gen_data(args) -> int:
-    params = SyntheticParams(
-        n_users=args.users, n_items=args.items, n_groups=args.groups,
-        group_size_range=(args.min_group_size, args.max_group_size),
-        n_cohorts=args.cohorts, latent_dim=args.latent_dim, noise=args.noise,
-        positives_per_group=args.positives_per_group,
-        cross_rate=args.cross_rate, items_per_user=args.items_per_user)
+    params = SyntheticParams(group_size_range=(args.min_group_size, args.max_group_size),
+                             **{name: getattr(args, dest) for dest, name in _GEN_FIELDS.items()})
     dataset, _ = generate_synthetic(params, args.seed)
     write_dataset(dataset, args.out,
                   meta={"params": params.as_dict(), "seed": args.seed})
@@ -141,9 +145,10 @@ def _evaluate_models(cfg: Config, dataset, split, scorer, labels, out: Path,
     return 0
 
 
-def _run_eval(args, masks_from_cfg) -> int:
-    cfg, manifest = _checkpoint_config(args)
-    masks = masks_from_cfg(cfg)
+def _run_eval(args, masks_for) -> int:
+    """Score the checkpoint under `masks_for(config, trained_off)`."""
+    cfg, manifest, trained_off = _checkpoint_config(args)
+    masks = masks_for(cfg, trained_off)
     dataset, assignments, graph, params = _load_trained(args, cfg, manifest)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
     out = Path(args.out if args.out else args.ckpt)
@@ -154,14 +159,20 @@ def _run_eval(args, masks_from_cfg) -> int:
 
 
 def cmd_eval(args) -> int:
-    return _run_eval(args, lambda cfg: [AblationMask.from_disabled(cfg.ablated())])
+    return _run_eval(args, lambda cfg, _: [AblationMask.from_disabled(cfg.ablated())])
 
 
 def cmd_ablate(args) -> int:
-    # one combined removal, or the full model and each single removal
-    masks = [AblationMask.from_disabled(disabled) for disabled in
-             ([args.disable] if args.disable else [[], ["subpe"], ["gpe"], ["suppe"]])]
-    return _run_eval(args, lambda cfg: masks)
+    # one combined removal, or the full model and each single removal, each
+    # on top of the checkpoint's own; a default removal that repeats an
+    # earlier one's mask or leaves no branch is dropped
+    def masks(cfg, trained_off):
+        if args.disable:
+            return [AblationMask.from_disabled({*trained_off, *args.disable})]
+        unions = dict.fromkeys(frozenset({*trained_off, *removal})
+                               for removal in [[], ["subpe"], ["gpe"], ["suppe"]])
+        return [AblationMask.from_disabled(u) for u in unions if len(u) < len(GRANULARITIES)]
+    return _run_eval(args, masks)
 
 
 def cmd_sweep_subsets(args) -> int:
@@ -211,7 +222,7 @@ def cmd_recommend(args) -> int:
     if args.item is not None and not args.explain:
         raise UsageError("--item names the item to explain; it needs --explain")
     # config echo goes to stderr so stdout stays machine-readable
-    cfg, manifest = _checkpoint_config(args, echo_to=sys.stderr)
+    cfg, manifest, _ = _checkpoint_config(args, echo_to=sys.stderr)
     mask = AblationMask.from_disabled(cfg.ablated())
     dataset, assignments, graph, params = _load_trained(args, cfg, manifest)
     if args.group_id not in dataset.group_index:
@@ -311,92 +322,64 @@ def cmd_baseline(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
-    unchanged, and `append` actions copy their default before appending."""
+    unchanged, and `append` actions copy their default before appending.
+    An option several commands take is declared once, on a parent parser
+    that each of them composes."""
+    def options(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    data, config, out, ckpt, detail = (options() for _ in range(5))
+    data.add_argument("--data", required=True)
+    config.add_argument("--config", help="key = value configuration file")
+    config.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override one configuration key")
+    out.add_argument("--out", required=True)
+    ckpt.add_argument("--ckpt", required=True)
+    detail.add_argument("--detail", action="store_true",
+                        help="also write per-group metrics_detail.csv")
+    report = options(detail)
+    report.add_argument("--out", default=None, help="default: the checkpoint directory")
+
     parser = argparse.ArgumentParser(
         prog="mgam",
         description="Multi-granularity attention model for group recommendation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="write a synthetic planted-cohort dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--users", type=int, default=200)
-    p.add_argument("--items", type=int, default=500)
-    p.add_argument("--groups", type=int, default=60)
-    p.add_argument("--min-group-size", type=int, default=4)
-    p.add_argument("--max-group-size", type=int, default=8)
-    p.add_argument("--cohorts", type=int, default=3)
-    p.add_argument("--latent-dim", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--cross-rate", type=float, default=0.2)
-    p.add_argument("--positives-per-group", type=int, default=10)
-    p.add_argument("--items-per-user", type=int, default=None)
+    def command(name, func, help, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-data", cmd_gen_data, "write a synthetic planted-cohort dataset", out)
+    for dest, name in _GEN_FIELDS.items():
+        default = getattr(SyntheticParams, name)
+        p.add_argument("--" + dest.replace("_", "-"), default=default,
+                       type=float if isinstance(default, float) else int)
+    low, high = SyntheticParams.group_size_range
+    p.add_argument("--min-group-size", type=int, default=low)
+    p.add_argument("--max-group-size", type=int, default=high)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_args(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="rank held-out positives and write metrics.csv")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", default=None, help="default: the checkpoint directory")
-    p.add_argument("--detail", action="store_true",
-                   help="also write per-group metrics_detail.csv")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="evaluate with granularity branches removed")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--disable", action="append", default=[],
-                   choices=["subpe", "gpe", "suppe"],
+    command("train", cmd_train, "train a model and write a checkpoint", data, out, config)
+    command("eval", cmd_eval, "rank held-out positives and write metrics.csv",
+            data, ckpt, report, config)
+    p = command("ablate", cmd_ablate, "evaluate with granularity branches removed",
+                data, ckpt, report, config)
+    p.add_argument("--disable", action="append", default=[], choices=GRANULARITIES,
                    help="evaluate one combined mask instead of every single removal")
-    p.add_argument("--detail", action="store_true")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep-subsets", help="retrain/evaluate across subset counts")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = command("sweep-subsets", cmd_sweep_subsets, "retrain/evaluate across subset counts",
+                data, out, config)
     p.add_argument("--m-values", required=True, help="e.g. 1,2,3,5")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_sweep_subsets)
-
-    p = sub.add_parser("recommend", help="print top-K items for a group")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt", required=True)
+    p = command("recommend", cmd_recommend, "print top-K items for a group", data, ckpt, config)
     p.add_argument("--group-id", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--item", default=None, help="item to explain (with --explain)")
-    p.add_argument("--explain", action="store_true",
-                   help="emit attention weights as JSON")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("dump-graph", help="write co-membership edges as TSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_args(p)
-    p.set_defaults(func=cmd_dump_graph)
-
-    p = sub.add_parser("dump-subsets", help="write subset assignments as TSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_args(p)
-    p.set_defaults(func=cmd_dump_subsets)
-
-    p = sub.add_parser("baseline", help="train the per-user scorer and evaluate "
-                                        "avg/least-misery/max-satisfaction")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--detail", action="store_true")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_baseline)
-
+    p.add_argument("--explain", action="store_true", help="emit attention weights as JSON")
+    command("dump-graph", cmd_dump_graph, "write co-membership edges as TSV", data, out, config)
+    command("dump-subsets", cmd_dump_subsets, "write subset assignments as TSV",
+            data, out, config)
+    command("baseline", cmd_baseline, "train the per-user scorer and evaluate "
+            "avg/least-misery/max-satisfaction", data, out, detail, config)
     return parser
 
 

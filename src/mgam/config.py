@@ -28,7 +28,7 @@ def substream(seed: int, stream: int, *extra: int) -> list:
     return [int(seed), int(stream), *[int(e) for e in extra]]
 
 
-_GRANULARITIES = ("subpe", "gpe", "suppe")
+GRANULARITIES = ("subpe", "gpe", "suppe")
 
 
 @dataclass
@@ -82,9 +82,9 @@ class Config:
             if k < 1:
                 raise ConfigError(f"ks entries must be >= 1, got {k}")
         for a in self.ablated():
-            if a not in _GRANULARITIES:
+            if a not in GRANULARITIES:
                 raise ConfigError(f"ablate names unknown granularity {a!r}")
-        if set(self.ablated()) == set(_GRANULARITIES):
+        if set(self.ablated()) == set(GRANULARITIES):
             raise ConfigError("all three granularities are ablated; nothing to fuse")
 
 

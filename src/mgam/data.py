@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -480,7 +480,8 @@ def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
     if n < 0:
         raise UsageError("cannot sample a negative number of items")
     owners = np.asarray(owners, dtype=np.int64)
-    eligible = n_items - seen.lengths()[owners]
+    lengths = seen.lengths()[owners]
+    eligible = n_items - lengths
     short = np.flatnonzero(eligible < n)
     if len(short):
         raise SamplingError(f"{name(int(owners[short[0]]))}: requested {n} negatives but "
@@ -503,12 +504,13 @@ def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
         settled, clash = clash, repeat | at_top & np.take_along_axis(clash, top_slot, axis=1)
     ranks = rng.permuted(np.where(clash, low + slots, drawn), axis=1)
     # rank r is item r plus the count of seen items k with seen_k - k <= r;
-    # each row's keys are sorted, and padding sorts above every rank
-    table, valid = seen.padded(owners)
+    # the keys of each owner's CSR range, offset by its row, sort as one array
+    before = np.cumsum(lengths) - lengths                  # each row's first key
+    key_row = np.repeat(np.arange(len(owners)), lengths)
+    k = np.arange(len(key_row)) - before[key_row]
+    keys = key_row * (n_items + 1) + seen.indices[seen.offsets[owners][key_row] + k] - k
     row = np.arange(len(owners))[:, None]
-    keys = row * (n_items + 1) + np.where(valid, table - np.arange(table.shape[1]), n_items)
-    return ranks + np.searchsorted(keys.ravel(), row * (n_items + 1) + ranks,
-                                   "right") - row * table.shape[1]
+    return ranks + np.searchsorted(keys, row * (n_items + 1) + ranks, "right") - before[:, None]
 
 
 def label_blocks(positives, negatives) -> np.ndarray:
@@ -574,15 +576,7 @@ class SyntheticParams:
             raise UsageError("noise must be non-negative")
 
     def as_dict(self) -> dict:
-        return {
-            "n_users": self.n_users, "n_items": self.n_items,
-            "n_groups": self.n_groups,
-            "group_size_range": list(self.group_size_range),
-            "n_cohorts": self.n_cohorts, "latent_dim": self.latent_dim,
-            "noise": self.noise, "positives_per_group": self.positives_per_group,
-            "cross_rate": self.cross_rate,
-            "items_per_user": self.resolved_items_per_user(),
-        }
+        return {**asdict(self), "items_per_user": self.resolved_items_per_user()}
 
 
 @dataclass

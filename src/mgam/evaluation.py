@@ -245,7 +245,8 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
     """Train sigma(<e(u), e(v)>) on the user-item interactions with BCE.
 
     Returns (user_vecs, item_vecs) as plain arrays; aggregation into group
-    scores happens only at inference.
+    scores happens only at inference.  A non-finite loss or gradient raises
+    NonFiniteError naming the epoch and batch before any parameter changes.
     """
     rng = np.random.default_rng(substream(seed, STREAM_BASELINE))
     s = 1.0 / np.sqrt(d)
@@ -264,19 +265,25 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
     for epoch in range(epochs):
         erng = np.random.default_rng(substream(seed, STREAM_BASELINE, epoch + 1))
         order = erng.permutation(len(positives))
-        for start in range(0, len(order), MF_BATCH_SIZE):
-            batch = positives[order[start:start + MF_BATCH_SIZE]]
-            drawn = draw_unseen_rows(dataset.n_items, interactions, batch[:, 0], negatives,
+        for batch, start in enumerate(range(0, len(order), MF_BATCH_SIZE)):
+            pairs = positives[order[start:start + MF_BATCH_SIZE]]
+            drawn = draw_unseen_rows(dataset.n_items, interactions, pairs[:, 0], negatives,
                                      erng, lambda u: f"user {dataset.user_ids[u]}")
-            rows = label_blocks(batch, drawn).reshape(-1, 3)
+            rows = label_blocks(pairs, drawn).reshape(-1, 3)
             u_vecs = ad.take(params["user_emb"], rows[:, 0])
             i_vecs = ad.take(params["item_emb"], rows[:, 1])
             logits = ad.tensor_sum(ad.mul(u_vecs, i_vecs), axis=1)
             loss = ad.tensor_mean(point_loss_from_logits(logits, rows[:, 2]))
+            if not np.isfinite(loss.data):
+                raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
+                                     f"{epoch}, batch {batch}")
             for p in params.values():
                 p.grad = None
             grads = ad.grad_map(loss, params)
-            adam_step(params, grads, adam, lr)
+            try:
+                adam_step(params, grads, adam, lr)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"{e} at epoch {epoch}, batch {batch}") from None
     return params["user_emb"].data.copy(), params["item_emb"].data.copy()
 
 

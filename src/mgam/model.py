@@ -50,7 +50,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import SubsetTable
-from .config import _GRANULARITIES, Config
+from .config import GRANULARITIES, Config
 from .data import Dataset
 from .errors import UsageError
 # induce_batch_subgraph is not called here; it stays importable from this
@@ -67,10 +67,10 @@ class AblationMask:
     @classmethod
     def from_disabled(cls, disabled) -> "AblationMask":
         disabled = set(disabled)
-        unknown = disabled - set(_GRANULARITIES)
+        unknown = disabled - set(GRANULARITIES)
         if unknown:
             raise UsageError(f"unknown granularity name(s): {sorted(unknown)}")
-        if disabled == set(_GRANULARITIES):
+        if disabled == set(GRANULARITIES):
             raise UsageError("all three granularities are ablated; nothing to fuse")
         return cls(use_subpe="subpe" not in disabled,
                    use_gpe="gpe" not in disabled,

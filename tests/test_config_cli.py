@@ -18,7 +18,7 @@ from mgam.clustering import cluster_subsets
 from mgam.config import (STREAM_CLUSTER, STREAM_DATA, STREAM_INIT, Config, parse_config,
                          substream)
 from mgam.data import dataset_sha256, load_dataset, split_leave_one_out
-from mgam.errors import ConfigError
+from mgam.errors import ConfigError, NonFiniteError
 from mgam.graph import build_co_membership
 from mgam.model import AblationMask, init_params, param_table
 from mgam.training import (load_checkpoint, load_inputs, read_manifest, save_checkpoint,
@@ -650,6 +650,110 @@ def test_parser_is_built_once_and_keeps_no_values(workspace, tmp_path):
     assert mgam.cli.build_parser.cache_info().misses == 1
 
 
+# every command at its defaults and with each of its options, and the
+# namespace it parses to (`func` by name): however the options are
+# declared, the parsed arguments stay these
+CONFIG_ARGS = ["--config", "c", "--set", "a=1", "--set", "b=2"]
+CONFIG_NS = {"config": "c", "overrides": ["a=1", "b=2"]}
+NO_CONFIG = {"config": None, "overrides": []}
+PARSED = [
+    (["gen-data", "--out", "o"],
+     {"command": "gen-data", "func": "cmd_gen_data", "out": "o", "users": 200, "items": 500,
+      "groups": 60, "min_group_size": 4, "max_group_size": 8, "cohorts": 3, "latent_dim": 8,
+      "noise": 0.1, "cross_rate": 0.2, "positives_per_group": 10, "items_per_user": None,
+      "seed": 42}),
+    (["gen-data", "--out", "o", "--users", "3", "--items", "4", "--groups", "5",
+      "--min-group-size", "2", "--max-group-size", "3", "--cohorts", "2", "--latent-dim", "6",
+      "--noise", "0.5", "--cross-rate", "0.3", "--positives-per-group", "7",
+      "--items-per-user", "8", "--seed", "9"],
+     {"command": "gen-data", "func": "cmd_gen_data", "out": "o", "users": 3, "items": 4,
+      "groups": 5, "min_group_size": 2, "max_group_size": 3, "cohorts": 2, "latent_dim": 6,
+      "noise": 0.5, "cross_rate": 0.3, "positives_per_group": 7, "items_per_user": 8,
+      "seed": 9}),
+    (["train", "--data", "d", "--out", "o"],
+     {"command": "train", "func": "cmd_train", "data": "d", "out": "o", **NO_CONFIG}),
+    (["train", "--data", "d", "--out", "o", *CONFIG_ARGS],
+     {"command": "train", "func": "cmd_train", "data": "d", "out": "o", **CONFIG_NS}),
+    (["eval", "--data", "d", "--ckpt", "k"],
+     {"command": "eval", "func": "cmd_eval", "data": "d", "ckpt": "k", "out": None,
+      "detail": False, **NO_CONFIG}),
+    (["eval", "--data", "d", "--ckpt", "k", "--out", "o", "--detail", *CONFIG_ARGS],
+     {"command": "eval", "func": "cmd_eval", "data": "d", "ckpt": "k", "out": "o",
+      "detail": True, **CONFIG_NS}),
+    (["ablate", "--data", "d", "--ckpt", "k"],
+     {"command": "ablate", "func": "cmd_ablate", "data": "d", "ckpt": "k", "out": None,
+      "detail": False, "disable": [], **NO_CONFIG}),
+    (["ablate", "--data", "d", "--ckpt", "k", "--out", "o", "--disable", "gpe",
+      "--disable", "suppe", "--detail", *CONFIG_ARGS],
+     {"command": "ablate", "func": "cmd_ablate", "data": "d", "ckpt": "k", "out": "o",
+      "detail": True, "disable": ["gpe", "suppe"], **CONFIG_NS}),
+    (["sweep-subsets", "--data", "d", "--out", "o", "--m-values", "1,2"],
+     {"command": "sweep-subsets", "func": "cmd_sweep_subsets", "data": "d", "out": "o",
+      "m_values": "1,2", **NO_CONFIG}),
+    (["sweep-subsets", "--data", "d", "--out", "o", "--m-values", "1,2", *CONFIG_ARGS],
+     {"command": "sweep-subsets", "func": "cmd_sweep_subsets", "data": "d", "out": "o",
+      "m_values": "1,2", **CONFIG_NS}),
+    (["recommend", "--data", "d", "--ckpt", "k", "--group-id", "g"],
+     {"command": "recommend", "func": "cmd_recommend", "data": "d", "ckpt": "k",
+      "group_id": "g", "k": 10, "item": None, "explain": False, **NO_CONFIG}),
+    (["recommend", "--data", "d", "--ckpt", "k", "--group-id", "g", "--k", "3",
+      "--item", "i", "--explain", *CONFIG_ARGS],
+     {"command": "recommend", "func": "cmd_recommend", "data": "d", "ckpt": "k",
+      "group_id": "g", "k": 3, "item": "i", "explain": True, **CONFIG_NS}),
+    (["dump-graph", "--data", "d", "--out", "o"],
+     {"command": "dump-graph", "func": "cmd_dump_graph", "data": "d", "out": "o",
+      **NO_CONFIG}),
+    (["dump-graph", "--data", "d", "--out", "o", *CONFIG_ARGS],
+     {"command": "dump-graph", "func": "cmd_dump_graph", "data": "d", "out": "o",
+      **CONFIG_NS}),
+    (["dump-subsets", "--data", "d", "--out", "o"],
+     {"command": "dump-subsets", "func": "cmd_dump_subsets", "data": "d", "out": "o",
+      **NO_CONFIG}),
+    (["dump-subsets", "--data", "d", "--out", "o", *CONFIG_ARGS],
+     {"command": "dump-subsets", "func": "cmd_dump_subsets", "data": "d", "out": "o",
+      **CONFIG_NS}),
+    (["baseline", "--data", "d", "--out", "o"],
+     {"command": "baseline", "func": "cmd_baseline", "data": "d", "out": "o",
+      "detail": False, **NO_CONFIG}),
+    (["baseline", "--data", "d", "--out", "o", "--detail", *CONFIG_ARGS],
+     {"command": "baseline", "func": "cmd_baseline", "data": "d", "out": "o",
+      "detail": True, **CONFIG_NS}),
+]
+COMMANDS = list(dict.fromkeys(argv[0] for argv, _ in PARSED))
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[" ".join(a[:1] + a[-2:])
+                                                         for a, _ in PARSED])
+def test_every_command_parses_to_its_golden_namespace(argv, expected):
+    parsed = vars(mgam.cli.build_parser().parse_args(argv))
+    assert {**parsed, "func": parsed["func"].__name__} == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_help_and_needs_each_required_option(command, capsys):
+    """`--help` exits 0; the argv of the command's defaults, less any one
+    of its required options, exits 2 naming that option."""
+    with pytest.raises(SystemExit) as e:
+        mgam.cli.build_parser().parse_args([command, "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: mgam {command}")
+    required = next(argv for argv, _ in PARSED if argv[0] == command)
+    for i in range(1, len(required), 2):
+        with pytest.raises(SystemExit) as e:
+            mgam.cli.build_parser().parse_args(required[:i] + required[i + 2:])
+        assert e.value.code == 2
+        assert f"the following arguments are required: {required[i]}" in \
+            capsys.readouterr().err
+
+
+def test_disable_takes_only_a_granularity(capsys):
+    with pytest.raises(SystemExit) as e:
+        mgam.cli.build_parser().parse_args(["ablate", "--data", "d", "--ckpt", "k",
+                                            "--disable", "fusion"])
+    assert e.value.code == 2
+    assert "choose from 'subpe', 'gpe', 'suppe'" in capsys.readouterr().err
+
+
 def test_dump_subsets_format(workspace, tmp_path):
     out = tmp_path / "subsets.tsv"
     rc = main(["dump-subsets", "--data", workspace["data"], "--out", str(out),
@@ -669,6 +773,28 @@ def test_baseline_writes_three_models(workspace, tmp_path):
     rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
     models = {r.split(",")[0] for r in rows}
     assert models == {"mf-avg", "mf-lm", "mf-ms"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("failure, message", [
+    (None, "non-finite loss nan at epoch 1, batch 0"),
+    ("item_emb", "non-finite gradient for parameter 'item_emb' at epoch 0, batch 0")])
+def test_baseline_names_where_training_went_non_finite(workspace, tmp_path, capsys,
+                                                        monkeypatch, failure, message):
+    """A diverging MF baseline, or a non-finite gradient from the step,
+    exits 1 naming the epoch and batch, and writes no metrics."""
+    if failure is not None:
+        def step(*args):
+            raise NonFiniteError(f"non-finite gradient for parameter {failure!r}")
+        monkeypatch.setattr(mgam.evaluation, "adam_step", step)
+    out = tmp_path / "base"
+    rc = main(["baseline", "--data", workspace["data"], "--out", str(out),
+               "--set", "epochs=2", "--set", "eval_negatives=20",
+               "--set", "learning_rate=1e200"])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not (out / "metrics.csv").exists()
 
 
 def test_eval_ablate_and_baseline_report_metrics_alike(workspace, tmp_path, capsys):
@@ -891,6 +1017,75 @@ def test_recommend_builds_the_global_stream_once_and_only_when_read(
                  "--group-id", "3", *extra]) == 0
     assert capsys.readouterr().out
     assert len(calls) == builds
+
+
+@pytest.fixture(scope="module")
+def subpe_gpe_ckpt(workspace):
+    """A checkpoint of the variant with only the superset branch."""
+    ckpt = workspace["root"] / "ckpt-wo-subpe-gpe"
+    assert main(["train", "--data", workspace["data"], "--out", str(ckpt),
+                 "--set", "epochs=1", "--set", "batch_size=16", "--set", "embedding_dim=8",
+                 "--set", "ablate=subpe,gpe"]) == 0
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("variant, models", [
+    ("ckpt", [("mgam", ""), ("mgam-wo-subpe", "subpe"), ("mgam-wo-gpe", "gpe"),
+              ("mgam-wo-suppe", "suppe")]),
+    ("suppe_ckpt", [("mgam-wo-suppe", "suppe"), ("mgam-wo-subpe-suppe", "subpe,suppe"),
+                    ("mgam-wo-gpe-suppe", "gpe,suppe")]),
+    ("subpe_gpe_ckpt", [("mgam-wo-subpe-gpe", "subpe,gpe")])])
+def test_ablate_adds_each_removal_to_the_checkpoints_own(workspace, request, tmp_path,
+                                                          variant, models):
+    """`ablate` scores the full model and each single removal on top of
+    the branches the checkpoint was trained without, never a branch it did
+    not train: a removal that repeats a mask, or leaves no branch, is
+    dropped.  Each model's rows equal the narrowed `eval --set ablate=...`."""
+    ckpt = workspace["ckpt"] if variant == "ckpt" else request.getfixturevalue(variant)
+    common = ["--data", workspace["data"], "--ckpt", ckpt, "--detail",
+              "--set", "eval_negatives=30"]
+    assert main(["ablate", *common, "--out", str(tmp_path / "ablate")]) == 0
+    rows = (tmp_path / "ablate" / "metrics.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == [m for m, _ in models]
+    for label, ablated in models:
+        out = tmp_path / label
+        assert main(["eval", *common, "--out", str(out), "--set", f"ablate={ablated}"]) == 0
+        for name in ("metrics.csv", "metrics_detail.csv"):
+            mine = [r for r in (tmp_path / "ablate" / name).read_text().splitlines()
+                    if r.startswith(label + ",")]
+            assert mine == (out / name).read_text().splitlines()[1:], (label, name)
+
+
+def test_ablate_disable_joins_the_checkpoints_removals(workspace, suppe_ckpt,
+                                                       subpe_gpe_ckpt, tmp_path, capsys):
+    """A `--disable` mask adds the checkpoint's removals; one that then
+    removes all three branches is still a usage error."""
+    out = tmp_path / "gpe"
+    assert main(["ablate", "--data", workspace["data"], "--ckpt", suppe_ckpt,
+                 "--out", str(out), "--disable", "gpe", "--set", "eval_negatives=30"]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"mgam-wo-gpe-suppe"}
+    capsys.readouterr()
+    assert main(["ablate", "--data", workspace["data"], "--ckpt", subpe_gpe_ckpt,
+                 "--out", str(tmp_path / "all"), "--disable", "suppe"]) == 2
+    assert "all three granularities are ablated" in capsys.readouterr().err
+    assert not (tmp_path / "all").exists()
+
+
+@pytest.mark.parametrize("ablate", ["", "gpe", "subpe,gpe"])
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
+def test_checkpoint_commands_refuse_to_restore_an_untrained_branch(
+        workspace, suppe_ckpt, tmp_path, capsys, command, ablate):
+    """An `ablate` that re-enables a branch the checkpoint was trained
+    without would score its initial weights: exit 2 naming both values,
+    before any output."""
+    rc = _run_on_checkpoint(command, workspace["data"], suppe_ckpt, tmp_path,
+                            "--set", f"ablate={ablate}")
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        f"usage error: ablate={ablate!r} re-enables a branch the checkpoint was trained "
+        f"without (ablate='suppe'); its weights were never trained\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("ckpt", ["trained", "missing"])

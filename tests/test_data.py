@@ -607,6 +607,39 @@ def test_draw_unseen_rows_wanting_every_eligible_item_gets_them_all():
         assert (np.sort(table, axis=1) == eligible).all()
 
 
+class _RankRecorder:
+    """A generator that keeps what `permuted` returns: `draw_unseen_rows`'s
+    table of ranks, before they become items."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def permuted(self, *args, **kwargs):
+        self.ranks = self.rng.permuted(*args, **kwargs)
+        return self.ranks
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draw_unseen_rows_turns_ranks_into_the_unseen_items_they_index(seed):
+    """Row i's rank r becomes the r-th item, counting up, that owner i has
+    not seen: `np.setdiff1d(items, seen[owner])[r]`, on random rows with
+    empty, full-but-n and repeated owners in any order."""
+    rng = np.random.default_rng(seed)
+    n_items, n = int(rng.integers(5, 60)), int(rng.integers(0, 5))
+    seen = Rows.from_lists([[], list(range(n_items - n))] + [
+        np.sort(rng.choice(n_items, size=k, replace=False)).tolist()
+        for k in rng.integers(0, n_items - n + 1, size=30)])
+    owners = rng.integers(len(seen), size=200)
+    recorder = _RankRecorder(seed)
+    table = data.draw_unseen_rows(n_items, seen, owners, n, recorder, str)
+    expected = [np.setdiff1d(np.arange(n_items), seen[o])[r]
+                for o, r in zip(owners.tolist(), recorder.ranks)]
+    assert np.array_equal(table, np.array(expected, dtype=np.int64).reshape(len(owners), n))
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_draw_unseen_rows_every_slot_is_uniform(n):
     """12,000 rows of n of the 6 items not in {1, 4}, out of 8: each slot

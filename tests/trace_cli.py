@@ -43,8 +43,6 @@ ALLOWED = [
      "benchmarks/tracing.py reads the features' stored bytes"),
     ("graph.py", "induce_batch_subgraph", "*",
      "benchmarks/tracing.py wraps it through its mgam.model re-export"),
-    ("cli.py", "main", "print(f\"usage error: {e}\"", "error path: exit 2"),
-    ("cli.py", "main", "return 2", "error path: exit 2"),
     ("cli.py", "main", "print(f\"error: {e}\"", "error path: exit 1"),
     ("cli.py", "main", "return 1", "error path: exit 1"),
     ("cli.py", "<module>", "sys.exit(main())", "runs only as `python -m mgam.cli`"),
@@ -106,15 +104,17 @@ g-grey\tfig
 
 
 def _commands(data: Path, work: Path, settings: list, group: str, item: str) -> list:
-    """argv of every command on one dataset: train three ways, then the
-    commands that read the first checkpoint, then those that parse the
-    data themselves."""
+    """(argv, expected exit code) of every command on one dataset: train
+    three ways, then the commands that read the first checkpoint, those
+    that read the `ablate=subpe` one, and those that parse the data
+    themselves."""
     config = work / "train.conf"
     config.write_text("# trace settings\n\n"
                       + "".join(s.replace("=", " = ", 1) + "\n" for s in settings[1::2]))
     ckpt, data = str(work / "ckpt"), str(data)
     read = ["--data", data, "--ckpt", ckpt]
-    return [
+    subpe = ["--data", data, "--ckpt", str(work / "subpe")]
+    runs = [
         ["train", "--data", data, "--out", ckpt, "--config", str(config)],
         ["train", "--data", data, "--out", str(work / "subpe"), *settings,
          "--set", "ablate=subpe", "--set", "train_negatives=3"],
@@ -127,6 +127,7 @@ def _commands(data: Path, work: Path, settings: list, group: str, item: str) -> 
         ["recommend", *read, "--group-id", group],
         ["recommend", *read, "--group-id", group, "--explain"],
         ["recommend", *read, "--group-id", group, "--explain", "--item", item],
+        ["ablate", *subpe, "--out", str(work / "ablate-subpe")],
         ["sweep-subsets", "--data", data, "--out", str(work / "sweep"),
          "--m-values", "1,2", *settings],
         ["dump-graph", "--data", data, "--out", str(work / "graph.tsv")],
@@ -134,14 +135,16 @@ def _commands(data: Path, work: Path, settings: list, group: str, item: str) -> 
         ["baseline", "--data", data, "--out", str(work / "baseline"), "--detail",
          *settings],
     ]
+    # re-enabling the branch the subpe checkpoint was trained without: exit 2
+    return [(argv, 0) for argv in runs] + [(["eval", *subpe, "--set", "ablate="], 2)]
 
 
 def _run_all(main, tmp: Path) -> None:
     default, tiny = tmp / "default", tmp / "tiny"
-    runs = [["gen-data", "--out", str(default), "--seed", "42"],
+    runs = [(["gen-data", "--out", str(default), "--seed", "42"], 0),
             # an explicit --items-per-user, unused further
-            ["gen-data", "--out", str(tmp / "small"), "--users", "30", "--items", "40",
-             "--groups", "8", "--items-per-user", "5", "--seed", "1"]]
+            (["gen-data", "--out", str(tmp / "small"), "--users", "30", "--items", "40",
+              "--groups", "8", "--items-per-user", "5", "--seed", "1"], 0)]
     tiny.mkdir()
     for name, text in TINY.items():
         (tiny / name).write_text(text, encoding="utf-8")
@@ -153,12 +156,13 @@ def _run_all(main, tmp: Path) -> None:
         work = tmp / f"{data.name}-runs"
         work.mkdir()
         runs += _commands(data, work, settings, group, item)
-    for argv in runs:
+    for argv, expected in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = main(argv)
-        if code != 0:
-            sys.exit(f"`mgam {' '.join(argv)}` exited {code}:\n{out.getvalue()}")
+        if code != expected:
+            sys.exit(f"`mgam {' '.join(argv)}` exited {code}, not {expected}:\n"
+                     f"{out.getvalue()}")
 
 
 def _statements(path: Path):
