@@ -134,11 +134,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_models(cfg: Config, dataset, split, scorer, labels, out: Path,
+def _evaluate_models(cfg: Config, dataset, split, candidates, scorer, labels, out: Path,
                      detail: bool) -> int:
     """Rank the test entries under each of `labels`' models against one
-    draw of candidates; print and write the metrics and the config."""
-    candidates = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
+    draw of candidates, made before any model is trained or scored so
+    that too many `eval_negatives` fail first; print and write the
+    metrics and the config."""
     reports = evaluate(scorer, dataset, split, candidates, labels, cfg.ks_list())
     report_metrics(out, labels, reports, dataset, split, cfg.seed, detail)
     write_resolved(cfg, out / "config.resolved")
@@ -151,11 +152,12 @@ def _run_eval(args, masks_for) -> int:
     masks = masks_for(cfg, trained_off)
     dataset, assignments, graph, params = _load_trained(args, cfg, manifest)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
+    candidates = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
     out = Path(args.out if args.out else args.ckpt)
     out.mkdir(parents=True, exist_ok=True)
     scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, masks)
-    return _evaluate_models(cfg, dataset, split, scorer, [mask.label() for mask in masks],
-                            out, args.detail)
+    return _evaluate_models(cfg, dataset, split, candidates, scorer,
+                            [mask.label() for mask in masks], out, args.detail)
 
 
 def cmd_eval(args) -> int:
@@ -304,6 +306,7 @@ def cmd_baseline(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_dataset(args.data)
     split = split_leave_one_out(dataset, substream(cfg.seed, STREAM_DATA))
+    candidates = draw_candidates(dataset, split, cfg.eval_negatives, cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     user_vecs, item_vecs = train_mf_scorer(
@@ -312,7 +315,7 @@ def cmd_baseline(args) -> int:
         seed=cfg.seed)
     strategies = ("avg", "lm", "ms")
     scorer = make_baseline_scorer(user_vecs, item_vecs, dataset, strategies)
-    return _evaluate_models(cfg, dataset, split, scorer,
+    return _evaluate_models(cfg, dataset, split, candidates, scorer,
                             [f"mf-{strategy}" for strategy in strategies], out, args.detail)
 
 

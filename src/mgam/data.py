@@ -120,14 +120,16 @@ class Split:
 # ---------------------------------------------------------------------------
 # parsing
 #
-# Each file is decoded, then read as an array of code points
-# (UTF-32, so an array position is a `str` index into the text).  One table
-# lookup classes every code point as other, whitespace, tab or line break.
+# Each file is decoded, then read as an array of code units: its bytes
+# (uint8) when the text is ASCII, else its code points (UTF-32, uint32), so
+# either way an array position is a `str` index into the text.  One table
+# lookup classes every code unit as other, whitespace, tab or line break.
 # Lines are cut at the breaks, fields at the tabs and member lists at their
 # commas, and a piece is stripped by the whitespace runs that cover its
-# ends.  No piece becomes a `str` on its way to an index: its code points
+# ends; these positions are int32 while the text has fewer than 2**31 code
+# units.  No piece becomes a `str` on its way to an index: its code units
 # are packed into integer key words, one sort groups equal keys, and only
-# the first piece of each distinct id is cut out of the code points (one
+# the first piece of each distinct id is cut out of the code units (one
 # gather and one decode per column).  A file's distinct ids are merged
 # into the sorted global ids, and per-row tables built from one sorted
 # array of (row, column) codes.
@@ -146,18 +148,30 @@ _CLASS[ord("\t")] = _TAB
 _CLASS[[ord(c) for c in _BREAKS]] = _BREAK
 
 
-def _classes(code_points: np.ndarray) -> np.ndarray:
-    """The `_CLASS` (uint8) of each code point of a uint32 array."""
-    return _CLASS[np.minimum(code_points, _CLASS.size - 1)]
+def _classes(code_units: np.ndarray) -> np.ndarray:
+    """The `_CLASS` (uint8) of each code unit, of either width; a unit
+    past the table reads its last entry, other."""
+    return _CLASS.take(code_units, mode="clip")
+
+
+def _where(mask: np.ndarray) -> np.ndarray:
+    """The positions where `mask` is true: int32 while it has fewer than
+    2**31 entries, else int64."""
+    return np.flatnonzero(mask).astype(np.int32 if mask.size < 2**31 else np.int64)
+
+
+def _decode(code_units: np.ndarray) -> str:
+    """The text of a contiguous array of code units, of either width."""
+    return str(code_units, "ascii" if code_units.itemsize == 1 else "utf-32-le")
 
 
 class _Whitespace:
-    """Where a text's whitespace is: a mask over its code points and the
+    """Where a text's whitespace is: a mask over its code units and the
     `[start, end)` bounds of its maximal runs."""
 
     def __init__(self, classes: np.ndarray):
         self.mask = classes != _OTHER
-        edges = np.flatnonzero(np.diff(self.mask, prepend=False, append=False))
+        edges = _where(np.diff(self.mask, prepend=False, append=False))
         self.start, self.end = edges[0::2], edges[1::2]
 
     def strip(self, starts, ends) -> tuple:
@@ -174,35 +188,36 @@ class _Whitespace:
         return a, np.where(a < ends, b, a)
 
 
-def _cut(code_points: np.ndarray, starts, ends) -> list:
+def _cut(code_units: np.ndarray, starts, ends) -> list:
     """The text of each piece `[starts, ends)`: one gather, one decode and
     one split give them all."""
     # each piece and one more slot, which holds the separator
     lengths = ends - starts + 1
     offsets = np.cumsum(lengths)
-    kept = code_points[np.arange(offsets[-1]) + np.repeat(starts - offsets + lengths, lengths)]
+    kept = code_units[np.arange(offsets[-1]) + np.repeat(starts - offsets + lengths, lengths)]
     kept[offsets - 1] = ord("\n")
-    tokens = str(kept, "utf-32-le").split("\n")
+    tokens = _decode(kept).split("\n")
     tokens.pop()
     return tokens
 
 
-def _records(path: Path, code_points: np.ndarray, empty_msg: str) -> tuple:
+def _records(path: Path, code_units: np.ndarray, empty_msg: str) -> tuple:
     """(whitespace, line numbers, first fields, second fields) of the record
     lines, a field as the `(starts, ends)` of its stripped bounds; see
     `_read_table`."""
-    classes = _classes(code_points)
+    classes = _classes(code_units)
     space = _Whitespace(classes)
-    end = np.flatnonzero(classes == _BREAK)
-    start = np.concatenate(([0], end[:-1] + 1))
+    end = _where(classes == _BREAK)
+    start = np.insert(end[:-1] + 1, 0, 0)
     first = space.strip(start, end)[0]
-    kept = np.flatnonzero(first < end)
-    kept = kept[code_points[first[kept]] != ord("#")]
+    kept = _where(first < end)
+    kept = kept[code_units[first[kept]] != ord("#")]
     if not len(kept):
         raise DataError(f"{path}: {empty_msg}")
     start, end = start[kept], end[kept]
     # two sentinels past the text: a line without a (second) tab ends there
-    tabs = np.append(np.flatnonzero(classes == _TAB), [len(classes)] * 2)
+    tabs = _where(classes == _TAB)
+    tabs = np.append(tabs, np.full(2, len(classes), tabs.dtype))
     t = np.searchsorted(tabs, start)
     tab1 = np.minimum(tabs[t], end)
     a1, b1 = space.strip(start, tab1)
@@ -210,20 +225,22 @@ def _records(path: Path, code_points: np.ndarray, empty_msg: str) -> tuple:
     bad = np.flatnonzero((a1 == b1) | (a2 == b2))
     if len(bad):
         r = bad[0]
-        line = str(code_points[start[r]:end[r]], "utf-32-le")
+        line = _decode(code_units[start[r]:end[r]])
         raise DataError(f"{path}: line {kept[r] + 1}: expected at least "
                         f"2 tab-separated fields, got {line!r}")
     return space, kept + 1, (a1, b1), (a2, b2)
 
 
 def _read_table(path, empty_msg: str) -> tuple:
-    """(code points, whitespace, line numbers, first fields, second fields)
+    """(code units, whitespace, line numbers, first fields, second fields)
     of a TSV's record lines.
 
     Blank, whitespace-only and `#` comment lines are skipped; both fields
     are stripped and must be non-empty, or the first line where one is not
-    is named in a `DataError`.  A field is the `(starts, ends)` of its
-    bounds into the uint32 code points of the text, which end in a break.
+    is named in a `DataError`.  The code units of the text, which end in a
+    break, are its bytes (uint8) when it is ASCII, else its code points
+    (uint32).  A field is the `(starts, ends)` of its bounds into them,
+    int32 while there are fewer than 2**31 units.
     """
     path = Path(path)
     try:
@@ -232,16 +249,18 @@ def _read_table(path, empty_msg: str) -> tuple:
         raise DataError(f"{path}: cannot read ({e})") from e
     # a closing break, so every line and every field ends before a
     # whitespace character; it adds at most one blank line
-    code_points = np.frombuffer((text + "\n").encode("utf-32-le"), np.uint32)
-    del text  # only the code points are read from here on
-    return (code_points, *_records(path, code_points, empty_msg))
+    text += "\n"
+    code_units = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
+                  else np.frombuffer(text.encode("utf-32-le"), np.uint32))
+    del text  # only the code units are read from here on
+    return (code_units, *_records(path, code_units, empty_msg))
 
 
-def _split(code_points: np.ndarray, space: _Whitespace, starts, ends) -> tuple:
+def _split(code_units: np.ndarray, space: _Whitespace, starts, ends) -> tuple:
     """(field of each piece, piece starts, piece ends): the fields
     `[starts, ends)` cut at their commas, each piece stripped and the
     empty ones dropped."""
-    commas = np.flatnonzero(code_points == ord(","))
+    commas = _where(code_units == ord(","))
     field = np.searchsorted(starts, commas, "right") - 1
     commas = commas[(field >= 0) & (commas < ends[field])]
     a, b = space.strip(np.sort(np.concatenate((starts, commas + 1))),
@@ -251,16 +270,16 @@ def _split(code_points: np.ndarray, space: _Whitespace, starts, ends) -> tuple:
     return np.searchsorted(starts, a, "right") - 1, a, b
 
 
-def _intern(code_points: np.ndarray, starts, ends) -> tuple:
+def _intern(code_units: np.ndarray, starts, ends) -> tuple:
     """(distinct ids in first-seen order, int64 index of every piece into
     them) of the non-empty pieces `[starts, ends)`, in text order.
 
-    A piece's key is its code points, each + 1, packed as many to a uint64
-    word as the text's largest code point allows, the last word padded
+    A piece's key is its code units, each + 1, packed as many to a uint64
+    word as the text's largest code unit allows, the last word padded
     with 0; two pieces have equal keys exactly when their texts are equal.
     The pieces of each key width are grouped by one sort, and only the
     first piece of each distinct id is decoded."""
-    bits = (int(code_points.max()) + 1).bit_length()
+    bits = (int(code_units.max()) + 1).bit_length()
     per_word = 64 // bits
     widths = (ends - starts + per_word - 1) // per_word
     codes = np.empty(len(starts), np.int64)
@@ -271,7 +290,7 @@ def _intern(code_points: np.ndarray, starts, ends) -> tuple:
         left = ends[rows, None] - at  # the piece's characters from each word on
         keys = np.zeros(at.shape, np.uint64)
         for k in range(min(per_word, int(left.max()))):
-            chars = (code_points.take(at + k, mode="clip") + 1) * (left > k)
+            chars = (code_units.take(at + k, mode="clip") + 1) * (left > k)
             keys |= chars.astype(np.uint64) << np.uint64(k * bits)
         order = np.argsort(keys[:, 0]) if width == 1 else np.lexsort(keys.T)
         keys = keys[order]
@@ -285,7 +304,7 @@ def _intern(code_points: np.ndarray, starts, ends) -> tuple:
     rank = np.empty(len(firsts), np.int64)
     rank[by_text] = np.arange(len(firsts))
     firsts = firsts[by_text]
-    return _cut(code_points, starts[firsts], ends[firsts]), rank[codes]
+    return _cut(code_units, starts[firsts], ends[firsts]), rank[codes]
 
 
 def _sorted_ids(ids) -> list:
@@ -324,7 +343,7 @@ def load_dataset(directory) -> Dataset:
 
     text, _, _, users, items = _read_table(ui_path, "no interaction records")
     ui_users, ui_items = _intern(text, *users), _intern(text, *items)
-    del text  # one file's code points at a time
+    del text  # one file's code units at a time
 
     text, space, g_lines, names, lists = _read_table(g_path, "no group records")
     g_names, g_local = _intern(text, *names)

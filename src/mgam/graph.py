@@ -6,11 +6,14 @@ every degree is positive and isolated groups still propagate their own
 state.  Edges are unweighted (the shared-user count is ignored).
 
 The adjacency is one boolean product whose CSC arrays are its sorted CSR
-arrays; the normalized matrix is computed on its first read, so commands
-that only write the edges (`dump_graph`) never hold it.  Every reader
-(`_normalize`, `expand_to_instances`, `dump_graph`) walks the adjacency's
-rows in ascending column order, so a `GroupGraph` refuses an adjacency
-whose CSR column indices are not sorted within each row.
+arrays, kept as they come: 1-byte `True` values on int32 indices (int64
+once the entry count needs it, as scipy widens them itself).  The
+float64 normalized matrix shares those index arrays and is computed on
+its first read, so commands that only write the edges (`dump_graph`)
+never hold it.  Every reader (`_normalize`, `expand_to_instances`,
+`dump_graph`) walks the adjacency's rows in ascending column order, so a
+`GroupGraph` refuses an adjacency whose CSR column indices are not sorted
+within each row.
 
 scipy loads at the first sparse operation, not with this module: the
 functions that build a sparse array (`build_co_membership`, `_normalize`,
@@ -36,7 +39,7 @@ DUMP_BLOCK = 4096
 
 @dataclass
 class GroupGraph:
-    adjacency: sparse.csr_array   # 0/1 symmetric, unit diagonal, sorted indices
+    adjacency: sparse.csr_array   # bool, symmetric, unit diagonal, sorted indices
 
     def __post_init__(self):
         if not self.adjacency.has_sorted_indices:
@@ -46,7 +49,7 @@ class GroupGraph:
     def normalized(self) -> sparse.csr_array:
         """Entry (i,j) = A(i,j) / sqrt(d_i d_j), d the row sums; computed
         on first read and kept, on the adjacency's own index arrays."""
-        degree = np.asarray(self.adjacency.sum(axis=1)).ravel()
+        degree = np.asarray(self.adjacency.sum(axis=1, dtype=np.float64)).ravel()
         return _normalize(self.adjacency, degree)
 
 
@@ -70,21 +73,24 @@ def build_co_membership(groups: Rows) -> GroupGraph:
     incidence matrix, the adjacency is `min(B B^T + I, 1)`, formed as the
     boolean product `[B | I] [B | I]^T`: each group's private column puts
     the unit diagonal in the product, and boolean sums cap every entry at
-    1.  The product is symmetric, so its CSC arrays are its CSR arrays
-    with sorted columns; only they outlive the 1-byte product.
+    1.  The incidence's index arrays are int32 while its entries and
+    columns fit.  The product is symmetric, so its CSC arrays are its CSR
+    arrays with sorted columns; they and its 1-byte values are the graph.
     """
     from scipy import sparse
     n = len(groups)
     n_users = int(groups.indices.max(initial=-1)) + 1
+    fits = max(n_users, len(groups.indices)) + n <= np.iinfo(np.int32).max
+    index = np.int32 if fits else np.int64
     # row g: group g's members, then its private column n_users + g
     member_or_own = sparse.csr_array(
         (np.ones(len(groups.indices) + n, dtype=bool),
-         np.insert(groups.indices, groups.offsets[1:], n_users + np.arange(n)),
-         groups.offsets + np.arange(n + 1)),
+         np.insert(groups.indices, groups.offsets[1:], n_users + np.arange(n)).astype(index),
+         (groups.offsets + np.arange(n + 1)).astype(index)),
         shape=(n, n_users + n))
     adj = (member_or_own @ member_or_own.T).tocsc()
     return GroupGraph(adjacency=sparse.csr_array(
-        (np.ones(adj.nnz), adj.indices, adj.indptr), shape=(n, n)))
+        (adj.data, adj.indices, adj.indptr), shape=(n, n)))
 
 
 def induce_batch_subgraph(graph: GroupGraph, batch_group_ids) -> GroupGraph:

@@ -896,6 +896,21 @@ def test_sweep_subsets_checks_its_candidates_before_training(workspace, tmp_path
     assert trained == []
 
 
+def test_baseline_checks_its_candidates_before_training(workspace, tmp_path, capsys,
+                                                        monkeypatch):
+    """More evaluation negatives than a group has unseen items fails
+    before the MF scorer trains a single epoch, and writes nothing."""
+    def no_training(*args, **kwargs):
+        pytest.fail("baseline trained before drawing its candidates")
+    monkeypatch.setattr(mgam.cli, "train_mf_scorer", no_training)
+    out = tmp_path / "base"
+    rc = main(["baseline", "--data", workspace["data"], "--out", str(out),
+               "--set", "eval_negatives=1000"])
+    assert rc == 1
+    assert "requested 1000 negatives" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -29,12 +29,37 @@ def _write(tmp_path, user_item, groups, group_items):
     return tmp_path
 
 
+# a comment line that makes any file non-ASCII, so it is read as UTF-32
+# code points rather than as bytes; it ends the last line, then follows it
+_WIDE_COMMENT = "\n# caf\u00e9 \U0001F600\n".encode("utf-8")
+
+
+def _load(d):
+    """`load_dataset(d)`, once a copy of `d` whose files each end in
+    `_WIDE_COMMENT` is shown to load alike: an equal dataset, or a
+    `DataError` with the same message, the quoted text of a malformed line
+    included, for the copy's own paths."""
+    wide = d / "wide"
+    wide.mkdir(exist_ok=True)
+    for name in data.DATA_FILES:
+        (wide / name).write_bytes((d / name).read_bytes() + _WIDE_COMMENT)
+    try:
+        ds = load_dataset(d)
+    except DataError as e:
+        with pytest.raises(DataError) as wide_error:
+            load_dataset(wide)
+        assert str(wide_error.value) == str(e).replace(str(d), str(wide), 1)
+        raise
+    assert same_dataset(load_dataset(wide), ds)
+    return ds
+
+
 # ---------------------------------------------------------------------------
 # loaders
 
 def test_load_user_item_counts(tmp_path):
     d = _write(tmp_path, "7\t5\n9\t5\n", "g1\t7\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert (ds.n_users, ds.n_items) == (2, 1)
     assert sum(len(x) for x in ds.user_items) == 2
     assert ds.user_ids == ["7", "9"]
@@ -42,32 +67,32 @@ def test_load_user_item_counts(tmp_path):
 
 def test_load_user_item_dedup(tmp_path):
     d = _write(tmp_path, "7\t5\n7\t5\n", "g1\t7\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert same_rows(ds.user_items, Rows.from_lists([[0]]))
 
 
 def test_load_user_item_wrong_delimiter_names_line(tmp_path):
     d = _write(tmp_path, "7,5\n", "g1\t7\n", "g1\t5\n")
     with pytest.raises(DataError, match="user_item.tsv: line 1"):
-        load_dataset(d)
+        _load(d)
 
 
 def test_load_user_item_empty_file(tmp_path):
     d = _write(tmp_path, "# only a comment\n", "g1\t7\n", "g1\t5\n")
     with pytest.raises(DataError, match="user_item.tsv: no interaction records"):
-        load_dataset(d)
+        _load(d)
 
 
 def test_load_user_item_third_column_tolerated(tmp_path):
     d = _write(tmp_path, "7\t5\t123456\n", "g1\t7\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert (ds.n_users, ds.n_items) == (1, 1)
     assert same_rows(ds.user_items, Rows.from_lists([[0]]))
 
 
 def test_load_dataset_groups(tmp_path):
     d = _write(tmp_path, "7\t5\n9\t5\n", "g1\t7,9\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert ds.n_groups == 1
     assert ds.groups[0].tolist() == [0, 1]
     assert ds.group_pos[0].tolist() == [0]
@@ -75,31 +100,31 @@ def test_load_dataset_groups(tmp_path):
 
 def test_load_dataset_duplicate_member_collapses(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7,7\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert ds.groups[0].tolist() == [0]
 
 
 def test_load_dataset_empty_member_list_rejected(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t\n", "g1\t5\n")
     with pytest.raises(DataError):
-        load_dataset(d)
+        _load(d)
 
 
 def test_load_dataset_unknown_group_in_items(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7\n", "g2\t5\n")
     with pytest.raises(DataError, match="unknown group"):
-        load_dataset(d)
+        _load(d)
 
 
 def test_load_dataset_duplicate_group_items_collapse(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7\n", "g1\t5\ng1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert ds.group_pos[0].tolist() == [0]
 
 
 def test_load_dataset_group_only_users_registered(tmp_path):
     d = _write(tmp_path, "7\t5\n", "g1\t7,42\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert ds.n_users == 2
     u42 = ds.user_ids.index("42")
     assert ds.user_items[u42].tolist() == []
@@ -107,13 +132,13 @@ def test_load_dataset_group_only_users_registered(tmp_path):
 
 def test_load_dataset_comments_and_blanks_skipped(tmp_path):
     d = _write(tmp_path, "# c\n\n7\t5\n", "g1\t7\n", "# c\ng1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert ds.n_users == 1 and ds.n_items == 1
 
 
 def test_numeric_id_ordering(tmp_path):
     d = _write(tmp_path, "10\t5\n9\t5\n", "g1\t10,9\n", "g1\t5\n")
-    ds = load_dataset(d)
+    ds = _load(d)
     assert ds.user_ids == ["9", "10"]  # numeric, not lexicographic
 
 
@@ -126,6 +151,22 @@ def test_numeric_tie_ordered_by_string_under_any_hash_seed(tmp_path):
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "['01', '1']", seed
+    assert _load(d).user_ids == ["01", "1"]
+
+
+def test_a_non_ascii_line_moves_a_file_from_bytes_to_code_points(tmp_path):
+    """An ASCII file is held as its bytes, one with any other character as
+    its UTF-32 code points; either way the line numbers and field bounds
+    are int32 and cut out the same fields."""
+    path = tmp_path / "table.tsv"
+    for tail, units in ((b"", np.uint8), (_WIDE_COMMENT, np.uint32)):
+        path.write_bytes(b"u1\t i1 \n# c\n\n  u2\tx\ty\n" + tail)
+        code_units, _, lines, (a1, b1), (a2, b2) = data._read_table(path, "empty")
+        assert code_units.dtype == units
+        assert all(x.dtype == np.int32 for x in (lines, a1, b1, a2, b2))
+        assert lines.tolist() == [1, 4]
+        assert data._cut(code_units, a1, b1) == ["u1", "u2"]
+        assert data._cut(code_units, a2, b2) == ["i1", "x"]
 
 
 def test_group_error_messages_exact(tmp_path):
@@ -141,7 +182,7 @@ def test_group_error_messages_exact(tmp_path):
     for groups, message in cases:
         d = _write(tmp_path, "7\t5\n", groups, "g1\t5\n")
         with pytest.raises(DataError) as e:
-            load_dataset(d)
+            _load(d)
         assert str(e.value) == f"{d / 'groups.tsv'}: {message}"
 
 
@@ -155,6 +196,8 @@ def test_strip_sets_match_str_strip():
     assert [c for c, k in zip(code_points, classes) if k == data._BREAK] == \
         [c for c in code_points if len(("a" + c + "b").splitlines()) == 2]
     assert [c for c, k in zip(code_points, classes) if k == data._TAB] == ["\t"]
+    # ASCII text is classed from its bytes alike
+    assert np.array_equal(data._classes(np.arange(128, dtype=np.uint8)), classes[:128])
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +403,13 @@ def test_intern_matches_dict_interning():
             starts.append(len(text))
             text += t
             ends.append(len(text))
-        code_points = np.frombuffer((text + "\n").encode("utf-32-le"), np.uint32)
-        distinct, codes = data._intern(code_points, np.array(starts), np.array(ends))
-        assert (distinct, codes.tolist()) == _dict_interned(tokens), (trial, tokens)
+        widths = [np.uint32] + [np.uint8] * ascii_only
+        for units in widths:
+            code_units = np.frombuffer((text + "\n").encode(
+                "ascii" if units == np.uint8 else "utf-32-le"), units)
+            distinct, codes = data._intern(code_units, np.array(starts, np.int32),
+                                           np.array(ends, np.int32))
+            assert (distinct, codes.tolist()) == _dict_interned(tokens), (trial, tokens)
 
 
 def test_load_dataset_long_ids_match_line_parser(tmp_path):
@@ -439,6 +486,46 @@ def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
         tracemalloc.stop()
     assert same_dataset(loaded, ds)
     assert peak <= 20 * size, f"{peak / size:.2f}x"
+
+
+def _write_ingest_like(d, n_users, n_items, n_groups, rng) -> int:
+    """TSVs shaped like the ingest benchmark's data, with integer ids: 40
+    interactions per user, groups of 4-8 members and 10 positives each,
+    all drawn with replacement.  Returns their size in bytes."""
+    d.mkdir()
+    users = np.repeat(np.arange(n_users), 40).tolist()
+    items = rng.integers(n_items, size=len(users)).tolist()
+    sizes = rng.integers(4, 9, size=n_groups)
+    members = rng.integers(n_users, size=int(sizes.sum())).astype(str).tolist()
+    ends = np.cumsum(sizes).tolist()
+    groups = np.repeat(np.arange(n_groups), 10).tolist()
+    positives = rng.integers(n_items, size=len(groups)).tolist()
+    _write(d, "".join(f"{u}\t{i}\n" for u, i in zip(users, items)),
+           "".join(f"{g}\t{','.join(members[a:b])}\n"
+                   for g, (a, b) in enumerate(zip([0] + ends, ends))),
+           "".join(f"{g}\t{i}\n" for g, i in zip(groups, positives)))
+    return sum((d / name).stat().st_size for name in data.DATA_FILES)
+
+
+def test_load_dataset_peak_per_input_byte_does_not_grow(tmp_path):
+    """The traced peak of `load_dataset` stays under 12 bytes per input
+    byte at a quarter and at half the ingest benchmark's shape, and is no
+    larger per byte at the larger size.  Per-line int64 positions, or
+    ASCII text held as 4-byte code points, cross the bound."""
+    rng = np.random.default_rng(61)
+    ratios = []
+    for k, scale in enumerate((1, 2)):
+        size = _write_ingest_like(tmp_path / str(k), 500 * scale, 1500 * scale,
+                                  2000 * scale, rng)
+        tracemalloc.start()
+        try:
+            load_dataset(tmp_path / str(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratios.append(peak / size)
+    assert max(ratios) < 12, ratios
+    assert ratios[1] <= ratios[0], ratios
 
 
 def test_remap_roundtrip_bijection(tmp_path):

@@ -16,6 +16,7 @@ from reference_preprocessing import pair_loop_adjacency, sorted_pair_dump
 
 
 def dense_normalized_oracle(adj):
+    adj = adj.astype(np.float64)
     deg = adj.sum(axis=1)
     inv = np.diag(1.0 / np.sqrt(deg))
     return inv @ adj @ inv
@@ -151,7 +152,7 @@ def test_normalize_adjacency_recompute():
 def _assert_normalized_bitwise(norm, adj):
     """`norm` holds exactly A(i,j)/sqrt(d_i d_j), with 1/d_i on the diagonal,
     on the sorted CSR structure of the sparse adjacency `adj`."""
-    dense = adj.toarray()
+    dense = adj.toarray().astype(np.float64)
     deg = dense.sum(axis=1)
     rows, cols = np.nonzero(dense)
     expect = np.zeros_like(dense)
@@ -227,7 +228,12 @@ def test_co_membership_matches_pair_loop_bitwise():
                       for _ in range(n_groups)])
     for groups in cases:
         fast = build_co_membership(Rows.from_lists(groups))
-        slow = GroupGraph(adjacency=pair_loop_adjacency(groups))
+        oracle = pair_loop_adjacency(groups)
+        # the oracle's 0/1 float64 entries on int64 indices, in the graph's dtypes
+        slow = GroupGraph(adjacency=sparse.csr_array(
+            (oracle.data.astype(bool), oracle.indices.astype(np.int32),
+             oracle.indptr.astype(np.int32)), shape=oracle.shape))
+        assert np.array_equal(slow.adjacency.data, oracle.data)
         assert fast.adjacency.shape == slow.adjacency.shape
         _assert_csr_bitwise(fast.adjacency, slow.adjacency)
         _assert_csr_bitwise(fast.normalized, slow.normalized)
@@ -244,16 +250,18 @@ def overlapping_groups(rng, n_groups, n_users, lo, hi):
 
 
 def test_co_membership_index_dtypes_are_pinned():
-    """int64 indices and float64 values, at a toy size and at the ingest
-    benchmark's (8,000 groups of 4-8 of 2,000 users, over a million stored
-    entries), for the adjacency and the normalized matrix alike."""
+    """int32 indices, at a toy size and at the ingest benchmark's (8,000
+    groups of 4-8 of 2,000 users, over a million stored entries), under
+    bool values in the adjacency and float64 values in the normalized
+    matrix."""
     small = build_co_membership(Rows.from_lists([[0, 1], [1], [2]]))
     large = build_co_membership(overlapping_groups(np.random.default_rng(59), 8000, 2000, 4, 8))
     assert large.adjacency.nnz > 1_000_000
     for g in (small, large):
-        for m in (g.adjacency, g.normalized):
-            assert m.indices.dtype == m.indptr.dtype == np.int64
-            assert m.data.dtype == np.float64
+        for m, values in ((g.adjacency, np.bool_), (g.normalized, np.float64)):
+            assert m.indices.dtype == m.indptr.dtype == np.int32
+            assert m.data.dtype == values
+        assert g.adjacency.data.all()
 
 
 def _traced_peak(fn):
@@ -272,19 +280,20 @@ def _csr_bytes(m):
 
 
 def test_building_and_dumping_the_graph_hold_little_beyond_it(tmp_path):
-    """On a heavily overlapping group set, building the graph peaks at
-    under 1.5 times the adjacency's own bytes (the product's 1-byte values
-    and its sorted index arrays, then float64 ones over those arrays), and
-    writing it holds under a tenth of them on top of the graph (one block
+    """On a heavily overlapping group set, building the graph peaks under
+    12 bytes per stored entry (the product's 1-byte values on 4-byte
+    indices, then its sorted copy, which the graph keeps), and writing it
+    holds under 1.6 bytes per stored entry on top of the graph (one block
     of rows' names at a time)."""
     groups = overlapping_groups(np.random.default_rng(53), 1000, 300, 6, 13)
     g, build_peak = _traced_peak(lambda: build_co_membership(groups))
-    assert g.adjacency.nnz >= 200_000
-    size = _csr_bytes(g.adjacency)
-    assert build_peak < 1.5 * size
+    nnz = g.adjacency.nnz
+    assert nnz >= 200_000
+    assert build_peak < 12 * nnz
+    assert _csr_bytes(g.adjacency) < 6 * nnz
     ids = [f"g{k}" for k in range(g.adjacency.shape[0])]
     _, dump_peak = _traced_peak(lambda: dump_graph(g, ids, tmp_path / "graph.tsv"))
-    assert dump_peak < 0.1 * size
+    assert dump_peak < 1.6 * nnz
     assert "normalized" not in g.__dict__
 
 

@@ -4,14 +4,15 @@
 
 Runs every `mgam` command in-process under a line trace (`sys.settrace`),
 on the default `gen-data` dataset and on a tiny hand-written one whose
-ids are not integers and whose items are few (so the string order of ids
-runs, and some groups draw most of their eligible items).  Then it prints
-`path:line: statement` for each statement of `src/mgam` that no command
-executed and that `ALLOWED` does not name, and `unused: ...` for each
-`ALLOWED` entry that names no such statement, and exits 1 if it printed
-anything.  A statement in a block that ends in `raise` is an error path
-and needs no entry.  The runs write only to a temporary directory.
-pytest does not collect this file.
+ids are not integers, one of them not ASCII, and whose items are few (so
+the string order of ids runs, two files are read as code points rather
+than bytes, and some groups draw most of their eligible items).  Then it
+prints `path:line: statement` for each statement of `src/mgam` that no
+command executed and that `ALLOWED` does not name, and `unused: ...` for
+each `ALLOWED` entry that names no such statement, and exits 1 if it
+printed anything.  A statement in a block that ends in `raise` is an
+error path and needs no entry.  The runs write only to a temporary
+directory.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ dan\tgrape
 eve\tgrape
 eve\thoney
 eve\tapple
-fay\tiris
-fay\tjuniper
+zoë\tiris
+zoë\tjuniper
 gus\tkiwi
 gus\tlemon
 hal\tlemon
@@ -72,8 +73,8 @@ hal\tapple
 """,
     "groups.tsv": """\
 g-red\tann,bob,cat
-g-blue\tcat,dan,eve,fay
-g-green\teve,fay,gus,hal
+g-blue\tcat,dan,eve,zoë
+g-green\teve,zoë,gus,hal
 g-gold\tann,hal,dan
 g-grey\tbob,gus
 """,
