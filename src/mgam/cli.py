@@ -127,8 +127,7 @@ def cmd_train(args) -> int:
 
     params, _ = train(dataset, split, assignments, graph, cfg,
                       log_path=out / TRAIN_LOG_FILE, progress=progress)
-    save_checkpoint(out, params, cfg.resolved(), cfg.seed, dataset, assignments,
-                    data_sha256)
+    save_checkpoint(out, params, cfg.resolved(), dataset, assignments, data_sha256)
     write_resolved(cfg, out / "config.resolved")
     print(f"checkpoint written to {out}")
     return 0

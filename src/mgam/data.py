@@ -146,12 +146,18 @@ _CLASS = np.zeros(ord(max(_WHITESPACE)) + 2, np.uint8)  # the last entry: other
 _CLASS[[ord(c) for c in _WHITESPACE]] = _SPACE
 _CLASS[ord("\t")] = _TAB
 _CLASS[[ord(c) for c in _BREAKS]] = _BREAK
+_CLASS_BLOCK = 1 << 16   # code units per `take`, which copies them to intp
 
 
 def _classes(code_units: np.ndarray) -> np.ndarray:
     """The `_CLASS` (uint8) of each code unit, of either width; a unit
-    past the table reads its last entry, other."""
-    return _CLASS.take(code_units, mode="clip")
+    past the table reads its last entry, other.  Blocks hold `take`'s copy
+    to 512 KB, and run faster than one `take` of the whole text."""
+    classes = np.empty(len(code_units), np.uint8)
+    for start in range(0, len(code_units), _CLASS_BLOCK):
+        chunk = slice(start, start + _CLASS_BLOCK)
+        _CLASS.take(code_units[chunk], mode="clip", out=classes[chunk])
+    return classes
 
 
 def _where(mask: np.ndarray) -> np.ndarray:

@@ -28,6 +28,9 @@ ascending item.  `rank_candidates` (`recommend`) sorts by it, and
 `hit_and_gain` is the one definition of HR and NDCG per position, for
 `metrics.csv`'s means and `metrics_detail.csv`'s rows, which
 `report_metrics` writes.
+
+The baselines' per-user scorer trains through MGAM's training step,
+`training.fit_epoch`, giving only its draw of unseen items and its loss.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import STREAM_BASELINE, STREAM_EVAL, Config, substream
-from .data import Dataset, Split, draw_unseen_rows, label_blocks, sample_negatives
+from .data import Dataset, Split, draw_unseen_rows, sample_negatives
 from .errors import NonFiniteError, UsageError
 from .model import AblationMask, compute_global_rows, forward_batch
-from .training import adam_step, init_adam, point_loss_from_logits
+from .training import fit_epoch, init_adam, point_loss_from_logits
 
 METRICS_FILE = "metrics.csv"
 METRICS_DETAIL_FILE = "metrics_detail.csv"
@@ -245,45 +248,32 @@ def train_mf_scorer(dataset: Dataset, d: int, epochs: int, lr: float,
     """Train sigma(<e(u), e(v)>) on the user-item interactions with BCE.
 
     Returns (user_vecs, item_vecs) as plain arrays; aggregation into group
-    scores happens only at inference.  A non-finite loss or gradient raises
-    NonFiniteError naming the epoch and batch before any parameter changes.
+    scores happens only at inference.  Each epoch is one `fit_epoch` on its
+    own STREAM_BASELINE stream, which refuses a non-finite loss or gradient.
     """
     rng = np.random.default_rng(substream(seed, STREAM_BASELINE))
     s = 1.0 / np.sqrt(d)
-    params = {
-        "user_emb": ad.Tensor(rng.uniform(-s, s, size=(dataset.n_users, d)),
-                              requires_grad=True),
-        "item_emb": ad.Tensor(rng.uniform(-s, s, size=(dataset.n_items, d)),
-                              requires_grad=True),
-    }
+    params = {name: ad.Tensor(rng.uniform(-s, s, size=(n, d)), requires_grad=True)
+              for name, n in (("user_emb", dataset.n_users), ("item_emb", dataset.n_items))}
     adam = init_adam(params)
     interactions = dataset.user_items
     if not len(interactions.indices):
         raise UsageError("no user-item interactions to train the baseline on")
     positives = np.c_[np.repeat(np.arange(dataset.n_users), interactions.lengths()),
                       interactions.indices]
+
+    def loss_of(rows):
+        u_vecs = ad.take(params["user_emb"], rows[:, 0])
+        i_vecs = ad.take(params["item_emb"], rows[:, 1])
+        logits = ad.tensor_sum(ad.mul(u_vecs, i_vecs), axis=1)
+        return ad.tensor_mean(point_loss_from_logits(logits, rows[:, 2]))
+
     for epoch in range(epochs):
-        erng = np.random.default_rng(substream(seed, STREAM_BASELINE, epoch + 1))
-        order = erng.permutation(len(positives))
-        for batch, start in enumerate(range(0, len(order), MF_BATCH_SIZE)):
-            pairs = positives[order[start:start + MF_BATCH_SIZE]]
-            drawn = draw_unseen_rows(dataset.n_items, interactions, pairs[:, 0], negatives,
-                                     erng, lambda u: f"user {dataset.user_ids[u]}")
-            rows = label_blocks(pairs, drawn).reshape(-1, 3)
-            u_vecs = ad.take(params["user_emb"], rows[:, 0])
-            i_vecs = ad.take(params["item_emb"], rows[:, 1])
-            logits = ad.tensor_sum(ad.mul(u_vecs, i_vecs), axis=1)
-            loss = ad.tensor_mean(point_loss_from_logits(logits, rows[:, 2]))
-            if not np.isfinite(loss.data):
-                raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
-                                     f"{epoch}, batch {batch}")
-            for p in params.values():
-                p.grad = None
-            grads = ad.grad_map(loss, params)
-            try:
-                adam_step(params, grads, adam, lr)
-            except NonFiniteError as e:
-                raise NonFiniteError(f"{e} at epoch {epoch}, batch {batch}") from None
+        fit_epoch(params, adam, positives, MF_BATCH_SIZE, lr, np.random.default_rng(
+            substream(seed, STREAM_BASELINE, epoch + 1)), epoch,
+            lambda users, rng: draw_unseen_rows(dataset.n_items, interactions, users, negatives,
+                                                rng, lambda u: f"user {dataset.user_ids[u]}"),
+            loss_of)
     return params["user_emb"].data.copy(), params["item_emb"].data.copy()
 
 

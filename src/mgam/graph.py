@@ -57,9 +57,10 @@ def _normalize(adj: sparse.csr_array, degree: np.ndarray) -> sparse.csr_array:
     """Values on the CSR structure of `adj`, whose column indices must be
     sorted within each row; its own index arrays are the result's."""
     from scipy import sparse
-    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    rows = np.repeat(np.arange(adj.shape[0], dtype=adj.indices.dtype), np.diff(adj.indptr))
     inv_sqrt = 1.0 / np.sqrt(degree)
-    vals = inv_sqrt[rows] * inv_sqrt[adj.indices]
+    vals = inv_sqrt[rows]
+    vals *= inv_sqrt[adj.indices]
     # diagonal computed directly so N(i,i) == 1/d_i exactly
     diag = rows == adj.indices
     vals[diag] = 1.0 / degree[rows[diag]]

@@ -8,9 +8,9 @@ the first with the opposite label; anchors without a same-label partner
 contribute no triplet.  Both terms are averaged (not summed) over the
 batch so the learning rate is batch-size independent.
 
-A batch's negatives come from one `sample_negatives` call on the epoch's
-random stream, a fixed number of draws per positive with no rejection
-(`data.draw_unseen_rows`).  Adam keeps the parameters and both moments
+`fit_epoch` is the one training step of MGAM (`train_epoch`) and the MF
+baseline (`evaluation.train_mf_scorer`); a caller gives it only a
+negative draw and a loss.  Adam keeps the parameters and both moments
 in flat buffers (`AdamState`) and gathers a step's gradients into one,
 so a step is a dozen ufunc calls whatever the parameter count.
 
@@ -73,12 +73,11 @@ def triplet_loss(anchor, same, diff, margin: float):
 
 
 def point_loss_from_logits(logits, labels):
-    """Binary cross-entropy from pre-sigmoid scores (stable log-sigmoid form)."""
-    logits = ad.as_tensor(logits)
-    y = ad.as_tensor(np.asarray(labels, dtype=np.float64))
-    pos = ad.mul(y, ad.logsigmoid(logits))
-    neg = ad.mul(ad.sub(ad.as_tensor(1.0), y), ad.logsigmoid(ad.scale(logits, -1.0)))
-    return ad.scale(ad.add(pos, neg), -1.0)
+    """Binary cross-entropy of pre-sigmoid scores and 0/1 labels as one
+    stable `-logsigmoid((2y - 1) x)`, bit for bit the two-term form (a
+    gradient that underflows to 0 may differ in the sign of that 0)."""
+    signs = ad.as_tensor(2.0 * np.asarray(labels, dtype=np.float64) - 1.0)
+    return ad.scale(ad.logsigmoid(ad.mul(signs, ad.as_tensor(logits))), -1.0)
 
 
 def total_loss(triplet_terms, point_terms, lambda1: float):
@@ -210,32 +209,48 @@ def _build_triplets(instances) -> list:
                     first[other][keep].tolist()))
 
 
+def fit_epoch(params: dict, adam: AdamState, positives: np.ndarray, batch_size: int,
+              lr: float, rng: np.random.Generator, epoch: int, draw, loss_of) -> None:
+    """One Adam step per batch of the (owner, item) `positives`, in the
+    order of one permutation on the epoch generator `rng`.  A batch's loss
+    is `loss_of(rows)`, its rows the (n, 3) `label_blocks` of its positives
+    and `draw(owners, rng)`'s negatives.  A non-finite loss or gradient
+    raises NonFiniteError naming the epoch and batch before any step."""
+    order = rng.permutation(len(positives))
+    for batch, start in enumerate(range(0, len(order), batch_size)):
+        owned = positives[order[start:start + batch_size]]
+        rows = label_blocks(owned, draw(owned[:, 0], rng)).reshape(-1, 3)
+        loss = loss_of(rows)
+        if not np.isfinite(loss.data):
+            raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
+                                 f"{epoch}, batch {batch}")
+        for p in params.values():
+            p.grad = None
+        grads = ad.grad_map(loss, params)
+        # free the tape first: the step's flat buffers then take its memory
+        # instead of adding to the batch's peak
+        del loss
+        try:
+            adam_step(params, grads, adam, lr)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"{e} at epoch {epoch}, batch {batch}") from None
+
+
 def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
                 assignments, graph, cfg: Config, epoch: int) -> EpochStats:
-    """One pass over the shuffled train positives with fresh negatives.
-
-    A batch is the `label_blocks` of its positives and their
-    `train_negatives` negatives each, flattened to (n, 3) rows, one
-    training forward of the variant `cfg.ablate` names.  The negatives of
-    a batch are one `sample_negatives` draw on the epoch's stream.  A
-    non-finite loss or gradient raises NonFiniteError naming the epoch
-    and batch before any parameter changes.
-    """
+    """One `fit_epoch` over the train positives: a batch's negatives are
+    one `sample_negatives` call, and its loss one training forward of the
+    variant `cfg.ablate` names."""
     if not len(split.train):
         raise UsageError("cannot train on an empty split")
     mask = AblationMask.from_disabled(cfg.ablated())
     t0 = time.perf_counter()
-    rng = np.random.default_rng(substream(cfg.seed, STREAM_TRAIN, epoch))
-    order = rng.permutation(len(split.train))
-
     loss_sum = trip_sum = point_sum = 0.0
-    n_inst = n_trip = 0
-    for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
-        positives = split.train[order[start:start + cfg.batch_size]]
-        negatives = sample_negatives(dataset, positives[:, 0], cfg.train_negatives, rng)
-        rows = label_blocks(positives, negatives).reshape(-1, 3)
-        triplets = _build_triplets(rows)
+    n_trip = 0
 
+    def loss_of(rows):
+        nonlocal loss_sum, trip_sum, point_sum, n_trip
+        triplets = _build_triplets(rows)
         [result] = forward_batch(params, cfg, dataset, assignments, graph,
                                  rows[:, :2], masks=[mask])
         point_terms = point_loss_from_logits(result.logits, rows[:, 2])
@@ -243,29 +258,18 @@ def train_epoch(params: dict, adam: AdamState, dataset: Dataset, split: Split,
         if triplets:   # anchor, same-label and different-label scores
             trip_terms = triplet_loss(*(ad.take(result.scores, idx) for idx in zip(*triplets)),
                                       cfg.margin)
-        loss = total_loss(trip_terms, point_terms, cfg.lambda1)
-        if not np.isfinite(loss.data):
-            raise NonFiniteError(f"non-finite loss {float(loss.data)!r} at epoch "
-                                 f"{epoch}, batch {batch}")
-
-        for p in params.values():
-            p.grad = None
-        grads = ad.grad_map(loss, params)
-        k = len(rows)
-        loss_sum += float(loss.data) * k
-        point_sum += float(point_terms.data.mean()) * k
-        if trip_terms is not None:
             trip_sum += float(trip_terms.data.sum())
             n_trip += trip_terms.data.size
-        # free the tape first: the step's flat buffers then take its memory
-        # instead of adding to the batch's peak
-        del result, loss, point_terms, trip_terms
-        try:
-            adam_step(params, grads, adam, cfg.learning_rate)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"{e} at epoch {epoch}, batch {batch}") from None
-        n_inst += k
+        loss = total_loss(trip_terms, point_terms, cfg.lambda1)
+        loss_sum += float(loss.data) * len(rows)
+        point_sum += float(point_terms.data.mean()) * len(rows)
+        return loss
 
+    fit_epoch(params, adam, split.train, cfg.batch_size, cfg.learning_rate,
+              np.random.default_rng(substream(cfg.seed, STREAM_TRAIN, epoch)), epoch,
+              lambda groups, rng: sample_negatives(dataset, groups, cfg.train_negatives, rng),
+              loss_of)
+    n_inst = len(split.train) * (1 + cfg.train_negatives)
     return EpochStats(
         epoch=epoch,
         mean_loss=loss_sum / n_inst,
@@ -347,8 +351,8 @@ def tensor_layout(shapes) -> list:
     return layout
 
 
-def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
-                    dataset: Dataset, assignments: SubsetTable, data_sha256: dict) -> None:
+def save_checkpoint(directory, params: dict, config_echo: dict, dataset: Dataset,
+                    assignments: SubsetTable, data_sha256: dict) -> None:
     """Write params.bin (float32 little-endian), inputs.npz (the arrays of
     `dataset` and `assignments`) and, last, manifest.json with their
     sha256 and the dataset files' `data_sha256`."""
@@ -364,7 +368,6 @@ def save_checkpoint(directory, params: dict, config_echo: dict, seed: int,
         _write_replacing(directory / name, data)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "seed": int(seed),
         "config": config_echo,
         "tensors": tensor_layout((name, p.data.shape) for name, p in params.items()),
         "sha256": {name: _sha256(data) for name, data in files.items()},

@@ -29,7 +29,7 @@ def test_read_params_matches_load_checkpoint(tmp_path):
     cfg = Config(embedding_dim=6, num_subsets=3, gcn_layers=2)
     params = init_params(cfg, dataset.n_users, dataset.n_items, dataset.n_groups,
                          np.random.default_rng(3))
-    save_checkpoint(tmp_path / "ckpt", params, cfg.resolved(), cfg.seed, dataset,
+    save_checkpoint(tmp_path / "ckpt", params, cfg.resolved(), dataset,
                     cluster_subsets(dataset, cfg.num_subsets, max_iters=100, restarts=3, seed=1),
                     dataset_sha256(tmp_path / "data"))
     read = _load_checks().read_params(tmp_path / "ckpt")

@@ -13,6 +13,7 @@ import pytest
 import mgam.cli
 import mgam.evaluation
 import mgam.model
+import mgam.training
 from mgam.cli import main
 from mgam.clustering import cluster_subsets
 from mgam.config import (STREAM_CLUSTER, STREAM_DATA, STREAM_INIT, Config, parse_config,
@@ -412,7 +413,7 @@ def test_api_train_trains_and_eval_scores_the_ablated_variant(workspace, tmp_pat
         assert np.array_equal(params[name].data, init[name].data), name
     assert not np.array_equal(params["user_emb"].data, init["user_emb"].data)
     ckpt = tmp_path / "ckpt"
-    save_checkpoint(ckpt, params, cfg.resolved(), cfg.seed, dataset, assignments,
+    save_checkpoint(ckpt, params, cfg.resolved(), dataset, assignments,
                     dataset_sha256(workspace["data"]))
     assert main(["eval", "--data", workspace["data"], "--ckpt", str(ckpt)]) == 0
     rows = (ckpt / "metrics.csv").read_text().splitlines()[1:]
@@ -787,7 +788,7 @@ def test_baseline_names_where_training_went_non_finite(workspace, tmp_path, caps
     if failure is not None:
         def step(*args):
             raise NonFiniteError(f"non-finite gradient for parameter {failure!r}")
-        monkeypatch.setattr(mgam.evaluation, "adam_step", step)
+        monkeypatch.setattr(mgam.training, "adam_step", step)
     out = tmp_path / "base"
     rc = main(["baseline", "--data", workspace["data"], "--out", str(out),
                "--set", "epochs=2", "--set", "eval_negatives=20",

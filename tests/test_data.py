@@ -200,6 +200,23 @@ def test_strip_sets_match_str_strip():
     assert np.array_equal(data._classes(np.arange(128, dtype=np.uint8)), classes[:128])
 
 
+@pytest.mark.parametrize("dtype, units", [(np.uint8, 128), (np.uint32, sys.maxunicode + 1)])
+def test_classing_holds_under_two_bytes_per_code_unit(dtype, units):
+    """Classing code units of either width holds their uint8 classes and
+    little more: under 2 bytes per unit, where an intp copy of the units
+    alone is 8."""
+    code_units = (np.arange(2_000_000) * 7919 % units).astype(dtype)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        classes = data._classes(code_units)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(code_units), peak / len(code_units)
+    assert classes.dtype == np.uint8
+
+
 # ---------------------------------------------------------------------------
 # column-wise loader against the line-by-line reference parser
 

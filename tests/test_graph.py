@@ -279,6 +279,25 @@ def _csr_bytes(m):
     return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
+@pytest.mark.parametrize("n_groups, n_users", [(1000, 300), (4000, 1000)])
+def test_normalizing_peaks_near_20_bytes_per_entry(n_groups, n_users):
+    """Computing `normalized` on overlapping groups peaks under 22 bytes
+    per stored entry above the graph (row ids at the width of the
+    adjacency's indices, the float64 values and one float64 gather), and
+    gives `A(i,j) / sqrt(d_i d_j)` bit for bit, `1 / d_i` on the diagonal.
+    int64 row ids, or a product of two gathers, cross the bound."""
+    g = build_co_membership(overlapping_groups(np.random.default_rng(67), n_groups,
+                                               n_users, 4, 8))
+    m, peak = _traced_peak(lambda: g.normalized)
+    adj = g.adjacency.tocoo()
+    assert peak < 22 * adj.nnz, peak / adj.nnz
+    degree = np.bincount(adj.row).astype(np.float64)
+    expect = 1.0 / np.sqrt(degree[adj.row]) * (1.0 / np.sqrt(degree[adj.col]))
+    expect[adj.row == adj.col] = 1.0 / degree[adj.row[adj.row == adj.col]]
+    assert np.array_equal(m.indices, g.adjacency.indices)
+    assert np.array_equal(m.data, expect)
+
+
 def test_building_and_dumping_the_graph_hold_little_beyond_it(tmp_path):
     """On a heavily overlapping group set, building the graph peaks under
     12 bytes per stored entry (the product's 1-byte values on 4-byte

@@ -11,12 +11,12 @@ from mgam.autodiff import Tensor
 from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_TRAIN, Config, substream
 from mgam.data import (DATA_FILES, Dataset, Rows, SyntheticParams, dataset_sha256,
-                       generate_synthetic, sample_negatives, split_leave_one_out,
-                       write_dataset)
+                       generate_synthetic, label_blocks, sample_negatives,
+                       split_leave_one_out, write_dataset)
 from mgam.errors import CheckpointError, ConfigError, NonFiniteError, UsageError
 from mgam.graph import build_co_membership
 from mgam.model import forward_batch, init_params, param_table
-from mgam.training import (adam_step, init_adam, load_checkpoint, load_inputs,
+from mgam.training import (adam_step, fit_epoch, init_adam, load_checkpoint, load_inputs,
                            point_loss_from_logits, read_manifest, save_checkpoint,
                            tensor_layout, total_loss, train, train_epoch,
                            triplet_loss, _build_triplets)
@@ -57,6 +57,38 @@ def test_point_loss_from_logits_matches_definition():
     p = 1 / (1 + np.exp(-z))
     expect = -(y * np.log(p) + (1 - y) * np.log(1 - p))
     assert np.abs(out - expect).max() < 1e-12
+
+
+def _two_term_point_loss(logits, labels):
+    """-(y logsigmoid(x) + (1 - y) logsigmoid(-x)), term by term."""
+    y = ad.as_tensor(np.asarray(labels, dtype=np.float64))
+    pos = ad.mul(y, ad.logsigmoid(logits))
+    neg = ad.mul(ad.sub(ad.as_tensor(1.0), y), ad.logsigmoid(ad.scale(logits, -1.0)))
+    return ad.scale(ad.add(pos, neg), -1.0)
+
+
+@pytest.mark.parametrize("extra", [[], [-700.0, -40.0, -0.0, 40.0, 700.0],
+                                   [-1000.0, -746.0, 746.0, 1000.0]])
+def test_signed_point_loss_is_the_two_term_definition_bitwise(extra):
+    """The one-log-sigmoid form gives the two-term cross-entropy's values
+    and gradients bit for bit, on random and on saturated logits.  Where
+    the sigmoid underflows (|x| > 745) the gradient is 0 either way, but
+    the two-term form adds its zero-weighted term's +0 to a -0, so there
+    only the values of the gradients are compared."""
+    rng = np.random.default_rng(71)
+    x = np.tile(np.r_[rng.normal(0.0, 6.0, 40), extra], 2)
+    y = np.repeat([1.0, 0.0], len(x) // 2)
+    out = []
+    for loss_fn in (point_loss_from_logits, _two_term_point_loss):
+        t = Tensor(x, requires_grad=True)
+        terms = loss_fn(t, y)
+        out.append((terms.data, ad.grad_map(ad.tensor_mean(terms), {"x": t})["x"]))
+    (value, grad), (want_value, want_grad) = out
+    assert value.tobytes() == want_value.tobytes()
+    if max(map(abs, extra), default=0.0) > 745:
+        assert np.array_equal(grad, want_grad)
+    else:
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_total_loss_examples():
@@ -322,6 +354,85 @@ def test_train_epoch_rejects_non_finite_gradient(monkeypatch):
         assert np.array_equal(p.data, seen[1][k])
 
 
+def _fit_epoch_setup():
+    """Parameters, their Adam state and 7 (owner, item) positives: 3
+    batches of at most 3."""
+    params = {"w": Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)}
+    positives = np.c_[np.arange(7) % 3, np.arange(7) + 10]
+    return params, init_adam(params), positives
+
+
+def _fit_loss(params, rows):
+    return ad.tensor_mean(ad.take(params["w"], rows[:, 1] % 4 + rows[:, 2]))
+
+
+def test_fit_epoch_draws_once_per_batch_after_the_permutation():
+    """The order is one permutation on the epoch generator, then each
+    batch's negatives are one `draw` of its owners on that generator,
+    and its loss reads their `label_blocks` rows; each batch is one
+    Adam step."""
+    params, adam, positives = _fit_epoch_setup()
+    ref = np.random.default_rng(5)
+    order = ref.permutation(len(positives))
+    expected_owners, expected_rows = [], []
+    for start in range(0, len(order), 3):
+        owned = positives[order[start:start + 3]]
+        expected_owners.append(owned[:, 0].tolist())
+        expected_rows.append(label_blocks(owned, ref.integers(50, size=(len(owned), 2)))
+                             .reshape(-1, 3).tolist())
+    rng = np.random.default_rng(5)
+    owners, rows_seen = [], []
+
+    def draw(batch_owners, draw_rng):
+        assert draw_rng is rng
+        owners.append(batch_owners.tolist())
+        return draw_rng.integers(50, size=(len(batch_owners), 2))
+
+    def loss_of(rows):
+        rows_seen.append(rows.tolist())
+        return _fit_loss(params, rows)
+
+    fit_epoch(params, adam, positives, 3, 0.01, rng, 0, draw, loss_of)
+    assert owners == expected_owners
+    assert rows_seen == expected_rows
+    assert adam.step == 3
+
+
+@pytest.mark.parametrize("batch", [0, 2])
+@pytest.mark.parametrize("failure", ["loss", "gradient"])
+def test_fit_epoch_refuses_non_finite_before_the_step(monkeypatch, failure, batch):
+    """A NaN loss, or a NaN gradient, at batch b raises NonFiniteError
+    naming the epoch and batch, with every parameter and `adam.step` as
+    batch b - 1's step left them."""
+    params, adam, positives = _fit_epoch_setup()
+    before = []
+
+    def loss_of(rows):
+        before.append((params["w"].data.copy(), adam.step))
+        loss = _fit_loss(params, rows)
+        return ad.scale(loss, np.nan) if failure == "loss" and len(before) == batch + 1 else loss
+
+    grad_map = ad.grad_map
+
+    def poisoned(loss, wrt):
+        grads = grad_map(loss, wrt)
+        if len(before) == batch + 1:
+            grads["w"][3] = np.nan
+        return grads
+
+    if failure == "gradient":
+        monkeypatch.setattr(ad, "grad_map", poisoned)
+    message = {"loss": "non-finite loss nan", "gradient": "non-finite gradient for parameter 'w'"}
+    with pytest.raises(NonFiniteError, match=rf"^{message[failure]} at epoch 4, batch {batch}$"):
+        fit_epoch(params, adam, positives, 3, 0.1, np.random.default_rng(5), 4,
+                  lambda owners, rng: rng.integers(50, size=(len(owners), 2)), loss_of)
+    w, step = before[batch]
+    assert np.array_equal(params["w"].data, w)
+    assert adam.step == step == batch
+    if batch:
+        assert not np.array_equal(w, before[0][0])
+
+
 def test_loss_decreases_for_some_small_lr(toy):
     """Plain line search along the negative gradient on a fixed batch."""
     params = fresh_toy_params(toy)
@@ -401,7 +512,7 @@ def _checkpoint_roundtrip_setup(tmp_path, data_sha256=None):
     params = init_params(cfg, 3, 5, 2, np.random.default_rng(0))
     if data_sha256 is None:
         data_sha256 = {name: "0" * 64 for name in DATA_FILES}
-    save_checkpoint(tmp_path, params, {"embedding_dim": 4}, 9, _CKPT_DATASET,
+    save_checkpoint(tmp_path, params, {"embedding_dim": 4}, _CKPT_DATASET,
                     _CKPT_ASSIGNMENTS, data_sha256)
     return cfg, params
 
@@ -410,7 +521,9 @@ def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
     manifest = read_manifest(tmp_path)
     loaded = load_checkpoint(tmp_path, manifest, _CKPT_TABLE)
-    assert manifest["seed"] == 9
+    assert sorted(manifest) == ["config", "data_sha256", "format_version", "sha256",
+                                "tensors"]
+    assert manifest["config"] == {"embedding_dim": 4}
     assert manifest["format_version"] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "inputs.npz", "manifest.json", "params.bin"]
@@ -450,8 +563,8 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(a_dir)
     manifest = read_manifest(a_dir)
     loaded = load_checkpoint(a_dir, manifest, _CKPT_TABLE)
-    save_checkpoint(b_dir, loaded, manifest["config"], manifest["seed"],
-                    _CKPT_DATASET, _CKPT_ASSIGNMENTS, manifest["data_sha256"])
+    save_checkpoint(b_dir, loaded, manifest["config"], _CKPT_DATASET, _CKPT_ASSIGNMENTS,
+                    manifest["data_sha256"])
     for name in ("manifest.json", "params.bin", "inputs.npz"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
@@ -536,7 +649,7 @@ def test_param_table_layout_is_the_saved_tensor_table(tmp_path, m, layers):
     `init_params`, in its order."""
     cfg = Config(embedding_dim=8, num_subsets=m, gcn_layers=layers)
     params = init_params(cfg, 3, 5, 2, np.random.default_rng(0))
-    save_checkpoint(tmp_path, params, {}, 9, _CKPT_DATASET, _CKPT_ASSIGNMENTS,
+    save_checkpoint(tmp_path, params, {}, _CKPT_DATASET, _CKPT_ASSIGNMENTS,
                     {name: "0" * 64 for name in DATA_FILES})
     layout = tensor_layout((name, shape) for name, shape, _ in param_table(cfg, 3, 5, 2))
     assert read_manifest(tmp_path)["tensors"] == layout
@@ -635,7 +748,7 @@ def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
     monkeypatch.setattr(mgam.training.os, "replace", cut_before_manifest)
     other = init_params(cfg, 3, 5, 2, np.random.default_rng(1))
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(tmp_path, other, {"embedding_dim": 4}, 9, _CKPT_DATASET,
+        save_checkpoint(tmp_path, other, {"embedding_dim": 4}, _CKPT_DATASET,
                         _CKPT_ASSIGNMENTS, {name: "0" * 64 for name in DATA_FILES})
     assert replaced == ["params.bin", "inputs.npz"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
