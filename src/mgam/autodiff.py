@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Tensor wraps an ndarray plus the tape links (inputs, vjp closure)
-recorded while building a forward computation.  `trace` returns
-the recorded graph in topological order and `backward` walks it in
-reverse, accumulating gradients into the `.grad` buffers of every tensor
-that requires them.  The tests check the analytic gradients against a
+recorded while building a forward computation.  There is one tape rule:
+an op records links exactly when some input has `requires_grad`, so a
+forward over constant tensors, such as `Tensor(p.data)` views of
+trained parameters, records nothing.  `trace` returns the recorded
+graph in topological order and `backward` walks it in reverse,
+accumulating gradients into the `.grad` buffers of every tensor that
+requires them.  The tests check the analytic gradients against a
 central-difference oracle of their own (`tests/finite_difference.py`).
 
 The op set is deliberately small: matrix products (dense, stacked and
@@ -18,28 +21,12 @@ broadcasting; their gradients are summed back to each operand's shape
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import UsageError
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (forward-only evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
 
 class Tensor:
     """A float64 array plus the links recorded for reverse-mode autodiff.
@@ -71,9 +58,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _result(data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Build an op result, recording tape links only when gradients are on
-    and some input requires them."""
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    """Build an op result, recording tape links exactly when some input
+    requires gradients."""
+    if any(t.requires_grad for t in inputs):
         return Tensor(data, requires_grad=True, inputs=tuple(inputs), vjp=vjp)
     return Tensor(data)
 

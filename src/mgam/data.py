@@ -472,8 +472,7 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
     pos = dataset.group_pos
     lengths = pos.lengths()
     tested = np.flatnonzero(lengths >= 2)
-    held = pos.offsets[tested] + np.array(
-        [rng.integers(n) for n in lengths[tested].tolist()], dtype=np.int64)
+    held = pos.offsets[tested] + rng.integers(lengths[tested])
     kept = ~np.isin(np.arange(len(pos.indices)), held)
     owner = np.repeat(np.arange(len(pos)), lengths)
     return Split(train=np.stack((owner[kept], pos.indices[kept]), axis=1),

@@ -209,23 +209,24 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
     """Forward-only pairwise scorer of ablation masks over a trained model.
 
     A call returns (len(masks), n) scores (`masks` defaults to the full
-    model).  The global graph stream is computed once, and only if a mask
-    reads the superset branch; a call's (group, item) rows are scored
-    `SCORE_CHUNK_ROWS` at a time, one scoring forward per chunk for every
-    mask, whatever groups the rows belong to.  `score_fn.forward(pairs)`
-    is that scoring forward's `ForwardResult`s for an (n, 2) array of
-    (group, item) rows, on the same global rows.
+    model).  The scorer reads constant tensors over the arrays of
+    `params`, so its forwards record no tape, and `params` keep their
+    `requires_grad`.  The global graph stream is computed once, and only
+    if a mask reads the superset branch; a call's (group, item) rows are
+    scored `SCORE_CHUNK_ROWS` at a time, one scoring forward per chunk for
+    every mask, whatever groups the rows belong to.
+    `score_fn.forward(pairs)` is that scoring forward's `ForwardResult`s
+    for an (n, 2) array of (group, item) rows, on the same global rows.
     """
     masks = list(masks) if masks is not None else [AblationMask()]
+    params = {name: ad.Tensor(p.data) for name, p in params.items()}
     global_rows = None
     if any(mask.use_suppe for mask in masks):
-        with ad.no_grad():
-            global_rows = compute_global_rows(params, cfg, graph)
+        global_rows = compute_global_rows(params, cfg, graph)
 
     def forward(pairs) -> list:
-        with ad.no_grad():
-            return forward_batch(params, cfg, dataset, assignments, graph, pairs,
-                                 masks=masks, global_rows=global_rows)
+        return forward_batch(params, cfg, dataset, assignments, graph, pairs,
+                             masks=masks, global_rows=global_rows)
 
     def score_fn(groups, items):
         groups, items = np.asarray(groups), np.asarray(items)

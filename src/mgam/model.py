@@ -58,11 +58,16 @@ from .errors import UsageError
 from .graph import GroupGraph, expand_to_instances, induce_batch_subgraph  # noqa: F401
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationMask:
+    """The granularity branches a model fuses; at least one is on."""
     use_subpe: bool = True
     use_gpe: bool = True
     use_suppe: bool = True
+
+    def __post_init__(self):
+        if not (self.use_subpe or self.use_gpe or self.use_suppe):
+            raise UsageError("all three granularities are ablated; nothing to fuse")
 
     @classmethod
     def from_disabled(cls, disabled) -> "AblationMask":
@@ -70,8 +75,6 @@ class AblationMask:
         unknown = disabled - set(GRANULARITIES)
         if unknown:
             raise UsageError(f"unknown granularity name(s): {sorted(unknown)}")
-        if disabled == set(GRANULARITIES):
-            raise UsageError("all three granularities are ablated; nothing to fuse")
         return cls(use_subpe="subpe" not in disabled,
                    use_gpe="gpe" not in disabled,
                    use_suppe="suppe" not in disabled)
@@ -254,7 +257,8 @@ def predict_logit(h_fusion: Tensor, item_vecs: Tensor, w: Tensor, b: Tensor) -> 
 
 def compute_global_rows(params: dict, cfg: Config, graph: GroupGraph) -> Tensor:
     """The global stream, (n_groups, d): on the tape in a training forward;
-    a scorer builds it once under `no_grad` and passes it to its forwards."""
+    a scorer builds it once from constant parameters, off the tape, and
+    passes it to its forwards."""
     global_w = [params[f"gcn_global_w_{k}"] for k in range(1, cfg.gcn_layers + 1)]
     return superset_propagate(params["group_emb"], graph.normalized, global_w)
 
@@ -310,8 +314,6 @@ def forward_batch(params: dict, cfg: Config, dataset: Dataset,
     masks = list(masks) if masks is not None else [AblationMask()]
     if not masks:
         raise UsageError("a forward needs at least one ablation mask")
-    if not all(m.use_subpe or m.use_gpe or m.use_suppe for m in masks):
-        raise UsageError("all three granularities are ablated; nothing to fuse")
     pairs = np.asarray(batch, dtype=np.intp)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
         raise UsageError(f"a forward batch is a non-empty (n, 2) array of "

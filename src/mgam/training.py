@@ -395,7 +395,7 @@ def read_manifest(directory) -> dict:
         raise CheckpointError(f"{manifest_path} must hold a JSON object, "
                               f"got {type(manifest).__name__}")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version "
+        raise CheckpointError(f"{manifest_path}: unsupported checkpoint format version "
                               f"{manifest.get('format_version')!r} "
                               f"(expected {CHECKPOINT_VERSION})")
     if not isinstance(manifest.get("config", {}), dict):
@@ -404,18 +404,19 @@ def read_manifest(directory) -> dict:
     return manifest
 
 
-def _recorded(manifest: dict, table: str, name: str) -> str:
-    """The sha256 `manifest[table][name]`, or a CheckpointError."""
+def _recorded(manifest: dict, directory: Path, table: str, name: str) -> str:
+    """The sha256 `manifest[table][name]` of the checkpoint in `directory`,
+    or a CheckpointError naming its manifest."""
     digest = manifest.get(table)
     digest = digest.get(name) if isinstance(digest, dict) else None
     if not isinstance(digest, str):
-        raise CheckpointError(f"{MANIFEST_FILE} records no sha256 for {name}")
+        raise CheckpointError(f"{directory / MANIFEST_FILE} records no sha256 for {name}")
     return digest
 
 
 def _verify(manifest: dict, path: Path, data: bytes) -> None:
     """Refuse a checkpoint file whose bytes are not the ones it was saved with."""
-    if _sha256(data) != _recorded(manifest, "sha256", path.name):
+    if _sha256(data) != _recorded(manifest, path.parent, "sha256", path.name):
         raise CheckpointError(f"corrupt checkpoint: {path} does not match "
                               f"its sha256 in {MANIFEST_FILE}")
 
@@ -449,7 +450,7 @@ def load_checkpoint(directory, manifest: dict, table: list) -> dict:
         raise CheckpointError(f"cannot read {params_path}: {e}") from e
     nbytes = 4 * sum(entry["size"] for entry in layout)
     if len(blob) != nbytes:
-        raise CheckpointError(f"corrupt checkpoint: {PARAMS_FILE} holds {len(blob)} "
+        raise CheckpointError(f"corrupt checkpoint: {params_path} holds {len(blob)} "
                               f"bytes but its tensor table needs {nbytes}")
     _verify(manifest, params_path, blob)
     raw = np.frombuffer(blob, dtype="<f4")
@@ -465,7 +466,7 @@ def load_inputs(directory, data_dir, manifest: dict) -> tuple:
     and assignments come from the checkpoint's inputs file.
     """
     for name, digest in dataset_sha256(data_dir).items():
-        if digest != _recorded(manifest, "data_sha256", name):
+        if digest != _recorded(manifest, Path(directory), "data_sha256", name):
             raise CheckpointError(
                 f"{Path(data_dir) / name} is not the file this checkpoint was "
                 f"trained on (sha256 differs); pass the training data or retrain")

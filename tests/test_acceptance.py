@@ -118,8 +118,7 @@ def test_criterion_1_gradient_correctness(toy):
     worst, worst_name = 0.0, None
     for name, p in params.items():
         def f(arr):
-            with ad.no_grad():
-                return float(loss_tensor().data)
+            return float(loss_tensor().data)
         fd = finite_difference_grad(f, p.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         rel = float((np.abs(fd - grads[name]) / denom).max())

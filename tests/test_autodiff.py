@@ -102,8 +102,7 @@ def test_backward_two_layer_composite_matches_finite_differences():
     grads = ad.grad_map(forward(), {"w1": w1, "w2": w2})
     for name, t in (("w1", w1), ("w2", w2)):
         def f(arr):
-            with ad.no_grad():
-                return float(forward().data)
+            return float(forward().data)
         fd = finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-5
@@ -285,8 +284,7 @@ def test_matmul_gradients_match_finite_differences(shape_a, shape_b):
     grads = ad.grad_map(forward(), {"a": a, "b": b})
     for name, t in (("a", a), ("b", b)):
         def f(arr):
-            with ad.no_grad():
-                return float(forward().data)
+            return float(forward().data)
         fd = finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
@@ -307,8 +305,7 @@ def test_swapaxes_transposes_the_last_two_axes():
     grad = ad.grad_map(forward(), {"x": x})["x"]
 
     def f(arr):
-        with ad.no_grad():
-            return float(forward().data)
+        return float(forward().data)
     fd = finite_difference_grad(f, x.data, 1e-5)
     assert np.abs(fd - grad).max() < 1e-8
 
@@ -350,8 +347,7 @@ def test_broadcast_add_mul_gradients_match_finite_differences(shape_a, shape_b):
         assert grads[name].shape == t.data.shape
 
         def f(arr):
-            with ad.no_grad():
-                return float(forward().data)
+            return float(forward().data)
         fd = finite_difference_grad(f, t.data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-6, name
@@ -385,8 +381,7 @@ def test_gradient_check_property_random_composites():
         grads = ad.grad_map(forward(), params)
         for name, t in params.items():
             def f(arr):
-                with ad.no_grad():
-                    return float(forward().data)
+                return float(forward().data)
             fd = finite_difference_grad(f, t.data, 1e-5)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
             assert (np.abs(fd - grads[name]) / denom).max() < 1e-4
@@ -430,8 +425,18 @@ def test_forward_outputs_finite_on_finite_inputs():
             assert np.isfinite(o).all()
 
 
-def test_no_grad_disables_taping():
-    x = Tensor(2.0, requires_grad=True)
-    with ad.no_grad():
-        y = ad.mul(x, x)
-    assert not y.requires_grad and y.inputs == ()
+def test_tape_follows_requires_grad_alone():
+    """An op records tape links exactly when some input requires
+    gradients: the same op on a constant view of a parameter's array
+    records nothing, and the parameter is left as it was."""
+    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    y = ad.mul(x, x)
+    assert y.requires_grad and y.inputs == (x, x)
+    view = Tensor(x.data)
+    assert view.data is x.data and not view.requires_grad
+    z = ad.mul(view, view)
+    assert np.array_equal(z.data, y.data)
+    assert not z.requires_grad and z.inputs == () and z._vjp is None
+    mixed = ad.add(z, x)
+    assert mixed.requires_grad and mixed.inputs == (z, x)
+    assert x.requires_grad and x.grad is None

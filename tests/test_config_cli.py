@@ -1176,6 +1176,147 @@ def test_non_integer_ks_is_config_error(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def covered(tmp_path_factory):
+    """A 3-user, 2-item dataset whose group g1 holds both items, and a
+    checkpoint trained on it without negatives (none could be drawn for
+    g1): `recommend` has nothing left to rank for g1."""
+    data = tmp_path_factory.mktemp("covered") / "data"
+    data.mkdir()
+    (data / "user_item.tsv").write_text("u1\ti1\nu2\ti2\nu3\ti1\n")
+    (data / "groups.tsv").write_text("g1\tu1,u2\ng2\tu2,u3\n")
+    (data / "group_items.tsv").write_text("g1\ti1\ng1\ti2\ng2\ti1\n")
+    ckpt = data.parent / "ckpt"
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--set", "epochs=1",
+                 "--set", "embedding_dim=4", "--set", "num_subsets=1",
+                 "--set", "train_negatives=0"]) == 0
+    return {"data": str(data), "ckpt": str(ckpt)}
+
+
+def _damaged(name, edit):
+    """A function of (workspace, tmp_path) returning a copy of the
+    workspace checkpoint whose file `name` holds `edit(its bytes)`."""
+    def damage(w, tmp):
+        ckpt = shutil.copytree(w["ckpt"], tmp / "ckpt")
+        (ckpt / name).write_bytes(edit((ckpt / name).read_bytes()))
+        return str(ckpt)
+    return damage
+
+
+def _manifest(edit):
+    """`_damaged` for a manifest whose JSON object is `edit(object)`."""
+    return _damaged("manifest.json", lambda raw: json.dumps(edit(json.loads(raw))).encode())
+
+
+def _config_file(text):
+    def write(w, tmp):
+        (tmp / "run.conf").write_text(text)
+        return str(tmp / "run.conf")
+    return write
+
+
+def _data_without(name):
+    def copy(w, tmp):
+        data = shutil.copytree(w["data"], tmp / "data")
+        (data / name).unlink()
+        return str(data)
+    return copy
+
+
+def _train(*extra):
+    return ["train", "--data", "{data}", "--out", "{out}", *extra]
+
+
+def _eval(ckpt="{ckpt}", data="{data}"):
+    return ["eval", "--data", data, "--ckpt", ckpt, "--out", "{out}"]
+
+
+# (argv, what to build first as {made}, exit code, the start of the last
+# line of stderr); {data} and {ckpt} are the workspace's, {out} a path no
+# run may create
+REFUSALS = {
+    "m-values-not-integers": (["sweep-subsets", "--data", "{data}", "--out", "{out}",
+                               "--m-values", "1,x"], None, 2,
+                              "usage error: bad --m-values '1,x'"),
+    "m-values-zero": (["sweep-subsets", "--data", "{data}", "--out", "{out}",
+                       "--m-values", "0"], None, 2,
+                      "usage error: --m-values must list positive integers"),
+    "explain-unknown-item": (["recommend", "--data", "{data}", "--ckpt", "{ckpt}",
+                              "--group-id", "3", "--explain", "--item", "nope"], None, 2,
+                             "usage error: unknown item id 'nope'"),
+    "recommend-nothing-unseen": (["recommend", "--data", "{covered_data}", "--ckpt",
+                                  "{covered_ckpt}", "--group-id", "g1"], None, 2,
+                                 "usage error: group 'g1' has interacted with every item"),
+    "config-file-missing": (_train("--config", "{tmp}/missing.conf"), None, 2,
+                            "usage error: cannot read config file {tmp}/missing.conf: "),
+    "config-line-without-equals": (_train("--config", "{made}"),
+                                   _config_file("epochs = 2\nseed 3\n"), 2,
+                                   "usage error: {made}: line 2: expected `key = value`, "
+                                   "got 'seed 3'"),
+    "set-without-equals": (_train("--set", "ks"), None, 2,
+                           "usage error: override 'ks' must have the form key=value"),
+    "set-no-cutoff": (_train("--set", "ks=,"), None, 2,
+                      "usage error: ks must name at least one cutoff"),
+    "gen-data-no-users": (["gen-data", "--out", "{out}", "--users", "0"], None, 2,
+                          "usage error: all synthetic counts must be positive"),
+    "gen-data-no-items-per-user": (["gen-data", "--out", "{out}", "--items-per-user", "0"],
+                                   None, 2, "usage error: items_per_user=0 out of range"),
+    "gen-data-more-cohorts-than-users": (["gen-data", "--out", "{out}", "--cohorts", "300"],
+                                         None, 2, "usage error: more cohorts than users"),
+    "gen-data-negative-noise": (["gen-data", "--out", "{out}", "--noise", "-1"], None, 2,
+                                "usage error: noise must be non-negative"),
+    "manifest-not-json": (
+        _eval("{made}"), _damaged("manifest.json", lambda raw: raw[:-3]), 1,
+        "error: {made}/manifest.json is not valid JSON: "),
+    "manifest-without-tensors": (
+        _eval("{made}"), _manifest(lambda m: {k: v for k, v in m.items() if k != "tensors"}),
+        1, "error: {made}/manifest.json: missing tensor table"),
+    "manifest-without-params-digest": (
+        _eval("{made}"),
+        _manifest(lambda m: {**m, "sha256": {"inputs.npz": m["sha256"]["inputs.npz"]}}),
+        1, "error: {made}/manifest.json records no sha256 for params.bin"),
+    "manifest-other-version": (
+        _eval("{made}"), _manifest(lambda m: {**m, "format_version": 2}), 1,
+        "error: {made}/manifest.json: unsupported checkpoint format version 2 (expected 3)"),
+    "params-truncated": (
+        _eval("{made}"), _damaged("params.bin", lambda raw: raw[:-4]), 1,
+        "error: corrupt checkpoint: {made}/params.bin holds "),
+    "data-without-group-items": (_eval(data="{made}"), _data_without("group_items.tsv"), 1,
+                                 "error: {made}/group_items.tsv: cannot read ("),
+}
+
+
+def _tree(*roots) -> dict:
+    """Every file under `roots`, with its bytes."""
+    return {p: p.read_bytes() for root in roots for p in sorted(Path(root).rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_cli_refusal_names_its_cause_and_writes_nothing(workspace, covered, tmp_path,
+                                                        capsys, case):
+    """Each refusal of input from outside the program exits 2 (a usage
+    error) or 1 (a runtime failure) with its cause, no traceback, and
+    leaves every file as it was."""
+    argv, make, code, message = REFUSALS[case]
+    fields = {"data": workspace["data"], "ckpt": workspace["ckpt"], "tmp": str(tmp_path),
+              "out": str(tmp_path / "out"), "covered_data": covered["data"],
+              "covered_ckpt": covered["ckpt"]}
+    if make is not None:
+        fields["made"] = make(workspace, tmp_path)
+    before = _tree(tmp_path, workspace["root"], Path(covered["ckpt"]).parent)
+    capsys.readouterr()
+    rc = main([arg.format(**fields) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == code, captured.err
+    # the last line: `recommend` echoes its config to stderr first
+    assert captured.err.splitlines()[-1].startswith(message.format(**fields)), captured.err
+    assert "Traceback" not in captured.err
+    assert _tree(tmp_path, workspace["root"], Path(covered["ckpt"]).parent) == before
+    if argv[0] == "recommend":
+        assert captured.out == ""
+
+
 def test_every_src_statement_runs_in_some_command():
     """`tests/trace_cli.py` runs every command under a line trace: it
     prints nothing, so no statement of `src/mgam` outside its allowlist

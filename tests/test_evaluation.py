@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mgam.evaluation
 from mgam.clustering import cluster_subsets
 from mgam.config import STREAM_EVAL, Config, substream
 from mgam.data import (Dataset, Rows, Split, SyntheticParams, generate_synthetic,
@@ -13,7 +14,8 @@ from mgam.evaluation import (SCORE_CHUNK_ROWS, MetricReport, draw_candidates,
                              make_mgam_scorer, rank_candidates, report_metrics,
                              train_mf_scorer, _ranking)
 from mgam.graph import build_co_membership
-from mgam.model import AblationMask, init_params
+from mgam.model import AblationMask, forward_batch, init_params, param_table
+from mgam.training import load_checkpoint, read_manifest, save_checkpoint, train
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +378,40 @@ def test_mgam_scorer_matches_direct_forward():
         [direct] = forward_batch(params, cfg, ds, assignments, graph, [(g, v)])
         assert scorer([g], [v])[0, 0] == pytest.approx(float(direct.scores.data[0]),
                                                        abs=1e-15)
+
+
+@pytest.mark.parametrize("source", ["trained", "checkpoint"])
+def test_mgam_scorer_records_no_tape(tmp_path, monkeypatch, source):
+    """A scorer over a just-trained model (as `sweep-subsets` scores) or a
+    loaded checkpoint (as `eval` does) records no tape, in its global rows
+    or its forwards, while a training forward on the same parameters does.
+    The parameters keep `requires_grad` and their exact data."""
+    ds, _, split = _planted(seed=6)
+    assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
+    graph = build_co_membership(ds.groups)
+    cfg = Config(embedding_dim=8, num_subsets=2, gcn_layers=1, epochs=1, batch_size=16)
+    params, _ = train(ds, split, assignments, graph, cfg)
+    if source == "checkpoint":
+        save_checkpoint(tmp_path, params, cfg.resolved(), ds, assignments, {})
+        params = load_checkpoint(tmp_path, read_manifest(tmp_path),
+                                 param_table(cfg, ds.n_users, ds.n_items, ds.n_groups))
+    before = {name: p.data.copy() for name, p in params.items()}
+    built = []
+    real = mgam.evaluation.compute_global_rows
+    monkeypatch.setattr(mgam.evaluation, "compute_global_rows",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    pairs = [(0, 3), (5, 11), (5, 60)]
+    scorer = make_mgam_scorer(params, cfg, ds, assignments, graph)
+    [scored] = scorer.forward(pairs)
+    scores = scorer(*zip(*pairs))
+    [trained] = forward_batch(params, cfg, ds, assignments, graph, pairs)
+    assert len(built) == 1
+    for t in (built[0], scored.logits, scored.scores):
+        assert not t.requires_grad and t.inputs == ()
+    assert np.array_equal(scores[0], scored.scores.data)
+    assert trained.scores.requires_grad and trained.scores.inputs
+    for name, p in params.items():
+        assert p.requires_grad and np.array_equal(p.data, before[name]), name
 
 
 def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):

@@ -8,6 +8,7 @@ from mgam.autodiff import Tensor
 from mgam.config import Config
 from mgam.data import Dataset, Rows
 from mgam.errors import ConfigError, UsageError
+from mgam.evaluation import make_mgam_scorer
 from mgam.graph import build_co_membership, expand_to_instances
 from mgam.model import (AblationMask, compute_global_rows, forward_batch,
                         fuse, init_params, member_attention, predict_logit,
@@ -447,6 +448,20 @@ def test_predict_dimension_mismatch():
                       Tensor(np.zeros(6)), Tensor(0.0))
 
 
+def test_ablation_mask_needs_a_branch():
+    """A mask with every branch off is refused when it is built, however
+    it is built; a mask is immutable, so no later change empties one."""
+    with pytest.raises(UsageError, match="all three granularities are ablated; "
+                                         "nothing to fuse"):
+        AblationMask(False, False, False)
+    with pytest.raises(UsageError, match="nothing to fuse"):
+        AblationMask.from_disabled(["subpe", "gpe", "suppe"])
+    mask = AblationMask(use_gpe=False)
+    with pytest.raises(AttributeError):
+        mask.use_subpe = False
+    assert mask == AblationMask.from_disabled(["gpe"]) and mask.label() == "mgam-wo-gpe"
+
+
 # ---------------------------------------------------------------------------
 # forward_batch
 
@@ -669,8 +684,7 @@ def test_model_gradients_match_finite_differences_sampled(toy):
     for name in ("user_att_w", "subpe_self_w_1", "gcn_batch_w_2",
                  "suppe_proj_w", "predict_w", "group_emb"):
         def f(arr):
-            with ad.no_grad():
-                return float(loss_tensor().data)
+            return float(loss_tensor().data)
         fd = finite_difference_grad(f, params[name].data, 1e-5)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
         assert (np.abs(fd - grads[name]) / denom).max() < 1e-4, name
@@ -958,14 +972,15 @@ def test_one_group_scoring_memory_grows_with_candidates_times_d():
     params = init_params(cfg, ds.n_users, ds.n_items, 1, np.random.default_rng(0))
     graph = build_co_membership(ds.groups)
     batch = [(0, v) for v in range(n_cand)]
-    with ad.no_grad():
-        global_rows = compute_global_rows(params, cfg, graph)
-        forward_batch(params, cfg, ds, assignments, graph, batch, global_rows=global_rows)
-        tracemalloc.start()
-        try:
-            forward_batch(params, cfg, ds, assignments, graph, batch, global_rows=global_rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # the scorer's forward: constant parameters, so no tape holds the
+    # forward's intermediates
+    forward = make_mgam_scorer(params, cfg, ds, assignments, graph).forward
+    forward(batch)
+    tracemalloc.start()
+    try:
+        forward(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # a per-candidate gather of the 64 + 4 * 16 member slots alone is 128 C d
     assert peak < 30 * n_cand * d * 8, peak / (n_cand * d * 8)

@@ -451,8 +451,7 @@ def test_loss_decreases_for_some_small_lr(toy):
     for lr in (1e-3, 1e-4, 1e-5):
         for name, p in params.items():
             p.data -= lr * grads[name]
-        with ad.no_grad():
-            decreased = decreased or float(loss_value().data) < float(base.data)
+        decreased = decreased or float(loss_value().data) < float(base.data)
         for name, p in params.items():
             p.data += lr * grads[name]
     assert decreased
