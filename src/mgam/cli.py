@@ -5,11 +5,12 @@ dump-graph, dump-subsets, baseline.  Exit codes: 0 success, 1 runtime
 failure, 2 usage/config error.  Every command echoes its fully resolved
 configuration and persists it next to its outputs.
 
-`train`, `sweep-subsets`, `baseline` and the dump commands parse the
-dataset TSVs (and cluster).  `eval`, `ablate` and `recommend` read the
-parsed dataset and subset assignments from the checkpoint instead; they
-only hash `--data` and refuse it unless it is the data the checkpoint was
-trained on.
+`train`, `sweep-subsets`, `baseline` and `dump-subsets` parse the
+dataset TSVs (and cluster); `dump-graph` checks all three but interns
+only the group table (`load_groups`).  `eval`, `ablate` and `recommend`
+read the parsed dataset and subset assignments from the checkpoint
+instead; they only hash `--data` and refuse it unless it is the data the
+checkpoint was trained on.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .clustering import SubsetTable, cluster_subsets, dump_subsets
 from .config import (GRANULARITIES, STREAM_CLUSTER, STREAM_DATA, Config, format_resolved,
                      parse_config, substream, write_resolved)
 from .data import (SyntheticParams, dataset_sha256, generate_synthetic,
-                   load_dataset, split_leave_one_out, write_dataset)
+                   load_dataset, load_groups, split_leave_one_out, write_dataset)
 from .errors import MgamError, UsageError
 from .evaluation import (draw_candidates, evaluate, make_baseline_scorer,
                          make_mgam_scorer, rank_candidates, report_metrics,
@@ -228,21 +229,18 @@ def cmd_recommend(args) -> int:
     dataset, assignments, graph, params = _load_trained(args, cfg, manifest)
     if args.group_id not in dataset.group_index:
         raise UsageError(f"unknown group id {args.group_id!r}")
+    if args.item is not None and args.item not in dataset.item_index:
+        raise UsageError(f"unknown item id {args.item!r}")
     g = dataset.group_index[args.group_id]
-    scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, [mask])
     candidates = np.setdiff1d(np.arange(dataset.n_items), dataset.group_pos[g])
     if not len(candidates):
         raise UsageError(f"group {args.group_id!r} has interacted with every item")
+    scorer = make_mgam_scorer(params, cfg, dataset, assignments, graph, [mask])
     items, scores = rank_candidates(scorer, g, candidates, mask.label(), args.group_id)
     top = list(zip(items[:args.k].tolist(), scores[:args.k].tolist()))
 
     if args.explain:
-        if args.item is not None:
-            if args.item not in dataset.item_index:
-                raise UsageError(f"unknown item id {args.item!r}")
-            v = dataset.item_index[args.item]
-        else:
-            v = top[0][0]
+        v = top[0][0] if args.item is None else dataset.item_index[args.item]
         [result] = scorer.forward([(g, v)])
         payload = _explain_json(result, g, v, dataset, assignments, top)
         payload["config"] = cfg.resolved()
@@ -283,9 +281,8 @@ def _explain_json(result, g, v, dataset, assignments, top) -> dict:
 
 def cmd_dump_graph(args) -> int:
     cfg = _resolve_config(args)
-    dataset = load_dataset(args.data)
-    graph = build_co_membership(dataset.groups)
-    dump_graph(graph, dataset.group_ids, args.out)
+    group_ids, groups = load_groups(args.data)
+    dump_graph(build_co_membership(groups), group_ids, args.out)
     write_resolved(cfg, str(args.out) + ".config")
     print(f"graph written to {args.out}")
     return 0

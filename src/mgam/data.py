@@ -12,6 +12,12 @@ internal indices sorted by external id (numerically when every id of a
 kind parses as an integer, else lexicographically; ids equal as integers,
 such as `1` and `01`, are ordered as strings).  Users that appear only as
 group members are registered with empty interaction histories.
+
+`load_dataset` interns every column.  `load_groups`, which `dump-graph`
+uses, reads and checks the three files in the same order, so it raises
+the same `DataError` for the same first fault, but interns only the
+group ids, the member lists and the group column of `group_items.tsv`,
+and numbers members by first appearance rather than by sorted user id.
 """
 
 from __future__ import annotations
@@ -128,9 +134,10 @@ class Split:
 # commas, and a piece is stripped by the whitespace runs that cover its
 # ends; these positions are int32 while the text has fewer than 2**31 code
 # units.  No piece becomes a `str` on its way to an index: its code units
-# are packed into integer key words, one sort groups equal keys, and only
-# the first piece of each distinct id is cut out of the code units (one
-# gather and one decode per column).  A file's distinct ids are merged
+# are packed into integer key words, one sort groups equal keys (a value
+# sort of key and position packed into one uint64 where they fit), and
+# only the first piece of each distinct id is cut out of the code units
+# (one gather and one decode per column).  A file's distinct ids are merged
 # into the sorted global ids, and per-row tables built from one sorted
 # array of (row, column) codes.
 
@@ -284,7 +291,10 @@ def _intern(code_units: np.ndarray, starts, ends) -> tuple:
     word as the text's largest code unit allows, the last word padded
     with 0; two pieces have equal keys exactly when their texts are equal.
     The pieces of each key width are grouped by one sort, and only the
-    first piece of each distinct id is decoded."""
+    first piece of each distinct id is decoded.  One-word keys short
+    enough to leave room for a piece's position below them are sorted as
+    values, `key << index_bits | position`: equal keys then come out in
+    text order, so each id's first piece leads its run."""
     bits = (int(code_units.max()) + 1).bit_length()
     per_word = 64 // bits
     widths = (ends - starts + per_word - 1) // per_word
@@ -295,16 +305,26 @@ def _intern(code_units: np.ndarray, starts, ends) -> tuple:
         at = starts[rows, None] + np.arange(0, width * per_word, per_word)
         left = ends[rows, None] - at  # the piece's characters from each word on
         keys = np.zeros(at.shape, np.uint64)
-        for k in range(min(per_word, int(left.max()))):
+        longest = min(per_word, int(left.max()))
+        for k in range(longest):
             chars = (code_units.take(at + k, mode="clip") + 1) * (left > k)
             keys |= chars.astype(np.uint64) << np.uint64(k * bits)
-        order = np.argsort(keys[:, 0]) if width == 1 else np.lexsort(keys.T)
-        keys = keys[order]
+        index_bits = len(rows).bit_length()
+        packs = width == 1 and bits * longest + index_bits <= 64
+        if packs:
+            packed = np.sort(keys[:, 0] << np.uint64(index_bits)
+                             | np.arange(len(rows), dtype=np.uint64))
+            order = (packed & np.uint64((1 << index_bits) - 1)).astype(np.intp)
+            keys = (packed >> np.uint64(index_bits))[:, None]
+        else:
+            order = np.argsort(keys[:, 0]) if width == 1 else np.lexsort(keys.T)
+            keys = keys[order]
         new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
         codes[rows[order]] = sum(map(len, firsts)) + np.cumsum(new) - 1
-        # the sort need not be stable: a distinct id's first piece is the
-        # least row among its equal keys
-        firsts.append(rows[np.minimum.reduceat(order, np.flatnonzero(new))])
+        # the other sorts need not be stable: there a distinct id's first
+        # piece is the least row among its equal keys
+        firsts.append(rows[order[new] if packs
+                           else np.minimum.reduceat(order, np.flatnonzero(new))])
     firsts = np.concatenate(firsts)
     by_text = np.argsort(firsts)
     rank = np.empty(len(firsts), np.int64)
@@ -340,18 +360,19 @@ def _rows(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> Rows:
                 codes % n_cols)
 
 
-def load_dataset(directory) -> Dataset:
-    """Load the three-file dataset from a directory."""
-    directory = Path(directory)
-    ui_path = directory / USER_ITEM_FILE
-    g_path = directory / GROUPS_FILE
-    gi_path = directory / GROUP_ITEMS_FILE
+def _read_user_items(directory: Path) -> tuple:
+    """(code units, user field, item field) of `user_item.tsv`."""
+    text, _, _, users, items = _read_table(directory / USER_ITEM_FILE,
+                                           "no interaction records")
+    return text, users, items
 
-    text, _, _, users, items = _read_table(ui_path, "no interaction records")
-    ui_users, ui_items = _intern(text, *users), _intern(text, *items)
-    del text  # one file's code units at a time
 
-    text, space, g_lines, names, lists = _read_table(g_path, "no group records")
+def _read_groups(directory: Path) -> tuple:
+    """(sorted group ids, id -> index, the group of each member piece,
+    `_intern` of the member pieces) of `groups.tsv`, once no group is
+    defined twice or with an empty member list."""
+    path = directory / GROUPS_FILE
+    text, space, lines, names, lists = _read_table(path, "no group records")
     g_names, g_local = _intern(text, *names)
     group_ids, group_index, (g_codes,) = _merge((g_names, g_local))
     n_defs = len(g_codes)
@@ -363,22 +384,37 @@ def load_dataset(directory) -> Dataset:
         r = broken[0]
         name = g_names[g_local[r]]
         if no_members[r]:
-            raise DataError(f"{g_path}: line {g_lines[r]}: group {name!r} "
+            raise DataError(f"{path}: line {lines[r]}: group {name!r} "
                             f"has an empty member list")
-        raise DataError(f"{g_path}: line {g_lines[r]}: group {name!r} already "
-                        f"defined on line {g_lines[first_def[g_codes[r]]]}")
-    members = _intern(text, *pieces)
-    del text, space
+        raise DataError(f"{path}: line {lines[r]}: group {name!r} already "
+                        f"defined on line {lines[first_def[g_codes[r]]]}")
+    return group_ids, group_index, g_codes[owner], _intern(text, *pieces)
 
-    text, _, gi_lines, groups, items = _read_table(gi_path, "no group-item records")
-    distinct, gi_local = _intern(text, *groups)
-    gi_codes = np.fromiter(map(group_index.get, distinct, itertools.repeat(-1)),
-                           np.int64, len(distinct))[gi_local]
-    unknown = np.flatnonzero(gi_codes < 0)
+
+def _read_group_items(directory: Path, group_index: dict) -> tuple:
+    """(code units, group index of each record, item field) of
+    `group_items.tsv`, once every group id is shown to be defined."""
+    path = directory / GROUP_ITEMS_FILE
+    text, _, lines, groups, items = _read_table(path, "no group-item records")
+    distinct, local = _intern(text, *groups)
+    codes = np.fromiter(map(group_index.get, distinct, itertools.repeat(-1)),
+                        np.int64, len(distinct))[local]
+    unknown = np.flatnonzero(codes < 0)
     if len(unknown):
         r = unknown[0]
-        raise DataError(f"{gi_path}: line {gi_lines[r]}: unknown group id "
-                        f"{distinct[gi_local[r]]!r}")
+        raise DataError(f"{path}: line {lines[r]}: unknown group id "
+                        f"{distinct[local[r]]!r}")
+    return text, codes, items
+
+
+def load_dataset(directory) -> Dataset:
+    """Load the three-file dataset from a directory."""
+    directory = Path(directory)
+    text, users, items = _read_user_items(directory)
+    ui_users, ui_items = _intern(text, *users), _intern(text, *items)
+    del text  # one file's code units at a time
+    group_ids, group_index, member_g, members = _read_groups(directory)
+    text, gi_codes, items = _read_group_items(directory, group_index)
     gi_items = _intern(text, *items)
     del text
 
@@ -388,11 +424,25 @@ def load_dataset(directory) -> Dataset:
     return Dataset(
         n_users=n_users, n_items=n_items, n_groups=n_groups,
         user_items=_rows(ui_u, ui_i, n_users, n_items),
-        groups=_rows(g_codes[owner], member_u, n_groups, n_users),
+        groups=_rows(member_g, member_u, n_groups, n_users),
         group_pos=_rows(gi_codes, gi_i, n_groups, n_items),
         user_ids=user_ids, item_ids=item_ids, group_ids=group_ids,
         item_index=item_index, group_index=group_index,
     )
+
+
+def load_groups(directory) -> tuple:
+    """(group ids, per-group members) of the dataset in a directory, as
+    `load_dataset` gives them but with each member numbered by its first
+    appearance in `groups.tsv`, not by the sorted user ids: all that the
+    co-membership graph reads.  Every file is read and checked as
+    `load_dataset` checks it, so the same `DataError` names the same first
+    fault, but only the group ids and member lists are interned."""
+    directory = Path(directory)
+    _read_user_items(directory)
+    group_ids, group_index, member_g, (users, member_u) = _read_groups(directory)
+    _read_group_items(directory, group_index)
+    return group_ids, _rows(member_g, member_u, len(group_ids), len(users))
 
 
 def dataset_sha256(directory) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgam.clustering import SubsetTable
-from mgam.data import Dataset, Rows
+from mgam.data import DATA_FILES, Dataset, Rows
 from mgam.graph import build_co_membership
 from mgam.config import Config
 from mgam.model import init_params
@@ -45,6 +45,28 @@ def toy():
         "batch": [(g, v) for g, v, _ in instances],
         "labels": np.array([y for _, _, y in instances], dtype=np.float64),
     }
+
+
+def write_ingest_like(d, n_users, n_items, n_groups, rng) -> int:
+    """TSVs in the new directory `d` shaped like the ingest benchmark's
+    data, with integer ids: 40 interactions per user, groups of 4-8
+    members and 10 positives each, all drawn with replacement.  Returns
+    their size in bytes."""
+    d.mkdir()
+    users = np.repeat(np.arange(n_users), 40).tolist()
+    items = rng.integers(n_items, size=len(users)).tolist()
+    sizes = rng.integers(4, 9, size=n_groups)
+    members = rng.integers(n_users, size=int(sizes.sum())).astype(str).tolist()
+    ends = np.cumsum(sizes).tolist()
+    groups = np.repeat(np.arange(n_groups), 10).tolist()
+    positives = rng.integers(n_items, size=len(groups)).tolist()
+    for name, lines in zip(DATA_FILES, (
+            (f"{u}\t{i}\n" for u, i in zip(users, items)),
+            (f"{g}\t{','.join(members[a:b])}\n"
+             for g, (a, b) in enumerate(zip([0] + ends, ends))),
+            (f"{g}\t{i}\n" for g, i in zip(groups, positives)))):
+        (d / name).write_text("".join(lines), encoding="utf-8")
+    return sum((d / name).stat().st_size for name in DATA_FILES)
 
 
 def fresh_toy_params(toy, seed=12345):

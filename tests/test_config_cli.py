@@ -19,12 +19,12 @@ from mgam.clustering import cluster_subsets
 from mgam.config import (STREAM_CLUSTER, STREAM_DATA, STREAM_INIT, Config, parse_config,
                          substream)
 from mgam.data import dataset_sha256, load_dataset, split_leave_one_out
-from mgam.errors import ConfigError, NonFiniteError
-from mgam.graph import build_co_membership
+from mgam.errors import ConfigError, DataError, NonFiniteError
+from mgam.graph import build_co_membership, dump_graph
 from mgam.model import AblationMask, init_params, param_table
 from mgam.training import (load_checkpoint, load_inputs, read_manifest, save_checkpoint,
                            train)
-from conftest import same_dataset, same_subsets
+from conftest import same_dataset, same_subsets, write_ingest_like
 from reference_preprocessing import (line_parsed_dataset, pair_loop_adjacency,
                                      sorted_pair_dump, triple_loop_subset_dump)
 
@@ -630,6 +630,61 @@ def test_dump_commands_match_line_parser_and_references(tmp_path):
                 == triple_loop_subset_dump(assignments, ref)), case
         assert ((d / "graph.out").read_bytes().decode("utf-8")
                 == sorted_pair_dump(pair_loop_adjacency(ref.groups), ref.group_ids)), case
+
+
+def test_dump_graph_writes_the_full_parses_graph(tmp_path):
+    """`dump-graph`, which interns only the group table, writes the bytes
+    that `dump_graph` writes for the groups of `load_dataset`: on the
+    default `gen-data` data, an ingest-like table, and random tables with
+    awkward ids and members who have no interactions."""
+    rng = np.random.default_rng(29)
+    dirs = [tmp_path / "default", tmp_path / "ingest"]
+    assert main(["gen-data", "--out", str(dirs[0])]) == 0
+    write_ingest_like(dirs[1], 200, 600, 800, rng)
+    for case in range(5):
+        d = tmp_path / str(case)
+        d.mkdir()
+        _awkward_tsvs(rng, d)
+        with open(d / "groups.tsv", "a", encoding="utf-8") as f:
+            f.write(f"solo{case}\tnew-a,new-b\nduo{case}\tnew-b , new-c\n")
+        dirs.append(d)
+    for d in dirs:
+        assert main(["dump-graph", "--data", str(d), "--out", str(d / "graph.out")]) == 0
+        ds = load_dataset(d)
+        dump_graph(build_co_membership(ds.groups), ds.group_ids, d / "graph.ref")
+        assert (d / "graph.out").read_bytes() == (d / "graph.ref").read_bytes(), d.name
+
+
+_GRAPH_DATA = {"user_item.tsv": "u1\ti1\nu2\ti2\n",
+               "groups.tsv": "g1\tu1,u2\ng2\tu2,u3\n",
+               "group_items.tsv": "g1\ti1\ng2\ti2\n"}
+# each malformed dataset: the files that replace `_GRAPH_DATA`'s
+_GRAPH_FAULTS = {
+    "bad-delimiter": {"user_item.tsv": "u1\ti1\nu2 i2\n"},
+    "empty-group-items": {"group_items.tsv": "# no records\n\n"},
+    "unknown-group": {"group_items.tsv": "g1\ti1\ng3\ti2\n"},
+    "duplicate-group": {"groups.tsv": "g1\tu1\ng2\tu2\ng1\tu3\n"},
+    "empty-member-list": {"groups.tsv": "g1\tu1,u2\ng2\t , \n"},
+    "user-item-not-utf8": {"user_item.tsv": b"u1\ti1\nu2\tcaf\xe9\n"},
+    "two-files": {"groups.tsv": "g1\tu1\ng1\tu2\n", "group_items.tsv": "g1\ti1\ng3\ti2\n"},
+}
+
+
+@pytest.mark.parametrize("case", _GRAPH_FAULTS)
+def test_dump_graph_refuses_what_load_dataset_refuses(tmp_path, capsys, case):
+    """On a dataset `load_dataset` refuses, `dump-graph` exits 1 with the
+    same message, naming the same first fault, and writes no graph."""
+    d = tmp_path / "data"
+    d.mkdir()
+    for name, content in {**_GRAPH_DATA, **_GRAPH_FAULTS[case]}.items():
+        raw = content if isinstance(content, bytes) else content.encode("utf-8")
+        (d / name).write_bytes(raw)
+    with pytest.raises(DataError) as refused:
+        load_dataset(d)
+    capsys.readouterr()
+    assert main(["dump-graph", "--data", str(d), "--out", str(tmp_path / "graph.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 def test_parser_is_built_once_and_keeps_no_values(workspace, tmp_path):
@@ -1294,10 +1349,14 @@ def _tree(*roots) -> dict:
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_cli_refusal_names_its_cause_and_writes_nothing(workspace, covered, tmp_path,
-                                                        capsys, case):
+                                                        capsys, monkeypatch, case):
     """Each refusal of input from outside the program exits 2 (a usage
     error) or 1 (a runtime failure) with its cause, no traceback, and
-    leaves every file as it was."""
+    leaves every file as it was, before any scorer is built."""
+    scorers = []
+    make_scorer = mgam.cli.make_mgam_scorer
+    monkeypatch.setattr(mgam.cli, "make_mgam_scorer",
+                        lambda *args: scorers.append(args) or make_scorer(*args))
     argv, make, code, message = REFUSALS[case]
     fields = {"data": workspace["data"], "ckpt": workspace["ckpt"], "tmp": str(tmp_path),
               "out": str(tmp_path / "out"), "covered_data": covered["data"],
@@ -1315,6 +1374,7 @@ def test_cli_refusal_names_its_cause_and_writes_nothing(workspace, covered, tmp_
     assert _tree(tmp_path, workspace["root"], Path(covered["ckpt"]).parent) == before
     if argv[0] == "recommend":
         assert captured.out == ""
+    assert scorers == []
 
 
 def test_every_src_statement_runs_in_some_command():

@@ -18,7 +18,7 @@ from mgam.data import (Dataset, Rows, SyntheticParams, generate_synthetic,
                        split_leave_one_out, write_dataset)
 from mgam.errors import DataError, SamplingError, UsageError
 from mgam.training import load_inputs, read_manifest
-from conftest import same_dataset, same_rows
+from conftest import same_dataset, same_rows, write_ingest_like
 from reference_preprocessing import line_parsed_dataset, planted_utility
 
 
@@ -475,6 +475,100 @@ def test_load_dataset_decodes_each_distinct_id_once(tmp_path, monkeypatch):
     assert sum(decoded) * 20 < sum(map(len, fields))
 
 
+# ids whose one-word keys pack with a piece's position into one uint64:
+# at most 4 ASCII characters (7 bits each) leave 36 bits for it.  Those
+# that do not: 9 ASCII characters, or 3 characters of a text that holds
+# U+10FFFF (21 bits each), fill 63 bits, and the position of 2 or more
+# pieces needs 2; longer ids take two or more words
+_PACKED_IDS = ["0", "1", "10", "01", "+1", "a", "a\x00", "\x00", "\x00a", "1999", "x y"]
+_UNPACKED_IDS = {
+    "ascii": ["x" * 9, "123456789", "xxxxxxx\x00y", "a" + "\x00" * 8, "x" * 10, "y" * 25],
+    "wide": ["\U0010FFFF" * 3, "\U0001F600\x00\U0010FFFF", "\u00e9\U0001F600\x00",
+             "x" * 4, "\U0010FFFF" * 7],
+}
+
+
+@pytest.mark.parametrize("pool, packs", [(_PACKED_IDS, True),
+                                         (_UNPACKED_IDS["ascii"], False),
+                                         (_UNPACKED_IDS["wide"], False)],
+                         ids=["packed", "long", "wide"])
+def test_intern_groups_by_either_sort_like_dict_interning(monkeypatch, pool, packs):
+    """`_intern` agrees with dict interning whether it groups one-word
+    keys by a packed value sort (`np.sort` of uint64) or by a row sort,
+    on up to 100,000 pieces in which every id occurs at least twice: each
+    distinct id first seen where its text is, every piece's index the
+    same."""
+    sorts = []
+    real_sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorts.append(a.dtype)
+                        or real_sort(a, *args, **kw))
+    rng = random.Random(11)
+    for n in (0, 10, 1000, 100_000):
+        tokens = pool * 2 + [rng.choice(pool) for _ in range(n)]
+        rng.shuffle(tokens)
+        text = ",".join(tokens) + "\n"
+        ends = np.cumsum([len(t) + 1 for t in tokens], dtype=np.int32) - 1
+        starts = ends - np.array([len(t) for t in tokens], np.int32)
+        units = np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else \
+            np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        sorts.clear()
+        distinct, codes = data._intern(units, starts, ends)
+        assert (distinct, codes.tolist()) == _dict_interned(tokens), n
+        assert sorts == ([np.dtype(np.uint64)] if packs else []), (n, sorts)
+
+
+def _member_groups(groups: Rows) -> list:
+    """Each member's groups, in a sorted list: what `groups` says, whatever
+    numbers its members carry."""
+    owner = np.repeat(np.arange(len(groups)), groups.lengths())
+    by_member = collections.defaultdict(list)
+    for g, u in zip(owner.tolist(), groups.indices.tolist()):
+        by_member[u].append(g)
+    return sorted(by_member.values())
+
+
+def _groups_outcome(d):
+    """`load_groups(d)` with its members as `_member_groups`, or the
+    message of its `DataError`."""
+    try:
+        group_ids, groups = data.load_groups(d)
+    except DataError as e:
+        return str(e)
+    return group_ids, _member_groups(groups)
+
+
+def test_load_groups_gives_load_datasets_groups_or_its_error(tmp_path):
+    """`load_groups` gives the group ids and member lists `load_dataset`
+    does, up to how members are numbered, or the `DataError` it raises
+    with the same message: on the line-parser test's random tables (ids
+    that are not integers, members with no interactions, faults in up to
+    two files) and on an ingest-like table."""
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    dirs = []
+    for case in range(200):
+        d = tmp_path / str(case)
+        d.mkdir()
+        tables, broken = _random_tables(rng)
+        for name, records in tables.items():
+            raw = _render(rng, records).encode("utf-8")
+            if broken.get(name) == "not_utf8":
+                raw = raw + b"caf\xe9"
+            if broken.get(name) != "missing":
+                (d / name).write_bytes(raw)
+        dirs.append(d)
+    write_ingest_like(tmp_path / "ingest", 100, 300, 400, np.random.default_rng(5))
+    for d in dirs + [tmp_path / "ingest"]:
+        expected = _outcome(load_dataset, d)
+        if isinstance(expected, Dataset):
+            seen["members only"] += not set(expected.groups.indices.tolist()) \
+                <= set(np.flatnonzero(expected.user_items.lengths()).tolist())
+            expected = expected.group_ids, _member_groups(expected.groups)
+        seen["refused" if isinstance(expected, str) else "loaded"] += 1
+        assert _groups_outcome(d) == expected, d.name
+    assert min(seen["refused"], seen["loaded"], seen["members only"]) >= 30, seen
+
+
 def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
     """The benchmark's ingest shape at half size: 1,000 users with 40 items
     each, 3,000 items, 4,000 groups of 4-8 members with 10 positives each.
@@ -505,44 +599,34 @@ def test_load_dataset_memory_stays_within_20x_the_tsv_bytes(tmp_path):
     assert peak <= 20 * size, f"{peak / size:.2f}x"
 
 
-def _write_ingest_like(d, n_users, n_items, n_groups, rng) -> int:
-    """TSVs shaped like the ingest benchmark's data, with integer ids: 40
-    interactions per user, groups of 4-8 members and 10 positives each,
-    all drawn with replacement.  Returns their size in bytes."""
-    d.mkdir()
-    users = np.repeat(np.arange(n_users), 40).tolist()
-    items = rng.integers(n_items, size=len(users)).tolist()
-    sizes = rng.integers(4, 9, size=n_groups)
-    members = rng.integers(n_users, size=int(sizes.sum())).astype(str).tolist()
-    ends = np.cumsum(sizes).tolist()
-    groups = np.repeat(np.arange(n_groups), 10).tolist()
-    positives = rng.integers(n_items, size=len(groups)).tolist()
-    _write(d, "".join(f"{u}\t{i}\n" for u, i in zip(users, items)),
-           "".join(f"{g}\t{','.join(members[a:b])}\n"
-                   for g, (a, b) in enumerate(zip([0] + ends, ends))),
-           "".join(f"{g}\t{i}\n" for g, i in zip(groups, positives)))
-    return sum((d / name).stat().st_size for name in data.DATA_FILES)
+def _traced_peak(fn) -> int:
+    """The traced peak of memory while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_load_dataset_peak_per_input_byte_does_not_grow(tmp_path):
-    """The traced peak of `load_dataset` stays under 12 bytes per input
-    byte at a quarter and at half the ingest benchmark's shape, and is no
-    larger per byte at the larger size.  Per-line int64 positions, or
-    ASCII text held as 4-byte code points, cross the bound."""
+    """The traced peaks of `load_dataset` and of `load_groups` (the parse
+    of `dump-graph`) each stay under 12 bytes per input byte at a quarter
+    and at half the ingest benchmark's shape, and are no larger per byte
+    at the larger size; `load_groups` peaks no higher than `load_dataset`
+    on the same files.  Per-line int64 positions, or ASCII text held as
+    4-byte code points, cross the bound."""
     rng = np.random.default_rng(61)
-    ratios = []
+    ratios = {load_dataset: [], data.load_groups: []}
     for k, scale in enumerate((1, 2)):
-        size = _write_ingest_like(tmp_path / str(k), 500 * scale, 1500 * scale,
-                                  2000 * scale, rng)
-        tracemalloc.start()
-        try:
-            load_dataset(tmp_path / str(k))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ratios.append(peak / size)
-    assert max(ratios) < 12, ratios
-    assert ratios[1] <= ratios[0], ratios
+        size = write_ingest_like(tmp_path / str(k), 500 * scale, 1500 * scale,
+                                 2000 * scale, rng)
+        for load, per_byte in ratios.items():
+            per_byte.append(_traced_peak(lambda: load(tmp_path / str(k))) / size)
+    for per_byte in ratios.values():
+        assert max(per_byte) < 12, ratios
+        assert per_byte[1] <= per_byte[0], ratios
+    assert all(g <= d for g, d in zip(ratios[data.load_groups], ratios[load_dataset])), ratios
 
 
 def test_remap_roundtrip_bijection(tmp_path):

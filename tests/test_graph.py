@@ -249,6 +249,26 @@ def overlapping_groups(rng, n_groups, n_users, lo, hi):
                 rng.integers(n_users, size=int(sizes.sum())))
 
 
+def test_co_membership_ignores_how_members_are_numbered():
+    """Renumbering the members one-to-one, into any range, leaves the
+    adjacency's arrays and dtypes as they were: the graph reads only which
+    groups share a member.  So `dump-graph` may take `load_groups`'
+    first-seen member numbers, and the ingest-shaped case (8,000 groups
+    of 2,000 users) writes the same file as with the sorted user ids."""
+    rng = np.random.default_rng(73)
+    cases = [overlapping_groups(rng, 8000, 2000, 4, 8)]
+    cases += [random_groups(rng, int(rng.integers(1, 60)), int(rng.integers(4, 90)))
+              for _ in range(50)]
+    for groups in cases:
+        n_users = int(groups.indices.max()) + 1
+        graph = build_co_membership(groups)
+        for renumber in (rng.permutation(n_users),
+                         rng.choice(3 * n_users, size=n_users, replace=False)):
+            renumbered = build_co_membership(Rows.from_lists(
+                [sorted(renumber[groups[g]].tolist()) for g in range(len(groups))]))
+            _assert_csr_bitwise(renumbered.adjacency, graph.adjacency)
+
+
 def test_co_membership_index_dtypes_are_pinned():
     """int32 indices, at a toy size and at the ingest benchmark's (8,000
     groups of 4-8 of 2,000 users, over a million stored entries), under

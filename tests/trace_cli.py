@@ -4,15 +4,17 @@
 
 Runs every `mgam` command in-process under a line trace (`sys.settrace`),
 on the default `gen-data` dataset and on a tiny hand-written one whose
-ids are not integers, one of them not ASCII, and whose items are few (so
-the string order of ids runs, two files are read as code points rather
-than bytes, and some groups draw most of their eligible items).  Then it
-prints `path:line: statement` for each statement of `src/mgam` that no
-command executed and that `ALLOWED` does not name, and `unused: ...` for
-each `ALLOWED` entry that names no such statement, and exits 1 if it
-printed anything.  A statement in a block that ends in `raise` is an
-error path and needs no entry.  The runs write only to a temporary
-directory.  pytest does not collect this file.
+ids are not integers, one of them not ASCII and one longer than a key
+word holds, and whose items are few (so the string order of ids runs, two
+files are read as code points rather than bytes, `data._intern` groups
+ids both by a packed value sort and by a row sort, and some groups draw
+most of their eligible items).  Then it prints `path:line: statement`
+for each statement of `src/mgam` that no command executed and that
+`ALLOWED` does not name, and `unused: ...` for each `ALLOWED` entry that
+names no such statement, and exits 1 if it printed anything.  A
+statement in a block that ends in `raise` is an error path and needs no
+entry.  The runs write only to a temporary directory.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ bob\tbanana
 bob\tcherry
 bob\tdate
 cat\tcherry
-cat\telder
+cat\telderberry
 dan\tfig
 dan\tgrape
 eve\tgrape
@@ -86,7 +88,7 @@ g-red\tcherry
 g-red\tfig
 g-blue\tbanana
 g-blue\tdate
-g-blue\telder
+g-blue\telderberry
 g-blue\tgrape
 g-blue\thoney
 g-blue\tiris
