@@ -335,16 +335,38 @@ def logsigmoid(x: Tensor) -> Tensor:
     return _result(out_data, (x,), vjp)
 
 
+# numpy reduces an axis shorter than 8 left to right, as these slice passes
+# do, but its per-call setup costs several times as much on short axes
+_SHORT_AXIS = 8
+
+
+def _reduce(ufunc, a: np.ndarray, axis: int, keepdims: bool = True) -> np.ndarray:
+    """`ufunc.reduce(a, axis, keepdims=keepdims)` bit for bit: an axis
+    shorter than `_SHORT_AXIS` as one ufunc call per entry, left to
+    right, starting from the ufunc's identity if it has one (numpy's sum
+    starts at +0.0, so a sum of -0.0 is +0.0).  A result may be a view
+    of `a`."""
+    n = a.shape[axis]
+    if not 0 < n < _SHORT_AXIS:
+        return ufunc.reduce(a, axis=axis, keepdims=keepdims)
+    lead = (slice(None),) * (axis % a.ndim)
+    entry = [lead + ((slice(i, i + 1) if keepdims else i),) for i in range(n)]
+    out = a[entry[0]] if ufunc.identity is None else ufunc(ufunc.identity, a[entry[0]])
+    for i in entry[1:]:
+        out = ufunc(out, a[i])
+    return out
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Probability-normalized exponentials along `axis` (max-shifted)."""
     if x.data.size == 0:
         raise UsageError("softmax of an empty tensor")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+    z = x.data - _reduce(np.maximum, x.data, axis)
     e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / _reduce(np.add, e, axis)
 
     def vjp(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = _reduce(np.add, g * out_data, axis)
         _accum(x, out_data * (g - inner))
 
     return _result(out_data, (x,), vjp)
@@ -364,7 +386,8 @@ def tensor_mean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
     if n == 0:
         raise UsageError("mean of an empty tensor")
-    out_data = x.data.mean(axis=axis)
+    out_data = (x.data.mean() if axis is None
+                else _reduce(np.add, x.data, axis, keepdims=False) / n)
 
     def vjp(g):
         g = g / n

@@ -529,27 +529,31 @@ def split_leave_one_out(dataset: Dataset, seed) -> Split:
                  test=list(zip(tested.tolist(), pos.indices[held].tolist())))
 
 
-def sample_negatives(dataset: Dataset, group, n: int, rng: np.random.Generator):
+def sample_negatives(dataset: Dataset, group, n: int, rng):
     """Draw n distinct items uniformly from those the group never interacted
     with: row 0 of a one-row `draw_unseen_rows` table, as Python ints, for
-    one group, or the table over a 1-D array of groups."""
+    one group, or the table over a 1-D array of groups.  `rng` is a
+    Generator, or for an array of groups a list of one per group."""
     rows = draw_unseen_rows(dataset.n_items, dataset.group_pos, np.atleast_1d(group), n,
                             rng, lambda g: f"group {dataset.group_ids[g]}")
     return rows[0].tolist() if np.ndim(group) == 0 else rows
 
 
-def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
-                     rng: np.random.Generator, name) -> np.ndarray:
+def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int, rng, name) -> np.ndarray:
     """An (len(owners), n) int64 table whose row i holds n distinct items
     drawn uniformly, in uniformly random order, from those not in row
     owners[i] of `seen` (sorted, duplicate-free rows, as a `Dataset`'s);
-    `name(o)` names owner o in a SamplingError.
+    `name(o)` names owner o in a SamplingError, raised before any draw.
 
     Floyd's algorithm draws each row's ranks (rank r: the r-th item not
     seen) among its E eligible items: slot j draws from [0, E - n + j],
     in one `rng.integers` call for all slots, and a rank an earlier slot
     holds becomes E - n + j.  One `rng.permuted` then shuffles each row,
-    since Floyd alone never puts the top n - 1 ranks in slot 0.
+    since Floyd alone never puts the top n - 1 ranks in slot 0.  `rng` is
+    one Generator for the table, or a list of one per owner: row i
+    then reads only `rng[i]`, an `integers` and a `permuted` call over
+    its own row, as a one-row table on that Generator would; the clash
+    passes and the rank-to-item mapping run over all rows at once.
     """
     if n < 0:
         raise UsageError("cannot sample a negative number of items")
@@ -560,9 +564,14 @@ def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
     if len(short):
         raise SamplingError(f"{name(int(owners[short[0]]))}: requested {n} negatives but "
                             f"only {eligible[short[0]]} of {n_items} items are eligible")
+    per_owner = isinstance(rng, list)
     slots = np.arange(n)
     low = (eligible - n)[:, None]
-    drawn = rng.integers(low + slots + 1)
+    if per_owner:
+        drawn = np.array([g.integers(high) for g, high in zip(rng, low + slots + 1)],
+                         dtype=np.int64).reshape(len(owners), n)
+    else:
+        drawn = rng.integers(low + slots + 1)
     # an earlier slot holds slot j's draw if it drew it too (a stable sort puts
     # equal draws in slot order: all but the first are repeats), or if the draw
     # is its top and it took that; each pass settles one more slot
@@ -576,7 +585,12 @@ def draw_unseen_rows(n_items: int, seen: Rows, owners, n: int,
     clash, settled = repeat, None
     while not np.array_equal(clash, settled):
         settled, clash = clash, repeat | at_top & np.take_along_axis(clash, top_slot, axis=1)
-    ranks = rng.permuted(np.where(clash, low + slots, drawn), axis=1)
+    ranks = np.where(clash, low + slots, drawn)
+    if per_owner:
+        for g, row in zip(rng, ranks):
+            g.permuted(row, out=row)
+    else:
+        ranks = rng.permuted(ranks, axis=1)
     # rank r is item r plus the count of seen items k with seen_k - k <= r;
     # the keys of each owner's CSR range, offset by its row, sort as one array
     before = np.cumsum(lengths) - lengths                  # each row's first key

@@ -4,23 +4,26 @@ For every test (group, held-out positive) the positive is ranked against
 `eval_negatives` sampled negatives (excluding all of the group's
 positives); HR@K and NDCG@K are averaged over groups.  Every command
 draws the candidate table once, with `draw_candidates`: row i is test
-entry i's held-out item, in column 0, then its negatives: one scalar
-`sample_negatives` row (`data.draw_unseen_rows`, the sampler training
-uses) on the group's own STREAM_EVAL stream, so evaluation order cannot
-change the result.
+entry i's held-out item, in column 0, then its negatives.  One
+`sample_negatives` call (`data.draw_unseen_rows`, the sampler training
+uses) draws every row, each on its group's own STREAM_EVAL generator,
+so evaluation order cannot change the result.
 One `evaluate` call scores every model a command names (ablation mask,
 aggregation strategy, subset count) against that table.
 
 A scorer is pairwise: `score_fn(groups, items)` takes two equal-length
 int arrays and returns (models, n) scores, one row per model per
 (group, item) row.  `evaluate` hands it every test group's candidate
-rows at once, and the mgam scorer cuts them into chunks of
-`SCORE_CHUNK_ROWS` rows, each one scoring forward (given the cached global
-rows) over rows of several groups and under every mask: the branches run
-once per chunk and only fusion and prediction once per mask.  Every row
-is its own one-node batch graph, so its score depends only on its own
-(group, item) pair, never on the rows it shares a forward with.  The
-chunk size bounds the memory of a forward whatever the number of groups.
+rows at once, and the mgam scorer cuts them into chunks of whole
+candidate lists, at most `SCORE_CHUNK_ROWS` rows each, cutting inside a
+list only when it alone is longer.  Each chunk is one scoring forward
+(given the cached global rows) over rows of several groups and under
+every mask: the branches run once per chunk and only fusion and
+prediction once per mask.  Every row is its own one-node batch graph, so
+its score depends only on its own (group, item) pair, never on the rows
+it shares a forward with (up to the rounding of the shapes BLAS sums
+over).  The chunk size bounds the memory of a forward whatever the
+number of groups.
 
 One rule, `_ranking`, orders candidates: by descending score, ties by
 ascending item.  `rank_candidates` (`recommend`) sorts by it, and
@@ -129,13 +132,15 @@ def draw_candidates(dataset: Dataset, split: Split, eval_negatives: int,
     """The (tests, 1 + eval_negatives) int64 candidate table: row i is
     test entry i's held-out item, in column 0, then its negatives.
 
-    Group g's negatives are one scalar `sample_negatives` call on its own
-    STREAM_EVAL stream, so the rows do not depend on evaluation order,
-    and one draw serves every model a command scores.
+    One `sample_negatives` call draws every row, the negatives of a test
+    group g on its own generator, `substream(seed, STREAM_EVAL, g)`, as a
+    draw for g alone would; so the rows do not depend on evaluation
+    order, and one draw serves every model a command scores.
     """
-    rows = [[item, *sample_negatives(dataset, g, eval_negatives, np.random.default_rng(
-        substream(seed, STREAM_EVAL, g)))] for g, item in split.test]
-    return np.array(rows, dtype=np.int64).reshape(-1, 1 + eval_negatives)
+    test = np.asarray(split.test, dtype=np.int64).reshape(-1, 2)
+    negatives = sample_negatives(dataset, test[:, 0], eval_negatives, [
+        np.random.default_rng(substream(seed, STREAM_EVAL, g)) for g in test[:, 0].tolist()])
+    return np.c_[test[:, 1], negatives]
 
 
 def evaluate(score_fn, dataset: Dataset, split: Split, candidates: np.ndarray,
@@ -213,8 +218,10 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
     `params`, so its forwards record no tape, and `params` keep their
     `requires_grad`.  The global graph stream is computed once, and only
     if a mask reads the superset branch; a call's (group, item) rows are
-    scored `SCORE_CHUNK_ROWS` at a time, one scoring forward per chunk for
-    every mask, whatever groups the rows belong to.
+    scored a chunk at a time, one scoring forward per chunk for every
+    mask.  A chunk holds whole runs of one group's rows, as many as fit
+    in `SCORE_CHUNK_ROWS` rows, and ends inside a run only when the run
+    it starts in is longer than that.
     `score_fn.forward(pairs)` is that scoring forward's `ForwardResult`s
     for an (n, 2) array of (group, item) rows, on the same global rows.
     """
@@ -231,10 +238,18 @@ def make_mgam_scorer(params: dict, cfg: Config, dataset: Dataset,
     def score_fn(groups, items):
         groups, items = np.asarray(groups), np.asarray(items)
         scores = np.empty((len(masks), len(items)))
-        for start in range(0, len(items), SCORE_CHUNK_ROWS):
-            chunk = slice(start, start + SCORE_CHUNK_ROWS)
+        # each chunk ends at the last run end within SCORE_CHUNK_ROWS rows
+        # of its start, or SCORE_CHUNK_ROWS rows on if there is none
+        ends = np.r_[0, np.flatnonzero(groups[1:] != groups[:-1]) + 1, len(groups)]
+        start = 0
+        while start < len(groups):
+            end = ends[np.searchsorted(ends, start + SCORE_CHUNK_ROWS, "right") - 1]
+            if end <= start:
+                end = start + SCORE_CHUNK_ROWS
+            chunk = slice(start, end)
             for row, result in zip(scores, forward(np.c_[groups[chunk], items[chunk]])):
                 row[chunk] = result.scores.data
+            start = end
         return scores
 
     score_fn.forward = forward

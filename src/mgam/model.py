@@ -29,14 +29,17 @@ gathers its group's members once, into a padded (rows, W, d) table and a
 arithmetic on CSR arrays: `Rows.padded` pads the batch groups' rows of
 `Dataset.groups`, and their subsets' rows of the `SubsetTable`.  A
 forward over one group's candidates (`recommend`) has a single row
-whatever the candidate count; an evaluation chunk of several groups'
-candidates has a row or two per group.  Two stacked matmuls give every
+whatever the candidate count, and an evaluation chunk of whole
+equal-length candidate lists (`evaluation.make_mgam_scorer`) has one row
+per group and no padding cell.  Two stacked matmuls give every
 (item, member) dot product and weighted sum; padding is masked out of the
 softmax with -inf and the real grid cells are taken back into instance
 order.  Subset slots become (n, d) tensors read from the cell table, with
 a row multiplied by zero (and masked out of the slot softmax) where an
 instance lacks the slot.  Fusion stacks the branches as (n, r, d) and is
-an (n, r, r) attention.  The same forward serves training, evaluation,
+an (n, r, r) attention.  Softmax and the fusion mean reduce axes this
+short slice by slice (`autodiff._reduce`), with numpy's bits.  The same
+forward serves training, evaluation,
 `recommend` and `--explain`; a forward given cached global rows is a
 scoring forward, where every instance is a one-node batch graph.
 """

@@ -15,21 +15,22 @@ in flat buffers (`AdamState`) and gathers a step's gradients into one,
 so a step is a dozen ufunc calls whatever the parameter count.
 
 A checkpoint is a directory of `params.bin` (float32 parameters),
-`inputs.npz` (the parsed dataset and the subset assignments training
-used) and `manifest.json`, written last, which records the sha256 of
-both files and of the three dataset TSVs, and params.bin's tensor table
-(`tensor_layout`).  Loading verifies every digest, so a checkpoint is
-only ever used with the data it was trained on, and a half-written one
-is refused; it refuses a tensor table that is not the layout of
-`param_table` for the configuration and inputs, naming the first
-differing entry.
+`inputs.bin` (the parsed dataset and the subset assignments training
+used, as raw little-endian arrays) and `manifest.json`, written last,
+which records the sha256 of both files and of the three dataset TSVs,
+params.bin's tensor table (`tensor_layout`) and inputs.bin's array
+table (`INPUT_ARRAYS` in order, each with its byte offset and length).
+Loading verifies every digest, so a checkpoint is only ever used with
+the data it was trained on, and a half-written one is refused; it
+refuses a tensor table that is not the layout of `param_table` for the
+configuration and inputs, naming the first differing entry, and an
+array table that does not tile inputs.bin in `INPUT_ARRAYS` order.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -49,11 +50,19 @@ from .data import (Dataset, Split, dataset_arrays, dataset_from_arrays,
 from .errors import CheckpointError, NonFiniteError, UsageError
 from .model import AblationMask, forward_batch, init_params
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 MANIFEST_FILE = "manifest.json"
 PARAMS_FILE = "params.bin"
-INPUTS_FILE = "inputs.npz"
+INPUTS_FILE = "inputs.bin"
 TRAIN_LOG_FILE = "train_log.csv"
+
+# inputs.bin's arrays in file order, with their dtypes: the int64 arrays
+# first, so each starts 8-byte aligned, then the id lists' UTF-8 bytes
+INPUT_ARRAYS = dict.fromkeys((
+    "user_items_offsets", "user_items_indices", "groups_offsets", "groups_indices",
+    "group_pos_offsets", "group_pos_indices",
+    "subset_offsets", "member_offsets", "subset_members"), "<i8") | dict.fromkeys(
+    ("user_ids", "item_ids", "group_ids"), "|u1")
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +362,27 @@ def tensor_layout(shapes) -> list:
 
 def save_checkpoint(directory, params: dict, config_echo: dict, dataset: Dataset,
                     assignments: SubsetTable, data_sha256: dict) -> None:
-    """Write params.bin (float32 little-endian), inputs.npz (the arrays of
+    """Write params.bin (float32 little-endian), inputs.bin (the arrays of
     `dataset` and `assignments`) and, last, manifest.json with their
-    sha256 and the dataset files' `data_sha256`."""
+    sha256, their tables and the dataset files' `data_sha256`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    inputs = io.BytesIO()
-    np.savez(inputs, **dataset_arrays(dataset), subset_offsets=assignments.slots.offsets,
-             member_offsets=assignments.subsets.offsets,
-             subset_members=assignments.subsets.indices)
+    arrays = dict(dataset_arrays(dataset), subset_offsets=assignments.slots.offsets,
+                  member_offsets=assignments.subsets.offsets,
+                  subset_members=assignments.subsets.indices)
+    inputs = [np.asarray(arrays[name], dtype=dtype).tobytes()
+              for name, dtype in INPUT_ARRAYS.items()]
     blob = np.concatenate([p.data.astype("<f4").ravel() for p in params.values()])
-    files = {PARAMS_FILE: blob.tobytes(), INPUTS_FILE: inputs.getvalue()}
+    files = {PARAMS_FILE: blob.tobytes(), INPUTS_FILE: b"".join(inputs)}
     for name, data in files.items():
         _write_replacing(directory / name, data)
+    offsets = np.cumsum([0] + [len(b) for b in inputs]).tolist()
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": config_echo,
         "tensors": tensor_layout((name, p.data.shape) for name, p in params.items()),
+        "inputs": [{"name": name, "dtype": dtype, "offset": offset, "nbytes": len(b)}
+                   for (name, dtype), offset, b in zip(INPUT_ARRAYS.items(), offsets, inputs)],
         "sha256": {name: _sha256(data) for name, data in files.items()},
         "data_sha256": dict(data_sha256),
     }
@@ -472,14 +485,46 @@ def load_inputs(directory, data_dir, manifest: dict) -> tuple:
                 f"trained on (sha256 differs); pass the training data or retrain")
     path = Path(directory) / INPUTS_FILE
     try:
-        blob = path.read_bytes()
+        blob = bytearray(path.read_bytes())   # so the arrays sliced from it are writable
     except OSError as e:
         raise CheckpointError(f"cannot read {path}: {e}") from e
     _verify(manifest, path, blob)
+    arrays = {}
+    for name, (offset, nbytes) in _input_table(manifest, path, len(blob)).items():
+        dtype = np.dtype(INPUT_ARRAYS[name])
+        arrays[name] = np.frombuffer(blob, dtype, nbytes // dtype.itemsize, offset)
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
-            return dataset_from_arrays(arrays), SubsetTable(
-                arrays["subset_offsets"], arrays["member_offsets"], arrays["subset_members"])
-    except (KeyError, ValueError, UsageError) as e:
+        return dataset_from_arrays(arrays), SubsetTable(
+            arrays["subset_offsets"], arrays["member_offsets"], arrays["subset_members"])
+    except (ValueError, UsageError) as e:
         raise CheckpointError(f"{path}: malformed inputs ({e})") from e
 
+
+def _input_table(manifest: dict, path: Path, size: int) -> dict:
+    """{name: (byte offset, byte length)} of the manifest's array table
+    for the `size`-byte inputs file at `path`.  The table must list
+    `INPUT_ARRAYS` in order, each with its dtype and a whole number of
+    values, starting where the one before ends, and the last must end
+    where the file does; otherwise the error names the first entry that
+    does not."""
+    where = path.parent / MANIFEST_FILE
+    table = manifest.get("inputs")
+    if not isinstance(table, list) or len(table) != len(INPUT_ARRAYS):
+        raise CheckpointError(f"{where}: the inputs table must list the "
+                              f"{len(INPUT_ARRAYS)} arrays {list(INPUT_ARRAYS)}")
+    slices, offset = {}, 0
+    for i, (entry, (name, dtype)) in enumerate(zip(table, INPUT_ARRAYS.items())):
+        nbytes = entry.get("nbytes") if isinstance(entry, dict) else None
+        if (entry != {"name": name, "dtype": dtype, "offset": offset, "nbytes": nbytes}
+                or type(nbytes) is not int or nbytes < 0
+                or nbytes % np.dtype(dtype).itemsize or offset + nbytes > size):
+            raise CheckpointError(
+                f"{where}: inputs entry {i} is {entry!r}, but {path.name} needs "
+                f"{name!r} of dtype {dtype!r} at byte {offset}, ending within its "
+                f"{size} bytes")
+        slices[name] = offset, nbytes
+        offset += nbytes
+    if offset != size:
+        raise CheckpointError(f"{where}: the inputs table covers {offset} of "
+                              f"{path.name}'s {size} bytes")
+    return slices

@@ -40,6 +40,53 @@ def test_softmax_empty_rejected():
         ad.softmax(Tensor(np.zeros(0)))
 
 
+def _bits(a) -> np.ndarray:
+    """The bit patterns of a float array, every NaN as np.nan's: a NaN's
+    sign and payload are not compared, since numpy's own loops disagree
+    on them where two NaNs meet."""
+    a = np.array(a, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_short_axis_reductions_equal_numpys_bitwise(n):
+    """Softmax's max and sums, in the forward and the vjp, and
+    `tensor_mean` reduce an axis shorter than 8 by slice passes; on every
+    axis, at lengths on both sides of that cut, the results equal numpy's
+    own reductions bit for bit, the sign of a zero included: on values of
+    mixed scale, on rows padded with -inf, and on NaN, ±0 and ±inf."""
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e16, 1e-300, np.inf, -np.inf, np.nan])
+    for trial in range(30):
+        x = rng.standard_normal((4, 3, n)) * 10.0 ** rng.integers(-5, 17, size=(4, 3, n))
+        if trial % 3 == 1:
+            x = rng.choice(special, size=x.shape)
+        elif trial % 3 == 2:   # masked-softmax rows: real entries, then -inf padding
+            x[np.arange(n) >= rng.integers(1, n + 1, size=(4, 3, 1))] = -np.inf
+            x[rng.random(x.shape) < 0.1] = rng.choice([0.0, -0.0, np.nan])
+        for axis in (0, 1, 2, -1):
+            y = np.ascontiguousarray(np.moveaxis(x, -1, axis))
+            with np.errstate(invalid="ignore", over="ignore"):
+                for ufunc in (np.maximum, np.add):
+                    for keepdims in (True, False):
+                        assert np.array_equal(
+                            _bits(ad._reduce(ufunc, y, axis, keepdims)),
+                            _bits(ufunc.reduce(y, axis=axis, keepdims=keepdims)))
+                t = Tensor(y, requires_grad=True)
+                out = ad.softmax(t, axis)
+                e = np.exp(y - y.max(axis=axis, keepdims=True))
+                p = e / e.sum(axis=axis, keepdims=True)
+                assert np.array_equal(_bits(out.data), _bits(p))
+                g = rng.standard_normal(y.shape)
+                g[rng.random(y.shape) < 0.2] = -0.0
+                ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))   # d out = g
+                assert np.array_equal(
+                    _bits(t.grad), _bits(p * (g - (g * p).sum(axis=axis, keepdims=True))))
+                assert np.array_equal(_bits(ad.tensor_mean(Tensor(y), axis).data),
+                                      _bits(y.mean(axis=axis)))
+
+
 def test_activations():
     assert ad.relu(Tensor(-1.0)).data == 0.0
     assert ad.relu(Tensor(2.0)).data == 2.0

@@ -85,9 +85,9 @@ def test_tracer_counts_equal_the_rows_the_program_handled(tmp_path, monkeypatch,
     assert tracer.counts["evaluation.candidates"] == unseen
     assert tracer.counts["model.forward_score.instances"] == (
         len(split.test) * (1 + eval_negatives) + unseen)
-    # one draw per training batch, one per test group
+    # one draw per training batch, one per candidate table
     assert tracer.names.count("data.sample_negatives") == (
-        epochs * -(-len(split.train) // 16) + len(split.test))
+        epochs * -(-len(split.train) // 16) + 1)
     values = tracing.summarize(tracer, 1)
     assert values["autodiff.tape_nodes_per_instance"] == sum(walked) / trained
     assert values["evaluation.candidates"] == unseen

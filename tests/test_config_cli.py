@@ -140,8 +140,8 @@ def test_train_outputs(workspace):
     assert (ckpt / "train_log.csv").exists()
     assert (ckpt / "config.resolved").exists()
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    assert manifest["format_version"] == 3
-    assert (ckpt / "inputs.npz").exists()
+    assert manifest["format_version"] == 4
+    assert (ckpt / "inputs.bin").exists()
     assert not (ckpt / "adam.bin").exists()
     assert manifest["config"]["embedding_dim"] == 8
 
@@ -183,13 +183,13 @@ def test_ablate_runs_all_single_removals(workspace):
 
 def test_ablate_draws_each_test_group_once(workspace, tmp_path, monkeypatch):
     """Four masks share one draw of candidates: one sample_negatives call
-    per test group, and each mask's rows, summary and per-group detail
-    alike, equal a separate `eval --set ablate=...`."""
+    over every test group, and each mask's rows, summary and per-group
+    detail alike, equal a separate `eval --set ablate=...`."""
     drawn = []
     real = mgam.evaluation.sample_negatives
 
     def spy(dataset, group, *args, **kwargs):
-        drawn.append(group)
+        drawn.append(np.asarray(group).tolist())
         return real(dataset, group, *args, **kwargs)
 
     monkeypatch.setattr(mgam.evaluation, "sample_negatives", spy)
@@ -198,7 +198,7 @@ def test_ablate_draws_each_test_group_once(workspace, tmp_path, monkeypatch):
     assert rc == 0
     dataset = load_dataset(workspace["data"])
     split = split_leave_one_out(dataset, substream(42, STREAM_DATA))
-    assert sorted(drawn) == sorted(g for g, _ in split.test)
+    assert drawn == [[g for g, _ in split.test]]
     assert len((tmp_path / "ablate" / "metrics.csv").read_text().splitlines()) == 1 + 4 * 2
     for label, ablated in (("mgam", ""), ("mgam-wo-subpe", "subpe"),
                            ("mgam-wo-gpe", "gpe"), ("mgam-wo-suppe", "suppe")):
@@ -449,7 +449,7 @@ def test_checkpoint_refuses_data_it_was_not_trained_on(workspace, tmp_path, caps
     assert not (tmp_path / "out").exists()      # refused before any scoring
 
 
-@pytest.mark.parametrize("name,at", [("params.bin", 40), ("inputs.npz", 200)])
+@pytest.mark.parametrize("name,at", [("params.bin", 40), ("inputs.bin", 200)])
 @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
 def test_checkpoint_flipped_byte_is_named(workspace, tmp_path, capsys, command,
                                           name, at):
@@ -466,11 +466,11 @@ def test_checkpoint_flipped_byte_is_named(workspace, tmp_path, capsys, command,
 
 def test_checkpoint_missing_inputs_file_is_named(workspace, tmp_path, capsys):
     ckpt = shutil.copytree(workspace["ckpt"], tmp_path / "ckpt")
-    (ckpt / "inputs.npz").unlink()
+    (ckpt / "inputs.bin").unlink()
     assert _run_on_checkpoint(["eval"], workspace["data"], ckpt, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: cannot read")
-    assert "inputs.npz" in err and "Traceback" not in err
+    assert "inputs.bin" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=CHECKPOINT_IDS)
@@ -488,7 +488,7 @@ def test_checkpoint_replaced_after_its_inputs_load_is_refused(workspace, tmp_pat
 
     def load_then_replace(*args):
         loaded = real(*args)
-        for name in ("params.bin", "inputs.npz", "manifest.json"):
+        for name in ("params.bin", "inputs.bin", "manifest.json"):
             shutil.copy(other / name, ckpt / name)
         return loaded
 
@@ -922,7 +922,7 @@ def test_sweep_subsets_draws_each_test_group_once(workspace, tmp_path, monkeypat
     real = mgam.evaluation.sample_negatives
 
     def spy(dataset, group, *args, **kwargs):
-        drawn.append(group)
+        drawn.append(np.asarray(group).tolist())
         return real(dataset, group, *args, **kwargs)
 
     monkeypatch.setattr(mgam.evaluation, "sample_negatives", spy)
@@ -933,7 +933,7 @@ def test_sweep_subsets_draws_each_test_group_once(workspace, tmp_path, monkeypat
     assert rc == 0
     split = split_leave_one_out(load_dataset(workspace["data"]),
                                 substream(42, STREAM_DATA))
-    assert sorted(drawn) == sorted(g for g, _ in split.test)
+    assert drawn == [[g for g, _ in split.test]]
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
 
@@ -1193,7 +1193,7 @@ def test_version_1_checkpoint_refused(workspace, tmp_path, capsys, command):
                *command[1:]])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "unsupported checkpoint format version 1 (expected 3)" in err
+    assert "unsupported checkpoint format version 1 (expected 4)" in err
     assert "graph.weighted" not in err
 
 
@@ -1328,11 +1328,11 @@ REFUSALS = {
         1, "error: {made}/manifest.json: missing tensor table"),
     "manifest-without-params-digest": (
         _eval("{made}"),
-        _manifest(lambda m: {**m, "sha256": {"inputs.npz": m["sha256"]["inputs.npz"]}}),
+        _manifest(lambda m: {**m, "sha256": {"inputs.bin": m["sha256"]["inputs.bin"]}}),
         1, "error: {made}/manifest.json records no sha256 for params.bin"),
     "manifest-other-version": (
-        _eval("{made}"), _manifest(lambda m: {**m, "format_version": 2}), 1,
-        "error: {made}/manifest.json: unsupported checkpoint format version 2 (expected 3)"),
+        _eval("{made}"), _manifest(lambda m: {**m, "format_version": 3}), 1,
+        "error: {made}/manifest.json: unsupported checkpoint format version 3 (expected 4)"),
     "params-truncated": (
         _eval("{made}"), _damaged("params.bin", lambda raw: raw[:-4]), 1,
         "error: corrupt checkpoint: {made}/params.bin holds "),

@@ -256,6 +256,25 @@ def test_draw_candidates_rows_do_not_depend_on_split_order():
         assert np.array_equal(draw_candidates(ds, shuffled, k, seed=3), table[perm])
 
 
+def test_draw_candidates_rows_are_one_group_draws():
+    """One draw over every test group gives each row the negatives that a
+    draw for its group alone on the group's STREAM_EVAL generator gives
+    (the scalar `sample_negatives` that `benchmarks/checks.py` calls).  An
+    empty test split gives a (0, 1 + k) table, and a group with too few
+    unseen items is named."""
+    for ds, split, k in _draw_property_cases():
+        table = draw_candidates(ds, split, k, seed=7)
+        for (g, _), row in zip(split.test, table.tolist()):
+            assert row[1:] == sample_negatives(
+                ds, g, k, np.random.default_rng(substream(7, STREAM_EVAL, g)))
+    empty = draw_candidates(ds, dataclasses.replace(split, test=[]), k, seed=7)
+    assert empty.dtype == np.int64 and empty.shape == (0, 1 + k)
+    short = next(g for g, _ in split.test if ds.n_items - len(ds.group_pos[g]) == k)
+    with pytest.raises(SamplingError, match=rf"^group {ds.group_ids[short]}: requested "
+                                            rf"{k + 1} negatives but only {k} "):
+        draw_candidates(ds, split, k + 1, seed=7)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_scores_are_refused_naming_the_group(bad):
     ds, truth, split = _planted()
@@ -415,8 +434,10 @@ def test_mgam_scorer_records_no_tape(tmp_path, monkeypatch, source):
 
 
 def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
-    """Rows of many groups are scored SCORE_CHUNK_ROWS at a time, each row
-    as it scores alone."""
+    """Rows of many groups are scored a chunk at a time.  A chunk ends
+    where the last run of one group's rows that fits in SCORE_CHUNK_ROWS
+    rows ends, and cuts inside a run only when the run starting it is
+    longer than that.  Each row scores as it scores alone."""
     ds, truth, split = _planted(seed=6)
     assignments = cluster_subsets(ds, 2, max_iters=100, restarts=3, seed=1)
     graph = build_co_membership(ds.groups)
@@ -434,12 +455,27 @@ def test_mgam_scorer_chunks_rows_of_many_groups(monkeypatch):
 
     monkeypatch.setattr(mgam.evaluation, "forward_batch", spy)
     rng = np.random.default_rng(2)
-    n = 2 * SCORE_CHUNK_ROWS + 37
-    groups = rng.integers(0, ds.n_groups, size=n)
+    # candidate-list-like runs, one of them longer than two chunks, and
+    # runs of random length; neighbouring runs belong to different groups
+    runs = [101] * 7 + [2 * SCORE_CHUNK_ROWS + 300] + rng.integers(1, 300, size=4).tolist()
+    groups = np.repeat(rng.permutation(ds.n_groups)[:len(runs)], runs)
+    n = len(groups)
     items = rng.integers(0, ds.n_items, size=n)
     scores = make_mgam_scorer(params, cfg, ds, assignments, graph)(groups, items)
-    assert sizes == [SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS, 37]
-    for i in rng.choice(n, size=40, replace=False):
+    run_ends = np.cumsum(runs).tolist()
+    expected, start = [], 0
+    while start < n:
+        within = [e for e in run_ends if start < e <= start + SCORE_CHUNK_ROWS]
+        end = within[-1] if within else start + SCORE_CHUNK_ROWS
+        expected.append(end - start)
+        start = end
+    assert sizes == expected
+    assert sizes[:2] == [5 * 101, 2 * 101]                  # whole lists only
+    assert sizes[2:4] == [SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS]   # inside the long run
+    chunk_ends = np.cumsum(sizes)
+    cuts = chunk_ends[~np.isin(chunk_ends, run_ends)]
+    assert len(cuts) == 2
+    for i in [*rng.choice(n, size=40, replace=False), *(cuts - 1), *cuts]:
         [alone] = real(params, cfg, ds, assignments, graph, [(groups[i], items[i])])
         assert abs(scores[0, i] - float(alone.scores.data[0])) < 1e-12
 

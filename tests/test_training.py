@@ -520,12 +520,12 @@ def test_checkpoint_roundtrip_float32(tmp_path):
     cfg, params = _checkpoint_roundtrip_setup(tmp_path)
     manifest = read_manifest(tmp_path)
     loaded = load_checkpoint(tmp_path, manifest, _CKPT_TABLE)
-    assert sorted(manifest) == ["config", "data_sha256", "format_version", "sha256",
-                                "tensors"]
+    assert sorted(manifest) == ["config", "data_sha256", "format_version", "inputs",
+                                "sha256", "tensors"]
     assert manifest["config"] == {"embedding_dim": 4}
-    assert manifest["format_version"] == 3
+    assert manifest["format_version"] == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "inputs.npz", "manifest.json", "params.bin"]
+        "inputs.bin", "manifest.json", "params.bin"]
     for k, p in params.items():
         assert np.array_equal(loaded[k].data, p.data.astype(np.float32).astype(np.float64))
         assert loaded[k].requires_grad
@@ -550,7 +550,7 @@ def test_checkpoint_files_reach_disk_before_their_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", spy_replace)
     _checkpoint_roundtrip_setup(tmp_path)
     want = []
-    for name in ("params.bin", "inputs.npz", "manifest.json"):
+    for name in ("params.bin", "inputs.bin", "manifest.json"):
         inode = (tmp_path / name).stat().st_ino
         want += [("fsync", inode), ("replace", inode, name)]
     assert events == want + [("fsync", tmp_path.stat().st_ino)]
@@ -564,7 +564,7 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     loaded = load_checkpoint(a_dir, manifest, _CKPT_TABLE)
     save_checkpoint(b_dir, loaded, manifest["config"], _CKPT_DATASET, _CKPT_ASSIGNMENTS,
                     manifest["data_sha256"])
-    for name in ("manifest.json", "params.bin", "inputs.npz"):
+    for name in ("manifest.json", "params.bin", "inputs.bin"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
@@ -671,7 +671,7 @@ def test_checkpoint_version_guard(tmp_path):
     manifest["format_version"] = 1
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError,
-                       match=r"unsupported checkpoint format version 1 \(expected 3\)"):
+                       match=r"unsupported checkpoint format version 1 \(expected 4\)"):
         load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
     with pytest.raises(CheckpointError, match="version 1"):
         read_manifest(tmp_path)
@@ -714,21 +714,115 @@ def test_checkpoint_inputs_roundtrip(tmp_path):
     assert same_subsets(assignments, _CKPT_ASSIGNMENTS)
 
 
-def test_checkpoint_inputs_missing_array_is_named(tmp_path):
-    """An inputs file whose digest matches but which lacks an array (a
-    hand-edited checkpoint) is a named error, not a KeyError."""
+def _rewrite_inputs(ckpt, edit) -> dict:
+    """Let `edit(manifest, raw)` change the manifest and return new
+    inputs.bin bytes; write both with a matching digest, as a hand-edited
+    checkpoint would, and return the manifest."""
     import hashlib
     import json
-    ckpt, data = _saved_with_data(tmp_path)
-    with np.load(ckpt / "inputs.npz") as arrays:
-        kept = {k: arrays[k] for k in arrays.files if k != "subset_members"}
-    np.savez(ckpt / "inputs.npz", **kept)
     manifest = read_manifest(ckpt)
-    manifest["sha256"]["inputs.npz"] = hashlib.sha256(
-        (ckpt / "inputs.npz").read_bytes()).hexdigest()
+    raw = edit(manifest, (ckpt / "inputs.bin").read_bytes())
+    (ckpt / "inputs.bin").write_bytes(raw)
+    manifest["sha256"]["inputs.bin"] = hashlib.sha256(raw).hexdigest()
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match=r"inputs\.npz: malformed inputs"):
+    return manifest
+
+
+def _drop_subset_members(manifest, raw):
+    table = manifest["inputs"]
+    [k] = [k for k, e in enumerate(table) if e["name"] == "subset_members"]
+    dropped = table.pop(k)
+    for e in table[k:]:
+        e["offset"] -= dropped["nbytes"]
+    return raw[:dropped["offset"]] + raw[dropped["offset"] + dropped["nbytes"]:]
+
+
+def test_checkpoint_inputs_missing_array_is_named(tmp_path, monkeypatch):
+    """An inputs file whose digest matches but which lacks an array (a
+    hand-edited checkpoint) is a named error, not a KeyError, raised
+    before any array is sliced out of the file."""
+    ckpt, data = _saved_with_data(tmp_path)
+    manifest = _rewrite_inputs(ckpt, _drop_subset_members)
+    monkeypatch.setattr(mgam.training.np, "frombuffer", None)
+    with pytest.raises(CheckpointError, match=r"manifest\.json: the inputs table must "
+                                              r"list the 12 arrays"):
         load_inputs(ckpt, data, manifest)
+
+
+def _edit_entry(k, **changes):
+    def edit(manifest, raw):
+        manifest["inputs"][k].update(changes)
+        return raw
+    return edit
+
+
+def _shift_entry(k, delta):
+    def edit(manifest, raw):
+        manifest["inputs"][k]["offset"] += delta
+        return raw
+    return edit
+
+
+def _swap_first_two(manifest, raw):
+    table = manifest["inputs"]
+    table[0], table[1] = table[1], table[0]
+    return raw
+
+
+def _grow_last(manifest, raw):
+    manifest["inputs"][-1]["nbytes"] += 8
+    return raw
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_swap_first_two, "inputs entry 0 is .*user_items_indices"),
+    (_edit_entry(2, name="groups"), "inputs entry 2 is .*'groups'"),
+    (_edit_entry(3, dtype="<f8"), "inputs entry 3 is .*<f8"),
+    (_edit_entry(3, dtype="bogus"), "inputs entry 3 is .*bogus"),
+    (_edit_entry(0, shape=[4]), "inputs entry 0 is .*shape"),
+    (_edit_entry(0, nbytes=4), "inputs entry 0 is .*'nbytes': 4"),
+    (lambda manifest, raw: manifest["inputs"][0].update(
+        nbytes=float(manifest["inputs"][0]["nbytes"])) or raw,
+     r"inputs entry 0 is .*'nbytes': \d+\.0"),
+    (_shift_entry(1, -8), r"inputs entry 1 is .*needs 'user_items_indices' of dtype '<i8' "
+                          r"at byte \d+"),
+    (_shift_entry(4, 8), "inputs entry 4 is .*at byte "),
+    (_grow_last, r"inputs entry 11 is .*ending within its \d+ bytes"),
+    (lambda manifest, raw: raw + bytes(8), r"the inputs table covers \d+ of inputs\.bin's"),
+    (lambda manifest, raw: manifest.pop("inputs") and raw, "the inputs table must list"),
+    (lambda manifest, raw: manifest.update(inputs={}) or raw, "the inputs table must list")],
+    ids=["permuted", "renamed", "other-dtype", "unknown-dtype", "extra-key",
+         "partial-value", "float-length", "overlapping", "gap", "past-the-end",
+         "trailing-bytes", "no-table", "not-a-list"])
+def test_checkpoint_malformed_inputs_table_is_named(tmp_path, monkeypatch, edit, message):
+    """inputs.bin's array table must list the arrays in order, each with
+    its dtype and a whole number of values, starting where the one before
+    ends, the last ending where the file does; any other table is refused,
+    naming manifest.json and the first entry that differs, before any
+    array is sliced out of the file."""
+    ckpt, data = _saved_with_data(tmp_path)
+    manifest = _rewrite_inputs(ckpt, edit)
+    monkeypatch.setattr(mgam.training.np, "frombuffer", None)
+    with pytest.raises(CheckpointError, match=rf"{ckpt / 'manifest.json'}: .*{message}"):
+        load_inputs(ckpt, data, manifest)
+
+
+def test_checkpoint_inputs_file_is_its_arrays_raw(tmp_path):
+    """inputs.bin is the arrays' little-endian bytes, back to back in the
+    table's order: the int64 arrays first, each at a multiple of 8 bytes,
+    then the UTF-8 id lists."""
+    ckpt, _ = _saved_with_data(tmp_path)
+    table = read_manifest(ckpt)["inputs"]
+    assert [e["name"] for e in table] == list(mgam.training.INPUT_ARRAYS)
+    assert [e["dtype"] for e in table] == 9 * ["<i8"] + 3 * ["|u1"]
+    assert all(e["offset"] % 8 == 0 for e in table[:9])
+    raw = (ckpt / "inputs.bin").read_bytes()
+    users = next(e for e in table if e["name"] == "user_ids")
+    assert raw[users["offset"]:users["offset"] + users["nbytes"]] == "\n".join(
+        _CKPT_DATASET.user_ids).encode("utf-8")
+    members = next(e for e in table if e["name"] == "subset_members")
+    assert raw[members["offset"]:members["offset"] + members["nbytes"]] == (
+        _CKPT_ASSIGNMENTS.subsets.indices.astype("<i8").tobytes())
 
 
 def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
@@ -749,9 +843,9 @@ def test_checkpoint_manifest_is_written_last(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(tmp_path, other, {"embedding_dim": 4}, _CKPT_DATASET,
                         _CKPT_ASSIGNMENTS, {name: "0" * 64 for name in DATA_FILES})
-    assert replaced == ["params.bin", "inputs.npz"]
+    assert replaced == ["params.bin", "inputs.bin"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "inputs.npz", "manifest.json", "params.bin"]   # no temporary file left
+        "inputs.bin", "manifest.json", "params.bin"]   # no temporary file left
     with pytest.raises(CheckpointError, match=r"params\.bin does not match its sha256"):
         load_checkpoint(tmp_path, read_manifest(tmp_path), _CKPT_TABLE)
 

@@ -8,7 +8,9 @@ ids are not integers, one of them not ASCII and one longer than a key
 word holds, and whose items are few (so the string order of ids runs, two
 files are read as code points rather than bytes, `data._intern` groups
 ids both by a packed value sort and by a row sort, and some groups draw
-most of their eligible items).  Then it prints `path:line: statement`
+most of their eligible items); and `recommend` on a small generated one
+of 600 items, more than one scoring chunk holds, so a chunk is cut
+inside one group's rows.  Then it prints `path:line: statement`
 for each statement of `src/mgam` that no command executed and that
 `ALLOWED` does not name, and `unused: ...` for each `ALLOWED` entry that
 names no such statement, and exits 1 if it printed anything.  A
@@ -144,10 +146,16 @@ def _commands(data: Path, work: Path, settings: list, group: str, item: str) -> 
 
 def _run_all(main, tmp: Path) -> None:
     default, tiny = tmp / "default", tmp / "tiny"
+    small = tmp / "small"
     runs = [(["gen-data", "--out", str(default), "--seed", "42"], 0),
-            # an explicit --items-per-user, unused further
-            (["gen-data", "--out", str(tmp / "small"), "--users", "30", "--items", "40",
-              "--groups", "8", "--items-per-user", "5", "--seed", "1"], 0)]
+            # an explicit --items-per-user; `recommend` then ranks more
+            # items than one scoring chunk holds, cutting inside the group
+            (["gen-data", "--out", str(small), "--users", "30", "--items", "600",
+              "--groups", "8", "--items-per-user", "5", "--seed", "1"], 0),
+            (["train", "--data", str(small), "--out", str(small / "ckpt"),
+              "--set", "epochs=1", "--set", "embedding_dim=8"], 0),
+            (["recommend", "--data", str(small), "--ckpt", str(small / "ckpt"),
+              "--group-id", "0"], 0)]
     tiny.mkdir()
     for name, text in TINY.items():
         (tiny / name).write_text(text, encoding="utf-8")
